@@ -6,18 +6,12 @@
 //
 // Usage:
 //
-//	pfsim-lint [-dir d] [-run names] [-list] [-ratchet file] [-ratchet-update] [packages]
+//	pfsim-lint [-dir d] [-run names] [-list] [packages]
 //
 // Packages default to ./... resolved from -dir (default "."). The exit
 // status is 0 when the tree is clean, 1 when any analyzer reported a
 // finding, and 2 on a usage or load error — so CI can distinguish
 // "violations" from "broken build".
-//
-// Ratcheted analyzers (procshim) inventory existing debt rather than
-// regressions: their findings are compared per package against the
-// committed baseline named by -ratchet (default: <dir>/ratchet.json
-// when present) and only *growth* fails the run. -ratchet-update
-// rewrites the baseline from the current tree, byte-idempotently.
 package main
 
 import (
@@ -33,7 +27,6 @@ import (
 	"pfsim/internal/analysis/framework"
 	"pfsim/internal/analysis/hotalloc"
 	"pfsim/internal/analysis/maporder"
-	"pfsim/internal/analysis/procshim"
 	"pfsim/internal/analysis/statsmerge"
 	"pfsim/internal/analysis/taskctx"
 	"pfsim/internal/analysis/wallclock"
@@ -45,7 +38,6 @@ var suite = []*framework.Analyzer{
 	barego.Analyzer,
 	hotalloc.Analyzer,
 	maporder.Analyzer,
-	procshim.Analyzer,
 	statsmerge.Analyzer,
 	taskctx.Analyzer,
 	wallclock.Analyzer,
@@ -55,13 +47,9 @@ func main() {
 	dir := flag.String("dir", ".", "directory to resolve package patterns from")
 	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the suite's analyzers and exit")
-	ratchet := flag.String("ratchet", ratchetAuto,
-		"ratchet baseline file (relative to -dir); \"auto\" uses <dir>/ratchet.json when present, \"\" disables")
-	ratchetUpdate := flag.Bool("ratchet-update", false,
-		"rewrite the ratchet baseline from the current tree instead of comparing")
 	flag.Parse()
 
-	findings, err := run(os.Stdout, *dir, *runList, *list, *ratchet, *ratchetUpdate, flag.Args())
+	findings, err := run(os.Stdout, *dir, *runList, *list, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pfsim-lint:", err)
 		os.Exit(2)
@@ -72,11 +60,9 @@ func main() {
 }
 
 // run executes the selected analyzers over the patterns and prints one
-// line per finding; it returns the violation count charged to the exit
-// status. Ratcheted analyzers' findings are absorbed into the baseline
-// comparison instead of printing directly (unless no baseline is in
-// play). Split from main for the golden tests.
-func run(w io.Writer, dir, runList string, list bool, ratchet string, ratchetUpdate bool, patterns []string) (int, error) {
+// line per finding; it returns the finding count charged to the exit
+// status. Split from main for the golden tests.
+func run(w io.Writer, dir, runList string, list bool, patterns []string) (int, error) {
 	analyzers, err := selectAnalyzers(runList)
 	if err != nil {
 		return 0, err
@@ -94,10 +80,6 @@ func run(w io.Writer, dir, runList string, list bool, ratchet string, ratchetUpd
 	if err != nil {
 		return 0, err
 	}
-	ratchetPath, base, err := resolveRatchet(absDir, ratchet, ratchetUpdate)
-	if err != nil {
-		return 0, err
-	}
 	pkgs, err := framework.Load(absDir, patterns)
 	if err != nil {
 		return 0, err
@@ -106,7 +88,7 @@ func run(w io.Writer, dir, runList string, list bool, ratchet string, ratchetUpd
 	if err != nil {
 		return 0, err
 	}
-	print := func(f framework.Finding) {
+	for _, f := range findings {
 		name := f.Position.Filename
 		if rel, err := filepath.Rel(absDir, name); err == nil && !strings.HasPrefix(rel, "..") {
 			name = filepath.ToSlash(rel)
@@ -114,70 +96,7 @@ func run(w io.Writer, dir, runList string, list bool, ratchet string, ratchetUpd
 		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n",
 			name, f.Position.Line, f.Position.Column, f.Message, f.Analyzer.Name)
 	}
-
-	// Which analyzers are under the ratchet for this run: the recorded
-	// set when updating, the baseline's keys when comparing, none when
-	// no baseline is in play (their findings then print directly).
-	ratcheted := map[string]bool{}
-	switch {
-	case ratchetUpdate && ratchetPath != "":
-		for _, name := range ratchetedDefault {
-			ratcheted[name] = true
-		}
-	case base != nil:
-		for name := range base {
-			ratcheted[name] = true
-		}
-	}
-
-	counts := map[string]map[string]int{}
-	grouped := map[string]map[string][]framework.Finding{}
-	violations := 0
-	for _, f := range findings {
-		name := f.Analyzer.Name
-		if !ratcheted[name] {
-			print(f)
-			violations++
-			continue
-		}
-		if counts[name] == nil {
-			counts[name] = map[string]int{}
-			grouped[name] = map[string][]framework.Finding{}
-		}
-		counts[name][f.Package.ImportPath]++
-		grouped[name][f.Package.ImportPath] = append(grouped[name][f.Package.ImportPath], f)
-	}
-
-	if ratchetUpdate && ratchetPath != "" {
-		b := baseline{}
-		for _, a := range analyzers {
-			if ratcheted[a.Name] && len(counts[a.Name]) > 0 {
-				b[a.Name] = counts[a.Name]
-			}
-		}
-		if err := os.WriteFile(ratchetPath, formatBaseline(b), 0o644); err != nil {
-			return 0, fmt.Errorf("ratchet baseline: %w", err)
-		}
-		return violations, nil
-	}
-	if base != nil {
-		var names []string
-		for name := range base {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		selected := map[string]bool{}
-		for _, a := range analyzers {
-			selected[a.Name] = true
-		}
-		for _, name := range names {
-			if !selected[name] {
-				continue // not run: nothing to compare
-			}
-			violations += compareRatchet(w, name, base[name], counts[name], grouped[name], print)
-		}
-	}
-	return violations, nil
+	return len(findings), nil
 }
 
 // selectAnalyzers resolves the -run list against the suite (empty

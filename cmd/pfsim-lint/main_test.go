@@ -1,42 +1,34 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // suiteNames is the expected -list order; goldens below depend on it.
-var suiteNames = []string{"barego", "hotalloc", "maporder", "procshim", "statsmerge", "taskctx", "wallclock"}
+var suiteNames = []string{"barego", "hotalloc", "maporder", "statsmerge", "taskctx", "wallclock"}
 
 // goldenAll is the exact full-suite output over the fixture module: one
 // deliberate violation per analyzer plus a clean package, sorted by
 // file, line, column. Any drift is a real change in the suite's
-// findings, positions or message wording. No ratchet baseline exists in
-// the fixture module, so the seeded procshim violations print (and
-// exit 1) directly — the "Proc caller count increase fails" contract.
+// findings, positions or message wording.
 const goldenAll = `internal/flow/flow.go:15:17: merge method "merge" does not touch field(s) HeapOps of flow.Stats; a field missing from the fold is silently dropped at parallelism > 1 or in shard aggregation — merge it, or annotate the field //pfsim:nomerge (statsmerge)
 internal/flow/flow.go:22:2: range over map loads iterates in nondeterministic order inside a sim-critical package; iterate sorted keys, or audit the loop as order-insensitive and annotate //pfsim:orderok (maporder)
 internal/flow/flow.go:27:6: time.Now reads or waits on the wall clock; simulated time must come from the engine's virtual clock in a sim-critical package; annotate //pfsim:wallclockok only for audited non-semantic uses (wallclock)
 internal/flow/flow.go:36:9: make allocates on the hot path (reached from //pfsim:hotpath solveRound); preallocate or reuse scratch, or annotate //pfsim:allocok <why> (hotalloc)
 internal/flow/task.go:9:3: channel receive in task context (reachable from Signal.Await continuation at task.go:8); the event loop must not block — restructure in continuation-passing style or annotate //pfsim:taskctxok with an audit note (taskctx)
-internal/workload/shim.go:9:2: shim Proc API call sim.Engine.Spawn outside internal/sim; new code must use the inline task forms (budgeted by the procshim ratchet) (procshim)
-internal/workload/shim.go:9:27: shim type sim.Proc referenced outside internal/sim; new code must use the inline task forms (budgeted by the procshim ratchet) (procshim)
-internal/workload/shim.go:10:3: shim Proc API call sim.Proc.Wait outside internal/sim; new code must use the inline task forms (budgeted by the procshim ratchet) (procshim)
 internal/workload/w.go:15:18: aggregate function "Aggregate" does not touch field(s) MaxMBs of workload.Agg; a field missing from the fold is silently dropped at parallelism > 1 or in shard aggregation — merge it, or annotate the field //pfsim:nomerge (statsmerge)
-internal/workload/w.go:25:3: bare go statement outside internal/pool and internal/sim escapes Engine.Drain and pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok (barego)
+internal/workload/w.go:25:3: bare go statement outside internal/pool escapes pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok (barego)
 `
 
 func TestLintGolden(t *testing.T) {
 	var b strings.Builder
-	findings, err := run(&b, "testdata/mod", "", false, ratchetAuto, false, []string{"./..."})
+	findings, err := run(&b, "testdata/mod", "", false, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if findings != 10 {
-		t.Errorf("findings = %d, want 10 (at least one per analyzer plus the multi-finding shapes)", findings)
+	if findings != 7 {
+		t.Errorf("findings = %d, want 7 (at least one per analyzer plus the multi-finding shapes)", findings)
 	}
 	if b.String() != goldenAll {
 		t.Errorf("lint output drifted.\n--- got ---\n%s--- want ---\n%s", b.String(), goldenAll)
@@ -47,7 +39,7 @@ func TestLintGolden(t *testing.T) {
 // analyzer's findings survive, format unchanged.
 func TestLintRunSelection(t *testing.T) {
 	var b strings.Builder
-	findings, err := run(&b, "testdata/mod", "maporder", false, ratchetAuto, false, []string{"./..."})
+	findings, err := run(&b, "testdata/mod", "maporder", false, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +57,7 @@ func TestLintRunSelection(t *testing.T) {
 // no output — the exit-0 contract CI relies on.
 func TestLintCleanPackage(t *testing.T) {
 	var b strings.Builder
-	findings, err := run(&b, "testdata/mod", "", false, ratchetAuto, false, []string{"./clean"})
+	findings, err := run(&b, "testdata/mod", "", false, []string{"./clean"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +71,12 @@ func TestLintCleanPackage(t *testing.T) {
 // — a typo'd CI config never silently runs a reduced suite, and a mix
 // of known and unknown names reports all unknowns at once.
 func TestLintUnknownAnalyzer(t *testing.T) {
-	const valid = "valid analyzers: barego, hotalloc, maporder, procshim, statsmerge, taskctx, wallclock"
+	const valid = "valid analyzers: barego, hotalloc, maporder, statsmerge, taskctx, wallclock"
 	for _, tc := range []struct{ runList, want string }{
 		{"maporder,nosuch", "unknown analyzer(s): nosuch; " + valid},
 		{"zzz,maporder,nosuch,taskctx", "unknown analyzer(s): nosuch, zzz; " + valid},
 	} {
-		_, err := run(&strings.Builder{}, "testdata/mod", tc.runList, false, ratchetAuto, false, []string{"./..."})
+		_, err := run(&strings.Builder{}, "testdata/mod", tc.runList, false, []string{"./..."})
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("-run %q error = %v, want %q", tc.runList, err, tc.want)
 		}
@@ -94,7 +86,7 @@ func TestLintUnknownAnalyzer(t *testing.T) {
 // TestLintEmptyRunList: -run with only separators selects nothing and
 // must error rather than lint zero analyzers and exit 0.
 func TestLintEmptyRunList(t *testing.T) {
-	_, err := run(&strings.Builder{}, "testdata/mod", " , ", false, ratchetAuto, false, []string{"./..."})
+	_, err := run(&strings.Builder{}, "testdata/mod", " , ", false, []string{"./..."})
 	if err == nil || !strings.Contains(err.Error(), "selected no analyzers") {
 		t.Errorf("want no-analyzers error, got %v", err)
 	}
@@ -102,7 +94,7 @@ func TestLintEmptyRunList(t *testing.T) {
 
 func TestLintList(t *testing.T) {
 	var b strings.Builder
-	if _, err := run(&b, ".", "", true, ratchetAuto, false, nil); err != nil {
+	if _, err := run(&b, ".", "", true, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -113,106 +105,5 @@ func TestLintList(t *testing.T) {
 		if !strings.HasPrefix(lines[i], name) {
 			t.Errorf("-list line %d = %q, want prefix %q", i, lines[i], name)
 		}
-	}
-}
-
-// TestLintRatchetRoundTrip drives the full ratchet lifecycle against
-// the fixture module's seeded procshim violations: -ratchet-update
-// creates the baseline (absorbing the findings), a second update is
-// byte-idempotent, comparing against it is clean, a doctored smaller
-// budget makes the same tree fail as growth, and a doctored larger
-// budget passes with a shrink note.
-func TestLintRatchetRoundTrip(t *testing.T) {
-	rp := filepath.Join(t.TempDir(), "ratchet.json")
-
-	var b strings.Builder
-	findings, err := run(&b, "testdata/mod", "procshim", false, rp, true, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if findings != 0 || b.String() != "" {
-		t.Fatalf("update run: findings=%d output=%q, want silent success", findings, b.String())
-	}
-	first, err := os.ReadFile(rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base map[string]map[string]int
-	if err := json.Unmarshal(first, &base); err != nil {
-		t.Fatal(err)
-	}
-	if got := base["procshim"]["lintfixture/internal/workload"]; got != 3 {
-		t.Errorf("baseline count for internal/workload = %d, want 3\n%s", got, first)
-	}
-
-	if _, err := run(&strings.Builder{}, "testdata/mod", "procshim", false, rp, true, []string{"./..."}); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(second) {
-		t.Errorf("-ratchet-update is not byte-idempotent:\n--- first ---\n%s--- second ---\n%s", first, second)
-	}
-
-	b.Reset()
-	findings, err = run(&b, "testdata/mod", "procshim", false, rp, false, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if findings != 0 || b.String() != "" {
-		t.Errorf("within-budget run: findings=%d output=%q, want silent success", findings, b.String())
-	}
-
-	// Growth: shrink the committed budget below the tree's count — the
-	// same tree must now fail, printing the header and the findings.
-	base["procshim"]["lintfixture/internal/workload"] = 2
-	writeBaseline(t, rp, base)
-	b.Reset()
-	findings, err = run(&b, "testdata/mod", "procshim", false, rp, false, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if findings != 3 {
-		t.Errorf("growth run: findings = %d, want 3 (the package's findings are charged)", findings)
-	}
-	for _, want := range []string{"ratchet: procshim: lintfixture/internal/workload grew 2 -> 3", "internal/workload/shim.go:9:2:"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("growth output missing %q:\n%s", want, b.String())
-		}
-	}
-
-	// Shrink: a larger budget passes with a note inviting an update.
-	base["procshim"]["lintfixture/internal/workload"] = 5
-	writeBaseline(t, rp, base)
-	b.Reset()
-	findings, err = run(&b, "testdata/mod", "procshim", false, rp, false, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if findings != 0 {
-		t.Errorf("shrink run: findings = %d, want 0", findings)
-	}
-	if !strings.Contains(b.String(), "shrank 5 -> 3") {
-		t.Errorf("shrink output missing note:\n%s", b.String())
-	}
-}
-
-// TestLintRatchetMissingExplicit: an explicitly named baseline that
-// does not exist is a usage error (exit 2), not a silent unratcheted
-// run.
-func TestLintRatchetMissingExplicit(t *testing.T) {
-	_, err := run(&strings.Builder{}, "testdata/mod", "procshim", false,
-		filepath.Join(t.TempDir(), "nope.json"), false, []string{"./..."})
-	if err == nil || !strings.Contains(err.Error(), "does not exist") {
-		t.Errorf("want missing-baseline error, got %v", err)
-	}
-}
-
-func writeBaseline(t *testing.T, path string, b map[string]map[string]int) {
-	t.Helper()
-	if err := os.WriteFile(path, formatBaseline(b), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,14 +1,9 @@
 // Package sim is a miniature engine surface for the lint fixtures: an
-// annotated CPS primitive for the taskctx violation and the shim Proc
-// API for the procshim violation. As the shim's home package it must
-// itself be finding-free.
+// annotated CPS primitive for the taskctx violation. It must itself be
+// finding-free.
 package sim
 
-type Engine struct{ procs int }
-
-type Task struct{ eng *Engine }
-
-type Proc struct{ eng *Engine }
+type Task struct{}
 
 type Signal struct{ fired bool }
 
@@ -20,12 +15,3 @@ func (s *Signal) Await(t *Task, k func()) {
 		k()
 	}
 }
-
-// Spawn starts a goroutine-backed shim process.
-func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	e.procs++
-	return &Proc{eng: e}
-}
-
-// Wait blocks the shim process until the signal fires.
-func (p *Proc) Wait(s *Signal) {}

@@ -1,7 +1,5 @@
 // Fleet-scale dispatch benchmarks: how much the engine itself costs per
-// short-lived writer, and how many real goroutines a fleet holds. This is
-// the PR-9 tentpole's measurement — inline task dispatch versus the
-// goroutine-backed Proc shim on an identical simulation.
+// short-lived writer, and how many real goroutines a fleet holds.
 package pfsim
 
 import (
@@ -28,11 +26,11 @@ const (
 	fleetStagger    = 5e-5 // seconds between writer starts (20k arrivals/s)
 )
 
-// runFleet simulates writers short-lived writers in task or shim mode and
+// runFleet simulates writers short-lived writers as inline tasks and
 // returns the peak goroutine count observed while the engine ran (sampled
 // every few hundred fired events, which at this event density is many
 // times per simulated writer lifetime).
-func runFleet(tb testing.TB, writers int, useTasks bool) int {
+func runFleet(tb testing.TB, writers int) int {
 	tb.Helper()
 	e := sim.NewEngine()
 	n := flow.NewNet(e)
@@ -44,23 +42,14 @@ func runFleet(tb testing.TB, writers int, useTasks bool) int {
 	completed := 0
 	for i := 0; i < writers; i++ {
 		link := links[i%fleetLinks]
-		if useTasks {
-			e.StartTask(float64(i)*fleetStagger, "w", i, func(t *sim.Task) {
-				mds.UseTask(t, fleetCreateCost, func() {
-					n.TransferThen(t, "fleet-write", fleetWriteMB, fleetWriteRate, func(*flow.Flow) {
-						completed++
-						t.Finish()
-					}, link)
-				})
+		e.StartTask(float64(i)*fleetStagger, "w", i, func(t *sim.Task) {
+			mds.UseTask(t, fleetCreateCost, func() {
+				n.TransferThen(t, "fleet-write", fleetWriteMB, fleetWriteRate, func(*flow.Flow) {
+					completed++
+					t.Finish()
+				}, link)
 			})
-		} else {
-			e.SpawnIndexed(float64(i)*fleetStagger, "w", i, func(p *sim.Proc) {
-				mds.Use(p, fleetCreateCost)
-				f := n.Start("fleet-write", fleetWriteMB, fleetWriteRate, link)
-				p.Wait(f.Done)
-				completed++
-			})
-		}
+		})
 	}
 	peak := runtime.NumGoroutine()
 	e.SetPoll(512, func() {
@@ -74,58 +63,42 @@ func runFleet(tb testing.TB, writers int, useTasks bool) int {
 	if completed != writers {
 		tb.Fatalf("%d of %d writers completed", completed, writers)
 	}
-	if e.LiveTasks() != 0 || e.LiveProcs() != 0 {
-		tb.Fatalf("fleet not retired: %d tasks, %d procs live", e.LiveTasks(), e.LiveProcs())
+	if e.LiveTasks() != 0 {
+		tb.Fatalf("fleet not retired: %d tasks live", e.LiveTasks())
 	}
 	return peak
 }
 
 // BenchmarkEngineFleet runs 100k short-lived writers through the engine.
-// The tasks variant is the gated one (BENCH_solver.json): ns/op, B/op,
-// allocs/op and the peak live goroutine count — O(1) in fleet size, as
-// TestEngineFleetGoroutinesO1 asserts. The procs variant runs the same
-// simulation on the goroutine-per-process shim for comparison: one stack
-// per in-flight writer and two channel handoffs per blocking operation.
+// The sub-benchmark is gated under its name "tasks" (BENCH_solver.json):
+// ns/op, B/op, allocs/op and the peak live goroutine count — O(1) in
+// fleet size, as TestEngineFleetGoroutinesO1 asserts.
 func BenchmarkEngineFleet(b *testing.B) {
 	const writers = 100_000
-	for _, bc := range []struct {
-		name     string
-		useTasks bool
-	}{
-		{"tasks", true},
-		{"procs", false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			peak := 0
-			for i := 0; i < b.N; i++ {
-				peak = runFleet(b, writers, bc.useTasks)
-			}
-			b.ReportMetric(float64(peak), "peakgoroutines")
-		})
-	}
+	b.Run("tasks", func(b *testing.B) {
+		b.ReportAllocs()
+		peak := 0
+		for i := 0; i < b.N; i++ {
+			peak = runFleet(b, writers)
+		}
+		b.ReportMetric(float64(peak), "peakgoroutines")
+	})
 }
 
-// TestEngineFleetGoroutinesO1: a task-mode fleet holds a constant number
-// of goroutines however many writers pass through, while the shim's
-// goroutine population tracks the in-flight writer count. The arrival and
-// service rates put ~400 writers in flight at steady state, so the
-// thresholds are far apart: tasks must stay within a few goroutines of
-// the test baseline at any fleet size, and the shim must visibly scale.
+// TestEngineFleetGoroutinesO1: a fleet holds a constant number of
+// goroutines however many writers pass through. The arrival and service
+// rates put ~400 writers in flight at steady state, so a goroutine per
+// in-flight writer would show far beyond the few-goroutine slack allowed
+// over the test baseline.
 func TestEngineFleetGoroutinesO1(t *testing.T) {
 	base := runtime.NumGoroutine()
-	small := runFleet(t, 1_000, true)
-	large := runFleet(t, 20_000, true)
+	small := runFleet(t, 1_000)
+	large := runFleet(t, 20_000)
 	if small > base+4 || large > base+4 {
 		t.Errorf("task fleet grew the goroutine count: baseline %d, peak %d (1k writers) / %d (20k writers)",
 			base, small, large)
 	}
 	if large > small+4 {
-		t.Errorf("task-mode peak scales with fleet size: %d at 1k writers, %d at 20k", small, large)
-	}
-	shim := runFleet(t, 2_000, false)
-	if shim < base+50 {
-		t.Errorf("shim fleet peaked at %d goroutines (baseline %d); expected one per in-flight writer — is the shim still goroutine-backed?",
-			shim, base)
+		t.Errorf("task fleet peak scales with fleet size: %d at 1k writers, %d at 20k", small, large)
 	}
 }

@@ -1,23 +1,17 @@
-// Package barego forbids bare `go` statements outside the two packages
-// that own concurrency: internal/pool (the deterministic fan-out
-// worker pool) and internal/sim (the engine's process machinery).
+// Package barego forbids bare `go` statements outside the one package
+// that owns concurrency: internal/pool (the deterministic fan-out worker
+// pool).
 //
-// Every goroutine in the simulator must be reachable by
-// Engine.Drain/cancellation or owned by pool.Fan's bounded workers;
-// PR 5's stop/cancel hardening exists precisely because stray
-// goroutines parked on channels pinned whole engine runs. A goroutine
-// spawned anywhere else — a cmd tool, an example, a future tuning
-// controller — escapes that machinery, so it must either go through
-// the pool or carry a //pfsim:goroutineok annotation recording the
-// audit (e.g. "joined before return, no sim state touched").
-//
-// Since PR 9 the allowlist is tighter in practice than in policy:
-// workloads dispatch as inline engine tasks (sim.Task continuations on
-// the event heap), so a steady-state simulation's only goroutines are
-// the solver pool's workers and whatever still runs on the sim.Proc
-// compatibility shim — the one remaining `go` statement in internal/sim.
-// The allowlist keeps both packages because the shim is property-tested
-// against task dispatch and stays until the last Proc caller converts.
+// Every goroutine in the simulator must be owned by pool.Fan's bounded
+// workers, which are joined before Fan returns; PR 5's stop/cancel
+// hardening exists precisely because stray goroutines parked on channels
+// pinned whole engine runs. Workloads dispatch as inline engine tasks
+// (sim.Task continuations on the event heap), so the engine itself needs
+// no goroutines either. A goroutine spawned anywhere else — the engine, a
+// cmd tool, an example, a future tuning controller — escapes that
+// ownership, so it must either go through the pool or carry a
+// //pfsim:goroutineok annotation recording the audit (e.g. "joined before
+// return, no sim state touched").
 package barego
 
 import (
@@ -30,20 +24,17 @@ import (
 // Analyzer flags go statements outside the concurrency-owning packages.
 var Analyzer = &framework.Analyzer{
 	Name: "barego",
-	Doc:  "forbids bare go statements outside internal/pool and internal/sim; goroutines elsewhere escape Engine.Drain and pool ownership (suppress audited spawns with //pfsim:goroutineok)",
+	Doc:  "forbids bare go statements outside internal/pool; goroutines elsewhere escape pool ownership (suppress audited spawns with //pfsim:goroutineok)",
 	Run:  run,
 }
 
-// concurrencyOwners are the package-path tails allowed to spawn
-// goroutines directly.
-var concurrencyOwners = []string{"internal/pool", "internal/sim"}
+// concurrencyOwner is the package-path tail allowed to spawn goroutines
+// directly.
+const concurrencyOwner = "internal/pool"
 
 func run(pass *framework.Pass) (any, error) {
-	path := pass.Pkg.Path()
-	for _, tail := range concurrencyOwners {
-		if path == tail || strings.HasSuffix(path, "/"+tail) {
-			return nil, nil
-		}
+	if path := pass.Pkg.Path(); path == concurrencyOwner || strings.HasSuffix(path, "/"+concurrencyOwner) {
+		return nil, nil
 	}
 	dirs := framework.NewDirectives(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
@@ -56,7 +47,7 @@ func run(pass *framework.Pass) (any, error) {
 				return true
 			}
 			pass.Reportf(gs.Pos(),
-				"bare go statement outside internal/pool and internal/sim escapes Engine.Drain and pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok")
+				"bare go statement outside internal/pool escapes pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok")
 			return true
 		})
 	}

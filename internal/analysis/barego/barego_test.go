@@ -9,5 +9,5 @@ import (
 
 func TestBareGo(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), barego.Analyzer,
-		"fixture/internal/pool", "fixture/internal/workload", "fixture/cmd/tool")
+		"fixture/internal/pool", "fixture/internal/sim", "fixture/internal/workload", "fixture/cmd/tool")
 }

@@ -1,10 +1,10 @@
 // Package workload is a barego fixture: goroutines spawned outside the
-// pool/engine machinery are flagged unless audited.
+// pool are flagged unless audited.
 package workload
 
 func launch(jobs []func()) {
 	for _, j := range jobs {
-		go j() // want `bare go statement outside internal/pool and internal/sim`
+		go j() // want `bare go statement outside internal/pool escapes pool ownership`
 	}
 }
 

@@ -85,9 +85,8 @@ func (p *Program) Memo(key string, build func() any) any {
 // declared function/method (Fn, Decl set) or a function literal (Lit,
 // Parent set). Literals are first-class nodes — unlike the per-package
 // CallGraph, which folds them into the enclosing declaration — because
-// context-sensitivity lives exactly there: ior.StartJob contains both a
-// shim-mode literal handed to World.Launch and a task-mode literal
-// handed to World.LaunchTasks, and only the latter runs in task context.
+// context-sensitivity lives exactly there: a literal launched by a go
+// statement runs on its own goroutine, not in its maker's context.
 type Node struct {
 	Fn   *types.Func   // declared functions; nil for literals
 	Decl *ast.FuncDecl // declaration; nil for literals
@@ -100,11 +99,6 @@ type Node struct {
 	// (go func(){...}()): its body runs on the new goroutine, not on
 	// the path that spawned it.
 	GoCall bool
-	// ArgCallee is the declared function this literal is passed to as a
-	// direct call argument (Await(t, func(){...}) → Signal.Await), nil
-	// when the literal is not a direct argument. Policy layers use it to
-	// decide whether the literal escapes the caller's context.
-	ArgCallee *types.Func
 }
 
 // Body returns the node's function body.
@@ -145,7 +139,7 @@ func (n *Node) Name() string {
 // references, interface dispatch, method-set escapes to interface
 // parameters — but resolve across package boundaries, and nested
 // function literals are linked to their enclosing node as containment
-// edges carrying placement metadata (GoCall, ArgCallee) so analyzers
+// edges carrying placement metadata (GoCall) so analyzers
 // can choose which closures share their maker's execution context.
 // Dynamic calls through func-typed fields and variables remain
 // unresolved, the same conservatism the per-package graph documents.
@@ -227,17 +221,15 @@ func (cg *ProgramCallGraph) walkBody(node *Node, body *ast.BlockStmt, named []*t
 	// Placement metadata is discovered on the way down (preorder visits
 	// a go statement or call before the literal it launches or carries).
 	goCall := map[*ast.FuncLit]bool{}
-	argCallee := map[*ast.FuncLit]*types.Func{}
 	skipIdent := map[*ast.Ident]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			lit := &Node{
-				Lit:       n,
-				Pkg:       node.Pkg,
-				Parent:    node,
-				GoCall:    goCall[n],
-				ArgCallee: argCallee[n],
+				Lit:    n,
+				Pkg:    node.Pkg,
+				Parent: node,
+				GoCall: goCall[n],
 			}
 			cg.nodes = append(cg.nodes, lit)
 			cg.byLit[n] = lit
@@ -264,13 +256,6 @@ func (cg *ProgramCallGraph) walkBody(node *Node, body *ast.BlockStmt, named []*t
 				add(callee)
 			}
 		case *ast.CallExpr:
-			if callee := StaticCallee(n, info); callee != nil {
-				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						argCallee[lit] = callee
-					}
-				}
-			}
 			// Interface dispatch: x.M() with interface-typed x reaches
 			// every implementation of M in the program.
 			if se, ok := n.Fun.(*ast.SelectorExpr); ok {
@@ -377,5 +362,5 @@ func (cg *ProgramCallGraph) Callees(n *Node) []*Node { return cg.callees[n] }
 
 // Lits returns the function literals nested directly in the body, in
 // source order. Whether a literal shares its maker's execution context
-// is policy — callers consult GoCall/ArgCallee.
+// is policy — callers consult GoCall.
 func (cg *ProgramCallGraph) Lits(n *Node) []*Node { return cg.lits[n] }

@@ -6,8 +6,7 @@
 // sim.Task). That dispatch model is correct only under an invariant the
 // compiler cannot see — code reachable from a task continuation must
 // never block the calling goroutine or hand work to another one. A
-// blocking Proc primitive (Signal.Wait, Resource.Acquire), a channel
-// operation, a sync.Mutex held across events, or a re-entrant
+// channel operation, a sync.Mutex held across events, or a re-entrant
 // Engine.Run inside a continuation deadlocks or diverges the simulation
 // silently; a go statement forks simulated state off the deterministic
 // event order.
@@ -22,17 +21,12 @@
 //
 //   - go statements;
 //   - channel sends, receives, selects, and ranges over channels;
-//   - blocking shim primitives (sim.Proc.Sleep/Wait/WaitAll,
-//     sim.Resource.Acquire/Use);
 //   - blocking sync operations (Mutex.Lock, RWMutex.Lock/RLock,
 //     WaitGroup.Wait, Cond.Wait);
 //   - re-entrant sim.Engine.Run/RunUntil.
 //
-// Escape hatch: //pfsim:taskctxok with an audited justification. As a
-// doc directive it marks the whole function safe — the traversal stops
-// there, and function literals passed to it as arguments are understood
-// to escape task context (the audited shim spawn paths use this). As a
-// line directive it suppresses one finding.
+// Escape hatch: //pfsim:taskctxok with an audited justification on the
+// offending line suppresses that one finding.
 //
 // Closures launched by a go statement are not traversed (the statement
 // itself is the finding), and dynamic calls through func-typed fields
@@ -57,7 +51,7 @@ var Analyzer = &framework.Analyzer{
 	Doc: "flag blocking constructs reachable from inline task continuations\n\n" +
 		"Function values passed to //pfsim:taskctx-annotated CPS entry points run\n" +
 		"inline on the event loop; anything reachable from them (cross-package)\n" +
-		"must not spawn goroutines, touch channels, call blocking Proc/sync\n" +
+		"must not spawn goroutines, touch channels, call blocking sync\n" +
 		"primitives, or re-enter Engine.Run. //pfsim:taskctxok escapes with audit.",
 	Run: run,
 }
@@ -100,10 +94,10 @@ type root struct {
 func compute(prog *framework.Program) []finding {
 	cg := prog.CallGraph()
 
-	// Directive lookup on declared functions, memoized.
-	docHas := func(fn *types.Func, dir string) bool {
+	// isEntry reports whether fn is a //pfsim:taskctx CPS entry point.
+	isEntry := func(fn *types.Func) bool {
 		n := cg.NodeOf(fn)
-		return n != nil && n.Decl != nil && len(framework.DocDirectives(n.Decl.Doc, dir)) > 0
+		return n != nil && n.Decl != nil && len(framework.DocDirectives(n.Decl.Doc, dirTaskctx)) > 0
 	}
 
 	// Root discovery: function values at argument positions of calls to
@@ -118,9 +112,6 @@ func compute(prog *framework.Program) []finding {
 	var queue []item
 	visit := func(n *framework.Node, r root) {
 		if _, ok := reached[n]; ok {
-			return
-		}
-		if n.Decl != nil && docHas(n.Fn, dirTaskctxOK) {
 			return
 		}
 		reached[n] = r
@@ -141,7 +132,7 @@ func compute(prog *framework.Program) []finding {
 				return true
 			}
 			callee := framework.StaticCallee(call, info)
-			if callee == nil || !docHas(callee, dirTaskctx) {
+			if callee == nil || !isEntry(callee) {
 				return true
 			}
 			r := root{prim: callee, pos: n.Pkg.Fset.Position(call.Pos())}
@@ -179,9 +170,6 @@ func compute(prog *framework.Program) []finding {
 		for _, lit := range cg.Lits(it.n) {
 			if lit.GoCall {
 				continue // runs on its own goroutine; the go statement is the finding
-			}
-			if lit.ArgCallee != nil && docHas(lit.ArgCallee, dirTaskctxOK) {
-				continue // escapes into an audited sink (shim spawn paths)
 			}
 			visit(lit, it.r)
 		}
@@ -245,8 +233,7 @@ func compute(prog *framework.Program) []finding {
 }
 
 // blockingCall classifies calls that must not appear in task context:
-// the goroutine-parking shim primitives, re-entrant engine runs, and
-// blocking sync operations.
+// re-entrant engine runs and blocking sync operations.
 func blockingCall(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -256,10 +243,6 @@ func blockingCall(fn *types.Func) (string, bool) {
 	switch {
 	case framework.HasPathTail(pkg.Path(), "internal/sim"):
 		switch recv + "." + fn.Name() {
-		case "Proc.Sleep", "Proc.Wait", "Proc.WaitAll":
-			return "blocking shim sim." + recv + "." + fn.Name() + " call", true
-		case "Resource.Acquire", "Resource.Use":
-			return "blocking shim sim." + recv + "." + fn.Name() + " call", true
 		case "Engine.Run", "Engine.RunUntil":
 			return "re-entrant sim.Engine." + fn.Name() + " call", true
 		}

@@ -9,8 +9,8 @@ import (
 
 // TestTaskctx checks root discovery (literal and function-value
 // continuations), cross-package reachability (ior → flow), every
-// flagged construct class, the go-launched-closure exemption, and both
-// escape hatches. fixture/internal/sim is listed to assert the
+// flagged construct class, the go-launched-closure exemption, and the
+// line-level escape hatch. fixture/internal/sim is listed to assert the
 // annotated engine miniature itself stays clean.
 func TestTaskctx(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), taskctx.Analyzer,

@@ -12,13 +12,3 @@ func Blocky(ch chan int) {
 // Clean is reachable from the same continuation but does nothing
 // blocking.
 func Clean(x int) int { return x + 1 }
-
-// AuditedDrain is reached from task context too, but its audit
-// directive prunes the traversal: nothing inside is reported.
-//
-//pfsim:taskctxok fixture audit: pretend this was proven safe
-func AuditedDrain(ch chan int) {
-	<-ch
-	for range ch {
-	}
-}

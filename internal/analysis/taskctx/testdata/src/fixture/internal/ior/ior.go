@@ -1,7 +1,7 @@
 // Package ior exercises the taskctx analyzer: continuations handed to
 // the annotated sim primitives, blocking constructs at every depth,
-// cross-package reachability into fixture/internal/flow, and both
-// escape-hatch forms.
+// cross-package reachability into fixture/internal/flow, the
+// go-launched-closure exemption, and the line-level escape hatch.
 package ior
 
 import (
@@ -13,18 +13,17 @@ import (
 
 // Drive hands continuations to the CPS entry points; everything
 // reachable from them is task context.
-func Drive(e *sim.Engine, s *sim.Signal, r *sim.Resource, shim *sim.Proc, ch chan int, mu *sync.Mutex) {
+func Drive(e *sim.Engine, s *sim.Signal, r *sim.Resource, ch chan int, mu *sync.Mutex, wg *sync.WaitGroup) {
 	e.StartTask(0, "w", 1, func(t *sim.Task) {
 		go drain(ch) // want `goroutine spawn in task context \(reachable from Engine\.StartTask continuation at ior\.go:\d+\)`
 		ch <- 1      // want `channel send in task context`
 		s.Await(t, func() {
 			flow.Clean(1)
 			flow.Blocky(ch) // reported inside flow, attributed to this Await
-			flow.AuditedDrain(ch)
-			mu.Lock() // want `blocking sync\.Mutex\.Lock call in task context \(reachable from Signal\.Await continuation`
+			mu.Lock()       // want `blocking sync\.Mutex\.Lock call in task context \(reachable from Signal\.Await continuation`
 		})
 		r.AcquireTask(t, func() {
-			shim.Wait(s) // want `blocking shim sim\.Proc\.Wait call in task context \(reachable from Resource\.AcquireTask continuation`
+			wg.Wait() // want `blocking sync\.WaitGroup\.Wait call in task context \(reachable from Resource\.AcquireTask continuation`
 		})
 	})
 	eng, events = e, ch
@@ -56,15 +55,4 @@ func pump() {
 	}
 	_ = eng.Run() // want `re-entrant sim\.Engine\.Run call in task context`
 	<-events      //pfsim:taskctxok fixture audit: line-level suppression of this one receive
-}
-
-// Escape runs the same shapes outside task context: literals handed to
-// the audited shim spawn escape to goroutines, so nothing here is
-// reported.
-func Escape(e *sim.Engine, s *sim.Signal, r *sim.Resource, ch chan int) {
-	e.Spawn("legacy", func(p *sim.Proc) {
-		p.Wait(s)
-		r.Acquire(p)
-		<-ch
-	})
 }

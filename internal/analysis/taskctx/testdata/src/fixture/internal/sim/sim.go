@@ -1,14 +1,10 @@
-// Package sim is a miniature of the real engine surface: annotated CPS
-// entry points, the blocking shim primitives, and an audited spawn
-// path. It must stay clean under taskctx — the escape hatches on the
-// shim machinery are part of what the fixture exercises.
+// Package sim is a miniature of the real engine surface: the annotated
+// CPS entry points. It must stay clean under taskctx.
 package sim
 
 type Engine struct{ tasks int }
 
 type Task struct{ eng *Engine }
-
-type Proc struct{ eng *Engine }
 
 type Signal struct{ fired bool }
 
@@ -33,13 +29,6 @@ func (e *Engine) StartTask(delay float64, label string, id int, body func(*Task)
 // Run drives the event loop to completion.
 func (e *Engine) Run() error { return nil }
 
-// Spawn starts a goroutine-backed shim process.
-//
-//pfsim:taskctxok audited shim entry: the body escapes to an engine-managed goroutine
-func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	return &Proc{eng: e}
-}
-
 // Await runs k once the signal fires.
 //
 //pfsim:taskctx
@@ -61,12 +50,3 @@ func (t *Task) Sleep(d float64, k func()) { t.eng.Schedule(d, k) }
 //
 //pfsim:taskctx
 func (r *Resource) AcquireTask(t *Task, k func()) { k() }
-
-// Wait blocks the shim process until the signal fires.
-func (p *Proc) Wait(s *Signal) {}
-
-// Sleep blocks the shim process for d seconds.
-func (p *Proc) Sleep(d float64) {}
-
-// Acquire blocks the shim process until a slot is free.
-func (r *Resource) Acquire(p *Proc) { r.inUse++ }

@@ -1811,9 +1811,7 @@ func Dones(flows []*Flow) []*sim.Signal {
 }
 
 // TransferThen starts a flow and runs k with it on completion — the
-// continuation form of "transfer and wait". (Shim-mode callers start the
-// flow and Wait on its Done signal inline; the proc convenience wrapper
-// was deleted when the procshim ratchet landed.)
+// continuation form of "transfer and wait".
 //
 //pfsim:taskctx
 func (n *Net) TransferThen(t *sim.Task, name string, sizeMB, maxRate float64, k func(*Flow), path ...*Link) *Flow {

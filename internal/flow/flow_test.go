@@ -224,11 +224,13 @@ func TestTransferAndWait(t *testing.T) {
 	n := NewNet(e)
 	l := n.NewLink("pipe", Const(50))
 	var took float64
-	e.Spawn("client", func(p *sim.Proc) {
-		start := p.Now()
+	e.StartTask(0, "client", -1, func(tk *sim.Task) {
+		start := tk.Now()
 		f := n.Start("xfer", 500, 0, l)
-		p.Wait(f.Done)
-		took = p.Now() - start
+		f.Done.Await(tk, func() {
+			took = tk.Now() - start
+			tk.Finish()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -167,11 +167,13 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 		target := firstFlow[opIdx]
 		for ci, chain := range chainsOn[opIdx] {
 			chain := chain
-			e.Spawn(fmt.Sprintf("chain%d_%d", opIdx, ci), func(p *sim.Proc) {
-				p.Wait(target.Done)
-				sp := resolve(chain.specs[0])
-				flows = append(flows, n.StartFunc(sp.Name, sp.SizeMB, sp.MaxRate, nil, sp.Path...))
-				check("chained start " + sp.Name)
+			e.StartTask(0, fmt.Sprintf("chain%d_%d", opIdx, ci), -1, func(tk *sim.Task) {
+				target.Done.Await(tk, func() {
+					sp := resolve(chain.specs[0])
+					flows = append(flows, n.StartFunc(sp.Name, sp.SizeMB, sp.MaxRate, nil, sp.Path...))
+					check("chained start " + sp.Name)
+					tk.Finish()
+				})
 			})
 		}
 	}
@@ -521,15 +523,17 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 		short := n.Start("short", 100, 0, l) // done at t=2 under fair sharing
 		long := n.Start("long", 1000, 0, l)
 		var zero *Flow
-		e.Spawn("chain", func(p *sim.Proc) {
-			p.Wait(short.Done)
-			zero = n.Start("zero", 0, 0, l)
-			if !zero.Finished() {
-				t.Error("zero-sized flow did not complete at admission")
-			}
-			if err := n.CheckInvariants(); err != nil {
-				t.Errorf("reference=%v: %v", reference, err)
-			}
+		e.StartTask(0, "chain", -1, func(tk *sim.Task) {
+			short.Done.Await(tk, func() {
+				zero = n.Start("zero", 0, 0, l)
+				if !zero.Finished() {
+					t.Error("zero-sized flow did not complete at admission")
+				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Errorf("reference=%v: %v", reference, err)
+				}
+				tk.Finish()
+			})
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

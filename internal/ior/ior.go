@@ -54,13 +54,6 @@ type Config struct {
 	// FirstNode places the job on the cluster (jobs in contended
 	// experiments occupy disjoint node ranges).
 	FirstNode int
-	// UseProcShim runs the job's ranks as goroutine-backed processes
-	// (sim.Proc) instead of inline engine tasks. The two dispatch modes
-	// are byte-identical — same event order, RNG draws, results and
-	// solver counters — so this exists for the property tests that prove
-	// that equivalence and as an escape hatch during the migration; the
-	// zero value (inline tasks) is the fast path.
-	UseProcShim bool
 }
 
 // PaperConfig returns the Table II configuration: MPI-IO, write-only,
@@ -100,6 +93,10 @@ func (c Config) Validate(plat *cluster.Platform) error {
 	switch {
 	case c.NumTasks <= 0:
 		return fmt.Errorf("ior: NumTasks %d must be positive", c.NumTasks)
+	case math.IsNaN(c.BlockSizeMB) || math.IsInf(c.BlockSizeMB, 0):
+		return fmt.Errorf("ior: BlockSizeMB %v must be finite", c.BlockSizeMB)
+	case math.IsNaN(c.TransferSizeMB) || math.IsInf(c.TransferSizeMB, 0):
+		return fmt.Errorf("ior: TransferSizeMB %v must be finite", c.TransferSizeMB)
 	case c.BlockSizeMB <= 0 || c.TransferSizeMB <= 0:
 		return fmt.Errorf("ior: block/transfer sizes must be positive")
 	case c.TransferSizeMB > c.BlockSizeMB:
@@ -317,37 +314,16 @@ func (j *job) launch() *mpi.World {
 				fmt.Sprintf("%s.rep%d", cfg.Label, rep), cfg.API, cfg.Hints)
 		}
 	}
-	if cfg.UseProcShim {
-		w.Launch(func(r *mpi.Rank) {
-			for rep := 0; rep < cfg.Reps; rep++ {
-				if rep > 0 && cfg.ComputeSeconds > 0 {
-					r.Proc().Sleep(cfg.ComputeSeconds)
-				}
-				f := files[rep]
-				if cfg.FilePerProc {
-					sub := w.Comm().Split(r, r.ID(), 0)
-					f = mpiio.NewFile(j.sys, sub,
-						fmt.Sprintf("%s.rep%d.rank%d", cfg.Label, rep, r.ID()), cfg.API, cfg.Hints)
-				}
-				if err := j.phase(w, r, f, rep); err != nil && j.err == nil {
-					j.err = err
-					return
-				}
-			}
-		})
-		return w
-	}
 	w.LaunchTasks(func(r *mpi.Rank, done func()) {
 		j.runRepK(w, r, files, 0, done)
 	})
 	return w
 }
 
-// runRepK runs repetition rep and then the next, matching the shim's rep
-// loop exactly: the compute gap precedes every repetition but the first,
-// a FilePerProc rank splits off its private communicator and file per
-// repetition, and a phase error stops this rank only if it is the first
-// error of the job.
+// runRepK runs repetition rep and then the next: the compute gap precedes
+// every repetition but the first, a FilePerProc rank splits off its
+// private communicator and file per repetition, and a phase error stops
+// this rank only if it is the first error of the job.
 func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, done func()) {
 	cfg := j.cfg
 	if rep >= cfg.Reps {
@@ -383,43 +359,9 @@ func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, d
 	run()
 }
 
-// phase runs the write (and optional read) phase of one repetition,
-// recording aggregate bandwidth from rank 0.
-func (j *job) phase(w *mpi.World, r *mpi.Rank, f *mpiio.File, rep int) error {
-	cfg := j.cfg
-	p := r.Proc()
-	w.Comm().Barrier(r)
-	if cfg.WriteFile {
-		t0 := w.Comm().AllreduceMin(r, p.Now())
-		if err := j.doOpen(r, f); err != nil {
-			return err
-		}
-		if err := j.doWrite(r, f); err != nil {
-			return err
-		}
-		j.doClose(r, f)
-		t1 := w.Comm().AllreduceMax(r, p.Now())
-		if w.Comm().RankOf(r) == 0 {
-			j.record(j.res.Write, f, t1-t0)
-		}
-	}
-	if cfg.ReadFile {
-		w.Comm().Barrier(r)
-		t0 := w.Comm().AllreduceMin(r, p.Now())
-		if err := j.doRead(r, f); err != nil {
-			return err
-		}
-		t1 := w.Comm().AllreduceMax(r, p.Now())
-		if w.Comm().RankOf(r) == 0 {
-			j.res.Read.Add(cfg.TotalMB() / (t1 - t0))
-		}
-	}
-	return nil
-}
-
-// phaseK is phase for task-mode ranks: the same barrier/reduce brackets
-// around open-write-close (and the optional read pass), with rank 0
-// recording the aggregate bandwidths.
+// phaseK runs the write (and optional read) phase of one repetition:
+// barrier/reduce brackets around open-write-close and the read pass, with
+// rank 0 recording the aggregate bandwidths.
 func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
 	cfg := j.cfg
 	t := r.Task()
@@ -475,27 +417,8 @@ func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
 	})
 }
 
-func (j *job) doOpen(r *mpi.Rank, f *mpiio.File) error {
-	if j.cfg.FilePerProc {
-		return f.Open(r) // single-member comm: no cross-rank waiting
-	}
-	return f.Open(r)
-}
-
-func (j *job) doWrite(r *mpi.Rank, f *mpiio.File) error {
-	cfg := j.cfg
-	per := cfg.PerRankMB()
-	switch {
-	case cfg.FilePerProc:
-		return j.writeFilePerProc(r, f)
-	case cfg.Collective:
-		return f.WriteAll(r, per, cfg.TransferSizeMB)
-	default:
-		return f.WriteIndependent(r, per, cfg.TransferSizeMB)
-	}
-}
-
-// doWriteK is doWrite for task-mode ranks.
+// doWriteK issues the rank's write for the configured access pattern:
+// file-per-process, collective or independent.
 func (j *job) doWriteK(r *mpi.Rank, f *mpiio.File, k func(error)) {
 	cfg := j.cfg
 	per := cfg.PerRankMB()
@@ -509,21 +432,9 @@ func (j *job) doWriteK(r *mpi.Rank, f *mpiio.File, k func(error)) {
 	}
 }
 
-// writeFilePerProc streams the rank's data to its private file as a
+// writeFilePerProcK streams the rank's data to its private file as a
 // dedicated sequential writer — the access pattern of the paper's
 // single-OST contention benchmark.
-func (j *job) writeFilePerProc(r *mpi.Rank, f *mpiio.File) error {
-	layout := f.Layout()
-	if layout == nil {
-		// PLFS + FilePerProc degenerates to the same per-rank logs.
-		return f.WriteAll(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB)
-	}
-	p := r.Proc()
-	p.WaitAll(flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout)))...)
-	return nil
-}
-
-// writeFilePerProcK is writeFilePerProc for task-mode ranks.
 func (j *job) writeFilePerProcK(r *mpi.Rank, f *mpiio.File, k func(error)) {
 	layout := f.Layout()
 	if layout == nil {
@@ -565,14 +476,6 @@ func fileIDOf(f *mpiio.File, r *mpi.Rank) int {
 		return id
 	}
 	return r.ID() + 1
-}
-
-func (j *job) doRead(r *mpi.Rank, f *mpiio.File) error {
-	return f.ReadAll(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB)
-}
-
-func (j *job) doClose(r *mpi.Rank, f *mpiio.File) {
-	f.Close(r)
 }
 
 // record captures bandwidth and layout telemetry for one repetition.

@@ -1,6 +1,8 @@
 package ior
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pfsim/internal/cluster"
@@ -52,6 +54,35 @@ func TestValidateErrors(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(plat); err == nil {
 			t.Errorf("mutation %d not rejected", i)
+		}
+	}
+}
+
+// TestValidateNonFiniteSizes: NaN and infinite sizes compare false or
+// out of range in ways the positivity checks miss, so each must be
+// rejected by name before it reaches the simulation (where a NaN block
+// panicked in flow admission and an infinite one deadlocked the ranks).
+func TestValidateNonFiniteSizes(t *testing.T) {
+	plat := quietCab()
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.NaN() }},
+		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.Inf(1) }},
+		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.Inf(-1) }},
+		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.NaN() }},
+		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.Inf(1) }},
+		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.Inf(-1) }},
+	} {
+		cfg := PaperConfig(16)
+		tc.mut(&cfg)
+		if err := cfg.Validate(plat); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("block=%v transfer=%v: Validate = %v, want an error naming %s",
+				cfg.BlockSizeMB, cfg.TransferSizeMB, err, tc.field)
+		}
+		if _, err := Run(plat, cfg); err == nil {
+			t.Errorf("block=%v transfer=%v: Run accepted the config", cfg.BlockSizeMB, cfg.TransferSizeMB)
 		}
 	}
 }

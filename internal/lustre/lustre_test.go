@@ -62,21 +62,26 @@ func TestInvalidPlatformRejected(t *testing.T) {
 	MustNewSystem(sim.NewEngine(), p, stats.NewRNG(1))
 }
 
-// mustCreate is the deleted MDS.MustCreate shim convenience, kept
-// test-local: Create with validated specs, panicking on error.
-func mustCreate(m *MDS, p *sim.Proc, name string, spec StripeSpec) *File {
-	f, err := m.Create(p, name, spec)
-	if err != nil {
-		panic(err)
-	}
-	return f
+// mustCreate runs CreateK with a spec the test knows to be valid and
+// hands the file to k, failing the test on a create error.
+func mustCreate(t *testing.T, m *MDS, tk *sim.Task, name string, spec StripeSpec, k func(*File)) {
+	t.Helper()
+	m.CreateK(tk, name, spec, func(f *File, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		k(f)
+	})
 }
 
 func TestMDSCreateDefaults(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	var f *File
-	eng.Spawn("creator", func(p *sim.Proc) {
-		f = mustCreate(sys.MDS(), p, "checkpoint", DefaultSpec())
+	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
+		mustCreate(t, sys.MDS(), tk, "checkpoint", DefaultSpec(), func(got *File) {
+			f = got
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -97,14 +102,16 @@ func TestMDSCreateDefaults(t *testing.T) {
 
 func TestMDSCreatePinnedOffset(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
-	eng.Spawn("creator", func(p *sim.Proc) {
-		f := mustCreate(sys.MDS(), p, "pinned", StripeSpec{Count: 4, SizeMB: 1, OffsetOST: 478})
-		want := []int{478, 479, 0, 1} // wraps around
-		for i, o := range f.Layout.OSTs {
-			if o != want[i] {
-				t.Errorf("pinned OST[%d] = %d, want %d", i, o, want[i])
+	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
+		mustCreate(t, sys.MDS(), tk, "pinned", StripeSpec{Count: 4, SizeMB: 1, OffsetOST: 478}, func(f *File) {
+			want := []int{478, 479, 0, 1} // wraps around
+			for i, o := range f.Layout.OSTs {
+				if o != want[i] {
+					t.Errorf("pinned OST[%d] = %d, want %d", i, o, want[i])
+				}
 			}
-		}
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -113,15 +120,17 @@ func TestMDSCreatePinnedOffset(t *testing.T) {
 
 func TestMDSCreateRandomDistinct(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
-	eng.Spawn("creator", func(p *sim.Proc) {
-		f := mustCreate(sys.MDS(), p, "wide", StripeSpec{Count: 160, SizeMB: 128, OffsetOST: -1})
-		seen := map[int]bool{}
-		for _, o := range f.Layout.OSTs {
-			if o < 0 || o >= 480 || seen[o] {
-				t.Fatalf("bad OST allocation: %v", f.Layout.OSTs)
+	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
+		mustCreate(t, sys.MDS(), tk, "wide", StripeSpec{Count: 160, SizeMB: 128, OffsetOST: -1}, func(f *File) {
+			seen := map[int]bool{}
+			for _, o := range f.Layout.OSTs {
+				if o < 0 || o >= 480 || seen[o] {
+					t.Fatalf("bad OST allocation: %v", f.Layout.OSTs)
+				}
+				seen[o] = true
 			}
-			seen[o] = true
-		}
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -130,19 +139,30 @@ func TestMDSCreateRandomDistinct(t *testing.T) {
 
 func TestMDSCreateErrors(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
-	eng.Spawn("creator", func(p *sim.Proc) {
-		if _, err := sys.MDS().Create(p, "x", StripeSpec{Count: 161, OffsetOST: -1}); err == nil {
-			t.Error("stripe count beyond limit accepted")
-		}
-		if _, err := sys.MDS().Create(p, "x", StripeSpec{Count: 2, SizeMB: -1, OffsetOST: -1}); err == nil {
-			t.Error("negative stripe size accepted")
-		}
-		if _, err := sys.MDS().Create(p, "x", StripeSpec{Count: 2, OffsetOST: 480}); err == nil {
-			t.Error("offset beyond population accepted")
-		}
-	})
+	for _, tc := range []struct {
+		what string
+		spec StripeSpec
+	}{
+		{"stripe count beyond limit", StripeSpec{Count: 161, OffsetOST: -1}},
+		{"negative stripe size", StripeSpec{Count: 2, SizeMB: -1, OffsetOST: -1}},
+		{"offset beyond population", StripeSpec{Count: 2, OffsetOST: 480}},
+	} {
+		tc := tc
+		eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
+			sys.MDS().CreateK(tk, "x", tc.spec, func(_ *File, err error) {
+				if err == nil {
+					t.Errorf("%s accepted", tc.what)
+				}
+				tk.Finish()
+			})
+		})
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	// A rejected spec is reported before any metadata service time.
+	if eng.Now() != 0 || sys.MDS().Creates() != 0 {
+		t.Errorf("rejected creates charged the MDS: t=%v creates=%d", eng.Now(), sys.MDS().Creates())
 	}
 }
 
@@ -150,9 +170,11 @@ func TestMDSSerializes(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	var finish []float64
 	for i := 0; i < 3; i++ {
-		eng.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-			mustCreate(sys.MDS(), p, p.Name(), DefaultSpec())
-			finish = append(finish, p.Now())
+		eng.StartTask(0, "c", i, func(tk *sim.Task) {
+			mustCreate(t, sys.MDS(), tk, tk.Name(), DefaultSpec(), func(*File) {
+				finish = append(finish, tk.Now())
+				tk.Finish()
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -306,16 +328,18 @@ func TestStartWriteLifecycle(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	ost := sys.OST(4)
 	var bw float64
-	eng.Spawn("writer", func(p *sim.Proc) {
-		start := p.Now()
+	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
+		start := tk.Now()
 		f := sys.StartWrite("w", 288, ost, WriteOpts{
 			Node: 0, Class: cluster.ClassSequential, FileID: 9, RPCMB: 1,
 		})
 		if ost.ActiveStreams() != 1 {
 			t.Errorf("stream not registered during flow")
 		}
-		p.Wait(f.Done)
-		bw = 288 / (p.Now() - start)
+		f.Done.Await(tk, func() {
+			bw = 288 / (tk.Now() - start)
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -338,14 +362,16 @@ func TestFigure2Shape(t *testing.T) {
 		var last float64
 		for w := 0; w < k; w++ {
 			w := w
-			eng.Spawn(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
-				f := sys.StartWrite(p.Name(), 100, ost, WriteOpts{
+			eng.StartTask(0, "w", w, func(tk *sim.Task) {
+				f := sys.StartWrite(tk.Name(), 100, ost, WriteOpts{
 					Node: 0, Class: cluster.ClassSequential, FileID: 1000 + w, RPCMB: 1,
 				})
-				p.Wait(f.Done)
-				if p.Now() > last {
-					last = p.Now()
-				}
+				f.Done.Await(tk, func() {
+					if tk.Now() > last {
+						last = tk.Now()
+					}
+					tk.Finish()
+				})
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -400,12 +426,14 @@ func TestOSTHealthDegradation(t *testing.T) {
 		t.Fatalf("initial health = %v", ost.Health())
 	}
 	var finished float64
-	eng.Spawn("writer", func(p *sim.Proc) {
+	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
 		f := sys.StartWrite("w", 288, ost, WriteOpts{
 			Node: 0, Class: cluster.ClassSequential, FileID: 5, RPCMB: 1,
 		})
-		p.Wait(f.Done)
-		finished = p.Now()
+		f.Done.Await(tk, func() {
+			finished = tk.Now()
+			tk.Finish()
+		})
 	})
 	// Halfway through (144 MB written at 288 MB/s), halve the capacity:
 	// the remaining 144 MB takes 1 s instead of 0.5 s.
@@ -429,7 +457,7 @@ func TestDegradedStragglerSlowsStripedJob(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	sys.OST(2).SetHealth(0.25)
 	var finished float64
-	eng.Spawn("writer", func(p *sim.Proc) {
+	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
 		var dones []*sim.Signal
 		for i := 0; i < 4; i++ {
 			f := sys.StartWrite(fmt.Sprintf("w%d", i), 288, sys.OST(i), WriteOpts{
@@ -437,8 +465,10 @@ func TestDegradedStragglerSlowsStripedJob(t *testing.T) {
 			})
 			dones = append(dones, f.Done)
 		}
-		p.WaitAll(dones...)
-		finished = p.Now()
+		sim.AwaitAll(tk, dones, func() {
+			finished = tk.Now()
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -492,13 +522,21 @@ func TestMDSAllocationUniform(t *testing.T) {
 	// — the approximate balance the MDS maintains on lscratchc.
 	eng, sys := newSys(t, testPlat())
 	counts := make([]int, sys.NumOSTs())
-	eng.Spawn("creator", func(p *sim.Proc) {
-		for i := 0; i < 600; i++ {
-			f := mustCreate(sys.MDS(), p, fmt.Sprintf("f%d", i), StripeSpec{Count: 160, SizeMB: 1, OffsetOST: -1})
-			for _, o := range f.Layout.OSTs {
-				counts[o]++
+	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
+		var create func(i int)
+		create = func(i int) {
+			if i == 600 {
+				tk.Finish()
+				return
 			}
+			mustCreate(t, sys.MDS(), tk, fmt.Sprintf("f%d", i), StripeSpec{Count: 160, SizeMB: 1, OffsetOST: -1}, func(f *File) {
+				for _, o := range f.Layout.OSTs {
+					counts[o]++
+				}
+				create(i + 1)
+			})
 		}
+		create(0)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

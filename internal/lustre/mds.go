@@ -84,8 +84,8 @@ type MDS struct {
 func (m *MDS) Creates() int { return m.creates }
 
 // normalizeSpec fills system defaults into spec and validates it against
-// the platform limits — the synchronous prefix shared by Create and
-// CreateK, before any service time is charged.
+// the platform limits — CreateK's synchronous prefix, before any service
+// time is charged.
 func (m *MDS) normalizeSpec(spec StripeSpec) (StripeSpec, error) {
 	plat := m.sys.plat
 	if spec.Count == 0 {
@@ -129,22 +129,11 @@ func (m *MDS) allocate(name string, spec StripeSpec) *File {
 	}
 }
 
-// Create allocates a layout for a new file, charging the caller the
-// metadata service time. The spec is normalised against system defaults
-// and validated against the platform's stripe limit.
-func (m *MDS) Create(p *sim.Proc, name string, spec StripeSpec) (*File, error) {
-	spec, err := m.normalizeSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	m.res.Use(p, m.sys.plat.MDSOpTime)
-	return m.allocate(name, spec), nil
-}
-
-// CreateK is Create for task-mode callers: the file is delivered to k
-// after the metadata service time. A spec error is delivered
-// synchronously, before any service time is charged, exactly like
-// Create's early return.
+// CreateK allocates a layout for a new file, charging the caller the
+// metadata service time, and delivers the file to k. The spec is
+// normalised against system defaults and validated against the
+// platform's stripe limit; a spec error is delivered synchronously,
+// before any service time is charged.
 //
 //pfsim:taskctx
 func (m *MDS) CreateK(t *sim.Task, name string, spec StripeSpec, k func(*File, error)) {
@@ -158,13 +147,8 @@ func (m *MDS) CreateK(t *sim.Task, name string, spec StripeSpec, k func(*File, e
 	})
 }
 
-// Stat models a cheap metadata query (open of an existing file, unlink,
-// etc.), charging one metadata service time.
-func (m *MDS) Stat(p *sim.Proc) {
-	m.res.Use(p, m.sys.plat.MDSOpTime)
-}
-
-// StatK is Stat for task-mode callers: k runs after the service time.
+// StatK models a cheap metadata query (open of an existing file, unlink,
+// etc.): k runs after one metadata service time.
 //
 //pfsim:taskctx
 func (m *MDS) StatK(t *sim.Task, k func()) {

@@ -75,33 +75,11 @@ func (w *World) Nodes() int {
 // Done fires once every rank's body has returned.
 func (w *World) Done() *sim.Signal { return w.done }
 
-// Launch starts every rank at the current virtual time, one goroutine-
-// backed process each (the compatibility shim — see LaunchTasks for the
-// inline-dispatch form). Run the engine to execute them; Done fires when
-// all bodies return.
-//
-//pfsim:taskctxok audited shim launcher: rank bodies escape to spawned shim goroutines, not the event loop
-func (w *World) Launch(body func(r *Rank)) {
-	for i := 0; i < w.size; i++ {
-		rank := &Rank{world: w, id: i}
-		w.eng.SpawnIndexed(0, "rank", i, func(p *sim.Proc) {
-			rank.proc = p
-			body(rank)
-			w.left--
-			if w.left == 0 {
-				w.done.Fire()
-			}
-		})
-	}
-}
-
 // LaunchTasks starts every rank as an inline engine task at the current
-// virtual time — the goroutine-free counterpart of Launch. The body is
-// written in continuation-passing style against the rank's Task and the
-// K-suffixed collectives, and must arrange for done to be called exactly
-// once when the rank's workload is complete. Done fires when every rank
-// has finished; both launchers map onto identical engine scheduling, so a
-// workload ported between them is byte-identical.
+// virtual time. The body is written in continuation-passing style against
+// the rank's Task and the K-suffixed collectives, and must arrange for
+// done to be called exactly once when the rank's workload is complete.
+// Done fires when every rank has finished.
 //
 //pfsim:taskctx
 func (w *World) LaunchTasks(body func(r *Rank, done func())) {
@@ -113,12 +91,10 @@ func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 	}
 }
 
-// Rank is one simulated MPI process. Exactly one of proc/task is set,
-// depending on which launcher started the world.
+// Rank is one simulated MPI process, running as an inline engine task.
 type Rank struct {
 	world *World
 	id    int
-	proc  *sim.Proc
 	task  *sim.Task
 }
 
@@ -128,15 +104,10 @@ func (r *Rank) ID() int { return r.id }
 // Node returns the hosting compute node.
 func (r *Rank) Node() int { return r.world.nodeOf[r.id] }
 
-// Proc returns the underlying simulation process (nil when the world was
-// started with LaunchTasks).
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Task returns the underlying inline task (nil when the world was started
-// with Launch).
+// Task returns the underlying inline task.
 func (r *Rank) Task() *sim.Task { return r.task }
 
-// finish retires a task-mode rank; passed to the LaunchTasks body as its
+// finish retires the rank; passed to the LaunchTasks body as its
 // done continuation.
 func (r *Rank) finish() {
 	r.task.Finish()
@@ -233,30 +204,12 @@ func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
 	return rv, true
 }
 
-// collective is the common engine for synchronising operations: every rank
-// contributes a value; the last arriver computes the result via finalize
-// (receiving contributions keyed by world rank), pays the tree latency, and
-// releases the others.
-func (c *Comm) collective(r *Rank, val float64, finalize func(map[int]float64) any) any {
-	rv, last := c.arrive(r, val)
-	if !last {
-		r.proc.Wait(rv.sig)
-		return rv.result
-	}
-	rv.result = finalize(rv.vals)
-	if lat := c.latency(); lat > 0 {
-		r.proc.Sleep(lat)
-	}
-	rv.sig.Fire()
-	return rv.result
-}
-
-// collectiveK is collective for task-mode ranks: the result is delivered
-// to the continuation k instead of returned. It performs the same
-// rendezvous arrival, the same latency sleep (one scheduled event), and
-// the same release order — the last arriver fires the signal and then
-// continues inline, exactly as a resumed process runs its body before the
-// woken waiters' events fire — so both forms are byte-identical.
+// collectiveK is the common engine for synchronising operations: every
+// rank contributes a value; the last arriver computes the result via
+// finalize (receiving contributions keyed by world rank), pays the tree
+// latency (one scheduled event), fires the signal releasing the others,
+// and then continues inline before the woken waiters' events fire. The
+// result is delivered to the continuation k.
 func (c *Comm) collectiveK(r *Rank, val float64, finalize func(map[int]float64) any, k func(any)) {
 	rv, last := c.arrive(r, val)
 	if !last {
@@ -283,9 +236,6 @@ func (c *Comm) latency() float64 {
 	stages := math.Ceil(math.Log2(float64(n)))
 	return c.world.CollectiveLatency * stages
 }
-
-// The finalizers are shared between the blocking collectives and their
-// K-suffixed task forms, so the two dispatch modes cannot drift apart.
 
 func finalizeBarrier(map[int]float64) any { return nil }
 
@@ -331,53 +281,27 @@ func (c *Comm) finalizeGather(vals map[int]float64) any {
 	return out
 }
 
-// Barrier blocks until every comm member arrives.
-func (c *Comm) Barrier(r *Rank) {
-	c.collective(r, 0, finalizeBarrier)
-}
-
-// BarrierK runs k once every comm member has arrived (task form).
+// BarrierK runs k once every comm member has arrived.
 func (c *Comm) BarrierK(r *Rank, k func()) {
 	c.collectiveK(r, 0, finalizeBarrier, func(any) { k() })
 }
 
-// AllreduceMin returns the minimum contribution across the communicator.
-func (c *Comm) AllreduceMin(r *Rank, v float64) float64 {
-	return c.collective(r, v, finalizeMin).(float64)
-}
-
-// AllreduceMinK delivers the minimum contribution to k (task form).
+// AllreduceMinK delivers the minimum contribution to k.
 func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) {
 	c.collectiveK(r, v, finalizeMin, func(res any) { k(res.(float64)) })
 }
 
-// AllreduceMax returns the maximum contribution across the communicator.
-func (c *Comm) AllreduceMax(r *Rank, v float64) float64 {
-	return c.collective(r, v, finalizeMax).(float64)
-}
-
-// AllreduceMaxK delivers the maximum contribution to k (task form).
+// AllreduceMaxK delivers the maximum contribution to k.
 func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) {
 	c.collectiveK(r, v, finalizeMax, func(res any) { k(res.(float64)) })
 }
 
-// AllreduceSum returns the sum of contributions across the communicator.
-func (c *Comm) AllreduceSum(r *Rank, v float64) float64 {
-	return c.collective(r, v, finalizeSum).(float64)
-}
-
-// AllreduceSumK delivers the sum of contributions to k (task form).
+// AllreduceSumK delivers the sum of contributions to k.
 func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) {
 	c.collectiveK(r, v, finalizeSum, func(res any) { k(res.(float64)) })
 }
 
-// AllGather returns every rank's contribution in comm-rank order.
-func (c *Comm) AllGather(r *Rank, v float64) []float64 {
-	return c.collective(r, v, c.finalizeGather).([]float64)
-}
-
-// AllGatherK delivers every rank's contribution in comm-rank order to k
-// (task form).
+// AllGatherK delivers every rank's contribution in comm-rank order to k.
 func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) {
 	c.collectiveK(r, v, c.finalizeGather, func(res any) { k(res.([]float64)) })
 }
@@ -427,15 +351,9 @@ func (c *Comm) finalizeSplit(vals map[int]float64) any {
 	return comms
 }
 
-// Split partitions the communicator by color, ordering each new
+// SplitK partitions the communicator by color, ordering each new
 // communicator by (key, world rank) — MPI_Comm_split semantics. Every
-// member must call Split; each receives its sub-communicator.
-func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	result := c.collective(r, packSplit(color, key), c.finalizeSplit)
-	return result.(map[int]*Comm)[r.id]
-}
-
-// SplitK delivers the rank's sub-communicator to k (task form).
+// member must call SplitK; each receives its sub-communicator through k.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
 	c.collectiveK(r, packSplit(color, key), c.finalizeSplit, func(res any) {
 		k(res.(map[int]*Comm)[r.id])

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"pfsim/internal/sim"
@@ -35,18 +34,22 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestLaunchAndDone(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 8, 4, 0)
-	var ran int32
-	w.Launch(func(r *Rank) {
-		r.Proc().Sleep(float64(r.ID()))
-		atomic.AddInt32(&ran, 1)
+	ran := 0
+	w.LaunchTasks(func(r *Rank, done func()) {
+		r.Task().Sleep(float64(r.ID()), func() {
+			ran++
+			done()
+		})
 	})
 	finished := false
-	eng.Spawn("watcher", func(p *sim.Proc) {
-		p.Wait(w.Done())
-		finished = true
-		if p.Now() != 7 {
-			t.Errorf("done at %v, want 7 (slowest rank)", p.Now())
-		}
+	eng.StartTask(0, "watcher", -1, func(tk *sim.Task) {
+		w.Done().Await(tk, func() {
+			finished = true
+			if tk.Now() != 7 {
+				t.Errorf("done at %v, want 7 (slowest rank)", tk.Now())
+			}
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -60,13 +63,19 @@ func TestBarrierSynchronises(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 16, 16, 0)
 	var after []float64
-	w.Launch(func(r *Rank) {
-		r.Proc().Sleep(float64(r.ID()) * 0.1) // staggered arrivals
-		w.Comm().Barrier(r)
-		after = append(after, r.Proc().Now())
+	w.LaunchTasks(func(r *Rank, done func()) {
+		r.Task().Sleep(float64(r.ID())*0.1, func() { // staggered arrivals
+			w.Comm().BarrierK(r, func() {
+				after = append(after, r.Task().Now())
+				done()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(after) != 16 {
+		t.Fatalf("%d ranks released, want 16", len(after))
 	}
 	want := 1.5 + w.CollectiveLatency*4 // slowest arrival + log2(16) stages
 	for _, tm := range after {
@@ -79,17 +88,24 @@ func TestBarrierSynchronises(t *testing.T) {
 func TestAllreduce(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 10, 16, 0)
-	w.Launch(func(r *Rank) {
+	w.LaunchTasks(func(r *Rank, done func()) {
 		v := float64(r.ID())
-		if got := w.Comm().AllreduceMin(r, v); got != 0 {
-			t.Errorf("min = %v", got)
-		}
-		if got := w.Comm().AllreduceMax(r, v); got != 9 {
-			t.Errorf("max = %v", got)
-		}
-		if got := w.Comm().AllreduceSum(r, v); got != 45 {
-			t.Errorf("sum = %v", got)
-		}
+		w.Comm().AllreduceMinK(r, v, func(got float64) {
+			if got != 0 {
+				t.Errorf("min = %v", got)
+			}
+			w.Comm().AllreduceMaxK(r, v, func(got float64) {
+				if got != 9 {
+					t.Errorf("max = %v", got)
+				}
+				w.Comm().AllreduceSumK(r, v, func(got float64) {
+					if got != 45 {
+						t.Errorf("sum = %v", got)
+					}
+					done()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -99,13 +115,15 @@ func TestAllreduce(t *testing.T) {
 func TestAllGatherOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 5, 16, 0)
-	w.Launch(func(r *Rank) {
-		got := w.Comm().AllGather(r, float64(r.ID()*r.ID()))
-		for i, v := range got {
-			if v != float64(i*i) {
-				t.Errorf("gather[%d] = %v", i, v)
+	w.LaunchTasks(func(r *Rank, done func()) {
+		w.Comm().AllGatherK(r, float64(r.ID()*r.ID()), func(got []float64) {
+			for i, v := range got {
+				if v != float64(i*i) {
+					t.Errorf("gather[%d] = %v", i, v)
+				}
 			}
-		}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -116,25 +134,29 @@ func TestSplitByColor(t *testing.T) {
 	// The Figure 2 benchmark splits a world into per-file communicators.
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 12, 16, 0)
-	w.Launch(func(r *Rank) {
+	w.LaunchTasks(func(r *Rank, done func()) {
 		color := r.ID() % 3
-		sub := w.Comm().Split(r, color, r.ID())
-		if sub.Size() != 4 {
-			t.Errorf("subcomm size = %d, want 4", sub.Size())
-		}
-		if sub.RankOf(r) != r.ID()/3 {
-			t.Errorf("world %d: sub rank = %d, want %d", r.ID(), sub.RankOf(r), r.ID()/3)
-		}
-		// Collectives work within the split comm.
-		if got := sub.AllreduceSum(r, 1); got != 4 {
-			t.Errorf("sub sum = %v", got)
-		}
-		// Members share a color.
-		for _, wr := range sub.WorldRanks() {
-			if wr%3 != color {
-				t.Errorf("world %d in wrong color group", wr)
+		w.Comm().SplitK(r, color, r.ID(), func(sub *Comm) {
+			if sub.Size() != 4 {
+				t.Errorf("subcomm size = %d, want 4", sub.Size())
 			}
-		}
+			if sub.RankOf(r) != r.ID()/3 {
+				t.Errorf("world %d: sub rank = %d, want %d", r.ID(), sub.RankOf(r), r.ID()/3)
+			}
+			// Members share a color.
+			for _, wr := range sub.WorldRanks() {
+				if wr%3 != color {
+					t.Errorf("world %d in wrong color group", wr)
+				}
+			}
+			// Collectives work within the split comm.
+			sub.AllreduceSumK(r, 1, func(got float64) {
+				if got != 4 {
+					t.Errorf("sub sum = %v", got)
+				}
+				done()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -144,12 +166,14 @@ func TestSplitByColor(t *testing.T) {
 func TestSplitKeyOrdering(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 4, 16, 0)
-	w.Launch(func(r *Rank) {
+	w.LaunchTasks(func(r *Rank, done func()) {
 		// Reverse ordering by key: highest world rank becomes sub rank 0.
-		sub := w.Comm().Split(r, 0, -r.ID())
-		if got, want := sub.RankOf(r), 3-r.ID(); got != want {
-			t.Errorf("world %d: sub rank = %d, want %d", r.ID(), got, want)
-		}
+		w.Comm().SplitK(r, 0, -r.ID(), func(sub *Comm) {
+			if got, want := sub.RankOf(r), 3-r.ID(); got != want {
+				t.Errorf("world %d: sub rank = %d, want %d", r.ID(), got, want)
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -159,18 +183,28 @@ func TestSplitKeyOrdering(t *testing.T) {
 func TestSingleRankCollectives(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 1, 16, 0)
-	w.Launch(func(r *Rank) {
-		w.Comm().Barrier(r)
-		if got := w.Comm().AllreduceMax(r, 7); got != 7 {
-			t.Errorf("solo max = %v", got)
-		}
-		sub := w.Comm().Split(r, 5, 0)
-		if sub.Size() != 1 {
-			t.Errorf("solo split size = %d", sub.Size())
-		}
+	finished := false
+	w.LaunchTasks(func(r *Rank, done func()) {
+		w.Comm().BarrierK(r, func() {
+			w.Comm().AllreduceMaxK(r, 7, func(got float64) {
+				if got != 7 {
+					t.Errorf("solo max = %v", got)
+				}
+				w.Comm().SplitK(r, 5, 0, func(sub *Comm) {
+					if sub.Size() != 1 {
+						t.Errorf("solo split size = %d", sub.Size())
+					}
+					finished = true
+					done()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !finished {
+		t.Error("single rank never finished")
 	}
 	if eng.Now() != 0 {
 		t.Errorf("single-rank collectives should be free, t=%v", eng.Now())
@@ -179,32 +213,43 @@ func TestSingleRankCollectives(t *testing.T) {
 
 func TestForeignRankPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	w1 := NewWorld(eng, 2, 16, 0)
+	w1 := NewWorld(eng, 4, 16, 0)
 	w2 := NewWorld(eng, 2, 16, 10)
-	w1.Launch(func(r *Rank) {
-		if r.ID() == 0 {
-			defer func() {
-				if recover() == nil {
-					t.Error("want panic for foreign-comm collective")
-				}
-			}()
-			w2.Comm().Barrier(r) // wrong comm
+	panicked := false
+	w1.LaunchTasks(func(r *Rank, done func()) {
+		defer done()
+		if r.ID() == 3 { // world rank 3 has no counterpart in w2
+			defer func() { panicked = recover() != nil }()
+			w2.Comm().BarrierK(r, func() {}) // wrong comm
 		}
 	})
-	w2.Launch(func(r *Rank) {})
-	_ = eng.Run() // the panic is recovered inside the rank body
+	w2.LaunchTasks(func(r *Rank, done func()) { done() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !panicked {
+		t.Error("want panic for foreign-comm collective")
+	}
 }
 
 func TestRepeatedCollectivesMatchInOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 6, 16, 0)
-	w.Launch(func(r *Rank) {
-		for i := 0; i < 20; i++ {
-			if got := w.Comm().AllreduceSum(r, float64(i)); got != float64(6*i) {
-				t.Errorf("iteration %d: sum = %v", i, got)
+	w.LaunchTasks(func(r *Rank, done func()) {
+		var step func(i int)
+		step = func(i int) {
+			if i == 20 {
+				done()
 				return
 			}
+			w.Comm().AllreduceSumK(r, float64(i), func(got float64) {
+				if got != float64(6*i) {
+					t.Errorf("iteration %d: sum = %v", i, got)
+				}
+				step(i + 1)
+			})
 		}
+		step(0)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -214,13 +259,14 @@ func TestRepeatedCollectivesMatchInOrder(t *testing.T) {
 func TestRankAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 2, 1, 5)
-	w.Launch(func(r *Rank) {
+	w.LaunchTasks(func(r *Rank, done func()) {
 		if r.World() != w {
 			t.Error("World() mismatch")
 		}
 		if r.Node() != 5+r.ID() {
 			t.Errorf("rank %d on node %d", r.ID(), r.Node())
 		}
+		done()
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -245,23 +291,25 @@ func TestSplitPartitionProperty(t *testing.T) {
 		eng := sim.NewEngine()
 		w := NewWorld(eng, size, 16, 0)
 		membership := make([]*Comm, size)
-		w.Launch(func(r *Rank) {
-			sub := w.Comm().Split(r, colors[r.ID()], keys[r.ID()])
-			membership[r.ID()] = sub
-			// Members agree on color.
-			for _, wr := range sub.WorldRanks() {
-				if colors[wr] != colors[r.ID()] {
-					t.Errorf("seed %d: world %d grouped with wrong color", seed, wr)
+		w.LaunchTasks(func(r *Rank, done func()) {
+			w.Comm().SplitK(r, colors[r.ID()], keys[r.ID()], func(sub *Comm) {
+				defer done()
+				membership[r.ID()] = sub
+				// Members agree on color.
+				for _, wr := range sub.WorldRanks() {
+					if colors[wr] != colors[r.ID()] {
+						t.Errorf("seed %d: world %d grouped with wrong color", seed, wr)
+					}
 				}
-			}
-			// Comm order sorted by (key, world rank).
-			ranks := sub.WorldRanks()
-			for i := 1; i < len(ranks); i++ {
-				a, b := ranks[i-1], ranks[i]
-				if keys[a] > keys[b] || (keys[a] == keys[b] && a > b) {
-					t.Errorf("seed %d: comm order violates keys: %d before %d", seed, a, b)
+				// Comm order sorted by (key, world rank).
+				ranks := sub.WorldRanks()
+				for i := 1; i < len(ranks); i++ {
+					a, b := ranks[i-1], ranks[i]
+					if keys[a] > keys[b] || (keys[a] == keys[b] && a > b) {
+						t.Errorf("seed %d: comm order violates keys: %d before %d", seed, a, b)
+					}
 				}
-			}
+			})
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

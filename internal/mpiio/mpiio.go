@@ -103,7 +103,7 @@ type File struct {
 }
 
 // NewFile prepares a file handle shared by a communicator. It performs no
-// simulated work; every rank of comm must then call Open.
+// simulated work; every rank of comm must then call OpenK.
 func NewFile(sys *lustre.System, comm *mpi.Comm, name string, driver Driver, hints Hints) *File {
 	return &File{
 		sys:     sys,
@@ -150,44 +150,9 @@ func (f *File) spec() lustre.StripeSpec {
 	return s
 }
 
-// Open opens the file collectively: rank 0 creates it (and, for PLFS, the
+// OpenK opens the file collectively: rank 0 creates it (and, for PLFS, the
 // container metadata), every PLFS rank creates its logs, and all ranks
-// synchronise before returning — MPI_File_open semantics.
-func (f *File) Open(r *mpi.Rank) error {
-	p := r.Proc()
-	isRoot := f.comm.RankOf(r) == 0
-	switch f.driver {
-	case DriverPLFS:
-		if isRoot {
-			f.container = plfs.NewContainer(f.sys, f.name)
-			f.container.CreateMeta(p)
-			f.openSig.Fire()
-		}
-		p.Wait(f.openSig)
-		rl, err := f.container.OpenRank(p, r.ID())
-		if err != nil {
-			return err
-		}
-		f.logs[r.ID()] = rl
-	default:
-		if isRoot {
-			lf, err := f.sys.MDS().Create(p, f.name, f.spec())
-			if err != nil {
-				return err
-			}
-			f.lf = lf
-			f.buildAggregators()
-			f.openSig.Fire()
-		}
-		p.Wait(f.openSig)
-	}
-	f.comm.Barrier(r)
-	f.opened = true
-	return nil
-}
-
-// OpenK is Open for task-mode ranks: the same create/fire/await/barrier
-// sequence, with the result delivered to k.
+// synchronise before k runs — MPI_File_open semantics.
 func (f *File) OpenK(r *mpi.Rank, k func(error)) {
 	t := r.Task()
 	isRoot := f.comm.RankOf(r) == 0
@@ -289,47 +254,12 @@ func (f *File) buildAggregators() {
 	}
 }
 
-// WriteAll performs a collective write: every rank contributes sizeMB. For
-// Lustre/UFS the data moves through two-phase I/O; for PLFS each rank
-// appends to its own logs. WriteAll returns when the operation completes
-// on every rank.
-func (f *File) WriteAll(r *mpi.Rank, sizeMB, transferMB float64) error {
-	if err := f.checkWriteAll(sizeMB, transferMB); err != nil {
-		return err
-	}
-	p := r.Proc()
-	switch f.driver {
-	case DriverPLFS:
-		// Collective PLFS write: merge the symmetric per-rank log streams
-		// into one flow per OST (see plfs.Container.BatchWrite). The
-		// reduction both synchronises the ranks and yields the uniform
-		// per-rank volume the merge assumes.
-		total := f.comm.AllreduceSum(r, sizeMB)
-		sig, idx := f.opSignal(r, "plfswrite")
-		if f.comm.RankOf(r) == 0 {
-			err := f.container.BatchWrite(p, total/float64(f.comm.Size()), transferMB)
-			delete(f.opSigs, idx)
-			sig.Fire()
-			return err
-		}
-		p.Wait(sig)
-		return nil
-	default:
-		total := f.comm.AllreduceSum(r, sizeMB)
-		sig, idx := f.opSignal(r, "writeall")
-		if f.comm.RankOf(r) == 0 {
-			f.collectiveWrite(p, total)
-			delete(f.opSigs, idx)
-			sig.Fire()
-			return nil
-		}
-		p.Wait(sig)
-		return nil
-	}
-}
-
-// WriteAllK is WriteAll for task-mode ranks: the same reduction, the same
-// rank-0 rendezvous signal, the result delivered to k.
+// WriteAllK performs a collective write: every rank contributes sizeMB.
+// For Lustre/UFS the data moves through two-phase I/O. For PLFS the
+// symmetric per-rank log streams merge into one flow per OST (see
+// plfs.Container.BatchWriteK); the reduction both synchronises the ranks
+// and yields the uniform per-rank volume the merge assumes. k runs when
+// the operation completes on every rank.
 func (f *File) WriteAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) {
 	if err := f.checkWriteAll(sizeMB, transferMB); err != nil {
 		k(err)
@@ -391,8 +321,8 @@ func (f *File) opSignal(r *mpi.Rank, kind string) (*sim.Signal, int) {
 	return sig, idx
 }
 
-// collectiveWrite launches the two-phase flows for one collective write of
-// totalMB and blocks until they drain.
+// collectiveWriteK launches the two-phase flows for one collective write
+// of totalMB; k runs when they drain.
 //
 // ROMIO divides the file into equal-volume per-aggregator domains, so
 // every aggregator carries total/A. With more aggregators than stripes
@@ -401,15 +331,6 @@ func (f *File) opSignal(r *mpi.Rank, kind string) (*sim.Signal, int) {
 // (stripe-aware ad_lustre, A = min(nodes, R)), aggregator j owns OSTs
 // {j, j+A, ...} group-cyclically and spreads its domain evenly across
 // them.
-func (f *File) collectiveWrite(p *sim.Proc, totalMB float64) {
-	if totalMB <= 0 {
-		return
-	}
-	p.WaitAll(flow.Dones(f.sys.StartWrites(f.collectiveReqs(totalMB)))...)
-}
-
-// collectiveWriteK is collectiveWrite for task-mode aggregor-root ranks:
-// k runs when the two-phase flows drain.
 func (f *File) collectiveWriteK(t *sim.Task, totalMB float64, k func()) {
 	if totalMB <= 0 {
 		k()
@@ -419,7 +340,7 @@ func (f *File) collectiveWriteK(t *sim.Task, totalMB float64, k func()) {
 }
 
 // collectiveReqs builds the per-aggregator two-phase write requests — the
-// synchronous domain-decomposition body shared by both dispatch modes.
+// synchronous domain decomposition of collectiveWriteK.
 func (f *File) collectiveReqs(totalMB float64) []lustre.WriteReq {
 	layout := f.lf.Layout
 	A := len(f.aggLinks)
@@ -470,39 +391,10 @@ func (f *File) cbBufferMB() float64 {
 	return f.sys.Platform().CollBufferMB
 }
 
-// ReadAll performs a collective read of sizeMB per rank. The fluid model
+// ReadAllK performs a collective read of sizeMB per rank. The fluid model
 // is direction-agnostic, so reads exercise the same aggregator and OST
 // service paths as writes; PLFS reads replay each rank's log through its
-// index (see plfs.RankLog.Read).
-func (f *File) ReadAll(r *mpi.Rank, sizeMB, transferMB float64) error {
-	if err := f.checkReadAll(sizeMB, transferMB); err != nil {
-		return err
-	}
-	p := r.Proc()
-	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
-			return fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID())
-		}
-		if err := rl.Read(p, r.Node(), sizeMB); err != nil {
-			return err
-		}
-		f.comm.Barrier(r)
-		return nil
-	}
-	total := f.comm.AllreduceSum(r, sizeMB)
-	sig, idx := f.opSignal(r, "readall")
-	if f.comm.RankOf(r) == 0 {
-		f.collectiveWrite(p, total)
-		delete(f.opSigs, idx)
-		sig.Fire()
-		return nil
-	}
-	p.Wait(sig)
-	return nil
-}
-
-// ReadAllK is ReadAll for task-mode ranks.
+// index (see plfs.RankLog.ReadK).
 func (f *File) ReadAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) {
 	if err := f.checkReadAll(sizeMB, transferMB); err != nil {
 		k(err)
@@ -557,31 +449,11 @@ func (f *File) FileID() int {
 	return f.lf.ID
 }
 
-// WriteIndependent writes sizeMB from this rank without coordination
+// WriteIndependentK writes sizeMB from this rank without coordination
 // (MPI_File_write_at): the rank's region spreads over the file's stripes,
 // and because nothing aligns accesses, each writing rank forms its own
 // lock domain on every OST it touches — the cross-client extent-lock
 // conflicts collective buffering exists to avoid.
-func (f *File) WriteIndependent(r *mpi.Rank, sizeMB, transferMB float64) error {
-	if !f.opened || f.closed {
-		return fmt.Errorf("mpiio: WriteIndependent on %q before Open or after Close", f.name)
-	}
-	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
-			return fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID())
-		}
-		return rl.Write(r.Proc(), r.Node(), sizeMB, transferMB)
-	}
-	if sizeMB <= 0 {
-		return nil
-	}
-	p := r.Proc()
-	p.WaitAll(flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB)))...)
-	return nil
-}
-
-// WriteIndependentK is WriteIndependent for task-mode ranks.
 func (f *File) WriteIndependentK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) {
 	if !f.opened || f.closed {
 		k(fmt.Errorf("mpiio: WriteIndependent on %q before Open or after Close", f.name))
@@ -635,25 +507,9 @@ func (f *File) independentReqs(r *mpi.Rank, sizeMB, transferMB float64) []lustre
 	return reqs
 }
 
-// Close closes the file collectively: PLFS ranks flush their index logs,
-// rank 0 performs the final metadata update, and all ranks synchronise.
-func (f *File) Close(r *mpi.Rank) {
-	p := r.Proc()
-	if f.driver == DriverPLFS {
-		if rl := f.logs[r.ID()]; rl != nil {
-			rl.Close(p)
-		}
-	}
-	f.comm.Barrier(r)
-	if f.comm.RankOf(r) == 0 && !f.closed {
-		f.sys.MDS().Stat(p)
-		f.closed = true
-	}
-	f.comm.Barrier(r)
-}
-
-// CloseK is Close for task-mode ranks: log flush, barrier, root metadata
-// update, final barrier, then k.
+// CloseK closes the file collectively: PLFS ranks flush their index logs,
+// rank 0 performs the final metadata update, and all ranks synchronise
+// before k runs.
 func (f *File) CloseK(r *mpi.Rank, k func()) {
 	t := r.Task()
 	barriers := func() {

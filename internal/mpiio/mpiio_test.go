@@ -23,6 +23,17 @@ func testSys(t *testing.T, seed uint64) (*sim.Engine, *lustre.System) {
 	return eng, sys
 }
 
+// must adapts a rank step's error continuation for tests: an error fails
+// the test at once; otherwise k runs.
+func must(t *testing.T, what string, k func()) func(error) {
+	return func(err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		k()
+	}
+}
+
 // runJob opens a file, writes per-rank MB collectively, closes, and
 // returns the achieved aggregate bandwidth (open-to-close, like IOR).
 func runJob(t *testing.T, eng *sim.Engine, sys *lustre.System,
@@ -31,20 +42,23 @@ func runJob(t *testing.T, eng *sim.Engine, sys *lustre.System,
 	w := mpi.NewWorld(eng, procs, sys.Platform().CoresPerNode, 0)
 	f := NewFile(sys, w.Comm(), "testfile", driver, hints)
 	var start, end float64
-	w.Launch(func(r *mpi.Rank) {
-		w.Comm().Barrier(r)
-		t0 := r.Proc().Now()
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if err := f.WriteAll(r, perRankMB, transferMB); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		f.Close(r)
-		start = w.Comm().AllreduceMin(r, t0)
-		end = w.Comm().AllreduceMax(r, r.Proc().Now())
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		w.Comm().BarrierK(r, func() {
+			t0 := r.Task().Now()
+			f.OpenK(r, must(t, "open", func() {
+				f.WriteAllK(r, perRankMB, transferMB, must(t, "write", func() {
+					f.CloseK(r, func() {
+						w.Comm().AllreduceMinK(r, t0, func(v float64) {
+							start = v
+							w.Comm().AllreduceMaxK(r, r.Task().Now(), func(v float64) {
+								end = v
+								done()
+							})
+						})
+					})
+				}))
+			}))
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -158,15 +172,12 @@ func TestPLFSContainerState(t *testing.T) {
 	eng, sys := testSys(t, 8)
 	w := mpi.NewWorld(eng, 32, 16, 0)
 	f := NewFile(sys, w.Comm(), "plfsfile", DriverPLFS, NewHints())
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if err := f.WriteAll(r, 50, 1); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		f.Close(r)
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", func() {
+			f.WriteAllK(r, 50, 1, must(t, "write", func() {
+				f.CloseK(r, done)
+			}))
+		}))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -191,10 +202,13 @@ func TestWriteBeforeOpenFails(t *testing.T) {
 	eng, sys := testSys(t, 9)
 	w := mpi.NewWorld(eng, 4, 16, 0)
 	f := NewFile(sys, w.Comm(), "x", DriverLustre, NewHints())
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.WriteAll(r, 10, 1); err == nil {
-			t.Error("WriteAll before Open accepted")
-		}
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.WriteAllK(r, 10, 1, func(err error) {
+			if err == nil {
+				t.Error("WriteAll before Open accepted")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -205,17 +219,22 @@ func TestBadSizesFail(t *testing.T) {
 	eng, sys := testSys(t, 10)
 	w := mpi.NewWorld(eng, 2, 16, 0)
 	f := NewFile(sys, w.Comm(), "x", DriverLustre, NewHints())
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-		}
-		if err := f.WriteAll(r, -1, 1); err == nil {
-			t.Error("negative size accepted")
-		}
-		w.Comm().Barrier(r)
-		if err := f.WriteAll(r, 10, 0); err == nil {
-			t.Error("zero transfer accepted")
-		}
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", func() {
+			f.WriteAllK(r, -1, 1, func(err error) {
+				if err == nil {
+					t.Error("negative size accepted")
+				}
+				w.Comm().BarrierK(r, func() {
+					f.WriteAllK(r, 10, 0, func(err error) {
+						if err == nil {
+							t.Error("zero transfer accepted")
+						}
+						done()
+					})
+				})
+			})
+		}))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -230,10 +249,8 @@ func TestStripeOffsetPinning(t *testing.T) {
 	hints.StripingUnitMB = 1
 	hints.StripeOffset = 77
 	f := NewFile(sys, w.Comm(), "pinned", DriverLustre, hints)
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-		}
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", done))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -268,16 +285,17 @@ func TestIndependentSlowerThanCollective(t *testing.T) {
 	w := mpi.NewWorld(eng, 128, 16, 0)
 	f := NewFile(sys, w.Comm(), "ind", DriverLustre, hints)
 	var indEnd float64
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if err := f.WriteIndependent(r, 100, 1); err != nil {
-			t.Errorf("independent write: %v", err)
-		}
-		f.Close(r)
-		indEnd = w.Comm().AllreduceMax(r, r.Proc().Now())
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", func() {
+			f.WriteIndependentK(r, 100, 1, must(t, "independent write", func() {
+				f.CloseK(r, func() {
+					w.Comm().AllreduceMaxK(r, r.Task().Now(), func(v float64) {
+						indEnd = v
+						done()
+					})
+				})
+			}))
+		}))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -312,23 +330,22 @@ func TestReadAllMirrorsWritePath(t *testing.T) {
 	hints.StripingUnitMB = 64
 	f := NewFile(sys, w.Comm(), "rw", DriverLustre, hints)
 	var writeTime, readTime float64
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		t0 := r.Proc().Now()
-		if err := f.WriteAll(r, 100, 1); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		writeTime = w.Comm().AllreduceMax(r, r.Proc().Now()) - t0
-		t1 := r.Proc().Now()
-		if err := f.ReadAll(r, 100, 1); err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		readTime = w.Comm().AllreduceMax(r, r.Proc().Now()) - t1
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", func() {
+			t0 := r.Task().Now()
+			f.WriteAllK(r, 100, 1, must(t, "write", func() {
+				w.Comm().AllreduceMaxK(r, r.Task().Now(), func(end float64) {
+					writeTime = end - t0
+					t1 := r.Task().Now()
+					f.ReadAllK(r, 100, 1, must(t, "read", func() {
+						w.Comm().AllreduceMaxK(r, r.Task().Now(), func(end float64) {
+							readTime = end - t1
+							done()
+						})
+					}))
+				})
+			}))
+		}))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -344,10 +361,13 @@ func TestReadBeforeOpenFails(t *testing.T) {
 	eng, sys := testSys(t, 21)
 	w := mpi.NewWorld(eng, 2, 16, 0)
 	f := NewFile(sys, w.Comm(), "x", DriverLustre, NewHints())
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.ReadAll(r, 10, 1); err == nil {
-			t.Error("ReadAll before Open accepted")
-		}
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.ReadAllK(r, 10, 1, func(err error) {
+			if err == nil {
+				t.Error("ReadAll before Open accepted")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -376,10 +396,8 @@ func TestPLFSFileIDZero(t *testing.T) {
 	eng, sys := testSys(t, 23)
 	w := mpi.NewWorld(eng, 4, 16, 0)
 	f := NewFile(sys, w.Comm(), "pl", DriverPLFS, NewHints())
-	w.Launch(func(r *mpi.Rank) {
-		if err := f.Open(r); err != nil {
-			t.Errorf("open: %v", err)
-		}
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", done))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -33,8 +33,8 @@ type Container struct {
 }
 
 // NewContainer prepares a container shell for the given backend file
-// system. Call CreateMeta from exactly one rank, then OpenRank from every
-// writing rank.
+// system. Call CreateMetaK from exactly one rank, then OpenRankK from
+// every writing rank.
 func NewContainer(sys *lustre.System, name string) *Container {
 	return &Container{
 		sys:       sys,
@@ -57,20 +57,11 @@ func (c *Container) Subdir(rank int) int {
 	return rank % c.subdirs
 }
 
-// CreateMeta creates the container skeleton (top-level directory, metadata
-// and the hashed subdirectories) and unblocks OpenRank callers. PLFS
-// creates subdirectories lazily in batches; we charge one metadata
-// operation per subdirectory plus one for the container itself.
-func (c *Container) CreateMeta(p *sim.Proc) {
-	for i := 0; i <= c.subdirs; i++ {
-		c.sys.MDS().Stat(p)
-	}
-	c.ready.Fire()
-}
-
-// CreateMetaK is CreateMeta for task-mode callers: the same subdirs+1
-// sequential metadata operations, expressed as a self-continuing chain,
-// then ready fires and k runs.
+// CreateMetaK creates the container skeleton (top-level directory, metadata
+// and the hashed subdirectories), unblocks OpenRankK callers, and runs k.
+// PLFS creates subdirectories lazily in batches; we charge one metadata
+// operation per subdirectory plus one for the container itself, as a
+// self-continuing chain of sequential operations.
 func (c *Container) CreateMetaK(t *sim.Task, k func()) {
 	i := 0
 	var step func()
@@ -99,49 +90,34 @@ type RankLog struct {
 	closed    bool
 }
 
-// OpenRank creates the rank's data and index logs. Creates serialize on
-// the container's backend-directory lock — the effective cost calibrated
-// by Platform.PLFSCreateTime — reproducing the open storm that dominates
+// OpenRankK creates the rank's data and index logs once the container
+// skeleton exists and delivers the log to k. Creates serialize on the
+// container's backend-directory lock — the effective cost calibrated by
+// Platform.PLFSCreateTime — reproducing the open storm that dominates
 // large PLFS runs.
-func (c *Container) OpenRank(p *sim.Proc, rank int) (*RankLog, error) {
-	if _, dup := c.logs[rank]; dup {
-		return nil, fmt.Errorf("plfs: rank %d already open in %q", rank, c.name)
-	}
-	p.Wait(c.ready)
-	// Two creates (data + index) under the shared subdir DLM lock.
-	c.createRes.Use(p, 2*c.sys.Platform().PLFSCreateTime)
-	prefix := fmt.Sprintf("%s/hostdir.%d", c.name, c.Subdir(rank))
-	data, err := c.sys.MDS().Create(p, fmt.Sprintf("%s/dropping.data.%d", prefix, rank), lustre.DefaultSpec())
-	if err != nil {
-		return nil, err
-	}
-	index, err := c.sys.MDS().Create(p, fmt.Sprintf("%s/dropping.index.%d", prefix, rank), c.indexSpec())
-	if err != nil {
-		return nil, err
-	}
-	return c.adoptLog(rank, data, index), nil
-}
-
-// OpenRankK is OpenRank for task-mode callers: wait for the container
-// skeleton, serialize the two creates under the subdir lock, deliver the
-// log to k.
+//
+// The rank is reserved at entry, before the first wait, so a second open
+// of the same rank fails even while the first is still creating its logs.
 func (c *Container) OpenRankK(t *sim.Task, rank int, k func(*RankLog, error)) {
 	if _, dup := c.logs[rank]; dup {
 		k(nil, fmt.Errorf("plfs: rank %d already open in %q", rank, c.name))
 		return
 	}
+	c.logs[rank] = nil // reserved; adoptLog fills it in
 	c.ready.Await(t, func() {
 		c.createRes.UseTask(t, 2*c.sys.Platform().PLFSCreateTime, func() {
 			prefix := fmt.Sprintf("%s/hostdir.%d", c.name, c.Subdir(rank))
 			c.sys.MDS().CreateK(t, fmt.Sprintf("%s/dropping.data.%d", prefix, rank), lustre.DefaultSpec(),
 				func(data *lustre.File, err error) {
 					if err != nil {
+						delete(c.logs, rank)
 						k(nil, err)
 						return
 					}
 					c.sys.MDS().CreateK(t, fmt.Sprintf("%s/dropping.index.%d", prefix, rank), c.indexSpec(),
 						func(index *lustre.File, err error) {
 							if err != nil {
+								delete(c.logs, rank)
 								k(nil, err)
 								return
 							}
@@ -174,23 +150,12 @@ func (rl *RankLog) Records() int { return rl.records }
 // WrittenMB returns the volume appended to the data log.
 func (rl *RankLog) WrittenMB() float64 { return rl.writtenMB }
 
-// Write appends sizeMB from a rank on the given node as transfers of
+// WriteK appends sizeMB from a rank on the given node as transfers of
 // transferMB each. The append stream is striped over the data log's
 // (default, 2-OST) layout; each stripe stream is rate-capped so the whole
 // rank sustains at most Platform.PLFSRankMBs, the calibrated per-rank PLFS
-// write path cost. Write blocks until the data is on the OSTs.
-func (rl *RankLog) Write(p *sim.Proc, node int, sizeMB, transferMB float64) error {
-	if err := rl.checkWrite(sizeMB, transferMB); err != nil || sizeMB == 0 {
-		return err
-	}
-	reqs := rl.writeReqs(node, sizeMB, transferMB)
-	p.WaitAll(flow.Dones(rl.c.sys.StartWrites(reqs))...)
-	rl.accountWrite(sizeMB, transferMB)
-	return nil
-}
-
-// WriteK is Write for task-mode callers: k runs (with any validation
-// error) once the data is on the OSTs.
+// write path cost. k runs (with any validation error) once the data is on
+// the OSTs.
 func (rl *RankLog) WriteK(t *sim.Task, node int, sizeMB, transferMB float64, k func(error)) {
 	if err := rl.checkWrite(sizeMB, transferMB); err != nil || sizeMB == 0 {
 		k(err)
@@ -246,7 +211,7 @@ func (rl *RankLog) accountWrite(sizeMB, transferMB float64) {
 	rl.records += int(sizeMB / transferMB)
 }
 
-// BatchWrite appends perRankMB to every opened rank log in one collective
+// BatchWriteK appends perRankMB to every opened rank log in one collective
 // operation. Same-OST log streams are symmetric for uniform writes — equal
 // volume, equal rate cap, fair-shared service — so they complete
 // simultaneously and can be merged exactly into a single fluid flow per
@@ -255,19 +220,8 @@ func (rl *RankLog) accountWrite(sizeMB, transferMB float64) {
 // links are omitted from the merged paths: PLFS rank streams never
 // approach NIC capacity (16 ranks × ~47 MB/s ≪ 1.6 GB/s).
 //
-// BatchWrite blocks until the slowest OST drains — exactly when the
-// slowest rank would finish under per-rank flows.
-func (c *Container) BatchWrite(p *sim.Proc, perRankMB, transferMB float64) error {
-	specs, err := c.batchSpecs(perRankMB, transferMB)
-	if err != nil || specs == nil {
-		return err
-	}
-	p.WaitAll(flow.Dones(c.sys.Net().StartBatch(specs))...)
-	return nil
-}
-
-// BatchWriteK is BatchWrite for task-mode callers: k runs (with any
-// validation error) once the slowest merged OST stream drains.
+// k runs (with any validation error) once the slowest OST drains —
+// exactly when the slowest rank would finish under per-rank flows.
 func (c *Container) BatchWriteK(t *sim.Task, perRankMB, transferMB float64, k func(error)) {
 	specs, err := c.batchSpecs(perRankMB, transferMB)
 	if err != nil || specs == nil {
@@ -278,8 +232,8 @@ func (c *Container) BatchWriteK(t *sim.Task, perRankMB, transferMB float64, k fu
 }
 
 // batchSpecs merges the per-rank log streams into one flow spec per OST
-// and accounts the written volume — the synchronous body shared by
-// BatchWrite and BatchWriteK. A nil, nil return means nothing to write.
+// and accounts the written volume — BatchWriteK's synchronous body. A nil,
+// nil return means nothing to write.
 func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, error) {
 	if perRankMB < 0 || transferMB <= 0 {
 		return nil, fmt.Errorf("plfs: bad batch write size=%v transfer=%v", perRankMB, transferMB)
@@ -341,22 +295,10 @@ func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, 
 	return specs, nil
 }
 
-// Read plays the data back: an index merge (in-memory, charged per record)
-// followed by sequential reads from the data log's OSTs. The paper's
-// experiments are write-only; Read exists for API completeness and the
-// read-back examples.
-func (rl *RankLog) Read(p *sim.Proc, node int, sizeMB float64) error {
-	if sizeMB <= 0 {
-		return nil
-	}
-	// Index record lookup: ~1 µs per record, linear merge.
-	p.Sleep(float64(rl.records) * 1e-6)
-	p.WaitAll(flow.Dones(rl.c.sys.StartWrites(rl.readReqs(node, sizeMB)))...)
-	return nil
-}
-
-// ReadK is Read for task-mode callers: the index merge charge, then the
-// sequential reads, then k.
+// ReadK plays the data back: an index merge (in-memory, charged per
+// record) followed by sequential reads from the data log's OSTs, then k.
+// The paper's experiments are write-only; ReadK exists for API
+// completeness and the read-back examples.
 func (rl *RankLog) ReadK(t *sim.Task, node int, sizeMB float64, k func(error)) {
 	if sizeMB <= 0 {
 		k(nil)
@@ -391,17 +333,8 @@ func (rl *RankLog) readReqs(node int, sizeMB float64) []lustre.WriteReq {
 	return reqs
 }
 
-// Close flushes the rank's index log (one metadata operation).
-func (rl *RankLog) Close(p *sim.Proc) {
-	if rl.closed {
-		return
-	}
-	rl.closed = true
-	rl.c.sys.MDS().Stat(p)
-}
-
-// CloseK is Close for task-mode callers: k runs after the index flush
-// (immediately for an already-closed log).
+// CloseK flushes the rank's index log (one metadata operation); k runs
+// after the flush (immediately for an already-closed log).
 func (rl *RankLog) CloseK(t *sim.Task, k func()) {
 	if rl.closed {
 		k()
@@ -412,13 +345,13 @@ func (rl *RankLog) CloseK(t *sim.Task, k func()) {
 }
 
 // Ranks returns the number of opened rank logs.
-func (c *Container) Ranks() int { return len(c.logs) }
+func (c *Container) Ranks() int { return len(c.order) }
 
 // IndexRecords sums index records across ranks.
 func (c *Container) IndexRecords() int {
 	total := 0
-	for _, rl := range c.logs {
-		total += rl.records
+	for _, rank := range c.order {
+		total += c.logs[rank].records
 	}
 	return total
 }

@@ -1,7 +1,6 @@
 package plfs
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -23,25 +22,41 @@ func testSys(t *testing.T) (*sim.Engine, *lustre.System) {
 	return eng, sys
 }
 
+// startMeta starts the task that creates c's skeleton.
+func startMeta(eng *sim.Engine, c *Container) {
+	eng.StartTask(0, "meta", -1, func(tk *sim.Task) { c.CreateMetaK(tk, tk.Finish) })
+}
+
+// mustOpen opens rank r's logs and hands them to k, failing the test on
+// an open error.
+func mustOpen(t *testing.T, c *Container, tk *sim.Task, r int, k func(*RankLog)) {
+	t.Helper()
+	c.OpenRankK(tk, r, func(rl *RankLog, err error) {
+		if err != nil {
+			t.Fatalf("OpenRankK(%d): %v", r, err)
+		}
+		k(rl)
+	})
+}
+
 func TestContainerLifecycle(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "checkpoint")
 	const ranks = 8
 	var logs [ranks]*RankLog
-	eng.Spawn("rank0-meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	startMeta(eng, c)
 	for r := 0; r < ranks; r++ {
 		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			rl, err := c.OpenRank(p, r)
-			if err != nil {
-				t.Errorf("OpenRank(%d): %v", r, err)
-				return
-			}
-			logs[r] = rl
-			if err := rl.Write(p, r/16, 100, 1); err != nil {
-				t.Errorf("Write(%d): %v", r, err)
-			}
-			rl.Close(p)
+		eng.StartTask(0, "rank", r, func(tk *sim.Task) {
+			mustOpen(t, c, tk, r, func(rl *RankLog) {
+				logs[r] = rl
+				rl.WriteK(tk, r/16, 100, 1, func(err error) {
+					if err != nil {
+						t.Errorf("WriteK(%d): %v", r, err)
+					}
+					rl.CloseK(tk, tk.Finish)
+				})
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -71,16 +86,16 @@ func TestOpenStormSerializes(t *testing.T) {
 	c := NewContainer(sys, "storm")
 	const ranks = 32
 	var lastOpen float64
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	startMeta(eng, c)
 	for r := 0; r < ranks; r++ {
 		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			if _, err := c.OpenRank(p, r); err != nil {
-				t.Errorf("open %d: %v", r, err)
-			}
-			if p.Now() > lastOpen {
-				lastOpen = p.Now()
-			}
+		eng.StartTask(0, "rank", r, func(tk *sim.Task) {
+			mustOpen(t, c, tk, r, func(*RankLog) {
+				if tk.Now() > lastOpen {
+					lastOpen = tk.Now()
+				}
+				tk.Finish()
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -99,40 +114,76 @@ func TestOpenStormSerializes(t *testing.T) {
 func TestDuplicateOpenRejected(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "dup")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		if _, err := c.OpenRank(p, 3); err != nil {
-			t.Errorf("first open: %v", err)
-		}
-		if _, err := c.OpenRank(p, 3); err == nil {
-			t.Error("duplicate open accepted")
-		}
+	startMeta(eng, c)
+	eng.StartTask(0, "rank", -1, func(tk *sim.Task) {
+		mustOpen(t, c, tk, 3, func(*RankLog) {
+			c.OpenRankK(tk, 3, func(_ *RankLog, err error) {
+				if err == nil {
+					t.Error("duplicate open accepted")
+				}
+				tk.Finish()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestConcurrentDuplicateOpenRejected: two tasks open the same rank at
+// t=0, so the second arrives while the first is still waiting for the
+// container skeleton. The second must fail, and the rank must be counted
+// once.
+func TestConcurrentDuplicateOpenRejected(t *testing.T) {
+	eng, sys := testSys(t)
+	c := NewContainer(sys, "dup-race")
+	startMeta(eng, c)
+	var errs []error
+	for i := 0; i < 2; i++ {
+		eng.StartTask(0, "opener", i, func(tk *sim.Task) {
+			c.OpenRankK(tk, 0, func(_ *RankLog, err error) {
+				errs = append(errs, err)
+				tk.Finish()
+			})
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 2 || errs[0] == nil || errs[1] != nil {
+		t.Errorf("open results in completion order = %v, want [duplicate error, nil]", errs)
+	}
+	if c.Ranks() != 1 {
+		t.Errorf("Ranks = %d, want 1", c.Ranks())
+	}
+	if a := c.Assignment(); len(a.JobOSTs) != 1 {
+		t.Errorf("Assignment lists %d rank logs, want 1", len(a.JobOSTs))
+	}
+}
+
 func TestWriteValidation(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "val")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		if err := rl.Write(p, 0, -1, 1); err == nil {
-			t.Error("negative size accepted")
+	startMeta(eng, c)
+	wantErr := func(what string, want bool) func(error) {
+		return func(err error) {
+			if (err != nil) != want {
+				t.Errorf("%s: err = %v, want error %v", what, err, want)
+			}
 		}
-		if err := rl.Write(p, 0, 10, 0); err == nil {
-			t.Error("zero transfer accepted")
-		}
-		if err := rl.Write(p, 0, 0, 1); err != nil {
-			t.Errorf("zero-size write should be a no-op: %v", err)
-		}
-		rl.Close(p)
-		rl.Close(p) // idempotent
-		if err := rl.Write(p, 0, 10, 1); err == nil {
-			t.Error("write after close accepted")
-		}
+	}
+	eng.StartTask(0, "rank", -1, func(tk *sim.Task) {
+		mustOpen(t, c, tk, 0, func(rl *RankLog) {
+			rl.WriteK(tk, 0, -1, 1, wantErr("negative size", true))
+			rl.WriteK(tk, 0, 10, 0, wantErr("zero transfer", true))
+			rl.WriteK(tk, 0, 0, 1, wantErr("zero-size write", false))
+			rl.CloseK(tk, func() {
+				rl.CloseK(tk, func() { // idempotent
+					rl.WriteK(tk, 0, 10, 1, wantErr("write after close", true))
+					tk.Finish()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -145,14 +196,18 @@ func TestRankRateCap(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "solo")
 	var bw float64
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		start := p.Now()
-		if err := rl.Write(p, 0, 470, 1); err != nil {
-			t.Fatal(err)
-		}
-		bw = 470 / (p.Now() - start)
+	startMeta(eng, c)
+	eng.StartTask(0, "rank", -1, func(tk *sim.Task) {
+		mustOpen(t, c, tk, 0, func(rl *RankLog) {
+			start := tk.Now()
+			rl.WriteK(tk, 0, 470, 1, func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				bw = 470 / (tk.Now() - start)
+				tk.Finish()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -189,13 +244,11 @@ func TestAssignmentMatchesEquation5(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "eq5")
 	const ranks = 512
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	startMeta(eng, c)
 	for r := 0; r < ranks; r++ {
 		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			if _, err := c.OpenRank(p, r); err != nil {
-				t.Errorf("open: %v", err)
-			}
+		eng.StartTask(0, "rank", r, func(tk *sim.Task) {
+			mustOpen(t, c, tk, r, func(*RankLog) { tk.Finish() })
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -218,21 +271,29 @@ func TestAssignmentMatchesEquation5(t *testing.T) {
 func TestReadBack(t *testing.T) {
 	eng, sys := testSys(t)
 	c := NewContainer(sys, "rb")
-	eng.Spawn("meta", func(p *sim.Proc) { c.CreateMeta(p) })
+	startMeta(eng, c)
 	var readTime float64
-	eng.Spawn("rank", func(p *sim.Proc) {
-		rl, _ := c.OpenRank(p, 0)
-		if err := rl.Write(p, 0, 94, 1); err != nil {
-			t.Fatal(err)
-		}
-		start := p.Now()
-		if err := rl.Read(p, 0, 94); err != nil {
-			t.Fatal(err)
-		}
-		readTime = p.Now() - start
-		if err := rl.Read(p, 0, 0); err != nil {
-			t.Errorf("zero read: %v", err)
-		}
+	eng.StartTask(0, "rank", -1, func(tk *sim.Task) {
+		mustOpen(t, c, tk, 0, func(rl *RankLog) {
+			rl.WriteK(tk, 0, 94, 1, func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := tk.Now()
+				rl.ReadK(tk, 0, 94, func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					readTime = tk.Now() - start
+					rl.ReadK(tk, 0, 0, func(err error) {
+						if err != nil {
+							t.Errorf("zero read: %v", err)
+						}
+						tk.Finish()
+					})
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

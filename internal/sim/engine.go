@@ -1,11 +1,11 @@
 // Package sim provides the discrete-event simulation engine that underpins
 // pfsim. Virtual time is a float64 number of seconds. Events fire in
 // (time, sequence) order, so simulations are fully deterministic. On top of
-// the raw event queue the package offers coroutine-style processes (Proc):
-// each process is a goroutine, but exactly one goroutine — the engine or a
-// single process — runs at any instant, with control transferred explicitly.
-// This gives natural blocking APIs (Sleep, Wait, Acquire) without
-// introducing any scheduling nondeterminism.
+// the raw event queue the package offers simulated processes as inline
+// tasks (Task): resumable state machines whose blocking points — Sleep,
+// Signal.Await, Resource.AcquireTask — are scheduled continuations run by
+// the event loop itself, so the engine needs no goroutines and introduces
+// no scheduling nondeterminism.
 package sim
 
 import (
@@ -71,14 +71,8 @@ type Engine struct {
 	seq     int64
 	stopped bool
 
-	yield   chan struct{} // handed a token when a proc returns control
-	procs   int           // live processes
-	live    []*Proc       // every spawned, unfinished process (Drain's worklist)
-	blocked map[*Proc]blockedOn
-	killing bool // Drain in progress: resumed procs unwind instead of running
-
-	tasks    int // started, unfinished inline tasks
-	blockedT map[*Task]blockedOn
+	tasks   int // started, unfinished inline tasks
+	blocked map[*Task]blockedOn
 
 	pollEvery int // call pollFn every this many fired events (0: never)
 	pollCount int
@@ -107,14 +101,10 @@ func (e *Engine) SetPoll(n int, fn func()) {
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		yield:    make(chan struct{}),
-		blocked:  map[*Proc]blockedOn{},
-		blockedT: map[*Task]blockedOn{},
-	}
+	return &Engine{blocked: map[*Task]blockedOn{}}
 }
 
-// blockedOn records what a parked process or task is stalled on. The
+// blockedOn records what a parked task is stalled on. The
 // description string is assembled only if a deadlock report is actually
 // produced — parking is on the dispatch hot path and must not format.
 type blockedOn struct {
@@ -273,7 +263,7 @@ func (e *Engine) RunUntil(tmax float64) error {
 		e.stopped = false // consume the stop so the engine can be resumed
 		return nil
 	}
-	if len(e.blocked) > 0 || len(e.blockedT) > 0 {
+	if len(e.blocked) > 0 {
 		return e.deadlockErr()
 	}
 	return nil
@@ -285,13 +275,9 @@ func (e *Engine) RunUntil(tmax float64) error {
 //
 //pfsim:allocok cold error path: runs once, right before the simulation aborts
 func (e *Engine) deadlockErr() error {
-	names := make([]string, 0, len(e.blocked)+len(e.blockedT))
+	names := make([]string, 0, len(e.blocked))
 	//pfsim:orderok — names are sorted below before they reach the error
-	for p, on := range e.blocked {
-		names = append(names, fmt.Sprintf("%s (%s %s)", p.Name(), on.verb, on.what))
-	}
-	//pfsim:orderok — names are sorted below before they reach the error
-	for t, on := range e.blockedT {
+	for t, on := range e.blocked {
 		names = append(names, fmt.Sprintf("%s (%s %s)", t.Name(), on.verb, on.what))
 	}
 	sort.Strings(names)
@@ -304,10 +290,6 @@ func (e *Engine) deadlockErr() error {
 // that count — O(1), where earlier revisions scanned the whole heap on
 // every call.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// LiveProcs reports the number of processes that have started and not yet
-// finished.
-func (e *Engine) LiveProcs() int { return e.procs }
 
 // LiveTasks reports the number of inline tasks that have started and not
 // yet finished.

@@ -4,22 +4,15 @@ import "strconv"
 
 // Task is a simulated process dispatched inline by the event loop: a
 // resumable state machine whose blocking points are expressed as scheduled
-// continuations instead of channel rendezvous. Where a Proc parks a real
-// goroutine at every Sleep/Wait/Acquire (two channel handoffs and a
-// scheduler context switch per blocking op, a stack per process, and
-// Drain's panic-unwind machinery to tear it all down), a Task is plain
-// data: suspending is appending a continuation to a waiter list or the
-// event heap, resuming is an ordinary function call from RunUntil, and a
-// drained task is simply forgotten. A steady-state fleet of tasks
-// therefore holds O(pool-width) goroutines regardless of fleet size.
+// continuations. A Task is plain data: suspending is appending a
+// continuation to a waiter list or the event heap, resuming is an ordinary
+// function call from RunUntil, and a task abandoned on a stopped engine
+// holds no goroutine or stack. A fleet of tasks therefore holds
+// O(pool-width) goroutines regardless of fleet size.
 //
 // The cost is shape: a Task body cannot block mid-function, so workloads
 // are written in continuation-passing style — each blocking primitive
-// takes the rest of the computation as a func(). The Proc API remains as
-// a compatibility shim, property-tested byte-identical to task dispatch:
-// both sides map each primitive onto the same Schedule calls and the same
-// shared waiter lists, so event order, RNG draw positions, and every
-// solver counter are unchanged by the dispatch mode.
+// takes the rest of the computation as a func().
 type Task struct {
 	eng   *Engine
 	label string
@@ -30,11 +23,10 @@ type Task struct {
 // StartTask begins an inline task after delay seconds of virtual time.
 // The body runs when the engine reaches the start event; it receives the
 // task and must arrange for t.Finish() to be called exactly once when the
-// workload is complete (typically as the final continuation). Like
-// SpawnIndexed, the name is label+id formatted lazily — fleet launchers
-// start tens of thousands of tasks and the name is only ever read by
-// deadlock reports and diagnostics. A negative id names the task label
-// alone.
+// workload is complete (typically as the final continuation). The name is
+// label+id formatted lazily — fleet launchers start tens of thousands of
+// tasks and the name is only ever read by deadlock reports and
+// diagnostics. A negative id names the task label alone.
 //
 //pfsim:taskctx
 func (e *Engine) StartTask(delay float64, label string, id int, body func(t *Task)) *Task {
@@ -45,9 +37,7 @@ func (e *Engine) StartTask(delay float64, label string, id int, body func(t *Tas
 }
 
 // Finish retires the task. It must be called exactly once, as the final
-// step of the task's continuation chain. Unlike a finished Proc there is
-// nothing to unwind: the task was never more than its parked
-// continuations.
+// step of the task's continuation chain.
 func (t *Task) Finish() {
 	if t.done {
 		panic("sim: task " + t.Name() + " finished twice")
@@ -74,9 +64,9 @@ func (t *Task) Now() float64 { return t.eng.now }
 // Done reports whether Finish has been called.
 func (t *Task) Done() bool { return t.done }
 
-// Sleep suspends the task for d seconds of virtual time, then runs k.
-// This is exactly Proc.Sleep with the continuation explicit: one event,
-// same Schedule call, no goroutine handoff.
+// Sleep suspends the task for d seconds of virtual time, then runs k: one
+// scheduled event. Non-positive durations run k after the events already
+// queued at the current instant.
 //
 //pfsim:hotpath
 //pfsim:taskctx
@@ -85,10 +75,8 @@ func (t *Task) Sleep(d float64, k func()) {
 }
 
 // Await runs k once the signal has fired. If the signal already fired, k
-// runs synchronously — mirroring Proc.Wait's no-yield fast path, which
-// returns without scheduling when the signal is up. Otherwise the task
-// parks on the signal's waiter list in FIFO position, identical to a
-// waiting Proc.
+// runs synchronously, without touching the event queue. Otherwise the task
+// parks on the signal's waiter list in FIFO position.
 //
 //pfsim:hotpath
 //pfsim:taskctx
@@ -97,7 +85,7 @@ func (s *Signal) Await(t *Task, k func()) {
 		k()
 		return
 	}
-	t.eng.blockedT[t] = blockedOn{verb: "waiting", what: s.name}
+	t.eng.blocked[t] = blockedOn{verb: "waiting", what: s.name}
 	s.waiters = append(s.waiters, waiter{t: t, k: k}) //pfsim:allocok waiter-list growth is bounded by the peak blocked population
 }
 
@@ -119,11 +107,10 @@ func (s *Signal) OnFired(k func()) {
 }
 
 // AwaitAll runs k once every signal in sigs has fired, visiting them in
-// order exactly as Proc.WaitAll does: park on the first unfired signal,
-// and when it fires re-examine the rest from there. Signals already fired
-// are skipped synchronously, so a task whose signals are all up proceeds
-// without touching the event queue — byte-identical to the shim's
-// sequential Wait loop.
+// order: park on the first unfired signal, and when it fires re-examine
+// the rest from there. Signals already fired are skipped synchronously,
+// so a task whose signals are all up proceeds without touching the event
+// queue.
 //
 //pfsim:hotpath
 //pfsim:taskctx
@@ -135,7 +122,7 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 	for ; i < len(sigs); i++ {
 		if !sigs[i].fired {
 			s, next := sigs[i], i+1
-			s.Await(t, func() { awaitFrom(t, sigs, next, k) }) //pfsim:allocok one resume closure per actually-blocking signal, exactly the shim's park count
+			s.Await(t, func() { awaitFrom(t, sigs, next, k) }) //pfsim:allocok one resume closure per actually-blocking signal
 			return
 		}
 	}
@@ -143,8 +130,8 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 }
 
 // AcquireTask grants the task a slot, running k once one is free, FIFO
-// order — the continuation form of Resource.Acquire. An uncontended
-// acquire runs k synchronously, matching the shim's no-yield fast path.
+// order. An uncontended acquire runs k synchronously. The holder must call
+// Release when done.
 //
 //pfsim:hotpath
 //pfsim:taskctx
@@ -155,17 +142,16 @@ func (r *Resource) AcquireTask(t *Task, k func()) {
 		return
 	}
 	r.queue = append(r.queue, waiter{t: t, k: k}) //pfsim:allocok queue growth is bounded by the peak contention depth
-	r.eng.blockedT[t] = blockedOn{verb: "queued on", what: r.name}
+	r.eng.blocked[t] = blockedOn{verb: "queued on", what: r.name}
 }
 
 // UseTask acquires the resource, holds it for service seconds, releases,
-// and then runs k — the continuation form of Resource.Use, the
-// fixed-cost-server pattern on the MDS hot path.
+// and then runs k — the fixed-cost-server pattern on the MDS hot path.
 //
 //pfsim:hotpath
 //pfsim:taskctx
 func (r *Resource) UseTask(t *Task, service float64, k func()) {
-	r.AcquireTask(t, func() { //pfsim:allocok one continuation per Use — the CPS form of the call frame the shim parks a whole goroutine stack for
+	r.AcquireTask(t, func() { //pfsim:allocok one continuation per Use: the CPS form of the caller's frame
 		t.Sleep(service, func() { //pfsim:allocok one continuation per Use (see above)
 			r.Release()
 			k()

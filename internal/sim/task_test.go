@@ -6,7 +6,7 @@ import (
 )
 
 // TestTaskSleepChain: a task's continuation chain advances virtual time
-// exactly like a sleeping process, and Finish retires it.
+// from its delayed start, and Finish retires it.
 func TestTaskSleepChain(t *testing.T) {
 	e := NewEngine()
 	var times []float64
@@ -44,8 +44,7 @@ func TestTaskSleepChain(t *testing.T) {
 }
 
 // TestTaskAwaitFiredIsSynchronous: awaiting an already-fired signal runs
-// the continuation inline without touching the event queue — the same
-// no-yield fast path as Proc.Wait on a fired signal.
+// the continuation inline without touching the event queue.
 func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("up")
@@ -63,40 +62,32 @@ func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestSignalMixedWaitersFIFO parks shim processes and inline tasks on one
-// signal in interleaved order: Fire must wake them strictly in park order,
-// so the two dispatch modes compose without reordering anything.
+// TestSignalMixedWaitersFIFO parks tasks and bare OnFired subscriptions on
+// one signal in interleaved order: Fire must wake them strictly in park
+// order, whichever kind each waiter is.
 func TestSignalMixedWaitersFIFO(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("go")
 	var order []string
-	e.Spawn("p0", func(p *Proc) {
-		p.Wait(s)
-		order = append(order, p.Name())
-	})
-	e.StartTask(0, "t", 1, func(tk *Task) {
+	e.StartTask(0, "t", 0, func(tk *Task) {
 		s.Await(tk, func() {
 			order = append(order, tk.Name())
 			tk.Finish()
 		})
 	})
-	e.Spawn("p2", func(p *Proc) {
-		p.Sleep(0) // park on the signal after t1 (spawn order alone would tie)
-		p.Wait(s)
-		order = append(order, p.Name())
+	e.Schedule(0, func() { s.OnFired(func() { order = append(order, "sub1") }) })
+	e.StartTask(0, "t", 2, func(tk *Task) {
+		s.Await(tk, func() {
+			order = append(order, tk.Name())
+			tk.Finish()
+		})
 	})
 	e.Schedule(1, s.Fire)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p0", "t1", "p2"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Errorf("order[%d] = %s, want %s", i, order[i], want[i])
-		}
+	if got, want := strings.Join(order, " "), "t0 sub1 t2"; got != want {
+		t.Errorf("order = %q, want %q", got, want)
 	}
 }
 
@@ -124,85 +115,49 @@ func TestOnFiredSubscription(t *testing.T) {
 	}
 }
 
-// TestAwaitAllMatchesWaitAll runs the same scattered fire schedule against
-// a task using AwaitAll and a process using WaitAll: both must resume at
-// the same instant (the sequential in-order wait semantics).
-func TestAwaitAllMatchesWaitAll(t *testing.T) {
-	run := func(useTask bool) float64 {
-		e := NewEngine()
-		sigs := []*Signal{e.NewSignal("a"), e.NewSignal("b"), e.NewSignal("c")}
-		// b fires first, then c, then a: the in-order scan parks on a, then
-		// skips b synchronously, then parks on c only if it is still down.
-		e.Schedule(1, sigs[1].Fire)
-		e.Schedule(2, sigs[2].Fire)
-		e.Schedule(3, sigs[0].Fire)
-		var resumed float64
-		if useTask {
-			e.StartTask(0, "t", -1, func(tk *Task) {
-				AwaitAll(tk, sigs, func() {
-					resumed = tk.Now()
-					tk.Finish()
-				})
-			})
-		} else {
-			e.Spawn("p", func(p *Proc) {
-				p.WaitAll(sigs...)
-				resumed = p.Now()
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return resumed
-	}
-	taskAt, procAt := run(true), run(false)
-	if taskAt != procAt || taskAt != 3 {
-		t.Errorf("AwaitAll resumed at %v, WaitAll at %v, want both 3", taskAt, procAt)
-	}
-}
-
-// TestResourceMixedFIFO alternates shim processes and tasks through a
-// capacity-1 resource: slots must be granted strictly in arrival order,
-// with the uncontended first arrival taking the synchronous fast path.
+// TestResourceMixedFIFO alternates UseTask holders with tasks that
+// acquire and release by hand through a capacity-1 resource: slots must be
+// granted strictly in arrival order, with the uncontended first arrival
+// taking the synchronous fast path.
 func TestResourceMixedFIFO(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource("mds", 1)
 	var order []string
 	for i := 0; i < 4; i++ {
 		i := i
-		if i%2 == 0 {
-			e.SpawnIndexed(float64(i)*0.001, "p", i, func(p *Proc) {
-				r.Use(p, 1)
-				order = append(order, p.Name())
-			})
-		} else {
-			e.StartTask(float64(i)*0.001, "t", i, func(tk *Task) {
+		e.StartTask(float64(i)*0.001, "t", i, func(tk *Task) {
+			if i%2 == 0 {
 				r.UseTask(tk, 1, func() {
 					order = append(order, tk.Name())
 					tk.Finish()
 				})
+				return
+			}
+			r.AcquireTask(tk, func() {
+				tk.Sleep(1, func() {
+					r.Release()
+					order = append(order, tk.Name())
+					tk.Finish()
+				})
 			})
-		}
+		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p0", "t1", "p2", "t3"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
+	if got, want := strings.Join(order, " "), "t0 t1 t2 t3"; got != want {
+		t.Errorf("order = %q, want %q", got, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Errorf("order[%d] = %s, want %s", i, order[i], want[i])
-		}
+	if e.Now() != 4 {
+		t.Errorf("last release at %v, want 4 (four serialized 1 s holds)", e.Now())
 	}
 	if r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Errorf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
 	}
 }
 
-// TestTaskDeadlockReport: stuck tasks appear in the deadlock error in the
-// same format as stuck processes, merged and sorted with them.
+// TestTaskDeadlockReport: every stuck task appears in the deadlock error,
+// sorted by name, with what it waits or queues on.
 func TestTaskDeadlockReport(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
@@ -210,9 +165,10 @@ func TestTaskDeadlockReport(t *testing.T) {
 	e.StartTask(0, "a-task", 7, func(tk *Task) {
 		s.Await(tk, tk.Finish)
 	})
-	e.Spawn("b-proc", func(p *Proc) {
-		r.Acquire(p)
-		p.Wait(s) // holds the slot forever
+	e.StartTask(0, "b-holder", -1, func(tk *Task) {
+		r.AcquireTask(tk, func() {
+			s.Await(tk, tk.Finish) // holds the slot forever
+		})
 	})
 	e.StartTask(0, "c-task", -1, func(tk *Task) {
 		r.AcquireTask(tk, tk.Finish)
@@ -225,58 +181,12 @@ func TestTaskDeadlockReport(t *testing.T) {
 	for _, frag := range []string{
 		"3 blocked process(es)",
 		`a-task7 (waiting never)`,
-		`b-proc (waiting never)`,
+		`b-holder (waiting never)`,
 		`c-task (queued on narrow)`,
 	} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("deadlock report %q missing %q", msg, frag)
 		}
-	}
-}
-
-// TestDrainRetiresTasks: draining a stopped engine forgets parked tasks —
-// no continuation may run afterwards, the engine is inert, and the
-// blocked-task tracking is cleared so a later Run does not re-report them.
-func TestDrainRetiresTasks(t *testing.T) {
-	e := NewEngine()
-	s := e.NewSignal("never")
-	r := e.NewResource("held", 1)
-	resumed := 0
-	for i := 0; i < 3; i++ {
-		e.StartTask(0, "sig", i, func(tk *Task) {
-			s.Await(tk, func() { resumed++ })
-		})
-		e.StartTask(0, "res", i, func(tk *Task) {
-			r.AcquireTask(tk, func() { resumed++ })
-		})
-	}
-	e.StartTask(0, "sleeper", -1, func(tk *Task) {
-		tk.Sleep(1e9, func() { resumed++ })
-	})
-	e.Schedule(1, e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveTasks() == 0 {
-		t.Fatal("tasks finished before drain; test lost its subjects")
-	}
-	e.Drain()
-	if e.LiveTasks() != 0 {
-		t.Errorf("LiveTasks = %d after Drain, want 0", e.LiveTasks())
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after Drain, want 0", e.Pending())
-	}
-	// The drained engine is inert: Run returns immediately without a
-	// deadlock report — the blocked-task tracking died with the tasks. (The
-	// resource slot was granted to the first arrival synchronously, so its
-	// continuation ran before the stop; resumed counts exactly that one.)
-	before := resumed
-	if err := e.Run(); err != nil {
-		t.Fatalf("drained engine not inert: %v", err)
-	}
-	if resumed != before || resumed != 1 {
-		t.Errorf("resumed = %d (was %d); only the synchronous acquire may have run", resumed, before)
 	}
 }
 

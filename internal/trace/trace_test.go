@@ -151,10 +151,12 @@ func TestMaxConcurrentSolverModeIdentical(t *testing.T) {
 		short := n.Start("short", 100, 0, l) // drains at t=2 under fair share
 		n.Start("long", 900, 0, l)
 		// Two arrivals (one instantaneous) at the exact completion instant.
-		e.Spawn("chain", func(p *sim.Proc) {
-			p.Wait(short.Done)
-			n.Start("late", 50, 0, l)
-			n.Start("blip", 0, 0, l)
+		e.StartTask(0, "chain", -1, func(tk *sim.Task) {
+			short.Done.Await(tk, func() {
+				n.Start("late", 50, 0, l)
+				n.Start("blip", 0, 0, l)
+				tk.Finish()
+			})
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

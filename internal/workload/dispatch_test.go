@@ -3,9 +3,12 @@ package workload
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
 	"math"
-	"reflect"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,66 +50,89 @@ func dispatchScenario() Scenario {
 	)
 }
 
-// TestDispatchModesBitIdentical is the tentpole property test: inline task
-// dispatch (the default) and the goroutine-backed Proc shim must produce
-// byte-identical simulations — every job's trajectory, every bandwidth
-// sample, every OST layout, and the solver's deterministic work counters —
-// across both solver modes and several solve-parallelism widths. Run under
-// -race in CI, this also proves the task path introduces no new sharing.
+// updateGolden rewrites testdata/dispatch.golden from the current code
+// instead of checking against it: go test ./internal/workload -run
+// TestDispatchModesBitIdentical -update.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/dispatch.golden")
+
+const dispatchGolden = "testdata/dispatch.golden"
+
+// dispatchFingerprint renders one run of dispatchScenario as a single
+// golden line: the exact bits of the makespan and of every job's finish
+// time, mean write and read bandwidth, the OST layouts, and the full
+// flow.Stats struct.
+func dispatchFingerprint(mode string, res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s makespan=%016x", mode, math.Float64bits(res.Makespan))
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		fmt.Fprintf(&b, " | %s finish=%016x write=%016x read=%016x layouts=%v",
+			j.Label, math.Float64bits(j.FinishedAt), math.Float64bits(j.WriteMBs()),
+			math.Float64bits(j.IOR.Read.Mean()), j.IOR.LayoutOSTs)
+	}
+	fmt.Fprintf(&b, " | stats=%+v", res.Solver)
+	return b.String()
+}
+
+// TestDispatchModesBitIdentical pins dispatchScenario to an absolute
+// golden: in each solver mode, runs at solve widths 1, 2 and 4 must all
+// reproduce that mode's recorded line bit for bit. The scenario is the
+// only one that drives collective reads, file-per-process splits,
+// independent writes and a PLFS logger together, so the golden is what
+// guards those paths. Run under -race in CI, this also proves parallel
+// solves introduce no sharing.
 func TestDispatchModesBitIdentical(t *testing.T) {
 	plat := cluster.Cab()
 	sc := dispatchScenario()
-	run := func(shim, reference bool, par int) *Result {
-		res, err := RunScenarioWith(plat, sc,
-			RunOptions{Parallelism: par, UseProcShim: shim},
-			func(sys *lustre.System) { sys.Net().UseReferenceSolver(reference) })
-		if err != nil {
-			t.Fatalf("shim=%v reference=%v par=%d: %v", shim, reference, par, err)
-		}
-		return res
-	}
-	for _, reference := range []bool{false, true} {
+	modes := []struct {
+		name      string
+		reference bool
+	}{{"incremental", false}, {"reference", true}}
+	var got []string
+	for _, m := range modes {
+		var first string
 		for _, par := range []int{1, 2, 4} {
-			tasks := run(false, reference, par)
-			shim := run(true, reference, par)
-			if math.Float64bits(tasks.Makespan) != math.Float64bits(shim.Makespan) {
-				t.Errorf("reference=%v par=%d: makespan %v (tasks) vs %v (shim)",
-					reference, par, tasks.Makespan, shim.Makespan)
+			res, err := RunScenarioWith(plat, sc, RunOptions{Parallelism: par},
+				func(sys *lustre.System) { sys.Net().UseReferenceSolver(m.reference) })
+			if err != nil {
+				t.Fatalf("%s par=%d: %v", m.name, par, err)
 			}
-			for j := range tasks.Jobs {
-				a, b := &tasks.Jobs[j], &shim.Jobs[j]
-				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
-					t.Errorf("reference=%v par=%d job %q: finish %v (tasks) vs %v (shim)",
-						reference, par, a.Label, a.FinishedAt, b.FinishedAt)
-				}
-				if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-					t.Errorf("reference=%v par=%d job %q: write %v (tasks) vs %v (shim)",
-						reference, par, a.Label, a.WriteMBs(), b.WriteMBs())
-				}
-				if math.Float64bits(a.IOR.Read.Mean()) != math.Float64bits(b.IOR.Read.Mean()) {
-					t.Errorf("reference=%v par=%d job %q: read %v (tasks) vs %v (shim)",
-						reference, par, a.Label, a.IOR.Read.Mean(), b.IOR.Read.Mean())
-				}
-				if !reflect.DeepEqual(a.IOR.LayoutOSTs, b.IOR.LayoutOSTs) {
-					t.Errorf("reference=%v par=%d job %q: OST layouts diverged",
-						reference, par, a.Label)
-				}
+			line := dispatchFingerprint(m.name, res)
+			if par == 1 {
+				first = line
+				got = append(got, line)
+			} else if line != first {
+				t.Errorf("%s par=%d diverged from par=1:\n got %s\nwant %s", m.name, par, line, first)
 			}
-			// The full flow.Stats struct: a single diverging solve, link
-			// visit, or heap operation anywhere in the run fails this.
-			if tasks.Solver != shim.Solver {
-				t.Errorf("reference=%v par=%d: solver counters diverged:\ntasks %+v\nshim  %+v",
-					reference, par, tasks.Solver, shim.Solver)
-			}
+		}
+	}
+	text := strings.Join(got, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(dispatchGolden, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(dispatchGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Fatalf("%s has %d lines, want %d", dispatchGolden, len(wantLines), len(got))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("%s drifted:\n got %s\nwant %s", modes[i].name, got[i], wantLines[i])
 		}
 	}
 }
 
-// TestDispatchCancelDrainsTasks: a task-mode run cancelled mid-flight must
-// surface ctx.Err() and leave nothing behind — inline tasks retire in
-// Engine.Drain without any goroutine to unwind, so the goroutine count
-// returns to its baseline just as the shim's unwind path guarantees.
-func TestDispatchCancelDrainsTasks(t *testing.T) {
+// TestDispatchCancelLeavesNoGoroutines: a run cancelled mid-flight must
+// surface ctx.Err() and leave nothing behind — parked inline tasks own no
+// goroutine, so abandoning the stopped engine returns the goroutine count
+// to its baseline.
+func TestDispatchCancelLeavesNoGoroutines(t *testing.T) {
 	plat := cluster.Cab()
 	sc := dispatchScenario()
 	full, err := RunScenario(plat, sc, 0)
@@ -136,12 +162,12 @@ func TestDispatchCancelDrainsTasks(t *testing.T) {
 	if stoppedAt == 0 {
 		t.Error("cancel event never fired: engine did not reach t=1")
 	}
-	// Task mode parks no goroutines, but the solver pool and runtime still
-	// reap asynchronously — poll briefly like the sharded shim test does.
+	// Tasks park no goroutines, but the solver pool and runtime still reap
+	// asynchronously — poll briefly like the sharded cancellation test does.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines {
 		if time.Now().After(deadline) {
-			t.Fatalf("cancelled task-mode run leaked goroutines: %d before, %d after",
+			t.Fatalf("cancelled run leaked goroutines: %d before, %d after",
 				goroutines, runtime.NumGoroutine())
 		}
 		runtime.Gosched()

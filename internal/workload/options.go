@@ -26,11 +26,6 @@ type RunOptions struct {
 	// the event schedule — stops once the context is cancelled, and the
 	// run returns ctx.Err(). A nil or background context never cancels.
 	Ctx context.Context
-	// UseProcShim runs every job's ranks on the goroutine-backed sim.Proc
-	// shim instead of inline engine tasks (see ior.Config.UseProcShim).
-	// Results are byte-identical either way; the flag exists for the
-	// property tests that prove it.
-	UseProcShim bool
 }
 
 // ctxCheckEvents is the cancellation polling period, in fired engine

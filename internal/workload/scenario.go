@@ -418,20 +418,11 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	if err != nil {
 		return nil, err
 	}
-	if opts.UseProcShim {
-		for i := range cfgs {
-			cfgs[i].UseProcShim = true
-		}
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = plat.Seed
 	}
 	eng := sim.NewEngine()
-	// A run stopped early (cancellation, launch failure) leaves simulated
-	// processes parked on their resume channels; drain them on every exit
-	// so nothing pins the engine. No-op after a normal completion.
-	defer eng.Drain()
 	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(seed).Fork(s.seedHash(cfgs)))
 	if err != nil {
 		return nil, err

@@ -70,7 +70,6 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 		seed = plat.Seed
 	}
 	eng := sim.NewEngine()
-	defer eng.Drain() // early-stopped runs park procs; see RunScenarioWith
 	net := flow.NewNet(eng)
 	if opts.Parallelism > 1 {
 		net.SetSolveParallelism(opts.Parallelism)

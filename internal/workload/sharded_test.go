@@ -285,10 +285,10 @@ func TestRunShardedContextCancelledMidRun(t *testing.T) {
 	if stoppedAt == 0 {
 		t.Error("cancel event never fired: engine did not reach t=1")
 	}
-	// The cancelled run's rank processes were parked mid-simulation;
-	// Engine.Drain must have unwound them all — no goroutine (pinning the
-	// whole engine and network) may outlive the call. Poll briefly: the
-	// runtime reaps exited goroutines asynchronously.
+	// The cancelled run's rank tasks were parked mid-simulation, but they
+	// own no goroutine: no goroutine (pinning the whole engine and network)
+	// may outlive the call. Poll briefly: the runtime reaps exited
+	// goroutines asynchronously.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines {
 		if time.Now().After(deadline) {
