@@ -259,21 +259,21 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-// TestWaitAll: AwaitAll resumes once the last of its signals fires, even
-// when they fire out of order — the in-order scan parks on a, skips b
-// synchronously when a fires, then parks on c only if it is still down.
 func TestWaitAll(t *testing.T) {
 	e := NewEngine()
-	sigs := []*Signal{e.NewSignal("a"), e.NewSignal("b"), e.NewSignal("c")}
-	e.Schedule(1, sigs[1].Fire)
-	e.Schedule(2, sigs[2].Fire)
-	e.Schedule(3, sigs[0].Fire)
+	s1, s2 := e.NewSignal("a"), e.NewSignal("b")
 	done := -1.0
 	e.StartTask(0, "waiter", -1, func(tk *Task) {
-		AwaitAll(tk, sigs, func() {
+		AwaitAll(tk, []*Signal{s1, s2}, func() {
 			done = tk.Now()
 			tk.Finish()
 		})
+	})
+	e.StartTask(0, "f1", -1, func(tk *Task) {
+		tk.Sleep(1, func() { s1.Fire(); tk.Finish() })
+	})
+	e.StartTask(0, "f2", -1, func(tk *Task) {
+		tk.Sleep(3, func() { s2.Fire(); tk.Finish() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
