@@ -226,7 +226,7 @@ func TestRunAgainstCommittedBaseline(t *testing.T) {
 BenchmarkSolver4096Flows/incremental 1 1 ns/op 15619020 linkvisits/op 2240351 flowsscanned/op 94800 heapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 315995 allocs/op 64660768 B/op
 BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 5296518 linkvisits/op 853482 flowsscanned/op 81316 heapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 435453 allocs/op 50778112 B/op
 BenchmarkSolverSharded4096x16/incremental-par4 1 1 ns/op 5296518 linkvisits/op 853482 flowsscanned/op 81316 heapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 436574 allocs/op 50926456 B/op
-BenchmarkEngineFleet/tasks 1 653758233 ns/op 3 peakgoroutines 90810384 B/op 1999835 allocs/op
+BenchmarkEngineFleet/tasks 1 653758233 ns/op 517712 events/op 217713 laneevents/op 299999 heappushes/op 3 peakgoroutines 90810384 B/op 1999835 allocs/op
 `
 	var report strings.Builder
 	if err := run(baseline, strings.NewReader(synthetic), &report); err != nil {

@@ -29,8 +29,8 @@ const (
 // runFleet simulates writers short-lived writers as inline tasks and
 // returns the peak goroutine count observed while the engine ran (sampled
 // every few hundred fired events, which at this event density is many
-// times per simulated writer lifetime).
-func runFleet(tb testing.TB, writers int) int {
+// times per simulated writer lifetime) and the engine's work counters.
+func runFleet(tb testing.TB, writers int) (int, sim.Stats) {
 	tb.Helper()
 	e := sim.NewEngine()
 	n := flow.NewNet(e)
@@ -66,22 +66,28 @@ func runFleet(tb testing.TB, writers int) int {
 	if e.LiveTasks() != 0 {
 		tb.Fatalf("fleet not retired: %d tasks live", e.LiveTasks())
 	}
-	return peak
+	return peak, e.Stats()
 }
 
 // BenchmarkEngineFleet runs 100k short-lived writers through the engine.
 // The sub-benchmark is gated under its name "tasks" (BENCH_solver.json):
-// ns/op, B/op, allocs/op and the peak live goroutine count — O(1) in
-// fleet size, as TestEngineFleetGoroutinesO1 asserts.
+// ns/op, B/op, allocs/op, the peak live goroutine count — O(1) in fleet
+// size, as TestEngineFleetGoroutinesO1 asserts — and the engine's event
+// counts: events scheduled, and how many took the same-instant lane or
+// the heap (laneevents + heappushes == events).
 func BenchmarkEngineFleet(b *testing.B) {
 	const writers = 100_000
 	b.Run("tasks", func(b *testing.B) {
 		b.ReportAllocs()
 		peak := 0
+		var st sim.Stats
 		for i := 0; i < b.N; i++ {
-			peak = runFleet(b, writers)
+			peak, st = runFleet(b, writers)
 		}
 		b.ReportMetric(float64(peak), "peakgoroutines")
+		b.ReportMetric(float64(st.Scheduled), "events/op")
+		b.ReportMetric(float64(st.LaneEvents), "laneevents/op")
+		b.ReportMetric(float64(st.HeapPushes), "heappushes/op")
 	})
 }
 
@@ -92,8 +98,8 @@ func BenchmarkEngineFleet(b *testing.B) {
 // over the test baseline.
 func TestEngineFleetGoroutinesO1(t *testing.T) {
 	base := runtime.NumGoroutine()
-	small := runFleet(t, 1_000)
-	large := runFleet(t, 20_000)
+	small, _ := runFleet(t, 1_000)
+	large, _ := runFleet(t, 20_000)
 	if small > base+4 || large > base+4 {
 		t.Errorf("task fleet grew the goroutine count: baseline %d, peak %d (1k writers) / %d (20k writers)",
 			base, small, large)

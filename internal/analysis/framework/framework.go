@@ -92,6 +92,7 @@ var simCritical = []string{
 	"internal/lustre",
 	"internal/workload",
 	"internal/stats",
+	"internal/mpi",
 }
 
 // SimCritical reports whether the import path names one of the

@@ -126,8 +126,11 @@ type Comm struct {
 	label string
 	ranks []int       // world rank ids, comm-rank order
 	index map[int]int // world rank → comm rank
+	// byWorld lists comm ranks in world-rank order, or is nil when that
+	// is comm-rank order (the world comm, and most splits).
+	byWorld []int
 
-	seq     map[int]int // world rank → collective calls issued
+	seq     []int // comm rank → collective calls issued
 	pending map[int]*rendezvous
 }
 
@@ -137,11 +140,18 @@ func newComm(w *World, label string, ranks []int) *Comm {
 		label:   label,
 		ranks:   ranks,
 		index:   make(map[int]int, len(ranks)),
-		seq:     make(map[int]int, len(ranks)),
+		seq:     make([]int, len(ranks)),
 		pending: make(map[int]*rendezvous),
 	}
 	for i, r := range ranks {
 		c.index[r] = i
+	}
+	if !sort.IntsAreSorted(ranks) {
+		c.byWorld = make([]int, len(ranks))
+		for i := range c.byWorld {
+			c.byWorld[i] = i
+		}
+		sort.Slice(c.byWorld, func(a, b int) bool { return ranks[c.byWorld[a]] < ranks[c.byWorld[b]] })
 	}
 	return c
 }
@@ -174,7 +184,7 @@ func (c *Comm) NodeOfWorldRank(wr int) int { return c.world.nodeOf[wr] }
 type rendezvous struct {
 	arrived int
 	sig     *sim.Signal
-	vals    map[int]float64
+	vals    []float64 // contributions by comm rank
 	result  any
 }
 
@@ -182,20 +192,21 @@ type rendezvous struct {
 // reports whether this rank completed the rendezvous (it is then the
 // "last arriver" responsible for finalizing and releasing the others).
 func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
-	if c.RankOf(r) < 0 {
+	cr := c.RankOf(r)
+	if cr < 0 {
 		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label))
 	}
-	idx := c.seq[r.id]
-	c.seq[r.id]++
+	idx := c.seq[cr]
+	c.seq[cr]++
 	rv = c.pending[idx]
 	if rv == nil {
 		rv = &rendezvous{
 			sig:  c.world.eng.NewSignal(fmt.Sprintf("%s-coll-%d", c.label, idx)),
-			vals: make(map[int]float64, len(c.ranks)),
+			vals: make([]float64, len(c.ranks)),
 		}
 		c.pending[idx] = rv
 	}
-	rv.vals[r.id] = val
+	rv.vals[cr] = val
 	rv.arrived++
 	if rv.arrived < len(c.ranks) {
 		return rv, false
@@ -206,11 +217,11 @@ func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
 
 // collectiveK is the common engine for synchronising operations: every
 // rank contributes a value; the last arriver computes the result via
-// finalize (receiving contributions keyed by world rank), pays the tree
+// finalize (receiving contributions in comm-rank order), pays the tree
 // latency (one scheduled event), fires the signal releasing the others,
 // and then continues inline before the woken waiters' events fire. The
 // result is delivered to the continuation k.
-func (c *Comm) collectiveK(r *Rank, val float64, finalize func(map[int]float64) any, k func(any)) {
+func (c *Comm) collectiveK(r *Rank, val float64, finalize func([]float64) any, k func(any)) {
 	rv, last := c.arrive(r, val)
 	if !last {
 		rv.sig.Await(r.task, func() { k(rv.result) })
@@ -237,9 +248,9 @@ func (c *Comm) latency() float64 {
 	return c.world.CollectiveLatency * stages
 }
 
-func finalizeBarrier(map[int]float64) any { return nil }
+func finalizeBarrier([]float64) any { return nil }
 
-func finalizeMin(vals map[int]float64) any {
+func finalizeMin(vals []float64) any {
 	min := math.Inf(1)
 	for _, x := range vals {
 		if x < min {
@@ -249,7 +260,7 @@ func finalizeMin(vals map[int]float64) any {
 	return min
 }
 
-func finalizeMax(vals map[int]float64) any {
+func finalizeMax(vals []float64) any {
 	max := math.Inf(-1)
 	for _, x := range vals {
 		if x > max {
@@ -259,27 +270,26 @@ func finalizeMax(vals map[int]float64) any {
 	return max
 }
 
-func finalizeSum(vals map[int]float64) any {
-	// Sum in world-rank order for bit-exact determinism.
-	keys := make([]int, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+// finalizeSum sums in world-rank order, which split communicators need
+// not share with comm-rank order, so a reduction's last bits do not
+// depend on how its communicator was built.
+func (c *Comm) finalizeSum(vals []float64) any {
 	sum := 0.0
-	for _, k := range keys {
-		sum += vals[k]
+	if c.byWorld == nil {
+		for _, x := range vals {
+			sum += x
+		}
+		return sum
+	}
+	for _, i := range c.byWorld {
+		sum += vals[i]
 	}
 	return sum
 }
 
-func (c *Comm) finalizeGather(vals map[int]float64) any {
-	out := make([]float64, len(c.ranks))
-	for i, wr := range c.ranks {
-		out[i] = vals[wr]
-	}
-	return out
-}
+// finalizeGather hands the contributions over as they are: the rendezvous
+// is retired once finalized, so nothing writes to them afterwards.
+func finalizeGather(vals []float64) any { return vals }
 
 // BarrierK runs k once every comm member has arrived.
 func (c *Comm) BarrierK(r *Rank, k func()) {
@@ -298,12 +308,12 @@ func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) {
 
 // AllreduceSumK delivers the sum of contributions to k.
 func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeSum, func(res any) { k(res.(float64)) })
+	c.collectiveK(r, v, c.finalizeSum, func(res any) { k(res.(float64)) })
 }
 
 // AllGatherK delivers every rank's contribution in comm-rank order to k.
 func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) {
-	c.collectiveK(r, v, c.finalizeGather, func(res any) { k(res.([]float64)) })
+	c.collectiveK(r, v, finalizeGather, func(res any) { k(res.([]float64)) })
 }
 
 // packSplit encodes color/key into the float contribution losslessly
@@ -315,13 +325,14 @@ func packSplit(color, key int) float64 {
 	return float64(color)*(1<<21) + float64(key+(1<<20))
 }
 
-func (c *Comm) finalizeSplit(vals map[int]float64) any {
-	type member struct{ color, key, world int }
-	members := make([]member, 0, len(vals))
-	for wr, pv := range vals {
+// finalizeSplit returns each member's new communicator, by comm rank.
+func (c *Comm) finalizeSplit(vals []float64) any {
+	type member struct{ color, key, world, rank int }
+	members := make([]member, len(vals))
+	for i, pv := range vals {
 		col := int(pv / (1 << 21))
 		k := int(pv-float64(col)*(1<<21)) - (1 << 20)
-		members = append(members, member{col, k, wr})
+		members[i] = member{col, k, c.ranks[i], i}
 	}
 	sort.Slice(members, func(i, j int) bool {
 		if members[i].color != members[j].color {
@@ -332,21 +343,21 @@ func (c *Comm) finalizeSplit(vals map[int]float64) any {
 		}
 		return members[i].world < members[j].world
 	})
-	comms := make(map[int]*Comm)
-	byColor := make(map[int][]int)
-	for _, m := range members {
-		byColor[m.color] = append(byColor[m.color], m.world)
-	}
-	colors := make([]int, 0, len(byColor))
-	for col := range byColor {
-		colors = append(colors, col)
-	}
-	sort.Ints(colors)
-	for _, col := range colors {
-		sub := newComm(c.world, fmt.Sprintf("%s/c%d", c.label, col), byColor[col])
-		for _, wr := range byColor[col] {
-			comms[wr] = sub
+	comms := make([]*Comm, len(vals))
+	for lo := 0; lo < len(members); {
+		hi := lo
+		for hi < len(members) && members[hi].color == members[lo].color {
+			hi++
 		}
+		ranks := make([]int, hi-lo)
+		for i, m := range members[lo:hi] {
+			ranks[i] = m.world
+		}
+		sub := newComm(c.world, fmt.Sprintf("%s/c%d", c.label, members[lo].color), ranks)
+		for _, m := range members[lo:hi] {
+			comms[m.rank] = sub
+		}
+		lo = hi
 	}
 	return comms
 }
@@ -356,6 +367,6 @@ func (c *Comm) finalizeSplit(vals map[int]float64) any {
 // member must call SplitK; each receives its sub-communicator through k.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
 	c.collectiveK(r, packSplit(color, key), c.finalizeSplit, func(res any) {
-		k(res.(map[int]*Comm)[r.id])
+		k(res.([]*Comm)[c.index[r.id]])
 	})
 }

@@ -331,3 +331,56 @@ func TestSplitPartitionProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestAllreduceSignedZeroDeterministic: min and max over tied ±0
+// contributions keep the lowest comm rank's sign, every run — the
+// reduction walks contributions in comm-rank order, not map order.
+func TestAllreduceSignedZeroDeterministic(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for run := 0; run < 20; run++ {
+		eng := sim.NewEngine()
+		w := NewWorld(eng, 16, 16, 0)
+		w.LaunchTasks(func(r *Rank, done func()) {
+			lo, hi := 0.0, negZero // rank 0 contributes the odd sign out
+			if r.ID() == 0 {
+				lo, hi = negZero, 0.0
+			}
+			w.Comm().AllreduceMinK(r, lo, func(min float64) {
+				if !math.Signbit(min) {
+					t.Errorf("run %d: min = %v, want -0 (rank 0's)", run, min)
+				}
+				w.Comm().AllreduceMaxK(r, hi, func(max float64) {
+					if math.Signbit(max) {
+						t.Errorf("run %d: max = -0, want +0 (rank 0's)", run)
+					}
+					done()
+				})
+			})
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSumInWorldRankOrderOnSplit: a split communicator ordered against
+// world rank still sums in world-rank order, whose rounding differs here
+// from comm-rank order (1 in world order, 0 in reverse).
+func TestSumInWorldRankOrderOnSplit(t *testing.T) {
+	vals := []float64{1e16, 1, -1e16, 1}
+	eng := sim.NewEngine()
+	w := NewWorld(eng, len(vals), 16, 0)
+	w.LaunchTasks(func(r *Rank, done func()) {
+		w.Comm().SplitK(r, 0, -r.ID(), func(sub *Comm) {
+			sub.AllreduceSumK(r, vals[r.ID()], func(got float64) {
+				if got != 1 {
+					t.Errorf("world %d: sum = %v, want 1 (world-rank order)", r.ID(), got)
+				}
+				done()
+			})
+		})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

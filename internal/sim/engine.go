@@ -6,6 +6,18 @@
 // Signal.Await, Resource.AcquireTask — are scheduled continuations run by
 // the event loop itself, so the engine needs no goroutines and introduces
 // no scheduling nondeterminism.
+//
+// The queue has two parts. A binary heap holds events strictly in the
+// future of the clock when they are scheduled; an append-only FIFO lane
+// holds events whose (clamped) fire time equals the clock at scheduling —
+// collective wakes, resource hand-offs, zero-delay continuations — which
+// are the large majority in collective-heavy workloads and would otherwise
+// each pay an O(log n) heap trip. The split keeps (time, sequence) order
+// exactly: a heap event due at the current instant was scheduled before
+// the clock reached it, so its sequence number is below every lane
+// entry's, and the lane is in sequence order by construction. RunUntil
+// therefore fires the heap's events due now, then drains the lane, and
+// only then advances the clock.
 package sim
 
 import (
@@ -16,6 +28,9 @@ import (
 )
 
 // Event is a scheduled callback. It can be cancelled before it fires.
+// A pending event sits either in the engine's heap (index is its heap
+// position) or in the same-instant lane (inLane, index is its lane slot);
+// moving between the two is invisible to callers.
 //
 // Event records are pooled: once an event has fired or been cancelled, the
 // engine may hand its record to a later Schedule call (see ScheduleAt).
@@ -23,12 +38,16 @@ import (
 // only until the record is reused, so callers that retain an *Event across
 // instants must drop (nil) their reference the moment the event fires —
 // the discipline flow.Net follows with its dirty and completion events.
+// The lane never keeps a pooled record: cancelling or moving a lane entry
+// leaves a nil tombstone in its slot, so a reused record cannot be reached
+// (and fired) through a slot it no longer owns.
 type Event struct {
 	at        float64
 	seq       int64
-	index     int // heap index, -1 when not queued
+	index     int // heap index or lane slot, -1 when not queued
 	fn        func()
 	cancelled bool
+	inLane    bool
 }
 
 // Time returns the virtual time at which the event fires.
@@ -67,9 +86,18 @@ func (h *eventHeap) Pop() any {
 // NewEngine.
 type Engine struct {
 	now     float64
-	events  eventHeap
+	events  eventHeap // events due strictly after the clock when scheduled
 	seq     int64
 	stopped bool
+
+	// lane holds the events scheduled at the current instant, in sequence
+	// order, from laneHead on; cancelled entries are nil tombstones.
+	// laneLive counts the live ones, so Pending stays O(1) and exact.
+	lane     []*Event
+	laneHead int
+	laneLive int
+
+	stats Stats
 
 	tasks   int // started, unfinished inline tasks
 	blocked map[*Task]blockedOn
@@ -98,6 +126,23 @@ func (e *Engine) SetPoll(n int, fn func()) {
 	}
 	e.pollEvery, e.pollFn, e.pollCount = n, fn, 0
 }
+
+// Stats counts the engine's work. Every event ScheduleAt creates enters
+// exactly one queue, so LaneEvents + HeapPushes == Scheduled, and every
+// scheduled event is eventually fired, cancelled or still pending:
+// Scheduled == Fired + Cancelled + Pending(). Reschedule moves an event
+// without creating one; it is counted in Rescheduled only.
+type Stats struct {
+	Scheduled   int64 // events created by Schedule/ScheduleAt
+	Fired       int64 // callbacks run by RunUntil
+	Cancelled   int64 // pending events removed by Cancel
+	Rescheduled int64 // successful Reschedule calls
+	LaneEvents  int64 // scheduled events routed to the same-instant lane
+	HeapPushes  int64 // scheduled events routed to the future-event heap
+}
+
+// Stats returns the engine's work counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine {
@@ -131,9 +176,12 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 }
 
 // ScheduleAt queues fn to run at absolute virtual time at (clamped to now).
-// The returned event's record comes from the engine's free list when one is
-// available: scheduling allocates only while the in-flight event population
-// is still growing, and a steady-state simulation runs allocation-free.
+// An event due at the current instant — including one whose small positive
+// delay rounds to now — joins the same-instant lane in O(1); a later one
+// goes on the heap. The returned event's record comes from the engine's
+// free list when one is available: scheduling allocates only while the
+// in-flight event population is still growing, and a steady-state
+// simulation runs allocation-free.
 //
 //pfsim:hotpath
 //pfsim:taskctx
@@ -157,8 +205,32 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 	} else {
 		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1} //pfsim:allocok event-pool growth: reused via Engine.free once fired
 	}
-	heap.Push(&e.events, ev)
+	e.stats.Scheduled++
+	if at == e.now {
+		e.stats.LaneEvents++
+		e.pushLane(ev)
+	} else {
+		e.stats.HeapPushes++
+		heap.Push(&e.events, ev)
+	}
 	return ev
+}
+
+// pushLane appends ev at the lane's tail. Its sequence number must exceed
+// every queued lane entry's, which holds for a freshly (re)sequenced event.
+func (e *Engine) pushLane(ev *Event) {
+	ev.inLane = true
+	ev.index = len(e.lane)
+	e.lane = append(e.lane, ev) //pfsim:allocok lane growth is bounded by the largest same-instant burst, then reuses capacity
+	e.laneLive++
+}
+
+// dropLane tombstones ev's lane slot.
+func (e *Engine) dropLane(ev *Event) {
+	e.lane[ev.index] = nil
+	e.laneLive--
+	ev.inLane = false
+	ev.index = -1
 }
 
 // recycle returns a fired or cancelled event record to the free list. The
@@ -193,7 +265,20 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	heap.Fix(&e.events, ev.index)
+	e.stats.Rescheduled++
+	switch {
+	case ev.inLane && at == e.now: // to the lane's tail, behind its new peers
+		e.dropLane(ev)
+		e.pushLane(ev)
+	case ev.inLane:
+		e.dropLane(ev)
+		heap.Push(&e.events, ev)
+	case at == e.now:
+		heap.Remove(&e.events, ev.index)
+		e.pushLane(ev)
+	default:
+		heap.Fix(&e.events, ev.index)
+	}
 	return true
 }
 
@@ -210,7 +295,12 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancelled = true
-	heap.Remove(&e.events, ev.index)
+	if ev.inLane {
+		e.dropLane(ev)
+	} else {
+		heap.Remove(&e.events, ev.index)
+	}
+	e.stats.Cancelled++
 	e.recycle(ev)
 }
 
@@ -229,26 +319,51 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with fire time <= tmax. Virtual time never
-// exceeds tmax. An earlier revision reset the stop flag on entry, which
-// silently discarded a Stop issued before Run — launch-error paths that
-// stop the engine synchronously (before Run begins) would run the whole
-// simulation anyway and delay the error until completion.
+// exceeds tmax and never moves backwards: a tmax before Now fires nothing
+// and leaves the clock alone. An earlier revision reset the stop flag on
+// entry, which silently discarded a Stop issued before Run — launch-error
+// paths that stop the engine synchronously (before Run begins) would run
+// the whole simulation anyway and delay the error until completion.
+//
+// At each instant the heap's events due now fire first, then the lane
+// drains in order, and only then does the clock advance — exactly the
+// (time, sequence) order, as the package doc argues.
 //
 //pfsim:hotpath
 func (e *Engine) RunUntil(tmax float64) error {
-	for !e.stopped && len(e.events) > 0 {
-		if e.events[0].at > tmax {
-			e.now = tmax
+	if tmax < e.now {
+		return nil
+	}
+	for !e.stopped {
+		var ev *Event
+		switch {
+		case len(e.events) > 0 && e.events[0].at <= e.now:
+			ev = heap.Pop(&e.events).(*Event)
+		case e.laneHead < len(e.lane):
+			ev = e.lane[e.laneHead]
+			e.lane[e.laneHead] = nil
+			if e.laneHead++; e.laneHead == len(e.lane) {
+				e.lane, e.laneHead = e.lane[:0], 0
+			}
+			if ev == nil { // tombstone of a cancelled or moved entry
+				continue
+			}
+			ev.inLane, ev.index = false, -1
+			e.laneLive--
+		case len(e.events) > 0:
+			if e.events[0].at > tmax {
+				e.now = tmax
+				return nil
+			}
+			ev = heap.Pop(&e.events).(*Event)
+			e.now = ev.at
+		default:
+			if len(e.blocked) > 0 {
+				return e.deadlockErr()
+			}
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
+		e.stats.Fired++
 		fn := ev.fn
 		fn()
 		e.recycle(ev)
@@ -259,13 +374,7 @@ func (e *Engine) RunUntil(tmax float64) error {
 			}
 		}
 	}
-	if e.stopped {
-		e.stopped = false // consume the stop so the engine can be resumed
-		return nil
-	}
-	if len(e.blocked) > 0 {
-		return e.deadlockErr()
-	}
+	e.stopped = false // consume the stop so the engine can be resumed
 	return nil
 }
 
@@ -286,10 +395,10 @@ func (e *Engine) deadlockErr() error {
 }
 
 // Pending reports the number of queued (uncancelled) events. Cancel
-// removes events from the queue eagerly, so the queue length is exactly
-// that count — O(1), where earlier revisions scanned the whole heap on
-// every call.
-func (e *Engine) Pending() int { return len(e.events) }
+// removes heap events eagerly and counts lane tombstones out, so this is
+// exact and O(1), where earlier revisions scanned the whole heap on every
+// call.
+func (e *Engine) Pending() int { return len(e.events) + e.laneLive }
 
 // LiveTasks reports the number of inline tasks that have started and not
 // yet finished.

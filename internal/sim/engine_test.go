@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -12,4 +13,82 @@ func TestScheduleAtNaNPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().ScheduleAt(math.NaN(), func() {})
+}
+
+// TestRunUntilNeverRewindsClock: a horizon before Now fires nothing and
+// leaves the clock where it was, with or without events pending.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	e.Schedule(10, func() { fired = true })
+	for _, tmax := range []float64{5, 3} {
+		if err := e.RunUntil(tmax); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() != 5 {
+			t.Fatalf("after RunUntil(%v): now = %v, want 5", tmax, e.Now())
+		}
+	}
+	if fired || e.Pending() != 1 {
+		t.Fatalf("fired=%v pending=%d, want the t=10 event still queued", fired, e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired || e.Now() != 10 {
+		t.Errorf("fired=%v now=%v after Run", fired, e.Now())
+	}
+	if err := e.RunUntil(4); err != nil || e.Now() != 10 {
+		t.Errorf("RunUntil(4) on an empty queue: err=%v now=%v, want now 10", err, e.Now())
+	}
+}
+
+// TestStatsExactCounts pins the engine's work counters on a fixed script
+// that touches both queues: same-instant wakes, future events, a cancel
+// in each queue and a reschedule in each direction.
+func TestStatsExactCounts(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() { // heap
+		e.Schedule(0, func() {})                  // lane
+		e.Schedule(1e-300, func() {})             // rounds to now: lane
+		e.Cancel(e.Schedule(0, func() {}))        // lane, cancelled
+		e.Reschedule(e.Schedule(0, func() {}), 3) // lane, moved to the heap
+		e.Reschedule(e.Schedule(2, func() {}), 0) // heap, moved to the lane
+		e.Cancel(e.Schedule(5, func() {}))        // heap, cancelled
+	})
+	e.Schedule(2, func() {}) // heap
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Scheduled: 8, Fired: 6, Cancelled: 2, Rescheduled: 2, LaneEvents: 4, HeapPushes: 4}
+	if got := e.Stats(); got != want {
+		t.Errorf("stats = %+v\nwant    %+v", got, want)
+	}
+	if e.Now() != 3 {
+		t.Errorf("now = %v, want 3 (the moved event's time)", e.Now())
+	}
+}
+
+// TestLaneCancelKeepsPendingExact: cancelling same-instant events leaves
+// tombstones that Pending does not count and RunUntil skips.
+func TestLaneCancelKeepsPendingExact(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	evs := make([]*Event, 4)
+	for i := range evs {
+		i := i
+		evs[i] = e.Schedule(0, func() { order = append(order, i) })
+	}
+	e.Cancel(evs[1])
+	e.Cancel(evs[3])
+	e.Cancel(evs[3])
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[0 2]" || e.Pending() != 0 {
+		t.Errorf("order = %v, pending = %d", order, e.Pending())
+	}
 }

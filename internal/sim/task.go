@@ -5,7 +5,7 @@ import "strconv"
 // Task is a simulated process dispatched inline by the event loop: a
 // resumable state machine whose blocking points are expressed as scheduled
 // continuations. A Task is plain data: suspending is appending a
-// continuation to a waiter list or the event heap, resuming is an ordinary
+// continuation to a waiter list or the event queue, resuming is an ordinary
 // function call from RunUntil, and a task abandoned on a stopped engine
 // holds no goroutine or stack. A fleet of tasks therefore holds
 // O(pool-width) goroutines regardless of fleet size.
