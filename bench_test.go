@@ -271,22 +271,27 @@ func reportSolverStats(b *testing.B, stats flow.Stats) {
 
 // benchSolver measures the max-min solver on a (2 × ranks)-flow
 // SolverStressScenario — the shape the BENCH_solver.json gate and
-// pfsim-metrics -solver-writers share —
-// in both solver modes:
+// pfsim-metrics -solver-writers share. This scenario shares one backbone,
+// so it is a single component: the partitioning win shows up in
+// BenchmarkSolverSharded4096x16, the counters here guard against the
+// partitioned machinery regressing the monolithic case.
+func benchSolver(b *testing.B, ranks int) {
+	plat, sc := SolverStressScenario(ranks)
+	benchSolverModes(b, plat, sc)
+}
+
+// benchSolverModes runs one scenario per iteration in both solver modes:
 //
 //   - incremental: component partitioning, per-flow accrual anchors,
-//     same-instant recompute coalescing, unfixed-flow lists and the
-//     completion heap (the default);
+//     same-instant recompute coalescing, live-link lists with a per-link
+//     flow index and the completion heap (the default);
 //   - reference: the naive behaviour — a full progressive-filling pass
 //     over every link on every flow arrival and completion, and a linear
 //     scan for the next completion.
 //
 // Results are byte-identical across modes (the property tests enforce
-// it); only the solver work differs. This scenario shares one backbone,
-// so it is a single component: the partitioning win shows up in
-// BenchmarkSolverSharded4096x16, the counters here guard against the
-// partitioned machinery regressing the monolithic case.
-func benchSolver(b *testing.B, ranks int) {
+// it); only the solver work differs.
+func benchSolverModes(b *testing.B, plat *Platform, sc Scenario) {
 	for _, bc := range []struct {
 		name      string
 		reference bool
@@ -296,7 +301,6 @@ func benchSolver(b *testing.B, ranks int) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			plat, sc := SolverStressScenario(ranks)
 			var stats flow.Stats
 			for i := 0; i < b.N; i++ {
 				var captured *lustre.System
@@ -375,9 +379,22 @@ func BenchmarkSolver1024Flows(b *testing.B) { benchSolver(b, 512) }
 
 // BenchmarkSolver4096Flows scales the solver stress 4×: 2,048
 // file-per-process writers, 4,096 concurrent flows — the population where
-// per-event linear rescans dominated before the completion heap and
-// unfixed-flow lists.
+// per-event rescans of every active flow dominated before the completion
+// heap.
 func BenchmarkSolver4096Flows(b *testing.B) { benchSolver(b, 2048) }
+
+// BenchmarkSolverPLFS2048 is the many-rounds regime: a 2,048-rank PLFS
+// logger on Cab (the paper-plfs-selfcontention shape). Every rank appends
+// to its own log, so hundreds of OSTs carry different stream counts and
+// max-min filling fixes about one share level per loaded OST: ~38
+// rate-fixing rounds per solve on average over the run, where the stress
+// benchmarks above average 3–6. This is the regime in which a round's
+// cost — the live links it scans and the flows it fixes — dominates the
+// solver.
+func BenchmarkSolverPLFS2048(b *testing.B) {
+	sc := NewScenario("bench-plfs2048", ScenarioJob{Workload: PLFSWorkload(2048, 0)})
+	benchSolverModes(b, Cab(), sc)
+}
 
 // BenchmarkSimulatorThroughput measures the simulator itself: simulated
 // MB of I/O processed per wall-clock second for a tuned 1,024-process

@@ -203,7 +203,7 @@ func methodSetIn(t types.Type, iface *types.Interface, pkg *types.Package) []*ty
 }
 
 // FuncName renders a function or method the way diagnostics name them:
-// "fixCapped", "Net.flushWork".
+// "fixFlow", "Net.flushWork".
 func FuncName(fn *types.Func) string {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		t := sig.Recv().Type()

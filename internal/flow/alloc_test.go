@@ -7,10 +7,12 @@ import (
 )
 
 // allocNet builds a warmed net: nLinks disjoint single-link components,
-// one long-running flow each (sizes far beyond the test horizon, so the
+// two long-running flows each (sizes far beyond the test horizon, so the
 // steady state is pure re-solve/commit/reschedule with no completions),
 // plus enough model toggles to grow every scratch slice and the event
-// pool to their steady capacity.
+// pool to their steady capacity. Each link's caps are admitted in
+// descending order, so every solve sorts its capped flows, fixes one at
+// its cap and the other through the flow index.
 func allocNet(par int, nLinks int) (*sim.Engine, *Net, []*Link) {
 	eng := sim.NewEngine()
 	n := NewNet(eng)
@@ -24,6 +26,7 @@ func allocNet(par int, nLinks int) (*sim.Engine, *Net, []*Link) {
 	}
 	for i, l := range links {
 		n.Start("f"+string(rune('a'+i)), 1e12, 80, l)
+		n.Start("g"+string(rune('a'+i)), 1e12, 30, l)
 	}
 	fast, slow := CapacityModel(Const(100)), CapacityModel(Const(60))
 	for i := 0; i < 16; i++ {

@@ -40,11 +40,15 @@
 //     dirty event fires before virtual time advances, so trajectories are
 //     byte-identical to solving on every change.
 //
-//   - Unfixed-flow lists: each progressive-filling round walks an explicit
-//     list of still-unfixed flows (compacted in admission order as rates
-//     are pinned) instead of rescanning the whole component, so a solve
-//     with many rate-fixing rounds costs the sum of the shrinking round
-//     sizes rather than rounds × flows.
+//   - Live-link lists and a per-link flow index: each progressive-filling
+//     round makes one pass over the links that still carry an unfixed flow
+//     (compacted as they drain), finding the minimum fair share and the
+//     saturated links together, then fixes the saturated links' flows
+//     through an index built once per solve; rate-capped flows are fixed
+//     from a cursor over a list sorted once per solve. A round therefore
+//     costs the live links plus the flows it fixes, and a solve with many
+//     rate-fixing rounds — one per share level, hundreds on a PLFS storm —
+//     no longer pays rounds × (links + unfixed flows).
 //
 //   - Completion heap: the next completion event comes from an indexed
 //     min-heap of flow completion times, re-keyed only when a solve
@@ -76,9 +80,11 @@
 package flow
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"pfsim/internal/pool"
@@ -286,8 +292,10 @@ type Stats struct {
 	// population a solve touches: ~the component size under partitioning,
 	// the whole active population without it.
 	ComponentFlowsScanned int64
-	// LinkVisits is the number of link records examined across all passes
-	// (initialisation, share search and saturation marking).
+	// LinkVisits is the number of link records examined across all passes:
+	// one per component link at initialisation, then one per still-live
+	// link in every round's share-and-saturation scan (the reference
+	// solver scans every link of the network twice per round instead).
 	LinkVisits int64
 	// Coalesced is the number of recompute requests absorbed by an
 	// already-pending solve event.
@@ -295,11 +303,12 @@ type Stats struct {
 	// Rounds is the number of rate-fixing rounds across all passes.
 	Rounds int64
 	// FlowsScanned is the number of flow records examined across
-	// rate-fixing rounds. The incremental solver touches only the
-	// still-unfixed flows of the dirty component per round; the reference
-	// solver rescans the whole active population every round
-	// (Rounds × active flows), which is the cost the benchmarks compare
-	// against.
+	// rate-fixing rounds. The incremental solver examines only the flows it
+	// may fix: the saturated links' flow-index entries and the capped flows
+	// its cursor passes, so a solve examines each flow about once per
+	// bottleneck link it crosses. The reference solver rescans the whole
+	// active population every round (Rounds × active flows), which is the
+	// cost the benchmarks compare against.
 	FlowsScanned int64
 	// FlowsSettled is the number of accrual settles: flows whose remaining
 	// volume and link telemetry were advanced to the current instant
@@ -388,11 +397,18 @@ type Net struct {
 // Stats fields are integer counts, so the merged totals are identical
 // regardless of which worker solved which component.
 type solveCtx struct {
-	unfixed []*Flow
-	sat     []*Link
-	capped  []*Flow
-	epoch   int64 // epoch of the in-progress solve (stamped on fixed flows)
-	stats   Stats
+	live   []*Link     // links still carrying an unfixed flow, in component order
+	cand   []candidate // the round's saturation candidates
+	capped []*Flow     // capped flows in (maxRate, seq) order (reference: one round's batch)
+	sat    []*Link     // reference solver: the round's saturated links
+
+	// idx is the per-solve flow index, offsets then positions: with
+	// off = idx[:len(c.links)+1] and at = idx[len(c.links)+1:],
+	// at[off[i]:off[i+1]] are the positions in c.flows of the unfinished
+	// flows crossing c.links[i] (i = compIdx).
+	idx []int32
+
+	stats Stats
 }
 
 // merge folds o into s and zeroes o. Integer sums only — order-free.
@@ -1102,159 +1118,205 @@ func (n *Net) Recompute() {
 //
 // Only the component's links and flows are touched: flows elsewhere keep
 // the rates (and completion keys) of their last solve, which is exact
-// because disjoint components cannot constrain each other. Rate-capped
-// flows are fixed in (cap, admission) order — see fixCapped — and every
-// round walks the explicit unfixed-flow list, compacted in admission
-// order, so the residual arithmetic is identical to the reference solver's
-// monolithic pass restricted to this component. Reference mode shares none
-// of this machinery (assignRatesReference): it is the oracle, so a defect
-// in the component or unfixed-list bookkeeping cannot cancel out of the
-// inc-vs-ref property tests. All mutable state is the component's own,
-// the ctx's own, or the atomic epoch counter, so distinct components may
-// solve on concurrent workers (solveAll).
+// because disjoint components cannot constrain each other.
+//
+// A round costs the still-live links plus the flows it fixes. The
+// initialisation pass builds a per-link flow index (solveCtx.idx) and a
+// live-link list; each round makes one pass over the live links,
+// compacting out those with no unfixed flow, that finds both the minimum
+// share and the saturation candidates — links within the saturation
+// tolerance of the running minimum, re-checked against the final one. The
+// saturated links' flows are then fixed through the index. Every flow a
+// bottleneck round fixes gets the same rate, so each link's residual
+// receives the same sequence of subtractions in any fix order. Rate-capped
+// flows are sorted by (cap, admission) once per solve and fixed from a
+// cursor in exactly the batches and order the reference solver fixes them
+// in (see sortCapped), so the residual arithmetic is bit-identical to the
+// reference solver's monolithic pass restricted to this component.
+// Reference mode shares none of this machinery (assignRatesReference): it
+// is the oracle, so a defect in the component, live-list or index
+// bookkeeping cannot cancel out of the inc-vs-ref property tests. All
+// mutable state is the component's own, the ctx's own, or the atomic epoch
+// counter, so distinct components may solve on concurrent workers
+// (solveAll).
 //
 //pfsim:hotpath
 func (n *Net) solveComponent(ctx *solveCtx, c *component) {
-	ctx.epoch = n.solveEpoch.Add(1)
+	epoch := n.solveEpoch.Add(1)
 	links := c.links
 	ctx.stats.ComponentsSolved++
 	ctx.stats.LinkVisits += int64(len(links))
-	for _, l := range links {
-		l.residual = l.model.Capacity(l.active)
-		l.unfixed = 0
-		l.saturated = false
-	}
-	unfixed := ctx.unfixed[:0]
+	// The flow index: count each link's unfinished flows into off by
+	// compIdx, turn the counts into bucket ends, then fill in reverse, which
+	// leaves off[i] at bucket i's start and every bucket in admission order.
+	nl := len(links) + 1
+	off := slices.Grow(ctx.idx[:0], nl)[:nl] //pfsim:allocok the index buffer grows to the peak component size, then reuses capacity
+	clear(off)
+	capped := ctx.capped[:0]
+	left := 0
 	for _, f := range c.flows {
 		if f.finished {
 			continue
 		}
-		unfixed = append(unfixed, f) //pfsim:allocok unfixed scratch grows to the peak component population, then reuses capacity
+		left++
+		if f.maxRate > 0 {
+			capped = append(capped, f) //pfsim:allocok capped scratch grows to the peak capped population, then reuses capacity
+		}
 		for _, l := range f.path {
-			l.unfixed++
+			off[l.compIdx]++
 		}
 	}
-	ctx.stats.ComponentFlowsScanned += int64(len(unfixed))
-	sat := ctx.sat[:0]
-	for len(unfixed) > 0 {
+	ctx.stats.ComponentFlowsScanned += int64(left)
+	live := ctx.live[:0]
+	end := int32(0)
+	for i, l := range links {
+		k := off[i]
+		l.residual = l.model.Capacity(l.active)
+		l.unfixed = int(k)
+		end += k
+		off[i] = end
+		if k > 0 {
+			live = append(live, l) //pfsim:allocok live-link scratch grows to the peak component link count, then reuses capacity
+		}
+	}
+	off[len(links)] = end
+	idx := slices.Grow(off, int(end))[:nl+int(end)] //pfsim:allocok see above
+	off, at := idx[:nl], idx[nl:]
+	for p := len(c.flows) - 1; p >= 0; p-- {
+		f := c.flows[p]
+		if f.finished {
+			continue
+		}
+		for _, l := range f.path {
+			off[l.compIdx]--
+			at[off[l.compIdx]] = int32(p)
+		}
+	}
+	if !slices.IsSortedFunc(capped, cmpCapped) {
+		slices.SortFunc(capped, cmpCapped)
+	}
+	next := 0 // every capped flow before next is fixed
+
+	cand := ctx.cand[:0]
+	for left > 0 {
 		ctx.stats.Rounds++
-		ctx.stats.FlowsScanned += int64(len(unfixed))
-		minShare := math.Inf(1)
-		ctx.stats.LinkVisits += int64(len(links))
-		for _, l := range links {
+		ctx.stats.LinkVisits += int64(len(live))
+		minShare, limit := math.Inf(1), math.Inf(1)
+		cand = cand[:0]
+		w := 0
+		for _, l := range live {
 			if l.unfixed == 0 {
 				continue
 			}
+			live[w] = l
+			w++
 			res := l.residual
 			if res < 0 {
 				res = 0
 			}
-			if share := res / float64(l.unfixed); share < minShare {
+			share := res / float64(l.unfixed)
+			if share < minShare {
 				minShare = share
+				limit = minShare*(1+1e-12) + 1e-15
+			}
+			// The limit only falls as the scan goes on, so a link rejected
+			// here is never saturated; candidates are re-checked below.
+			if share <= limit {
+				cand = append(cand, candidate{l, share}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
 			}
 		}
-		// Fix rate-capped flows whose cap is at or below the share.
-		if fixCapped(ctx, unfixed, minShare) {
-			unfixed = compactUnfixed(unfixed, ctx.epoch)
+		live = live[:w]
+		// Fix rate-capped flows whose cap is at or below the share. Every
+		// capped flow the cursor has passed is fixed, so the batch is
+		// exactly the unfixed capped flows with maxRate <= minShare.
+		before := left
+		for next < len(capped) && capped[next].maxRate <= minShare {
+			f := capped[next]
+			next++
+			ctx.stats.FlowsScanned++
+			if f.fixedEpoch != epoch {
+				fixFlow(f, f.maxRate, epoch)
+				left--
+			}
+		}
+		if left < before {
 			continue
 		}
 		if math.IsInf(minShare, 1) {
-			// Only path-less capped flows remain; their caps exceeded every
-			// share constraint — fix them at their cap.
-			for i, f := range unfixed {
+			// No link constrains the remaining flows and every cap has been
+			// passed: only flows without a usable cap are left.
+			ctx.stats.FlowsScanned += int64(len(c.flows))
+			for _, f := range c.flows {
+				if f.finished || f.fixedEpoch == epoch {
+					continue
+				}
 				r := f.maxRate
 				if r <= 0 {
 					panic("flow: unconstrained flow in rate assignment") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 				}
-				fixFlow(f, r, ctx.epoch)
-				unfixed[i] = nil
+				fixFlow(f, r, epoch)
 			}
-			unfixed = unfixed[:0]
 			break
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
-		ctx.stats.LinkVisits += int64(len(links))
-		for _, l := range links {
-			if l.unfixed == 0 {
+		for _, s := range cand {
+			if s.share > limit {
 				continue
 			}
-			res := l.residual
-			if res < 0 {
-				res = 0
-			}
-			if res/float64(l.unfixed) <= minShare*(1+1e-12)+1e-15 {
-				l.saturated = true
-				sat = append(sat, l) //pfsim:allocok saturated-link scratch grows to the peak link count, then reuses capacity
-			}
-		}
-		progressed := false
-		for _, f := range unfixed {
-			onBottleneck := false
-			for _, l := range f.path {
-				if l.saturated {
-					onBottleneck = true
-					break
+			ps := at[off[s.l.compIdx]:off[s.l.compIdx+1]]
+			ctx.stats.FlowsScanned += int64(len(ps))
+			for _, p := range ps {
+				if f := c.flows[p]; f.fixedEpoch != epoch {
+					fixFlow(f, minShare, epoch)
+					left--
 				}
 			}
-			if onBottleneck {
-				fixFlow(f, minShare, ctx.epoch)
-				progressed = true
-			}
 		}
-		for _, l := range sat {
-			l.saturated = false
-		}
-		sat = sat[:0]
-		if !progressed {
+		if left == before {
 			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 		}
-		unfixed = compactUnfixed(unfixed, ctx.epoch)
 	}
-	ctx.sat = sat[:0]
-	ctx.unfixed = unfixed[:0]
-}
-
-// fixCapped pins every unfixed flow whose rate cap is at or below the
-// round's fair share, in ascending (cap, admission) order. The ordering
-// matters for bit-exactness: fair shares are non-decreasing across rounds,
-// so fixing each round's capped batch in cap order makes the overall
-// capped sequence globally cap-sorted — invariant under how rounds
-// partition it, and therefore identical between a component-local solve
-// and the reference solver's monolithic rounds (whose share milestones
-// interleave other components'). Fixing in raw admission order would make
-// the residual subtraction order — and with it the last ulps of later
-// shares — depend on the round structure. It reports whether any flow was
-// fixed.
-//
-//pfsim:hotpath
-func fixCapped(ctx *solveCtx, unfixed []*Flow, minShare float64) bool {
-	capped := ctx.capped[:0]
-	for _, f := range unfixed {
-		if f.maxRate > 0 && f.maxRate <= minShare {
-			capped = append(capped, f) //pfsim:allocok capped scratch grows to the peak capped population, then reuses capacity
-		}
-	}
-	if len(capped) > 0 {
-		sortCapped(capped)
-		for _, f := range capped {
-			fixFlow(f, f.maxRate, ctx.epoch)
-		}
-	}
-	fixed := len(capped) > 0
-	for i := range capped {
-		capped[i] = nil
-	}
+	clear(capped)
 	ctx.capped = capped[:0]
-	return fixed
+	ctx.cand = cand[:0]
+	ctx.live = live[:0]
+	ctx.idx = idx[:0]
 }
 
-// sortCapped orders a round's capped batch by ascending (maxRate, seq) —
-// a strict total order (seq is unique), so the result is identical to any
-// other correct sort of the same keys. An in-place insertion sort replaces
-// sort.Slice here because the latter allocates its comparison closure (and
-// boxes the interface header) on every call, and fixCapped runs once per
-// solver round on the zero-alloc steady-state path; capped batches are
-// small (often 0–2 flows), where insertion sort also wins on time.
+// candidate is a link whose fair share was within the saturation
+// tolerance of the running minimum when the round's scan reached it.
+type candidate struct {
+	l     *Link
+	share float64
+}
+
+// cmpCapped orders capped flows by ascending (maxRate, seq), the order
+// sortCapped documents. It is a package-level function so that
+// slices.SortFunc allocates nothing.
+func cmpCapped(a, b *Flow) int {
+	if a.maxRate != b.maxRate {
+		if a.maxRate < b.maxRate {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// sortCapped orders the reference solver's per-round capped batch by
+// ascending (maxRate, seq) — a strict total order (seq is unique), so the
+// result is identical to any other correct sort of the same keys; the
+// incremental solver sorts each component's capped flows once per solve
+// by the same order (cmpCapped). The ordering matters for bit-exactness:
+// fair shares are non-decreasing across rounds, so fixing each round's
+// capped batch in cap order makes the overall capped sequence globally
+// cap-sorted — invariant under how rounds partition it, and therefore
+// identical between a component-local solve and the reference solver's
+// monolithic rounds (whose share milestones interleave other
+// components'). Fixing in raw admission order would make the residual
+// subtraction order — and with it the last ulps of later shares — depend
+// on the round structure. An in-place insertion sort avoids sort.Slice's
+// per-call closure allocation; batches are small (often 0–2 flows).
 func sortCapped(fs []*Flow) {
 	for i := 1; i < len(fs); i++ {
 		f := fs[i]
@@ -1270,7 +1332,7 @@ func sortCapped(fs []*Flow) {
 // assignRatesReference is the naive progressive-filling pass, preserved as
 // the correctness oracle and cost baseline: every link in the network is
 // scanned (idle ones and other components' included) and every round
-// rescans the whole active population instead of an unfixed-flow list. The
+// rescans the whole active population instead of a flow index. The
 // rate-fixing order matches the partitioned path — capped flows in
 // (cap, admission) order, bottleneck flows in admission order — so results
 // are bit-identical while the implementations stay independent.
@@ -1316,7 +1378,7 @@ func (n *Net) assignRatesReference() {
 			}
 		}
 		// Fix rate-capped flows whose cap is at or below the share, in
-		// (cap, admission) order — see fixCapped for why the order matters.
+		// (cap, admission) order — see sortCapped for why the order matters.
 		capped := ctx.capped[:0]
 		for _, f := range n.activeFlows {
 			if f.finished || f.fixedEpoch == epoch || f.maxRate <= 0 || f.maxRate > minShare {
@@ -1396,24 +1458,6 @@ func (n *Net) assignRatesReference() {
 		}
 	}
 	ctx.sat = sat[:0]
-}
-
-// compactUnfixed drops flows fixed in the given solve epoch from the
-// unfixed list in place, preserving admission order (which determines the
-// order residuals are charged, and therefore bit-exactness against a full
-// rescan).
-func compactUnfixed(fs []*Flow, epoch int64) []*Flow {
-	w := 0
-	for _, f := range fs {
-		if f.fixedEpoch != epoch {
-			fs[w] = f
-			w++
-		}
-	}
-	for i := w; i < len(fs); i++ {
-		fs[i] = nil
-	}
-	return fs[:w]
 }
 
 // fixFlow pins a flow's rate for the solve identified by epoch and
@@ -1707,6 +1751,60 @@ func (n *Net) CheckInvariants() error {
 		return err
 	}
 	return n.checkHeap()
+}
+
+// maxMinTol is CheckMaxMin's tolerance, relative to the compared rate or
+// capacity and also applied in absolute MB/s: progressive filling
+// accumulates rounding in link residuals, and its saturation test admits
+// shares within 1e-12 of the round's minimum.
+const maxMinTol = 1e-9
+
+// CheckMaxMin verifies that the current allocation is max-min fair by the
+// bottleneck characterisation (Bertsekas & Gallager, Data Networks): every
+// active flow either runs at its own cap or crosses a bottleneck link — one
+// whose flows' rates sum to its capacity for the current stream count, and
+// on which no flow's rate exceeds its own. The check does not depend on
+// which solver assigned the rates, so unlike CheckInvariants it rejects a
+// feasible but unfair allocation such as all zeros. One pass computes
+// every link's load and largest rate, so it costs O(Σ path). Any pending
+// coalesced work is flushed first.
+func (n *Net) CheckMaxMin() error {
+	if n.dirtyEv != nil || len(n.work) > 0 {
+		n.Recompute()
+	}
+	type linkLoad struct{ sum, max float64 }
+	// loads is filled and read by direct indexing only, never ranged.
+	loads := make(map[*Link]linkLoad)
+	for _, f := range n.activeFlows {
+		if f.finished {
+			continue
+		}
+		for _, l := range f.path {
+			ll := loads[l]
+			ll.sum += f.rate
+			ll.max = math.Max(ll.max, f.rate)
+			loads[l] = ll
+		}
+	}
+	for _, f := range n.activeFlows {
+		if f.finished || (f.maxRate > 0 && f.rate >= f.maxRate*(1-maxMinTol)-maxMinTol) {
+			continue
+		}
+		bottleneck := false
+		for _, l := range f.path {
+			ll := loads[l]
+			capacity := l.model.Capacity(l.active)
+			if ll.sum >= capacity*(1-maxMinTol)-maxMinTol && ll.max <= f.rate*(1+maxMinTol)+maxMinTol {
+				bottleneck = true
+				break
+			}
+		}
+		if !bottleneck {
+			return fmt.Errorf("flow: %q at rate %v is below its cap %v and crosses no bottleneck link",
+				f.name, f.rate, f.maxRate)
+		}
+	}
+	return nil
 }
 
 // checkComponents verifies the component partition: live components hold

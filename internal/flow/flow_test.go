@@ -409,6 +409,32 @@ func TestCheckInvariants(t *testing.T) {
 	e.Stop()
 }
 
+// TestCheckMaxMinRejectsZeroedRate: zeroing one flow's rate after a solve
+// leaves a feasible allocation, which the max-min certificate must reject
+// whichever solver produced the rates.
+func TestCheckMaxMinRejectsZeroedRate(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		e := sim.NewEngine()
+		n := NewNet(e)
+		n.UseReferenceSolver(reference)
+		l1 := n.NewLink("l1", Const(100))
+		l2 := n.NewLink("l2", Thrash{Base: 40, Gamma: 0.1})
+		n.Start("A", 1e6, 0, l1)
+		b := n.Start("B", 1e6, 0, l1, l2)
+		n.Start("C", 1e6, 25, l2)
+		n.Start("D", 1e6, 5, l2)
+		n.Recompute()
+		if err := n.CheckMaxMin(); err != nil {
+			t.Fatalf("reference=%v: max-min allocation flagged: %v", reference, err)
+		}
+		b.rate = 0
+		if err := n.CheckMaxMin(); err == nil {
+			t.Errorf("reference=%v: allocation with B zeroed passed the certificate", reference)
+		}
+		e.Stop()
+	}
+}
+
 func TestCheckInvariantsRandomised(t *testing.T) {
 	// Random star topologies must always satisfy the allocation
 	// invariants after progressive filling.

@@ -121,12 +121,29 @@ func randomSchedule(rng *rand.Rand, nLinks int) []solverOp {
 	return ops
 }
 
-// replay builds a star of nLinks Const links with the given capacities,
-// schedules ops, runs the engine, and returns the flows (in creation
-// order), links and net. With invariants set, CheckInvariants runs inside
-// every op event. par > 1 solves dirty components on concurrent workers,
-// with the population floor removed so even tiny flushes take the
-// parallel path.
+// linkModel is the capacity model replay gives link i: every third link
+// thrashes, so the solvers and the max-min certificate also see capacities
+// that fall as streams are added.
+func linkModel(i int, mbs float64) CapacityModel {
+	if i%3 == 2 {
+		return Thrash{Base: mbs, Gamma: 0.05}
+	}
+	return Const(mbs)
+}
+
+// flushWatcher calls fn on every flow admission and completion.
+type flushWatcher struct{ fn func() }
+
+func (w flushWatcher) FlowStarted(*Flow)  { w.fn() }
+func (w flushWatcher) FlowFinished(*Flow) { w.fn() }
+
+// replay builds a star of nLinks links with the given capacities (see
+// linkModel), schedules ops, runs the engine, and returns the flows (in
+// creation order), links and net. With invariants set, CheckInvariants and
+// CheckMaxMin run inside every op event, and CheckMaxMin also runs after
+// the flush that follows every admission and completion. par > 1 solves
+// dirty components on concurrent workers, with the population floor
+// removed so even tiny flushes take the parallel path.
 func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par int, invariants bool) ([]*Flow, []*Link, *Net) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -138,7 +155,30 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 	}
 	links := make([]*Link, len(caps))
 	for i, c := range caps {
-		links[i] = n.NewLink(fmt.Sprintf("l%d", i), Const(c))
+		links[i] = n.NewLink(fmt.Sprintf("l%d", i), linkModel(i, c))
+	}
+	if invariants {
+		// The certificate event queues behind the instant's pending flush,
+		// and re-queues while solver work is pending, so it never forces a
+		// solve of its own: both replays of a schedule run the same events.
+		armed := false
+		var certify func()
+		certify = func() {
+			if n.dirtyEv != nil || len(n.work) > 0 {
+				e.Schedule(0, certify)
+				return
+			}
+			armed = false
+			if err := n.CheckMaxMin(); err != nil {
+				t.Errorf("max-min certificate after the flush at t=%v: %v", e.Now(), err)
+			}
+		}
+		n.Observe(flushWatcher{func() {
+			if !armed {
+				armed = true
+				e.Schedule(0, certify)
+			}
+		}})
 	}
 	resolve := func(sp specTmpl) FlowSpec {
 		path := make([]*Link, len(sp.path))
@@ -151,6 +191,9 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 		if invariants {
 			if err := n.CheckInvariants(); err != nil {
 				t.Errorf("invariants after %s: %v", where, err)
+			}
+			if err := n.CheckMaxMin(); err != nil {
+				t.Errorf("max-min certificate after %s: %v", where, err)
 			}
 		}
 	}
@@ -184,14 +227,14 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 			continue
 		case opCap:
 			e.Schedule(op.at, func() {
-				links[op.link].SetModel(Const(op.mbs))
+				links[op.link].SetModel(linkModel(op.link, op.mbs))
 				n.Recompute()
 				check(fmt.Sprintf("capacity change at t=%v", op.at))
 			})
 		case opCapLazy:
 			e.Schedule(op.at, func() {
 				// No Recompute: the coalesced zero-delay solve applies it.
-				links[op.link].SetModel(Const(op.mbs))
+				links[op.link].SetModel(linkModel(op.link, op.mbs))
 			})
 		case opStart:
 			e.Schedule(op.at, func() {

@@ -111,6 +111,8 @@ func (c Config) Validate(plat *cluster.Platform) error {
 		return fmt.Errorf("ior: FirstNode must be non-negative")
 	case c.ComputeSeconds < 0 || math.IsNaN(c.ComputeSeconds):
 		return fmt.Errorf("ior: ComputeSeconds %v must be non-negative", c.ComputeSeconds)
+	case math.IsInf(c.ComputeSeconds, 1):
+		return fmt.Errorf("ior: ComputeSeconds %v must be finite", c.ComputeSeconds)
 	}
 	nodes := plat.NodesFor(c.NumTasks)
 	if c.FirstNode+nodes > plat.Nodes {

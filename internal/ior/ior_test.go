@@ -87,6 +87,22 @@ func TestValidateNonFiniteSizes(t *testing.T) {
 	}
 }
 
+// TestValidateInfiniteComputeSeconds: an infinite compute phase between
+// repetitions parks every rank forever, which the engine could only
+// report as a deadlock at t=+Inf; Validate rejects it by field name.
+func TestValidateInfiniteComputeSeconds(t *testing.T) {
+	plat := quietCab()
+	cfg := PaperConfig(16)
+	cfg.Reps = 2
+	cfg.ComputeSeconds = math.Inf(1)
+	if err := cfg.Validate(plat); err == nil || !strings.Contains(err.Error(), "ComputeSeconds") {
+		t.Errorf("Validate = %v, want an error naming ComputeSeconds", err)
+	}
+	if _, err := Run(plat, cfg); err == nil || !strings.Contains(err.Error(), "ComputeSeconds") {
+		t.Errorf("Run = %v, want the Validate error", err)
+	}
+}
+
 func TestComputeSecondsSpacesReps(t *testing.T) {
 	plat := quietCab()
 	cfg := PaperConfig(32)

@@ -444,14 +444,20 @@ func (d *dec) platform(v any) (PlatformSpec, error) {
 	if out.OSSs, err = d.integer(m, "platform", "osss", 0); err != nil {
 		return out, err
 	}
-	if out.BackboneMBs, err = d.f64(m, "platform", "backbone_mbs", 0); err != nil {
-		return out, err
-	}
-	if out.NICMBs, err = d.f64(m, "platform", "nic_mbs", 0); err != nil {
-		return out, err
-	}
-	if out.OSSMBs, err = d.f64(m, "platform", "oss_mbs", 0); err != nil {
-		return out, err
+	for _, bw := range []struct {
+		key string
+		dst *float64
+	}{
+		{"backbone_mbs", &out.BackboneMBs},
+		{"nic_mbs", &out.NICMBs},
+		{"oss_mbs", &out.OSSMBs},
+	} {
+		if *bw.dst, err = d.f64(m, "platform", bw.key, 0); err != nil {
+			return out, err
+		}
+		if *bw.dst < 0 || math.IsInf(*bw.dst, 0) {
+			return out, d.errf("platform."+bw.key, "must be finite and >= 0 (0 = preset default), got %v", *bw.dst)
+		}
 	}
 	if v, ok := m.Get("jitter_cv"); ok && v != nil {
 		cv, err := asFloat(v)
@@ -594,6 +600,9 @@ func (d *dec) fleetEntry(v any, path string, out *FleetEntry) error {
 	}
 	if out.StripeSizeMB, err = d.f64(m, path, "stripe_size_mb", 0); err != nil {
 		return err
+	}
+	if out.StripeSizeMB < 0 || math.IsInf(out.StripeSizeMB, 0) {
+		return d.errf(path+".stripe_size_mb", "must be finite and >= 0 (0 = default), got %v", out.StripeSizeMB)
 	}
 	if out.Gen != nil {
 		forbidden := []struct {
@@ -1070,6 +1079,9 @@ func (d *dec) event(v any, path string, f *File, out *Event) error {
 		if out.RebuildMB <= 0 {
 			return d.errf(apath+".mb", "rebuild volume must be > 0, got %v", out.RebuildMB)
 		}
+		if math.IsInf(out.RebuildMB, 1) {
+			return d.errf(apath+".mb", "rebuild volume must be finite, got %v", out.RebuildMB)
+		}
 		if out.Streams, err = d.integer(am, apath, "streams", 4); err != nil {
 			return err
 		}
@@ -1081,6 +1093,9 @@ func (d *dec) event(v any, path string, f *File, out *Event) error {
 		}
 		if out.RateMBs < 0 {
 			return d.errf(apath+".rate_mbs", "must be >= 0 (0 = uncapped), got %v", out.RateMBs)
+		}
+		if math.IsInf(out.RateMBs, 1) {
+			return d.errf(apath+".rate_mbs", "must be finite (0 = uncapped), got %v", out.RateMBs)
 		}
 		if out.Sources, err = d.intList(am, apath, "from"); err != nil {
 			return err

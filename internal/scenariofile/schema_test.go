@@ -258,6 +258,28 @@ func TestParseErrors(t *testing.T) {
 			"unknown preset"},
 		{"horizon inf", "name: x\nhorizon: inf\n" + fleet,
 			"finite"},
+		{"backbone negative", "name: x\nplatform:\n  backbone_mbs: -10\n" + fleet,
+			".yaml: platform.backbone_mbs: must be finite and >= 0"},
+		{"backbone inf", "name: x\nplatform:\n  backbone_mbs: inf\n" + fleet,
+			".yaml: platform.backbone_mbs: must be finite and >= 0"},
+		{"nic negative", "name: x\nplatform:\n  nic_mbs: -10\n" + fleet,
+			".yaml: platform.nic_mbs: must be finite and >= 0"},
+		{"nic inf", "name: x\nplatform:\n  nic_mbs: inf\n" + fleet,
+			".yaml: platform.nic_mbs: must be finite and >= 0"},
+		{"oss negative", "name: x\nplatform:\n  oss_mbs: -10\n" + fleet,
+			".yaml: platform.oss_mbs: must be finite and >= 0"},
+		{"oss inf", "name: x\nplatform:\n  oss_mbs: inf\n" + fleet,
+			".yaml: platform.oss_mbs: must be finite and >= 0"},
+		{"stripe size negative", "name: x\nfleet:\n  - ior:\n      tasks: 4\n    stripe_size_mb: -1\n",
+			".yaml: fleet[0].stripe_size_mb: must be finite and >= 0"},
+		{"stripe size inf", "name: x\nfleet:\n  - ior:\n      tasks: 4\n    stripe_size_mb: inf\n",
+			".yaml: fleet[0].stripe_size_mb: must be finite and >= 0"},
+		{"rebuild volume inf", "name: x\n" + fleet +
+			"timeline:\n  - at: 5\n    rebuild:\n      ost: 2\n      mb: inf\n      from: [1]\n",
+			".yaml: timeline[0].rebuild.mb: rebuild volume must be finite"},
+		{"rebuild rate inf", "name: x\n" + fleet +
+			"timeline:\n  - at: 5\n    rebuild:\n      ost: 2\n      mb: 100\n      rate_mbs: inf\n      from: [1]\n",
+			".yaml: timeline[0].rebuild.rate_mbs: must be finite"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.doc), tc.name+".yaml")

@@ -292,17 +292,21 @@ func (h *IntHistogram) Mean() float64 {
 // experiments reproducible.
 type RNG struct {
 	*rand.Rand
+
+	// perm is SampleWithoutReplacement's index table: perm[i] == i for
+	// every i between calls, grown on demand.
+	perm []int
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return &RNG{Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
 }
 
 // Fork derives an independent deterministic stream from this generator,
 // labelled by id so that forks are order-independent.
 func (r *RNG) Fork(id uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(r.Uint64()^id, id*0xbf58476d1ce4e5b9+1))}
+	return &RNG{Rand: rand.New(rand.NewPCG(r.Uint64()^id, id*0xbf58476d1ce4e5b9+1))}
 }
 
 // Normal returns a normally distributed value with the given mean and
@@ -323,20 +327,31 @@ func (r *RNG) Jitter(cv float64) float64 {
 
 // SampleWithoutReplacement returns k distinct integers drawn uniformly from
 // [0, n). It panics if k > n. The result is in random order.
+//
+// It runs a partial Fisher-Yates shuffle over the RNG's identity table and
+// then puts the table back, so once the table has grown to n a call costs
+// O(k) and allocates only its result.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k > n {
 		panic(fmt.Sprintf("stats: cannot sample %d from %d", k, n))
 	}
-	// Partial Fisher-Yates over an index table.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	for i := len(r.perm); i < n; i++ {
+		r.perm = append(r.perm, i)
 	}
+	idx := r.perm[:n]
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
 		j := i + r.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 		out[i] = idx[i]
+	}
+	// Only positions below k and the positions of drawn values moved: a
+	// value v >= k leaves its slot only when drawn.
+	for i := 0; i < k; i++ {
+		idx[i] = i
+	}
+	for _, v := range out {
+		idx[v] = v
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,63 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 		}
 	}()
 	NewRNG(1).SampleWithoutReplacement(3, 4)
+}
+
+// sampleReference is the allocate-per-call partial Fisher-Yates shuffle
+// SampleWithoutReplacement must reproduce draw for draw.
+func sampleReference(r *RNG, n, k int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + r.IntN(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out[i] = idx[i]
+	}
+	return out
+}
+
+func TestSampleWithoutReplacementMatchesReference(t *testing.T) {
+	ns := []int{480, 7, 1, 160, 1000, 0, 32, 2048, 3}
+	for seed := uint64(0); seed < 64; seed++ {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for call := 0; call < 40; call++ {
+			n := ns[(call+int(seed))%len(ns)]
+			var k int
+			switch call % 4 {
+			case 0:
+				k = 0
+			case 1:
+				k = min(1, n)
+			case 2:
+				k = n
+			default:
+				k = want.IntN(n + 1)
+				got.IntN(n + 1)
+			}
+			a, b := got.SampleWithoutReplacement(n, k), sampleReference(want, n, k)
+			if !slices.Equal(a, b) {
+				t.Fatalf("seed %d call %d: sample(%d, %d) = %v, want %v", seed, call, n, k, a, b)
+			}
+			for i, v := range got.perm {
+				if v != i {
+					t.Fatalf("seed %d call %d: table not restored at %d (holds %d)", seed, call, i, v)
+				}
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("seed %d: streams diverged", seed)
+		}
+	}
+}
+
+func TestSampleWithoutReplacementAllocs(t *testing.T) {
+	r := NewRNG(5)
+	if a := testing.AllocsPerRun(100, func() { r.SampleWithoutReplacement(480, 160) }); a != 1 {
+		t.Errorf("SampleWithoutReplacement allocates %v times per call, want 1 (the result)", a)
+	}
 }
 
 func TestSampleWithoutReplacementUniform(t *testing.T) {
