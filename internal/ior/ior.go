@@ -205,53 +205,6 @@ func RunContended(plat *cluster.Platform, base Config, n int) ([]*Result, error)
 	return results, nil
 }
 
-// RunJobs executes a heterogeneous set of configurations simultaneously
-// on one simulated system. Unlike RunContended, the caller controls each
-// job's shape and placement (configs typically come from
-// workload.JobMix.Configs). Jobs must not overlap node ranges.
-func RunJobs(plat *cluster.Platform, cfgs []Config) ([]*Result, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("ior: no jobs")
-	}
-	eng := sim.NewEngine()
-	seed := hashLabel("runjobs")
-	for _, cfg := range cfgs {
-		seed ^= hashLabel(cfg.Label)
-	}
-	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(plat.Seed).Fork(seed))
-	if err != nil {
-		return nil, err
-	}
-	type span struct{ from, to int }
-	var spans []span
-	results := make([]*Result, len(cfgs))
-	jobs := make([]*job, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(plat); err != nil {
-			return nil, err
-		}
-		s := span{cfg.FirstNode, cfg.FirstNode + plat.NodesFor(cfg.NumTasks) - 1}
-		for _, other := range spans {
-			if s.from <= other.to && other.from <= s.to {
-				return nil, fmt.Errorf("ior: job %q overlaps another job's nodes", cfg.Label)
-			}
-		}
-		spans = append(spans, s)
-		results[i] = newResult(cfg)
-		jobs[i] = &job{sys: sys, cfg: cfg, res: results[i]}
-		jobs[i].launch()
-	}
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("ior: job-mix simulation failed: %w", err)
-	}
-	for _, jb := range jobs {
-		if jb.err != nil {
-			return nil, jb.err
-		}
-	}
-	return results, nil
-}
-
 func newResult(cfg Config) *Result {
 	return &Result{Config: cfg, Write: &stats.Sample{}, Read: &stats.Sample{}}
 }

@@ -361,51 +361,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-func TestRunJobsHeterogeneous(t *testing.T) {
-	small := PaperConfig(64)
-	small.Label = "mix-small"
-	small.Reps = 1
-	small.SegmentCount = 10
-	small.Hints.StripingFactor = 32
-	small.Hints.StripingUnitMB = 64
-	big := PaperConfig(256)
-	big.Label = "mix-big"
-	big.Reps = 1
-	big.SegmentCount = 10
-	big.Hints = TunedHints()
-	big.FirstNode = 4 // after the 4-node small job
-	results, err := RunJobs(quietCab(), []Config{small, big})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, res := range results {
-		if res.Write.Mean() <= 0 {
-			t.Errorf("job %d produced no bandwidth", i)
-		}
-	}
-	// The bigger, wider-striped job should achieve more bandwidth.
-	if results[1].Write.Mean() <= results[0].Write.Mean() {
-		t.Errorf("big job (%.0f) should beat small job (%.0f)",
-			results[1].Write.Mean(), results[0].Write.Mean())
-	}
-}
-
-func TestRunJobsRejectsOverlap(t *testing.T) {
-	a := PaperConfig(64)
-	a.Label = "a"
-	a.Reps = 1
-	b := PaperConfig(64)
-	b.Label = "b"
-	b.Reps = 1
-	b.FirstNode = 2 // overlaps a's nodes 0-3
-	if _, err := RunJobs(quietCab(), []Config{a, b}); err == nil {
-		t.Error("overlapping jobs accepted")
-	}
-	if _, err := RunJobs(quietCab(), nil); err == nil {
-		t.Error("empty job list accepted")
-	}
-}

@@ -331,6 +331,13 @@ func (f *File) Validate() error {
 	if err != nil {
 		return err
 	}
+	err = f.checkFleetSize(f.Fleet, -1, plat.Nodes)
+	for s := 0; err == nil && s < len(f.Shards); s++ {
+		err = f.checkFleetSize(f.Shards[s].Fleet, s, plat.Nodes)
+	}
+	if err != nil {
+		return err
+	}
 	scens, err := f.BuildScenarios()
 	if err != nil {
 		return err
@@ -365,6 +372,32 @@ func (f *File) Validate() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkFleetSize rejects the first entry at which a fleet's running job
+// total passes the platform's nodes: the jobs of one scenario hold
+// disjoint node ranges of at least one node each, so such a fleet can
+// never place, and expanding it first could exhaust memory. shard is the
+// fleet's index in Shards, or -1 for the monolithic fleet.
+func (f *File) checkFleetSize(fleet []FleetEntry, shard, nodes int) error {
+	jobs := 0
+	for i := range fleet {
+		n, key := fleet[i].Count, "count"
+		if g := fleet[i].Gen; g != nil {
+			n, key = g.Count, "generator.count"
+		}
+		if n <= nodes-jobs {
+			jobs += n
+			continue
+		}
+		where := fmt.Sprintf("fleet[%d].%s", i, key)
+		if shard >= 0 {
+			where = fmt.Sprintf("shards[%d].%s", shard, where)
+		}
+		return fmt.Errorf("%s: %s: the fleet's jobs outnumber the platform's %d nodes (each job needs at least one)",
+			f.errName(), where, nodes)
 	}
 	return nil
 }

@@ -3,128 +3,315 @@ package scenariofile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
-// dec decodes the generic parse tree into the typed schema with strict
-// unknown-key rejection and positioned error messages. path strings name
-// the location being decoded (e.g. "fleet[2].ior").
+// dec holds what one Parse call shares across its sections: the document
+// name and the first error. Once err is set every read returns its
+// default and every later failure is dropped, so decoders run straight
+// through and report the first error.
 type dec struct {
-	name string // file name for errors
+	name string
+	err  error
+	// read stacks the keys the open sections have read. Sections nest, and
+	// each is done before its parent reads again, so a section's reads are
+	// the tail of read from its start.
+	read []string
 }
 
-// errf builds a decode error anchored at the file and schema path.
-func (d *dec) errf(path, format string, args ...any) error {
-	return fmt.Errorf("%s: %s: %s", d.name, path, fmt.Sprintf(format, args...))
+// loc names a place in the document by its keys below the root, so a
+// path string is built only when an error is reported there. The deepest
+// section is three keys down (shards[i].fleet[j].generator).
+type loc struct {
+	keys  [3]string
+	index [3]int // list position under each key, or -1
+	n     int
 }
 
-// mapAt asserts v is a mapping.
-func (d *dec) mapAt(v any, path string) (*Map, error) {
-	m, ok := v.(*Map)
-	if !ok {
-		return nil, d.errf(path, "expected a mapping, got %s", typeName(v))
+// child returns the location of key (list position index, or -1) in l.
+func (l loc) child(key string, index int) loc {
+	l.keys[l.n], l.index[l.n] = key, index
+	l.n++
+	return l
+}
+
+// path renders l: "document" at the root, dotted keys below it, so the
+// root's own sections are named bare ("fleet[0]", "assert").
+func (l *loc) path() string {
+	if l.n == 0 {
+		return "document"
 	}
-	return m, nil
+	var b strings.Builder
+	for i, key := range l.keys[:l.n] {
+		if i > 0 {
+			b.WriteByte('.')
+		}
+		b.WriteString(key)
+		if l.index[i] >= 0 {
+			fmt.Fprintf(&b, "[%d]", l.index[i])
+		}
+	}
+	return b.String()
 }
 
-// listAt asserts v is a list.
-func (d *dec) listAt(v any, path string) ([]any, error) {
+// section reads one parsed mapping. Every typed read records its key;
+// done rejects any key no read named and lists the keys read, in read
+// order, as the allowed set — so each key is declared once, by its read.
+type section struct {
+	d     *dec
+	m     *Map // nil once the section failed to decode
+	at    loc
+	start int // where this section's keys begin in d.read
+	seen  int // reads that found their key in m
+}
+
+// fail records a positioned error at key inside s (s itself when key is
+// "") unless an earlier error stands.
+func (s *section) fail(key, format string, args ...any) {
+	if s.d.err != nil {
+		return
+	}
+	p := s.at.path()
+	if key != "" {
+		p += "." + key
+	}
+	s.d.err = fmt.Errorf("%s: %s: %s", s.d.name, p, fmt.Sprintf(format, args...))
+}
+
+// failIn records an error at key named as a section: bare at the root
+// ("fleet"), where fail would name a scalar ("document.horizon").
+func (s *section) failIn(key, format string, args ...any) {
+	at := section{d: s.d, at: s.at.child(key, -1)}
+	at.fail("", format, args...)
+}
+
+// value records key as read and returns its raw value and whether the
+// key is present (a present key may hold null).
+func (s *section) value(key string) (any, bool) {
+	if s.d.err != nil {
+		return nil, false
+	}
+	s.d.read = append(s.d.read, key)
+	v, ok := s.m.Get(key)
+	if ok {
+		s.seen++
+	}
+	return v, ok
+}
+
+// present reports whether key is set, even to null, without reading it.
+func (s *section) present(key string) bool {
+	if s.m == nil {
+		return false
+	}
+	_, ok := s.m.Get(key)
+	return ok
+}
+
+// done closes s: it returns the first error, or else rejects the first
+// key of the mapping that no read named.
+func (s *section) done() error {
+	read := s.d.read[s.start:]
+	s.d.read = s.d.read[:s.start]
+	if s.d.err != nil || s.seen == s.m.Len() {
+		return s.d.err
+	}
+	for _, k := range s.m.Keys() {
+		if !slices.Contains(read, k) {
+			s.fail("", "unknown key %q (allowed: %s)", k, strings.Join(read, ", "))
+			break
+		}
+	}
+	return s.d.err
+}
+
+// str reads an optional string.
+func (s *section) str(key, def string) string {
+	v, _ := s.value(key)
+	if v == nil {
+		return def
+	}
+	t, ok := v.(string)
+	if !ok {
+		s.fail(key, "expected a string, got %s", typeName(v))
+		return def
+	}
+	return t
+}
+
+// optNum reads an optional number (integers coerce) and whether it is set.
+func (s *section) optNum(key string) (float64, bool) {
+	v, _ := s.value(key)
+	if v == nil {
+		return 0, false
+	}
+	f, err := asFloat(v)
+	if err != nil {
+		s.fail(key, "%v", err)
+		return 0, false
+	}
+	return f, true
+}
+
+// num reads an optional number.
+func (s *section) num(key string, def float64) float64 {
+	if f, ok := s.optNum(key); ok {
+		return f
+	}
+	return def
+}
+
+// integer reads an optional integer (integral floats coerce).
+func (s *section) integer(key string, def int) int {
+	v, _ := s.value(key)
+	if v == nil {
+		return def
+	}
+	i, err := asInt(v)
+	if err != nil {
+		s.fail(key, "%v", err)
+		return def
+	}
+	return i
+}
+
+// atLeast reads an optional integer that must be >= lo.
+func (s *section) atLeast(key string, def, lo int) int {
+	i := s.integer(key, def)
+	if i < lo {
+		s.fail(key, "must be >= %d, got %d", lo, i)
+	}
+	return i
+}
+
+// optBool reads an optional bool and whether it is set.
+func (s *section) optBool(key string) (bool, bool) {
+	v, _ := s.value(key)
+	if v == nil {
+		return false, false
+	}
+	b, ok := v.(bool)
+	if !ok {
+		s.fail(key, "expected a bool, got %s", typeName(v))
+	}
+	return b, ok
+}
+
+// boolean reads an optional bool.
+func (s *section) boolean(key string, def bool) bool {
+	if b, ok := s.optBool(key); ok {
+		return b
+	}
+	return def
+}
+
+// list reads an optional list; nil when unset.
+func (s *section) list(key string) []any {
+	v, _ := s.value(key)
+	if v == nil {
+		return nil
+	}
 	l, ok := v.([]any)
 	if !ok {
-		return nil, d.errf(path, "expected a list, got %s", typeName(v))
+		s.failIn(key, "expected a list, got %s", typeName(v))
 	}
-	return l, nil
+	return l
 }
 
-// strict rejects keys outside allowed, naming the offender and the legal
-// set — typos in scenario files fail loudly instead of being ignored.
-func (d *dec) strict(m *Map, path string, allowed ...string) error {
-	for _, k := range m.Keys() {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return d.errf(path, "unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
-		}
+// mapping opens v, the value at key (and list index, or -1) inside s, as
+// a section.
+func (s *section) mapping(key string, index int, v any) section {
+	m, ok := v.(*Map)
+	c := section{d: s.d, m: m, at: s.at.child(key, index), start: len(s.d.read)}
+	if !ok {
+		c.fail("", "expected a mapping, got %s", typeName(v))
+	}
+	return c
+}
+
+// child opens the optional mapping at key; ok is false when it is unset.
+func (s *section) child(key string) (c section, ok bool) {
+	v, _ := s.value(key)
+	if v == nil {
+		return section{}, false
+	}
+	return s.mapping(key, -1, v), true
+}
+
+// dist reads an optional constant or distribution block; nil when unset.
+func (s *section) dist(key string) *Dist {
+	v, _ := s.value(key)
+	switch t := v.(type) {
+	case nil:
+		return nil
+	case int64:
+		return &Dist{Kind: "const", A: float64(t)}
+	case *Map:
+		return s.distBlock(key, t)
+	}
+	f, ok := v.(float64)
+	switch {
+	case !ok:
+		s.fail(key, "expected a number or a distribution block, got %s", typeName(v))
+	case math.IsNaN(f):
+		s.fail(key, "NaN is not a valid number")
+	case math.IsInf(f, 0):
+		s.fail(key, "must be finite, got %v", f)
+	default:
+		return &Dist{Kind: "const", A: f}
 	}
 	return nil
 }
 
-// str reads an optional string field.
-func (d *dec) str(m *Map, path, key, def string) (string, error) {
-	v, ok := m.Get(key)
-	if !ok || v == nil {
-		return def, nil
+// distBlock decodes `uniform: [lo, hi]`, `choice: [...]` or
+// `normal: [mean, std]` at key; every parameter must be finite.
+func (s *section) distBlock(key string, m *Map) *Dist {
+	if m.Len() != 1 {
+		s.fail(key, "a distribution takes exactly one of uniform, choice, normal")
+		return nil
 	}
-	s, ok := v.(string)
+	kind := m.Keys()[0]
+	raw, _ := m.Get(kind)
+	list, ok := raw.([]any)
 	if !ok {
-		return "", d.errf(path+"."+key, "expected a string, got %s", typeName(v))
+		s.fail(key+"."+kind, "expected a list, got %s", typeName(raw))
+		return nil
 	}
-	return s, nil
-}
-
-// f64 reads an optional float field (ints coerce).
-func (d *dec) f64(m *Map, path, key string, def float64) (float64, error) {
-	v, ok := m.Get(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	f, err := asFloat(v)
-	if err != nil {
-		return 0, d.errf(path+"."+key, "%v", err)
-	}
-	return f, nil
-}
-
-// integer reads an optional integer field (integral floats coerce).
-func (d *dec) integer(m *Map, path, key string, def int) (int, error) {
-	v, ok := m.Get(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	i, err := asInt(v)
-	if err != nil {
-		return 0, d.errf(path+"."+key, "%v", err)
-	}
-	return i, nil
-}
-
-// boolean reads an optional bool field.
-func (d *dec) boolean(m *Map, path, key string, def bool) (bool, error) {
-	v, ok := m.Get(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, d.errf(path+"."+key, "expected a bool, got %s", typeName(v))
-	}
-	return b, nil
-}
-
-// intList reads an optional list of integers.
-func (d *dec) intList(m *Map, path, key string) ([]int, error) {
-	v, ok := m.Get(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, err := d.listAt(v, path+"."+key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(l))
-	for i, e := range l {
-		n, err := asInt(e)
-		if err != nil {
-			return nil, d.errf(fmt.Sprintf("%s.%s[%d]", path, key, i), "%v", err)
+	vals := make([]float64, len(list))
+	for i, e := range list {
+		f, err := asFloat(e)
+		if err == nil && math.IsInf(f, 0) {
+			err = fmt.Errorf("must be finite, got %v", f)
 		}
-		out[i] = n
+		if err != nil {
+			s.fail(fmt.Sprintf("%s.%s[%d]", key, kind, i), "%v", err)
+			return nil
+		}
+		vals[i] = f
 	}
-	return out, nil
+	switch kind {
+	case "uniform":
+		if len(vals) != 2 || vals[0] > vals[1] {
+			s.fail(key+".uniform", "takes [lo, hi] with lo <= hi")
+			return nil
+		}
+		return &Dist{Kind: "uniform", A: vals[0], B: vals[1]}
+	case "choice":
+		if len(vals) == 0 {
+			s.fail(key+".choice", "takes at least one value")
+			return nil
+		}
+		return &Dist{Kind: "choice", Choices: vals}
+	case "normal":
+		if len(vals) != 2 || vals[1] < 0 {
+			s.fail(key+".normal", "takes [mean, std] with std >= 0")
+			return nil
+		}
+		return &Dist{Kind: "normal", A: vals[0], B: vals[1]}
+	}
+	s.fail(key, "unknown distribution %q (uniform, choice, normal)", kind)
+	return nil
 }
 
 // asFloat coerces a scalar to float64.

@@ -411,6 +411,40 @@ fleet:
   - ior:
       tasks: 4096
 `, ""},
+		{"fleet outnumbers nodes", `
+name: x
+platform:
+  nodes: 4
+fleet:
+  - ior:
+      tasks: 4
+    count: 3
+  - ior:
+      tasks: 4
+    count: 2
+`, "x: fleet[1].count: the fleet's jobs outnumber the platform's 4 nodes"},
+		{"generator outnumbers nodes", `
+name: x
+platform:
+  nodes: 4
+fleet:
+  - generator:
+      count: 5
+      tasks: 4
+`, "x: fleet[0].generator.count: the fleet's jobs outnumber"},
+		{"shard fleet outnumbers nodes", `
+name: x
+platform:
+  nodes: 4
+shards:
+  - fleet:
+      - ior:
+          tasks: 4
+  - fleet:
+      - ior:
+          tasks: 4
+        count: 5
+`, "x: shards[1].fleet[0].count: the fleet's jobs outnumber"},
 	}
 	for _, tc := range cases {
 		f := mustParseFile(t, tc.doc)

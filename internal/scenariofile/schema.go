@@ -5,7 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 )
 
 // File is one parsed declarative scenario: a platform, a fleet of
@@ -66,21 +66,6 @@ type FleetEntry struct {
 	FirstNode    int
 	Stripes      int
 	StripeSizeMB float64
-}
-
-// kindName names the entry's workload kind for errors.
-func (e *FleetEntry) kindName() string {
-	switch {
-	case e.IOR != nil:
-		return "ior"
-	case e.PLFS != nil:
-		return "plfs"
-	case e.Checkpoint != nil:
-		return "checkpoint"
-	case e.Gen != nil:
-		return "generator"
-	}
-	return "?"
 }
 
 // IORSpec declares a striped IOR job (the paper's Sections IV/V shape).
@@ -339,273 +324,162 @@ func Parse(data []byte, name string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{name: name}
-	m, err := d.mapAt(root, "document")
-	if err != nil {
-		return nil, err
+	// The deepest nesting, a generator in a shard, stacks 33 read keys.
+	d := &dec{name: name, read: make([]string, 0, 40)}
+	s := section{d: d}
+	if s.m, _ = root.(*Map); s.m == nil {
+		s.fail("", "expected a mapping, got %s", typeName(root))
+		return nil, d.err
 	}
-	if err := d.strict(m, "document",
-		"name", "description", "platform", "horizon", "baselines",
-		"fleet", "shards", "timeline", "assert"); err != nil {
-		return nil, err
+	f := &File{
+		Name:        s.str("name", ""),
+		Description: s.str("description", ""),
 	}
-	f := &File{}
-	if f.Name, err = d.str(m, "document", "name", ""); err != nil {
-		return nil, err
-	}
-	if f.Name == "" {
-		return nil, d.errf("document", "missing required key \"name\"")
-	}
-	if f.Description, err = d.str(m, "document", "description", ""); err != nil {
-		return nil, err
-	}
-	if f.Horizon, err = d.f64(m, "document", "horizon", 0); err != nil {
-		return nil, err
-	}
-	if f.Horizon < 0 || math.IsInf(f.Horizon, 0) {
-		return nil, d.errf("document.horizon", "must be a finite value >= 0, got %v", f.Horizon)
-	}
-	if v, ok := m.Get("baselines"); ok && v != nil {
-		b, ok := v.(bool)
-		if !ok {
-			return nil, d.errf("document.baselines", "expected a bool, got %s", typeName(v))
-		}
-		f.Baselines = &b
-	}
-	if v, ok := m.Get("platform"); ok && v != nil {
-		if f.Platform, err = d.platform(v); err != nil {
-			return nil, err
-		}
+	if p, ok := s.child("platform"); ok {
+		f.Platform = platform(&p)
 	}
 	if f.Platform.Preset == "" {
 		f.Platform.Preset = "cab"
 	}
-	hasFleet, hasShards := false, false
-	if v, ok := m.Get("fleet"); ok && v != nil {
-		hasFleet = true
-		if f.Fleet, err = d.fleet(v, "fleet"); err != nil {
-			return nil, err
-		}
+	f.Horizon = s.num("horizon", 0)
+	if f.Horizon < 0 || math.IsInf(f.Horizon, 0) {
+		s.fail("horizon", "must be a finite value >= 0, got %v", f.Horizon)
 	}
-	if v, ok := m.Get("shards"); ok && v != nil {
-		hasShards = true
-		if f.Shards, err = d.shards(v); err != nil {
-			return nil, err
-		}
+	if b, ok := s.optBool("baselines"); ok {
+		f.Baselines = &b
 	}
-	if hasFleet == hasShards {
-		return nil, d.errf("document", "exactly one of \"fleet\" and \"shards\" must be set")
+	f.Fleet = fleet(&s, "fleet")
+	f.Shards = shards(&s)
+	f.Timeline = timeline(&s, f)
+	if a, ok := s.child("assert"); ok {
+		f.Assert = assertBlock(&a, f)
 	}
-	if v, ok := m.Get("timeline"); ok && v != nil {
-		if f.Timeline, err = d.timeline(v, f); err != nil {
-			return nil, err
-		}
+	s.done()
+	if f.Name == "" {
+		s.fail("", `missing required key "name"`)
+	} else if (f.Fleet == nil) == (f.Shards == nil) {
+		s.fail("", `exactly one of "fleet" and "shards" must be set`)
 	}
-	if v, ok := m.Get("assert"); ok && v != nil {
-		if f.Assert, err = d.assert(v, f); err != nil {
-			return nil, err
-		}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return f, nil
 }
 
 // platform decodes the platform section.
-func (d *dec) platform(v any) (PlatformSpec, error) {
-	var out PlatformSpec
-	m, err := d.mapAt(v, "platform")
-	if err != nil {
-		return out, err
+func platform(s *section) PlatformSpec {
+	// Zero sizes and bandwidths keep the preset's value.
+	p := PlatformSpec{
+		Preset:      s.str("preset", "cab"),
+		Seed:        uint64(s.atLeast("seed", 0, 0)),
+		Nodes:       s.atLeast("nodes", 0, 0),
+		OSTs:        s.atLeast("osts", 0, 0),
+		OSSs:        s.atLeast("osss", 0, 0),
+		BackboneMBs: s.num("backbone_mbs", 0),
+		NICMBs:      s.num("nic_mbs", 0),
+		OSSMBs:      s.num("oss_mbs", 0),
 	}
-	if err := d.strict(m, "platform",
-		"preset", "seed", "nodes", "osts", "osss",
-		"backbone_mbs", "nic_mbs", "oss_mbs", "jitter_cv"); err != nil {
-		return out, err
+	if p.Preset != "cab" && p.Preset != "stampede" {
+		s.fail("preset", "unknown preset %q (cab, stampede)", p.Preset)
 	}
-	if out.Preset, err = d.str(m, "platform", "preset", "cab"); err != nil {
-		return out, err
-	}
-	if out.Preset != "cab" && out.Preset != "stampede" {
-		return out, d.errf("platform.preset", "unknown preset %q (cab, stampede)", out.Preset)
-	}
-	seed, err := d.integer(m, "platform", "seed", 0)
-	if err != nil {
-		return out, err
-	}
-	if seed < 0 {
-		return out, d.errf("platform.seed", "must be >= 0, got %d", seed)
-	}
-	out.Seed = uint64(seed)
-	if out.Nodes, err = d.integer(m, "platform", "nodes", 0); err != nil {
-		return out, err
-	}
-	if out.OSTs, err = d.integer(m, "platform", "osts", 0); err != nil {
-		return out, err
-	}
-	if out.OSSs, err = d.integer(m, "platform", "osss", 0); err != nil {
-		return out, err
-	}
-	for _, bw := range []struct {
+	for _, bw := range [...]struct {
 		key string
-		dst *float64
-	}{
-		{"backbone_mbs", &out.BackboneMBs},
-		{"nic_mbs", &out.NICMBs},
-		{"oss_mbs", &out.OSSMBs},
-	} {
-		if *bw.dst, err = d.f64(m, "platform", bw.key, 0); err != nil {
-			return out, err
-		}
-		if *bw.dst < 0 || math.IsInf(*bw.dst, 0) {
-			return out, d.errf("platform."+bw.key, "must be finite and >= 0 (0 = preset default), got %v", *bw.dst)
+		mbs float64
+	}{{"backbone_mbs", p.BackboneMBs}, {"nic_mbs", p.NICMBs}, {"oss_mbs", p.OSSMBs}} {
+		if bw.mbs < 0 || math.IsInf(bw.mbs, 0) {
+			s.fail(bw.key, "must be finite and >= 0 (0 = preset default), got %v", bw.mbs)
 		}
 	}
-	if v, ok := m.Get("jitter_cv"); ok && v != nil {
-		cv, err := asFloat(v)
-		if err != nil {
-			return out, d.errf("platform.jitter_cv", "%v", err)
-		}
-		out.JitterCV = &cv
+	if cv, ok := s.optNum("jitter_cv"); ok {
+		p.JitterCV = &cv
 	}
-	return out, nil
+	s.done()
+	return p
 }
 
 // shards decodes the shards section.
-func (d *dec) shards(v any) ([]ShardSpec, error) {
-	list, err := d.listAt(v, "shards")
-	if err != nil {
-		return nil, err
+func shards(s *section) []ShardSpec {
+	list := s.list("shards")
+	if list == nil {
+		return nil
 	}
 	if len(list) == 0 {
-		return nil, d.errf("shards", "must list at least one shard")
+		s.failIn("shards", "must list at least one shard")
 	}
 	out := make([]ShardSpec, len(list))
-	for i, e := range list {
-		path := fmt.Sprintf("shards[%d]", i)
-		m, err := d.mapAt(e, path)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.strict(m, path, "name", "replicate", "fleet"); err != nil {
-			return nil, err
-		}
-		if out[i].Name, err = d.str(m, path, "name", ""); err != nil {
-			return nil, err
-		}
-		if out[i].Replicate, err = d.integer(m, path, "replicate", 1); err != nil {
-			return nil, err
-		}
-		if out[i].Replicate < 1 {
-			return nil, d.errf(path+".replicate", "must be >= 1, got %d", out[i].Replicate)
-		}
-		fv, ok := m.Get("fleet")
-		if !ok || fv == nil {
-			return nil, d.errf(path, "missing required key \"fleet\"")
-		}
-		if out[i].Fleet, err = d.fleet(fv, path+".fleet"); err != nil {
-			return nil, err
+	for i, v := range list {
+		e := s.mapping("shards", i, v)
+		out[i].Name = e.str("name", "")
+		out[i].Replicate = e.atLeast("replicate", 1, 1)
+		out[i].Fleet = fleet(&e, "fleet")
+		if e.done() == nil && out[i].Fleet == nil {
+			e.fail("", `missing required key "fleet"`)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// fleet decodes one fleet section.
-func (d *dec) fleet(v any, path string) ([]FleetEntry, error) {
-	list, err := d.listAt(v, path)
-	if err != nil {
-		return nil, err
+// fleet decodes the fleet list at key; nil when unset.
+func fleet(s *section, key string) []FleetEntry {
+	list := s.list(key)
+	if list == nil {
+		return nil
 	}
 	if len(list) == 0 {
-		return nil, d.errf(path, "must list at least one entry")
+		s.failIn(key, "must list at least one entry")
 	}
 	out := make([]FleetEntry, len(list))
-	for i, e := range list {
-		p := fmt.Sprintf("%s[%d]", path, i)
-		if err := d.fleetEntry(e, p, &out[i]); err != nil {
-			return nil, err
-		}
+	for i, v := range list {
+		e := s.mapping(key, i, v)
+		fleetEntry(&e, &out[i])
 	}
-	return out, nil
+	return out
 }
 
 // fleetEntry decodes one fleet item.
-func (d *dec) fleetEntry(v any, path string, out *FleetEntry) error {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return err
-	}
-	if err := d.strict(m, path,
-		"ior", "plfs", "checkpoint", "generator",
-		"count", "start_at", "start_stagger", "first_node",
-		"stripes", "stripe_size_mb"); err != nil {
-		return err
-	}
+func fleetEntry(s *section, out *FleetEntry) {
 	kinds := 0
-	for _, k := range []string{"ior", "plfs", "checkpoint", "generator"} {
-		if _, ok := m.Get(k); ok {
-			kinds++
+	for _, k := range [...]string{"ior", "plfs", "checkpoint", "generator"} {
+		v, ok := s.value(k)
+		if !ok {
+			continue
+		}
+		kinds++
+		w := s.mapping(k, -1, v)
+		switch k {
+		case "ior":
+			out.IOR = iorSpec(&w)
+		case "plfs":
+			out.PLFS = plfsSpec(&w)
+		case "checkpoint":
+			out.Checkpoint = checkpointSpec(&w)
+		default:
+			out.Gen = generatorSpec(&w)
 		}
 	}
-	if kinds != 1 {
-		return d.errf(path, "exactly one workload kind (ior, plfs, checkpoint, generator) per entry, got %d", kinds)
-	}
-	if v, ok := m.Get("ior"); ok {
-		if out.IOR, err = d.iorSpec(v, path+".ior"); err != nil {
-			return err
-		}
-	}
-	if v, ok := m.Get("plfs"); ok {
-		if out.PLFS, err = d.plfsSpec(v, path+".plfs"); err != nil {
-			return err
-		}
-	}
-	if v, ok := m.Get("checkpoint"); ok {
-		if out.Checkpoint, err = d.checkpointSpec(v, path+".checkpoint"); err != nil {
-			return err
-		}
-	}
-	if v, ok := m.Get("generator"); ok {
-		if out.Gen, err = d.generatorSpec(v, path+".generator"); err != nil {
-			return err
-		}
-	}
-	if out.Count, err = d.integer(m, path, "count", 1); err != nil {
-		return err
-	}
-	if out.Count < 1 {
-		return d.errf(path+".count", "must be >= 1, got %d", out.Count)
-	}
+	out.Count = s.atLeast("count", 1, 1)
 	if out.Gen != nil && out.Count != 1 {
-		return d.errf(path+".count", "generators expand via generator.count; entry count must stay 1")
+		s.fail("count", "generators expand via generator.count; entry count must stay 1")
 	}
-	if out.StartAt, err = d.f64(m, path, "start_at", 0); err != nil {
-		return err
+	for _, t := range [...]struct {
+		key string
+		dst *float64
+	}{{"start_at", &out.StartAt}, {"start_stagger", &out.StartStagger}} {
+		*t.dst = s.num(t.key, 0)
+		if *t.dst < 0 {
+			s.fail(t.key, "must be >= 0, got %v", *t.dst)
+		} else if math.IsInf(*t.dst, 0) {
+			s.fail(t.key, "must be finite, got %v", *t.dst)
+		}
 	}
-	if out.StartAt < 0 {
-		return d.errf(path+".start_at", "must be >= 0, got %v", out.StartAt)
-	}
-	if out.StartStagger, err = d.f64(m, path, "start_stagger", 0); err != nil {
-		return err
-	}
-	if out.StartStagger < 0 {
-		return d.errf(path+".start_stagger", "must be >= 0, got %v", out.StartStagger)
-	}
-	if out.FirstNode, err = d.integer(m, path, "first_node", 0); err != nil {
-		return err
-	}
-	if out.FirstNode < 0 {
-		return d.errf(path+".first_node", "must be >= 0, got %d", out.FirstNode)
-	}
-	if out.Stripes, err = d.integer(m, path, "stripes", 0); err != nil {
-		return err
-	}
-	if out.StripeSizeMB, err = d.f64(m, path, "stripe_size_mb", 0); err != nil {
-		return err
-	}
+	out.FirstNode = s.atLeast("first_node", 0, 0)
+	out.Stripes = s.atLeast("stripes", 0, 0)
+	out.StripeSizeMB = s.num("stripe_size_mb", 0)
 	if out.StripeSizeMB < 0 || math.IsInf(out.StripeSizeMB, 0) {
-		return d.errf(path+".stripe_size_mb", "must be finite and >= 0 (0 = default), got %v", out.StripeSizeMB)
+		s.fail("stripe_size_mb", "must be finite and >= 0 (0 = default), got %v", out.StripeSizeMB)
 	}
 	if out.Gen != nil {
-		forbidden := []struct {
+		for _, f := range [...]struct {
 			set bool
 			key string
 		}{
@@ -614,703 +488,348 @@ func (d *dec) fleetEntry(v any, path string, out *FleetEntry) error {
 			{out.FirstNode != 0, "first_node"},
 			{out.Stripes != 0, "stripes"},
 			{out.StripeSizeMB != 0, "stripe_size_mb"},
-		}
-		for _, f := range forbidden {
+		} {
 			if f.set {
-				return d.errf(path+"."+f.key, "set %s inside the generator block (as a distribution) instead", f.key)
+				s.fail(f.key, "set %s inside the generator block (as a distribution) instead", f.key)
 			}
 		}
 	}
-	return nil
+	if s.done() == nil && kinds != 1 {
+		s.fail("", "exactly one workload kind (ior, plfs, checkpoint, generator) per entry, got %d", kinds)
+	}
 }
 
 // iorSpec decodes an ior workload block.
-func (d *dec) iorSpec(v any, path string) (*IORSpec, error) {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.strict(m, path,
-		"label", "api", "tasks", "block_mb", "transfer_mb", "segments", "reps",
-		"collective", "file_per_proc", "compute_seconds"); err != nil {
-		return nil, err
-	}
-	out := &IORSpec{}
-	if out.Label, err = d.str(m, path, "label", ""); err != nil {
-		return nil, err
-	}
-	if out.API, err = d.str(m, path, "api", ""); err != nil {
-		return nil, err
+func iorSpec(s *section) *IORSpec {
+	out := &IORSpec{
+		Label:          s.str("label", ""),
+		API:            s.str("api", ""),
+		Tasks:          s.atLeast("tasks", 0, 1),
+		BlockMB:        s.num("block_mb", 4),
+		TransferMB:     s.num("transfer_mb", 1),
+		Segments:       s.integer("segments", 10),
+		Reps:           s.integer("reps", 1),
+		Collective:     s.boolean("collective", true),
+		FilePerProc:    s.boolean("file_per_proc", false),
+		ComputeSeconds: s.num("compute_seconds", 0),
 	}
 	switch out.API {
 	case "", "ufs", "lustre", "plfs":
 	default:
-		return nil, d.errf(path+".api", "must be ufs, lustre, or plfs, got %q", out.API)
+		s.fail("api", "must be ufs, lustre, or plfs, got %q", out.API)
 	}
-	if out.Tasks, err = d.integer(m, path, "tasks", 0); err != nil {
-		return nil, err
-	}
-	if out.Tasks < 1 {
-		return nil, d.errf(path+".tasks", "must be >= 1, got %d", out.Tasks)
-	}
-	if out.BlockMB, err = d.f64(m, path, "block_mb", 4); err != nil {
-		return nil, err
-	}
-	if out.TransferMB, err = d.f64(m, path, "transfer_mb", 1); err != nil {
-		return nil, err
-	}
-	if out.Segments, err = d.integer(m, path, "segments", 10); err != nil {
-		return nil, err
-	}
-	if out.Reps, err = d.integer(m, path, "reps", 1); err != nil {
-		return nil, err
-	}
-	if out.Collective, err = d.boolean(m, path, "collective", true); err != nil {
-		return nil, err
-	}
-	if out.FilePerProc, err = d.boolean(m, path, "file_per_proc", false); err != nil {
-		return nil, err
-	}
-	if out.ComputeSeconds, err = d.f64(m, path, "compute_seconds", 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	s.done()
+	return out
 }
 
 // plfsSpec decodes a plfs workload block.
-func (d *dec) plfsSpec(v any, path string) (*PLFSSpec, error) {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return nil, err
+func plfsSpec(s *section) *PLFSSpec {
+	out := &PLFSSpec{
+		Label:      s.str("label", ""),
+		Ranks:      s.atLeast("ranks", 0, 1),
+		MBPerRank:  s.num("mb_per_rank", 0),
+		TransferMB: s.num("transfer_mb", 0),
+		Reps:       s.atLeast("reps", 1, 1),
 	}
-	if err := d.strict(m, path, "label", "ranks", "mb_per_rank", "transfer_mb", "reps"); err != nil {
-		return nil, err
+	for _, v := range [...]struct {
+		key string
+		mb  float64
+	}{{"mb_per_rank", out.MBPerRank}, {"transfer_mb", out.TransferMB}} {
+		if v.mb < 0 || math.IsInf(v.mb, 0) {
+			s.fail(v.key, "must be finite and >= 0 (0 = default), got %v", v.mb)
+		}
 	}
-	out := &PLFSSpec{}
-	if out.Label, err = d.str(m, path, "label", ""); err != nil {
-		return nil, err
-	}
-	if out.Ranks, err = d.integer(m, path, "ranks", 0); err != nil {
-		return nil, err
-	}
-	if out.Ranks < 1 {
-		return nil, d.errf(path+".ranks", "must be >= 1, got %d", out.Ranks)
-	}
-	if out.MBPerRank, err = d.f64(m, path, "mb_per_rank", 0); err != nil {
-		return nil, err
-	}
-	if out.TransferMB, err = d.f64(m, path, "transfer_mb", 0); err != nil {
-		return nil, err
-	}
-	if out.Reps, err = d.integer(m, path, "reps", 1); err != nil {
-		return nil, err
-	}
-	return out, nil
+	s.done()
+	return out
 }
 
 // checkpointSpec decodes a checkpoint workload block.
-func (d *dec) checkpointSpec(v any, path string) (*CheckpointSpec, error) {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.strict(m, path,
-		"label", "ranks", "state_mb_per_rank", "compute_seconds", "checkpoints"); err != nil {
-		return nil, err
-	}
-	out := &CheckpointSpec{}
-	if out.Label, err = d.str(m, path, "label", ""); err != nil {
-		return nil, err
-	}
-	if out.Ranks, err = d.integer(m, path, "ranks", 0); err != nil {
-		return nil, err
-	}
-	if out.Ranks < 1 {
-		return nil, d.errf(path+".ranks", "must be >= 1, got %d", out.Ranks)
-	}
-	if out.StateMBPerRank, err = d.f64(m, path, "state_mb_per_rank", 0); err != nil {
-		return nil, err
+func checkpointSpec(s *section) *CheckpointSpec {
+	out := &CheckpointSpec{
+		Label:          s.str("label", ""),
+		Ranks:          s.atLeast("ranks", 0, 1),
+		StateMBPerRank: s.num("state_mb_per_rank", 0),
+		ComputeSeconds: s.num("compute_seconds", 0),
+		Checkpoints:    s.atLeast("checkpoints", 1, 1),
 	}
 	if out.StateMBPerRank <= 0 {
-		return nil, d.errf(path+".state_mb_per_rank", "must be > 0, got %v", out.StateMBPerRank)
-	}
-	if out.ComputeSeconds, err = d.f64(m, path, "compute_seconds", 0); err != nil {
-		return nil, err
+		s.fail("state_mb_per_rank", "must be > 0, got %v", out.StateMBPerRank)
 	}
 	if out.ComputeSeconds < 0 {
-		return nil, d.errf(path+".compute_seconds", "must be >= 0, got %v", out.ComputeSeconds)
+		s.fail("compute_seconds", "must be >= 0, got %v", out.ComputeSeconds)
 	}
-	if out.Checkpoints, err = d.integer(m, path, "checkpoints", 1); err != nil {
-		return nil, err
-	}
-	if out.Checkpoints < 1 {
-		return nil, d.errf(path+".checkpoints", "must be >= 1, got %d", out.Checkpoints)
-	}
-	return out, nil
+	s.done()
+	return out
 }
 
 // generatorSpec decodes a generator block.
-func (d *dec) generatorSpec(v any, path string) (*GeneratorSpec, error) {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return nil, err
+func generatorSpec(s *section) *GeneratorSpec {
+	g := &GeneratorSpec{Kind: s.str("kind", "ior")}
+	if g.Kind != "ior" && g.Kind != "plfs" && g.Kind != "checkpoint" {
+		s.fail("kind", "unknown kind %q (ior, plfs, checkpoint)", g.Kind)
 	}
-	if err := d.strict(m, path,
-		"kind", "count", "seed", "label",
-		"tasks", "ranks", "block_mb", "transfer_mb", "segments", "reps",
-		"mb_per_rank", "state_mb_per_rank", "compute_seconds", "checkpoints",
-		"collective", "file_per_proc",
-		"start_at", "stripes", "stripe_size_mb"); err != nil {
-		return nil, err
-	}
-	out := &GeneratorSpec{}
-	if out.Kind, err = d.str(m, path, "kind", "ior"); err != nil {
-		return nil, err
-	}
-	if out.Kind != "ior" && out.Kind != "plfs" && out.Kind != "checkpoint" {
-		return nil, d.errf(path+".kind", "unknown kind %q (ior, plfs, checkpoint)", out.Kind)
-	}
-	if out.Count, err = d.integer(m, path, "count", 0); err != nil {
-		return nil, err
-	}
-	if out.Count < 1 {
-		return nil, d.errf(path+".count", "must be >= 1, got %d", out.Count)
-	}
-	seed, err := d.integer(m, path, "seed", 0)
-	if err != nil {
-		return nil, err
-	}
-	if seed < 0 {
-		return nil, d.errf(path+".seed", "must be >= 0, got %d", seed)
-	}
-	out.Seed = uint64(seed)
-	if out.Label, err = d.str(m, path, "label", out.Kind); err != nil {
-		return nil, err
-	}
-	dists := []struct {
-		key  string
-		dst  **Dist
-		kind string // restricted to one workload kind, "" = any
-	}{
-		{"tasks", &out.Tasks, "ior"},
-		{"ranks", &out.Tasks, "plfs|checkpoint"},
-		{"block_mb", &out.BlockMB, "ior"},
-		{"transfer_mb", &out.TransferMB, "ior|plfs"},
-		{"segments", &out.Segments, "ior"},
-		{"reps", &out.Reps, "ior|plfs"},
-		{"mb_per_rank", &out.MBPerRank, "plfs"},
-		{"state_mb_per_rank", &out.StateMB, "checkpoint"},
-		{"compute_seconds", &out.ComputeSeconds, "ior|checkpoint"},
-		{"checkpoints", &out.Checkpoints, "checkpoint"},
-		{"start_at", &out.StartAt, ""},
-		{"stripes", &out.Stripes, ""},
-		{"stripe_size_mb", &out.StripeSizeMB, ""},
-	}
-	for _, spec := range dists {
-		v, ok := m.Get(spec.key)
-		if !ok || v == nil {
-			continue
+	g.Count = s.atLeast("count", 0, 1)
+	g.Seed = uint64(s.atLeast("seed", 0, 0))
+	g.Label = s.str("label", g.Kind)
+	// field reads a distribution that only the listed workload kinds take
+	// (any kind when none are listed).
+	field := func(key string, kinds ...string) *Dist {
+		d := s.dist(key)
+		if d != nil && len(kinds) > 0 && !slices.Contains(kinds, g.Kind) {
+			s.fail(key, "not a %s generator field", g.Kind)
 		}
-		if spec.kind != "" && !kindMatches(spec.kind, out.Kind) {
-			return nil, d.errf(path+"."+spec.key, "not a %s generator field", out.Kind)
-		}
-		dv, err := d.dist(v, path+"."+spec.key)
-		if err != nil {
-			return nil, err
-		}
-		*spec.dst = dv
+		return d
 	}
-	for _, bkey := range []string{"collective", "file_per_proc"} {
-		if v, ok := m.Get(bkey); ok && v != nil {
-			if out.Kind != "ior" {
-				return nil, d.errf(path+"."+bkey, "not a %s generator field", out.Kind)
-			}
-			b, ok := v.(bool)
-			if !ok {
-				return nil, d.errf(path+"."+bkey, "expected a bool, got %s", typeName(v))
-			}
-			if bkey == "collective" {
-				out.Collective = &b
-			} else {
-				out.FilePerProc = &b
+	g.Tasks = field("tasks", "ior")
+	if r := field("ranks", "plfs", "checkpoint"); r != nil {
+		g.Tasks = r
+	}
+	g.BlockMB = field("block_mb", "ior")
+	g.TransferMB = field("transfer_mb", "ior", "plfs")
+	g.Segments = field("segments", "ior")
+	g.Reps = field("reps", "ior", "plfs")
+	g.MBPerRank = field("mb_per_rank", "plfs")
+	g.StateMB = field("state_mb_per_rank", "checkpoint")
+	g.ComputeSeconds = field("compute_seconds", "ior", "checkpoint")
+	g.Checkpoints = field("checkpoints", "checkpoint")
+	for _, b := range [...]struct {
+		key string
+		dst **bool
+	}{{"collective", &g.Collective}, {"file_per_proc", &g.FilePerProc}} {
+		if v, ok := s.optBool(b.key); ok {
+			*b.dst = &v
+			if g.Kind != "ior" {
+				s.fail(b.key, "not a %s generator field", g.Kind)
 			}
 		}
 	}
-	if out.Tasks == nil {
+	g.StartAt = field("start_at")
+	g.Stripes = field("stripes")
+	g.StripeSizeMB = field("stripe_size_mb")
+	s.done()
+	if g.Tasks == nil {
 		need := "tasks"
-		if out.Kind != "ior" {
+		if g.Kind != "ior" {
 			need = "ranks"
 		}
-		return nil, d.errf(path, "missing required key %q", need)
+		s.fail("", "missing required key %q", need)
+	} else if g.Kind == "checkpoint" && g.StateMB == nil {
+		s.fail("", `missing required key "state_mb_per_rank"`)
 	}
-	if out.Kind == "checkpoint" && out.StateMB == nil {
-		return nil, d.errf(path, "missing required key \"state_mb_per_rank\"")
-	}
-	return out, nil
-}
-
-// kindMatches reports whether kind is one of the '|'-separated allowed
-// kinds.
-func kindMatches(allowed, kind string) bool {
-	for _, a := range strings.Split(allowed, "|") {
-		if a == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// dist decodes a constant or a distribution block.
-func (d *dec) dist(v any, path string) (*Dist, error) {
-	switch t := v.(type) {
-	case int64:
-		return &Dist{Kind: "const", A: float64(t)}, nil
-	case float64:
-		if math.IsNaN(t) {
-			return nil, d.errf(path, "NaN is not a valid number")
-		}
-		return &Dist{Kind: "const", A: t}, nil
-	case *Map:
-		if t.Len() != 1 {
-			return nil, d.errf(path, "a distribution takes exactly one of uniform, choice, normal")
-		}
-		key := t.Keys()[0]
-		raw, _ := t.Get(key)
-		list, err := d.listAt(raw, path+"."+key)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(list))
-		for i, e := range list {
-			f, err := asFloat(e)
-			if err != nil {
-				return nil, d.errf(fmt.Sprintf("%s.%s[%d]", path, key, i), "%v", err)
-			}
-			vals[i] = f
-		}
-		switch key {
-		case "uniform":
-			if len(vals) != 2 || vals[0] > vals[1] {
-				return nil, d.errf(path+".uniform", "takes [lo, hi] with lo <= hi")
-			}
-			return &Dist{Kind: "uniform", A: vals[0], B: vals[1]}, nil
-		case "choice":
-			if len(vals) == 0 {
-				return nil, d.errf(path+".choice", "takes at least one value")
-			}
-			return &Dist{Kind: "choice", Choices: vals}, nil
-		case "normal":
-			if len(vals) != 2 || vals[1] < 0 {
-				return nil, d.errf(path+".normal", "takes [mean, std] with std >= 0")
-			}
-			return &Dist{Kind: "normal", A: vals[0], B: vals[1]}, nil
-		default:
-			return nil, d.errf(path, "unknown distribution %q (uniform, choice, normal)", key)
-		}
-	default:
-		return nil, d.errf(path, "expected a number or a distribution block, got %s", typeName(v))
-	}
+	return g
 }
 
 // timeline decodes and statically validates the event list.
-func (d *dec) timeline(v any, f *File) ([]Event, error) {
-	list, err := d.listAt(v, "timeline")
-	if err != nil {
-		return nil, err
+func timeline(s *section, f *File) []Event {
+	list := s.list("timeline")
+	if list == nil {
+		return nil
 	}
 	out := make([]Event, len(list))
-	for i, e := range list {
-		path := fmt.Sprintf("timeline[%d]", i)
-		if err := d.event(e, path, f, &out[i]); err != nil {
-			return nil, err
-		}
+	for i, v := range list {
+		e := s.mapping("timeline", i, v)
+		event(&e, f, &out[i])
 	}
-	return out, nil
+	return out
 }
 
 // event decodes one timeline entry: an `at` time plus exactly one action
 // key. Every malformed time, factor or index this rejects would
 // otherwise surface as a mid-run panic or a silently wrong simulation.
-func (d *dec) event(v any, path string, f *File, out *Event) error {
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return err
+func event(s *section, f *File, ev *Event) {
+	hasAt := s.present("at")
+	ev.At = s.num("at", 0)
+	if ev.At < 0 || math.IsInf(ev.At, 0) {
+		s.fail("at", "event time must be finite and >= 0, got %v", ev.At)
 	}
-	if err := d.strict(m, path,
-		"at", EvOSTHealth, EvOSTFail, EvOSTRecover, EvLinkCapacity, EvRebuild, EvShardOutage); err != nil {
-		return err
-	}
-	if _, ok := m.Get("at"); !ok {
-		return d.errf(path, "missing required key \"at\"")
-	}
-	if out.At, err = d.f64(m, path, "at", 0); err != nil {
-		return err
-	}
-	if out.At < 0 || math.IsInf(out.At, 0) {
-		return d.errf(path+".at", "event time must be finite and >= 0, got %v", out.At)
-	}
-	if f.Horizon > 0 && out.At > f.Horizon {
-		return d.errf(path+".at", "event time %v is past the scenario horizon %v", out.At, f.Horizon)
+	if f.Horizon > 0 && ev.At > f.Horizon {
+		s.fail("at", "event time %v is past the scenario horizon %v", ev.At, f.Horizon)
 	}
 	actions := 0
-	for _, k := range []string{EvOSTHealth, EvOSTFail, EvOSTRecover, EvLinkCapacity, EvRebuild, EvShardOutage} {
-		if _, ok := m.Get(k); ok {
-			out.Kind = k
+	var action any
+	for _, k := range [...]string{EvOSTHealth, EvOSTFail, EvOSTRecover, EvLinkCapacity, EvRebuild, EvShardOutage} {
+		if v, ok := s.value(k); ok {
+			ev.Kind, action = k, v
 			actions++
 		}
 	}
-	if actions != 1 {
-		return d.errf(path, "exactly one action per event, got %d", actions)
+	s.done()
+	if !hasAt {
+		s.fail("", `missing required key "at"`)
+	} else if actions != 1 {
+		s.fail("", "exactly one action per event, got %d", actions)
 	}
-	av, _ := m.Get(out.Kind)
-	am, err := d.mapAt(av, path+"."+out.Kind)
-	if err != nil {
-		return err
+	a := s.mapping(ev.Kind, -1, action)
+	if ev.Kind == EvShardOutage && !f.Sharded() {
+		a.fail("", "shard_outage requires a sharded scenario")
 	}
-	apath := path + "." + out.Kind
-	out.Shard = -1
-	readShard := func() error {
-		s, err := d.integer(am, apath, "shard", -1)
-		if err != nil {
-			return err
-		}
-		if f.Sharded() {
-			if s < 0 {
-				return d.errf(apath, "sharded scenarios must name the target shard")
-			}
-			if s >= f.ShardCount() {
-				return d.errf(apath+".shard", "shard %d out of range [0,%d)", s, f.ShardCount())
-			}
-		} else if s >= 0 {
-			return d.errf(apath+".shard", "scenario has no shards")
-		}
-		out.Shard = s
-		return nil
+	ev.Shard = a.integer("shard", -1)
+	if f.Sharded() && ev.Shard >= f.ShardCount() {
+		a.fail("shard", "shard %d out of range [0,%d)", ev.Shard, f.ShardCount())
+	} else if !f.Sharded() && ev.Shard >= 0 {
+		a.fail("shard", "scenario has no shards")
 	}
-	readOST := func() error {
-		ost, err := d.integer(am, apath, "ost", -1)
-		if err != nil {
-			return err
-		}
-		if ost < 0 {
-			return d.errf(apath, "missing required key \"ost\"")
-		}
-		out.OST = ost
-		return nil
-	}
-	readFactor := func(key string, def float64, dst *float64) error {
-		v, err := d.f64(am, apath, key, def)
-		if err != nil {
-			return err
-		}
-		if v < 0 || v > 1 || math.IsNaN(v) {
-			return d.errf(apath+"."+key, "health factor must be in [0, 1], got %v", v)
-		}
-		*dst = v
-		return nil
-	}
-	switch out.Kind {
+	hasFactor, hasUntil := a.present("factor"), a.present("until")
+	switch ev.Kind {
 	case EvOSTHealth:
-		if err := d.strict(am, apath, "shard", "ost", "factor"); err != nil {
-			return err
-		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		if err := readOST(); err != nil {
-			return err
-		}
-		if _, ok := am.Get("factor"); !ok {
-			return d.errf(apath, "missing required key \"factor\"")
-		}
-		return readFactor("factor", 0, &out.Factor)
+		ev.OST = a.integer("ost", -1)
+		ev.Factor = healthFactor(&a, "factor", 0)
 	case EvOSTFail:
-		if err := d.strict(am, apath, "shard", "ost"); err != nil {
-			return err
-		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		return readOST()
+		ev.OST = a.integer("ost", -1)
 	case EvOSTRecover:
-		if err := d.strict(am, apath, "shard", "ost", "factor"); err != nil {
-			return err
-		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		if err := readOST(); err != nil {
-			return err
-		}
-		return readFactor("factor", 1, &out.Factor)
+		ev.OST = a.integer("ost", -1)
+		ev.Factor = healthFactor(&a, "factor", 1)
 	case EvLinkCapacity:
-		if err := d.strict(am, apath, "shard", "link", "mbs"); err != nil {
-			return err
+		ev.Link = a.str("link", "")
+		ev.MBs = a.num("mbs", 0)
+		if ev.MBs <= 0 || math.IsInf(ev.MBs, 0) {
+			a.fail("mbs", "capacity must be finite and > 0, got %v", ev.MBs)
 		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		if out.Link, err = d.str(am, apath, "link", ""); err != nil {
-			return err
-		}
-		if out.Link == "" {
-			return d.errf(apath, "missing required key \"link\"")
-		}
-		if out.MBs, err = d.f64(am, apath, "mbs", 0); err != nil {
-			return err
-		}
-		if out.MBs <= 0 || math.IsInf(out.MBs, 0) {
-			return d.errf(apath+".mbs", "capacity must be finite and > 0, got %v", out.MBs)
-		}
-		return nil
 	case EvRebuild:
-		if err := d.strict(am, apath, "shard", "ost", "mb", "streams", "rate_mbs", "from"); err != nil {
-			return err
-		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		if err := readOST(); err != nil {
-			return err
-		}
-		if out.RebuildMB, err = d.f64(am, apath, "mb", 0); err != nil {
-			return err
-		}
-		if out.RebuildMB <= 0 {
-			return d.errf(apath+".mb", "rebuild volume must be > 0, got %v", out.RebuildMB)
-		}
-		if math.IsInf(out.RebuildMB, 1) {
-			return d.errf(apath+".mb", "rebuild volume must be finite, got %v", out.RebuildMB)
-		}
-		if out.Streams, err = d.integer(am, apath, "streams", 4); err != nil {
-			return err
-		}
-		if out.Streams < 1 {
-			return d.errf(apath+".streams", "must be >= 1, got %d", out.Streams)
-		}
-		if out.RateMBs, err = d.f64(am, apath, "rate_mbs", 0); err != nil {
-			return err
-		}
-		if out.RateMBs < 0 {
-			return d.errf(apath+".rate_mbs", "must be >= 0 (0 = uncapped), got %v", out.RateMBs)
-		}
-		if math.IsInf(out.RateMBs, 1) {
-			return d.errf(apath+".rate_mbs", "must be finite (0 = uncapped), got %v", out.RateMBs)
-		}
-		if out.Sources, err = d.intList(am, apath, "from"); err != nil {
-			return err
-		}
-		for _, s := range out.Sources {
-			if s < 0 {
-				return d.errf(apath+".from", "OST index must be >= 0, got %d", s)
-			}
-			if s == out.OST {
-				return d.errf(apath+".from", "source OST %d is the rebuild target", s)
-			}
-		}
-		return nil
+		rebuild(&a, ev)
 	case EvShardOutage:
-		if err := d.strict(am, apath, "shard", "until", "factor", "restore_factor"); err != nil {
-			return err
+		ev.Until = a.num("until", 0)
+		if hasUntil && (ev.Until <= ev.At || math.IsInf(ev.Until, 0)) {
+			a.fail("until", "must be finite and after the event time %v, got %v", ev.At, ev.Until)
 		}
-		if !f.Sharded() {
-			return d.errf(apath, "shard_outage requires a sharded scenario")
+		if f.Horizon > 0 && ev.Until > f.Horizon {
+			a.fail("until", "recovery time %v is past the scenario horizon %v", ev.Until, f.Horizon)
 		}
-		if err := readShard(); err != nil {
-			return err
-		}
-		if _, ok := am.Get("until"); !ok {
-			return d.errf(apath, "missing required key \"until\"")
-		}
-		if out.Until, err = d.f64(am, apath, "until", 0); err != nil {
-			return err
-		}
-		if out.Until <= out.At || math.IsInf(out.Until, 0) {
-			return d.errf(apath+".until", "must be finite and after the event time %v, got %v", out.At, out.Until)
-		}
-		if f.Horizon > 0 && out.Until > f.Horizon {
-			return d.errf(apath+".until", "recovery time %v is past the scenario horizon %v", out.Until, f.Horizon)
-		}
-		if err := readFactor("factor", 0, &out.Factor); err != nil {
-			return err
-		}
-		return readFactor("restore_factor", 1, &out.RestoreFactor)
+		ev.Factor = healthFactor(&a, "factor", 0)
+		ev.RestoreFactor = healthFactor(&a, "restore_factor", 1)
 	}
-	return d.errf(path, "unreachable event kind %q", out.Kind)
+	a.done()
+	switch {
+	case f.Sharded() && ev.Shard < 0:
+		a.fail("", "sharded scenarios must name the target shard")
+	case ev.OST < 0:
+		a.fail("", `missing required key "ost"`)
+	case ev.Kind == EvOSTHealth && !hasFactor:
+		a.fail("", `missing required key "factor"`)
+	case ev.Kind == EvLinkCapacity && ev.Link == "":
+		a.fail("", `missing required key "link"`)
+	case ev.Kind == EvShardOutage && !hasUntil:
+		a.fail("", `missing required key "until"`)
+	}
 }
 
-// assert decodes the assertion block.
-func (d *dec) assert(v any, f *File) (AssertBlock, error) {
-	var out AssertBlock
-	m, err := d.mapAt(v, "assert")
-	if err != nil {
-		return out, err
+// healthFactor reads an OST health factor, which must lie in [0, 1].
+func healthFactor(s *section, key string, def float64) float64 {
+	v := s.num(key, def)
+	if v < 0 || v > 1 {
+		s.fail(key, "health factor must be in [0, 1], got %v", v)
 	}
-	if err := d.strict(m, "assert",
-		"makespan", "total_mbs", "mean_mbs", "min_job_mbs", "max_job_mbs",
-		"mean_slowdown", "max_slowdown", "solver", "jobs", "shards"); err != nil {
-		return out, err
+	return v
+}
+
+// rebuild decodes a rebuild action's target, volume, streams, rate and
+// source OSTs.
+func rebuild(s *section, ev *Event) {
+	ev.OST = s.integer("ost", -1)
+	ev.RebuildMB = s.num("mb", 0)
+	if ev.RebuildMB <= 0 {
+		s.fail("mb", "rebuild volume must be > 0, got %v", ev.RebuildMB)
+	} else if math.IsInf(ev.RebuildMB, 1) {
+		s.fail("mb", "rebuild volume must be finite, got %v", ev.RebuildMB)
 	}
-	scalars := []struct {
-		key string
-		dst *Bound
-	}{
-		{"makespan", &out.Makespan},
-		{"total_mbs", &out.TotalMBs},
-		{"mean_mbs", &out.MeanMBs},
-		{"min_job_mbs", &out.MinJobMBs},
-		{"max_job_mbs", &out.MaxJobMBs},
-		{"mean_slowdown", &out.MeanSlowdown},
-		{"max_slowdown", &out.MaxSlowdown},
+	ev.Streams = s.atLeast("streams", 4, 1)
+	ev.RateMBs = s.num("rate_mbs", 0)
+	if ev.RateMBs < 0 {
+		s.fail("rate_mbs", "must be >= 0 (0 = uncapped), got %v", ev.RateMBs)
+	} else if math.IsInf(ev.RateMBs, 1) {
+		s.fail("rate_mbs", "must be finite (0 = uncapped), got %v", ev.RateMBs)
 	}
-	for _, s := range scalars {
-		if v, ok := m.Get(s.key); ok && v != nil {
-			b, err := d.bound(v, "assert."+s.key)
-			if err != nil {
-				return out, err
-			}
-			*s.dst = b
+	list := s.list("from")
+	if list == nil {
+		return
+	}
+	ev.Sources = make([]int, len(list))
+	for i, v := range list {
+		src, err := asInt(v)
+		switch {
+		case err != nil:
+			s.fail(fmt.Sprintf("from[%d]", i), "%v", err)
+		case src < 0:
+			s.fail("from", "OST index must be >= 0, got %d", src)
+		case src == ev.OST:
+			s.fail("from", "source OST %d is the rebuild target", src)
 		}
+		ev.Sources[i] = src
 	}
-	if v, ok := m.Get("solver"); ok && v != nil {
-		sm, err := d.mapAt(v, "assert.solver")
-		if err != nil {
-			return out, err
-		}
-		if err := d.strict(sm, "assert.solver", solverCounters...); err != nil {
-			return out, err
-		}
+}
+
+// assertBlock decodes the assertion block.
+func assertBlock(s *section, f *File) AssertBlock {
+	out := AssertBlock{
+		Makespan:     bound(s, "makespan"),
+		TotalMBs:     bound(s, "total_mbs"),
+		MeanMBs:      bound(s, "mean_mbs"),
+		MinJobMBs:    bound(s, "min_job_mbs"),
+		MaxJobMBs:    bound(s, "max_job_mbs"),
+		MeanSlowdown: bound(s, "mean_slowdown"),
+		MaxSlowdown:  bound(s, "max_slowdown"),
+	}
+	if c, ok := s.child("solver"); ok {
 		for _, name := range solverCounters {
-			cv, ok := sm.Get(name)
-			if !ok || cv == nil {
-				continue
+			if b := bound(&c, name); b.set() {
+				out.Solver = append(out.Solver, CounterAssert{Name: name, Bound: b})
 			}
-			b, err := d.bound(cv, "assert.solver."+name)
-			if err != nil {
-				return out, err
-			}
-			out.Solver = append(out.Solver, CounterAssert{Name: name, Bound: b})
 		}
+		c.done()
 	}
-	if v, ok := m.Get("jobs"); ok && v != nil {
-		list, err := d.listAt(v, "assert.jobs")
-		if err != nil {
-			return out, err
+	for i, v := range s.list("jobs") {
+		j := s.mapping("jobs", i, v)
+		ja := JobAssert{Job: j.str("job", ""), Shard: j.integer("shard", -1)}
+		if ja.Shard >= 0 && !f.Sharded() {
+			j.fail("shard", "scenario has no shards")
+		} else if ja.Shard >= f.ShardCount() && f.Sharded() {
+			j.fail("shard", "shard %d out of range [0,%d)", ja.Shard, f.ShardCount())
 		}
-		for i, e := range list {
-			path := fmt.Sprintf("assert.jobs[%d]", i)
-			jm, err := d.mapAt(e, path)
-			if err != nil {
-				return out, err
-			}
-			if err := d.strict(jm, path, "job", "shard", "mbs", "slowdown", "finished"); err != nil {
-				return out, err
-			}
-			var ja JobAssert
-			if ja.Job, err = d.str(jm, path, "job", ""); err != nil {
-				return out, err
-			}
-			if ja.Job == "" {
-				return out, d.errf(path, "missing required key \"job\"")
-			}
-			if ja.Shard, err = d.integer(jm, path, "shard", -1); err != nil {
-				return out, err
-			}
-			if ja.Shard >= 0 && !f.Sharded() {
-				return out, d.errf(path+".shard", "scenario has no shards")
-			}
-			if ja.Shard >= f.ShardCount() && f.Sharded() {
-				return out, d.errf(path+".shard", "shard %d out of range [0,%d)", ja.Shard, f.ShardCount())
-			}
-			for _, bs := range []struct {
-				key string
-				dst *Bound
-			}{{"mbs", &ja.MBs}, {"slowdown", &ja.Slowdown}, {"finished", &ja.Finished}} {
-				if bv, ok := jm.Get(bs.key); ok && bv != nil {
-					b, err := d.bound(bv, path+"."+bs.key)
-					if err != nil {
-						return out, err
-					}
-					*bs.dst = b
-				}
-			}
-			if !ja.MBs.set() && !ja.Slowdown.set() && !ja.Finished.set() {
-				return out, d.errf(path, "asserts nothing (set mbs, slowdown or finished)")
-			}
-			out.Jobs = append(out.Jobs, ja)
+		ja.MBs = bound(&j, "mbs")
+		ja.Slowdown = bound(&j, "slowdown")
+		ja.Finished = bound(&j, "finished")
+		j.done()
+		if ja.Job == "" {
+			j.fail("", `missing required key "job"`)
+		} else if !ja.MBs.set() && !ja.Slowdown.set() && !ja.Finished.set() {
+			j.fail("", "asserts nothing (set mbs, slowdown or finished)")
 		}
+		out.Jobs = append(out.Jobs, ja)
 	}
-	if v, ok := m.Get("shards"); ok && v != nil {
-		if !f.Sharded() {
-			return out, d.errf("assert.shards", "scenario has no shards")
-		}
-		list, err := d.listAt(v, "assert.shards")
-		if err != nil {
-			return out, err
-		}
-		for i, e := range list {
-			path := fmt.Sprintf("assert.shards[%d]", i)
-			sm, err := d.mapAt(e, path)
-			if err != nil {
-				return out, err
-			}
-			if err := d.strict(sm, path, "shard", "total_mbs", "mean_mbs", "makespan"); err != nil {
-				return out, err
-			}
-			var sa ShardAssert
-			if sa.Shard, err = d.integer(sm, path, "shard", -1); err != nil {
-				return out, err
-			}
-			if sa.Shard < 0 || sa.Shard >= f.ShardCount() {
-				return out, d.errf(path+".shard", "shard index out of range [0,%d)", f.ShardCount())
-			}
-			for _, bs := range []struct {
-				key string
-				dst *Bound
-			}{{"total_mbs", &sa.TotalMBs}, {"mean_mbs", &sa.MeanMBs}, {"makespan", &sa.Makespan}} {
-				if bv, ok := sm.Get(bs.key); ok && bv != nil {
-					b, err := d.bound(bv, path+"."+bs.key)
-					if err != nil {
-						return out, err
-					}
-					*bs.dst = b
-				}
-			}
-			out.Shards = append(out.Shards, sa)
-		}
+	list := s.list("shards")
+	if list != nil && !f.Sharded() {
+		s.failIn("shards", "scenario has no shards")
 	}
-	return out, nil
+	for i, v := range list {
+		e := s.mapping("shards", i, v)
+		sa := ShardAssert{Shard: e.integer("shard", -1)}
+		if sa.Shard < 0 || sa.Shard >= f.ShardCount() {
+			e.fail("shard", "shard index out of range [0,%d)", f.ShardCount())
+		}
+		sa.TotalMBs = bound(&e, "total_mbs")
+		sa.MeanMBs = bound(&e, "mean_mbs")
+		sa.Makespan = bound(&e, "makespan")
+		e.done()
+		out.Shards = append(out.Shards, sa)
+	}
+	s.done()
+	return out
 }
 
-// bound decodes a {min, max} block.
-func (d *dec) bound(v any, path string) (Bound, error) {
-	var out Bound
-	m, err := d.mapAt(v, path)
-	if err != nil {
-		return out, err
+// bound decodes the optional {min, max} block at key.
+func bound(s *section, key string) Bound {
+	var b Bound
+	c, ok := s.child(key)
+	if !ok {
+		return b
 	}
-	if err := d.strict(m, path, "min", "max"); err != nil {
-		return out, err
+	b.Min, b.HasMin = c.optNum("min")
+	b.Max, b.HasMax = c.optNum("max")
+	c.done()
+	if !b.set() {
+		c.fail("", "bound needs min, max or both")
+	} else if b.HasMin && b.HasMax && b.Min > b.Max {
+		c.fail("", "min %v exceeds max %v", b.Min, b.Max)
 	}
-	if v, ok := m.Get("min"); ok && v != nil {
-		f, err := asFloat(v)
-		if err != nil {
-			return out, d.errf(path+".min", "%v", err)
-		}
-		out.Min, out.HasMin = f, true
-	}
-	if v, ok := m.Get("max"); ok && v != nil {
-		f, err := asFloat(v)
-		if err != nil {
-			return out, d.errf(path+".max", "%v", err)
-		}
-		out.Max, out.HasMax = f, true
-	}
-	if !out.set() {
-		return out, d.errf(path, "bound needs min, max or both")
-	}
-	if out.HasMin && out.HasMax && out.Min > out.Max {
-		return out, d.errf(path, "min %v exceeds max %v", out.Min, out.Max)
-	}
-	return out, nil
+	return b
 }

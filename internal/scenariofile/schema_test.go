@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -280,6 +281,32 @@ func TestParseErrors(t *testing.T) {
 		{"rebuild rate inf", "name: x\n" + fleet +
 			"timeline:\n  - at: 5\n    rebuild:\n      ost: 2\n      mb: 100\n      rate_mbs: inf\n      from: [1]\n",
 			".yaml: timeline[0].rebuild.rate_mbs: must be finite"},
+		{"nodes negative", "name: x\nplatform:\n  nodes: -1\n" + fleet,
+			".yaml: platform.nodes: must be >= 0, got -1"},
+		{"osts negative", "name: x\nplatform:\n  osts: -1\n" + fleet,
+			".yaml: platform.osts: must be >= 0, got -1"},
+		{"osss negative", "name: x\nplatform:\n  osss: -1\n" + fleet,
+			".yaml: platform.osss: must be >= 0, got -1"},
+		{"stripes negative", "name: x\nfleet:\n  - ior:\n      tasks: 4\n    stripes: -4\n",
+			".yaml: fleet[0].stripes: must be >= 0, got -4"},
+		{"start inf", "name: x\nfleet:\n  - ior:\n      tasks: 4\n    start_at: inf\n",
+			".yaml: fleet[0].start_at: must be finite, got +Inf"},
+		{"stagger inf", "name: x\nfleet:\n  - ior:\n      tasks: 4\n    count: 2\n    start_stagger: inf\n",
+			".yaml: fleet[0].start_stagger: must be finite, got +Inf"},
+		{"plfs volume negative", "name: x\nfleet:\n  - plfs:\n      ranks: 4\n      mb_per_rank: -1\n",
+			".yaml: fleet[0].plfs.mb_per_rank: must be finite and >= 0 (0 = default), got -1"},
+		{"plfs transfer negative", "name: x\nfleet:\n  - plfs:\n      ranks: 4\n      transfer_mb: -1\n",
+			".yaml: fleet[0].plfs.transfer_mb: must be finite and >= 0 (0 = default), got -1"},
+		{"plfs reps negative", "name: x\nfleet:\n  - plfs:\n      ranks: 4\n      reps: -3\n",
+			".yaml: fleet[0].plfs.reps: must be >= 1, got -3"},
+		{"gen start inf", "name: x\nfleet:\n  - generator:\n      count: 2\n      tasks: 4\n      start_at: inf\n",
+			".yaml: fleet[0].generator.start_at: must be finite, got +Inf"},
+		{"gen uniform inf", "name: x\nfleet:\n  - generator:\n      count: 2\n      tasks: 4\n      start_at:\n        uniform: [0, inf]\n",
+			".yaml: fleet[0].generator.start_at.uniform[1]: must be finite, got +Inf"},
+		{"gen normal inf", "name: x\nfleet:\n  - generator:\n      kind: plfs\n      count: 2\n      ranks: 4\n      mb_per_rank:\n        normal: [inf, 1]\n",
+			".yaml: fleet[0].generator.mb_per_rank.normal[0]: must be finite, got +Inf"},
+		{"gen choice inf", "name: x\nfleet:\n  - generator:\n      count: 2\n      tasks:\n        choice: [4, -inf]\n",
+			".yaml: fleet[0].generator.tasks.choice[1]: must be finite, got -Inf"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.doc), tc.name+".yaml")
@@ -290,5 +317,26 @@ func TestParseErrors(t *testing.T) {
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestReadmeExample parses and validates the README's first yaml block,
+// the schema walkthrough users copy from.
+func TestReadmeExample(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "```yaml\n")
+	doc, _, closed := strings.Cut(rest, "```")
+	if !ok || !closed {
+		t.Fatal("README has no yaml block")
+	}
+	f, err := Parse([]byte(doc), "README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

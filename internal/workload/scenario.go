@@ -189,24 +189,6 @@ func UniformScenario(name string, w Workload, n int) Scenario {
 	return s
 }
 
-// Scenario converts the mix into a scenario of striped IOR jobs.
-func (m JobMix) Scenario(name string) (Scenario, error) {
-	if err := m.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	s := Scenario{Name: name}
-	for i := range m.Tasks {
-		cfg := ior.PaperConfig(m.Tasks[i])
-		cfg.Label = fmt.Sprintf("mix-job%d", i)
-		s.Jobs = append(s.Jobs, Job{
-			Workload:     IORJob{Cfg: cfg},
-			Stripes:      m.Requests[i],
-			StripeSizeMB: m.SizesMB[i],
-		})
-	}
-	return s, nil
-}
-
 // Validate checks the scenario against a platform without running it:
 // every job must resolve to a valid configuration on non-overlapping
 // node ranges with a sane start time. It is the dry-run behind
@@ -245,6 +227,9 @@ func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 		if job.StartAt < 0 || math.IsNaN(job.StartAt) {
 			return nil, fmt.Errorf("workload: %s job %d: StartAt %v must be non-negative",
 				s.title(), i, job.StartAt)
+		}
+		if math.IsInf(job.StartAt, 1) {
+			return nil, fmt.Errorf("workload: %s job %d: StartAt %v must be finite", s.title(), i, job.StartAt)
 		}
 		cfgs[i] = job.Workload.Config(plat)
 	}

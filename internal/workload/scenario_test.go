@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -171,6 +172,10 @@ func TestScenarioValidation(t *testing.T) {
 		Job{Workload: IORJob{Cfg: smallIOR("x", 32)}, StartAt: -1}), 0); err == nil {
 		t.Error("negative start accepted")
 	}
+	inf := NewScenario("inf", Job{Workload: IORJob{Cfg: smallIOR("x", 32)}, StartAt: math.Inf(1)})
+	if err := inf.Validate(plat); err == nil || !strings.Contains(err.Error(), "StartAt +Inf must be finite") {
+		t.Errorf("infinite start: err = %v", err)
+	}
 	// Pinned overlap: both jobs claim node 4.
 	_, err := RunScenario(plat, NewScenario("overlap",
 		Job{Workload: IORJob{Cfg: smallIOR("p", 32)}, FirstNode: 4},
@@ -241,30 +246,6 @@ func TestCheckpointerSpacing(t *testing.T) {
 	}
 	if n := res.Jobs[0].IOR.Write.N(); n != 3 {
 		t.Errorf("checkpoints recorded = %d, want 3", n)
-	}
-}
-
-func TestJobMixScenario(t *testing.T) {
-	m := Uniform(3, 64, 96, 64)
-	sc, err := m.Scenario("mix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Jobs) != 3 {
-		t.Fatalf("jobs = %d", len(sc.Jobs))
-	}
-	res, err := RunScenario(quietCab(), sc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Jobs {
-		if res.Jobs[i].Config.Hints.StripingFactor != 96 {
-			t.Errorf("job %d stripes = %d", i, res.Jobs[i].Config.Hints.StripingFactor)
-		}
-	}
-	bad := JobMix{Tasks: []int{1}, Requests: []int{1, 2}, SizesMB: []float64{1}}
-	if _, err := bad.Scenario("bad"); err == nil {
-		t.Error("ragged mix accepted")
 	}
 }
 

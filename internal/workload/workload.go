@@ -12,7 +12,6 @@ import (
 
 	"pfsim/internal/ior"
 	"pfsim/internal/mpiio"
-	"pfsim/internal/stats"
 )
 
 // Checkpoint describes a periodic checkpointing application.
@@ -102,71 +101,4 @@ func (c Checkpoint) IORConfig(api mpiio.Driver, hints mpiio.Hints) ior.Config {
 		Hints:          hints,
 		Reps:           1,
 	}
-}
-
-// JobMix generates heterogeneous concurrent I/O jobs for contention
-// studies: job i requests Requests[i] stripes with Tasks[i] ranks.
-type JobMix struct {
-	Tasks    []int
-	Requests []int
-	SizesMB  []float64
-}
-
-// Uniform returns a mix of n identical jobs — the paper's scenario.
-func Uniform(n, tasks, request int, sizeMB float64) JobMix {
-	m := JobMix{}
-	for i := 0; i < n; i++ {
-		m.Tasks = append(m.Tasks, tasks)
-		m.Requests = append(m.Requests, request)
-		m.SizesMB = append(m.SizesMB, sizeMB)
-	}
-	return m
-}
-
-// Random draws n jobs with stripe requests and scales sampled from the
-// given candidate sets — a synthetic "average day" on a shared machine.
-func Random(rng *stats.RNG, n int, taskChoices, requestChoices []int, sizeMB float64) JobMix {
-	m := JobMix{}
-	for i := 0; i < n; i++ {
-		m.Tasks = append(m.Tasks, taskChoices[rng.IntN(len(taskChoices))])
-		m.Requests = append(m.Requests, requestChoices[rng.IntN(len(requestChoices))])
-		m.SizesMB = append(m.SizesMB, sizeMB)
-	}
-	return m
-}
-
-// Len returns the number of jobs in the mix.
-func (m JobMix) Len() int { return len(m.Tasks) }
-
-// Validate reports the first inconsistency.
-func (m JobMix) Validate() error {
-	if len(m.Tasks) != len(m.Requests) || len(m.Tasks) != len(m.SizesMB) {
-		return fmt.Errorf("workload: ragged job mix")
-	}
-	for i := range m.Tasks {
-		if m.Tasks[i] <= 0 || m.Requests[i] <= 0 || m.SizesMB[i] <= 0 {
-			return fmt.Errorf("workload: job %d has non-positive parameters", i)
-		}
-	}
-	return nil
-}
-
-// Configs materialises the mix as IOR configurations on disjoint node
-// ranges.
-func (m JobMix) Configs(coresPerNode int) ([]ior.Config, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	var out []ior.Config
-	node := 0
-	for i := range m.Tasks {
-		cfg := ior.PaperConfig(m.Tasks[i])
-		cfg.Label = fmt.Sprintf("mix-job%d", i)
-		cfg.Hints.StripingFactor = m.Requests[i]
-		cfg.Hints.StripingUnitMB = m.SizesMB[i]
-		cfg.FirstNode = node
-		node += (m.Tasks[i] + coresPerNode - 1) / coresPerNode
-		out = append(out, cfg)
-	}
-	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"pfsim/internal/ior"
 	"pfsim/internal/mpiio"
-	"pfsim/internal/stats"
 )
 
 func TestCheckpointBasics(t *testing.T) {
@@ -96,57 +95,5 @@ func TestIORConfigConversion(t *testing.T) {
 	tcfg := tiny.IORConfig(mpiio.DriverUFS, mpiio.NewHints())
 	if tcfg.TransferSizeMB != 0.5 {
 		t.Errorf("tiny transfer = %v", tcfg.TransferSizeMB)
-	}
-}
-
-func TestUniformMix(t *testing.T) {
-	m := Uniform(4, 1024, 160, 128)
-	if m.Len() != 4 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfgs, err := m.Configs(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Disjoint node ranges: job j starts at j*64.
-	for j, cfg := range cfgs {
-		if cfg.FirstNode != j*64 {
-			t.Errorf("job %d FirstNode = %d, want %d", j, cfg.FirstNode, j*64)
-		}
-		if cfg.Hints.StripingFactor != 160 || cfg.Hints.StripingUnitMB != 128 {
-			t.Errorf("job %d hints wrong", j)
-		}
-	}
-}
-
-func TestRandomMixDeterministic(t *testing.T) {
-	gen := func() JobMix {
-		return Random(stats.NewRNG(5), 6, []int{256, 512, 1024}, []int{32, 64, 160}, 64)
-	}
-	a, b := gen(), gen()
-	for i := range a.Tasks {
-		if a.Tasks[i] != b.Tasks[i] || a.Requests[i] != b.Requests[i] {
-			t.Fatal("random mix not deterministic for equal seeds")
-		}
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMixValidation(t *testing.T) {
-	bad := JobMix{Tasks: []int{1}, Requests: []int{1, 2}, SizesMB: []float64{1}}
-	if bad.Validate() == nil {
-		t.Error("ragged mix accepted")
-	}
-	zero := JobMix{Tasks: []int{0}, Requests: []int{1}, SizesMB: []float64{1}}
-	if zero.Validate() == nil {
-		t.Error("zero tasks accepted")
-	}
-	if _, err := bad.Configs(16); err == nil {
-		t.Error("Configs should propagate validation errors")
 	}
 }
