@@ -249,11 +249,12 @@ func BenchmarkScenarioHeterogeneous(b *testing.B) {
 // reportSolverStats emits the machine-independent solver cost metrics:
 // the number of link and flow records the solver examined per simulated
 // run, completion-heap element operations (zero in reference mode, which
-// rescans every active flow per solve instead), per-component pass counts
-// and accrual settles. compflowspersolve/op is the headline partitioning
-// metric: the average population one progressive-filling pass touches —
-// ~the component size under partitioning, the whole active population
-// without it.
+// rescans every active flow per solve instead), link-share heap element
+// operations (zero unless a solve ran long enough to switch from scanning
+// to the heap), per-component pass counts and accrual settles.
+// compflowspersolve/op is the headline partitioning metric: the average
+// population one progressive-filling pass touches — ~the component size
+// under partitioning, the whole active population without it.
 func reportSolverStats(b *testing.B, stats flow.Stats) {
 	b.Helper()
 	b.ReportMetric(float64(stats.Solves), "solves/op")
@@ -261,6 +262,7 @@ func reportSolverStats(b *testing.B, stats flow.Stats) {
 	b.ReportMetric(float64(stats.Rounds), "rounds/op")
 	b.ReportMetric(float64(stats.FlowsScanned), "flowsscanned/op")
 	b.ReportMetric(float64(stats.HeapOps), "heapops/op")
+	b.ReportMetric(float64(stats.ShareHeapOps), "shareheapops/op")
 	b.ReportMetric(float64(stats.ComponentsSolved), "componentssolved/op")
 	b.ReportMetric(float64(stats.ComponentFlowsScanned), "compflowsscanned/op")
 	b.ReportMetric(float64(stats.FlowsSettled), "flowssettled/op")

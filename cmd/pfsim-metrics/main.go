@@ -93,6 +93,7 @@ func printSolverStats(w io.Writer, writers, par int) error {
 	t.AddRow("flows scanned", inc.FlowsScanned, ref.FlowsScanned)
 	t.AddRow("flows settled", inc.FlowsSettled, ref.FlowsSettled)
 	t.AddRow("heap ops", inc.HeapOps, ref.HeapOps)
+	t.AddRow("link-share heap ops", inc.ShareHeapOps, ref.ShareHeapOps)
 	t.AddRow("coalesced recomputes", inc.Coalesced, ref.Coalesced)
 	t.Fprint(w)
 	fmt.Fprintf(w, "\nflows scanned per round: %.1f incremental vs %.1f reference (full rescan would pay %d)\n",

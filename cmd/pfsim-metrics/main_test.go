@@ -19,6 +19,7 @@ const golden64 = `Solver work: 64 file-per-process writers (128 flows)
   flows scanned            9170         38997
   flows settled            2095         2095
   heap ops                 2485         0
+  link-share heap ops      0            0
   coalesced recomputes     108          0
 
 flows scanned per round: 21.0 incremental vs 64.0 reference (full rescan would pay 128)

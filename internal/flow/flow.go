@@ -50,6 +50,15 @@
 //     rate-fixing rounds — one per share level, hundreds on a PLFS storm —
 //     no longer pays rounds × (links + unfixed flows).
 //
+//   - Link-share heap for long solves: a solve still running after a few
+//     scan rounds with many live links left builds an indexed min-heap of
+//     their fair shares and finishes from it. Each round then re-keys only
+//     the links on the paths of the flows the previous round fixed and
+//     reads the minimum at the root, so it costs those links' sifts plus
+//     the flows it fixes instead of a pass over every live link. The heap
+//     finds the scan's minimum bits and saturated set, so the choice moves
+//     cost (Stats.LinkVisits, Stats.ShareHeapOps), never rates.
+//
 //   - Completion heap: the next completion event comes from an indexed
 //     min-heap of flow completion times, re-keyed only when a solve
 //     assigns a flow a different finish time and rebuilt wholesale when
@@ -155,7 +164,8 @@ type Link struct {
 	// scratch used during rate computation
 	residual  float64
 	unfixed   int
-	saturated bool
+	saturated bool // reference solver: saturated this round
+	touched   bool // queued on solveCtx.touched for a share re-key
 
 	// scratch used during component rebuilds (union-find over links)
 	dsuParent *Link
@@ -294,8 +304,10 @@ type Stats struct {
 	ComponentFlowsScanned int64
 	// LinkVisits is the number of link records examined across all passes:
 	// one per component link at initialisation, then one per still-live
-	// link in every round's share-and-saturation scan (the reference
-	// solver scans every link of the network twice per round instead).
+	// link in every scan round's share-and-saturation pass, and one per
+	// heap entry the saturation walk reads in every round a long solve
+	// finishes from its link-share heap (the reference solver scans every
+	// link of the network twice per round instead).
 	LinkVisits int64
 	// Coalesced is the number of recompute requests absorbed by an
 	// already-pending solve event.
@@ -324,6 +336,12 @@ type Stats struct {
 	// reference mode, which scans every active flow to find the next
 	// completion instead.
 	HeapOps int64
+	// ShareHeapOps is the number of link-share heap element operations in
+	// solves long enough to switch from scanning to the heap: one per live
+	// link when the heap is built, then one per re-key or removal of a link
+	// whose share the previous round's fixes moved. Zero for solves that
+	// finish within the scan rounds, and in reference mode.
+	ShareHeapOps int64
 }
 
 // FlowSpec describes one flow for StartBatch.
@@ -375,9 +393,13 @@ type Net struct {
 	// ctxs[0] is the serial path's context. par is the configured worker
 	// count (see SetSolveParallelism); parFloor gates the fan-out by the
 	// flush's flow population so tiny flushes never pay goroutine handoff.
+	// heapRounds and heapLinks are the rule that switches a component solve
+	// from scanning to the link-share heap (see defaultHeapRounds).
 	ctxs          []*solveCtx
 	par           int
 	parFloor      int
+	heapRounds    int
+	heapLinks     int
 	solvedScratch []*component
 	stats         Stats
 	solveEpoch    atomic.Int64 // globally unique solve stamps, any worker
@@ -408,6 +430,11 @@ type solveCtx struct {
 	// flows crossing c.links[i] (i = compIdx).
 	idx []int32
 
+	// shares is a long solve's link-share heap and touched the links whose
+	// shares the current round's fixes move (see solveComponent).
+	shares  shareHeap
+	touched []*Link
+
 	stats Stats
 }
 
@@ -422,6 +449,7 @@ func (s *Stats) merge(o *Stats) {
 	s.FlowsScanned += o.FlowsScanned
 	s.FlowsSettled += o.FlowsSettled
 	s.HeapOps += o.HeapOps
+	s.ShareHeapOps += o.ShareHeapOps
 	*o = Stats{}
 }
 
@@ -431,6 +459,23 @@ func (s *Stats) merge(o *Stats) {
 // would buy. Results are byte-identical either way; tests lower the
 // floor to force the parallel path onto small populations.
 const defaultParFloor = 192
+
+// defaultHeapRounds and defaultHeapLinks are the switch rule from
+// scanning to the link-share heap: a component solve that has made
+// defaultHeapRounds rounds by scanning its live links, and still has at
+// least defaultHeapLinks of them, builds the heap and finishes from it.
+// Most solves fix every flow within a handful of rounds, where one pass
+// over the live list beats building and keeping a heap. A solve still
+// running after that many rounds is in the one-round-per-share-level
+// regime, where each rescan pays for every live link and a heap round
+// pays only for the links the previous round's fixes touched — a saving
+// only when the live list is long. Results are bit-identical either way;
+// tests zero both fields to use the heap from the first round, or raise
+// heapRounds past any round count to scan only.
+const (
+	defaultHeapRounds = 8
+	defaultHeapLinks  = 32
+)
 
 // dueChange stages one completion-heap re-key. Keys are applied one at a
 // time (or in bulk via a rebuild) after the flush, never mid-heap-repair,
@@ -477,11 +522,13 @@ func (n *Net) Observe(o Observer) { n.observer = o }
 // NewNet creates an empty network on eng.
 func NewNet(eng *sim.Engine) *Net {
 	n := &Net{
-		eng:       eng,
-		linkNames: map[string]bool{},
-		par:       1,
-		parFloor:  defaultParFloor,
-		ctxs:      []*solveCtx{{}},
+		eng:        eng,
+		linkNames:  map[string]bool{},
+		par:        1,
+		parFloor:   defaultParFloor,
+		heapRounds: defaultHeapRounds,
+		heapLinks:  defaultHeapLinks,
+		ctxs:       []*solveCtx{{}},
 	}
 	n.flushFn = n.flushWork
 	n.completionFn = n.onCompletion
@@ -612,8 +659,11 @@ func (n *Net) StartBatch(specs []FlowSpec) []*Flow {
 // unioned eagerly, the rate solve is deferred to the coalesced dirty event
 // (performed immediately in reference mode).
 func (n *Net) admit(sp FlowSpec) *Flow {
-	if sp.SizeMB < 0 || math.IsNaN(sp.SizeMB) {
+	if sp.SizeMB < 0 || math.IsNaN(sp.SizeMB) || math.IsInf(sp.SizeMB, 1) {
 		panic(fmt.Sprintf("flow: bad size %v for %q", sp.SizeMB, sp.Name))
+	}
+	if math.IsNaN(sp.MaxRate) || math.IsInf(sp.MaxRate, 0) {
+		panic(fmt.Sprintf("flow: bad rate cap %v for %q", sp.MaxRate, sp.Name))
 	}
 	n.flowSeq++
 	f := &Flow{
@@ -1126,13 +1176,19 @@ func (n *Net) Recompute() {
 // compacting out those with no unfixed flow, that finds both the minimum
 // share and the saturation candidates — links within the saturation
 // tolerance of the running minimum, re-checked against the final one. The
-// saturated links' flows are then fixed through the index. Every flow a
-// bottleneck round fixes gets the same rate, so each link's residual
-// receives the same sequence of subtractions in any fix order. Rate-capped
-// flows are sorted by (cap, admission) once per solve and fixed from a
-// cursor in exactly the batches and order the reference solver fixes them
-// in (see sortCapped), so the residual arithmetic is bit-identical to the
-// reference solver's monolithic pass restricted to this component.
+// saturated links' flows are then fixed through the index. A solve that
+// outlasts the switch rule (Net.heapRounds, Net.heapLinks) builds a
+// link-share heap from the live list instead and finishes from it: each
+// heap round re-keys the links the previous round's fixes touched, takes
+// the minimum share from the root and collects the saturated set with a
+// walk pruned at the tolerance — the same minimum bits and the same set
+// the scan finds. Every flow a bottleneck round fixes gets the same rate,
+// so each link's residual receives the same sequence of subtractions in
+// any fix order. Rate-capped flows are sorted by (cap, admission) once
+// per solve and fixed from a cursor in exactly the batches and order the
+// reference solver fixes them in (see sortCapped), so the residual
+// arithmetic is bit-identical to the reference solver's monolithic pass
+// restricted to this component.
 // Reference mode shares none of this machinery (assignRatesReference): it
 // is the oracle, so a defect in the component, live-list or index
 // bookkeeping cannot cancel out of the inc-vs-ref property tests. All
@@ -1198,34 +1254,59 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 	next := 0 // every capped flow before next is fixed
 
 	cand := ctx.cand[:0]
-	for left > 0 {
+	heaped := false
+	for round := 0; left > 0; round++ {
 		ctx.stats.Rounds++
-		ctx.stats.LinkVisits += int64(len(live))
 		minShare, limit := math.Inf(1), math.Inf(1)
 		cand = cand[:0]
-		w := 0
-		for _, l := range live {
-			if l.unfixed == 0 {
-				continue
-			}
-			live[w] = l
-			w++
-			res := l.residual
-			if res < 0 {
-				res = 0
-			}
-			share := res / float64(l.unfixed)
-			if share < minShare {
-				minShare = share
-				limit = minShare*(1+1e-12) + 1e-15
-			}
-			// The limit only falls as the scan goes on, so a link rejected
-			// here is never saturated; candidates are re-checked below.
-			if share <= limit {
-				cand = append(cand, candidate{l, share}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
-			}
+		if !heaped && round >= n.heapRounds && len(live) >= n.heapLinks {
+			ctx.buildShares(live, len(links))
+			heaped = true
 		}
-		live = live[:w]
+		if heaped {
+			// The heap holds every link with an unfixed flow, keyed by its
+			// share as of the last round's fixes, so the root is the
+			// minimum the scan would find, and a walk that stops below
+			// entries above the limit collects exactly its saturated set.
+			ctx.rekeyShares()
+			if h := ctx.shares.at; len(h) > 0 {
+				minShare = h[0].share
+				limit = float64(minShare*(1+1e-12)) + 1e-15
+				cand = append(cand, candidate{links[h[0].link], minShare}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
+				visits := 1
+				for i := 0; i < len(cand); i++ {
+					first := 2*int(ctx.shares.pos[cand[i].l.compIdx]) + 1
+					for c := first; c < first+2 && c < len(h); c++ {
+						visits++
+						if e := h[c]; e.share <= limit {
+							cand = append(cand, candidate{links[e.link], e.share}) //pfsim:allocok see above
+						}
+					}
+				}
+				ctx.stats.LinkVisits += int64(visits)
+			}
+		} else {
+			ctx.stats.LinkVisits += int64(len(live))
+			w := 0
+			for _, l := range live {
+				if l.unfixed == 0 {
+					continue
+				}
+				live[w] = l
+				w++
+				share := l.share()
+				if share < minShare {
+					minShare = share
+					limit = float64(minShare*(1+1e-12)) + 1e-15
+				}
+				// The limit only falls as the scan goes on, so a link rejected
+				// here is never saturated; candidates are re-checked below.
+				if share <= limit {
+					cand = append(cand, candidate{l, share}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
+				}
+			}
+			live = live[:w]
+		}
 		// Fix rate-capped flows whose cap is at or below the share. Every
 		// capped flow the cursor has passed is fixed, so the batch is
 		// exactly the unfixed capped flows with maxRate <= minShare.
@@ -1237,6 +1318,9 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			if f.fixedEpoch != epoch {
 				fixFlow(f, f.maxRate, epoch)
 				left--
+				if heaped {
+					ctx.touch(f)
+				}
 			}
 		}
 		if left < before {
@@ -1269,6 +1353,9 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 				if f := c.flows[p]; f.fixedEpoch != epoch {
 					fixFlow(f, minShare, epoch)
 					left--
+					if heaped {
+						ctx.touch(f)
+					}
 				}
 			}
 		}
@@ -1276,11 +1363,145 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 		}
 	}
+	for _, l := range ctx.touched {
+		l.touched = false
+	}
+	ctx.touched = ctx.touched[:0]
+	ctx.shares.at = ctx.shares.at[:0]
 	clear(capped)
 	ctx.capped = capped[:0]
 	ctx.cand = cand[:0]
 	ctx.live = live[:0]
 	ctx.idx = idx[:0]
+}
+
+// share is the link's fair share of its residual capacity among its
+// unfixed flows; a residual that rounding drove below zero counts as zero.
+func (l *Link) share() float64 {
+	res := l.residual
+	if res < 0 {
+		res = 0
+	}
+	return res / float64(l.unfixed)
+}
+
+// shareHeap is a min-heap of one component's links keyed by fair share.
+// A solve builds it from its live links once scanning has run long enough
+// (Net.heapRounds, Net.heapLinks), then keeps it current by re-keying
+// only the links whose residual or unfixed count the last round's fixes
+// moved. Keys are recomputed from the link exactly as the scan computes
+// them, so the root holds the scan's minimum bits. Entries name links by
+// compIdx and pos maps a compIdx back to its entry, so the heap holds no
+// pointers for sifts to write through.
+type shareHeap struct {
+	at  []shareEntry
+	pos []int32 // by compIdx: the link's position in at
+}
+
+type shareEntry struct {
+	share float64
+	link  int32 // compIdx
+}
+
+// up and down restore the heap order from position i, moving each
+// displaced entry's position with it.
+func (h *shareHeap) up(i int) {
+	at, pos := h.at, h.pos
+	e := at[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if at[p].share <= e.share {
+			break
+		}
+		at[i] = at[p]
+		pos[at[i].link] = int32(i)
+		i = p
+	}
+	at[i] = e
+	pos[e.link] = int32(i)
+}
+
+func (h *shareHeap) down(i int) {
+	at, pos := h.at, h.pos
+	e := at[i]
+	for {
+		c := 2*i + 1
+		if c >= len(at) {
+			break
+		}
+		if r := c + 1; r < len(at) && at[r].share < at[c].share {
+			c = r
+		}
+		if e.share <= at[c].share {
+			break
+		}
+		at[i] = at[c]
+		pos[at[i].link] = int32(i)
+		i = c
+	}
+	at[i] = e
+	pos[e.link] = int32(i)
+}
+
+// buildShares heapifies the live links that still carry an unfixed flow;
+// nLinks is the component's link count.
+func (ctx *solveCtx) buildShares(live []*Link, nLinks int) {
+	h := &ctx.shares
+	h.pos = slices.Grow(h.pos[:0], nLinks)[:nLinks] //pfsim:allocok share-heap scratch grows to the peak component link count, then reuses capacity
+	at := h.at[:0]
+	for _, l := range live {
+		if l.unfixed > 0 {
+			at = append(at, shareEntry{l.share(), int32(l.compIdx)}) //pfsim:allocok see above
+		}
+	}
+	h.at = at
+	for i, e := range at {
+		h.pos[e.link] = int32(i)
+	}
+	for i := len(at)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	ctx.stats.ShareHeapOps += int64(len(at))
+}
+
+// touch queues a just-fixed flow's links for a share re-key.
+func (ctx *solveCtx) touch(f *Flow) {
+	for _, l := range f.path {
+		if !l.touched {
+			l.touched = true
+			ctx.touched = append(ctx.touched, l) //pfsim:allocok touched-link scratch grows to the peak component link count, then reuses capacity
+		}
+	}
+}
+
+// rekeyShares brings the touched links' heap keys up to date: a link left
+// with no unfixed flow leaves the heap, any other sifts to its new share.
+// The sift goes either way: fixing a flow at or below a link's share never
+// lowers the link's exact share, but (r-m)/(u-1) can round an ulp below r/u.
+func (ctx *solveCtx) rekeyShares() {
+	h := &ctx.shares
+	for _, l := range ctx.touched {
+		l.touched = false
+		i := int(h.pos[l.compIdx])
+		if l.unfixed == 0 {
+			last := len(h.at) - 1
+			h.at[i] = h.at[last]
+			h.at = h.at[:last]
+			if i == last {
+				continue
+			}
+			h.pos[h.at[i].link] = int32(i)
+		} else {
+			h.at[i].share = l.share()
+		}
+		if i > 0 && h.at[i].share < h.at[(i-1)/2].share {
+			h.up(i)
+		} else {
+			h.down(i)
+		}
+	}
+	ctx.stats.ShareHeapOps += int64(len(ctx.touched))
+	ctx.touched = ctx.touched[:0]
 }
 
 // candidate is a link whose fair share was within the saturation
@@ -1426,7 +1647,7 @@ func (n *Net) assignRatesReference() {
 			if res < 0 {
 				res = 0
 			}
-			if res/float64(l.unfixed) <= minShare*(1+1e-12)+1e-15 {
+			if res/float64(l.unfixed) <= float64(minShare*(1+1e-12))+1e-15 {
 				l.saturated = true
 				sat = append(sat, l) //pfsim:allocok saturated-link scratch grows to the peak link count, then reuses capacity
 			}

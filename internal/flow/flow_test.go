@@ -3,6 +3,8 @@ package flow
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +151,32 @@ func TestNegativeSizePanics(t *testing.T) {
 	n := NewNet(e)
 	l := n.NewLink("pipe", Const(1))
 	n.Start("bad", -5, 0, l)
+}
+
+// TestAdmitRejectsNonFiniteSpecs: an infinite size, or a NaN or infinite
+// rate cap, is a caller bug that would poison every share on the flow's
+// links; admission panics naming the flow instead.
+func TestAdmitRejectsNonFiniteSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		size, maxRate float64
+	}{
+		{"infinite-size", math.Inf(1), 0},
+		{"nan-cap", 100, math.NaN()},
+		{"infinite-cap", 100, math.Inf(1)},
+		{"negative-infinite-cap", 100, math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, strconv.Quote(tc.name)) {
+					t.Errorf("panic %q does not name flow %q", msg, tc.name)
+				}
+			}()
+			n := NewNet(sim.NewEngine())
+			n.Start(tc.name, tc.size, tc.maxRate, n.NewLink("pipe", Const(1)))
+		})
+	}
 }
 
 func TestThrashModel(t *testing.T) {

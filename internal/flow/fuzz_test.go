@@ -1,0 +1,146 @@
+package flow
+
+import (
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// fuzzBytes doles out a fuzz input one byte at a time, yielding zero once
+// the input is spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// intn returns a value in [0, n) for n <= 256.
+func (b *fuzzBytes) intn(n int) int { return b.next() % n }
+
+// unit returns a value in [0, 1] with 16 bits of resolution.
+func (b *fuzzBytes) unit() float64 {
+	return float64(b.next()<<8|b.next()) / 0xffff
+}
+
+// decodeSolverInput turns fuzz bytes into a topology and a schedule in
+// the shapes randomSchedule draws: 1–48 links of 1–1000 MB/s, a quarter of
+// them thrashing, then ops — single starts, batches of 2–25 flows, eager
+// and lazy capacity changes, and starts chained on an earlier op's first
+// completion — until the input or a budget of 64 ops or 160 flows runs
+// out. The budget keeps one input's reference replay, which re-solves the
+// whole network on every admission, to a fraction of a second. Flows cross
+// 1–3 distinct links or none (a path-less capped flow); sizes include zero
+// and caps are optional.
+func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
+	in := fuzzBytes(data)
+	topo := make([]linkTmpl, 1+in.intn(48))
+	for i := range topo {
+		topo[i].mbs = 1 + 999*in.unit()
+		if g := in.next(); g%4 == 3 {
+			topo[i].gamma = 0.01 + float64(g/4)/64*0.2
+		}
+	}
+	spec := func(name string) specTmpl {
+		sp := specTmpl{name: name}
+		if in.intn(10) == 0 {
+			sp.size = 1 + 499*in.unit()
+			sp.maxRate = 1 + 99*in.unit()
+			return sp
+		}
+		seen := map[int]bool{}
+		for want := 1 + in.intn(3); len(sp.path) < want && len(sp.path) < len(topo); {
+			k := in.intn(len(topo))
+			for seen[k] {
+				k = (k + 1) % len(topo)
+			}
+			seen[k] = true
+			sp.path = append(sp.path, k)
+		}
+		if in.intn(8) > 0 {
+			sp.size = 1 + 1999*in.unit()
+		}
+		if in.intn(3) == 0 {
+			sp.maxRate = 1 + 99*in.unit()
+		}
+		return sp
+	}
+	var ops []solverOp
+	var starters []int
+	at, flows := 0.0, 0
+	for i := 0; len(in) > 0 && i < 64 && flows < 160; i++ {
+		if dt := in.next(); dt%3 > 0 {
+			at += float64(dt) / 255 * 3
+		}
+		switch r := in.intn(10); {
+		case r == 0 && i > 0:
+			kind := opCap
+			if in.intn(2) == 0 {
+				kind = opCapLazy
+			}
+			ops = append(ops, solverOp{at: at, kind: kind, link: in.intn(len(topo)), mbs: 1 + 999*in.unit()})
+		case r == 1 && len(starters) > 0:
+			target := starters[in.intn(len(starters))]
+			ops = append(ops, solverOp{kind: opChain, specs: []specTmpl{spec(fmt.Sprintf("c%d", i))}, target: target})
+			flows++
+		case r <= 4:
+			specs := make([]specTmpl, 2+in.intn(24))
+			flows += len(specs)
+			for j := range specs {
+				specs[j] = spec(fmt.Sprintf("b%d_%d", i, j))
+			}
+			starters = append(starters, len(ops))
+			ops = append(ops, solverOp{at: at, kind: opBatch, specs: specs})
+		default:
+			starters = append(starters, len(ops))
+			ops = append(ops, solverOp{at: at, kind: opStart, specs: []specTmpl{spec(fmt.Sprintf("f%d", i))}})
+			flows++
+		}
+	}
+	return topo, ops
+}
+
+// FuzzSolver replays decoded topologies and schedules through the
+// reference solver and the incremental solver's three search strategies
+// (the shipped scan-to-heap switch, scanning only, and the link-share heap
+// from the first round). Start times, finish times and carried volumes
+// must be bit-identical, and CheckInvariants and CheckMaxMin must hold
+// inside every op event and after every flush (matchesReference). Seeds
+// live in testdata/fuzz/FuzzSolver; one is a 48-link topology whose flows
+// settle at distinct share levels, so its solves outlast the switch rule
+// and the default strategy finishes them from the heap.
+func FuzzSolver(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, ops := decodeSolverInput(data)
+		matchesReference(t, ops, topo)
+	})
+}
+
+// TestFuzzSolverManyRoundsSeed keeps the many-rounds seed doing its job:
+// its solves average at least 10 rounds, so under the shipped switch rule
+// they outlast the scan rounds and finish from the link-share heap.
+func TestFuzzSolverManyRoundsSeed(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSolver/many-rounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("unexpected seed file format: %q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, ops := decodeSolverInput([]byte(data))
+	s := matchesReference(t, ops, topo)[0].Stats()
+	if s.ShareHeapOps == 0 || s.Rounds < 10*s.ComponentsSolved {
+		t.Errorf("many-rounds seed averages under 10 rounds per solve or never reaches the heap: %+v", s)
+	}
+}

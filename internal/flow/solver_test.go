@@ -121,14 +121,32 @@ func randomSchedule(rng *rand.Rand, nLinks int) []solverOp {
 	return ops
 }
 
-// linkModel is the capacity model replay gives link i: every third link
-// thrashes, so the solvers and the max-min certificate also see capacities
-// that fall as streams are added.
-func linkModel(i int, mbs float64) CapacityModel {
-	if i%3 == 2 {
-		return Thrash{Base: mbs, Gamma: 0.05}
+// linkTmpl is one link of a replayed topology: its capacity, and a
+// per-stream degradation that makes it a Thrash link when positive.
+type linkTmpl struct {
+	mbs, gamma float64
+}
+
+// model is the link's capacity model at capacity mbs.
+func (lt linkTmpl) model(mbs float64) CapacityModel {
+	if lt.gamma > 0 {
+		return Thrash{Base: mbs, Gamma: lt.gamma}
 	}
 	return Const(mbs)
+}
+
+// randomLinks draws n links of 10–510 MB/s. Every third link thrashes, so
+// the solvers and the max-min certificate also see capacities that fall
+// as streams are added.
+func randomLinks(rng *rand.Rand, n int) []linkTmpl {
+	links := make([]linkTmpl, n)
+	for i := range links {
+		links[i].mbs = 10 + rng.Float64()*500
+		if i%3 == 2 {
+			links[i].gamma = 0.05
+		}
+	}
+	return links
 }
 
 // flushWatcher calls fn on every flow admission and completion.
@@ -137,49 +155,68 @@ type flushWatcher struct{ fn func() }
 func (w flushWatcher) FlowStarted(*Flow)  { w.fn() }
 func (w flushWatcher) FlowFinished(*Flow) { w.fn() }
 
-// replay builds a star of nLinks links with the given capacities (see
-// linkModel), schedules ops, runs the engine, and returns the flows (in
-// creation order), links and net. With invariants set, CheckInvariants and
-// CheckMaxMin run inside every op event, and CheckMaxMin also runs after
-// the flush that follows every admission and completion. par > 1 solves
-// dirty components on concurrent workers, with the population floor
-// removed so even tiny flushes take the parallel path.
-func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par int, invariants bool) ([]*Flow, []*Link, *Net) {
+// solverMode selects how a replayed net solves: the reference oracle, or
+// the incremental solver with a given worker count and switch to the
+// link-share heap.
+type solverMode struct {
+	name      string
+	reference bool
+	par       int // > 1: concurrent component solves with the population floor removed
+	// heapRounds and heapLinks are the switch rule to the link-share heap
+	// (Net.heapRounds, Net.heapLinks).
+	heapRounds, heapLinks int
+}
+
+var (
+	refMode      = solverMode{name: "reference", reference: true, par: 1}
+	defaultMode  = solverMode{name: "default", par: 1, heapRounds: defaultHeapRounds, heapLinks: defaultHeapLinks}
+	scanOnlyMode = solverMode{name: "scan-only", par: 1, heapRounds: math.MaxInt}
+	heapMode     = solverMode{name: "heap", par: 1}
+)
+
+// incModes are the incremental solver's search strategies: the shipped
+// switch rule, scanning every round, and the heap from the first round.
+var incModes = []solverMode{defaultMode, scanOnlyMode, heapMode}
+
+// replay builds the links of topo, schedules ops, runs the engine, and
+// returns the flows (in creation order), links and net. CheckInvariants
+// and CheckMaxMin run inside every op event, and CheckMaxMin also runs
+// after the flush that follows every admission and completion.
+func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*Flow, []*Link, *Net) {
 	t.Helper()
 	e := sim.NewEngine()
 	n := NewNet(e)
-	n.UseReferenceSolver(reference)
-	if par > 1 {
-		n.SetSolveParallelism(par)
+	n.UseReferenceSolver(mode.reference)
+	n.heapRounds, n.heapLinks = mode.heapRounds, mode.heapLinks
+	if mode.par > 1 {
+		n.SetSolveParallelism(mode.par)
 		n.parFloor = 0
 	}
-	links := make([]*Link, len(caps))
-	for i, c := range caps {
-		links[i] = n.NewLink(fmt.Sprintf("l%d", i), linkModel(i, c))
+	links := make([]*Link, len(topo))
+	for i, lt := range topo {
+		links[i] = n.NewLink(fmt.Sprintf("l%d", i), lt.model(lt.mbs))
 	}
-	if invariants {
-		// The certificate event queues behind the instant's pending flush,
-		// and re-queues while solver work is pending, so it never forces a
-		// solve of its own: both replays of a schedule run the same events.
-		armed := false
-		var certify func()
-		certify = func() {
-			if n.dirtyEv != nil || len(n.work) > 0 {
-				e.Schedule(0, certify)
-				return
-			}
-			armed = false
-			if err := n.CheckMaxMin(); err != nil {
-				t.Errorf("max-min certificate after the flush at t=%v: %v", e.Now(), err)
-			}
+	// The certificate event queues behind the instant's pending flush, and
+	// re-queues while solver work is pending, so it never forces a solve of
+	// its own: every replay of a schedule runs the same events.
+	armed := false
+	var certify func()
+	certify = func() {
+		if n.dirtyEv != nil || len(n.work) > 0 {
+			e.Schedule(0, certify)
+			return
 		}
-		n.Observe(flushWatcher{func() {
-			if !armed {
-				armed = true
-				e.Schedule(0, certify)
-			}
-		}})
+		armed = false
+		if err := n.CheckMaxMin(); err != nil {
+			t.Errorf("%s: max-min certificate after the flush at t=%v: %v", mode.name, e.Now(), err)
+		}
 	}
+	n.Observe(flushWatcher{func() {
+		if !armed {
+			armed = true
+			e.Schedule(0, certify)
+		}
+	}})
 	resolve := func(sp specTmpl) FlowSpec {
 		path := make([]*Link, len(sp.path))
 		for i, k := range sp.path {
@@ -188,13 +225,11 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 		return FlowSpec{Name: sp.name, SizeMB: sp.size, MaxRate: sp.maxRate, Path: path}
 	}
 	check := func(where string) {
-		if invariants {
-			if err := n.CheckInvariants(); err != nil {
-				t.Errorf("invariants after %s: %v", where, err)
-			}
-			if err := n.CheckMaxMin(); err != nil {
-				t.Errorf("max-min certificate after %s: %v", where, err)
-			}
+		if err := n.CheckInvariants(); err != nil {
+			t.Errorf("%s: invariants after %s: %v", mode.name, where, err)
+		}
+		if err := n.CheckMaxMin(); err != nil {
+			t.Errorf("%s: max-min certificate after %s: %v", mode.name, where, err)
 		}
 	}
 	var flows []*Flow
@@ -227,14 +262,14 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 			continue
 		case opCap:
 			e.Schedule(op.at, func() {
-				links[op.link].SetModel(linkModel(op.link, op.mbs))
+				links[op.link].SetModel(topo[op.link].model(op.mbs))
 				n.Recompute()
 				check(fmt.Sprintf("capacity change at t=%v", op.at))
 			})
 		case opCapLazy:
 			e.Schedule(op.at, func() {
 				// No Recompute: the coalesced zero-delay solve applies it.
-				links[op.link].SetModel(linkModel(op.link, op.mbs))
+				links[op.link].SetModel(topo[op.link].model(op.mbs))
 			})
 		case opStart:
 			e.Schedule(op.at, func() {
@@ -265,25 +300,98 @@ func replay(t *testing.T, ops []solverOp, caps []float64, reference bool, par in
 	return flows, links, n
 }
 
+// sameTrajectories fails unless two replays of one schedule agree bit for
+// bit: every flow's name, completion state, start and finish time, and
+// every link's carried volume.
+func sameTrajectories(t *testing.T, label string, flows []*Flow, links []*Link, wantFlows []*Flow, wantLinks []*Link) {
+	t.Helper()
+	if len(flows) != len(wantFlows) {
+		t.Fatalf("%s: flow counts diverged: %d vs %d", label, len(flows), len(wantFlows))
+	}
+	for i := range flows {
+		f, w := flows[i], wantFlows[i]
+		if f.Name() != w.Name() {
+			t.Fatalf("%s: flow order diverged at %d: %s vs %s", label, i, f.Name(), w.Name())
+		}
+		if f.Finished() != w.Finished() {
+			t.Fatalf("%s: flow %s: finished %v vs %v", label, f.Name(), f.Finished(), w.Finished())
+		}
+		if math.Float64bits(f.Started()) != math.Float64bits(w.Started()) {
+			t.Errorf("%s: flow %s: start %v vs %v (not bit-identical)", label, f.Name(), f.Started(), w.Started())
+		}
+		if math.Float64bits(f.FinishedAt()) != math.Float64bits(w.FinishedAt()) {
+			t.Errorf("%s: flow %s: finish %v vs %v (not bit-identical)", label, f.Name(), f.FinishedAt(), w.FinishedAt())
+		}
+	}
+	for i := range links {
+		if math.Float64bits(links[i].Carried()) != math.Float64bits(wantLinks[i].Carried()) {
+			t.Errorf("%s: link %s: carried %v vs %v", label, links[i].Name(), links[i].Carried(), wantLinks[i].Carried())
+		}
+	}
+}
+
+// matchesReference replays a schedule under the reference solver and under
+// each of the incremental solver's search strategies (incModes). Every
+// incremental replay must drain, pass CheckInvariants, and match the
+// reference bit for bit. It returns the incremental nets in incModes order.
+//
+// Invariants are checked inside every op event in every mode:
+// CheckInvariants flushes pending solver work, and with lazy accrual a
+// flush is itself a settle point, so the replays must perform the same
+// call sequence to stay bit-identical — exactly as any real caller does,
+// since the same program runs unmodified under either solver.
+func matchesReference(t *testing.T, ops []solverOp, topo []linkTmpl) []*Net {
+	t.Helper()
+	refFlows, refLinks, _ := replay(t, ops, topo, refMode)
+	nets := make([]*Net, len(incModes))
+	for m, mode := range incModes {
+		flows, links, n := replay(t, ops, topo, mode)
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		if n.ActiveFlows() != 0 || n.ActiveLinks() != 0 || n.Components() != 0 {
+			t.Fatalf("%s: net not drained: %d flows, %d active links, %d components",
+				mode.name, n.ActiveFlows(), n.ActiveLinks(), n.Components())
+		}
+		sameTrajectories(t, mode.name+" vs reference", flows, links, refFlows, refLinks)
+		nets[m] = n
+	}
+	// The strategies fix the same flows in the same rounds, so only the
+	// link visits and the share-heap work may differ between them.
+	work := func(n *Net) Stats {
+		s := n.Stats()
+		s.LinkVisits, s.ShareHeapOps = 0, 0
+		return s
+	}
+	for m, n := range nets {
+		if work(n) != work(nets[0]) {
+			t.Errorf("%s: solver work diverged from %s:\n%+v\n%+v", incModes[m].name, incModes[0].name, n.Stats(), nets[0].Stats())
+		}
+		if s := n.Stats(); incModes[m] == scanOnlyMode && s.ShareHeapOps != 0 {
+			t.Errorf("scan-only replay made %d share-heap ops", s.ShareHeapOps)
+		}
+	}
+	return nets
+}
+
 // TestIncrementalMatchesReferenceProperty drives randomized sequences of
 // single starts, batch admissions (StartBatch), zero-duration flows,
 // capacity changes and completion-chained arrivals through the
-// incremental heap solver and the from-scratch reference solver on
-// identical topologies. Start times, completion times and carried volumes
-// must match bit for bit, and the incremental net must satisfy
-// CheckInvariants — including completion-heap consistency — inside every
-// event and after the run drains.
+// incremental solver — with the shipped scan-to-heap switch, scanning
+// only, and from the link-share heap from the first round — and the
+// from-scratch reference solver on identical topologies. Start times,
+// completion times and carried volumes must match bit for bit, and the
+// incremental net must satisfy CheckInvariants — including
+// completion-heap consistency — inside every event and after the run
+// drains.
 func TestIncrementalMatchesReferenceProperty(t *testing.T) {
-	sawBatch, sawChain, sawZero := false, false, false
+	sawBatch, sawChain, sawZero, sawHeap := false, false, false, false
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			nLinks := 4 + rng.Intn(12)
-			caps := make([]float64, nLinks)
-			for i := range caps {
-				caps[i] = 10 + rng.Float64()*500
-			}
+			topo := randomLinks(rng, nLinks)
 			ops := randomSchedule(rng, nLinks)
 			for _, op := range ops {
 				switch op.kind {
@@ -298,53 +406,16 @@ func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 					}
 				}
 			}
-			// Invariants are checked inside every op event in BOTH modes:
-			// CheckInvariants flushes pending solver work, and with lazy
-			// accrual a flush is itself a settle point, so the two replays
-			// must perform the same call sequence to stay bit-identical —
-			// exactly as any real caller does, since the same program runs
-			// unmodified under either solver. As a bonus the reference run
-			// now exercises the component-partition invariants too.
-			incFlows, incLinks, inc := replay(t, ops, caps, false, 1, true)
-			refFlows, refLinks, _ := replay(t, ops, caps, true, 1, true)
-			if err := inc.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if inc.ActiveFlows() != 0 || inc.ActiveLinks() != 0 {
-				t.Fatalf("incremental net not drained: %d flows, %d active links",
-					inc.ActiveFlows(), inc.ActiveLinks())
-			}
-			if len(incFlows) != len(refFlows) {
-				t.Fatalf("flow counts diverged: %d vs %d", len(incFlows), len(refFlows))
-			}
-			for i := range incFlows {
-				fi, fr := incFlows[i], refFlows[i]
-				if fi.Name() != fr.Name() {
-					t.Fatalf("flow order diverged at %d: %s vs %s", i, fi.Name(), fr.Name())
-				}
-				if fi.Finished() != fr.Finished() {
-					t.Fatalf("flow %s: finished %v vs %v", fi.Name(), fi.Finished(), fr.Finished())
-				}
-				if math.Float64bits(fi.Started()) != math.Float64bits(fr.Started()) {
-					t.Errorf("flow %s: start %v vs reference %v (not bit-identical)",
-						fi.Name(), fi.Started(), fr.Started())
-				}
-				if math.Float64bits(fi.FinishedAt()) != math.Float64bits(fr.FinishedAt()) {
-					t.Errorf("flow %s: finish %v vs reference %v (not bit-identical)",
-						fi.Name(), fi.FinishedAt(), fr.FinishedAt())
-				}
-			}
-			for i := range incLinks {
-				if math.Float64bits(incLinks[i].Carried()) != math.Float64bits(refLinks[i].Carried()) {
-					t.Errorf("link %s: carried %v vs reference %v",
-						incLinks[i].Name(), incLinks[i].Carried(), refLinks[i].Carried())
+			for m, n := range matchesReference(t, ops, topo) {
+				if incModes[m] == heapMode && n.Stats().ShareHeapOps > 0 {
+					sawHeap = true
 				}
 			}
 		})
 	}
-	if !sawBatch || !sawChain || !sawZero {
-		t.Errorf("schedule generator lost coverage: batch=%v chain=%v zero=%v",
-			sawBatch, sawChain, sawZero)
+	if !sawBatch || !sawChain || !sawZero || !sawHeap {
+		t.Errorf("schedule generator lost coverage: batch=%v chain=%v zero=%v heap=%v",
+			sawBatch, sawChain, sawZero, sawHeap)
 	}
 }
 
@@ -681,9 +752,10 @@ func randomGroupedSchedule(rng *rand.Rand, groups, groupLinks int) []solverOp {
 // multi-component schedules — disjoint link groups, flows migrating a
 // component merge via shared-link (bridge) admission, component splits
 // when bridges retire, and lazy SetModel changes — through the partitioned
-// solver and the monolithic reference solver. Trajectories and carried
-// volumes must match bit for bit, with the component-partition invariants
-// checked inside every event in both modes.
+// solver in each of its search strategies and the monolithic reference
+// solver. Trajectories and carried volumes must match bit for bit, with
+// the component-partition invariants checked inside every event in every
+// mode.
 func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
 	for seed := int64(100); seed < 130; seed++ {
 		seed := seed
@@ -691,50 +763,23 @@ func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			groups := 2 + rng.Intn(5)
 			groupLinks := 2 + rng.Intn(4)
-			caps := make([]float64, groups*groupLinks)
-			for i := range caps {
-				caps[i] = 10 + rng.Float64()*500
-			}
+			topo := randomLinks(rng, groups*groupLinks)
 			ops := randomGroupedSchedule(rng, groups, groupLinks)
-			incFlows, incLinks, inc := replay(t, ops, caps, false, 1, true)
-			refFlows, refLinks, _ := replay(t, ops, caps, true, 1, true)
-			if err := inc.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if inc.ActiveFlows() != 0 || inc.Components() != 0 {
-				t.Fatalf("incremental net not drained: %d flows, %d components",
-					inc.ActiveFlows(), inc.Components())
-			}
-			if len(incFlows) != len(refFlows) {
-				t.Fatalf("flow counts diverged: %d vs %d", len(incFlows), len(refFlows))
-			}
-			for i := range incFlows {
-				fi, fr := incFlows[i], refFlows[i]
-				if math.Float64bits(fi.Started()) != math.Float64bits(fr.Started()) {
-					t.Errorf("flow %s: start %v vs reference %v (not bit-identical)",
-						fi.Name(), fi.Started(), fr.Started())
-				}
-				if math.Float64bits(fi.FinishedAt()) != math.Float64bits(fr.FinishedAt()) {
-					t.Errorf("flow %s: finish %v vs reference %v (not bit-identical)",
-						fi.Name(), fi.FinishedAt(), fr.FinishedAt())
-				}
-			}
-			for i := range incLinks {
-				if math.Float64bits(incLinks[i].Carried()) != math.Float64bits(refLinks[i].Carried()) {
-					t.Errorf("link %s: carried %v vs reference %v",
-						incLinks[i].Name(), incLinks[i].Carried(), refLinks[i].Carried())
-				}
-			}
+			inc := matchesReference(t, ops, topo)[0]
 			// The partitioned solver must actually have partitioned: with
 			// mostly intra-group traffic, the average population per
 			// component solve stays below the whole-network population the
 			// reference pays.
+			flows := 0
+			for _, op := range ops {
+				flows += len(op.specs)
+			}
 			ist := inc.Stats()
-			if ist.ComponentsSolved > 0 && len(incFlows) >= 16 {
+			if ist.ComponentsSolved > 0 && flows >= 16 {
 				perSolve := float64(ist.ComponentFlowsScanned) / float64(ist.ComponentsSolved)
-				if perSolve >= float64(len(incFlows)) {
+				if perSolve >= float64(flows) {
 					t.Errorf("component solves scan %.1f flows on average over %d total — no partitioning happened",
-						perSolve, len(incFlows))
+						perSolve, flows)
 				}
 			}
 		})
@@ -745,11 +790,12 @@ func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
 // schedules — a randomized number of link groups (shard counts), mixed
 // lazy/eager SetModel churn, batch admissions and completion-chained
 // retire churn — through the partitioned solver at parallelism 1..8 with
-// the population floor removed, so even two-flow flushes fan out. Every
-// parallel replay must match the serial replay AND the reference oracle
-// bit for bit: start times, finish times, carried volumes and the
-// deterministic solver counters. Run under -race this also proves the
-// concurrent component solves share no mutable state.
+// the population floor removed, so even two-flow flushes fan out, both
+// with the shipped scan-to-heap switch and with the link-share heap from
+// the first round. Every parallel replay must match the serial replay AND
+// the reference oracle bit for bit: start times, finish times, carried
+// volumes and the deterministic solver counters. Run under -race this
+// also proves the concurrent component solves share no mutable state.
 func TestParallelSolveMatchesSerialProperty(t *testing.T) {
 	for seed := int64(500); seed < 515; seed++ {
 		seed := seed
@@ -757,44 +803,27 @@ func TestParallelSolveMatchesSerialProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			groups := 2 + rng.Intn(7) // randomized shard count
 			groupLinks := 2 + rng.Intn(4)
-			caps := make([]float64, groups*groupLinks)
-			for i := range caps {
-				caps[i] = 10 + rng.Float64()*500
-			}
+			topo := randomLinks(rng, groups*groupLinks)
 			ops := randomGroupedSchedule(rng, groups, groupLinks)
-			serialFlows, serialLinks, serial := replay(t, ops, caps, false, 1, true)
-			refFlows, _, _ := replay(t, ops, caps, true, 1, true)
-			serialStats := serial.Stats()
-			for par := 2; par <= 8; par += 3 { // 2, 5, 8
-				parFlows, parLinks, pn := replay(t, ops, caps, false, par, true)
-				if err := pn.CheckInvariants(); err != nil {
-					t.Fatalf("par=%d: %v", par, err)
-				}
-				if len(parFlows) != len(serialFlows) {
-					t.Fatalf("par=%d: flow counts diverged: %d vs %d", par, len(parFlows), len(serialFlows))
-				}
-				for i := range parFlows {
-					fp, fs, fr := parFlows[i], serialFlows[i], refFlows[i]
-					if math.Float64bits(fp.Started()) != math.Float64bits(fs.Started()) {
-						t.Errorf("par=%d flow %s: start %v vs serial %v", par, fp.Name(), fp.Started(), fs.Started())
+			refFlows, refLinks, _ := replay(t, ops, topo, refMode)
+			for _, serialMode := range []solverMode{defaultMode, heapMode} {
+				serialFlows, serialLinks, serial := replay(t, ops, topo, serialMode)
+				serialStats := serial.Stats()
+				for par := 2; par <= 8; par += 3 { // 2, 5, 8
+					mode := serialMode
+					mode.par = par
+					mode.name = fmt.Sprintf("%s par=%d", serialMode.name, par)
+					parFlows, parLinks, pn := replay(t, ops, topo, mode)
+					if err := pn.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", mode.name, err)
 					}
-					if math.Float64bits(fp.FinishedAt()) != math.Float64bits(fs.FinishedAt()) {
-						t.Errorf("par=%d flow %s: finish %v vs serial %v", par, fp.Name(), fp.FinishedAt(), fs.FinishedAt())
+					sameTrajectories(t, mode.name+" vs serial", parFlows, parLinks, serialFlows, serialLinks)
+					sameTrajectories(t, mode.name+" vs reference", parFlows, parLinks, refFlows, refLinks)
+					// The deterministic work counters are integer sums over the
+					// same set of component solves, so they are identical too.
+					if ps := pn.Stats(); ps != serialStats {
+						t.Errorf("%s: stats diverged:\nparallel %+v\nserial   %+v", mode.name, ps, serialStats)
 					}
-					if math.Float64bits(fp.FinishedAt()) != math.Float64bits(fr.FinishedAt()) {
-						t.Errorf("par=%d flow %s: finish %v vs reference %v", par, fp.Name(), fp.FinishedAt(), fr.FinishedAt())
-					}
-				}
-				for i := range parLinks {
-					if math.Float64bits(parLinks[i].Carried()) != math.Float64bits(serialLinks[i].Carried()) {
-						t.Errorf("par=%d link %s: carried %v vs serial %v",
-							par, parLinks[i].Name(), parLinks[i].Carried(), serialLinks[i].Carried())
-					}
-				}
-				// The deterministic work counters are integer sums over the
-				// same set of component solves, so they are identical too.
-				if ps := pn.Stats(); ps != serialStats {
-					t.Errorf("par=%d: stats diverged:\nparallel %+v\nserial   %+v", par, ps, serialStats)
 				}
 			}
 		})

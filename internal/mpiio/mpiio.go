@@ -97,7 +97,7 @@ type File struct {
 
 	openSig *sim.Signal
 	opSeq   map[int]int
-	opSigs  map[int]*sim.Signal
+	opSigs  map[int]rendezvous
 	opened  bool
 	closed  bool
 }
@@ -114,7 +114,7 @@ func NewFile(sys *lustre.System, comm *mpi.Comm, name string, driver Driver, hin
 		logs:    make(map[int]*plfs.RankLog),
 		openSig: sys.Engine().NewSignal("open:" + name),
 		opSeq:   make(map[int]int),
-		opSigs:  make(map[int]*sim.Signal),
+		opSigs:  make(map[int]rendezvous),
 	}
 }
 
@@ -269,10 +269,9 @@ func (f *File) WriteAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error))
 	switch f.driver {
 	case DriverPLFS:
 		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig, idx := f.opSignal(r, "plfswrite")
+			sig := f.opSignal(r, "plfswrite")
 			if f.comm.RankOf(r) == 0 {
 				f.container.BatchWriteK(t, total/float64(f.comm.Size()), transferMB, func(err error) {
-					delete(f.opSigs, idx)
 					sig.Fire()
 					k(err)
 				})
@@ -282,10 +281,9 @@ func (f *File) WriteAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error))
 		})
 	default:
 		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig, idx := f.opSignal(r, "writeall")
+			sig := f.opSignal(r, "writeall")
 			if f.comm.RankOf(r) == 0 {
 				f.collectiveWriteK(t, total, func() {
-					delete(f.opSigs, idx)
 					sig.Fire()
 					k(nil)
 				})
@@ -306,19 +304,35 @@ func (f *File) checkWriteAll(sizeMB, transferMB float64) error {
 	return nil
 }
 
+// rendezvous is one rank-0-led collective operation's completion signal
+// and the number of ranks that have fetched it so far.
+type rendezvous struct {
+	sig     *sim.Signal
+	fetched int
+}
+
 // opSignal returns the rendezvous signal for the rank's next rank-0-led
 // collective operation, creating it on first arrival. All ranks issue
 // their operations in the same order, so the per-rank sequence number
-// matches arrivals of one operation across the communicator.
-func (f *File) opSignal(r *mpi.Rank, kind string) (*sim.Signal, int) {
+// matches arrivals of one operation across the communicator. The entry is
+// retired when the last rank fetches it, not when rank 0 fires it: an
+// operation that takes no virtual time completes on rank 0 before the
+// other ranks' same-instant continuations arrive, and they must still
+// find the fired signal rather than create a fresh one.
+func (f *File) opSignal(r *mpi.Rank, kind string) *sim.Signal {
 	idx := f.opSeq[r.ID()]
 	f.opSeq[r.ID()]++
-	sig := f.opSigs[idx]
-	if sig == nil {
-		sig = f.sys.Engine().NewSignal(fmt.Sprintf("%s:%s:%d", kind, f.name, idx))
-		f.opSigs[idx] = sig
+	rv, ok := f.opSigs[idx]
+	if !ok {
+		rv.sig = f.sys.Engine().NewSignal(fmt.Sprintf("%s:%s:%d", kind, f.name, idx))
 	}
-	return sig, idx
+	rv.fetched++
+	if rv.fetched == f.comm.Size() {
+		delete(f.opSigs, idx)
+	} else {
+		f.opSigs[idx] = rv
+	}
+	return rv.sig
 }
 
 // collectiveWriteK launches the two-phase flows for one collective write
@@ -417,10 +431,9 @@ func (f *File) ReadAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) 
 		return
 	}
 	f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-		sig, idx := f.opSignal(r, "readall")
+		sig := f.opSignal(r, "readall")
 		if f.comm.RankOf(r) == 0 {
 			f.collectiveWriteK(t, total, func() {
-				delete(f.opSigs, idx)
 				sig.Fire()
 				k(nil)
 			})

@@ -409,3 +409,39 @@ func TestPLFSFileIDZero(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 }
+
+// TestZeroDurationCollectives: a collective that takes no virtual time —
+// a zero total, or flows at or below the fluid model's instantaneous
+// threshold that complete at admission — finishes rank 0's side
+// synchronously, before the other ranks reach the rendezvous. Every rank
+// must still see that operation's signal and complete, on every driver,
+// for a write followed by a read.
+func TestZeroDurationCollectives(t *testing.T) {
+	for _, driver := range []Driver{DriverLustre, DriverUFS, DriverPLFS} {
+		for _, size := range []float64{0, 1e-10} {
+			eng, sys := testSys(t, 24)
+			w := mpi.NewWorld(eng, 4, 16, 0)
+			f := NewFile(sys, w.Comm(), "zero", driver, NewHints())
+			finished := 0
+			w.LaunchTasks(func(r *mpi.Rank, done func()) {
+				f.OpenK(r, must(t, "open", func() {
+					f.WriteAllK(r, size, size+1e-10, must(t, "write", func() {
+						f.ReadAllK(r, size, size+1e-10, must(t, "read", func() {
+							f.CloseK(r, func() {
+								finished++
+								done()
+							})
+						}))
+					}))
+				}))
+			})
+			if err := eng.Run(); err != nil {
+				t.Errorf("%v size %v: %v", driver, size, err)
+				continue
+			}
+			if finished != 4 {
+				t.Errorf("%v size %v: %d of 4 ranks finished", driver, size, finished)
+			}
+		}
+	}
+}

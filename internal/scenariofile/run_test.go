@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -93,6 +94,23 @@ func TestAssertionFailureIsNotAnError(t *testing.T) {
 	}
 	if !strings.Contains(res.Failures[0], "assert.total_mbs") {
 		t.Errorf("failure = %q", res.Failures[0])
+	}
+}
+
+// TestSubEpsilonBlocksRun: a job whose every flow completes at admission
+// makes each collective take zero virtual time; the file must still run
+// and pass its assertions rather than deadlock.
+func TestSubEpsilonBlocksRun(t *testing.T) {
+	doc, err := os.ReadFile("testdata/sub-epsilon-blocks.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(mustParseFile(t, string(doc)), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() {
+		t.Fatalf("assertions failed: %v", res.Failures)
 	}
 }
 
