@@ -332,36 +332,25 @@ func benchSolverModes(b *testing.B, plat *Platform, sc Scenario) {
 // population — roughly a 16× drop against the reference's global passes —
 // and accrual settles (flowssettled/op) charge only the touched shard's
 // flows per instant.
-//
-// The incremental-par4 variant solves the components each instant
-// dirties on 4 concurrent workers (Net.SetSolveParallelism). Results and
-// every counter are byte-identical across all three variants — the gate
-// pins the parallel counters to the serial baselines — and the
-// parallel/serial ns/op ratio is the wall-clock win of exploiting the
-// partition's structural independence.
 func BenchmarkSolverSharded4096x16(b *testing.B) {
 	const writers, shards = 128, 16
 	for _, bc := range []struct {
 		name      string
 		reference bool
-		par       int
 	}{
-		{"incremental", false, 1},
-		{"incremental-par4", false, 4},
-		{"reference", true, 1},
+		{"incremental", false},
+		{"reference", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			plat, scs := SolverShardedScenario(writers, shards)
 			var stats flow.Stats
 			for i := 0; i < b.N; i++ {
-				res, err := workload.RunShardedWith(plat, scs,
-					workload.RunOptions{Parallelism: bc.par},
-					func(i int, sys *lustre.System) {
-						if i == 0 {
-							sys.Net().UseReferenceSolver(bc.reference)
-						}
-					})
+				res, err := workload.RunSharded(plat, scs, 0, func(i int, sys *lustre.System) {
+					if i == 0 {
+						sys.Net().UseReferenceSolver(bc.reference)
+					}
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

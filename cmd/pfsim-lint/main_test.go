@@ -18,7 +18,7 @@ internal/flow/flow.go:27:6: time.Now reads or waits on the wall clock; simulated
 internal/flow/flow.go:36:9: make allocates on the hot path (reached from //pfsim:hotpath solveRound); preallocate or reuse scratch, or annotate //pfsim:allocok <why> (hotalloc)
 internal/flow/task.go:9:3: channel receive in task context (reachable from Signal.Await continuation at task.go:8); the event loop must not block — restructure in continuation-passing style or annotate //pfsim:taskctxok with an audit note (taskctx)
 internal/workload/w.go:15:18: aggregate function "Aggregate" does not touch field(s) MaxMBs of workload.Agg; a field missing from the fold is silently dropped at parallelism > 1 or in shard aggregation — merge it, or annotate the field //pfsim:nomerge (statsmerge)
-internal/workload/w.go:25:3: bare go statement outside internal/pool escapes pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok (barego)
+internal/workload/w.go:25:3: bare go statement outside internal/pool escapes pool ownership; use pool.Run, or audit the spawn and annotate //pfsim:goroutineok (barego)
 `
 
 func TestLintGolden(t *testing.T) {

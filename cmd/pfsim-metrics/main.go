@@ -33,13 +33,11 @@ func main() {
 	maxLoad := flag.Float64("maxload", 0, "recommend the smallest request keeping load <= maxload")
 	solverWriters := flag.Int("solver-writers", 0,
 		"simulate this many file-per-process writers and print the solver's work counters")
-	solverPar := flag.Int("solver-parallelism", 1,
-		"solver workers for -solver-writers (results and counters are byte-identical at any setting)")
 	flag.Parse()
 
 	switch {
 	case *solverWriters > 0:
-		if err := printSolverStats(os.Stdout, *solverWriters, *solverPar); err != nil {
+		if err := printSolverStats(os.Stdout, *solverWriters); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -56,23 +54,14 @@ func main() {
 // behind BenchmarkSolver*Flows and the BENCH_solver.json gate — once per
 // solver mode and prints the Net.Stats counters side by side. The
 // counters are deterministic, so the output doubles as a quick local
-// check against the committed baselines. par is the incremental run's
-// solver worker count; the report echoes the value the net actually
-// configured, and the counters must not move with it — parallel solving
-// is a pure wall-clock optimisation.
-func printSolverStats(w io.Writer, writers, par int) error {
+// check against the committed baselines.
+func printSolverStats(w io.Writer, writers int) error {
 	plat, sc := pfsim.SolverStressScenario(writers)
 	var inc, ref flow.Stats
-	configuredPar := 1
 	for _, reference := range []bool{false, true} {
-		res, err := workload.RunScenarioWith(plat, sc,
-			workload.RunOptions{Parallelism: par},
-			func(sys *lustre.System) {
-				sys.Net().UseReferenceSolver(reference)
-				if !reference {
-					configuredPar = sys.Net().SolveParallelism()
-				}
-			})
+		res, err := workload.RunScenario(plat, sc, 0, func(sys *lustre.System) {
+			sys.Net().UseReferenceSolver(reference)
+		})
 		if err != nil {
 			return err
 		}
@@ -104,8 +93,6 @@ func printSolverStats(w io.Writer, writers, par int) error {
 		float64(ref.ComponentFlowsScanned)/float64(ref.ComponentsSolved))
 	fmt.Fprintf(w, "heap ops per solve: %.1f (the pre-heap completion scan paid %d flow touches per solve)\n",
 		float64(inc.HeapOps)/float64(inc.Solves), 2*writers)
-	fmt.Fprintf(w, "solve parallelism: %d (counters are byte-identical at any setting; only wall-clock changes)\n",
-		configuredPar)
 	return nil
 }
 

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"pfsim/internal/pool"
 	"pfsim/internal/scenariofile"
 	"pfsim/internal/workload"
 )
@@ -66,7 +65,7 @@ collect every .yaml, .yml and .json file beneath them, sorted.
 
 run flags:
   -seed N    override the platform seed
-  -par N     solver/baseline parallelism (0 = all cores)
+  -par N     worker pool width for solo baselines (0 = all cores)
   -v         per-job detail for every file
 `)
 }
@@ -117,7 +116,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("run", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	seed := fl.Uint64("seed", 0, "override the platform seed")
-	par := fl.Int("par", 0, "solver/baseline parallelism (0 = all cores)")
+	par := fl.Int("par", 0, "worker pool width for solo baselines (0 = all cores)")
 	verbose := fl.Bool("v", false, "per-job detail")
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -150,10 +149,7 @@ func runOne(path string, seed uint64, par int, verbose bool, w io.Writer) bool {
 		fmt.Fprintf(w, "=== FAIL %s\n    %v\n", path, err)
 		return false
 	}
-	res, err := scenariofile.Run(f, scenariofile.RunOptions{
-		Seed:        seed,
-		Parallelism: pool.Workers(par),
-	})
+	res, err := scenariofile.Run(f, scenariofile.RunOptions{Seed: seed, Parallelism: par})
 	if err != nil {
 		fmt.Fprintf(w, "=== FAIL %s (%s)\n    %v\n", path, f.Name, err)
 		return false

@@ -9,15 +9,11 @@
 // re-solves and settles only that tenant's flows — per-event cost tracks
 // the touched shard, not the whole deployment.
 //
-// The example runs the deployment three ways — the partitioned solver
-// serial, the partitioned solver with every core solving independent
-// components concurrently (SetSolveParallelism via RunOptions), and the
-// monolithic reference solver — and cross-checks the physics bit for bit:
-// makespan, every job's finish time and bandwidth, and the deterministic
-// work counters, which parallelism must not move. It then shows the cost
-// counters that differ between partitioned and reference (per-solve
-// populations, link visits) and the isolation counters that do not
-// (accrual settles).
+// The example runs the deployment twice — under the partitioned solver and
+// under the monolithic reference solver — and cross-checks the physics bit
+// for bit: makespan, every job's finish time and bandwidth. It then shows
+// the cost counters that differ between the two (per-solve populations,
+// link visits) and the isolation counters that do not (accrual settles).
 package main
 
 import (
@@ -25,7 +21,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime"
 
 	"pfsim"
 	"pfsim/internal/lustre"
@@ -58,49 +53,31 @@ func tenants() []pfsim.Scenario {
 func main() {
 	plat := pfsim.Cab()
 	shards := tenants()
-	run := func(reference bool, par int) *pfsim.ShardedResult {
-		res, err := workload.RunShardedWith(plat, shards,
-			workload.RunOptions{Parallelism: par},
-			func(i int, sys *lustre.System) {
-				if i == 0 { // the net is shared: one toggle switches the whole run
-					sys.Net().UseReferenceSolver(reference)
-				}
-			})
+	run := func(reference bool) *pfsim.ShardedResult {
+		res, err := workload.RunSharded(plat, shards, 0, func(i int, sys *lustre.System) {
+			if i == 0 { // the net is shared: one toggle switches the whole run
+				sys.Net().UseReferenceSolver(reference)
+			}
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res
 	}
-	inc := run(false, 1)
-	// At least 4 workers even on small machines, so the concurrent solve
-	// path really runs and the cross-check means something everywhere.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	par := run(false, workers)
-	ref := run(true, 1)
+	inc, ref := run(false), run(true)
 
-	// All three runs must tell the same physical story, bit for bit.
-	for _, other := range []*pfsim.ShardedResult{par, ref} {
-		if math.Float64bits(inc.Makespan) != math.Float64bits(other.Makespan) {
-			log.Fatalf("solver modes diverged: makespan %v vs %v", inc.Makespan, other.Makespan)
-		}
-		for i := range inc.Shards {
-			for j := range inc.Shards[i].Jobs {
-				a, b := inc.Shards[i].Jobs[j], other.Shards[i].Jobs[j]
-				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) ||
-					math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-					log.Fatalf("shard %d job %s diverged between solver modes", i, a.Label)
-				}
+	// Both runs must tell the same physical story, bit for bit.
+	if math.Float64bits(inc.Makespan) != math.Float64bits(ref.Makespan) {
+		log.Fatalf("solver modes diverged: makespan %v vs %v", inc.Makespan, ref.Makespan)
+	}
+	for i := range inc.Shards {
+		for j := range inc.Shards[i].Jobs {
+			a, b := inc.Shards[i].Jobs[j], ref.Shards[i].Jobs[j]
+			if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) ||
+				math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
+				log.Fatalf("shard %d job %s diverged between solver modes", i, a.Label)
 			}
 		}
-	}
-	// Parallel component solving is a pure wall-clock optimisation: even
-	// the deterministic work counters are identical to the serial run.
-	if inc.Solver != par.Solver {
-		log.Fatalf("parallel solve moved the work counters:\nserial   %+v\nparallel %+v",
-			inc.Solver, par.Solver)
 	}
 
 	t := report.NewTable("Four tenants, four file systems, one simulation",
@@ -114,8 +91,8 @@ func main() {
 	t.Fprint(os.Stdout)
 
 	is, rs := inc.Solver, ref.Solver
-	fmt.Printf("\nmakespan: %.1f s — identical across serial, %d-worker and reference solves, bit for bit\n",
-		inc.Makespan, workers)
+	fmt.Printf("\nmakespan: %.1f s — identical under the partitioned and reference solvers, bit for bit\n",
+		inc.Makespan)
 	fmt.Printf("\nsolver cost (partitioned vs reference):\n")
 	fmt.Printf("  flows per solve:  %9.1f  vs %11.1f  (each solve touches one tenant, not the deployment)\n",
 		float64(is.ComponentFlowsScanned)/float64(is.ComponentsSolved),

@@ -1,17 +1,18 @@
 // Package barego forbids bare `go` statements outside the one package
-// that owns concurrency: internal/pool (the deterministic fan-out worker
-// pool).
+// that owns concurrency: internal/pool (the deterministic worker pool that
+// fans independent simulations).
 //
-// Every goroutine in the simulator must be owned by pool.Fan's bounded
-// workers, which are joined before Fan returns; PR 5's stop/cancel
-// hardening exists precisely because stray goroutines parked on channels
-// pinned whole engine runs. Workloads dispatch as inline engine tasks
-// (sim.Task continuations on the event heap), so the engine itself needs
-// no goroutines either. A goroutine spawned anywhere else — the engine, a
-// cmd tool, an example, a future tuning controller — escapes that
-// ownership, so it must either go through the pool or carry a
-// //pfsim:goroutineok annotation recording the audit (e.g. "joined before
-// return, no sim state touched").
+// Every goroutine in the simulator must be owned by pool.Run's bounded
+// workers, which are joined before Run returns: stray goroutines parked
+// on channels have pinned whole engine runs, which is what the
+// stop/cancel hardening exists for. A simulation runs on one goroutine:
+// workloads dispatch as inline engine tasks (sim.Task continuations on
+// the event heap) and the fluid solver solves on the engine's goroutine,
+// so neither needs goroutines of its own. A goroutine spawned anywhere
+// else — the engine, a cmd tool, an example, a future tuning controller —
+// escapes that ownership, so it must either go through the pool or carry
+// a //pfsim:goroutineok annotation recording the audit (e.g. "joined
+// before return, no sim state touched").
 package barego
 
 import (
@@ -47,7 +48,7 @@ func run(pass *framework.Pass) (any, error) {
 				return true
 			}
 			pass.Reportf(gs.Pos(),
-				"bare go statement outside internal/pool escapes pool ownership; use pool.Fan, or audit the spawn and annotate //pfsim:goroutineok")
+				"bare go statement outside internal/pool escapes pool ownership; use pool.Run, or audit the spawn and annotate //pfsim:goroutineok")
 			return true
 		})
 	}

@@ -14,7 +14,7 @@ import (
 //   - direct calls and references: any use of an in-package function or
 //     method object inside a body — a call, a method value, a function
 //     passed as an argument — is an edge, so work handed to an executor
-//     (pool.Fan, go statements) stays in the graph;
+//     (pool.Run, go statements) stays in the graph;
 //   - interface dispatch: a call through an interface-typed receiver
 //     adds edges to every in-package method that implements it, found
 //     by checking the package's named types against the interface;

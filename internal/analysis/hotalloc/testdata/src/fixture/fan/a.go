@@ -1,6 +1,6 @@
 // Package fan exercises closures handed to an executor: a function
 // literal folds into its lexically enclosing declaration, so work
-// dispatched through a pool.Fan-style fan-out stays on the hot path
+// dispatched through a worker-pool fan-out stays on the hot path
 // even though the executor calls it through a plain func value.
 package fan
 

@@ -84,11 +84,11 @@ func (cp ClassParams) Penalty(k float64) float64 {
 	x := k - cp.ThrashOnset
 	switch cp.ThrashExponent {
 	case 1:
-		return 1 + cp.ThrashGamma*x
+		return 1 + float64(cp.ThrashGamma*x)
 	case 0:
 		return 1 + cp.ThrashGamma
 	default:
-		return 1 + cp.ThrashGamma*math.Pow(x, cp.ThrashExponent)
+		return 1 + float64(cp.ThrashGamma*math.Pow(x, cp.ThrashExponent))
 	}
 }
 
@@ -322,7 +322,7 @@ func (p *Platform) AggregatorEfficiency(stripeMB float64) float64 {
 	eff := stripeMB / (stripeMB + p.AggRPCOverheadMB)
 	if p.AggDirtyLimitMB > 0 {
 		r := stripeMB / p.AggDirtyLimitMB
-		eff /= 1 + r*r
+		eff /= 1 + float64(r*r)
 	}
 	return eff
 }

@@ -70,7 +70,7 @@ func DinuseRecurrence(dtotal int, requests []int) []float64 {
 //	Dinuse = Dtotal - Dtotal*(1 - R/Dtotal)^n
 func Dinuse(dtotal, r, n int) float64 {
 	dt := float64(dtotal)
-	return dt - dt*math.Pow(1-float64(r)/dt, float64(n))
+	return dt - float64(dt*math.Pow(1-float64(r)/dt, float64(n)))
 }
 
 // Dreq evaluates Equation 3: the total number of stripes requested by n jobs
@@ -158,7 +158,7 @@ func binomialPMF(n, k int, p float64) float64 {
 		return 0
 	}
 	// Use logarithms for numeric stability with large n (PLFS cases).
-	lg := lnChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
+	lg := lnChoose(n, k) + float64(float64(k)*math.Log(p)) + float64(float64(n-k)*math.Log1p(-p))
 	return math.Exp(lg)
 }
 

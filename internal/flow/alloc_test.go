@@ -13,13 +13,9 @@ import (
 // pool to their steady capacity. Each link's caps are admitted in
 // descending order, so every solve sorts its capped flows, fixes one at
 // its cap and the other through the flow index.
-func allocNet(par int, nLinks int) (*sim.Engine, *Net, []*Link) {
+func allocNet(nLinks int) (*sim.Engine, *Net, []*Link) {
 	eng := sim.NewEngine()
 	n := NewNet(eng)
-	if par > 1 {
-		n.SetSolveParallelism(par)
-		n.parFloor = 0
-	}
 	links := make([]*Link, nLinks)
 	for i := range links {
 		links[i] = n.NewLink("l"+string(rune('a'+i)), Const(100))
@@ -46,14 +42,13 @@ func allocNet(par int, nLinks int) (*sim.Engine, *Net, []*Link) {
 
 // TestSolverSteadyStateAllocs pins the hot-path discipline end to end:
 // after warm-up, a model-shift -> flush -> re-solve -> commit ->
-// reschedule cycle must not touch the heap allocator at all on the
-// serial path. This is the runtime counterpart of the hotalloc lint and
+// reschedule cycle must not touch the heap allocator at all. This is the runtime counterpart of the hotalloc lint and
 // the pfsim-escape compiler cross-check.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	eng, _, links := allocNet(1, 4)
+	eng, _, links := allocNet(4)
 	fast, slow := CapacityModel(Const(100)), CapacityModel(Const(60))
 	cur := fast
 	allocs := testing.AllocsPerRun(200, func() {
@@ -70,38 +65,6 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("serial steady-state solve allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestSolverSteadyStateAllocsParallel documents the parallel fan's
-// fixed per-flush floor: one fan-out closure plus pool.Fan's per-call
-// machinery (WaitGroup, shared atomic cursor, one spawn closure and
-// goroutine per worker). The floor is independent of flow population —
-// it must not scale with load — and is annotated //pfsim:allocok at the
-// source level for the same reason it is tolerated here.
-func TestSolverSteadyStateAllocsParallel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	eng, _, links := allocNet(4, 4)
-	fast, slow := CapacityModel(Const(100)), CapacityModel(Const(60))
-	cur := fast
-	allocs := testing.AllocsPerRun(200, func() {
-		if cur == fast {
-			cur = slow
-		} else {
-			cur = fast
-		}
-		for _, l := range links {
-			l.SetModel(cur)
-		}
-		if err := eng.RunUntil(eng.Now()); err != nil {
-			panic(err)
-		}
-	})
-	const parallelFanFloor = 16
-	if allocs > parallelFanFloor {
-		t.Errorf("parallel steady-state solve allocated %.1f allocs/op, want <= %d (the fan's fixed floor)", allocs, parallelFanFloor)
+		t.Errorf("steady-state solve allocated %.1f allocs/op, want 0", allocs)
 	}
 }

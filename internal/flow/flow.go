@@ -67,14 +67,6 @@
 //     moved in place (sim.Engine.Reschedule) rather than cancelled and
 //     reposted.
 //
-//   - Parallel component solves: disjoint components have disjoint flows
-//     and links, so the per-instant flush may solve its dirty components
-//     on concurrent workers (SetSolveParallelism). Each worker owns a
-//     solveCtx — the progressive-filling scratch and a local Stats
-//     accumulator — solve epochs come from one atomic counter, and the
-//     sequential commit pass then runs in work-queue order, so results,
-//     telemetry and counters are byte-identical at any parallelism.
-//
 // UseReferenceSolver restores the naive behaviour (full link scans over
 // the whole network, one solve per change, linear completion scans); the
 // property tests use it as the oracle and the benchmarks as the
@@ -82,10 +74,11 @@
 //
 // Capacity models must depend only on their own link's traffic (as every
 // model in this repository does): the partitioned solver re-reads a
-// link's capacity only when its component is re-solved. With parallel
-// solving, Capacity must additionally be safe to call concurrently from
-// distinct components' links — true of every model here, whose Capacity
-// is a pure read of state mutated only between solves.
+// link's capacity only when its component is re-solved.
+//
+// A Net runs on its engine's goroutine: one simulation is one goroutine,
+// and callers that want more cores run independent simulations side by
+// side.
 package flow
 
 import (
@@ -94,9 +87,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
-	"pfsim/internal/pool"
 	"pfsim/internal/sim"
 )
 
@@ -389,20 +380,15 @@ type Net struct {
 	flushFn      func()
 	completionFn func()
 
-	// Per-solve state lives in solveCtx values, one per solver worker;
-	// ctxs[0] is the serial path's context. par is the configured worker
-	// count (see SetSolveParallelism); parFloor gates the fan-out by the
-	// flush's flow population so tiny flushes never pay goroutine handoff.
+	// ctx is the progressive-filling scratch every solve reuses.
 	// heapRounds and heapLinks are the rule that switches a component solve
 	// from scanning to the link-share heap (see defaultHeapRounds).
-	ctxs          []*solveCtx
-	par           int
-	parFloor      int
+	ctx           solveCtx
 	heapRounds    int
 	heapLinks     int
 	solvedScratch []*component
 	stats         Stats
-	solveEpoch    atomic.Int64 // globally unique solve stamps, any worker
+	solveEpoch    int64 // stamp of the latest solve; never reused
 	dsuEpoch      int64
 
 	completions compHeap    // active flows ordered by (due, seq); incremental mode only
@@ -411,13 +397,8 @@ type Net struct {
 	flowSeq     int64       // admission counter feeding Flow.seq
 }
 
-// solveCtx is the state one progressive-filling pass needs: the scratch
-// slices the rounds walk and a local Stats accumulator. Each solver
-// worker owns one, so concurrent component solves share nothing but the
-// components themselves (disjoint by construction) and the atomic epoch
-// counter; the local stats merge into Net.stats after the fan-in. All
-// Stats fields are integer counts, so the merged totals are identical
-// regardless of which worker solved which component.
+// solveCtx is the scratch one progressive-filling pass walks, kept on the
+// Net so that every solve reuses its capacity.
 type solveCtx struct {
 	live   []*Link     // links still carrying an unfixed flow, in component order
 	cand   []candidate // the round's saturation candidates
@@ -434,31 +415,7 @@ type solveCtx struct {
 	// shares the current round's fixes move (see solveComponent).
 	shares  shareHeap
 	touched []*Link
-
-	stats Stats
 }
-
-// merge folds o into s and zeroes o. Integer sums only — order-free.
-func (s *Stats) merge(o *Stats) {
-	s.Solves += o.Solves
-	s.ComponentsSolved += o.ComponentsSolved
-	s.ComponentFlowsScanned += o.ComponentFlowsScanned
-	s.LinkVisits += o.LinkVisits
-	s.Coalesced += o.Coalesced
-	s.Rounds += o.Rounds
-	s.FlowsScanned += o.FlowsScanned
-	s.FlowsSettled += o.FlowsSettled
-	s.HeapOps += o.HeapOps
-	s.ShareHeapOps += o.ShareHeapOps
-	*o = Stats{}
-}
-
-// defaultParFloor is the flush flow population below which dirty
-// components are solved serially even when SetSolveParallelism enabled
-// workers: such solves finish faster than the goroutine handoff they
-// would buy. Results are byte-identical either way; tests lower the
-// floor to force the parallel path onto small populations.
-const defaultParFloor = 192
 
 // defaultHeapRounds and defaultHeapLinks are the switch rule from
 // scanning to the link-share heap: a component solve that has made
@@ -524,11 +481,8 @@ func NewNet(eng *sim.Engine) *Net {
 	n := &Net{
 		eng:        eng,
 		linkNames:  map[string]bool{},
-		par:        1,
-		parFloor:   defaultParFloor,
 		heapRounds: defaultHeapRounds,
 		heapLinks:  defaultHeapLinks,
-		ctxs:       []*solveCtx{{}},
 	}
 	n.flushFn = n.flushWork
 	n.completionFn = n.onCompletion
@@ -556,21 +510,6 @@ func (n *Net) NewLink(name string, model CapacityModel) *Link {
 
 // HasLink reports whether a link with the given name exists on the net.
 func (n *Net) HasLink(name string) bool { return n.linkNames[name] }
-
-// SetSolveParallelism sets how many workers the per-instant flush may
-// use to solve independent dirty components concurrently: 1 (the
-// default) is fully serial, values below one select GOMAXPROCS.
-// Components are disjoint by construction — no shared flows, links or
-// scratch — worker-local stats are integer counts merged after the
-// fan-in, and the commit pass stays sequential in work-queue order, so
-// simulations are byte-identical at any setting; only wall-clock time
-// changes. Flushes whose dirty components hold few flows in total are
-// solved serially regardless (the fan-out would cost more than the
-// solves). Reference mode always solves serially: it is the oracle.
-func (n *Net) SetSolveParallelism(p int) { n.par = pool.Workers(p) }
-
-// SolveParallelism reports the configured solver worker count.
-func (n *Net) SolveParallelism() int { return n.par }
 
 // ActiveFlows reports the number of unfinished flows.
 func (n *Net) ActiveFlows() int { return n.activeCount }
@@ -877,62 +816,27 @@ func (n *Net) flushWork() {
 		solved = append(solved, c) //pfsim:allocok solved scratch grows to the peak dirty-component count, then reuses capacity
 	}
 	n.work = n.work[:0]
-	n.solveAll(solved)
-	// Commit after every solve, sequentially and in work-queue order:
-	// within each component flows commit in admission order, so per-link
-	// carried accrual, completion re-keys and telemetry sum in the same
-	// order as the reference pass over the whole population — regardless
-	// of which worker solved which component.
-	for _, c := range solved {
+	n.solveAndCommit(solved)
+	n.scheduleNext()
+}
+
+// solveAndCommit runs one progressive-filling pass per component, then
+// commits every solved flow. The commit runs after every solve, in
+// work-queue order: within each component flows commit in admission
+// order, so per-link carried accrual, completion re-keys and telemetry sum
+// in the same order as the reference pass over the whole population. cs
+// is the solved scratch; it is cleared and kept for the next flush.
+func (n *Net) solveAndCommit(cs []*component) {
+	for _, c := range cs {
+		n.solveComponent(c)
+	}
+	for _, c := range cs {
 		for _, f := range c.flows {
 			n.commit(f)
 		}
 	}
-	for i := range solved {
-		solved[i] = nil
-	}
-	n.solvedScratch = solved[:0]
-	n.scheduleNext()
-}
-
-// solveAll runs one progressive-filling pass per component, fanning the
-// passes across solver workers when both the configured parallelism and
-// the flush's population warrant it. Components are disjoint, each
-// worker solves with its own solveCtx, and solve epochs come from one
-// atomic counter (globally unique, so a stale fixedEpoch stamp can never
-// collide with a fresh solve), so concurrent passes share no mutable
-// state; worker-local stats merge after the fan-in.
-func (n *Net) solveAll(cs []*component) {
-	par := n.par
-	if par > len(cs) {
-		par = len(cs)
-	}
-	if par > 1 && n.parFloor > 0 {
-		flows := 0
-		for _, c := range cs {
-			flows += len(c.flows)
-		}
-		if flows < n.parFloor {
-			par = 1
-		}
-	}
-	if par <= 1 {
-		for _, c := range cs {
-			n.solveComponent(n.ctxs[0], c)
-		}
-	} else {
-		for len(n.ctxs) < par {
-			n.ctxs = append(n.ctxs, &solveCtx{}) //pfsim:allocok one ctx per worker, allocated once on the first parallel flush
-		}
-		ctxs := n.ctxs
-		//pfsim:allocok parallel fan-out closure: the fan path's per-flush floor; the serial path stays allocation-free
-		pool.Fan(par, len(cs), func(worker, i int) {
-			n.solveComponent(ctxs[worker], cs[i])
-		})
-	}
-	for _, ctx := range n.ctxs {
-		n.stats.merge(&ctx.stats)
-	}
+	clear(cs)
+	n.solvedScratch = cs[:0]
 }
 
 // commitReference is the reference solver's per-instant accounting pass:
@@ -1144,16 +1048,7 @@ func (n *Net) Recompute() {
 			c.dirty = false
 			live = append(live, c)
 		}
-		n.solveAll(live)
-		for _, c := range live {
-			for _, f := range c.flows {
-				n.commit(f)
-			}
-		}
-		for i := range live {
-			live[i] = nil
-		}
-		n.solvedScratch = live[:0]
+		n.solveAndCommit(live)
 	}
 	n.scheduleNext()
 }
@@ -1191,17 +1086,16 @@ func (n *Net) Recompute() {
 // restricted to this component.
 // Reference mode shares none of this machinery (assignRatesReference): it
 // is the oracle, so a defect in the component, live-list or index
-// bookkeeping cannot cancel out of the inc-vs-ref property tests. All
-// mutable state is the component's own, the ctx's own, or the atomic epoch
-// counter, so distinct components may solve on concurrent workers
-// (solveAll).
+// bookkeeping cannot cancel out of the inc-vs-ref property tests.
 //
 //pfsim:hotpath
-func (n *Net) solveComponent(ctx *solveCtx, c *component) {
-	epoch := n.solveEpoch.Add(1)
+func (n *Net) solveComponent(c *component) {
+	ctx := &n.ctx
+	n.solveEpoch++
+	epoch := n.solveEpoch
 	links := c.links
-	ctx.stats.ComponentsSolved++
-	ctx.stats.LinkVisits += int64(len(links))
+	n.stats.ComponentsSolved++
+	n.stats.LinkVisits += int64(len(links))
 	// The flow index: count each link's unfinished flows into off by
 	// compIdx, turn the counts into bucket ends, then fill in reverse, which
 	// leaves off[i] at bucket i's start and every bucket in admission order.
@@ -1222,7 +1116,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			off[l.compIdx]++
 		}
 	}
-	ctx.stats.ComponentFlowsScanned += int64(left)
+	n.stats.ComponentFlowsScanned += int64(left)
 	live := ctx.live[:0]
 	end := int32(0)
 	for i, l := range links {
@@ -1256,11 +1150,11 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 	cand := ctx.cand[:0]
 	heaped := false
 	for round := 0; left > 0; round++ {
-		ctx.stats.Rounds++
+		n.stats.Rounds++
 		minShare, limit := math.Inf(1), math.Inf(1)
 		cand = cand[:0]
 		if !heaped && round >= n.heapRounds && len(live) >= n.heapLinks {
-			ctx.buildShares(live, len(links))
+			n.stats.ShareHeapOps += ctx.buildShares(live, len(links))
 			heaped = true
 		}
 		if heaped {
@@ -1268,7 +1162,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 			// share as of the last round's fixes, so the root is the
 			// minimum the scan would find, and a walk that stops below
 			// entries above the limit collects exactly its saturated set.
-			ctx.rekeyShares()
+			n.stats.ShareHeapOps += ctx.rekeyShares()
 			if h := ctx.shares.at; len(h) > 0 {
 				minShare = h[0].share
 				limit = float64(minShare*(1+1e-12)) + 1e-15
@@ -1283,10 +1177,10 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 						}
 					}
 				}
-				ctx.stats.LinkVisits += int64(visits)
+				n.stats.LinkVisits += int64(visits)
 			}
 		} else {
-			ctx.stats.LinkVisits += int64(len(live))
+			n.stats.LinkVisits += int64(len(live))
 			w := 0
 			for _, l := range live {
 				if l.unfixed == 0 {
@@ -1314,7 +1208,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 		for next < len(capped) && capped[next].maxRate <= minShare {
 			f := capped[next]
 			next++
-			ctx.stats.FlowsScanned++
+			n.stats.FlowsScanned++
 			if f.fixedEpoch != epoch {
 				fixFlow(f, f.maxRate, epoch)
 				left--
@@ -1329,7 +1223,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 		if math.IsInf(minShare, 1) {
 			// No link constrains the remaining flows and every cap has been
 			// passed: only flows without a usable cap are left.
-			ctx.stats.FlowsScanned += int64(len(c.flows))
+			n.stats.FlowsScanned += int64(len(c.flows))
 			for _, f := range c.flows {
 				if f.finished || f.fixedEpoch == epoch {
 					continue
@@ -1348,7 +1242,7 @@ func (n *Net) solveComponent(ctx *solveCtx, c *component) {
 				continue
 			}
 			ps := at[off[s.l.compIdx]:off[s.l.compIdx+1]]
-			ctx.stats.FlowsScanned += int64(len(ps))
+			n.stats.FlowsScanned += int64(len(ps))
 			for _, p := range ps {
 				if f := c.flows[p]; f.fixedEpoch != epoch {
 					fixFlow(f, minShare, epoch)
@@ -1444,8 +1338,9 @@ func (h *shareHeap) down(i int) {
 }
 
 // buildShares heapifies the live links that still carry an unfixed flow;
-// nLinks is the component's link count.
-func (ctx *solveCtx) buildShares(live []*Link, nLinks int) {
+// nLinks is the component's link count. It returns the heap operations
+// it made, one per entry.
+func (ctx *solveCtx) buildShares(live []*Link, nLinks int) int64 {
 	h := &ctx.shares
 	h.pos = slices.Grow(h.pos[:0], nLinks)[:nLinks] //pfsim:allocok share-heap scratch grows to the peak component link count, then reuses capacity
 	at := h.at[:0]
@@ -1461,7 +1356,7 @@ func (ctx *solveCtx) buildShares(live []*Link, nLinks int) {
 	for i := len(at)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	ctx.stats.ShareHeapOps += int64(len(at))
+	return int64(len(at))
 }
 
 // touch queues a just-fixed flow's links for a share re-key.
@@ -1478,7 +1373,8 @@ func (ctx *solveCtx) touch(f *Flow) {
 // with no unfixed flow leaves the heap, any other sifts to its new share.
 // The sift goes either way: fixing a flow at or below a link's share never
 // lowers the link's exact share, but (r-m)/(u-1) can round an ulp below r/u.
-func (ctx *solveCtx) rekeyShares() {
+// It returns the heap operations it made, one per touched link.
+func (ctx *solveCtx) rekeyShares() int64 {
 	h := &ctx.shares
 	for _, l := range ctx.touched {
 		l.touched = false
@@ -1500,8 +1396,9 @@ func (ctx *solveCtx) rekeyShares() {
 			h.down(i)
 		}
 	}
-	ctx.stats.ShareHeapOps += int64(len(ctx.touched))
+	ops := int64(len(ctx.touched))
 	ctx.touched = ctx.touched[:0]
+	return ops
 }
 
 // candidate is a link whose fair share was within the saturation
@@ -1559,8 +1456,9 @@ func sortCapped(fs []*Flow) {
 // are bit-identical while the implementations stay independent.
 func (n *Net) assignRatesReference() {
 	links := n.links
-	ctx := n.ctxs[0]
-	epoch := n.solveEpoch.Add(1)
+	ctx := &n.ctx
+	n.solveEpoch++
+	epoch := n.solveEpoch
 	n.stats.Solves++
 	n.stats.ComponentsSolved++
 	n.stats.ComponentFlowsScanned += int64(n.activeCount)
@@ -1687,9 +1585,8 @@ func (n *Net) assignRatesReference() {
 // if the rate it ends the instant with differs from the one in force, so
 // flows whose allocation is unmoved — untouched components, or transient
 // mid-instant wobbles — keep their anchors and heap keys bit-for-bit.
-// Epochs are drawn from one atomic counter and never reused, so a stamp
-// left by an earlier solve (on any worker) can never masquerade as this
-// one's.
+// Epochs come from one counter and are never reused, so a stamp left by
+// an earlier solve can never masquerade as this one's.
 func fixFlow(f *Flow, rate float64, epoch int64) {
 	f.fixedEpoch = epoch
 	for _, l := range f.path {

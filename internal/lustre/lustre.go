@@ -249,7 +249,7 @@ func (m *ostModel) Capacity(int) float64 {
 			continue
 		}
 		share := float64(jc) / float64(jobs)
-		denom += share * m.plat.Class[c].Penalty(float64(jobs))
+		denom += float64(share * m.plat.Class[c].Penalty(float64(jobs)))
 	}
 	if denom < 1 {
 		denom = 1
@@ -280,7 +280,7 @@ func (o *OST) AddStream(class cluster.StreamClass, fileID int, rpcMB float64) *S
 	m.classJobs[class][fileID]++
 	m.classStreams[class]++
 	m.totalStreams++
-	eff := m.plat.Class[class].BaseMBs * m.plat.Class[class].Efficiency(rpcMB)
+	eff := float64(m.plat.Class[class].BaseMBs * m.plat.Class[class].Efficiency(rpcMB))
 	m.sumEffBase += eff
 	return &Stream{ost: o, class: class, fileID: fileID, effBase: eff}
 }

@@ -47,7 +47,7 @@ func (l Layout) BytesPerOST(totalMB float64) []float64 {
 		return out
 	}
 	full := int(totalMB / l.SizeMB)
-	rem := totalMB - float64(full)*l.SizeMB
+	rem := totalMB - float64(float64(full)*l.SizeMB)
 	for i := 0; i < n; i++ {
 		perOST := full / n
 		if i < full%n {

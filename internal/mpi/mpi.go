@@ -322,7 +322,7 @@ func packSplit(color, key int) float64 {
 	if color < 0 || color > 1<<20 || key < -(1<<20) || key > 1<<20 {
 		panic("mpi: Split color/key out of supported range")
 	}
-	return float64(color)*(1<<21) + float64(key+(1<<20))
+	return float64(float64(color)*(1<<21)) + float64(key+(1<<20))
 }
 
 // finalizeSplit returns each member's new communicator, by comm rank.
@@ -331,7 +331,7 @@ func (c *Comm) finalizeSplit(vals []float64) any {
 	members := make([]member, len(vals))
 	for i, pv := range vals {
 		col := int(pv / (1 << 21))
-		k := int(pv-float64(col)*(1<<21)) - (1 << 20)
+		k := int(pv-float64(float64(col)*(1<<21))) - (1 << 20)
 		members[i] = member{col, k, c.ranks[i], i}
 	}
 	sort.Slice(members, func(i, j int) bool {

@@ -38,60 +38,6 @@ func Progress(total int, fn func(done, total int)) func() {
 	}
 }
 
-// Fan executes fn(worker, 0), ..., fn(worker, n-1) across at most
-// `workers` participants, the calling goroutine included: worker 0 is the
-// caller, workers 1..workers-1 are spawned, and items are claimed from an
-// atomic counter in index order. Fan returns when every item has run.
-//
-// Unlike Run there is no context or error plumbing and no per-call
-// goroutine for the caller's share of the work: Fan is the fan-out for
-// fine-grained hot paths — the flow solver dispatches every per-instant
-// batch of independent component solves through it — where one spawn
-// fewer and zero allocations per item matter. The worker index lets
-// callers hand each participant its own scratch state; items must touch
-// only state owned by item i or by worker w, under which contract the
-// combined result is independent of the worker count.
-//
-//pfsim:hotpath
-func Fan(workers, n int, fn func(worker, item int)) {
-	if n <= 0 {
-		return
-	}
-	if workers = Workers(workers); workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64 //pfsim:allocok shared with the spawned workers (escapes): parallel fan floor
-	var wg sync.WaitGroup //pfsim:allocok shared with the spawned workers (escapes): parallel fan floor
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		//pfsim:allocok per-worker spawn closure: the parallel fan's fixed per-call floor
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	for {
-		i := int(next.Add(1) - 1)
-		if i >= n {
-			break
-		}
-		fn(0, i)
-	}
-	wg.Wait()
-}
-
 // Run executes fn(0), ..., fn(n-1) with at most workers goroutines in
 // flight. Each item runs exactly once unless an earlier error or a context
 // cancellation is observed first, in which case unstarted items are

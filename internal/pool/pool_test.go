@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -104,46 +103,4 @@ func TestWorkers(t *testing.T) {
 	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-1) != runtime.GOMAXPROCS(0) {
 		t.Error("defaulting broken")
 	}
-}
-
-func TestFanRunsEveryItemOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		const n = 257
-		var counts [n]atomic.Int32
-		workerSeen := map[int]bool{}
-		var mu sync.Mutex
-		Fan(workers, n, func(w, i int) {
-			counts[i].Add(1)
-			mu.Lock()
-			workerSeen[w] = true
-			mu.Unlock()
-		})
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: item %d ran %d times", workers, i, got)
-			}
-		}
-		for w := range workerSeen {
-			if w < 0 || w >= workers {
-				t.Fatalf("workers=%d: worker id %d out of range", workers, w)
-			}
-		}
-	}
-}
-
-// TestFanCallerIsWorkerZero: the calling goroutine participates as worker
-// 0, so per-worker state indexed by the id needs no extra slot and a
-// single-worker fan spawns nothing.
-func TestFanCallerIsWorkerZero(t *testing.T) {
-	ran := false
-	Fan(1, 3, func(w, i int) {
-		if w != 0 {
-			t.Errorf("serial fan used worker %d", w)
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("fan did not run")
-	}
-	Fan(4, 0, func(w, i int) { t.Error("empty fan ran an item") })
 }

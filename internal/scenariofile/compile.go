@@ -19,13 +19,8 @@ import (
 // cluster description: the named preset with the file's overrides
 // applied on top.
 func (f *File) BuildPlatform() (*cluster.Platform, error) {
-	var plat *cluster.Platform
-	switch f.Platform.Preset {
-	case "", "cab":
-		plat = cluster.Cab()
-	case "stampede":
-		plat = cluster.Stampede()
-	default:
+	plat := preset(f.Platform.Preset)
+	if plat == nil {
 		return nil, fmt.Errorf("%s: unknown platform preset %q", f.errName(), f.Platform.Preset)
 	}
 	if f.Platform.Seed != 0 {
@@ -61,6 +56,18 @@ func (f *File) BuildPlatform() (*cluster.Platform, error) {
 		return nil, fmt.Errorf("%s: platform: %w", f.errName(), err)
 	}
 	return plat, nil
+}
+
+// preset returns a fresh copy of the named platform preset ("" is cab),
+// or nil for an unknown name.
+func preset(name string) *cluster.Platform {
+	switch name {
+	case "", "cab":
+		return cluster.Cab()
+	case "stampede":
+		return cluster.Stampede()
+	}
+	return nil
 }
 
 // errName names the file in errors.
@@ -136,7 +143,7 @@ func (f *File) expandFleet(fleet []FleetEntry, scope string) ([]workload.Job, er
 		for c := 0; c < e.Count; c++ {
 			j := workload.Job{
 				Workload:     w,
-				StartAt:      e.StartAt + float64(c)*e.StartStagger,
+				StartAt:      e.StartAt + float64(float64(c)*e.StartStagger),
 				Stripes:      e.Stripes,
 				StripeSizeMB: e.StripeSizeMB,
 			}
@@ -287,7 +294,7 @@ func (d *Dist) sample(rng *stats.RNG) float64 {
 	case "const":
 		return d.A
 	case "uniform":
-		return d.A + rng.Float64()*(d.B-d.A)
+		return d.A + float64(rng.Float64()*(d.B-d.A))
 	case "choice":
 		return d.Choices[rng.IntN(len(d.Choices))]
 	case "normal":

@@ -7,9 +7,7 @@ import (
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/flow"
-	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
-	"pfsim/internal/pool"
 	"pfsim/internal/workload"
 )
 
@@ -17,9 +15,10 @@ import (
 type RunOptions struct {
 	// Seed overrides the platform seed (0 keeps the file's choice).
 	Seed uint64
-	// Parallelism is spent inside the fluid solver during the contended
-	// run and across the worker pool for solo baselines — byte-identical
-	// results at any width.
+	// Parallelism is the width of the worker pool the solo baselines fan
+	// across (values below one select GOMAXPROCS); the contended run is
+	// one simulation on the calling goroutine. Results are byte-identical
+	// at any width.
 	Parallelism int
 	// Reference forces the reference solver (the incremental solver's
 	// byte-identical oracle); used by equivalence tests.
@@ -105,11 +104,7 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	wopts := workload.RunOptions{Seed: opts.Seed, Parallelism: opts.Parallelism, Ctx: ctx}
+	wopts := workload.RunOptions{Seed: opts.Seed, Parallelism: opts.Parallelism, Ctx: opts.Ctx}
 	out := &Result{File: f, Platform: plat}
 	if !f.Sharded() {
 		res, err := workload.RunScenarioWith(plat, scens[0], wopts, func(sys *lustre.System) {
@@ -135,60 +130,20 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 		out.Sharded = res
 	}
 	if f.needsBaselines() {
-		if err := applyBaselines(ctx, plat, opts, out); err != nil {
+		// A baseline measures each job alone on a healthy system: no
+		// timeline, no instrumentation.
+		var results []*workload.Result
+		if out.Mono != nil {
+			results = []*workload.Result{out.Mono}
+		} else {
+			results = out.Sharded.Shards
+		}
+		if err := workload.RunBaselines(plat, results, nil, wopts, nil); err != nil {
 			return nil, err
 		}
 	}
 	out.Failures = f.evaluate(out)
 	return out, nil
-}
-
-// applyBaselines runs one clean solo simulation per distinct job shape
-// (no timeline — a baseline measures the job alone on a healthy system)
-// and fills in slowdown figures.
-func applyBaselines(ctx context.Context, plat *cluster.Platform, opts RunOptions, r *Result) error {
-	type holder interface {
-		SoloConfigs() []ior.Config
-		ApplySolo(map[ior.Config]*ior.Result)
-	}
-	var holders []holder
-	if r.Mono != nil {
-		holders = append(holders, r.Mono)
-	} else {
-		for _, sh := range r.Sharded.Shards {
-			holders = append(holders, sh)
-		}
-	}
-	var units []ior.Config
-	offsets := make([][]ior.Config, len(holders))
-	for i, h := range holders {
-		offsets[i] = h.SoloConfigs()
-		units = append(units, offsets[i]...)
-	}
-	baselines := make([]*ior.Result, len(units))
-	err := pool.Run(ctx, opts.Parallelism, len(units), func(k int) error {
-		res, err := workload.RunScenario(plat, workload.Scenario{
-			Jobs: []workload.Job{{Workload: workload.IORJob{Cfg: units[k]}}},
-		}, opts.Seed)
-		if err != nil {
-			return fmt.Errorf("solo baseline for %q: %w", units[k].Label, err)
-		}
-		baselines[k] = res.Jobs[0].IOR
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	k := 0
-	for i, h := range holders {
-		byCfg := make(map[ior.Config]*ior.Result, len(offsets[i]))
-		for range offsets[i] {
-			byCfg[units[k]] = baselines[k]
-			k++
-		}
-		h.ApplySolo(byCfg)
-	}
-	return nil
 }
 
 // counterValue maps an assertable counter name to its Stats field.

@@ -116,7 +116,7 @@ func TestSubEpsilonBlocksRun(t *testing.T) {
 
 // jobsEqual asserts two runs are byte-identical: every per-repetition
 // bandwidth sample, finish time, the makespan and the solver counters.
-func jobsEqual(t *testing.T, label string, a, b *workload.Result, wantSameStats bool) {
+func jobsEqual(t *testing.T, label string, a, b *workload.Result) {
 	t.Helper()
 	if a.Makespan != b.Makespan {
 		t.Errorf("%s: makespan %v != %v", label, a.Makespan, b.Makespan)
@@ -142,15 +142,14 @@ func jobsEqual(t *testing.T, label string, a, b *workload.Result, wantSameStats 
 			}
 		}
 	}
-	if wantSameStats && a.Solver != b.Solver {
+	if a.Solver != b.Solver {
 		t.Errorf("%s: solver stats differ:\n%+v\n%+v", label, a.Solver, b.Solver)
 	}
 }
 
 // TestTimelineEquivalence is the chaos-hook property test: the compiled
 // timeline must be byte-identical to the same faults hand-scheduled as
-// raw eng.ScheduleAt calls — for both solver modes and serial/parallel
-// solve widths.
+// raw eng.ScheduleAt calls, in both solver modes.
 func TestTimelineEquivalence(t *testing.T) {
 	f := mustParseFile(t, runDoc)
 	plat, err := f.BuildPlatform()
@@ -182,30 +181,20 @@ func TestTimelineEquivalence(t *testing.T) {
 		name string
 		ref  bool
 	}{{"incremental", false}, {"reference", true}} {
-		var base *workload.Result
-		for _, width := range []int{1, 2, 4} {
-			opts := workload.RunOptions{Parallelism: width}
-			handRes, err := workload.RunScenarioWith(plat, scens[0], opts, func(sys *lustre.System) {
-				if mode.ref {
-					sys.Net().UseReferenceSolver(true)
-				}
-				hand(sys)
-			})
-			if err != nil {
-				t.Fatal(err)
+		handRes, err := workload.RunScenario(plat, scens[0], 0, func(sys *lustre.System) {
+			if mode.ref {
+				sys.Net().UseReferenceSolver(true)
 			}
-			fileRes, err := Run(f, RunOptions{Parallelism: width, Reference: mode.ref})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := mode.name + "/w" + string(rune('0'+width))
-			jobsEqual(t, label+" file-vs-hand", fileRes.Mono, handRes, true)
-			if base == nil {
-				base = fileRes.Mono
-			} else {
-				jobsEqual(t, label+" vs-width1", fileRes.Mono, base, true)
-			}
+			hand(sys)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		fileRes, err := Run(f, RunOptions{Reference: mode.ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobsEqual(t, mode.name+" file-vs-hand", fileRes.Mono, handRes)
 	}
 }
 
@@ -251,35 +240,22 @@ assert:
 
 func TestRunSharded(t *testing.T) {
 	f := mustParseFile(t, shardedDoc)
-	var base *Result
-	for _, width := range []int{1, 3} {
-		res, err := Run(f, RunOptions{Parallelism: width})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Passed() {
-			t.Fatalf("assertions failed: %v", res.Failures)
-		}
-		if res.Sharded == nil || len(res.Sharded.Shards) != 3 {
-			t.Fatalf("want 3 shards, got %+v", res.Sharded)
-		}
-		// The outage must actually bite: shard 1's job finishes later than
-		// shard 2's (its replica twin with identical workload but no outage).
-		// Replicas draw from distinct generator streams but these fleets are
-		// literal, so the two scratch shards are identical up to jitter.
-		if base == nil {
-			base = res
-		} else {
-			for i := range res.Sharded.Shards {
-				jobsEqual(t, "sharded width", res.Sharded.Shards[i], base.Sharded.Shards[i], false)
-			}
-			if res.Sharded.Solver != base.Sharded.Solver {
-				t.Errorf("sharded solver stats differ across widths")
-			}
-		}
+	res, err := Run(f, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out1 := base.Sharded.Shards[1].Jobs[0].FinishedAt
-	out2 := base.Sharded.Shards[2].Jobs[0].FinishedAt
+	if !res.Passed() {
+		t.Fatalf("assertions failed: %v", res.Failures)
+	}
+	if res.Sharded == nil || len(res.Sharded.Shards) != 3 {
+		t.Fatalf("want 3 shards, got %+v", res.Sharded)
+	}
+	// The outage must actually bite: shard 1's job finishes later than
+	// shard 2's (its replica twin with identical workload but no outage).
+	// Replicas draw from distinct generator streams but these fleets are
+	// literal, so the two scratch shards are identical up to jitter.
+	out1 := res.Sharded.Shards[1].Jobs[0].FinishedAt
+	out2 := res.Sharded.Shards[2].Jobs[0].FinishedAt
 	if out1 <= out2 {
 		t.Errorf("shard outage did not slow shard 1: finished %v vs twin %v", out1, out2)
 	}

@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -350,6 +351,14 @@ func Parse(data []byte, name string) (*File, error) {
 	}
 	f.Fleet = fleet(&s, "fleet")
 	f.Shards = shards(&s)
+	if f.Sharded() && d.err == nil {
+		plat := preset(f.Platform.Preset)
+		nodes, osts := cmp.Or(f.Platform.Nodes, plat.Nodes), cmp.Or(f.Platform.OSTs, plat.OSTs)
+		if links := f.ShardCount() * (nodes + osts); links > maxShardedLinks {
+			s.failIn("shards", "the expanded shards hold %d nodes and OSTs in total, past the limit of %d",
+				links, maxShardedLinks)
+		}
+	}
 	f.Timeline = timeline(&s, f)
 	if a, ok := s.child("assert"); ok {
 		f.Assert = assertBlock(&a, f)
@@ -366,6 +375,21 @@ func Parse(data []byte, name string) (*File, error) {
 	return f, nil
 }
 
+// Bounds on the system a document may describe, checked by Parse. A run
+// builds its whole topology before the first event — a NIC link per
+// node and a link per OST, in every shard, at about 225 and 360 bytes
+// each — so a document past them would validate only to exhaust memory
+// when run. The presets sit far below them: Stampede has 6,400 nodes and
+// Cab 480 OSTs.
+const (
+	maxNodes  = 1 << 16 // platform.nodes
+	maxOSTs   = 1 << 14 // platform.osts
+	maxShards = 1 << 12 // shards, after replicate expands them
+	// maxShardedLinks bounds a sharded run's nodes plus OSTs summed over
+	// its expanded shards: about 400 MB of links at the limit.
+	maxShardedLinks = 1 << 20
+)
+
 // platform decodes the platform section.
 func platform(s *section) PlatformSpec {
 	// Zero sizes and bandwidths keep the preset's value.
@@ -381,6 +405,12 @@ func platform(s *section) PlatformSpec {
 	}
 	if p.Preset != "cab" && p.Preset != "stampede" {
 		s.fail("preset", "unknown preset %q (cab, stampede)", p.Preset)
+	}
+	if p.Nodes > maxNodes {
+		s.fail("nodes", "must be <= %d, got %d", maxNodes, p.Nodes)
+	}
+	if p.OSTs > maxOSTs {
+		s.fail("osts", "must be <= %d, got %d", maxOSTs, p.OSTs)
 	}
 	for _, bw := range [...]struct {
 		key string
@@ -407,10 +437,15 @@ func shards(s *section) []ShardSpec {
 		s.failIn("shards", "must list at least one shard")
 	}
 	out := make([]ShardSpec, len(list))
+	expanded := 0
 	for i, v := range list {
 		e := s.mapping("shards", i, v)
 		out[i].Name = e.str("name", "")
 		out[i].Replicate = e.atLeast("replicate", 1, 1)
+		if out[i].Replicate > maxShards-expanded {
+			e.fail("", "expands the run past %d shards", maxShards)
+		}
+		expanded += out[i].Replicate
 		out[i].Fleet = fleet(&e, "fleet")
 		if e.done() == nil && out[i].Fleet == nil {
 			e.fail("", `missing required key "fleet"`)

@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -338,5 +339,25 @@ func TestReadmeExample(t *testing.T) {
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSizeBoundsAdmitTheLimit: a document exactly at each size bound
+// parses; the documents one past each bound are rows of
+// testdata/rejections.golden. Parse builds nothing, so neither set
+// allocates a system.
+func TestSizeBoundsAdmitTheLimit(t *testing.T) {
+	fleet := "fleet:\n  - ior:\n      tasks: 2\n"
+	shard := "shards:\n  - replicate: %d\n    fleet:\n      - ior:\n          tasks: 2\n"
+	for _, tc := range []struct{ name, doc string }{
+		{"nodes", fmt.Sprintf("name: x\nplatform:\n  nodes: %d\n", maxNodes) + fleet},
+		{"osts", fmt.Sprintf("name: x\nplatform:\n  osts: %d\n", maxOSTs) + fleet},
+		{"shards", "name: x\nplatform:\n  nodes: 128\n  osts: 16\n  osss: 4\n" + fmt.Sprintf(shard, maxShards)},
+		{"sharded links", fmt.Sprintf("name: x\nplatform:\n  nodes: %d\n  osts: 16\n  osss: 4\n", maxShardedLinks/16-16) +
+			fmt.Sprintf(shard, 16)},
+	} {
+		if _, err := Parse([]byte(tc.doc), tc.name+".yaml"); err != nil {
+			t.Errorf("%s at its bound: %v", tc.name, err)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func (s *Sample) Var() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(n-1)
 }
@@ -159,7 +159,7 @@ func TCritical95(df int) float64 {
 	// Smooth interpolation between t(30)=2.042 and z=1.960 using 1/df,
 	// accurate to ~0.005 over the range.
 	f := (1.0/30.0 - 1.0/float64(df)) / (1.0 / 30.0)
-	return 2.042 - f*(2.042-1.960)
+	return 2.042 - float64(f*(2.042-1.960))
 }
 
 // Online tracks count/mean/variance incrementally (Welford's algorithm)
@@ -312,7 +312,7 @@ func (r *RNG) Fork(id uint64) *RNG {
 // Normal returns a normally distributed value with the given mean and
 // standard deviation.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.NormFloat64()
+	return mean + float64(std*r.NormFloat64())
 }
 
 // Jitter returns a multiplicative noise factor with unit mean and the given

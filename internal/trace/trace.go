@@ -164,7 +164,7 @@ func (r *Recorder) Timeline(dt float64) []float64 {
 		first := int(rec.Start / dt)
 		last := int(rec.End / dt)
 		for b := first; b <= last && b < len(buckets); b++ {
-			bStart := float64(b) * dt
+			bStart := float64(float64(b) * dt)
 			bEnd := bStart + dt
 			overlap := minF(rec.End, bEnd) - maxF(rec.Start, bStart)
 			if overlap > 0 {

@@ -6,19 +6,18 @@ import (
 	"pfsim/internal/sim"
 )
 
-// RunOptions configures RunScenarioWith and RunShardedWith beyond the
-// platform: the RNG seed, the fluid solver's worker count, and an
-// optional cancellation context. The zero value reproduces the plain
-// RunScenario/RunSharded behaviour (platform seed, serial solver, no
-// cancellation).
+// RunOptions configures a run beyond the platform: the RNG seed, the
+// width of the pool its solo baselines fan across, and an optional
+// cancellation context. The zero value reproduces the plain
+// RunScenario/RunSharded behaviour (platform seed, no cancellation).
 type RunOptions struct {
 	// Seed drives OST layouts and service jitter; 0 selects plat.Seed.
 	Seed uint64
-	// Parallelism is the number of workers the fluid solver may use to
-	// solve independent dirty components concurrently (values <= 1 solve
-	// serially). Simulations are byte-identical at any setting — only
-	// wall-clock time changes — so it is safe to pass the caller's pool
-	// width. See flow.Net.SetSolveParallelism.
+	// Parallelism is the number of workers RunBaselines fans its solo
+	// simulations across (values below one select GOMAXPROCS), and
+	// nothing else reads it: every simulation, RunScenarioWith's and
+	// RunShardedWith's included, runs on one goroutine, so results are
+	// byte-identical at any width.
 	Parallelism int
 	// Ctx, when it carries a Done channel, aborts the simulation mid-run:
 	// the engine polls it every few thousand fired events — bounding

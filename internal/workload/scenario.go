@@ -9,6 +9,7 @@ import (
 	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
 	"pfsim/internal/mpiio"
+	"pfsim/internal/pool"
 	"pfsim/internal/sim"
 	"pfsim/internal/stats"
 )
@@ -393,11 +394,11 @@ func RunScenario(plat *cluster.Platform, s Scenario, seed uint64, instrument ...
 	return RunScenarioWith(plat, s, RunOptions{Seed: seed}, instrument...)
 }
 
-// RunScenarioWith is RunScenario with explicit run options: the solver's
-// component-solve parallelism (byte-identical at any setting) and a
-// cancellation context polled mid-run. Instrument hooks run after the
-// options are applied, so they may override them (e.g. a benchmark
-// forcing a solver mode).
+// RunScenarioWith is RunScenario with explicit run options: the seed and
+// a cancellation context polled mid-run. The simulation runs on the
+// calling goroutine. Instrument hooks run against the freshly built
+// system, so they may change its settings (e.g. a benchmark forcing a
+// solver mode).
 func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instrument ...func(*lustre.System)) (*Result, error) {
 	cfgs, err := s.materialise(plat)
 	if err != nil {
@@ -411,9 +412,6 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(seed).Fork(s.seedHash(cfgs)))
 	if err != nil {
 		return nil, err
-	}
-	if opts.Parallelism > 1 {
-		sys.Net().SetSolveParallelism(opts.Parallelism)
 	}
 	for _, fn := range instrument {
 		fn(sys)
@@ -510,8 +508,7 @@ func soloKey(cfg ior.Config) ior.Config {
 }
 
 // SoloConfigs returns one representative configuration per distinct job
-// shape in the result, keyed for ApplySolo. Baselines are independent
-// single-job simulations, so callers can fan them across a worker pool.
+// shape in the result, keyed for ApplySolo. RunBaselines runs them.
 func (r *Result) SoloConfigs() []ior.Config {
 	seen := map[ior.Config]bool{}
 	var out []ior.Config
@@ -553,4 +550,72 @@ func (r *Result) ApplySolo(baselines map[ior.Config]*ior.Result) {
 			jr.Slowdown = jr.SoloMBs / bw
 		}
 	}
+}
+
+// Progress hears a batch of simulations advance: Add registers n
+// upcoming simulations before any of them starts, and Done reports one
+// finished. Done may be called from any pool worker.
+type Progress interface {
+	Add(n int)
+	Done()
+}
+
+// RunBaselines runs the solo baselines of a batch of results and fills in
+// their slowdowns with ApplySolo: one clean single-job simulation per
+// distinct job shape of each result (SoloConfigs), run for results[i]
+// under seeds[i], or under opts.Seed for every result when seeds is nil
+// (0 selects plat.Seed). The simulations are independent, so one flat
+// pass fans all of them across a pool of opts.Parallelism workers (values
+// below one select GOMAXPROCS) and checks opts.Ctx between simulations.
+// This pool is where a run spends its width; each simulation runs on one
+// goroutine, so results are byte-identical at any width. progress, when
+// non-nil, hears the pass's simulation count before the first starts and
+// each one as it finishes.
+func RunBaselines(plat *cluster.Platform, results []*Result, seeds []uint64, opts RunOptions, progress Progress) error {
+	type unit struct {
+		cfg  ior.Config
+		seed uint64
+	}
+	var units []unit
+	solos := make([][]ior.Config, len(results))
+	for i, res := range results {
+		seed := opts.Seed
+		if seeds != nil {
+			seed = seeds[i]
+		}
+		solos[i] = res.SoloConfigs()
+		for _, cfg := range solos[i] {
+			units = append(units, unit{cfg, seed})
+		}
+	}
+	if progress != nil {
+		progress.Add(len(units))
+	}
+	baselines := make([]*ior.Result, len(units))
+	err := pool.Run(opts.Ctx, opts.Parallelism, len(units), func(k int) error {
+		res, err := RunScenario(plat, Scenario{
+			Jobs: []Job{{Workload: IORJob{Cfg: units[k].cfg}}},
+		}, units[k].seed)
+		if err != nil {
+			return fmt.Errorf("solo baseline for %q: %w", units[k].cfg.Label, err)
+		}
+		baselines[k] = res.Jobs[0].IOR
+		if progress != nil {
+			progress.Done()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	k := 0
+	for i, res := range results {
+		byCfg := make(map[ior.Config]*ior.Result, len(solos[i]))
+		for _, cfg := range solos[i] {
+			byCfg[cfg] = baselines[k]
+			k++
+		}
+		res.ApplySolo(byCfg)
+	}
+	return nil
 }

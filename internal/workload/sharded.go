@@ -44,15 +44,12 @@ func RunSharded(plat *cluster.Platform, shards []Scenario, seed uint64, instrume
 	return RunShardedWith(plat, shards, RunOptions{Seed: seed}, instrument...)
 }
 
-// RunShardedWith is RunSharded with explicit run options. Shards are
-// independent link-connectivity components of the shared solver, so
-// Parallelism > 1 solves the components an instant dirtied on concurrent
-// workers — byte-identical results at any setting, with the wall-clock
-// win growing with the number of shards an instant touches. Ctx is
-// polled every few thousand fired events across the (single, long)
-// engine run; on cancellation the engine stops, its processes drain,
-// and the call returns ctx.Err(). Instrument hooks run after the
-// options are applied and may override them.
+// RunShardedWith is RunSharded with explicit run options: the seed and a
+// cancellation context. The simulation runs on the calling goroutine. Ctx
+// is polled every few thousand fired events across the (single, long)
+// engine run; on cancellation the engine stops, its processes drain, and
+// the call returns ctx.Err(). Instrument hooks run against each freshly
+// built system and may change its settings.
 func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, instrument ...func(int, *lustre.System)) (*ShardedResult, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("workload: sharded run has no scenarios")
@@ -71,9 +68,6 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 	}
 	eng := sim.NewEngine()
 	net := flow.NewNet(eng)
-	if opts.Parallelism > 1 {
-		net.SetSolveParallelism(opts.Parallelism)
-	}
 	base := stats.NewRNG(seed)
 	out := &ShardedResult{Shards: make([]*Result, len(shards))}
 	launches := make([]*launchState, len(shards))

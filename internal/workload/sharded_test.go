@@ -53,45 +53,47 @@ func TestRunShardedBasics(t *testing.T) {
 }
 
 // TestRunShardedSolverModesBitIdentical runs the same sharded scenario set
-// under the partitioned and the reference solver: every job's bandwidth
-// and finish time must match bit for bit.
+// under the partitioned and the reference solver, at 8 and 64 tasks per
+// shard: every job's bandwidth and finish time must match bit for bit.
 func TestRunShardedSolverModesBitIdentical(t *testing.T) {
 	plat := cluster.Cab()
-	shards := shardScenarios(4, 8)
-	results := map[bool]*ShardedResult{}
-	for _, reference := range []bool{false, true} {
-		var err error
-		results[reference], err = RunSharded(plat, shards, 0, func(i int, sys *lustre.System) {
-			if i == 0 {
-				sys.Net().UseReferenceSolver(reference)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc, ref := results[false], results[true]
-	if math.Float64bits(inc.Makespan) != math.Float64bits(ref.Makespan) {
-		t.Fatalf("makespan diverged: %v vs %v", inc.Makespan, ref.Makespan)
-	}
-	for i := range inc.Shards {
-		for j := range inc.Shards[i].Jobs {
-			a, b := inc.Shards[i].Jobs[j], ref.Shards[i].Jobs[j]
-			if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
-				t.Errorf("shard %d job %d finish diverged: %v vs %v", i, j, a.FinishedAt, b.FinishedAt)
-			}
-			if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-				t.Errorf("shard %d job %d bandwidth diverged: %v vs %v", i, j, a.WriteMBs(), b.WriteMBs())
+	for _, tasks := range []int{8, 64} {
+		shards := shardScenarios(4, tasks)
+		results := map[bool]*ShardedResult{}
+		for _, reference := range []bool{false, true} {
+			var err error
+			results[reference], err = RunSharded(plat, shards, 0, func(i int, sys *lustre.System) {
+				if i == 0 {
+					sys.Net().UseReferenceSolver(reference)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	// The partitioned solver must have scanned per-shard populations: the
-	// average component solve touches far fewer flows than the reference's
-	// whole-population passes.
-	incPer := float64(inc.Solver.ComponentFlowsScanned) / float64(inc.Solver.ComponentsSolved)
-	refPer := float64(ref.Solver.ComponentFlowsScanned) / float64(ref.Solver.ComponentsSolved)
-	if incPer*2 > refPer {
-		t.Errorf("per-solve scan %.1f not well below reference %.1f", incPer, refPer)
+		inc, ref := results[false], results[true]
+		if math.Float64bits(inc.Makespan) != math.Float64bits(ref.Makespan) {
+			t.Fatalf("tasks=%d: makespan diverged: %v vs %v", tasks, inc.Makespan, ref.Makespan)
+		}
+		for i := range inc.Shards {
+			for j := range inc.Shards[i].Jobs {
+				a, b := inc.Shards[i].Jobs[j], ref.Shards[i].Jobs[j]
+				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
+					t.Errorf("tasks=%d: shard %d job %d finish diverged: %v vs %v", tasks, i, j, a.FinishedAt, b.FinishedAt)
+				}
+				if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
+					t.Errorf("tasks=%d: shard %d job %d bandwidth diverged: %v vs %v", tasks, i, j, a.WriteMBs(), b.WriteMBs())
+				}
+			}
+		}
+		// The partitioned solver must have scanned per-shard populations:
+		// the average component solve touches far fewer flows than the
+		// reference's whole-population passes.
+		incPer := float64(inc.Solver.ComponentFlowsScanned) / float64(inc.Solver.ComponentsSolved)
+		refPer := float64(ref.Solver.ComponentFlowsScanned) / float64(ref.Solver.ComponentsSolved)
+		if incPer*2 > refPer {
+			t.Errorf("tasks=%d: per-solve scan %.1f not well below reference %.1f", tasks, incPer, refPer)
+		}
 	}
 }
 
@@ -190,54 +192,6 @@ func TestShardedAggregateSkipsEmptyShards(t *testing.T) {
 	}
 	if (&ShardedResult{Shards: []*Result{{}, {}}}).Aggregate() != (Aggregate{}) {
 		t.Error("all-empty sharded result should aggregate to the zero value")
-	}
-}
-
-// TestRunShardedParallelSolverBitIdentical runs one sharded deployment
-// with the solver serial, at several worker counts, and in reference
-// mode: every job's trajectory and the deterministic work counters must
-// match bit for bit — parallelism may only change wall-clock time. The
-// population (4 shards x 128 flows) comfortably clears the solver's
-// fan-out floor, so the parallel path really runs.
-func TestRunShardedParallelSolverBitIdentical(t *testing.T) {
-	plat := cluster.Cab()
-	shards := shardScenarios(4, 64)
-	run := func(par int, reference bool) *ShardedResult {
-		res, err := RunShardedWith(plat, shards, RunOptions{Parallelism: par},
-			func(i int, sys *lustre.System) {
-				if i == 0 {
-					sys.Net().UseReferenceSolver(reference)
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1, false)
-	ref := run(1, true)
-	if math.Float64bits(serial.Makespan) != math.Float64bits(ref.Makespan) {
-		t.Fatalf("serial vs reference makespan diverged: %v vs %v", serial.Makespan, ref.Makespan)
-	}
-	for _, par := range []int{2, 8} {
-		got := run(par, false)
-		if math.Float64bits(got.Makespan) != math.Float64bits(serial.Makespan) {
-			t.Errorf("par=%d makespan %v, serial %v", par, got.Makespan, serial.Makespan)
-		}
-		for i := range got.Shards {
-			for j := range got.Shards[i].Jobs {
-				a, b := got.Shards[i].Jobs[j], serial.Shards[i].Jobs[j]
-				if math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
-					t.Errorf("par=%d shard %d job %d finish %v vs serial %v", par, i, j, a.FinishedAt, b.FinishedAt)
-				}
-				if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-					t.Errorf("par=%d shard %d job %d bandwidth %v vs serial %v", par, i, j, a.WriteMBs(), b.WriteMBs())
-				}
-			}
-		}
-		if got.Solver != serial.Solver {
-			t.Errorf("par=%d solver counters diverged:\npar    %+v\nserial %+v", par, got.Solver, serial.Solver)
-		}
 	}
 }
 

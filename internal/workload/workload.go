@@ -77,7 +77,7 @@ func (c Checkpoint) GoodputFraction(mbs float64) float64 {
 	}
 	cycle := tau + w
 	// Expected loss per unit time from failures: (tau/2 + w) / MTBF.
-	lossRate := (tau/2 + w) / c.MTBFSeconds
+	lossRate := (float64(tau/2) + w) / c.MTBFSeconds
 	gross := tau / cycle
 	net := gross * (1 - lossRate)
 	if net < 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pfsim/internal/ior"
 	"pfsim/internal/pool"
 	"pfsim/internal/sweep"
 	"pfsim/internal/workload"
@@ -50,10 +49,11 @@ func WithContext(ctx context.Context) RunnerOption {
 }
 
 // WithParallelism sets the worker-pool width for independent simulations
-// (1 = serial; values below one select GOMAXPROCS, the default). The
-// single long runs (RunScenario's contended pass, RunSharded) spend the
-// same width inside the fluid solver instead, solving independent dirty
-// components concurrently — results are byte-identical at any setting,
+// (1 = serial; values below one select GOMAXPROCS, the default): the
+// batched calls (RunScenarios, Repeat, Sweep) and every call's solo
+// baselines fan across it. Each simulation runs on one goroutine, so a
+// single run (RunScenario's contended pass, RunSharded) takes no more
+// than one core at any width. Results are byte-identical at any setting,
 // only wall-clock time changes.
 func WithParallelism(n int) RunnerOption {
 	return func(r *Runner) { r.parallelism = n }
@@ -73,8 +73,9 @@ func WithProgress(fn func(done, total int)) RunnerOption {
 
 // progressTracker folds the phases of one Runner call into a single
 // monotonic (done, total) series. Phases register their unit counts with
-// addTotal as they become known; tick reports one completed unit. Safe
-// for concurrent use by pool workers.
+// Add as they become known; Done reports one completed unit. Safe for
+// concurrent use by pool workers; it is the workload.Progress of the
+// baseline pass.
 type progressTracker struct {
 	fn    func(done, total int)
 	mu    sync.Mutex
@@ -88,8 +89,8 @@ func (r *Runner) newTracker() *progressTracker {
 	return &progressTracker{fn: r.progress}
 }
 
-// addTotal registers n upcoming units.
-func (t *progressTracker) addTotal(n int) {
+// Add registers n upcoming units.
+func (t *progressTracker) Add(n int) {
 	if t.fn == nil {
 		return
 	}
@@ -98,8 +99,8 @@ func (t *progressTracker) addTotal(n int) {
 	t.mu.Unlock()
 }
 
-// tick reports one completed unit.
-func (t *progressTracker) tick() {
+// Done reports one completed unit.
+func (t *progressTracker) Done() {
 	if t.fn == nil {
 		return
 	}
@@ -125,16 +126,13 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	return r
 }
 
-// runOptions builds the workload options for the Runner's single long
-// runs: the pool width becomes the solver's component-solve parallelism
-// (there is only one simulation to fan out, so the cores go inside it)
-// and the Runner context is polled mid-run. Batched paths deliberately
-// do not use this — they spend the width on the pool and keep each
-// simulation's solver serial.
+// runOptions is the Runner's seed, pool width and context as workload
+// options: the single long runs poll the context mid-run, and the solo
+// baseline pass fans across the width.
 func (r *Runner) runOptions() workload.RunOptions {
 	return workload.RunOptions{
 		Seed:        r.seed,
-		Parallelism: pool.Workers(r.parallelism),
+		Parallelism: r.parallelism,
 		Ctx:         r.ctx,
 	}
 }
@@ -149,16 +147,16 @@ func (r *Runner) RunScenario(plat *Platform, sc Scenario) (*ScenarioResult, erro
 		return nil, err
 	}
 	tracker := r.newTracker()
-	tracker.addTotal(1)
+	tracker.Add(1)
 	res, err := workload.RunScenarioWith(plat, sc, r.runOptions())
 	if err != nil {
 		return nil, err
 	}
-	tracker.tick()
+	tracker.Done()
 	if !r.slowdowns {
 		return res, nil
 	}
-	if err := r.applySlowdownsAll(plat, []*ScenarioResult{res}, []uint64{r.seed}, tracker); err != nil {
+	if err := r.applySlowdowns(plat, []*ScenarioResult{res}, []uint64{r.seed}, tracker); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -181,14 +179,14 @@ func (r *Runner) runSolo(plat *Platform, cfg IORConfig, seed uint64) (*IORResult
 func (r *Runner) RunScenarios(plat *Platform, scs []Scenario) ([]*ScenarioResult, error) {
 	out := make([]*ScenarioResult, len(scs))
 	tracker := r.newTracker()
-	tracker.addTotal(len(scs))
+	tracker.Add(len(scs))
 	err := pool.Run(r.ctx, r.parallelism, len(scs), func(i int) error {
 		res, err := workload.RunScenario(plat, scs[i], r.seed)
 		if err != nil {
 			return err
 		}
 		out[i] = res
-		tracker.tick()
+		tracker.Done()
 		return nil
 	})
 	if err != nil {
@@ -199,7 +197,7 @@ func (r *Runner) RunScenarios(plat *Platform, scs []Scenario) ([]*ScenarioResult
 		for i := range seeds {
 			seeds[i] = r.seed
 		}
-		if err := r.applySlowdownsAll(plat, out, seeds, tracker); err != nil {
+		if err := r.applySlowdowns(plat, out, seeds, tracker); err != nil {
 			return nil, err
 		}
 	}
@@ -221,14 +219,14 @@ func (r *Runner) Repeat(plat *Platform, sc Scenario, n int) ([]*ScenarioResult, 
 	}
 	out := make([]*ScenarioResult, n)
 	tracker := r.newTracker()
-	tracker.addTotal(n)
+	tracker.Add(n)
 	err := pool.Run(r.ctx, r.parallelism, n, func(i int) error {
 		res, err := workload.RunScenario(plat, sc, base+uint64(i))
 		if err != nil {
 			return err
 		}
 		out[i] = res
-		tracker.tick()
+		tracker.Done()
 		return nil
 	})
 	if err != nil {
@@ -239,55 +237,24 @@ func (r *Runner) Repeat(plat *Platform, sc Scenario, n int) ([]*ScenarioResult, 
 		for i := range seeds {
 			seeds[i] = base + uint64(i)
 		}
-		if err := r.applySlowdownsAll(plat, out, seeds, tracker); err != nil {
+		if err := r.applySlowdowns(plat, out, seeds, tracker); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// applySlowdownsAll runs the solo baselines for every result in one flat
+// applySlowdowns runs the solo baselines for every result in one flat
 // pool pass (result i's baselines use seeds[i]), so the baseline half of
 // a batch keeps the same parallel width as the scenario half. Baseline
 // units join the caller's progress tracker, continuing its monotonic
 // count rather than restarting from zero.
-func (r *Runner) applySlowdownsAll(plat *Platform, results []*ScenarioResult, seeds []uint64, tracker *progressTracker) error {
-	type unit struct {
-		cfg  IORConfig
-		seed uint64
+func (r *Runner) applySlowdowns(plat *Platform, results []*ScenarioResult, seeds []uint64, tracker *progressTracker) error {
+	err := workload.RunBaselines(plat, results, seeds, r.runOptions(), tracker)
+	if err != nil && r.ctx.Err() == nil {
+		return fmt.Errorf("pfsim: %w", err)
 	}
-	var units []unit
-	solos := make([][]ior.Config, len(results))
-	for i, res := range results {
-		solos[i] = res.SoloConfigs()
-		for _, cfg := range solos[i] {
-			units = append(units, unit{cfg: cfg, seed: seeds[i]})
-		}
-	}
-	baselines := make([]*ior.Result, len(units))
-	tracker.addTotal(len(units))
-	err := pool.Run(r.ctx, r.parallelism, len(units), func(k int) error {
-		base, err := r.runSolo(plat, units[k].cfg, units[k].seed)
-		if err != nil {
-			return fmt.Errorf("pfsim: solo baseline for %q: %w", units[k].cfg.Label, err)
-		}
-		baselines[k] = base
-		tracker.tick()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	k := 0
-	for i, res := range results {
-		byCfg := make(map[IORConfig]*IORResult, len(solos[i]))
-		for range solos[i] {
-			byCfg[units[k].cfg] = baselines[k]
-			k++
-		}
-		res.ApplySolo(byCfg)
-	}
-	return nil
+	return err
 }
 
 // RunSharded executes several scenarios as independent file systems under
@@ -295,9 +262,8 @@ func (r *Runner) applySlowdownsAll(plat *Platform, results []*ScenarioResult, se
 // shape (many installations, one simulation). Shard link sets are
 // disjoint, so the partitioned solver keeps each shard its own component:
 // simulation cost per event scales with the touched shard, not the total
-// population, and the Runner's parallelism is spent solving the
-// components an instant dirties concurrently (byte-identical results at
-// any width). A cancelled WithContext context stops the engine mid-run.
+// population. The run is one simulation on the calling goroutine. A
+// cancelled WithContext context stops the engine mid-run.
 // Slowdown baselines are not computed (a shard cannot slow another down
 // by construction; per-shard contention is visible in the per-job
 // results directly).
@@ -306,12 +272,12 @@ func (r *Runner) RunSharded(plat *Platform, shards []Scenario) (*ShardedResult, 
 		return nil, err
 	}
 	tracker := r.newTracker()
-	tracker.addTotal(1)
+	tracker.Add(1)
 	res, err := workload.RunShardedWith(plat, shards, r.runOptions())
 	if err != nil {
 		return nil, err
 	}
-	tracker.tick()
+	tracker.Done()
 	return res, nil
 }
 

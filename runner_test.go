@@ -3,7 +3,6 @@ package pfsim
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -423,33 +422,5 @@ func TestRunnerRunShardedCancelled(t *testing.T) {
 	plat, shards := SolverShardedScenario(4, 2)
 	if _, err := NewRunner(WithContext(ctx)).RunSharded(plat, shards); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRunnerRunShardedParallelismBitIdentical: RunSharded spends the
-// Runner's pool width inside the shared solver (one simulation, many
-// components); any width must reproduce the serial run bit for bit,
-// solver work counters included.
-func TestRunnerRunShardedParallelismBitIdentical(t *testing.T) {
-	plat, shards := SolverShardedScenario(32, 4)
-	serial, err := NewRunner(WithParallelism(1)).RunSharded(plat, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := NewRunner(WithParallelism(8)).RunSharded(plat, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(serial.Makespan) != math.Float64bits(wide.Makespan) {
-		t.Fatalf("makespan diverged: serial %v vs parallel %v", serial.Makespan, wide.Makespan)
-	}
-	for i := range serial.Shards {
-		a, b := serial.Shards[i].Jobs[0], wide.Shards[i].Jobs[0]
-		if math.Float64bits(a.WriteMBs()) != math.Float64bits(b.WriteMBs()) {
-			t.Errorf("shard %d bandwidth diverged: %v vs %v", i, a.WriteMBs(), b.WriteMBs())
-		}
-	}
-	if serial.Solver != wide.Solver {
-		t.Errorf("solver counters diverged:\nserial   %+v\nparallel %+v", serial.Solver, wide.Solver)
 	}
 }

@@ -78,8 +78,7 @@ type ShardedResult = workload.ShardedResult
 // population matches a monolithic stress run of shards × writers ranks,
 // but each shard is a separate link-connectivity component, so the
 // partitioned solver's per-solve scan cost must track the shard size,
-// not the population — and independent components are what the parallel
-// solve variants fan across workers.
+// not the population.
 func SolverShardedScenario(writers, shards int) (*Platform, []Scenario) {
 	plat := Cab()
 	out := make([]Scenario, shards)

@@ -1,9 +1,6 @@
 package pfsim
 
-import (
-	"pfsim/internal/pool"
-	"pfsim/internal/scenariofile"
-)
+import "pfsim/internal/scenariofile"
 
 // ScenarioFile is a parsed declarative scenario: platform selection, a
 // fleet of workloads (hand-listed or generator-expanded), a timed
@@ -34,8 +31,8 @@ func ParseScenarioFile(data []byte, name string) (*ScenarioFile, error) {
 // expanded and simulated with the fault timeline compiled onto engine
 // hooks, solo baselines run when an assertion needs slowdown figures,
 // and the assertion block is evaluated. The Runner's seed, context and
-// parallelism apply; parallelism is spent inside the fluid solver for
-// the contended run and across the worker pool for baselines, with
+// parallelism apply: the contended run is one simulation on the calling
+// goroutine, and the solo baselines fan across the worker pool, with
 // byte-identical results at any width. Whether baselines run is the
 // file's choice (its `baselines` key, or automatically when an
 // assertion reads slowdowns) — WithoutSlowdowns does not override it.
@@ -47,7 +44,7 @@ func (r *Runner) RunScenarioFile(f *ScenarioFile) (*ScenarioFileResult, error) {
 	}
 	return scenariofile.Run(f, scenariofile.RunOptions{
 		Seed:        r.seed,
-		Parallelism: pool.Workers(r.parallelism),
+		Parallelism: r.parallelism,
 		Ctx:         r.ctx,
 	})
 }
