@@ -222,11 +222,12 @@ func TestRunAgainstCommittedBaseline(t *testing.T) {
 	if _, err := os.Stat(baseline); err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
-	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 1030585 linkvisits/op 325655 flowsscanned/op 22042 heapops/op 0 shareheapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 79566 allocs/op 12641416 B/op
-BenchmarkSolver4096Flows/incremental 1 1 ns/op 4917854 linkvisits/op 1480011 flowsscanned/op 94800 heapops/op 1474 shareheapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 299558 allocs/op 53946768 B/op
-BenchmarkSolverPLFS2048/incremental 1 1 ns/op 67499 linkvisits/op 3496 rounds/op 7435 flowsscanned/op 4885 heapops/op 12390 shareheapops/op 94 solves/op 93 componentssolved/op 7326 compflowsscanned/op 3907 flowssettled/op 78.77 compflowspersolve/op 159778 allocs/op 10257408 B/op
-BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 2286498 linkvisits/op 601665 flowsscanned/op 81316 heapops/op 0 shareheapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 418929 allocs/op 40472488 B/op
-BenchmarkEngineFleet/tasks 1 653758233 ns/op 517712 events/op 217713 laneevents/op 299999 heappushes/op 3 peakgoroutines 90810384 B/op 1999835 allocs/op
+	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 1030585 linkvisits/op 325655 flowsscanned/op 22042 heapops/op 0 shareheapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 64134 allocs/op 11560304 B/op
+BenchmarkSolver4096Flows/incremental 1 1 ns/op 4917854 linkvisits/op 1480011 flowsscanned/op 94800 heapops/op 1474 shareheapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 238037 allocs/op 49521216 B/op
+BenchmarkSolverPLFS2048/incremental 1 1 ns/op 67499 linkvisits/op 3496 rounds/op 7435 flowsscanned/op 4885 heapops/op 12390 shareheapops/op 94 solves/op 93 componentssolved/op 7326 compflowsscanned/op 3907 flowssettled/op 78.77 compflowspersolve/op 120727 allocs/op 6925912 B/op
+BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 2286498 linkvisits/op 601665 flowsscanned/op 81316 heapops/op 0 shareheapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 356716 allocs/op 35848168 B/op
+BenchmarkEngineFleet/tasks 1 653758233 ns/op 517712 events/op 217713 laneevents/op 299999 heappushes/op 3 peakgoroutines 89851456 B/op 1999823 allocs/op
+BenchmarkCheckpointFleet 1 1 ns/op 95373 events/op 11746576 B/op 192032 allocs/op
 `
 	var report strings.Builder
 	if err := run(baseline, strings.NewReader(synthetic), &report); err != nil {

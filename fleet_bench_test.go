@@ -5,10 +5,14 @@ package pfsim
 import (
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pfsim/internal/flow"
+	"pfsim/internal/lustre"
+	"pfsim/internal/scenariofile"
 	"pfsim/internal/sim"
+	"pfsim/internal/workload"
 )
 
 // The fleet shape: writers arrive at a constant stagger, each doing a
@@ -107,4 +111,55 @@ func TestEngineFleetGoroutinesO1(t *testing.T) {
 	if large > small+4 {
 		t.Errorf("task fleet peak scales with fleet size: %d at 1k writers, %d at 20k", small, large)
 	}
+}
+
+// checkpointFleetShards replicates digestFleet's shard this many times
+// for BenchmarkCheckpointFleet: about 100 ms of host time per run.
+const checkpointFleetShards = 48
+
+// BenchmarkCheckpointFleet runs digestFleet's jittered checkpointer fleet
+// (TestShardFleetDigest) replicated over checkpointFleetShards file
+// systems under one engine: the shard-fleet benchmark workload's shape,
+// small. Every checkpoint is an IOR repetition whose ranks meet in MPI
+// collectives around the write, so this is the gate on the collective
+// path: allocs/op and B/op, and the engine's events/op (events
+// scheduled), which a change to how ranks park and resume must leave
+// exactly as it was.
+func BenchmarkCheckpointFleet(b *testing.B) {
+	doc := strings.Replace(digestFleet, "replicate: 3\n",
+		"replicate: "+strconv.Itoa(checkpointFleetShards)+"\n", 1)
+	f, err := scenariofile.Parse([]byte(doc), "checkpoint-fleet.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	plat, err := f.BuildPlatform()
+	if err != nil {
+		b.Fatal(err)
+	}
+	scens, err := f.BuildScenarios()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st sim.Stats
+	for i := 0; i < b.N; i++ {
+		var eng *sim.Engine
+		res, err := workload.RunShardedWith(plat, scens, workload.RunOptions{Parallelism: 1},
+			func(shard int, sys *lustre.System) {
+				f.InstrumentShard(shard)(sys)
+				eng = sys.Engine()
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Shards) != checkpointFleetShards {
+			b.Fatalf("ran %d shards, want %d", len(res.Shards), checkpointFleetShards)
+		}
+		st = eng.Stats()
+	}
+	b.ReportMetric(float64(st.Scheduled), "events/op")
 }

@@ -31,6 +31,8 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Standard   bool // standard library: left to the source importer
+	DepOnly    bool // imported by a matched package, not matched itself
 	Error      *struct{ Err string }
 }
 
@@ -40,15 +42,18 @@ type listedPackage struct {
 // ad-hoc goroutines, so the determinism invariants bind shipped
 // simulator code only.
 //
-// Imports between matched packages resolve to the loaded packages
-// themselves (memoized, dependency-first), so every *types.Object is
-// shared program-wide: a use of lustre.MDS.CreateK inside internal/mpiio
-// is the same *types.Func the lustre package declares. That identity is
-// what lets Program.CallGraph stitch per-package graphs into one
-// cross-package reachability structure. Imports outside the matched set
-// (the standard library) fall back to the source importer, so no
-// pre-built export data is required. Packages return sorted by import
-// path for deterministic output.
+// Imports of the matched packages and of their non-standard
+// dependencies resolve to packages the loader checks itself (memoized,
+// dependency-first), so every *types.Object is shared program-wide: a
+// use of lustre.MDS.CreateK inside internal/mpiio is the same *types.Func
+// the lustre package declares. That identity is what lets
+// Program.CallGraph stitch per-package graphs into one cross-package
+// reachability structure, and what lets patterns name part of the
+// module — ./internal/mpi and ./internal/ior, which reaches mpi through
+// mpiio too. Only matched packages are returned. The standard library
+// falls back to the source importer, so no pre-built export data is
+// required. Packages return sorted by import path for deterministic
+// output.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -64,6 +69,9 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
 	for _, lp := range listed {
+		if lp.Standard {
+			continue
+		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("analysis: load %s: %s", lp.ImportPath, lp.Error.Err)
 		}
@@ -71,7 +79,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || lp.DepOnly || len(lp.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := ld.load(lp)
@@ -162,7 +170,7 @@ func Check(fset *token.FileSet, imp types.Importer, importPath, dir string, file
 // only authority on module-aware package resolution, and it works
 // offline for a dependency-free module like this one.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer

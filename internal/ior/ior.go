@@ -255,150 +255,237 @@ type job struct {
 	cfg Config
 	res *Result
 	err error
+
+	world *mpi.World
+	// files holds the shared file of each repetition (nil entries under
+	// FilePerProc, whose ranks open private files).
+	files []*mpiio.File
 }
 
 func (j *job) launch() *mpi.World {
-	cfg := j.cfg
-	w := mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
+	cfg := &j.cfg
+	j.world = mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
 	// Shared files are allocated up front so every rank of a repetition
 	// uses the same handle; layouts are still drawn at Open time.
-	files := make([]*mpiio.File, cfg.Reps)
+	j.files = make([]*mpiio.File, cfg.Reps)
 	if !cfg.FilePerProc {
-		for rep := range files {
-			files[rep] = mpiio.NewFile(j.sys, w.Comm(),
+		for rep := range j.files {
+			j.files[rep] = mpiio.NewFile(j.sys, j.world.Comm(),
 				fmt.Sprintf("%s.rep%d", cfg.Label, rep), cfg.API, cfg.Hints)
 		}
 	}
-	w.LaunchTasks(func(r *mpi.Rank, done func()) {
-		j.runRepK(w, r, files, 0, done)
+	j.world.LaunchTasks(func(r *mpi.Rank, done func()) {
+		rr := &rankRun{j: j, r: r, done: done}
+		rr.next, rr.nextVal, rr.nextErr = rr.resume, rr.resumeVal, rr.resumeErr
+		rr.startRep()
 	})
-	return w
+	return j.world
 }
 
-// runRepK runs repetition rep and then the next: the compute gap precedes
-// every repetition but the first, a FilePerProc rank splits off its
-// private communicator and file per repetition, and a phase error stops
-// this rank only if it is the first error of the job.
-func (j *job) runRepK(w *mpi.World, r *mpi.Rank, files []*mpiio.File, rep int, done func()) {
-	cfg := j.cfg
-	if rep >= cfg.Reps {
-		done()
-		return
-	}
-	run := func() {
-		withFile := func(k func(*mpiio.File)) {
-			if cfg.FilePerProc {
-				w.Comm().SplitK(r, r.ID(), 0, func(sub *mpi.Comm) {
-					k(mpiio.NewFile(j.sys, sub,
-						fmt.Sprintf("%s.rep%d.rank%d", cfg.Label, rep, r.ID()), cfg.API, cfg.Hints))
-				})
-				return
-			}
-			k(files[rep])
-		}
-		withFile(func(f *mpiio.File) {
-			j.phaseK(w, r, f, func(err error) {
-				if err != nil && j.err == nil {
-					j.err = err
-					done()
-					return
-				}
-				j.runRepK(w, r, files, rep+1, done)
-			})
-		})
-	}
-	if rep > 0 && cfg.ComputeSeconds > 0 {
-		r.Task().Sleep(cfg.ComputeSeconds, run)
-		return
-	}
-	run()
+// rankRun is one rank's way through the job's repetitions, as a state
+// machine: step names what the rank does when the operation it waits on
+// completes. The rank resumes through one method value per continuation
+// signature, bound at launch — not a closure per step, nor a method value
+// per step: tens of thousands of ranks can be live at once, and each
+// bound method value is a heap object per rank.
+type rankRun struct {
+	j    *job
+	r    *mpi.Rank
+	done func()
+	rep  int
+	f    *mpiio.File // the repetition's file
+	t0   float64     // the phase's start, reduced over the world
+	step step
+
+	next    func()        // rr.resume
+	nextVal func(float64) // rr.resumeVal
+	nextErr func(error)   // rr.resumeErr
 }
 
-// phaseK runs the write (and optional read) phase of one repetition:
-// barrier/reduce brackets around open-write-close and the read pass, with
-// rank 0 recording the aggregate bandwidths.
-func (j *job) phaseK(w *mpi.World, r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := j.cfg
-	t := r.Task()
-	readPhase := func() {
-		if !cfg.ReadFile {
-			k(nil)
-			return
-		}
-		w.Comm().BarrierK(r, func() {
-			w.Comm().AllreduceMinK(r, t.Now(), func(t0 float64) {
-				f.ReadAllK(r, cfg.PerRankMB(), cfg.TransferSizeMB, func(err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					w.Comm().AllreduceMaxK(r, t.Now(), func(t1 float64) {
-						if w.Comm().RankOf(r) == 0 {
-							j.res.Read.Add(cfg.TotalMB() / (t1 - t0))
-						}
-						k(nil)
-					})
-				})
-			})
-		})
+// step is a rankRun state: the operation the rank waits on.
+type step uint8
+
+const (
+	stepCompute     step = iota // the compute gap before a repetition
+	stepBarrier                 // the barrier opening a repetition
+	stepWriteStart              // the write phase's start-time reduction
+	stepOpen                    // the collective open
+	stepWrite                   // the rank's write
+	stepClose                   // the collective close
+	stepWriteEnd                // the write phase's end-time reduction
+	stepReadBarrier             // the barrier opening the read phase
+	stepReadStart               // the read phase's start-time reduction
+	stepRead                    // the collective read
+	stepReadEnd                 // the read phase's end-time reduction
+)
+
+// resume continues the rank after an operation that delivers nothing.
+//
+//pfsim:hotpath
+func (rr *rankRun) resume() { rr.advance(0, nil) }
+
+// resumeVal continues the rank after a reduction.
+//
+//pfsim:hotpath
+func (rr *rankRun) resumeVal(v float64) { rr.advance(v, nil) }
+
+// resumeErr continues the rank after an operation that can fail.
+//
+//pfsim:hotpath
+func (rr *rankRun) resumeErr(err error) { rr.advance(0, err) }
+
+// startRep starts repetition rr.rep: after the compute gap that precedes
+// every repetition but the first, the rank takes the repetition's file —
+// splitting off its private communicator and file under FilePerProc —
+// and enters the phase barrier. After the last repetition it is done.
+func (rr *rankRun) startRep() {
+	cfg := &rr.j.cfg
+	switch {
+	case rr.rep >= cfg.Reps:
+		rr.done()
+	case rr.rep > 0 && cfg.ComputeSeconds > 0:
+		rr.step = stepCompute
+		rr.r.Task().Sleep(cfg.ComputeSeconds, rr.next)
+	default:
+		rr.openRep()
 	}
-	w.Comm().BarrierK(r, func() {
+}
+
+// openRep takes the repetition's file and enters the phase barrier.
+func (rr *rankRun) openRep() {
+	if rr.j.cfg.FilePerProc {
+		// A split, a communicator and a file per rank and repetition cost
+		// more than binding this continuation per call.
+		rr.j.world.Comm().SplitK(rr.r, rr.r.ID(), 0, rr.privateFile) //pfsim:allocok file-per-process set-up, per rank and repetition
+		return
+	}
+	rr.f = rr.j.files[rr.rep]
+	rr.step = stepBarrier
+	rr.j.world.Comm().BarrierK(rr.r, rr.next)
+}
+
+// privateFile opens a FilePerProc rank's file for the repetition on the
+// communicator the split gave it, and enters the phase barrier.
+//
+//pfsim:allocok file-per-process set-up: a split, a communicator and a file per rank and repetition
+func (rr *rankRun) privateFile(sub *mpi.Comm) {
+	cfg := &rr.j.cfg
+	rr.f = mpiio.NewFile(rr.j.sys, sub,
+		fmt.Sprintf("%s.rep%d.rank%d", cfg.Label, rr.rep, rr.r.ID()), cfg.API, cfg.Hints)
+	rr.step = stepBarrier
+	rr.j.world.Comm().BarrierK(rr.r, rr.next)
+}
+
+// advance runs the step after the one the rank waited on, given the value
+// or error the operation delivered: barrier and reduction brackets around
+// open-write-close and the read pass, with rank 0 recording the aggregate
+// bandwidths.
+//
+//pfsim:hotpath
+func (rr *rankRun) advance(v float64, err error) {
+	j, r, cfg := rr.j, rr.r, &rr.j.cfg
+	comm := j.world.Comm()
+	if err != nil {
+		rr.endRep(err)
+		return
+	}
+	switch rr.step {
+	case stepCompute:
+		rr.openRep()
+	case stepBarrier:
 		if !cfg.WriteFile {
-			readPhase()
+			rr.readPhase()
 			return
 		}
-		w.Comm().AllreduceMinK(r, t.Now(), func(t0 float64) {
-			f.OpenK(r, func(err error) {
-				if err != nil {
-					k(err)
-					return
-				}
-				j.doWriteK(r, f, func(err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					f.CloseK(r, func() {
-						w.Comm().AllreduceMaxK(r, t.Now(), func(t1 float64) {
-							if w.Comm().RankOf(r) == 0 {
-								j.record(j.res.Write, f, t1-t0)
-							}
-							readPhase()
-						})
-					})
-				})
-			})
-		})
-	})
+		rr.step = stepWriteStart
+		comm.AllreduceMinK(r, r.Task().Now(), rr.nextVal)
+	case stepWriteStart:
+		rr.t0 = v
+		rr.step = stepOpen
+		rr.f.OpenK(r, rr.nextErr)
+	case stepOpen:
+		rr.step = stepWrite
+		rr.write()
+	case stepWrite:
+		rr.step = stepClose
+		rr.f.CloseK(r, rr.next)
+	case stepClose:
+		rr.step = stepWriteEnd
+		comm.AllreduceMaxK(r, r.Task().Now(), rr.nextVal)
+	case stepWriteEnd:
+		if comm.RankOf(r) == 0 {
+			j.record(j.res.Write, rr.f, v-rr.t0)
+		}
+		rr.readPhase()
+	case stepReadBarrier:
+		rr.step = stepReadStart
+		comm.AllreduceMinK(r, r.Task().Now(), rr.nextVal)
+	case stepReadStart:
+		rr.t0 = v
+		rr.step = stepRead
+		rr.f.ReadAllK(r, cfg.PerRankMB(), cfg.TransferSizeMB, rr.nextErr)
+	case stepRead:
+		rr.step = stepReadEnd
+		comm.AllreduceMaxK(r, r.Task().Now(), rr.nextVal)
+	case stepReadEnd:
+		if comm.RankOf(r) == 0 {
+			j.res.Read.Add(cfg.TotalMB() / (v - rr.t0))
+		}
+		rr.endRep(nil)
+	}
 }
 
-// doWriteK issues the rank's write for the configured access pattern:
+// readPhase runs the optional read pass of the repetition.
+func (rr *rankRun) readPhase() {
+	if !rr.j.cfg.ReadFile {
+		rr.endRep(nil)
+		return
+	}
+	rr.step = stepReadBarrier
+	rr.j.world.Comm().BarrierK(rr.r, rr.next)
+}
+
+// endRep ends the repetition and starts the next. A phase error stops
+// this rank only if it is the first error of the job.
+func (rr *rankRun) endRep(err error) {
+	if err != nil && rr.j.err == nil {
+		rr.j.err = err
+		rr.done()
+		return
+	}
+	rr.rep++
+	rr.startRep()
+}
+
+// write issues the rank's write for the configured access pattern:
 // file-per-process, collective or independent.
-func (j *job) doWriteK(r *mpi.Rank, f *mpiio.File, k func(error)) {
-	cfg := j.cfg
+func (rr *rankRun) write() {
+	r, f, cfg := rr.r, rr.f, &rr.j.cfg
 	per := cfg.PerRankMB()
 	switch {
 	case cfg.FilePerProc:
-		j.writeFilePerProcK(r, f, k)
+		rr.writeOwnFile()
 	case cfg.Collective:
-		f.WriteAllK(r, per, cfg.TransferSizeMB, k)
+		f.WriteAllK(r, per, cfg.TransferSizeMB, rr.nextErr)
 	default:
-		f.WriteIndependentK(r, per, cfg.TransferSizeMB, k)
+		f.WriteIndependentK(r, per, cfg.TransferSizeMB, rr.nextErr)
 	}
 }
 
-// writeFilePerProcK streams the rank's data to its private file as a
+// writeOwnFile streams the rank's data to its private file as a
 // dedicated sequential writer — the access pattern of the paper's
-// single-OST contention benchmark.
-func (j *job) writeFilePerProcK(r *mpi.Rank, f *mpiio.File, k func(error)) {
+// single-OST contention benchmark. PLFS + FilePerProc degenerates to the
+// same per-rank logs as a collective write.
+//
+//pfsim:allocok one request list and done-signal list per rank and repetition, beside the flows they start
+func (rr *rankRun) writeOwnFile() {
+	j, r, f := rr.j, rr.r, rr.f
 	layout := f.Layout()
 	if layout == nil {
-		// PLFS + FilePerProc degenerates to the same per-rank logs.
-		f.WriteAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, k)
+		f.WriteAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, rr.nextErr)
 		return
 	}
-	t := r.Task()
-	sim.AwaitAll(t, flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout))), func() { k(nil) })
+	sim.AwaitAll(r.Task(), flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout))), rr.next)
 }
 
 // filePerProcReqs builds the rank's dedicated sequential streams onto its
@@ -434,6 +521,8 @@ func fileIDOf(f *mpiio.File, r *mpi.Rank) int {
 }
 
 // record captures bandwidth and layout telemetry for one repetition.
+//
+//pfsim:allocok rank 0 records each repetition once
 func (j *job) record(sample *stats.Sample, f *mpiio.File, elapsed float64) {
 	sample.Add(j.cfg.TotalMB() / elapsed)
 	if c := f.Container(); c != nil {

@@ -85,6 +85,7 @@ func (w *World) Done() *sim.Signal { return w.done }
 func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 	for i := 0; i < w.size; i++ {
 		rank := &Rank{world: w, id: i}
+		rank.resumeK = rank.resume
 		rank.task = w.eng.StartTask(0, "rank", i, func(*sim.Task) {
 			body(rank, rank.finish)
 		})
@@ -96,6 +97,16 @@ type Rank struct {
 	world *World
 	id    int
 	task  *sim.Task
+
+	// A rank is in at most one collective at a time. While it is, coll is
+	// that collective, cr the rank's place in its communicator, and k the
+	// continuation its result goes to: a func(), func(float64),
+	// func([]float64) or func(*Comm), by collective. resumeK is r.resume,
+	// bound once at launch, so parking and resuming allocate nothing.
+	coll    *rendezvous
+	cr      int
+	k       any
+	resumeK func()
 }
 
 // ID returns the world rank number.
@@ -120,31 +131,53 @@ func (r *Rank) finish() {
 // World returns the rank's world.
 func (r *Rank) World() *World { return r.world }
 
+// resume delivers the result of the rank's collective to its
+// continuation. The last rank to arrive resumes first and fires the
+// collective's signal, which releases the others; for them the signal
+// has fired already.
+//
+//pfsim:hotpath
+func (r *Rank) resume() {
+	rv, k := r.coll, r.k
+	r.coll, r.k = nil, nil
+	rv.sig.Fire()
+	switch k := k.(type) {
+	case func():
+		k()
+	case func(float64):
+		k(rv.f)
+	case func([]float64):
+		k(rv.vals)
+	case func(*Comm):
+		k(rv.comms[r.cr])
+	}
+}
+
 // Comm is a communicator over a subset of world ranks.
 type Comm struct {
 	world *World
 	label string
-	ranks []int       // world rank ids, comm-rank order
-	index map[int]int // world rank → comm rank
+	ranks []int // world rank ids, comm-rank order
 	// byWorld lists comm ranks in world-rank order, or is nil when that
 	// is comm-rank order (the world comm, and most splits).
 	byWorld []int
 
-	seq     []int // comm rank → collective calls issued
-	pending map[int]*rendezvous
+	// pending is the collective some members have entered and others not
+	// yet: members call collectives in the same order and none passes one
+	// before all have entered it, so there is at most one. calls counts
+	// the collectives begun; it numbers their signals, whose names start
+	// with collLabel.
+	pending   *rendezvous
+	calls     int
+	collLabel string
 }
 
 func newComm(w *World, label string, ranks []int) *Comm {
 	c := &Comm{
-		world:   w,
-		label:   label,
-		ranks:   ranks,
-		index:   make(map[int]int, len(ranks)),
-		seq:     make([]int, len(ranks)),
-		pending: make(map[int]*rendezvous),
-	}
-	for i, r := range ranks {
-		c.index[r] = i
+		world:     w,
+		label:     label,
+		ranks:     ranks,
+		collLabel: label + "-coll-",
 	}
 	if !sort.IntsAreSorted(ranks) {
 		c.byWorld = make([]int, len(ranks))
@@ -163,11 +196,40 @@ func (c *Comm) Size() int { return len(c.ranks) }
 func (c *Comm) Label() string { return c.label }
 
 // RankOf returns r's rank within the communicator, or -1 if not a member.
+// The world and the one-rank splits of file-per-process runs hold
+// consecutive world ranks in order, so r's offset from the first member
+// is tried first; otherwise the members are searched in world-rank order.
+//
+//pfsim:hotpath
 func (c *Comm) RankOf(r *Rank) int {
-	if i, ok := c.index[r.id]; ok {
+	if r.world != c.world {
+		return -1
+	}
+	if i := r.id - c.ranks[0]; i >= 0 && i < len(c.ranks) && c.ranks[i] == r.id {
 		return i
 	}
+	lo, hi := 0, len(c.ranks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.ranks[c.inWorldOrder(m)] < r.id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.ranks) && c.ranks[c.inWorldOrder(lo)] == r.id {
+		return c.inWorldOrder(lo)
+	}
 	return -1
+}
+
+// inWorldOrder returns the comm rank of the i-th member in world-rank
+// order.
+func (c *Comm) inWorldOrder(i int) int {
+	if c.byWorld == nil {
+		return i
+	}
+	return c.byWorld[i]
 }
 
 // WorldRanks returns the member world ranks in comm order.
@@ -180,63 +242,97 @@ func (c *Comm) WorldRanks() []int {
 // NodeOfWorldRank returns the compute node hosting a member world rank.
 func (c *Comm) NodeOfWorldRank(wr int) int { return c.world.nodeOf[wr] }
 
+// collOp names a collective operation.
+type collOp uint8
+
+const (
+	opBarrier collOp = iota
+	opMin
+	opMax
+	opSum
+	opGather
+	opSplit
+)
+
+var collOpNames = [...]string{"Barrier", "AllreduceMin", "AllreduceMax", "AllreduceSum", "AllGather", "Split"}
+
+func (op collOp) String() string { return collOpNames[op] }
+
 // rendezvous matches one collective call across the communicator.
 type rendezvous struct {
+	op      collOp
 	arrived int
 	sig     *sim.Signal
 	vals    []float64 // contributions by comm rank
-	result  any
+	// The result: a reduction's value, or a split's new communicators by
+	// comm rank. A gather's result is vals.
+	f     float64
+	comms []*Comm
 }
 
-// arrive registers one rank's contribution to its next collective and
-// reports whether this rank completed the rendezvous (it is then the
-// "last arriver" responsible for finalizing and releasing the others).
-func (c *Comm) arrive(r *Rank, val float64) (rv *rendezvous, last bool) {
+// collective enters r into the communicator's pending collective, op,
+// contributing val; k is the rank's continuation, of the type op
+// delivers (see Rank). Every rank but the last to arrive parks on the
+// collective's signal. The last arriver computes the result from the
+// contributions in comm-rank order, pays the tree latency (one scheduled
+// event) and resumes: it fires the signal releasing the others and
+// continues before their wake events fire.
+//
+//pfsim:hotpath
+func (c *Comm) collective(r *Rank, op collOp, val float64, k any) {
 	cr := c.RankOf(r)
-	if cr < 0 {
-		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label))
+	if cr < 0 || r.coll != nil || (c.pending != nil && c.pending.op != op) {
+		c.refuse(r, op)
 	}
-	idx := c.seq[cr]
-	c.seq[cr]++
-	rv = c.pending[idx]
-	if rv == nil {
-		rv = &rendezvous{
-			sig:  c.world.eng.NewSignal(fmt.Sprintf("%s-coll-%d", c.label, idx)),
-			vals: make([]float64, len(c.ranks)),
-		}
-		c.pending[idx] = rv
+	if c.pending == nil {
+		c.begin(op) //pfsim:allocok inlined: one rendezvous per collective, not per rank (see begin)
 	}
+	rv := c.pending
 	rv.vals[cr] = val
 	rv.arrived++
+	r.coll, r.cr, r.k = rv, cr, k
 	if rv.arrived < len(c.ranks) {
-		return rv, false
+		rv.sig.Await(r.task, r.resumeK)
+		return
 	}
-	delete(c.pending, idx)
-	return rv, true
+	c.pending = nil
+	c.finalize(rv)
+	if lat := c.latency(); lat > 0 {
+		r.task.Sleep(lat, r.resumeK)
+		return
+	}
+	r.resume()
 }
 
-// collectiveK is the common engine for synchronising operations: every
-// rank contributes a value; the last arriver computes the result via
-// finalize (receiving contributions in comm-rank order), pays the tree
-// latency (one scheduled event), fires the signal releasing the others,
-// and then continues inline before the woken waiters' events fire. The
-// result is delivered to the continuation k.
-func (c *Comm) collectiveK(r *Rank, val float64, finalize func([]float64) any, k func(any)) {
-	rv, last := c.arrive(r, val)
-	if !last {
-		rv.sig.Await(r.task, func() { k(rv.result) })
-		return
+// begin makes op the communicator's pending collective: one rendezvous
+// per call, shared by the members, whose signal has room for the n-1
+// ranks that will park on it.
+//
+//pfsim:allocok one rendezvous, signal and contribution vector per collective, not per rank
+func (c *Comm) begin(op collOp) {
+	n := len(c.ranks)
+	c.pending = &rendezvous{
+		op:   op,
+		sig:  c.world.eng.NewSignalN(c.collLabel, c.calls, n-1),
+		vals: make([]float64, n),
 	}
-	rv.result = finalize(rv.vals)
-	release := func() {
-		rv.sig.Fire()
-		k(rv.result)
+	c.calls++
+}
+
+// refuse panics on a collective call that breaks the calling rules: a
+// rank outside the communicator, a rank already in a collective, or a
+// collective other than the one the other members are in.
+//
+//pfsim:allocok crash path: runs once, as the simulation aborts
+func (c *Comm) refuse(r *Rank, op collOp) {
+	switch {
+	case c.RankOf(r) < 0:
+		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label))
+	case r.coll != nil:
+		panic(fmt.Sprintf("mpi: rank %d called %v on comm %q while still in a collective", r.id, op, c.label))
+	default:
+		panic(fmt.Sprintf("mpi: rank %d called %v on comm %q, whose pending collective is %v", r.id, op, c.label, c.pending.op))
 	}
-	if lat := c.latency(); lat > 0 {
-		r.task.Sleep(lat, release)
-		return
-	}
-	release()
 }
 
 func (c *Comm) latency() float64 {
@@ -248,32 +344,37 @@ func (c *Comm) latency() float64 {
 	return c.world.CollectiveLatency * stages
 }
 
-func finalizeBarrier([]float64) any { return nil }
-
-func finalizeMin(vals []float64) any {
-	min := math.Inf(1)
-	for _, x := range vals {
-		if x < min {
-			min = x
+// finalize computes a completed collective's result from its
+// contributions.
+func (c *Comm) finalize(rv *rendezvous) {
+	switch rv.op {
+	case opMin:
+		min := math.Inf(1)
+		for _, x := range rv.vals {
+			if x < min {
+				min = x
+			}
 		}
+		rv.f = min
+	case opMax:
+		max := math.Inf(-1)
+		for _, x := range rv.vals {
+			if x > max {
+				max = x
+			}
+		}
+		rv.f = max
+	case opSum:
+		rv.f = c.sum(rv.vals)
+	case opSplit:
+		rv.comms = c.split(rv.vals)
 	}
-	return min
 }
 
-func finalizeMax(vals []float64) any {
-	max := math.Inf(-1)
-	for _, x := range vals {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// finalizeSum sums in world-rank order, which split communicators need
-// not share with comm-rank order, so a reduction's last bits do not
-// depend on how its communicator was built.
-func (c *Comm) finalizeSum(vals []float64) any {
+// sum adds the contributions in world-rank order, which split
+// communicators need not share with comm-rank order, so a reduction's
+// last bits do not depend on how its communicator was built.
+func (c *Comm) sum(vals []float64) float64 {
 	sum := 0.0
 	if c.byWorld == nil {
 		for _, x := range vals {
@@ -287,34 +388,31 @@ func (c *Comm) finalizeSum(vals []float64) any {
 	return sum
 }
 
-// finalizeGather hands the contributions over as they are: the rendezvous
-// is retired once finalized, so nothing writes to them afterwards.
-func finalizeGather(vals []float64) any { return vals }
-
 // BarrierK runs k once every comm member has arrived.
-func (c *Comm) BarrierK(r *Rank, k func()) {
-	c.collectiveK(r, 0, finalizeBarrier, func(any) { k() })
-}
+//
+//pfsim:hotpath
+func (c *Comm) BarrierK(r *Rank, k func()) { c.collective(r, opBarrier, 0, k) }
 
 // AllreduceMinK delivers the minimum contribution to k.
-func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeMin, func(res any) { k(res.(float64)) })
-}
+//
+//pfsim:hotpath
+func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) { c.collective(r, opMin, v, k) }
 
 // AllreduceMaxK delivers the maximum contribution to k.
-func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, finalizeMax, func(res any) { k(res.(float64)) })
-}
+//
+//pfsim:hotpath
+func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) { c.collective(r, opMax, v, k) }
 
 // AllreduceSumK delivers the sum of contributions to k.
-func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) {
-	c.collectiveK(r, v, c.finalizeSum, func(res any) { k(res.(float64)) })
-}
+//
+//pfsim:hotpath
+func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) { c.collective(r, opSum, v, k) }
 
 // AllGatherK delivers every rank's contribution in comm-rank order to k.
-func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) {
-	c.collectiveK(r, v, finalizeGather, func(res any) { k(res.([]float64)) })
-}
+// The slice is the collective's own and is shared by every member.
+//
+//pfsim:hotpath
+func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) { c.collective(r, opGather, v, k) }
 
 // packSplit encodes color/key into the float contribution losslessly
 // (both are small integers in practice; guard anyway).
@@ -325,8 +423,10 @@ func packSplit(color, key int) float64 {
 	return float64(float64(color)*(1<<21)) + float64(key+(1<<20))
 }
 
-// finalizeSplit returns each member's new communicator, by comm rank.
-func (c *Comm) finalizeSplit(vals []float64) any {
+// split returns each member's new communicator, by comm rank.
+//
+//pfsim:allocok a split builds communicators: once per rank per file-per-process repetition at most
+func (c *Comm) split(vals []float64) []*Comm {
 	type member struct{ color, key, world, rank int }
 	members := make([]member, len(vals))
 	for i, pv := range vals {
@@ -365,8 +465,8 @@ func (c *Comm) finalizeSplit(vals []float64) any {
 // SplitK partitions the communicator by color, ordering each new
 // communicator by (key, world rank) — MPI_Comm_split semantics. Every
 // member must call SplitK; each receives its sub-communicator through k.
+// Unlike the other collectives it is no hot-path root: building the
+// communicators allocates.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
-	c.collectiveK(r, packSplit(color, key), c.finalizeSplit, func(res any) {
-		k(res.([]*Comm)[c.index[r.id]])
-	})
+	c.collective(r, opSplit, packSplit(color, key), k)
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pfsim/internal/sim"
@@ -163,6 +164,34 @@ func TestSplitByColor(t *testing.T) {
 	}
 }
 
+// TestRankOfEveryMember: RankOf finds every member of strided, reversed
+// and contiguous splits, and no one else in the world.
+func TestRankOfEveryMember(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewWorld(eng, 12, 16, 0)
+	var comms []*Comm
+	for _, ranks := range [][]int{{1, 4, 7, 10}, {7, 5, 3}, {4, 5, 6, 7}} {
+		comms = append(comms, newComm(w, "sub", ranks))
+	}
+	w.LaunchTasks(func(r *Rank, done func()) {
+		for _, c := range comms {
+			want := -1
+			for i, wr := range c.ranks {
+				if wr == r.ID() {
+					want = i
+				}
+			}
+			if got := c.RankOf(r); got != want {
+				t.Errorf("rank %d in %v: RankOf = %d, want %d", r.ID(), c.ranks, got, want)
+			}
+		}
+		done()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSplitKeyOrdering(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewWorld(eng, 4, 16, 0)
@@ -229,6 +258,58 @@ func TestForeignRankPanics(t *testing.T) {
 	}
 	if !panicked {
 		t.Error("want panic for foreign-comm collective")
+	}
+}
+
+// TestMismatchedCollectivePanics: a rank that enters a different
+// collective from the one the other members are in is refused, and so is
+// a rank that enters a collective while still in one.
+func TestMismatchedCollectivePanics(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewWorld(eng, 2, 16, 0)
+	var refusals []string
+	refused := func() {
+		if r := recover(); r != nil {
+			refusals = append(refusals, r.(string))
+		}
+	}
+	w.LaunchTasks(func(r *Rank, done func()) {
+		if r.ID() == 0 {
+			w.Comm().BarrierK(r, done)
+			func() {
+				defer refused()
+				w.Comm().BarrierK(r, done) // still in the first barrier
+			}()
+			return
+		}
+		defer refused()
+		w.Comm().AllreduceMinK(r, 1, func(float64) { done() })
+	})
+	if err := eng.Run(); err == nil {
+		t.Error("want the unmatched barrier to deadlock")
+	}
+	want := []string{
+		`mpi: rank 0 called Barrier on comm "world" while still in a collective`,
+		`mpi: rank 1 called AllreduceMin on comm "world", whose pending collective is Barrier`,
+	}
+	if strings.Join(refusals, "\n") != strings.Join(want, "\n") {
+		t.Errorf("refusals:\n%s\nwant:\n%s", strings.Join(refusals, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRankOfOtherWorld: a rank is no member of another world's
+// communicators, even where its rank number exists there.
+func TestRankOfOtherWorld(t *testing.T) {
+	eng := sim.NewEngine()
+	w1, w2 := NewWorld(eng, 2, 16, 0), NewWorld(eng, 2, 16, 10)
+	w1.LaunchTasks(func(r *Rank, done func()) {
+		if got := w2.Comm().RankOf(r); got != -1 {
+			t.Errorf("world-1 rank %d is rank %d of world 2", r.ID(), got)
+		}
+		done()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -382,5 +463,74 @@ func TestSumInWorldRankOrderOnSplit(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// roundsRank drives one rank through a fixed number of rounds of
+// BarrierK, AllreduceMinK and AllreduceMaxK. Its continuations are bound
+// once, so every allocation a round makes is the collectives' own.
+type roundsRank struct {
+	c      *Comm
+	r      *Rank
+	left   int
+	done   func()
+	onBar  func()
+	onMin  func(float64)
+	onMax  func(float64)
+	onDone func()
+}
+
+func (d *roundsRank) round() {
+	if d.left == 0 {
+		d.done()
+		return
+	}
+	d.left--
+	d.c.BarrierK(d.r, d.onBar)
+}
+
+func (d *roundsRank) barrier()        { d.c.AllreduceMinK(d.r, d.r.Task().Now(), d.onMin) }
+func (d *roundsRank) reduced(float64) { d.c.AllreduceMaxK(d.r, d.r.Task().Now(), d.onMax) }
+func (d *roundsRank) maxed(float64)   { d.round() }
+
+// collectiveRoundAllocs returns the heap allocations a size-rank world
+// makes running rounds rounds, its roundsRank values included.
+func collectiveRoundAllocs(size, rounds int) float64 {
+	return testing.AllocsPerRun(3, func() {
+		eng := sim.NewEngine()
+		w := NewWorld(eng, size, 16, 0)
+		w.LaunchTasks(func(r *Rank, done func()) {
+			d := &roundsRank{c: w.Comm(), r: r, left: rounds, done: done}
+			d.onBar, d.onMin, d.onMax = d.barrier, d.reduced, d.maxed
+			d.round()
+		})
+		if err := eng.Run(); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// TestCollectiveAllocsPerRoundIndependentOfRanks: a collective allocates
+// per call, not per rank. Doubling the rounds on an 8- and a 64-rank
+// world adds the same number of allocations per round to both: the
+// rendezvous, its contribution vector, signal and waiter list for each of
+// the three collectives, however many ranks park on them.
+func TestCollectiveAllocsPerRoundIndependentOfRanks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const rounds = 20
+	perRound := map[int]float64{}
+	for _, size := range []int{8, 64} {
+		extra := collectiveRoundAllocs(size, 2*rounds) - collectiveRoundAllocs(size, rounds)
+		perRound[size] = extra / rounds
+	}
+	t.Logf("allocations per round: %v at 8 ranks, %v at 64", perRound[8], perRound[64])
+	if perRound[64] != perRound[8] {
+		t.Errorf("allocations per round grow with the rank count: %v at 8 ranks, %v at 64",
+			perRound[8], perRound[64])
+	}
+	if perRound[8] > 12 {
+		t.Errorf("%v allocations per round of three collectives, want at most 4 per collective", perRound[8])
 	}
 }

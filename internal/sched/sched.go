@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pfsim/internal/cluster"
@@ -87,6 +88,9 @@ func Run(plat *cluster.Platform, subs []Submission, opt Options) ([]Completed, f
 	ordered := append([]Submission(nil), subs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].SubmitAt < ordered[j].SubmitAt })
 	for i, sub := range ordered {
+		if math.IsNaN(sub.SubmitAt) || math.IsInf(sub.SubmitAt, 1) {
+			return nil, 0, fmt.Errorf("sched: job %d: SubmitAt %v must be finite", i, sub.SubmitAt)
+		}
 		if err := sub.Cfg.Validate(plat); err != nil {
 			return nil, 0, fmt.Errorf("sched: job %d: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"pfsim/internal/cluster"
@@ -181,6 +182,13 @@ func TestRunValidation(t *testing.T) {
 	huge := smallCfg("huge", 1024) // 64 nodes on an 8-node machine
 	if _, _, err := Run(plat, []Submission{{Cfg: huge}}, Options{}); err == nil {
 		t.Error("oversized job should fail")
+	}
+	// The engine refuses events at +Inf or NaN; the scheduler reports
+	// such a submission time as an error instead.
+	for _, at := range []float64{math.Inf(1), math.NaN()} {
+		if _, _, err := Run(plat, []Submission{{Cfg: smallCfg("never", 64), SubmitAt: at}}, Options{}); err == nil {
+			t.Errorf("SubmitAt %v accepted", at)
+		}
 	}
 }
 

@@ -99,8 +99,10 @@ type Engine struct {
 
 	stats Stats
 
-	tasks   int // started, unfinished inline tasks
-	blocked map[*Task]blockedOn
+	tasks int // started, unfinished inline tasks
+	// parked lists the tasks waiting on a signal or queued on a resource,
+	// in no particular order; each knows its slot (see Task.park).
+	parked []parkedTask
 
 	pollEvery int // call pollFn every this many fired events (0: never)
 	pollCount int
@@ -144,18 +146,17 @@ type Stats struct {
 // Stats returns the engine's work counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// NewEngine returns an engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{blocked: map[*Task]blockedOn{}}
+// parkedTask is an entry in the engine's parked list: a task and what it
+// waits on, a signal or, when sig is nil, a resource. Only parked tasks
+// need these, so they live here rather than on every Task.
+type parkedTask struct {
+	t   *Task
+	sig *Signal
+	res *Resource
 }
 
-// blockedOn records what a parked task is stalled on. The
-// description string is assembled only if a deadlock report is actually
-// produced — parking is on the dispatch hot path and must not format.
-type blockedOn struct {
-	verb string // "waiting" (signal) or "queued on" (resource)
-	what string // the signal or resource name
-}
+// NewEngine returns an engine at virtual time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -191,6 +192,11 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 		// corrupt the event heap's ordering invariant silently instead of
 		// failing here.
 		panic("sim: scheduled at NaN time") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+	}
+	if math.IsInf(at, 1) {
+		// An event at +Inf would fire only under Run, after moving the
+		// clock to +Inf, where every later delay is lost.
+		panic("sim: scheduled at +Inf time") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
 	}
 	if at < e.now {
 		at = e.now
@@ -255,6 +261,9 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) Reschedule(ev *Event, at float64) bool {
 	if math.IsNaN(at) {
 		panic("sim: rescheduled to NaN time")
+	}
+	if math.IsInf(at, 1) {
+		panic("sim: rescheduled to +Inf time")
 	}
 	if ev == nil || ev.cancelled || ev.index < 0 {
 		return false
@@ -358,7 +367,7 @@ func (e *Engine) RunUntil(tmax float64) error {
 			ev = heap.Pop(&e.events).(*Event)
 			e.now = ev.at
 		default:
-			if len(e.blocked) > 0 {
+			if len(e.parked) > 0 {
 				return e.deadlockErr()
 			}
 			return nil
@@ -384,10 +393,13 @@ func (e *Engine) RunUntil(tmax float64) error {
 //
 //pfsim:allocok cold error path: runs once, right before the simulation aborts
 func (e *Engine) deadlockErr() error {
-	names := make([]string, 0, len(e.blocked))
-	//pfsim:orderok — names are sorted below before they reach the error
-	for t, on := range e.blocked {
-		names = append(names, fmt.Sprintf("%s (%s %s)", t.Name(), on.verb, on.what))
+	names := make([]string, len(e.parked))
+	for i, p := range e.parked {
+		if p.sig != nil {
+			names[i] = p.t.Name() + " (waiting " + p.sig.name() + ")"
+		} else {
+			names[i] = p.t.Name() + " (queued on " + p.res.name + ")"
+		}
 	}
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at t=%.6f: %d blocked process(es): %v",

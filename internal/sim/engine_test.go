@@ -15,6 +15,31 @@ func TestScheduleAtNaNPanics(t *testing.T) {
 	NewEngine().ScheduleAt(math.NaN(), func() {})
 }
 
+// TestScheduleAtInfPanics: an event at +Inf is refused like a NaN one,
+// and so is an infinite delay, which lands there. -Inf clamps to now.
+func TestScheduleAtInfPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"ScheduleAt", func(e *Engine) { e.ScheduleAt(math.Inf(1), func() {}) }},
+		{"Schedule", func(e *Engine) { e.Schedule(math.Inf(1), func() {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "sim: scheduled at +Inf time" {
+					t.Errorf("recovered %v, want the +Inf panic", r)
+				}
+			}()
+			tc.schedule(NewEngine())
+		})
+	}
+	e := NewEngine()
+	if ev := e.ScheduleAt(math.Inf(-1), func() {}); ev.Time() != 0 {
+		t.Errorf("-Inf scheduled at %v, want now (0)", ev.Time())
+	}
+}
+
 // TestRunUntilNeverRewindsClock: a horizon before Now fires nothing and
 // leaves the clock where it was, with or without events pending.
 func TestRunUntilNeverRewindsClock(t *testing.T) {

@@ -15,21 +15,37 @@ type waiter struct {
 // already-fired signal does not block.
 type Signal struct {
 	eng     *Engine
-	name    string
+	label   string
+	id      int // >= 0: appended to label on demand (see NewSignalN)
 	fired   bool
 	waiters []waiter
 }
 
 // NewSignal creates a named signal on the engine.
 func (e *Engine) NewSignal(name string) *Signal {
-	return &Signal{eng: e, name: name}
+	return &Signal{eng: e, label: name, id: -1}
 }
+
+// NewSignalN creates a signal named label+id with room for waiters
+// parked tasks. Like a task's, the name is formatted only when a deadlock
+// report reads it: MPI collectives create a signal per call, and each
+// knows how many ranks will wait on it, so its waiter list never grows by
+// doubling.
+func (e *Engine) NewSignalN(label string, id, waiters int) *Signal {
+	return &Signal{eng: e, label: label, id: id, waiters: make([]waiter, 0, waiters)}
+}
+
+// name returns the signal's name. The deadlock report is its only
+// caller, so no hot path formats one.
+func (s *Signal) name() string { return lazyName(s.label, s.id) }
 
 // Fired reports whether Fire has been called.
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal fired and schedules every waiter to resume at the
 // current time, in park order. Firing twice is a no-op.
+//
+//pfsim:hotpath
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -38,15 +54,10 @@ func (s *Signal) Fire() {
 	waiters := s.waiters
 	s.waiters = nil
 	for _, w := range waiters {
-		s.eng.unblock(w)
+		if w.t != nil {
+			w.t.unpark()
+		}
 		s.eng.Schedule(0, w.k)
-	}
-}
-
-// unblock clears the deadlock-tracking entry for a woken waiter.
-func (e *Engine) unblock(w waiter) {
-	if w.t != nil {
-		delete(e.blocked, w.t)
 	}
 }
 
@@ -78,7 +89,7 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		r.eng.unblock(next)
+		next.t.unpark()
 		r.eng.Schedule(0, next.k)
 		return // slot stays accounted to the woken waiter
 	}

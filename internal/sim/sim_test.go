@@ -567,6 +567,24 @@ func TestRescheduleNaNPanics(t *testing.T) {
 	e.Reschedule(ev, math.NaN())
 }
 
+// TestRescheduleInfPanics: moving an event to +Inf is refused, and the
+// event stays where it was.
+func TestRescheduleInfPanics(t *testing.T) {
+	e := NewEngine()
+	ev := e.Schedule(1, func() {})
+	func() {
+		defer func() {
+			if r := recover(); r != "sim: rescheduled to +Inf time" {
+				t.Errorf("recovered %v, want the +Inf panic", r)
+			}
+		}()
+		e.Reschedule(ev, math.Inf(1))
+	}()
+	if ev.Time() != 1 || e.Pending() != 1 {
+		t.Errorf("event at %v with %d pending, want it untouched at 1", ev.Time(), e.Pending())
+	}
+}
+
 // TestSetPollFiresPerEventBatch: the poll hook runs every n fired
 // events, injects nothing, and can stop the engine mid-run; removal
 // works.

@@ -18,6 +18,9 @@ type Task struct {
 	label string
 	id    int // >= 0: appended to label on demand (lazy spawn names)
 	done  bool
+	// slot is 0 while the task is not parked, else one more than its
+	// index in the engine's parked list (see park).
+	slot int
 }
 
 // StartTask begins an inline task after delay seconds of virtual time.
@@ -48,11 +51,44 @@ func (t *Task) Finish() {
 
 // Name returns the task name (used in deadlock reports), formatted on
 // demand — see StartTask.
-func (t *Task) Name() string {
-	if t.id < 0 {
-		return t.label
+func (t *Task) Name() string { return lazyName(t.label, t.id) }
+
+// lazyName is label+id, or label alone for a negative id: the name of a
+// task or signal whose creator left it unformatted.
+func lazyName(label string, id int) string {
+	if id < 0 {
+		return label
 	}
-	return t.label + strconv.Itoa(t.id)
+	return label + strconv.Itoa(id)
+}
+
+// park records that the task waits on sig or, when sig is nil, queues on
+// res. A task parked already keeps its slot and records the new wait, so
+// the deadlock report names its latest one.
+func (t *Task) park(sig *Signal, res *Resource) {
+	p := parkedTask{t: t, sig: sig, res: res}
+	if t.slot == 0 {
+		t.eng.parked = append(t.eng.parked, p) //pfsim:allocok parked-list growth is bounded by the peak parked population
+		t.slot = len(t.eng.parked)
+		return
+	}
+	t.eng.parked[t.slot-1] = p
+}
+
+// unpark takes the task off the engine's parked list, moving the last
+// entry into its slot; a task not parked is left alone. Any wake ends the
+// park, even one from a second wait the task registered.
+func (t *Task) unpark() {
+	if t.slot == 0 {
+		return
+	}
+	p := t.eng.parked
+	last := p[len(p)-1]
+	p[t.slot-1] = last
+	last.t.slot = t.slot
+	p[len(p)-1] = parkedTask{}
+	t.eng.parked = p[:len(p)-1]
+	t.slot = 0
 }
 
 // Engine returns the engine this task runs on.
@@ -85,7 +121,7 @@ func (s *Signal) Await(t *Task, k func()) {
 		k()
 		return
 	}
-	t.eng.blocked[t] = blockedOn{verb: "waiting", what: s.name}
+	t.park(s, nil)
 	s.waiters = append(s.waiters, waiter{t: t, k: k}) //pfsim:allocok waiter-list growth is bounded by the peak blocked population
 }
 
@@ -142,7 +178,7 @@ func (r *Resource) AcquireTask(t *Task, k func()) {
 		return
 	}
 	r.queue = append(r.queue, waiter{t: t, k: k}) //pfsim:allocok queue growth is bounded by the peak contention depth
-	r.eng.blocked[t] = blockedOn{verb: "queued on", what: r.name}
+	t.park(nil, r)
 }
 
 // UseTask acquires the resource, holds it for service seconds, releases,

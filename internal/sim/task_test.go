@@ -196,11 +196,15 @@ func TestResourceMixedFIFO(t *testing.T) {
 	}
 }
 
-// TestTaskDeadlockReport: every stuck task appears in the deadlock error,
-// sorted by name, with what it waits or queues on.
+// TestTaskDeadlockReport: every stuck task appears in the deadlock error
+// exactly once, sorted by name, with what it waits or queues on. A task
+// that parked twice is reported with its latest wait; a task woken from a
+// signal that then queued on a resource is reported with the resource.
 func TestTaskDeadlockReport(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
+	later := e.NewSignal("later")
+	start := e.NewSignal("start")
 	r := e.NewResource("narrow", 1)
 	e.StartTask(0, "a-task", 7, func(tk *Task) {
 		s.Await(tk, tk.Finish)
@@ -213,20 +217,51 @@ func TestTaskDeadlockReport(t *testing.T) {
 	e.StartTask(0, "c-task", -1, func(tk *Task) {
 		r.AcquireTask(tk, tk.Finish)
 	})
+	e.StartTask(0, "d-twice", -1, func(tk *Task) {
+		s.Await(tk, tk.Finish)
+		later.Await(tk, tk.Finish)
+	})
+	e.StartTask(0, "e-woken", -1, func(tk *Task) {
+		start.Await(tk, func() {
+			r.AcquireTask(tk, tk.Finish)
+		})
+	})
+	e.StartTask(1.5, "f-starter", -1, func(tk *Task) {
+		start.Fire()
+		tk.Finish()
+	})
 	err := e.Run()
 	if err == nil {
 		t.Fatal("want deadlock error")
 	}
-	msg := err.Error()
-	for _, frag := range []string{
-		"3 blocked process(es)",
-		`a-task7 (waiting never)`,
-		`b-holder (waiting never)`,
-		`c-task (queued on narrow)`,
-	} {
-		if !strings.Contains(msg, frag) {
-			t.Errorf("deadlock report %q missing %q", msg, frag)
-		}
+	want := "sim: deadlock at t=1.500000: 5 blocked process(es): [" +
+		"a-task7 (waiting never) " +
+		"b-holder (waiting never) " +
+		"c-task (queued on narrow) " +
+		"d-twice (waiting later) " +
+		"e-woken (queued on narrow)]"
+	if got := err.Error(); got != want {
+		t.Errorf("deadlock report:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestDeadlockReportNamesSignalsLazily: a signal made by NewSignalN is
+// named label+id in the report, and parking on it up to its capacity
+// leaves its waiter list where it was allocated.
+func TestDeadlockReportNamesSignalsLazily(t *testing.T) {
+	e := NewEngine()
+	s := e.NewSignalN("world-coll-", 3, 2)
+	backing := &s.waiters[:1][0]
+	for i := 0; i < 2; i++ {
+		e.StartTask(0, "rank", i, func(tk *Task) { s.Await(tk, tk.Finish) })
+	}
+	err := e.Run()
+	want := "sim: deadlock at t=0.000000: 2 blocked process(es): [rank0 (waiting world-coll-3) rank1 (waiting world-coll-3)]"
+	if err == nil || err.Error() != want {
+		t.Errorf("deadlock report:\n got %v\nwant %q", err, want)
+	}
+	if &s.waiters[0] != backing {
+		t.Error("waiter list grew past its sized capacity")
 	}
 }
 
