@@ -222,12 +222,13 @@ func TestRunAgainstCommittedBaseline(t *testing.T) {
 	if _, err := os.Stat(baseline); err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
-	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 1030585 linkvisits/op 325655 flowsscanned/op 22042 heapops/op 0 shareheapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 64134 allocs/op 11560304 B/op
-BenchmarkSolver4096Flows/incremental 1 1 ns/op 4917854 linkvisits/op 1480011 flowsscanned/op 94800 heapops/op 1474 shareheapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 238037 allocs/op 49521216 B/op
-BenchmarkSolverPLFS2048/incremental 1 1 ns/op 67499 linkvisits/op 3496 rounds/op 7435 flowsscanned/op 4885 heapops/op 12390 shareheapops/op 94 solves/op 93 componentssolved/op 7326 compflowsscanned/op 3907 flowssettled/op 78.77 compflowspersolve/op 120727 allocs/op 6925912 B/op
-BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 2286498 linkvisits/op 601665 flowsscanned/op 81316 heapops/op 0 shareheapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 356716 allocs/op 35848168 B/op
-BenchmarkEngineFleet/tasks 1 653758233 ns/op 517712 events/op 217713 laneevents/op 299999 heappushes/op 3 peakgoroutines 89851456 B/op 1999823 allocs/op
-BenchmarkCheckpointFleet 1 1 ns/op 95373 events/op 11746576 B/op 192032 allocs/op
+	synthetic := `BenchmarkSolver1024Flows/incremental 1 1 ns/op 1030585 linkvisits/op 325655 flowsscanned/op 22042 heapops/op 0 shareheapops/op 1268 solves/op 1267 componentssolved/op 317714 compflowsscanned/op 46007 allocs/op 2647264 B/op
+BenchmarkSolver4096Flows/incremental 1 1 ns/op 4917854 linkvisits/op 1480011 flowsscanned/op 94800 heapops/op 1474 shareheapops/op 5089 solves/op 5088 componentssolved/op 1441101 compflowsscanned/op 163475 allocs/op 8781192 B/op
+BenchmarkSolverPLFS2048/incremental 1 1 ns/op 67499 linkvisits/op 3496 rounds/op 7435 flowsscanned/op 4885 heapops/op 12390 shareheapops/op 94 solves/op 93 componentssolved/op 7326 compflowsscanned/op 3907 flowssettled/op 78.77 compflowspersolve/op 102836 allocs/op 5434744 B/op
+BenchmarkSolverSharded4096x16/incremental 1 1 ns/op 2286498 linkvisits/op 601665 flowsscanned/op 81316 heapops/op 0 shareheapops/op 2908 solves/op 4812 componentssolved/op 597830 compflowsscanned/op 72245 flowssettled/op 124.2 compflowspersolve/op 294205 allocs/op 19018168 B/op
+BenchmarkEngineFleet/tasks 1 653758233 ns/op 517712 events/op 217713 laneevents/op 299999 heappushes/op 3 peakgoroutines 70684176 B/op 1400654 allocs/op
+BenchmarkCheckpointFleet 1 1 ns/op 95373 events/op 7356560 B/op 112984 allocs/op
+BenchmarkScenarioCorpus 1 1 ns/op 469653 events/op 4749942 linkvisits/op 493259 flowsscanned/op 252695 heapops/op 938347 shareheapops/op 2522 solves/op 2489 componentssolved/op 462835 compflowsscanned/op 231923 flowssettled/op 118281 rounds/op 599070 allocs/op 39892352 B/op
 `
 	var report strings.Builder
 	if err := run(baseline, strings.NewReader(synthetic), &report); err != nil {

@@ -58,7 +58,7 @@ func DinuseRecurrence(dtotal int, requests []int) []float64 {
 	inUse := 0.0
 	for i, r := range requests {
 		rj := float64(r)
-		inUse = inUse + (rj - inUse/float64(dtotal)*rj)
+		inUse = inUse + (rj - float64(inUse/float64(dtotal)*rj))
 		out[i] = inUse
 	}
 	return out

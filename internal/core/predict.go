@@ -21,7 +21,7 @@ func LinearThrashCurve(baseMBs, gamma float64) ServiceCurve {
 		if k <= 1 {
 			return baseMBs
 		}
-		return baseMBs / (1 + gamma*float64(k-1))
+		return baseMBs / (1 + float64(gamma*float64(k-1)))
 	}
 }
 
@@ -33,7 +33,7 @@ func OnsetThrashCurve(baseMBs, gamma, onset, exponent float64) ServiceCurve {
 		if x <= 0 {
 			return baseMBs
 		}
-		return baseMBs / (1 + gamma*math.Pow(x, exponent))
+		return baseMBs / (1 + float64(gamma*math.Pow(x, exponent)))
 	}
 }
 
@@ -111,7 +111,7 @@ func PredictPLFSBandwidth(dtotal, ranks int, curve ServiceCurve, rankCapMBs floa
 	// Poisson-ish draws, approximated by mean + 3.2 sigma.
 	mean := PLFSLoad(dtotal, ranks)
 	sigma := math.Sqrt(mean)
-	kTail := int(math.Ceil(mean + 3.2*sigma))
+	kTail := int(math.Ceil(mean + float64(3.2*sigma)))
 	if kTail < 1 {
 		kTail = 1
 	}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 
 	"pfsim/internal/sim"
@@ -66,5 +67,48 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state solve allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestRetirementKeepsConnectedComponentAllocs: a retirement that leaves
+// its component connected re-lists the survivors in the component it
+// already has, so the retire -> rebuild -> re-solve -> commit cycle
+// allocates nothing. Each of the flows crosses a private link and one
+// shared link at its 1 MB/s cap, flow i finishing at t = i+1, so every
+// step of one second retires exactly one flow and leaves the rest joined
+// through the shared link.
+func TestRetirementKeepsConnectedComponentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, flows := range []int{4, 64} {
+		eng := sim.NewEngine()
+		n := NewNet(eng)
+		shared := n.NewLink("shared", Const(1e6))
+		for i := 0; i < flows; i++ {
+			own := n.NewLink(fmt.Sprintf("own%d", i), Const(1e6))
+			n.Start(fmt.Sprintf("f%d", i), float64(i+1), 1, own, shared)
+		}
+		if err := eng.RunUntil(0.5); err != nil {
+			t.Fatal(err)
+		}
+		step := 0
+		// The warm-up run and flows-3 measured runs retire all but two
+		// flows.
+		allocs := testing.AllocsPerRun(flows-3, func() {
+			step++
+			if err := eng.RunUntil(float64(step) + 0.5); err != nil {
+				panic(err)
+			}
+		})
+		if got, want := n.ActiveFlows(), 2; got != want {
+			t.Fatalf("%d flows: %d active after the steps, want %d", flows, got, want)
+		}
+		if n.Components() != 1 {
+			t.Fatalf("%d flows: %d components, want 1", flows, n.Components())
+		}
+		if allocs != 0 {
+			t.Errorf("%d flows: a retirement leaving the component connected allocated %.1f times, want 0", flows, allocs)
+		}
 	}
 }

@@ -19,7 +19,11 @@
 //     dirtiness per component, so a change in one file system's traffic
 //     re-solves and re-scans only that file system's component, never the
 //     whole population. Disjoint components have independent max-min
-//     allocations, so the partitioned solve is exact.
+//     allocations, so the partitioned solve is exact. A rebuild keeps the
+//     component, its record and its flow and link arrays, for its first
+//     surviving connectivity class and compacts them in place; only
+//     classes that split off allocate, so a retirement that leaves its
+//     component connected allocates nothing.
 //
 //   - Per-flow accrual anchors: volume accounting is lazy. Each flow
 //     carries an anchor (settledAt, remaining, rate); its remaining volume
@@ -121,7 +125,7 @@ func (t Thrash) Capacity(streams int) float64 {
 	if streams <= 1 {
 		return t.Base
 	}
-	return t.Base / (1 + t.Gamma*float64(streams-1))
+	return t.Base / (1 + float64(t.Gamma*float64(streams-1)))
 }
 
 // component is one link-connectivity equivalence class of the active
@@ -130,7 +134,12 @@ func (t Thrash) Capacity(streams int) float64 {
 // links. Rate solves, dirtiness and accrual settling operate per
 // component. Flows are kept in admission (seq) order, which is the order
 // progressive filling charges residuals in; link order is numerically
-// irrelevant (the solver only takes minima over links and per-link sums).
+// irrelevant (the solver only takes minima over links and per-link sums),
+// but the link-share heap is built in link order and the cost of its
+// saturation walk (Stats.LinkVisits) depends on it, so a rebuild lists
+// links as a fresh component would. A component outlives retirements:
+// the rebuild after one keeps it for its first surviving class (see
+// rebuildComponent), and it dies only when merged away or emptied.
 type component struct {
 	flows []*Flow // active flows in admission order (finished ones linger until rebuild)
 	links []*Link // links currently carrying this component's flows
@@ -138,7 +147,7 @@ type component struct {
 	dirty   bool // needs a re-solve at the next flush
 	rebuild bool // lost a flow; connectivity must be recomputed before solving
 	queued  bool // already on Net.work
-	dead    bool // merged away, split, or emptied
+	dead    bool // merged away or emptied
 }
 
 // Link is a shared resource flows traverse.
@@ -247,7 +256,7 @@ func (f *Flow) Remaining() float64 {
 	if f.finished || f.net == nil {
 		return f.remaining
 	}
-	left := f.remaining - f.committed*(f.net.eng.Now()-f.settledAt)
+	left := f.remaining - float64(f.committed*(f.net.eng.Now()-f.settledAt))
 	if left < 0 {
 		return 0
 	}
@@ -890,18 +899,19 @@ func (n *Net) flushRebuilds() {
 }
 
 // rebuildComponent splits a component after retirements: a union-find pass
-// over the surviving flows' links rediscovers connectivity, and each
-// resulting class becomes a fresh dirty component. Every child is dirty by
+// over the surviving flows' links rediscovers connectivity. The class of
+// the first surviving flow keeps the component — its record, and its flow
+// and link arrays, compacted in place — and every other class becomes a
+// fresh component, so a retirement that leaves the component connected
+// allocates nothing. Either way a class lists its flows in admission
+// order and its links in first appearance over those flows' paths,
+// exactly as a fresh component would. Every class is dirty by
 // construction — a retired flow freed capacity on its links, and (by
 // connectivity of the original component) every surviving class contains
-// at least one such link.
-//
-//pfsim:allocok connectivity rebuilds run on flow retirement, amortised over the retired flow's lifetime — not steady-state work
+// at least one such link. The kept component stays where it is on the
+// work queue; split-off ones join its tail.
 func (n *Net) rebuildComponent(c *component) {
 	c.rebuild = false
-	c.dirty = false
-	c.dead = true
-	n.deadComps++
 	n.dsuEpoch++
 	epoch := n.dsuEpoch
 	for _, f := range c.flows {
@@ -923,41 +933,85 @@ func (n *Net) rebuildComponent(c *component) {
 			}
 		}
 	}
+	// Every listed link carries a surviving flow (idle ones were
+	// detached), so each is re-listed below. The kept class's flows and
+	// links are subsets of the old lists, which leaves room to rebuild
+	// both in place.
+	for _, l := range c.links {
+		l.comp = nil
+	}
+	oldLinks := len(c.links)
+	c.links = c.links[:0]
+	kept := 0
 	for _, f := range c.flows {
 		if f.finished {
 			continue
 		}
-		var child *component
+		var root *Link
 		if len(f.path) > 0 {
-			root := findRoot(f.path[0])
-			if root.child == nil {
-				root.child = n.newDirtyChild()
-			}
-			child = root.child
-		} else {
-			child = n.newDirtyChild()
+			root = findRoot(f.path[0])
 		}
-		f.comp = child
-		child.flows = append(child.flows, f) // c.flows order = admission order
+		if kept > 0 && (root == nil || root.child != c) {
+			n.splitOff(f, root)
+			continue
+		}
+		if root != nil {
+			root.child = c
+		}
+		f.comp = c
+		c.flows[kept] = f // kept <= the flow's index: order kept
+		kept++
 		for _, l := range f.path {
-			if l.comp != child {
-				l.comp = child
-				l.compIdx = len(child.links)
-				child.links = append(child.links, l)
+			if l.comp != c {
+				l.comp = c
+				l.compIdx = len(c.links)
+				c.links = c.links[:l.compIdx+1]
+				c.links[l.compIdx] = l
 			}
 		}
 	}
-	c.flows, c.links = nil, nil
+	clear(c.flows[kept:])
+	clear(c.links[len(c.links):oldLinks])
+	c.flows = c.flows[:kept]
+	if kept == 0 {
+		c.dead = true
+		c.dirty = false
+		c.flows, c.links = nil, nil
+		n.deadComps++
+		return
+	}
+	c.dirty = true
 }
 
-// newDirtyChild allocates a rebuilt component, pre-queued and dirty.
+// splitOff moves f, a surviving flow outside the kept class, to its own
+// class's component (the class of root, or f alone when it has no path):
+// the class's first flow allocates the component, dirty and pre-queued
+// at the work queue's tail, and each flow appends itself and its links
+// in rebuild order.
 //
-//pfsim:allocok component records are born on rebuilds, which retirement pays for — not steady-state work
-func (n *Net) newDirtyChild() *component {
-	child := &component{dirty: true, queued: true}
-	n.addComp(child)
-	n.work = append(n.work, child)
-	return child
+//pfsim:allocok only a class that splits off allocates: its component record and lists, which the retirement that split it pays for
+func (n *Net) splitOff(f *Flow, root *Link) {
+	var child *component
+	if root != nil {
+		child = root.child
+	}
+	if child == nil {
+		child = &component{dirty: true, queued: true}
+		n.addComp(child)
+		n.work = append(n.work, child)
+		if root != nil {
+			root.child = child
+		}
+	}
+	f.comp = child
+	child.flows = append(child.flows, f) // rebuild visits flows in admission order
+	for _, l := range f.path {
+		if l.comp != child {
+			l.comp = child
+			l.compIdx = len(child.links)
+			child.links = append(child.links, l)
+		}
+	}
 }
 
 // findRoot is union-find lookup with path halving.
@@ -1850,7 +1904,7 @@ func (n *Net) CheckInvariants() error {
 	activeLinks := 0
 	for _, l := range n.links {
 		cap := l.model.Capacity(l.active)
-		if load := loads[l]; load > cap*(1+1e-6)+1e-9 {
+		if load := loads[l]; load > float64(cap*(1+1e-6))+1e-9 {
 			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.name, load, cap)
 		}
 		inComp := l.comp != nil && !l.comp.dead &&
@@ -1905,14 +1959,14 @@ func (n *Net) CheckMaxMin() error {
 		}
 	}
 	for _, f := range n.activeFlows {
-		if f.finished || (f.maxRate > 0 && f.rate >= f.maxRate*(1-maxMinTol)-maxMinTol) {
+		if f.finished || (f.maxRate > 0 && f.rate >= float64(f.maxRate*(1-maxMinTol))-maxMinTol) {
 			continue
 		}
 		bottleneck := false
 		for _, l := range f.path {
 			ll := loads[l]
 			capacity := l.model.Capacity(l.active)
-			if ll.sum >= capacity*(1-maxMinTol)-maxMinTol && ll.max <= f.rate*(1+maxMinTol)+maxMinTol {
+			if ll.sum >= float64(capacity*(1-maxMinTol))-maxMinTol && ll.max <= float64(f.rate*(1+maxMinTol))+maxMinTol {
 				bottleneck = true
 				break
 			}

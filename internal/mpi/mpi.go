@@ -1,8 +1,8 @@
 // Package mpi provides a deterministic message-passing abstraction over the
 // simulation engine: a world of ranks (one simulated process each, mapped
 // to compute nodes like MPI ranks on Cab — CoresPerNode ranks per node),
-// communicators with barrier/reduction/gather collectives, and
-// communicator splitting. Collective calls must be made by every rank of a
+// communicators with barrier and reduction collectives, and communicator
+// splitting. Collective calls must be made by every rank of a
 // communicator in the same order, mirroring MPI semantics. Collectives
 // charge a logarithmic latency model.
 package mpi
@@ -98,15 +98,20 @@ type Rank struct {
 	id    int
 	task  *sim.Task
 
-	// A rank is in at most one collective at a time. While it is, coll is
-	// that collective, cr the rank's place in its communicator, and k the
-	// continuation its result goes to: a func(), func(float64),
-	// func([]float64) or func(*Comm), by collective. resumeK is r.resume,
-	// bound once at launch, so parking and resuming allocate nothing.
-	coll    *rendezvous
-	cr      int
-	k       any
-	resumeK func()
+	// A rank waits on at most one operation at a time: a collective, or
+	// an operation it was handed to through Then or ThenErr. k is the
+	// continuation the result goes to: a func(), func(float64) or
+	// func(*Comm), by collective, or a func(*Rank), func(*Rank, float64)
+	// or func(*Rank, error), which receive the rank. While the rank is in
+	// a collective, coll is that collective and cr the rank's place in
+	// its communicator. resumeK is r.resume, bound once at launch, and
+	// resumeErrK r.resumeErr, bound on first use, so parking and resuming
+	// allocate nothing.
+	coll       *rendezvous
+	cr         int
+	k          any
+	resumeK    func()
+	resumeErrK func(error)
 }
 
 // ID returns the world rank number.
@@ -131,8 +136,9 @@ func (r *Rank) finish() {
 // World returns the rank's world.
 func (r *Rank) World() *World { return r.world }
 
-// resume delivers the result of the rank's collective to its
-// continuation. The last rank to arrive resumes first and fires the
+// resume delivers the result of the rank's collective, or the end of
+// the wait it was handed to through Then, to its continuation. The last
+// rank to arrive at a collective resumes first and fires the
 // collective's signal, which releases the others; for them the signal
 // has fired already.
 //
@@ -140,17 +146,71 @@ func (r *Rank) World() *World { return r.world }
 func (r *Rank) resume() {
 	rv, k := r.coll, r.k
 	r.coll, r.k = nil, nil
+	if rv == nil {
+		k.(func(*Rank))(r)
+		return
+	}
 	rv.sig.Fire()
 	switch k := k.(type) {
 	case func():
 		k()
 	case func(float64):
 		k(rv.f)
-	case func([]float64):
-		k(rv.vals)
 	case func(*Comm):
 		k(rv.comms[r.cr])
+	case func(*Rank):
+		k(r)
+	case func(*Rank, float64):
+		k(r, rv.f)
 	}
+}
+
+// resumeErr delivers the outcome of an operation the rank was handed to
+// through ThenErr.
+//
+//pfsim:hotpath
+func (r *Rank) resumeErr(err error) {
+	k := r.k.(func(*Rank, error))
+	r.k = nil
+	k(r, err)
+}
+
+// Then makes k the rank's continuation and returns the rank's resume
+// function, bound at launch, for an operation that takes a func()
+// continuation — a signal wait, a metadata call: when the operation
+// completes, k runs with the rank. One k bound once per caller therefore
+// serves every rank without a closure per rank and call. The rank must
+// not be waiting on another operation.
+//
+//pfsim:hotpath
+func (r *Rank) Then(k func(*Rank)) func() {
+	r.hold(k) //pfsim:allocok inlined: hold's panic message, a crash path
+	return r.resumeK
+}
+
+// ThenErr is Then for an operation whose continuation takes an error:
+// k receives the rank and the operation's error.
+//
+//pfsim:hotpath
+func (r *Rank) ThenErr(k func(*Rank, error)) func(error) {
+	r.hold(k) //pfsim:allocok inlined: hold's panic message, a crash path
+	if r.resumeErrK == nil {
+		r.bindResumeErr() //pfsim:allocok inlined: one method value per rank, on its first ThenErr
+	}
+	return r.resumeErrK
+}
+
+// bindResumeErr binds r.resumeErr once per rank.
+//
+//pfsim:allocok one method value per rank, on its first ThenErr
+func (r *Rank) bindResumeErr() { r.resumeErrK = r.resumeErr }
+
+// hold makes k the rank's pending continuation.
+func (r *Rank) hold(k any) {
+	if r.k != nil {
+		panic(fmt.Sprintf("mpi: rank %d handed to an operation while still waiting on one", r.id)) //pfsim:allocok crash path: runs once, as the simulation aborts
+	}
+	r.k = k
 }
 
 // Comm is a communicator over a subset of world ranks.
@@ -166,8 +226,13 @@ type Comm struct {
 	// yet: members call collectives in the same order and none passes one
 	// before all have entered it, so there is at most one. calls counts
 	// the collectives begun; it numbers their signals, whose names start
-	// with collLabel.
+	// with collLabel. Collective number calls runs on rvs[calls%2]: a
+	// member enters collective k+1 only after resuming from k, and k+2
+	// begins only once every member has entered k+1, so by then nothing
+	// reads k's rendezvous and k+2 recycles it, contribution vector and
+	// signal included.
 	pending   *rendezvous
+	rvs       [2]*rendezvous
 	calls     int
 	collLabel string
 }
@@ -250,22 +315,22 @@ const (
 	opMin
 	opMax
 	opSum
-	opGather
 	opSplit
 )
 
-var collOpNames = [...]string{"Barrier", "AllreduceMin", "AllreduceMax", "AllreduceSum", "AllGather", "Split"}
+var collOpNames = [...]string{"Barrier", "AllreduceMin", "AllreduceMax", "AllreduceSum", "Split"}
 
 func (op collOp) String() string { return collOpNames[op] }
 
-// rendezvous matches one collective call across the communicator.
+// rendezvous matches one collective call across the communicator. A
+// communicator keeps two and alternates between them (see Comm.rvs).
 type rendezvous struct {
 	op      collOp
 	arrived int
 	sig     *sim.Signal
 	vals    []float64 // contributions by comm rank
 	// The result: a reduction's value, or a split's new communicators by
-	// comm rank. A gather's result is vals.
+	// comm rank.
 	f     float64
 	comms []*Comm
 }
@@ -281,11 +346,11 @@ type rendezvous struct {
 //pfsim:hotpath
 func (c *Comm) collective(r *Rank, op collOp, val float64, k any) {
 	cr := c.RankOf(r)
-	if cr < 0 || r.coll != nil || (c.pending != nil && c.pending.op != op) {
+	if cr < 0 || r.k != nil || (c.pending != nil && c.pending.op != op) {
 		c.refuse(r, op)
 	}
 	if c.pending == nil {
-		c.begin(op) //pfsim:allocok inlined: one rendezvous per collective, not per rank (see begin)
+		c.begin(op)
 	}
 	rv := c.pending
 	rv.vals[cr] = val
@@ -304,24 +369,39 @@ func (c *Comm) collective(r *Rank, op collOp, val float64, k any) {
 	r.resume()
 }
 
-// begin makes op the communicator's pending collective: one rendezvous
-// per call, shared by the members, whose signal has room for the n-1
-// ranks that will park on it.
-//
-//pfsim:allocok one rendezvous, signal and contribution vector per collective, not per rank
+// begin makes op the communicator's pending collective on the next of
+// its two rendezvous, re-arming a recycled one's signal under the call's
+// number.
 func (c *Comm) begin(op collOp) {
-	n := len(c.ranks)
-	c.pending = &rendezvous{
-		op:   op,
-		sig:  c.world.eng.NewSignalN(c.collLabel, c.calls, n-1),
-		vals: make([]float64, n),
+	rv := c.rvs[c.calls%2]
+	if rv == nil {
+		rv = c.newRendezvous() //pfsim:allocok inlined: two rendezvous per communicator, ever
+		c.rvs[c.calls%2] = rv
+	} else {
+		rv.sig.Rearm(c.collLabel, c.calls) //pfsim:allocok inlined: Rearm's panic message, a crash path
 	}
+	rv.op, rv.arrived, rv.comms = op, 0, nil
+	c.pending = rv
 	c.calls++
 }
 
+// newRendezvous allocates one of the communicator's two rendezvous, for
+// collective number c.calls, with a signal sized for the n-1 ranks that
+// park on it.
+//
+//pfsim:allocok two rendezvous per communicator, ever, each with its signal and contribution vector
+func (c *Comm) newRendezvous() *rendezvous {
+	n := len(c.ranks)
+	return &rendezvous{
+		sig:  c.world.eng.NewSignalN(c.collLabel, c.calls, n-1),
+		vals: make([]float64, n),
+	}
+}
+
 // refuse panics on a collective call that breaks the calling rules: a
-// rank outside the communicator, a rank already in a collective, or a
-// collective other than the one the other members are in.
+// rank outside the communicator, a rank already in a collective or
+// waiting on another operation, or a collective other than the one the
+// other members are in.
 //
 //pfsim:allocok crash path: runs once, as the simulation aborts
 func (c *Comm) refuse(r *Rank, op collOp) {
@@ -330,6 +410,8 @@ func (c *Comm) refuse(r *Rank, op collOp) {
 		panic(fmt.Sprintf("mpi: rank %d not in comm %q", r.id, c.label))
 	case r.coll != nil:
 		panic(fmt.Sprintf("mpi: rank %d called %v on comm %q while still in a collective", r.id, op, c.label))
+	case r.k != nil:
+		panic(fmt.Sprintf("mpi: rank %d called %v on comm %q while waiting on an operation", r.id, op, c.label))
 	default:
 		panic(fmt.Sprintf("mpi: rank %d called %v on comm %q, whose pending collective is %v", r.id, op, c.label, c.pending.op))
 	}
@@ -403,16 +485,19 @@ func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) { c.collective
 //pfsim:hotpath
 func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) { c.collective(r, opMax, v, k) }
 
-// AllreduceSumK delivers the sum of contributions to k.
+// AllreduceSumK delivers the resuming rank and the sum of contributions
+// to k, so that one continuation bound once serves every member.
 //
 //pfsim:hotpath
-func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(float64)) { c.collective(r, opSum, v, k) }
+func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(*Rank, float64)) {
+	c.collective(r, opSum, v, k)
+}
 
-// AllGatherK delivers every rank's contribution in comm-rank order to k.
-// The slice is the collective's own and is shared by every member.
+// BarrierRankK is BarrierK for a continuation that receives the resuming
+// rank, so that one continuation bound once serves every member.
 //
 //pfsim:hotpath
-func (c *Comm) AllGatherK(r *Rank, v float64, k func([]float64)) { c.collective(r, opGather, v, k) }
+func (c *Comm) BarrierRankK(r *Rank, k func(*Rank)) { c.collective(r, opBarrier, 0, k) }
 
 // packSplit encodes color/key into the float contribution losslessly
 // (both are small integers in practice; guard anyway).

@@ -93,29 +93,68 @@ type File struct {
 
 	// PLFS state.
 	container *plfs.Container
-	logs      map[int]*plfs.RankLog
+
+	// ranks holds each member's part in the file's collective calls, by
+	// comm rank. A rank's calls resume through the file's continuations,
+	// one per signature, bound once in NewFile — next (f.resume), nextVal
+	// (f.resumeVal) and nextErr (f.resumeErr) — which receive the rank;
+	// its step says where it goes next. root is comm rank 0, which leads
+	// the open.
+	ranks   []fileRank
+	next    func(*mpi.Rank)
+	nextVal func(*mpi.Rank, float64)
+	nextErr func(*mpi.Rank, error)
+	root    *mpi.Rank
 
 	openSig *sim.Signal
-	opSeq   map[int]int
-	opSigs  map[int]rendezvous
+	op      opSlot
 	opened  bool
 	closed  bool
 }
 
+// fileRank is one rank's part in the file's collective calls.
+type fileRank struct {
+	step       fileStep
+	kind       opKind        // the rank-0-led operation the rank is in
+	k          func(error)   // where the rank's OpenK, WriteAllK or ReadAllK call returns
+	closeK     func()        // where its CloseK call returns
+	transferMB float64       // its WriteAllK transfer size
+	log        *plfs.RankLog // its PLFS logs, once opened
+}
+
+// fileStep is a fileRank state: what the rank waits on.
+type fileStep uint8
+
+const (
+	stepOpenWait     fileStep = iota // rank 0 creating the file
+	stepMeta                         // rank 0: creating the PLFS container skeleton
+	stepLogWait                      // the PLFS container skeleton
+	stepLogOpen                      // creating the rank's PLFS logs
+	stepOpenBarrier                  // the barrier ending the open
+	stepOpSum                        // the reduction opening a rank-0-led operation
+	stepOp                           // the rank-0-led operation (rank 0: running it)
+	stepLogRead                      // replaying the rank's PLFS log
+	stepReturn                       // the last wait of the call
+	stepLogClose                     // flushing the rank's PLFS index log
+	stepCloseBarrier                 // the barrier opening the close
+	stepCloseStat                    // rank 0: the close's metadata update
+	stepClosed                       // the barrier ending the close
+)
+
 // NewFile prepares a file handle shared by a communicator. It performs no
 // simulated work; every rank of comm must then call OpenK.
 func NewFile(sys *lustre.System, comm *mpi.Comm, name string, driver Driver, hints Hints) *File {
-	return &File{
+	f := &File{
 		sys:     sys,
 		comm:    comm,
 		name:    name,
 		driver:  driver,
 		hints:   hints,
-		logs:    make(map[int]*plfs.RankLog),
+		ranks:   make([]fileRank, comm.Size()),
 		openSig: sys.Engine().NewSignal("open:" + name),
-		opSeq:   make(map[int]int),
-		opSigs:  make(map[int]rendezvous),
 	}
+	f.next, f.nextVal, f.nextErr = f.resume, f.resumeVal, f.resumeErr
+	return f
 }
 
 // Name returns the file name.
@@ -154,53 +193,127 @@ func (f *File) spec() lustre.StripeSpec {
 // container metadata), every PLFS rank creates its logs, and all ranks
 // synchronise before k runs — MPI_File_open semantics.
 func (f *File) OpenK(r *mpi.Rank, k func(error)) {
+	cr := f.comm.RankOf(r)
+	fr := &f.ranks[cr]
+	fr.k = k
 	t := r.Task()
-	isRoot := f.comm.RankOf(r) == 0
-	join := func() {
-		f.comm.BarrierK(r, func() {
-			f.opened = true
-			k(nil)
-		})
-	}
-	switch f.driver {
-	case DriverPLFS:
-		openLog := func() {
-			f.openSig.Await(t, func() {
-				f.container.OpenRankK(t, r.ID(), func(rl *plfs.RankLog, err error) {
-					if err != nil {
-						k(err)
-						return
-					}
-					f.logs[r.ID()] = rl
-					join()
-				})
-			})
-		}
-		if isRoot {
-			f.container = plfs.NewContainer(f.sys, f.name)
-			f.container.CreateMetaK(t, func() {
-				f.openSig.Fire()
-				openLog()
-			})
-			return
-		}
-		openLog()
+	switch {
+	case f.driver == DriverPLFS && cr == 0:
+		f.container = plfs.NewContainer(f.sys, f.name)
+		fr.step = stepMeta
+		f.container.CreateMetaK(t, r.Then(f.next))
+	case f.driver == DriverPLFS:
+		f.awaitLog(r, fr)
+	case cr == 0:
+		f.root = r
+		f.sys.MDS().CreateK(t, f.name, f.spec(), f.created)
 	default:
-		if isRoot {
-			f.sys.MDS().CreateK(t, f.name, f.spec(), func(lf *lustre.File, err error) {
-				if err != nil {
-					k(err)
-					return
-				}
-				f.lf = lf
-				f.buildAggregators()
-				f.openSig.Fire()
-				join()
-			})
+		fr.step = stepOpenWait
+		f.openSig.Await(t, r.Then(f.next))
+	}
+}
+
+// created continues rank 0's open of a Lustre or UFS file once the MDS
+// has created it: it builds the aggregators, releases the other ranks
+// and joins the open's barrier.
+func (f *File) created(lf *lustre.File, err error) {
+	fr := &f.ranks[0]
+	if err != nil {
+		f.ret(fr, err)
+		return
+	}
+	f.lf = lf
+	f.buildAggregators()
+	f.openSig.Fire()
+	f.join(f.root, fr)
+}
+
+// awaitLog waits for the PLFS container skeleton, then opens the rank's
+// logs.
+func (f *File) awaitLog(r *mpi.Rank, fr *fileRank) {
+	fr.step = stepLogWait
+	f.openSig.Await(r.Task(), r.Then(f.next))
+}
+
+// join enters the barrier that ends the open.
+func (f *File) join(r *mpi.Rank, fr *fileRank) {
+	fr.step = stepOpenBarrier
+	f.comm.BarrierRankK(r, f.next)
+}
+
+// resume continues a rank after a wait that delivers nothing.
+func (f *File) resume(r *mpi.Rank) { f.advance(r, 0, nil) }
+
+// resumeVal continues a rank after a reduction.
+func (f *File) resumeVal(r *mpi.Rank, v float64) { f.advance(r, v, nil) }
+
+// resumeErr continues a rank after an operation that can fail.
+func (f *File) resumeErr(r *mpi.Rank, err error) { f.advance(r, 0, err) }
+
+// advance runs the step after the one the rank waited on, given the value
+// or error the wait delivered.
+func (f *File) advance(r *mpi.Rank, v float64, err error) {
+	cr := f.comm.RankOf(r)
+	fr := &f.ranks[cr]
+	switch fr.step {
+	case stepOpenWait:
+		f.join(r, fr)
+	case stepMeta:
+		f.openSig.Fire()
+		f.awaitLog(r, fr)
+	case stepLogWait:
+		fr.step = stepLogOpen
+		f.container.OpenRankK(r.Task(), r.ID(), r.ThenErr(f.nextErr))
+	case stepLogOpen:
+		if err != nil {
+			f.ret(fr, err)
 			return
 		}
-		f.openSig.Await(t, join)
+		fr.log = f.container.Log(r.ID())
+		f.join(r, fr)
+	case stepOpenBarrier:
+		f.opened = true
+		f.ret(fr, nil)
+	case stepOpSum:
+		f.lead(r, cr, fr, v)
+	case stepOp:
+		if cr == 0 {
+			f.op.sig.Fire()
+		}
+		f.ret(fr, err)
+	case stepLogRead:
+		if err != nil {
+			f.ret(fr, err)
+			return
+		}
+		fr.step = stepReturn
+		f.comm.BarrierRankK(r, f.next)
+	case stepReturn:
+		f.ret(fr, err)
+	case stepLogClose:
+		f.closeBarrier(r, fr)
+	case stepCloseBarrier:
+		if cr == 0 && !f.closed {
+			fr.step = stepCloseStat
+			f.sys.MDS().StatK(r.Task(), r.Then(f.next))
+			return
+		}
+		f.finalBarrier(r, fr)
+	case stepCloseStat:
+		f.closed = true
+		f.finalBarrier(r, fr)
+	case stepClosed:
+		k := fr.closeK
+		fr.closeK = nil
+		k()
 	}
+}
+
+// ret returns the rank's OpenK, WriteAllK or ReadAllK call with err.
+func (f *File) ret(fr *fileRank, err error) {
+	k := fr.k
+	fr.k = nil
+	k(err)
 }
 
 // buildAggregators creates the collective-buffering dispatch links: one
@@ -265,32 +378,36 @@ func (f *File) WriteAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error))
 		k(err)
 		return
 	}
+	kind := opWriteAll
+	if f.driver == DriverPLFS {
+		kind = opPLFSWrite
+	}
+	f.startOp(r, kind, sizeMB, transferMB, k)
+}
+
+// startOp enters a rank-0-led operation: the ranks' volumes are summed,
+// then rank 0 runs the operation while the others wait for it (see
+// lead).
+func (f *File) startOp(r *mpi.Rank, kind opKind, sizeMB, transferMB float64, k func(error)) {
+	fr := &f.ranks[f.comm.RankOf(r)]
+	fr.step, fr.kind, fr.k, fr.transferMB = stepOpSum, kind, k, transferMB
+	f.comm.AllreduceSumK(r, sizeMB, f.nextVal)
+}
+
+// lead runs once the operation's volumes are summed to total: rank 0
+// starts the operation and fires its signal when it completes; every
+// other rank waits on that signal.
+func (f *File) lead(r *mpi.Rank, cr int, fr *fileRank, total float64) {
+	sig := f.fetchOp(fr.kind)
+	fr.step = stepOp
 	t := r.Task()
-	switch f.driver {
-	case DriverPLFS:
-		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig := f.opSignal(r, "plfswrite")
-			if f.comm.RankOf(r) == 0 {
-				f.container.BatchWriteK(t, total/float64(f.comm.Size()), transferMB, func(err error) {
-					sig.Fire()
-					k(err)
-				})
-				return
-			}
-			sig.Await(t, func() { k(nil) })
-		})
+	switch {
+	case cr != 0:
+		sig.Await(t, r.Then(f.next))
+	case fr.kind == opPLFSWrite:
+		f.container.BatchWriteK(t, total/float64(f.comm.Size()), fr.transferMB, r.ThenErr(f.nextErr))
 	default:
-		f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-			sig := f.opSignal(r, "writeall")
-			if f.comm.RankOf(r) == 0 {
-				f.collectiveWriteK(t, total, func() {
-					sig.Fire()
-					k(nil)
-				})
-				return
-			}
-			sig.Await(t, func() { k(nil) })
-		})
+		f.collectiveWriteK(t, total, r.Then(f.next))
 	}
 }
 
@@ -304,35 +421,54 @@ func (f *File) checkWriteAll(sizeMB, transferMB float64) error {
 	return nil
 }
 
-// rendezvous is one rank-0-led collective operation's completion signal
-// and the number of ranks that have fetched it so far.
-type rendezvous struct {
+// opKind names a rank-0-led operation; its signal is named after it.
+type opKind uint8
+
+const (
+	opWriteAll opKind = iota
+	opPLFSWrite
+	opReadAll
+)
+
+var opKindNames = [...]string{"writeall", "plfswrite", "readall"}
+
+// opSlot is the rendezvous of the file's rank-0-led operations: one
+// signal, re-armed for each operation. At most one operation is ever
+// outstanding: the next one's reduction needs every rank, and a rank
+// reaches it only after fetching the current one's signal — rank 0 only
+// after firing it, too. seq counts the operations begun and names each
+// one's signal (label kind:file:, id seq, as in writeall:a.rep0:0);
+// labels caches those labels by kind.
+type opSlot struct {
 	sig     *sim.Signal
-	fetched int
+	seq     int
+	fetched int // ranks that have fetched the current operation's signal
+	labels  [len(opKindNames)]string
 }
 
-// opSignal returns the rendezvous signal for the rank's next rank-0-led
-// collective operation, creating it on first arrival. All ranks issue
-// their operations in the same order, so the per-rank sequence number
-// matches arrivals of one operation across the communicator. The entry is
-// retired when the last rank fetches it, not when rank 0 fires it: an
-// operation that takes no virtual time completes on rank 0 before the
-// other ranks' same-instant continuations arrive, and they must still
-// find the fired signal rather than create a fresh one.
-func (f *File) opSignal(r *mpi.Rank, kind string) *sim.Signal {
-	idx := f.opSeq[r.ID()]
-	f.opSeq[r.ID()]++
-	rv, ok := f.opSigs[idx]
-	if !ok {
-		rv.sig = f.sys.Engine().NewSignal(fmt.Sprintf("%s:%s:%d", kind, f.name, idx))
+// fetchOp returns the signal of the operation the rank is in. The first
+// rank to fetch an operation arms the signal under the operation's name;
+// the operation is retired when the last rank fetches it, not when rank 0
+// fires it: an operation that takes no virtual time completes on rank 0
+// before the other ranks' same-instant continuations arrive, and they
+// must still find the fired signal.
+func (f *File) fetchOp(kind opKind) *sim.Signal {
+	o := &f.op
+	if o.fetched == 0 {
+		if o.labels[kind] == "" {
+			o.labels[kind] = opKindNames[kind] + ":" + f.name + ":"
+		}
+		if o.sig == nil {
+			o.sig = f.sys.Engine().NewSignalN(o.labels[kind], o.seq, f.comm.Size()-1)
+		} else {
+			o.sig.Rearm(o.labels[kind], o.seq)
+		}
 	}
-	rv.fetched++
-	if rv.fetched == f.comm.Size() {
-		delete(f.opSigs, idx)
-	} else {
-		f.opSigs[idx] = rv
+	if o.fetched++; o.fetched == f.comm.Size() {
+		o.fetched = 0
+		o.seq++
 	}
-	return rv.sig
+	return o.sig
 }
 
 // collectiveWriteK launches the two-phase flows for one collective write
@@ -414,33 +550,17 @@ func (f *File) ReadAllK(r *mpi.Rank, sizeMB, transferMB float64, k func(error)) 
 		k(err)
 		return
 	}
-	t := r.Task()
-	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
-			k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
-			return
-		}
-		rl.ReadK(t, r.Node(), sizeMB, func(err error) {
-			if err != nil {
-				k(err)
-				return
-			}
-			f.comm.BarrierK(r, func() { k(nil) })
-		})
+	if f.driver != DriverPLFS {
+		f.startOp(r, opReadAll, sizeMB, transferMB, k)
 		return
 	}
-	f.comm.AllreduceSumK(r, sizeMB, func(total float64) {
-		sig := f.opSignal(r, "readall")
-		if f.comm.RankOf(r) == 0 {
-			f.collectiveWriteK(t, total, func() {
-				sig.Fire()
-				k(nil)
-			})
-			return
-		}
-		sig.Await(t, func() { k(nil) })
-	})
+	fr := &f.ranks[f.comm.RankOf(r)]
+	if fr.log == nil {
+		k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
+		return
+	}
+	fr.step, fr.k = stepLogRead, k
+	fr.log.ReadK(r.Task(), r.Node(), sizeMB, r.ThenErr(f.nextErr))
 }
 
 func (f *File) checkReadAll(sizeMB, transferMB float64) error {
@@ -473,20 +593,21 @@ func (f *File) WriteIndependentK(r *mpi.Rank, sizeMB, transferMB float64, k func
 		return
 	}
 	t := r.Task()
+	fr := &f.ranks[f.comm.RankOf(r)]
 	if f.driver == DriverPLFS {
-		rl := f.logs[r.ID()]
-		if rl == nil {
+		if fr.log == nil {
 			k(fmt.Errorf("mpiio: rank %d has no PLFS log", r.ID()))
 			return
 		}
-		rl.WriteK(t, r.Node(), sizeMB, transferMB, k)
+		fr.log.WriteK(t, r.Node(), sizeMB, transferMB, k)
 		return
 	}
 	if sizeMB <= 0 {
 		k(nil)
 		return
 	}
-	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB))), func() { k(nil) })
+	fr.step, fr.k = stepReturn, k
+	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB))), r.Then(f.next))
 }
 
 // independentReqs builds the per-OST streams of one rank's uncoordinated
@@ -524,24 +645,25 @@ func (f *File) independentReqs(r *mpi.Rank, sizeMB, transferMB float64) []lustre
 // rank 0 performs the final metadata update, and all ranks synchronise
 // before k runs.
 func (f *File) CloseK(r *mpi.Rank, k func()) {
-	t := r.Task()
-	barriers := func() {
-		f.comm.BarrierK(r, func() {
-			if f.comm.RankOf(r) == 0 && !f.closed {
-				f.sys.MDS().StatK(t, func() {
-					f.closed = true
-					f.comm.BarrierK(r, k)
-				})
-				return
-			}
-			f.comm.BarrierK(r, k)
-		})
+	fr := &f.ranks[f.comm.RankOf(r)]
+	fr.closeK = k
+	if f.driver == DriverPLFS && fr.log != nil {
+		fr.step = stepLogClose
+		fr.log.CloseK(r.Task(), r.Then(f.next))
+		return
 	}
-	if f.driver == DriverPLFS {
-		if rl := f.logs[r.ID()]; rl != nil {
-			rl.CloseK(t, barriers)
-			return
-		}
-	}
-	barriers()
+	f.closeBarrier(r, fr)
+}
+
+// closeBarrier enters the barrier after which rank 0 updates the
+// metadata.
+func (f *File) closeBarrier(r *mpi.Rank, fr *fileRank) {
+	fr.step = stepCloseBarrier
+	f.comm.BarrierRankK(r, f.next)
+}
+
+// finalBarrier enters the barrier that ends the close.
+func (f *File) finalBarrier(r *mpi.Rank, fr *fileRank) {
+	fr.step = stepClosed
+	f.comm.BarrierRankK(r, f.next)
 }

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pfsim/internal/cluster"
@@ -442,6 +443,39 @@ func TestZeroDurationCollectives(t *testing.T) {
 			if finished != 4 {
 				t.Errorf("%v size %v: %d of 4 ranks finished", driver, size, finished)
 			}
+		}
+	}
+}
+
+// TestStuckWriteNamesItsOperation: a collective write that never
+// completes is reported under the file's operation count, which runs on
+// across the one recycled operation signal: the third write on a file is
+// writeall:<file>:2. Every OST fails before it, so its flows stall.
+func TestStuckWriteNamesItsOperation(t *testing.T) {
+	eng, sys := testSys(t, 25)
+	w := mpi.NewWorld(eng, 4, 16, 0)
+	f := NewFile(sys, w.Comm(), "stuck", DriverLustre, NewHints())
+	w.LaunchTasks(func(r *mpi.Rank, done func()) {
+		f.OpenK(r, must(t, "open", func() {
+			f.WriteAllK(r, 10, 1, must(t, "write 0", func() {
+				f.WriteAllK(r, 10, 1, must(t, "write 1", func() {
+					if r.ID() == 0 {
+						for i := 0; i < sys.NumOSTs(); i++ {
+							sys.OST(i).SetHealth(0)
+						}
+					}
+					f.WriteAllK(r, 10, 1, must(t, "write 2", done))
+				}))
+			}))
+		}))
+	})
+	err := eng.Run()
+	if err == nil {
+		t.Fatal("want the stalled write to deadlock")
+	}
+	for _, rank := range []string{"rank1", "rank2", "rank3"} {
+		if want := rank + " (waiting writeall:stuck:2)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %q does not name %q", err, want)
 		}
 	}
 }

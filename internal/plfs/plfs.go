@@ -91,16 +91,17 @@ type RankLog struct {
 }
 
 // OpenRankK creates the rank's data and index logs once the container
-// skeleton exists and delivers the log to k. Creates serialize on the
+// skeleton exists, then runs k; on success Log(rank) returns the rank's
+// logs. Creates serialize on the
 // container's backend-directory lock — the effective cost calibrated by
 // Platform.PLFSCreateTime — reproducing the open storm that dominates
 // large PLFS runs.
 //
 // The rank is reserved at entry, before the first wait, so a second open
 // of the same rank fails even while the first is still creating its logs.
-func (c *Container) OpenRankK(t *sim.Task, rank int, k func(*RankLog, error)) {
+func (c *Container) OpenRankK(t *sim.Task, rank int, k func(error)) {
 	if _, dup := c.logs[rank]; dup {
-		k(nil, fmt.Errorf("plfs: rank %d already open in %q", rank, c.name))
+		k(fmt.Errorf("plfs: rank %d already open in %q", rank, c.name))
 		return
 	}
 	c.logs[rank] = nil // reserved; adoptLog fills it in
@@ -111,17 +112,18 @@ func (c *Container) OpenRankK(t *sim.Task, rank int, k func(*RankLog, error)) {
 				func(data *lustre.File, err error) {
 					if err != nil {
 						delete(c.logs, rank)
-						k(nil, err)
+						k(err)
 						return
 					}
 					c.sys.MDS().CreateK(t, fmt.Sprintf("%s/dropping.index.%d", prefix, rank), c.indexSpec(),
 						func(index *lustre.File, err error) {
 							if err != nil {
 								delete(c.logs, rank)
-								k(nil, err)
+								k(err)
 								return
 							}
-							k(c.adoptLog(rank, data, index), nil)
+							c.adoptLog(rank, data, index)
+							k(nil)
 						})
 				})
 		})
@@ -134,12 +136,13 @@ func (c *Container) indexSpec() lustre.StripeSpec {
 }
 
 // adoptLog registers a freshly created rank log in the container.
-func (c *Container) adoptLog(rank int, data, index *lustre.File) *RankLog {
-	rl := &RankLog{c: c, rank: rank, subdir: c.Subdir(rank), data: data, index: index}
-	c.logs[rank] = rl
+func (c *Container) adoptLog(rank int, data, index *lustre.File) {
+	c.logs[rank] = &RankLog{c: c, rank: rank, subdir: c.Subdir(rank), data: data, index: index}
 	c.order = append(c.order, rank)
-	return rl
 }
+
+// Log returns the rank's logs once OpenRankK has created them, else nil.
+func (c *Container) Log(rank int) *RankLog { return c.logs[rank] }
 
 // Data returns the rank's data log file.
 func (rl *RankLog) Data() *lustre.File { return rl.data }

@@ -31,11 +31,11 @@ func startMeta(eng *sim.Engine, c *Container) {
 // an open error.
 func mustOpen(t *testing.T, c *Container, tk *sim.Task, r int, k func(*RankLog)) {
 	t.Helper()
-	c.OpenRankK(tk, r, func(rl *RankLog, err error) {
+	c.OpenRankK(tk, r, func(err error) {
 		if err != nil {
 			t.Fatalf("OpenRankK(%d): %v", r, err)
 		}
-		k(rl)
+		k(c.Log(r))
 	})
 }
 
@@ -117,7 +117,7 @@ func TestDuplicateOpenRejected(t *testing.T) {
 	startMeta(eng, c)
 	eng.StartTask(0, "rank", -1, func(tk *sim.Task) {
 		mustOpen(t, c, tk, 3, func(*RankLog) {
-			c.OpenRankK(tk, 3, func(_ *RankLog, err error) {
+			c.OpenRankK(tk, 3, func(err error) {
 				if err == nil {
 					t.Error("duplicate open accepted")
 				}
@@ -141,7 +141,7 @@ func TestConcurrentDuplicateOpenRejected(t *testing.T) {
 	var errs []error
 	for i := 0; i < 2; i++ {
 		eng.StartTask(0, "opener", i, func(tk *sim.Task) {
-			c.OpenRankK(tk, 0, func(_ *RankLog, err error) {
+			c.OpenRankK(tk, 0, func(err error) {
 				errs = append(errs, err)
 				tk.Finish()
 			})

@@ -8,6 +8,7 @@ import (
 	"pfsim/internal/cluster"
 	"pfsim/internal/flow"
 	"pfsim/internal/lustre"
+	"pfsim/internal/sim"
 	"pfsim/internal/workload"
 )
 
@@ -60,6 +61,14 @@ func (r *Result) Solver() flow.Stats {
 		return r.Mono.Solver
 	}
 	return r.Sharded.Solver
+}
+
+// Engine returns the run's event-engine work counters.
+func (r *Result) Engine() sim.Stats {
+	if r.Mono != nil {
+		return r.Mono.Engine
+	}
+	return r.Sharded.Engine
 }
 
 // Aggregate returns the run's cross-job bandwidth summary.

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // waiter is one parked entry in a Signal's waiter list or a Resource's
 // queue: the continuation k, with t set when it belongs to a tracked task
@@ -13,6 +16,14 @@ type waiter struct {
 // Signal is a one-shot broadcast: tasks Await it, Fire wakes them all at
 // the current virtual time (in deterministic order). Awaiting an
 // already-fired signal does not block.
+//
+// A signal that has fired and has no waiters left can be re-armed
+// (Rearm) and used again under a new name: its waiter list keeps the
+// capacity it grew to, so a caller that recycles one signal per
+// rendezvous — MPI collectives, MPI-IO operations — parks and wakes
+// ranks without allocating. Rearm panics on a signal that has not
+// fired, or whose waiter list is not empty: re-arming either would merge
+// two rendezvous, waking a waiter of the old one on the new one's Fire.
 type Signal struct {
 	eng     *Engine
 	label   string
@@ -28,9 +39,9 @@ func (e *Engine) NewSignal(name string) *Signal {
 
 // NewSignalN creates a signal named label+id with room for waiters
 // parked tasks. Like a task's, the name is formatted only when a deadlock
-// report reads it: MPI collectives create a signal per call, and each
-// knows how many ranks will wait on it, so its waiter list never grows by
-// doubling.
+// report reads it: an MPI communicator re-arms its collective signals
+// under a fresh id per call, and knows how many ranks will wait on them,
+// so their waiter lists never grow by doubling.
 func (e *Engine) NewSignalN(label string, id, waiters int) *Signal {
 	return &Signal{eng: e, label: label, id: id, waiters: make([]waiter, 0, waiters)}
 }
@@ -43,7 +54,8 @@ func (s *Signal) name() string { return lazyName(s.label, s.id) }
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal fired and schedules every waiter to resume at the
-// current time, in park order. Firing twice is a no-op.
+// current time, in park order. Firing twice is a no-op. The emptied
+// waiter list keeps its capacity for a re-armed signal (see Rearm).
 //
 //pfsim:hotpath
 func (s *Signal) Fire() {
@@ -51,14 +63,36 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	waiters := s.waiters
-	s.waiters = nil
-	for _, w := range waiters {
+	for i, w := range s.waiters {
 		if w.t != nil {
 			w.t.unpark()
 		}
 		s.eng.Schedule(0, w.k)
+		s.waiters[i] = waiter{}
 	}
+	s.waiters = s.waiters[:0]
+}
+
+// Rearm makes a fired signal unfired again, named label+id from now on,
+// formatted lazily as NewSignalN's names are. The signal must have fired
+// and have no waiters: every task woken by its last Fire has been
+// scheduled, and none has parked since (Await on a fired signal runs its
+// continuation without parking).
+//
+//pfsim:hotpath
+func (s *Signal) Rearm(label string, id int) {
+	if !s.fired || len(s.waiters) > 0 {
+		panic("sim: re-armed a signal that has not fired or still has waiters") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+	}
+	s.fired = false
+	s.label, s.id = label, id
+}
+
+// grow makes room for one more waiter.
+//
+//pfsim:allocok a waiter list grows to its peak population once: collective signals are sized at creation and recycled with their capacity
+func (s *Signal) grow() {
+	s.waiters = slices.Grow(s.waiters, 1)
 }
 
 // Resource is a counted resource with a FIFO wait queue — used for servers
@@ -69,7 +103,13 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []waiter
+	// queue[head:] are the waiting tasks in FIFO order. Release pops
+	// through head and clears the slot; the queue rewinds to its start
+	// when it drains, and compacts instead of growing when its front
+	// half is spent, so a long-contended resource allocates for its
+	// peak depth, not for every acquire.
+	queue []waiter
+	head  int
 }
 
 // NewResource creates a resource admitting capacity concurrent holders.
@@ -86,9 +126,12 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name)) //pfsim:allocok crash path: the formatted panic message never allocates on a live run
 	}
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.head < len(r.queue) {
+		next := r.queue[r.head]
+		r.queue[r.head] = waiter{}
+		if r.head++; r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		next.t.unpark()
 		r.eng.Schedule(0, next.k)
 		return // slot stays accounted to the woken waiter
@@ -96,8 +139,21 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
+// enqueue appends a waiter at the queue's tail. A full queue whose front
+// half has been popped slides its waiters to the start rather than
+// growing, which bounds its capacity by a small multiple of the peak
+// number of waiters.
+func (r *Resource) enqueue(w waiter) {
+	if n := len(r.queue); n == cap(r.queue) && r.head > 0 && 2*r.head >= n {
+		live := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[live:])
+		r.queue, r.head = r.queue[:live], 0
+	}
+	r.queue = append(r.queue, w) //pfsim:allocok queue growth is bounded by the peak contention depth
+}
+
 // InUse reports the number of held slots.
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of waiting tasks.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }

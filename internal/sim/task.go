@@ -122,7 +122,12 @@ func (s *Signal) Await(t *Task, k func()) {
 		return
 	}
 	t.park(s, nil)
-	s.waiters = append(s.waiters, waiter{t: t, k: k}) //pfsim:allocok waiter-list growth is bounded by the peak blocked population
+	n := len(s.waiters)
+	if n == cap(s.waiters) {
+		s.grow() //pfsim:allocok inlined: a waiter list grows to its peak population once, then is recycled with its signal
+	}
+	s.waiters = s.waiters[:n+1]
+	s.waiters[n] = waiter{t: t, k: k}
 }
 
 // OnFired runs k once the signal fires, without tying the subscription to
@@ -172,12 +177,12 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 //pfsim:hotpath
 //pfsim:taskctx
 func (r *Resource) AcquireTask(t *Task, k func()) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.head == len(r.queue) {
 		r.inUse++
 		k()
 		return
 	}
-	r.queue = append(r.queue, waiter{t: t, k: k}) //pfsim:allocok queue growth is bounded by the peak contention depth
+	r.enqueue(waiter{t: t, k: k})
 	t.park(nil, r)
 }
 

@@ -282,3 +282,109 @@ func TestTaskFinishTwicePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSignalRearm: a fired signal re-armed under a new id blocks again,
+// is reported under its new name, and parks its new waiters in the list
+// its first waiters grew; re-arming a signal that has not fired panics.
+func TestSignalRearm(t *testing.T) {
+	e := NewEngine()
+	s := e.NewSignalN("world-coll-", 0, 2)
+	backing := &s.waiters[:1][0]
+	woken := 0
+	for i := 0; i < 2; i++ {
+		e.StartTask(0, "rank", i, func(tk *Task) {
+			s.Await(tk, func() {
+				woken++
+				tk.Sleep(1, func() { s.Await(tk, tk.Finish) })
+			})
+		})
+	}
+	e.Schedule(0.5, func() {
+		s.Fire()
+		s.Rearm("world-coll-", 2)
+	})
+	err := e.Run()
+	want := "sim: deadlock at t=1.500000: 2 blocked process(es): [rank0 (waiting world-coll-2) rank1 (waiting world-coll-2)]"
+	if err == nil || err.Error() != want {
+		t.Errorf("deadlock report:\n got %v\nwant %q", err, want)
+	}
+	if woken != 2 {
+		t.Errorf("%d of 2 waiters woken by the first Fire", woken)
+	}
+	if &s.waiters[0] != backing {
+		t.Error("re-armed signal did not reuse its waiter list")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic re-arming an unfired signal")
+		}
+	}()
+	s.Rearm("world-coll-", 4)
+}
+
+// resourceCycler is one task taking a unit resource rounds times: acquire,
+// hold for one second, release. Its continuations are bound once, so the
+// only allocations a cycle can make are the resource's and the engine's.
+type resourceCycler struct {
+	t       *Task
+	r       *Resource
+	left    int
+	onGrant func()
+	onHeld  func()
+}
+
+func (c *resourceCycler) cycle() {
+	if c.left == 0 {
+		c.t.Finish()
+		return
+	}
+	c.left--
+	c.r.AcquireTask(c.t, c.onGrant)
+}
+
+func (c *resourceCycler) granted() { c.t.Sleep(1, c.onHeld) }
+
+func (c *resourceCycler) held() {
+	c.r.Release()
+	c.cycle()
+}
+
+// resourceCycleAllocs returns the allocations of tasks cyclers contending
+// for a unit resource for rounds cycles each, engine and tasks included.
+func resourceCycleAllocs(tasks, rounds int) float64 {
+	return testing.AllocsPerRun(3, func() {
+		e := NewEngine()
+		r := e.NewResource("mds", 1)
+		for i := 0; i < tasks; i++ {
+			e.StartTask(0, "c", i, func(tk *Task) {
+				c := &resourceCycler{t: tk, r: r, left: rounds}
+				c.onGrant, c.onHeld = c.granted, c.held
+				c.cycle()
+			})
+		}
+		if err := e.Run(); err != nil {
+			panic(err)
+		}
+		if r.QueueLen() != 0 || r.InUse() != 0 {
+			panic("resource not drained")
+		}
+	})
+}
+
+// TestResourceQueueAllocsBoundedByDepth: a resource contended without
+// pause — its queue never drains until the end — allocates for its peak
+// queue depth, not for every acquire and release. Ten times the cycles
+// at the same depth allocate nothing more; twice the depth may allocate
+// more, for the deeper queue and the larger task population.
+func TestResourceQueueAllocsBoundedByDepth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, tasks := range []int{4, 32} {
+		short, long := resourceCycleAllocs(tasks, 10), resourceCycleAllocs(tasks, 100)
+		if long != short {
+			t.Errorf("%d tasks: %v allocations for 10 cycles each, %v for 100: the queue allocates per acquire",
+				tasks, short, long)
+		}
+	}
+}

@@ -107,14 +107,14 @@ func (s *Sample) Percentile(p float64) float64 {
 	if p >= 1 {
 		return sorted[n-1]
 	}
-	pos := p * float64(n-1)
+	pos := float64(p * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // CI95 returns the 95% confidence interval for the mean using the Student-t
@@ -187,7 +187,7 @@ func (o *Online) Add(x float64) {
 	o.n++
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.m2 += float64(d * (x - o.mean))
 }
 
 // N reports the number of observations.
@@ -282,7 +282,7 @@ func (h *IntHistogram) Mean() float64 {
 	}
 	sum := 0.0
 	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
+		sum += float64(float64(v) * float64(c))
 	}
 	return sum / float64(h.total)
 }

@@ -346,6 +346,9 @@ type Result struct {
 	// operations. Machine-independent and deterministic, so progress and
 	// capacity tooling can report simulation cost alongside bandwidth.
 	Solver flow.Stats
+	// Engine holds the event engine's work counters for the run (events
+	// scheduled, fired, cancelled), deterministic like Solver.
+	Engine sim.Stats
 }
 
 // Aggregate computes cross-job summary statistics.
@@ -429,6 +432,7 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 		return nil, err
 	}
 	res.Solver = sys.Net().Stats()
+	res.Engine = eng.Stats()
 	return res, nil
 }
 

@@ -16,8 +16,8 @@ import (
 // file system, plus the shared solver's work counters.
 type ShardedResult struct {
 	// Shards holds one scenario result per file system, in input order.
-	// Per-shard Solver counters are zero — the solver is shared; see the
-	// top-level Solver field.
+	// Per-shard Solver and Engine counters are zero — the solver and the
+	// engine are shared; see the top-level fields.
 	Shards []*Result
 	// Makespan is the virtual time at which the last job of any shard
 	// finished.
@@ -27,6 +27,8 @@ type ShardedResult struct {
 	// link-connectivity component, so ComponentFlowsScanned /
 	// ComponentsSolved reflects per-shard, not total, population.
 	Solver flow.Stats
+	// Engine holds the shared event engine's work counters for the run.
+	Engine sim.Stats
 }
 
 // RunSharded executes several scenarios as independent file systems
@@ -108,6 +110,7 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 		}
 	}
 	out.Solver = net.Stats()
+	out.Engine = eng.Stats()
 	return out, nil
 }
 
