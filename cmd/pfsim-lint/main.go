@@ -1,8 +1,8 @@
-// Command pfsim-lint runs the determinism and concurrency-discipline
-// lint suite: the custom analyzers under internal/analysis that enforce
-// the simulator's byte-identical reproducibility invariants and the
-// task-context discipline at the source level (see the README's
-// "Determinism rules" and "Concurrency discipline" sections).
+// Command pfsim-lint runs the determinism and allocation lint suite:
+// the custom analyzers under internal/analysis that enforce the
+// simulator's byte-identical reproducibility invariants and its
+// hot-path allocation discipline at the source level (see the README's
+// "Determinism rules" and "Allocation discipline" sections).
 //
 // Usage:
 //
@@ -27,19 +27,15 @@ import (
 	"pfsim/internal/analysis/framework"
 	"pfsim/internal/analysis/hotalloc"
 	"pfsim/internal/analysis/maporder"
-	"pfsim/internal/analysis/statsmerge"
-	"pfsim/internal/analysis/taskctx"
 	"pfsim/internal/analysis/wallclock"
 )
 
-// suite is the full lint suite (determinism, allocation discipline,
-// concurrency discipline), sorted by name; -run selects a subset.
+// suite is the full lint suite (determinism and allocation
+// discipline), sorted by name; -run selects a subset.
 var suite = []*framework.Analyzer{
 	barego.Analyzer,
 	hotalloc.Analyzer,
 	maporder.Analyzer,
-	statsmerge.Analyzer,
-	taskctx.Analyzer,
 	wallclock.Analyzer,
 }
 

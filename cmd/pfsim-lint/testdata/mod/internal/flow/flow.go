@@ -4,19 +4,6 @@ package flow
 
 import "time"
 
-// Stats is a counter set whose merge forgets a field.
-type Stats struct {
-	Solves  int64
-	Rounds  int64
-	HeapOps int64
-}
-
-// merge drops HeapOps.
-func (s *Stats) merge(o *Stats) {
-	s.Solves += o.Solves
-	s.Rounds += o.Rounds
-}
-
 func slowest(loads map[string]float64) string {
 	worst, at := 0.0, ""
 	for name, v := range loads {

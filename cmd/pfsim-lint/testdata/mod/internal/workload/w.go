@@ -1,24 +1,5 @@
-// Package workload carries the goroutine and aggregate violations for
-// the golden test.
+// Package workload carries the goroutine violation for the golden test.
 package workload
-
-// Agg summarises a run.
-type Agg struct {
-	MeanMBs float64
-	MaxMBs  float64
-}
-
-// Result is one run's outcome.
-type Result struct{ mbs []float64 }
-
-// Aggregate drops MaxMBs.
-func (r *Result) Aggregate() Agg {
-	var a Agg
-	for _, v := range r.mbs {
-		a.MeanMBs += v
-	}
-	return a
-}
 
 func launch(jobs []func()) {
 	for _, j := range jobs {

@@ -6,8 +6,7 @@
 // Layout: testdata/src/<importpath>/*.go, one directory per package.
 // Fixture packages may import each other by those paths (resolved from
 // the tree) and the standard library (resolved from GOROOT source), so
-// cross-package checks — e.g. statsmerge reading struct fields from an
-// imported fixture package — work without export data.
+// no export data is needed.
 //
 // Expectations annotate the offending line:
 //
@@ -46,12 +45,7 @@ func TestData() string {
 }
 
 // Run loads each package path from testdata/src, applies the analyzer,
-// and checks diagnostics against the packages' // want comments. All
-// listed packages (plus their fixture imports) form one Program, so an
-// interprocedural analyzer sees the whole fixture set while each
-// package's diagnostics are checked against its own want comments —
-// list both ends of a cross-package fixture so every diagnostic lands
-// in a checked package.
+// and checks diagnostics against the package's // want comments.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -61,33 +55,21 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgPaths ...strin
 		loaded:   map[string]*framework.Package{},
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
-	var targets []*framework.Package
 	for _, path := range pkgPaths {
 		pkg, err := imp.load(path)
 		if err != nil {
 			t.Errorf("loading %s: %v", path, err)
 			continue
 		}
-		targets = append(targets, pkg)
-	}
-	// The program spans every package the loads pulled in, imports
-	// included, sorted by path for deterministic node order.
-	var all []*framework.Package
-	for _, pkg := range imp.loaded {
-		all = append(all, pkg)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ImportPath < all[j].ImportPath })
-	prog := framework.NewProgram(all)
-	for _, pkg := range targets {
-		check(t, a, prog, pkg)
+		check(t, a, pkg)
 	}
 }
 
 // check runs the analyzer on one package and diffs diagnostics against
 // expectations.
-func check(t *testing.T, a *framework.Analyzer, prog *framework.Program, pkg *framework.Package) {
+func check(t *testing.T, a *framework.Analyzer, pkg *framework.Package) {
 	t.Helper()
-	findings, err := framework.RunOn(prog, []*framework.Analyzer{a}, []*framework.Package{pkg})
+	findings, err := framework.Run([]*framework.Analyzer{a}, []*framework.Package{pkg})
 	if err != nil {
 		t.Errorf("%s: %v", pkg.ImportPath, err)
 		return

@@ -224,9 +224,6 @@ func (cg *CallGraph) Funcs() []*types.Func { return cg.funcs }
 // functions outside the graph.
 func (cg *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return cg.decls[fn] }
 
-// Callees returns fn's in-package callees in first-use order.
-func (cg *CallGraph) Callees(fn *types.Func) []*types.Func { return cg.edges[fn] }
-
 // Reachable computes the closure of roots over the edges, skipping any
 // function prune reports true for (pruned functions are neither visited
 // nor traversed). The result maps each reached function to the root it

@@ -8,7 +8,7 @@ import (
 
 // directivePrefix introduces every suppression/instruction comment the
 // lint suite understands: //pfsim:orderok, //pfsim:wallclockok,
-// //pfsim:goroutineok, //pfsim:mergeall T, //pfsim:nomerge. Like go:
+// //pfsim:goroutineok, //pfsim:hotpath, //pfsim:allocok. Like go:
 // directives they must be line comments with no space after the slashes.
 const directivePrefix = "//pfsim:"
 
@@ -51,15 +51,8 @@ func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 // the line immediately above (leading comment).
 func (d *Directives) Has(pos token.Pos, name string) bool {
 	p := d.fset.Position(pos)
-	return d.HasAt(p.Filename, p.Line, name)
-}
-
-// HasAt is Has for callers holding a plain file/line position instead
-// of a token.Pos — the escape cross-checker matches compiler
-// diagnostics, which arrive as file:line:col text.
-func (d *Directives) HasAt(filename string, line int, name string) bool {
-	for _, l := range [2]int{line, line - 1} {
-		for _, text := range d.byLine[filename][l] {
+	for _, l := range [2]int{p.Line, p.Line - 1} {
+		for _, text := range d.byLine[p.Filename][l] {
 			if text == name || strings.HasPrefix(text, name+" ") {
 				return true
 			}

@@ -50,10 +50,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds type and object resolution for Files.
 	TypesInfo *types.Info
-	// Prog is the whole loaded package set, for interprocedural
-	// analyzers that stitch reachability across packages (taskctx).
-	// Per-package analyzers can ignore it.
-	Prog *Program
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 
@@ -80,42 +76,16 @@ type Diagnostic struct {
 	Message string
 }
 
-// simCritical lists the package-path tails whose source must stay
-// deterministic: any map-iteration order, wall-clock read or unmanaged
-// goroutine in these packages can leak into simulated state, event
-// ordering or emitted telemetry. cmd tools, examples and the analysis
-// packages themselves are deliberately outside the set (barego has its
-// own, stricter applicability — see its doc).
-var simCritical = []string{
-	"internal/flow",
-	"internal/sim",
-	"internal/lustre",
-	"internal/workload",
-	"internal/stats",
-	"internal/mpi",
-}
-
-// SimCritical reports whether the import path names one of the
-// packages the determinism invariants apply to. Matching is by path
-// tail so that analysistest fixtures (fixture/internal/flow) classify
-// the same way as the real module (pfsim/internal/flow).
+// SimCritical reports whether the import path names a package the
+// determinism invariants apply to: every package under internal/
+// except the analysis suite itself. Any map-iteration order or
+// wall-clock read there can leak into simulated state, event ordering,
+// emitted telemetry or a rendered report. cmd tools and examples sit
+// outside the set (barego has its own, stricter applicability — see
+// its doc). The path is matched by its elements, so analysistest
+// fixtures (fixture/internal/flow) classify the same way as the real
+// module (pfsim/internal/flow).
 func SimCritical(path string) bool {
-	for _, tail := range simCritical {
-		if HasPathTail(path, tail) {
-			return true
-		}
-	}
-	return false
+	_, rest, ok := strings.Cut("/"+path+"/", "/internal/")
+	return ok && !strings.HasPrefix(rest, "analysis/")
 }
-
-// HasPathTail reports whether the import path is tail or ends in
-// "/"+tail — the fixture-friendly package matching every analyzer in
-// this suite uses (pfsim/internal/sim and fixture/internal/sim both
-// match "internal/sim").
-func HasPathTail(path, tail string) bool {
-	return path == tail || strings.HasSuffix(path, "/"+tail)
-}
-
-// SimCriticalList returns the protected path tails (for documentation
-// output; callers must not mutate it).
-func SimCriticalList() []string { return simCritical }

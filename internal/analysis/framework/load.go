@@ -44,16 +44,12 @@ type listedPackage struct {
 //
 // Imports of the matched packages and of their non-standard
 // dependencies resolve to packages the loader checks itself (memoized,
-// dependency-first), so every *types.Object is shared program-wide: a
-// use of lustre.MDS.CreateK inside internal/mpiio is the same *types.Func
-// the lustre package declares. That identity is what lets
-// Program.CallGraph stitch per-package graphs into one cross-package
-// reachability structure, and what lets patterns name part of the
-// module — ./internal/mpi and ./internal/ior, which reaches mpi through
-// mpiio too. Only matched packages are returned. The standard library
-// falls back to the source importer, so no pre-built export data is
-// required. Packages return sorted by import path for deterministic
-// output.
+// dependency-first), so each module package is type-checked once per
+// run however many packages import it, and no pre-built export data is
+// needed. The standard library falls back to the source importer. A
+// pattern naming part of the module (./internal/flow) still checks its
+// module dependencies, but only matched packages are returned, sorted
+// by import path for deterministic output.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -91,12 +87,11 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// setImporter type-checks the listed package set with shared object
-// identity: an import of a listed package resolves to the checked
-// package itself (loading it on first demand, dependency-first), and
-// everything else — in practice the standard library — falls back to
-// the source importer. Go forbids import cycles, so the recursion
-// terminates.
+// setImporter type-checks the listed package set: an import of a
+// listed package resolves to the checked package itself (loading it on
+// first demand, dependency-first), and everything else — in practice
+// the standard library — falls back to the source importer. Go forbids
+// import cycles, so the recursion terminates.
 type setImporter struct {
 	fset     *token.FileSet
 	listed   map[string]*listedPackage
@@ -206,17 +201,8 @@ type Finding struct {
 // sorted by file, line, column, then analyzer name — a stable order for
 // golden-tested CLI output.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
-	return RunOn(NewProgram(pkgs), analyzers, pkgs)
-}
-
-// RunOn is Run with the program supplied by the caller, for drivers
-// that analyze a subset of targets but need interprocedural analyzers
-// to see the whole loaded set (analysistest checks one fixture package
-// at a time against a program spanning all of them). Every target must
-// be a package of prog.
-func RunOn(prog *Program, analyzers []*Analyzer, targets []*Package) ([]Finding, error) {
 	var findings []Finding
-	for _, pkg := range targets {
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -224,7 +210,6 @@ func RunOn(prog *Program, analyzers []*Analyzer, targets []*Package) ([]Finding,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Prog:      prog,
 			}
 			pass.Report = func(d Diagnostic) {
 				findings = append(findings, Finding{

@@ -39,10 +39,12 @@
 // hot code. panic(...) arguments are exempt: a crash path's allocations
 // are free.
 //
-// The AST view is heuristic in both directions (a flagged composite
-// literal may stay on the stack; a clean-looking call may still
-// allocate), so cmd/pfsim-escape cross-checks the same //pfsim:hotpath
-// regions against the compiler's own escape analysis.
+// The AST view is heuristic in both directions: a flagged composite
+// literal may stay on the stack, and a clean-looking &local or value
+// stored in an interface variable may still move to the heap. The
+// runtime allocation tests (testing.AllocsPerRun in flow, sim, mpi and
+// ior) and the bench gate's allocs/op are the ground truth for the
+// paths they drive; the analyzer's job is the hot branches they do not.
 package hotalloc
 
 import (

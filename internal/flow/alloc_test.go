@@ -43,8 +43,9 @@ func allocNet(nLinks int) (*sim.Engine, *Net, []*Link) {
 
 // TestSolverSteadyStateAllocs pins the hot-path discipline end to end:
 // after warm-up, a model-shift -> flush -> re-solve -> commit ->
-// reschedule cycle must not touch the heap allocator at all. This is the runtime counterpart of the hotalloc lint and
-// the pfsim-escape compiler cross-check.
+// reschedule cycle must not touch the heap allocator at all. This is the
+// runtime counterpart of the hotalloc lint, and the ground truth for the
+// constructs the lint cannot see, such as a local moved to the heap.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

@@ -2082,8 +2082,6 @@ func Dones(flows []*Flow) []*sim.Signal {
 
 // TransferThen starts a flow and runs k with it on completion — the
 // continuation form of "transfer and wait".
-//
-//pfsim:taskctx
 func (n *Net) TransferThen(t *sim.Task, name string, sizeMB, maxRate float64, k func(*Flow), path ...*Link) *Flow {
 	f := n.Start(name, sizeMB, maxRate, path...)
 	f.Done.Await(t, func() { k(f) })

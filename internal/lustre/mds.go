@@ -134,8 +134,6 @@ func (m *MDS) allocate(name string, spec StripeSpec) *File {
 // normalised against system defaults and validated against the
 // platform's stripe limit; a spec error is delivered synchronously,
 // before any service time is charged.
-//
-//pfsim:taskctx
 func (m *MDS) CreateK(t *sim.Task, name string, spec StripeSpec, k func(*File, error)) {
 	spec, err := m.normalizeSpec(spec)
 	if err != nil {
@@ -149,8 +147,6 @@ func (m *MDS) CreateK(t *sim.Task, name string, spec StripeSpec, k func(*File, e
 
 // StatK models a cheap metadata query (open of an existing file, unlink,
 // etc.): k runs after one metadata service time.
-//
-//pfsim:taskctx
 func (m *MDS) StatK(t *sim.Task, k func()) {
 	m.res.UseTask(t, m.sys.plat.MDSOpTime, k)
 }

@@ -80,8 +80,6 @@ func (w *World) Done() *sim.Signal { return w.done }
 // the rank's Task and the K-suffixed collectives, and must arrange for
 // done to be called exactly once when the rank's workload is complete.
 // Done fires when every rank has finished.
-//
-//pfsim:taskctx
 func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 	for i := 0; i < w.size; i++ {
 		rank := &Rank{world: w, id: i}
@@ -184,7 +182,7 @@ func (r *Rank) resumeErr(err error) {
 //
 //pfsim:hotpath
 func (r *Rank) Then(k func(*Rank)) func() {
-	r.hold(k) //pfsim:allocok inlined: hold's panic message, a crash path
+	r.hold(k)
 	return r.resumeK
 }
 
@@ -193,9 +191,9 @@ func (r *Rank) Then(k func(*Rank)) func() {
 //
 //pfsim:hotpath
 func (r *Rank) ThenErr(k func(*Rank, error)) func(error) {
-	r.hold(k) //pfsim:allocok inlined: hold's panic message, a crash path
+	r.hold(k)
 	if r.resumeErrK == nil {
-		r.bindResumeErr() //pfsim:allocok inlined: one method value per rank, on its first ThenErr
+		r.bindResumeErr()
 	}
 	return r.resumeErrK
 }
@@ -375,10 +373,10 @@ func (c *Comm) collective(r *Rank, op collOp, val float64, k any) {
 func (c *Comm) begin(op collOp) {
 	rv := c.rvs[c.calls%2]
 	if rv == nil {
-		rv = c.newRendezvous() //pfsim:allocok inlined: two rendezvous per communicator, ever
+		rv = c.newRendezvous()
 		c.rvs[c.calls%2] = rv
 	} else {
-		rv.sig.Rearm(c.collLabel, c.calls) //pfsim:allocok inlined: Rearm's panic message, a crash path
+		rv.sig.Rearm(c.collLabel, c.calls)
 	}
 	rv.op, rv.arrived, rv.comms = op, 0, nil
 	c.pending = rv

@@ -89,6 +89,7 @@ type Engine struct {
 	events  eventHeap // events due strictly after the clock when scheduled
 	seq     int64
 	stopped bool
+	running bool // inside RunUntil: an event must not re-enter it
 
 	// lane holds the events scheduled at the current instant, in sequence
 	// order, from laneHead on; cancelled entries are nil tombstones.
@@ -165,7 +166,6 @@ func (e *Engine) Now() float64 { return e.now }
 // returns the event so callers may cancel it.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (e *Engine) Schedule(delay float64, fn func()) *Event {
 	if math.IsNaN(delay) {
 		panic("sim: scheduled with NaN delay") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
@@ -185,7 +185,6 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 // simulation runs allocation-free.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 	if math.IsNaN(at) {
 		// A NaN deadline compares false against everything, so it would
@@ -338,8 +337,17 @@ func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
 // drains in order, and only then does the clock advance — exactly the
 // (time, sequence) order, as the package doc argues.
 //
+// An event must not call Run or RunUntil: a nested loop would fire later
+// events inside the current one, out of (time, sequence) order. It
+// panics instead.
+//
 //pfsim:hotpath
 func (e *Engine) RunUntil(tmax float64) error {
+	if e.running {
+		panic("sim: RunUntil called from inside an event")
+	}
+	e.running = true
+	defer e.endRun()
 	if tmax < e.now {
 		return nil
 	}
@@ -386,6 +394,10 @@ func (e *Engine) RunUntil(tmax float64) error {
 	e.stopped = false // consume the stop so the engine can be resumed
 	return nil
 }
+
+// endRun marks the engine as outside RunUntil again, also when an event
+// panics, so a caller that recovers can run the engine on.
+func (e *Engine) endRun() { e.running = false }
 
 // deadlockErr builds the blocked-process report for RunUntil. It lives
 // outside the event loop so the hot-path call-graph closure excludes

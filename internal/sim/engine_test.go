@@ -40,6 +40,34 @@ func TestScheduleAtInfPanics(t *testing.T) {
 	}
 }
 
+// TestRunUntilReentryPanics: an event that calls RunUntil would fire
+// later events inside itself, out of (time, sequence) order, so the
+// nested call panics with a named message instead. The guard resets as
+// the panic unwinds, so the engine runs on after a recover.
+func TestRunUntilReentryPanics(t *testing.T) {
+	e := NewEngine()
+	later := false
+	e.Schedule(1, func() { _ = e.RunUntil(2) })
+	e.Schedule(2, func() { later = true })
+	func() {
+		defer func() {
+			if r := recover(); r != "sim: RunUntil called from inside an event" {
+				t.Errorf("recovered %v, want the re-entry panic", r)
+			}
+		}()
+		_ = e.Run()
+	}()
+	if later {
+		t.Fatal("the nested RunUntil fired the t=2 event inside the t=1 event")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !later || e.Now() != 2 {
+		t.Errorf("after the recover: later=%v now=%v, want the t=2 event fired", later, e.Now())
+	}
+}
+
 // TestRunUntilNeverRewindsClock: a horizon before Now fires nothing and
 // leaves the clock where it was, with or without events pending.
 func TestRunUntilNeverRewindsClock(t *testing.T) {

@@ -30,8 +30,6 @@ type Task struct {
 // label+id formatted lazily — fleet launchers start tens of thousands of
 // tasks and the name is only ever read by deadlock reports and
 // diagnostics. A negative id names the task label alone.
-//
-//pfsim:taskctx
 func (e *Engine) StartTask(delay float64, label string, id int, body func(t *Task)) *Task {
 	t := &Task{eng: e, label: label, id: id}
 	e.tasks++
@@ -105,7 +103,6 @@ func (t *Task) Done() bool { return t.done }
 // queued at the current instant.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (t *Task) Sleep(d float64, k func()) {
 	t.eng.Schedule(d, k)
 }
@@ -115,7 +112,6 @@ func (t *Task) Sleep(d float64, k func()) {
 // parks on the signal's waiter list in FIFO position.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (s *Signal) Await(t *Task, k func()) {
 	if s.fired {
 		k()
@@ -124,7 +120,7 @@ func (s *Signal) Await(t *Task, k func()) {
 	t.park(s, nil)
 	n := len(s.waiters)
 	if n == cap(s.waiters) {
-		s.grow() //pfsim:allocok inlined: a waiter list grows to its peak population once, then is recycled with its signal
+		s.grow()
 	}
 	s.waiters = s.waiters[:n+1]
 	s.waiters[n] = waiter{t: t, k: k}
@@ -137,8 +133,6 @@ func (s *Signal) Await(t *Task, k func()) {
 // joins the waiter list like any other waiter. A subscription is not
 // tracked for deadlock detection — a watcher that never fires is not a
 // stuck workload.
-//
-//pfsim:taskctx
 func (s *Signal) OnFired(k func()) {
 	if s.fired {
 		s.eng.Schedule(0, k)
@@ -154,7 +148,6 @@ func (s *Signal) OnFired(k func()) {
 // queue.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func AwaitAll(t *Task, sigs []*Signal, k func()) {
 	awaitFrom(t, sigs, 0, k)
 }
@@ -175,7 +168,6 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 // Release when done.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (r *Resource) AcquireTask(t *Task, k func()) {
 	if r.inUse < r.capacity && r.head == len(r.queue) {
 		r.inUse++
@@ -190,7 +182,6 @@ func (r *Resource) AcquireTask(t *Task, k func()) {
 // and then runs k — the fixed-cost-server pattern on the MDS hot path.
 //
 //pfsim:hotpath
-//pfsim:taskctx
 func (r *Resource) UseTask(t *Task, service float64, k func()) {
 	r.AcquireTask(t, func() { //pfsim:allocok one continuation per Use: the CPS form of the caller's frame
 		t.Sleep(service, func() { //pfsim:allocok one continuation per Use (see above)

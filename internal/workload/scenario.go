@@ -352,25 +352,38 @@ type Result struct {
 }
 
 // Aggregate computes cross-job summary statistics.
-func (r *Result) Aggregate() Aggregate {
+func (r *Result) Aggregate() Aggregate { return aggregate(r) }
+
+// aggregate is the one cross-job fold, shared by Result.Aggregate and
+// ShardedResult.Aggregate so that a field cannot be filled in one and
+// dropped in the other. It visits the jobs in order, result by result:
+// min/max/mean/total of per-job mean write bandwidth, and slowdown
+// statistics over the jobs that have baselines. A result without jobs
+// contributes nothing (it cannot drag MinMBs to 0), and no jobs at all
+// give the zero Aggregate.
+func aggregate(rs ...*Result) Aggregate {
 	var a Aggregate
-	if len(r.Jobs) == 0 {
-		return a
-	}
 	a.MinMBs = math.Inf(1)
-	slowdowns := 0
-	for i := range r.Jobs {
-		bw := r.Jobs[i].WriteMBs()
-		a.TotalMBs += bw
-		a.MinMBs = math.Min(a.MinMBs, bw)
-		a.MaxMBs = math.Max(a.MaxMBs, bw)
-		if sd := r.Jobs[i].Slowdown; sd > 0 {
-			a.MeanSlowdown += sd
-			a.MaxSlowdown = math.Max(a.MaxSlowdown, sd)
-			slowdowns++
+	jobs, slowdowns := 0, 0
+	for _, r := range rs {
+		for i := range r.Jobs {
+			jr := &r.Jobs[i]
+			bw := jr.WriteMBs()
+			a.TotalMBs += bw
+			a.MinMBs = math.Min(a.MinMBs, bw)
+			a.MaxMBs = math.Max(a.MaxMBs, bw)
+			if sd := jr.Slowdown; sd > 0 {
+				a.MeanSlowdown += sd
+				a.MaxSlowdown = math.Max(a.MaxSlowdown, sd)
+				slowdowns++
+			}
+			jobs++
 		}
 	}
-	a.MeanMBs = a.TotalMBs / float64(len(r.Jobs))
+	if jobs == 0 {
+		return Aggregate{}
+	}
+	a.MeanMBs = a.TotalMBs / float64(jobs)
 	if slowdowns > 0 {
 		a.MeanSlowdown /= float64(slowdowns)
 	}

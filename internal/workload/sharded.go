@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/flow"
@@ -114,39 +113,8 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 	return out, nil
 }
 
-// Aggregate summarises the sharded run across every shard's jobs, with
-// the same semantics as Result.Aggregate over the union of the jobs:
-// min/max/mean/total of per-job mean write bandwidth, and slowdown
-// statistics over the jobs that have baselines (RunSharded computes
-// none, but ApplySolo on the per-shard results fills them in). It
-// iterates the jobs directly rather than folding per-shard aggregates —
-// an earlier revision let a job-less shard's zero-valued aggregate drag
-// the cross-shard MinMBs to 0, and dropped the slowdown fields entirely.
-func (r *ShardedResult) Aggregate() Aggregate {
-	var a Aggregate
-	a.MinMBs = math.Inf(1)
-	jobs, slowdowns := 0, 0
-	for _, sh := range r.Shards {
-		for i := range sh.Jobs {
-			jr := &sh.Jobs[i]
-			bw := jr.WriteMBs()
-			a.TotalMBs += bw
-			a.MinMBs = math.Min(a.MinMBs, bw)
-			a.MaxMBs = math.Max(a.MaxMBs, bw)
-			if sd := jr.Slowdown; sd > 0 {
-				a.MeanSlowdown += sd
-				a.MaxSlowdown = math.Max(a.MaxSlowdown, sd)
-				slowdowns++
-			}
-			jobs++
-		}
-	}
-	if jobs == 0 {
-		return Aggregate{}
-	}
-	a.MeanMBs = a.TotalMBs / float64(jobs)
-	if slowdowns > 0 {
-		a.MeanSlowdown /= float64(slowdowns)
-	}
-	return a
-}
+// Aggregate summarises the sharded run across every shard's jobs, shard
+// by shard, with the same fold as Result.Aggregate over the union of the
+// jobs. RunSharded computes no slowdown baselines, but ApplySolo on the
+// per-shard results fills them in.
+func (r *ShardedResult) Aggregate() Aggregate { return aggregate(r.Shards...) }
