@@ -1,14 +1,17 @@
-// pfsim-trace runs a simulated contention scenario with the I/O tracer
-// attached and reports what happened inside: per-transfer records, the
-// slowest streams (the stragglers that set each job's bandwidth), and an
+// pfsim-trace runs one scenario file with the I/O tracer attached and
+// reports what happened inside: per-transfer records, the slowest
+// streams (the stragglers that set each job's bandwidth), and an
 // aggregate throughput timeline. Use -csv to dump the raw trace.
+//
+// The file is read as pfsim-scenario reads it, timeline faults included,
+// but its assertion block is not evaluated and no solo baselines run:
+// that is pfsim-scenario's job. Sharded files are refused, since the
+// tracer watches one file system.
 //
 // Usage:
 //
-//	pfsim-trace -np 1024 -stripes 160 -stripesize 128
-//	pfsim-trace -np 512 -api plfs -csv trace.csv
-//	pfsim-trace -np 1024 -jobs 4              # trace Section V contention
-//	pfsim-trace -np 1024 -plfs 1024           # trace a heterogeneous mix
+//	pfsim-trace scenarios/paper-contended-four.yaml
+//	pfsim-trace -csv trace.csv -slowest 10 mix.yaml
 package main
 
 import (
@@ -17,41 +20,35 @@ import (
 	"io"
 	"os"
 
-	"pfsim/internal/cluster"
-	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
-	"pfsim/internal/mpiio"
 	"pfsim/internal/report"
+	"pfsim/internal/scenariofile"
 	"pfsim/internal/trace"
 	"pfsim/internal/workload"
 )
 
-// options collects the command-line knobs; run is pure in (options, out),
-// so the golden-output test drives it directly.
+// options collects the command line; run is pure in (options, out), so
+// the golden-output test drives it directly.
 type options struct {
-	np           int
-	api          string
-	stripes      int
-	stripeSizeMB float64
-	segments     int
-	jobs         int
-	plfsRanks    int
-	csvPath      string
-	slowest      int
+	path    string
+	csvPath string
+	slowest int
 }
 
 func main() {
 	var o options
-	flag.IntVar(&o.np, "np", 1024, "number of MPI tasks")
-	flag.StringVar(&o.api, "api", "lustre", "driver: ufs | lustre | plfs")
-	flag.IntVar(&o.stripes, "stripes", 160, "striping_factor hint")
-	flag.Float64Var(&o.stripeSizeMB, "stripesize", 128, "striping_unit hint (MB)")
-	flag.IntVar(&o.segments, "s", 100, "segment count")
-	flag.IntVar(&o.jobs, "jobs", 1, "simultaneous copies of the job (contended scenario)")
-	flag.IntVar(&o.plfsRanks, "plfs", 0, "add an n-rank PLFS logger to the scenario")
 	flag.StringVar(&o.csvPath, "csv", "", "write the raw transfer trace to this file")
 	flag.IntVar(&o.slowest, "slowest", 5, "how many straggler transfers to list")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: pfsim-trace [-csv file] [-slowest n] file.yaml")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	if flag.NArg() != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	o.path = flag.Arg(0)
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "pfsim-trace:", err)
 		os.Exit(1)
@@ -59,31 +56,27 @@ func main() {
 }
 
 func run(w io.Writer, o options) error {
-	plat := cluster.Cab()
-	cfg := ior.PaperConfig(o.np)
-	cfg.Label = "trace"
-	cfg.Reps = 1
-	cfg.SegmentCount = o.segments
-	cfg.Hints.StripingFactor = o.stripes
-	cfg.Hints.StripingUnitMB = o.stripeSizeMB
-	switch o.api {
-	case "ufs":
-		cfg.API = mpiio.DriverUFS
-	case "lustre":
-		cfg.API = mpiio.DriverLustre
-	case "plfs":
-		cfg.API = mpiio.DriverPLFS
-	default:
-		return fmt.Errorf("unknown api %q", o.api)
+	f, err := scenariofile.Load(o.path)
+	if err != nil {
+		return err
 	}
-
-	sc := workload.UniformScenario("trace", workload.IORJob{Cfg: cfg}, o.jobs)
-	if o.plfsRanks > 0 {
-		sc = sc.Add(workload.Job{Workload: workload.PLFSLogger{Ranks: o.plfsRanks}})
+	if f.Sharded() {
+		return fmt.Errorf("%s: sharded files cannot be traced; run it with pfsim-scenario", o.path)
+	}
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	plat, err := f.BuildPlatform()
+	if err != nil {
+		return err
+	}
+	scens, err := f.BuildScenarios()
+	if err != nil {
+		return err
 	}
 
 	rec := &trace.Recorder{}
-	res, err := workload.RunScenario(plat, sc, 0, func(sys *lustre.System) {
+	res, err := workload.RunScenario(plat, scens[0], 0, f.InstrumentShard(-1), func(sys *lustre.System) {
 		rec.Attach(sys.Net())
 	})
 	if err != nil {
@@ -107,21 +100,24 @@ func run(w io.Writer, o options) error {
 	}
 	t.Fprint(w)
 
-	tl := rec.Timeline((end - start) / 20)
+	first, tl := rec.Timeline((end - start) / 20)
 	labels := make([]string, len(tl))
 	for i := range tl {
-		labels[i] = fmt.Sprintf("t%02d", i)
+		labels[i] = fmt.Sprintf("t%02d", first+i)
 	}
 	fmt.Fprintln(w)
 	report.Bars(w, "aggregate throughput timeline (MB/s)", labels, tl, 40)
 
 	if o.csvPath != "" {
-		f, err := os.Create(o.csvPath)
+		out, err := os.Create(o.csvPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
+		if err := rec.WriteCSV(out); err != nil {
+			out.Close()
+			return err
+		}
+		if err := out.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\ntrace written to %s\n", o.csvPath)

@@ -8,10 +8,9 @@ import (
 )
 
 // goldenSmall is the exact output of a small two-job contended trace
-// (-np 8 -s 2 -stripes 4 -stripesize 1 -jobs 2 -slowest 3). The
-// simulation, the recorder and the table renderer are deterministic, so
-// any drift here is a real behaviour change in the traced physics or the
-// report formatting.
+// (testdata/small.yaml, -slowest 3). The simulation, the recorder and the
+// table renderer are deterministic, so any drift here is a real behaviour
+// change in the traced physics or the report formatting.
 const goldenSmall = `trace (ad_lustre, 8 tasks): 42 MB/s, finished at 1.54 s
 trace-job1 (ad_lustre, 8 tasks): 39 MB/s, finished at 1.63 s
 
@@ -50,15 +49,7 @@ aggregate throughput timeline (MB/s)
 `
 
 func smallOpts() options {
-	return options{
-		np:           8,
-		api:          "lustre",
-		stripes:      4,
-		stripeSizeMB: 1,
-		segments:     2,
-		jobs:         2,
-		slowest:      3,
-	}
+	return options{path: "testdata/small.yaml", slowest: 3}
 }
 
 func TestTraceGolden(t *testing.T) {
@@ -68,6 +59,30 @@ func TestTraceGolden(t *testing.T) {
 	}
 	if b.String() != goldenSmall {
 		t.Errorf("trace output drifted.\n--- got ---\n%s--- want ---\n%s", b.String(), goldenSmall)
+	}
+}
+
+// TestTraceLateStart: jobs that start ten minutes in get a timeline from
+// the bucket holding the first transfer, not ~7,400 empty rows from t=0.
+func TestTraceLateStart(t *testing.T) {
+	o := smallOpts()
+	o.path = "testdata/late.yaml"
+	var b strings.Builder
+	if err := run(&b, o); err != nil {
+		t.Fatal(err)
+	}
+	_, tl, ok := strings.Cut(b.String(), "aggregate throughput timeline (MB/s)\n")
+	if !ok {
+		t.Fatalf("no timeline in output:\n%s", b.String())
+	}
+	rows := strings.Split(strings.TrimSuffix(tl, "\n"), "\n")
+	if len(rows) > 22 {
+		t.Fatalf("timeline has %d rows, want at most 22 (first %q)", len(rows), rows[0])
+	}
+	// The grid is anchored at t=0: 20 buckets span the 1.63 s makespan,
+	// so the 600 s start falls in bucket 7356.
+	if !strings.HasPrefix(rows[0], "  t7356 ") {
+		t.Errorf("first timeline row = %q, want bucket t7356", rows[0])
 	}
 }
 
@@ -97,11 +112,30 @@ func TestTraceCSVExport(t *testing.T) {
 	}
 }
 
+// TestTraceBadAPI: an unknown driver fails at parse time with the
+// positioned schema error, before anything runs.
 func TestTraceBadAPI(t *testing.T) {
 	o := smallOpts()
-	o.api = "gpfs"
+	o.path = "testdata/badapi.yaml"
 	var b strings.Builder
-	if err := run(&b, o); err == nil {
-		t.Fatal("unknown api accepted")
+	err := run(&b, o)
+	const want = `testdata/badapi.yaml: fleet[0].ior.api: must be ufs, lustre, or plfs, got "gpfs"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if b.Len() != 0 {
+		t.Errorf("output before the error: %q", b.String())
+	}
+}
+
+// TestTraceShardedRefused: the tracer watches one file system, so a
+// sharded file fails with one line instead of tracing shard 0 alone.
+func TestTraceShardedRefused(t *testing.T) {
+	o := smallOpts()
+	o.path = "testdata/sharded.yaml"
+	var b strings.Builder
+	err := run(&b, o)
+	if err == nil || strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), "sharded") {
+		t.Fatalf("err = %v, want a one-line refusal naming sharding", err)
 	}
 }

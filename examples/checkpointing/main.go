@@ -10,11 +10,10 @@ import (
 	"log"
 
 	"pfsim"
-	"pfsim/internal/workload"
 )
 
 func main() {
-	app := workload.Checkpoint{
+	app := pfsim.Checkpoint{
 		Ranks:          1024,
 		StateMBPerRank: 400,       // the Table II volume
 		ComputeSeconds: 3600,      // an hour of compute per checkpoint era

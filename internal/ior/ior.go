@@ -236,8 +236,8 @@ type RunningJob struct {
 func (r *RunningJob) Err() error { return r.j.err }
 
 // StartJob launches cfg on an existing simulated system at the current
-// virtual time. It is the building block for schedulers and custom
-// multi-job scenarios; Run and RunContended remain the conveniences for
+// virtual time. It is how a workload scenario launches each of its jobs
+// on one shared system; Run and RunContended remain the conveniences for
 // one-shot executions.
 func StartJob(sys *lustre.System, cfg Config) (*RunningJob, error) {
 	if err := cfg.Validate(sys.Platform()); err != nil {

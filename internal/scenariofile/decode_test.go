@@ -64,7 +64,7 @@ func TestParseRejections(t *testing.T) {
 // FuzzParse feeds arbitrary documents to Parse: it must never panic, and
 // every error it returns must begin with the document name.
 func FuzzParse(f *testing.F) {
-	for _, glob := range []string{"../../scenarios/*.yaml", "../../cmd/pfsim-scenario/testdata/*.yaml"} {
+	for _, glob := range []string{"../../scenarios/*.yaml", "../../cmd/pfsim-scenario/testdata/*.yaml", "../../cmd/pfsim-trace/testdata/*.yaml"} {
 		paths, err := filepath.Glob(glob)
 		if err != nil || len(paths) == 0 {
 			f.Fatalf("no seeds for %s: %v", glob, err)

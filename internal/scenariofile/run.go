@@ -21,9 +21,6 @@ type RunOptions struct {
 	// one simulation on the calling goroutine. Results are byte-identical
 	// at any width.
 	Parallelism int
-	// Reference forces the reference solver (the incremental solver's
-	// byte-identical oracle); used by equivalence tests.
-	Reference bool
 	// Ctx cancels the run mid-simulation.
 	Ctx context.Context
 }
@@ -116,21 +113,13 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 	wopts := workload.RunOptions{Seed: opts.Seed, Parallelism: opts.Parallelism, Ctx: opts.Ctx}
 	out := &Result{File: f, Platform: plat}
 	if !f.Sharded() {
-		res, err := workload.RunScenarioWith(plat, scens[0], wopts, func(sys *lustre.System) {
-			if opts.Reference {
-				sys.Net().UseReferenceSolver(true)
-			}
-			f.InstrumentShard(-1)(sys)
-		})
+		res, err := workload.RunScenarioWith(plat, scens[0], wopts, f.InstrumentShard(-1))
 		if err != nil {
 			return nil, err
 		}
 		out.Mono = res
 	} else {
 		res, err := workload.RunShardedWith(plat, scens, wopts, func(i int, sys *lustre.System) {
-			if opts.Reference {
-				sys.Net().UseReferenceSolver(true)
-			}
 			f.InstrumentShard(i)(sys)
 		})
 		if err != nil {

@@ -177,25 +177,30 @@ func TestTimelineEquivalence(t *testing.T) {
 		})
 		eng.ScheduleAt(9, func() { sys.OST(2).SetHealth(1) })
 	}
-	for _, mode := range []struct {
-		name string
-		ref  bool
-	}{{"incremental", false}, {"reference", true}} {
-		handRes, err := workload.RunScenario(plat, scens[0], 0, func(sys *lustre.System) {
-			if mode.ref {
-				sys.Net().UseReferenceSolver(true)
-			}
+	runHand := func(ref bool) *workload.Result {
+		res, err := workload.RunScenario(plat, scens[0], 0, func(sys *lustre.System) {
+			sys.Net().UseReferenceSolver(ref)
 			hand(sys)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fileRes, err := Run(f, RunOptions{Reference: mode.ref})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobsEqual(t, mode.name+" file-vs-hand", fileRes.Mono, handRes)
+		return res
 	}
+	fileRes, err := Run(f, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobsEqual(t, "incremental file-vs-hand", fileRes.Mono, runHand(false))
+	// Run has no solver switch: the reference row compiles the file's
+	// timeline onto a reference-solver system the way Run does.
+	refRes, err := workload.RunScenario(plat, scens[0], 0, func(sys *lustre.System) {
+		sys.Net().UseReferenceSolver(true)
+	}, f.InstrumentShard(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobsEqual(t, "reference file-vs-hand", refRes, runHand(true))
 }
 
 // shardedDoc exercises shard expansion, replication and a shard outage.

@@ -148,31 +148,34 @@ func (r *Recorder) Slowest(n int) []Record {
 }
 
 // Timeline integrates aggregate achieved throughput over fixed buckets of
-// width dt seconds, from time 0 to the last completion. Each transfer
-// contributes its mean rate across its lifetime — a fluid approximation
-// consistent with the simulator itself.
-func (r *Recorder) Timeline(dt float64) []float64 {
+// width dt seconds. Bucket b covers [b*dt, (b+1)*dt); the rows run from
+// the bucket holding the first transfer's start (returned as first) to
+// the bucket holding the last completion, so a run that starts late
+// reports no empty lead-in. Each transfer contributes its mean rate
+// across its lifetime — a fluid approximation consistent with the
+// simulator itself.
+func (r *Recorder) Timeline(dt float64) (first int, rates []float64) {
 	if dt <= 0 || len(r.records) == 0 {
-		return nil
+		return 0, nil
 	}
-	_, end := r.Makespan()
-	buckets := make([]float64, int(end/dt)+1)
+	start, end := r.Makespan()
+	first = int(start / dt)
+	rates = make([]float64, int(end/dt)+1-first)
 	for _, rec := range r.records {
 		if rec.End <= rec.Start {
 			continue
 		}
-		first := int(rec.Start / dt)
-		last := int(rec.End / dt)
-		for b := first; b <= last && b < len(buckets); b++ {
+		last := min(int(rec.End/dt), first+len(rates)-1)
+		for b := int(rec.Start / dt); b <= last; b++ {
 			bStart := float64(float64(b) * dt)
 			bEnd := bStart + dt
 			overlap := minF(rec.End, bEnd) - maxF(rec.Start, bStart)
 			if overlap > 0 {
-				buckets[b] += rec.MeanMBs * overlap / dt
+				rates[b-first] += rec.MeanMBs * overlap / dt
 			}
 		}
 	}
-	return buckets
+	return first, rates
 }
 
 func minF(a, b float64) float64 {

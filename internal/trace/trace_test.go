@@ -75,21 +75,42 @@ func TestTimeline(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tl := r.Timeline(1)
-	if len(tl) < 10 {
-		t.Fatalf("timeline buckets = %d", len(tl))
+	first, tl := r.Timeline(1)
+	if first != 0 || len(tl) < 10 {
+		t.Fatalf("timeline = first %d, %d buckets", first, len(tl))
 	}
 	for b := 0; b < 10; b++ {
 		if math.Abs(tl[b]-100) > 1e-6 {
 			t.Errorf("bucket %d = %v, want 100", b, tl[b])
 		}
 	}
-	if r.Timeline(0) != nil {
+	if _, tl := r.Timeline(0); tl != nil {
 		t.Error("zero-dt timeline should be nil")
 	}
 	empty := &Recorder{}
-	if empty.Timeline(1) != nil {
+	if _, tl := empty.Timeline(1); tl != nil {
 		t.Error("empty timeline should be nil")
+	}
+}
+
+// TestTimelineStartsAtFirstTransfer: a run whose first transfer starts
+// late reports from the bucket holding that start, on the grid anchored
+// at t=0, not a row per idle bucket before it.
+func TestTimelineStartsAtFirstTransfer(t *testing.T) {
+	e, n, r := build(t)
+	l := n.NewLink("pipe", flow.Const(100))
+	e.ScheduleAt(600.5, func() { n.Start("x", 1000, 0, l) }) // runs [600.5,610.5]
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first, tl := r.Timeline(1)
+	if first != 600 || len(tl) != 11 {
+		t.Fatalf("timeline = first %d, %d buckets; want first 600, 11 buckets", first, len(tl))
+	}
+	for b, want := range []float64{50, 100, 100, 100, 100, 100, 100, 100, 100, 100, 50} {
+		if math.Abs(tl[b]-want) > 1e-6 {
+			t.Errorf("bucket %d = %v, want %v", first+b, tl[b], want)
+		}
 	}
 }
 
