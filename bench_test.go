@@ -16,8 +16,6 @@ import (
 
 	"pfsim/internal/experiments"
 	"pfsim/internal/flow"
-	"pfsim/internal/lustre"
-	"pfsim/internal/workload"
 )
 
 // benchExperiment runs one registered experiment per iteration, reporting
@@ -271,18 +269,8 @@ func reportSolverStats(b *testing.B, stats flow.Stats) {
 	}
 }
 
-// benchSolver measures the max-min solver on a (2 × ranks)-flow
-// SolverStressScenario — the shape the BENCH_solver.json gate and
-// pfsim-metrics -solver-writers share. This scenario shares one backbone,
-// so it is a single component: the partitioning win shows up in
-// BenchmarkSolverSharded4096x16, the counters here guard against the
-// partitioned machinery regressing the monolithic case.
-func benchSolver(b *testing.B, ranks int) {
-	plat, sc := SolverStressScenario(ranks)
-	benchSolverModes(b, plat, sc)
-}
-
-// benchSolverModes runs one scenario per iteration in both solver modes:
+// benchSolverModes times the table's named solver run (see workRuns) in
+// both solver modes:
 //
 //   - incremental: component partitioning, per-flow accrual anchors,
 //     same-instant recompute coalescing, live-link lists with a per-link
@@ -292,35 +280,13 @@ func benchSolver(b *testing.B, ranks int) {
 //     scan for the next completion.
 //
 // Results are byte-identical across modes (the property tests enforce
-// it); only the solver work differs.
-func benchSolverModes(b *testing.B, plat *Platform, sc Scenario) {
-	for _, bc := range []struct {
-		name      string
-		reference bool
-	}{
-		{"incremental", false},
-		{"reference", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var stats flow.Stats
-			for i := 0; i < b.N; i++ {
-				var captured *lustre.System
-				res, err := workload.RunScenario(plat, sc, 0, func(sys *lustre.System) {
-					sys.Net().UseReferenceSolver(bc.reference)
-					captured = sys
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Makespan <= 0 {
-					b.Fatal("empty run")
-				}
-				stats = captured.Net().Stats()
-			}
-			reportSolverStats(b, stats)
-		})
-	}
+// it); only the solver work differs. TestWorkCounters pins the
+// incremental counters; the reference ones are reported here and by
+// pfsim-metrics -solver-writers.
+func benchSolverModes(b *testing.B, name string) {
+	r := workRunNamed(b, name)
+	b.Run("incremental", func(b *testing.B) { benchCounts(b, r.run) })
+	b.Run("reference", func(b *testing.B) { benchCounts(b, r.reference) })
 }
 
 // BenchmarkSolverSharded4096x16 is the component-partitioning stress: the
@@ -332,47 +298,20 @@ func benchSolverModes(b *testing.B, plat *Platform, sc Scenario) {
 // population — roughly a 16× drop against the reference's global passes —
 // and accrual settles (flowssettled/op) charge only the touched shard's
 // flows per instant.
-func BenchmarkSolverSharded4096x16(b *testing.B) {
-	const writers, shards = 128, 16
-	for _, bc := range []struct {
-		name      string
-		reference bool
-	}{
-		{"incremental", false},
-		{"reference", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			plat, scs := SolverShardedScenario(writers, shards)
-			var stats flow.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := workload.RunSharded(plat, scs, 0, func(i int, sys *lustre.System) {
-					if i == 0 {
-						sys.Net().UseReferenceSolver(bc.reference)
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Makespan <= 0 || len(res.Shards) != shards {
-					b.Fatal("sharded run malformed")
-				}
-				stats = res.Solver
-			}
-			reportSolverStats(b, stats)
-		})
-	}
-}
+func BenchmarkSolverSharded4096x16(b *testing.B) { benchSolverModes(b, "solver-sharded-4096x16") }
 
 // BenchmarkSolver1024Flows is the PR-2 solver-stress scenario: 512
-// file-per-process writers, 1,024 concurrent flows.
-func BenchmarkSolver1024Flows(b *testing.B) { benchSolver(b, 512) }
+// file-per-process writers, 1,024 concurrent flows. The scenario shares
+// one backbone, so it is a single component: the partitioning win shows
+// up in BenchmarkSolverSharded4096x16, and the counters here guard
+// against the partitioned machinery regressing the monolithic case.
+func BenchmarkSolver1024Flows(b *testing.B) { benchSolverModes(b, "solver-1024-flows") }
 
 // BenchmarkSolver4096Flows scales the solver stress 4×: 2,048
 // file-per-process writers, 4,096 concurrent flows — the population where
 // per-event rescans of every active flow dominated before the completion
 // heap.
-func BenchmarkSolver4096Flows(b *testing.B) { benchSolver(b, 2048) }
+func BenchmarkSolver4096Flows(b *testing.B) { benchSolverModes(b, "solver-4096-flows") }
 
 // BenchmarkSolverPLFS2048 is the many-rounds regime: a 2,048-rank PLFS
 // logger on Cab (the paper-plfs-selfcontention shape). Every rank appends
@@ -382,10 +321,7 @@ func BenchmarkSolver4096Flows(b *testing.B) { benchSolver(b, 2048) }
 // benchmarks above average 3–6. This is the regime in which a round's
 // cost — the live links it scans and the flows it fixes — dominates the
 // solver.
-func BenchmarkSolverPLFS2048(b *testing.B) {
-	sc := NewScenario("bench-plfs2048", ScenarioJob{Workload: PLFSWorkload(2048, 0)})
-	benchSolverModes(b, Cab(), sc)
-}
+func BenchmarkSolverPLFS2048(b *testing.B) { benchSolverModes(b, "solver-plfs-2048") }
 
 // BenchmarkSimulatorThroughput measures the simulator itself: simulated
 // MB of I/O processed per wall-clock second for a tuned 1,024-process

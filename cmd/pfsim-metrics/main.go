@@ -2,7 +2,7 @@
 // tables (Tables III, IV and VI), predictions for arbitrary file systems,
 // and PLFS self-contention estimates (Equations 5-6). It can also report
 // the fluid solver's own cost counters for a stress scenario, the
-// simulation-side metric the CI bench gate watches.
+// simulation-side counters the root package's TestWorkCounters pins.
 //
 // Usage:
 //
@@ -51,10 +51,10 @@ func main() {
 }
 
 // printSolverStats runs pfsim.SolverStressScenario — the exact workload
-// behind BenchmarkSolver*Flows and the BENCH_solver.json gate — once per
-// solver mode and prints the Net.Stats counters side by side. The
-// counters are deterministic, so the output doubles as a quick local
-// check against the committed baselines.
+// behind BenchmarkSolver*Flows and the solver rows of the root package's
+// testdata/counters.golden — once per solver mode and prints the
+// Net.Stats counters side by side. The counters are deterministic, so
+// the incremental column at 512 or 2,048 writers equals those rows.
 func printSolverStats(w io.Writer, writers int) error {
 	plat, sc := pfsim.SolverStressScenario(writers)
 	var inc, ref flow.Stats

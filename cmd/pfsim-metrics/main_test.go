@@ -7,7 +7,8 @@ import (
 
 // golden64 is the exact -solver-writers 64 output. The simulation and its
 // counters are deterministic, so any drift here is a real solver
-// behaviour change — the same property the CI bench gate relies on.
+// behaviour change — the same property the root package's
+// TestWorkCounters relies on.
 const golden64 = `Solver work: 64 file-per-process writers (128 flows)
   Counter                  Incremental  Reference
   -----------------------  -----------  ---------

@@ -5,14 +5,10 @@ package pfsim
 import (
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 
 	"pfsim/internal/flow"
-	"pfsim/internal/lustre"
-	"pfsim/internal/scenariofile"
 	"pfsim/internal/sim"
-	"pfsim/internal/workload"
 )
 
 // The fleet shape: writers arrive at a constant stagger, each doing a
@@ -33,8 +29,8 @@ const (
 // runFleet simulates writers short-lived writers as inline tasks and
 // returns the peak goroutine count observed while the engine ran (sampled
 // every few hundred fired events, which at this event density is many
-// times per simulated writer lifetime) and the engine's work counters.
-func runFleet(tb testing.TB, writers int) (int, sim.Stats) {
+// times per simulated writer lifetime) and the run's work counters.
+func runFleet(tb testing.TB, writers int) (int, workCounts) {
 	tb.Helper()
 	e := sim.NewEngine()
 	n := flow.NewNet(e)
@@ -70,30 +66,14 @@ func runFleet(tb testing.TB, writers int) (int, sim.Stats) {
 	if e.LiveTasks() != 0 {
 		tb.Fatalf("fleet not retired: %d tasks live", e.LiveTasks())
 	}
-	return peak, e.Stats()
+	return peak, workCounts{n.Stats(), e.Stats()}
 }
 
-// BenchmarkEngineFleet runs 100k short-lived writers through the engine.
-// The sub-benchmark is gated under its name "tasks" (BENCH_solver.json):
-// ns/op, B/op, allocs/op, the peak live goroutine count — O(1) in fleet
-// size, as TestEngineFleetGoroutinesO1 asserts — and the engine's event
-// counts: events scheduled, and how many took the same-instant lane or
-// the heap (laneevents + heappushes == events).
-func BenchmarkEngineFleet(b *testing.B) {
-	const writers = 100_000
-	b.Run("tasks", func(b *testing.B) {
-		b.ReportAllocs()
-		peak := 0
-		var st sim.Stats
-		for i := 0; i < b.N; i++ {
-			peak, st = runFleet(b, writers)
-		}
-		b.ReportMetric(float64(peak), "peakgoroutines")
-		b.ReportMetric(float64(st.Scheduled), "events/op")
-		b.ReportMetric(float64(st.LaneEvents), "laneevents/op")
-		b.ReportMetric(float64(st.HeapPushes), "heappushes/op")
-	})
-}
+// BenchmarkEngineFleet times the engine-fleet run: 100k short-lived
+// writers through the engine. It reports the engine's event counts:
+// events scheduled, and how many took the same-instant lane or the heap
+// (laneevents + heappushes == events).
+func BenchmarkEngineFleet(b *testing.B) { benchCounts(b, workRunNamed(b, "engine-fleet").run) }
 
 // TestEngineFleetGoroutinesO1: a fleet holds a constant number of
 // goroutines however many writers pass through. The arrival and service
@@ -113,53 +93,9 @@ func TestEngineFleetGoroutinesO1(t *testing.T) {
 	}
 }
 
-// checkpointFleetShards replicates digestFleet's shard this many times
-// for BenchmarkCheckpointFleet: about 100 ms of host time per run.
-const checkpointFleetShards = 48
-
-// BenchmarkCheckpointFleet runs digestFleet's jittered checkpointer fleet
-// (TestShardFleetDigest) replicated over checkpointFleetShards file
-// systems under one engine: the shard-fleet benchmark workload's shape,
-// small. Every checkpoint is an IOR repetition whose ranks meet in MPI
-// collectives around the write, so this is the gate on the collective
-// path: allocs/op and B/op, and the engine's events/op (events
-// scheduled), which a change to how ranks park and resume must leave
-// exactly as it was.
-func BenchmarkCheckpointFleet(b *testing.B) {
-	doc := strings.Replace(digestFleet, "replicate: 3\n",
-		"replicate: "+strconv.Itoa(checkpointFleetShards)+"\n", 1)
-	f, err := scenariofile.Parse([]byte(doc), "checkpoint-fleet.yaml")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	plat, err := f.BuildPlatform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	scens, err := f.BuildScenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st sim.Stats
-	for i := 0; i < b.N; i++ {
-		var eng *sim.Engine
-		res, err := workload.RunShardedWith(plat, scens, workload.RunOptions{Parallelism: 1},
-			func(shard int, sys *lustre.System) {
-				f.InstrumentShard(shard)(sys)
-				eng = sys.Engine()
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Shards) != checkpointFleetShards {
-			b.Fatalf("ran %d shards, want %d", len(res.Shards), checkpointFleetShards)
-		}
-		st = eng.Stats()
-	}
-	b.ReportMetric(float64(st.Scheduled), "events/op")
-}
+// BenchmarkCheckpointFleet times the checkpoint-fleet run: digestFleet's
+// jittered checkpointer fleet (TestShardFleetDigest) replicated over 48
+// file systems under one engine. Every checkpoint is an IOR repetition
+// whose ranks meet in MPI collectives around the write, so this times
+// the collective path.
+func BenchmarkCheckpointFleet(b *testing.B) { benchCounts(b, workRunNamed(b, "checkpoint-fleet").run) }

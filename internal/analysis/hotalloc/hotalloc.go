@@ -43,8 +43,9 @@
 // literal may stay on the stack, and a clean-looking &local or value
 // stored in an interface variable may still move to the heap. The
 // runtime allocation tests (testing.AllocsPerRun in flow, sim, mpi and
-// ior) and the bench gate's allocs/op are the ground truth for the
-// paths they drive; the analyzer's job is the hot branches they do not.
+// ior) and the whole-run allocation bounds of the root package's
+// TestWorkCounters are the ground truth for the paths they drive; the
+// analyzer's job is the hot branches they do not.
 package hotalloc
 
 import (

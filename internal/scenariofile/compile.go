@@ -334,27 +334,34 @@ func sampleInt(d *Dist, rng *stats.RNG, def, floor int) int {
 // on the platform. This is `pfsim-scenario validate`: a passing file
 // cannot fail to launch, though its assertions may still fail.
 func (f *File) Validate() error {
+	_, _, err := f.compile()
+	return err
+}
+
+// compile is Validate, handing back what it built: the resolved platform
+// and the expanded scenarios, ready to run.
+func (f *File) compile() (*cluster.Platform, []workload.Scenario, error) {
 	plat, err := f.BuildPlatform()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	err = f.checkFleetSize(f.Fleet, -1, plat.Nodes)
 	for s := 0; err == nil && s < len(f.Shards); s++ {
 		err = f.checkFleetSize(f.Shards[s].Fleet, s, plat.Nodes)
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	scens, err := f.BuildScenarios()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	for i := range scens {
 		if err := scens[i].Validate(plat); err != nil {
 			if f.Sharded() {
-				return fmt.Errorf("%s: shard %d: %w", f.errName(), i, err)
+				return nil, nil, fmt.Errorf("%s: shard %d: %w", f.errName(), i, err)
 			}
-			return fmt.Errorf("%s: %w", f.errName(), err)
+			return nil, nil, fmt.Errorf("%s: %w", f.errName(), err)
 		}
 	}
 	for i := range f.Timeline {
@@ -363,24 +370,24 @@ func (f *File) Validate() error {
 		switch ev.Kind {
 		case EvOSTHealth, EvOSTFail, EvOSTRecover:
 			if ev.OST >= plat.OSTs {
-				return fmt.Errorf("%s: OST %d out of range [0,%d)", where, ev.OST, plat.OSTs)
+				return nil, nil, fmt.Errorf("%s: OST %d out of range [0,%d)", where, ev.OST, plat.OSTs)
 			}
 		case EvLinkCapacity:
 			if err := checkLinkName(plat, ev.Link); err != nil {
-				return fmt.Errorf("%s: %w", where, err)
+				return nil, nil, fmt.Errorf("%s: %w", where, err)
 			}
 		case EvRebuild:
 			if ev.OST >= plat.OSTs {
-				return fmt.Errorf("%s: OST %d out of range [0,%d)", where, ev.OST, plat.OSTs)
+				return nil, nil, fmt.Errorf("%s: OST %d out of range [0,%d)", where, ev.OST, plat.OSTs)
 			}
 			for _, s := range ev.Sources {
 				if s >= plat.OSTs {
-					return fmt.Errorf("%s: source OST %d out of range [0,%d)", where, s, plat.OSTs)
+					return nil, nil, fmt.Errorf("%s: source OST %d out of range [0,%d)", where, s, plat.OSTs)
 				}
 			}
 		}
 	}
-	return nil
+	return plat, scens, nil
 }
 
 // checkFleetSize rejects the first entry at which a fleet's running job

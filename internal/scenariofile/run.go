@@ -92,21 +92,14 @@ func (r *Result) EachJob(fn func(shard int, jr *workload.JobResult)) {
 	}
 }
 
-// Run executes the scenario file: validate, build the platform, expand
-// the fleet, run the simulation with the timeline compiled onto engine
-// hooks, compute solo baselines when an assertion needs slowdowns, and
-// evaluate the assertion block. The returned Result carries the
-// assertion verdict; err is reserved for files that fail to validate or
-// simulate at all.
+// Run executes the scenario file: validate, keeping the platform and
+// the expanded fleet that validation built, run the simulation with the
+// timeline compiled onto engine hooks, compute solo baselines when an
+// assertion needs slowdowns, and evaluate the assertion block. The
+// returned Result carries the assertion verdict; err is reserved for
+// files that fail to validate or simulate at all.
 func Run(f *File, opts RunOptions) (*Result, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	plat, err := f.BuildPlatform()
-	if err != nil {
-		return nil, err
-	}
-	scens, err := f.BuildScenarios()
+	plat, scens, err := f.compile()
 	if err != nil {
 		return nil, err
 	}

@@ -162,18 +162,6 @@ func (r *Runner) RunScenario(plat *Platform, sc Scenario) (*ScenarioResult, erro
 	return res, nil
 }
 
-// runSolo executes one configuration alone via a single-job scenario
-// (which reproduces ior.Run exactly); seed 0 selects the platform seed.
-func (r *Runner) runSolo(plat *Platform, cfg IORConfig, seed uint64) (*IORResult, error) {
-	res, err := workload.RunScenario(plat, Scenario{
-		Jobs: []ScenarioJob{{Workload: workload.IORJob{Cfg: cfg}}},
-	}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Jobs[0].IOR, nil
-}
-
 // RunScenarios executes several independent scenarios across the worker
 // pool, in input order. Scenario i fails the whole call if it errors.
 func (r *Runner) RunScenarios(plat *Platform, scs []Scenario) ([]*ScenarioResult, error) {
@@ -283,22 +271,27 @@ func (r *Runner) RunSharded(plat *Platform, shards []Scenario) (*ShardedResult, 
 
 // RunIOR executes one IOR configuration on a fresh simulated system — the
 // single-job scenario. With the default seed this reproduces the classic
-// serial path byte for byte.
+// serial path byte for byte. A cancelled WithContext context stops the
+// engine mid-run.
 func (r *Runner) RunIOR(plat *Platform, cfg IORConfig) (*IORResult, error) {
-	if err := r.ctx.Err(); err != nil {
+	res, err := workload.RunScenarioWith(plat, Scenario{
+		Jobs: []ScenarioJob{{Workload: workload.IORJob{Cfg: cfg}}},
+	}, r.runOptions())
+	if err != nil {
 		return nil, err
 	}
-	return r.runSolo(plat, cfg, r.seed)
+	return res.Jobs[0].IOR, nil
 }
 
 // RunContended executes n simultaneous copies of cfg on one simulated
 // system (disjoint node ranges) and returns the per-job results — the
-// Section V scenario expressed on the Scenario API.
+// Section V scenario expressed on the Scenario API. A cancelled
+// WithContext context stops the engine mid-run.
 func (r *Runner) RunContended(plat *Platform, cfg IORConfig, n int) ([]*IORResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pfsim: need at least one job")
 	}
-	res, err := workload.RunScenario(plat, contendedScenario(cfg, n), r.seed)
+	res, err := workload.RunScenarioWith(plat, contendedScenario(cfg, n), r.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -168,6 +168,9 @@ func TestRunnerContextCancelsSweep(t *testing.T) {
 	if _, err := r.RunIOR(plat, base); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunIOR on cancelled ctx: %v", err)
 	}
+	if _, err := r.RunContended(plat, base, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunContended on cancelled ctx: %v", err)
+	}
 }
 
 func TestRunnerWrappersMatchClassicPaths(t *testing.T) {

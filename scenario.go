@@ -50,9 +50,10 @@ func IORWorkload(cfg IORConfig) Workload { return workload.IORJob{Cfg: cfg} }
 // platform: writers file-per-process ranks, each streaming a short
 // two-segment burst to a private file with the default two-stripe layout
 // — 2 × writers concurrent flows through one shared backbone. It is the
-// single source for `BenchmarkSolver*Flows`, the BENCH_solver.json
-// baselines the CI bench gate enforces, and `pfsim-metrics
-// -solver-writers`, so the three always measure the same workload.
+// single source for `BenchmarkSolver*Flows`, the solver rows of
+// testdata/counters.golden that TestWorkCounters holds, and
+// `pfsim-metrics -solver-writers`, so the three always measure the same
+// workload.
 func SolverStressScenario(writers int) (*Platform, Scenario) {
 	plat := Cab()
 	name := fmt.Sprintf("bench-solver%d", 2*writers)
