@@ -1,8 +1,7 @@
-// Command pfsim-lint runs the determinism and allocation lint suite:
-// the custom analyzers under internal/analysis that enforce the
-// simulator's byte-identical reproducibility invariants and its
-// hot-path allocation discipline at the source level (see the README's
-// "Determinism rules" and "Allocation discipline" sections).
+// Command pfsim-lint runs the determinism lint suite: the custom
+// analyzers under internal/analysis that enforce the simulator's
+// byte-identical reproducibility invariants at the source level (see the
+// README's "Determinism rules" section).
 //
 // Usage:
 //
@@ -25,16 +24,13 @@ import (
 
 	"pfsim/internal/analysis/barego"
 	"pfsim/internal/analysis/framework"
-	"pfsim/internal/analysis/hotalloc"
 	"pfsim/internal/analysis/maporder"
 	"pfsim/internal/analysis/wallclock"
 )
 
-// suite is the full lint suite (determinism and allocation
-// discipline), sorted by name; -run selects a subset.
+// suite is the full lint suite, sorted by name; -run selects a subset.
 var suite = []*framework.Analyzer{
 	barego.Analyzer,
-	hotalloc.Analyzer,
 	maporder.Analyzer,
 	wallclock.Analyzer,
 }

@@ -14,13 +14,3 @@ func slowest(loads map[string]float64) string {
 	_ = time.Now()
 	return at
 }
-
-// solveRound is the fixture's hot entry point; the make below is the
-// deliberate hotalloc violation.
-//
-//pfsim:hotpath
-func solveRound(rates []float64) []float64 {
-	out := make([]float64, len(rates))
-	copy(out, rates)
-	return out
-}

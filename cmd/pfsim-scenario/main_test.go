@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,30 @@ func TestUsageAndErrors(t *testing.T) {
 	out.Reset()
 	if code := cmdMain([]string{"help"}, &out, &errOut); code != 0 || !strings.Contains(out.String(), "usage:") {
 		t.Errorf("help: exit = %d, out = %q", code, out.String())
+	}
+}
+
+// TestValidateRejectsUnboundedRepetitions: repetition and checkpoint
+// counts past ior.MaxReps fail validation with a positioned message;
+// they used to validate and then exhaust memory when run.
+func TestValidateRejectsUnboundedRepetitions(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, doc, want string }{
+		{"reps.yaml", "name: reps\nfleet:\n  - ior:\n      tasks: 8\n      reps: 2000000000\n",
+			"fleet[0].ior.reps: must be <= 65536, got 2000000000"},
+		{"checkpoints.yaml", "name: checkpoints\nfleet:\n  - checkpoint:\n      ranks: 8\n      state_mb_per_rank: 4\n      checkpoints: 100000000\n",
+			"fleet[0].checkpoint.checkpoints: must be <= 65536, got 100000000"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		if code := cmdMain([]string{"validate", path}, &out, &errOut); code != 1 {
+			t.Errorf("%s: exit = %d, want 1", tc.name, code)
+		}
+		if want := "    " + path + ": " + tc.want + "\n"; !strings.Contains(out.String(), want) {
+			t.Errorf("%s: validate output\n%s\nwant a line %q", tc.name, out.String(), want)
+		}
 	}
 }

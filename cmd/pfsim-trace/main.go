@@ -63,14 +63,7 @@ func run(w io.Writer, o options) error {
 	if f.Sharded() {
 		return fmt.Errorf("%s: sharded files cannot be traced; run it with pfsim-scenario", o.path)
 	}
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	plat, err := f.BuildPlatform()
-	if err != nil {
-		return err
-	}
-	scens, err := f.BuildScenarios()
+	plat, scens, err := f.Compile()
 	if err != nil {
 		return err
 	}

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// directivePrefix introduces every suppression/instruction comment the
-// lint suite understands: //pfsim:orderok, //pfsim:wallclockok,
-// //pfsim:goroutineok, //pfsim:hotpath, //pfsim:allocok. Like go:
-// directives they must be line comments with no space after the slashes.
+// directivePrefix introduces every suppression comment the lint suite
+// understands: //pfsim:orderok, //pfsim:wallclockok and
+// //pfsim:goroutineok. Like go: directives they must be line comments
+// with no space after the slashes.
 const directivePrefix = "//pfsim:"
 
 // Directives indexes every //pfsim: comment of a package by file and
@@ -59,26 +59,4 @@ func (d *Directives) Has(pos token.Pos, name string) bool {
 		}
 	}
 	return false
-}
-
-// DocDirectives returns the arguments of every directive named name in
-// a declaration's doc comment group (nil cg is fine). A bare directive
-// contributes an empty-string argument.
-func DocDirectives(cg *ast.CommentGroup, name string) []string {
-	if cg == nil {
-		return nil
-	}
-	var args []string
-	for _, c := range cg.List {
-		text, ok := strings.CutPrefix(c.Text, directivePrefix)
-		if !ok {
-			continue
-		}
-		if text == name {
-			args = append(args, "")
-		} else if rest, ok := strings.CutPrefix(text, name+" "); ok {
-			args = append(args, strings.TrimSpace(rest))
-		}
-	}
-	return args
 }

@@ -52,17 +52,6 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
-
-	cg *CallGraph // lazily built by CallGraph
-}
-
-// CallGraph returns the package's static call graph, built on first use
-// and cached for the rest of the pass.
-func (p *Pass) CallGraph() *CallGraph {
-	if p.cg == nil {
-		p.cg = NewCallGraph(p.Files, p.Pkg, p.TypesInfo)
-	}
-	return p.cg
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -7,67 +7,185 @@ import (
 	"pfsim/internal/sim"
 )
 
-// allocNet builds a warmed net: nLinks disjoint single-link components,
-// two long-running flows each (sizes far beyond the test horizon, so the
-// steady state is pure re-solve/commit/reschedule with no completions),
-// plus enough model toggles to grow every scratch slice and the event
-// pool to their steady capacity. Each link's caps are admitted in
-// descending order, so every solve sorts its capped flows, fixes one at
-// its cap and the other through the flow index.
-func allocNet(nLinks int) (*sim.Engine, *Net, []*Link) {
-	eng := sim.NewEngine()
-	n := NewNet(eng)
-	links := make([]*Link, nLinks)
+// steadyInput is one input of TestSolverSteadyStateAllocs: a net whose
+// flows never drain within the test, and the capacity phases its links
+// cycle through. Each step installs the next phase, link j taking
+// phase[j%len(phase)], and runs the engine step seconds on; a measured
+// cycle runs every phase once, so a branch that only one phase takes
+// still runs on every cycle.
+type steadyInput struct {
+	name string
+	mode solverMode
+	// build creates the input's links on n, admits its flows and returns
+	// the links.
+	build  func(n *Net) []*Link
+	phases [][]CapacityModel
+	// step is the virtual time a cycle advances: 0 re-solves within one
+	// instant, a positive step settles accrual at every change.
+	step float64
+}
+
+// pairLinks builds nLinks disjoint single-link components, each with two
+// long-running flows admitted in descending cap order, so every solve
+// sorts its capped flows, fixes one at its cap and the other through the
+// flow index.
+func pairLinks(nLinks int) func(n *Net) []*Link {
+	return func(n *Net) []*Link {
+		links := make([]*Link, nLinks)
+		for i := range links {
+			links[i] = n.NewLink(fmt.Sprintf("l%d", i), Const(100))
+			n.Start(fmt.Sprintf("f%d", i), 1e12, 80, links[i])
+			n.Start(fmt.Sprintf("g%d", i), 1e12, 30, links[i])
+		}
+		return links
+	}
+}
+
+// meshLinks builds one component of 24 links of five capacities, crossed
+// by 60 flows of two or three links each, every third flow capped. Its
+// solves run many rounds over links whose shares tie, cross and leave
+// the share heap from the middle and the end.
+func meshLinks(n *Net) []*Link {
+	links := make([]*Link, 24)
 	for i := range links {
-		links[i] = n.NewLink("l"+string(rune('a'+i)), Const(100))
+		links[i] = n.NewLink(fmt.Sprintf("m%d", i), Const(float64(40+15*(i%5))))
 	}
-	for i, l := range links {
-		n.Start("f"+string(rune('a'+i)), 1e12, 80, l)
-		n.Start("g"+string(rune('a'+i)), 1e12, 30, l)
+	for j := 0; j < 60; j++ {
+		path := []*Link{links[j%24], links[(5*j+7)%24]}
+		if j%4 == 0 {
+			path = append(path, links[(11*j+3)%24])
+		}
+		maxRate := 0.0
+		if j%3 == 0 {
+			maxRate = float64(3 + (7*j)%11)
+		}
+		n.Start(fmt.Sprintf("m%d", j), 1e12, maxRate, path...)
 	}
-	fast, slow := CapacityModel(Const(100)), CapacityModel(Const(60))
-	for i := 0; i < 16; i++ {
-		m := fast
-		if i%2 == 0 {
-			m = slow
-		}
-		for _, l := range links {
-			l.SetModel(m)
-		}
-		if err := eng.RunUntil(eng.Now()); err != nil {
-			panic(err)
+	return links
+}
+
+// cappedTriples builds four single-link components of three capped flows
+// and one uncapped, the caps admitted out of (cap, admission) order so
+// the reference solver's insertion sort moves every batch.
+func cappedTriples(n *Net) []*Link {
+	links := make([]*Link, 4)
+	for i := range links {
+		links[i] = n.NewLink(fmt.Sprintf("t%d", i), Const(100))
+		for k, maxRate := range []float64{20, 5, 12, 0} {
+			n.Start(fmt.Sprintf("t%d.%d", i, k), 1e12, maxRate, links[i])
 		}
 	}
-	return eng, n, links
+	return links
+}
+
+// stallLinks is pairLinks(4) plus a link carrying one flow, so a
+// thrashing phase sees both a lone stream and a contended one.
+func stallLinks(n *Net) []*Link {
+	links := pairLinks(4)(n)
+	lone := n.NewLink("lone", Const(100))
+	n.Start("lone", 1e12, 0, lone)
+	return append(links, lone)
+}
+
+var steadyInputs = []steadyInput{
+	{
+		name:   "scan",
+		mode:   defaultMode,
+		build:  pairLinks(4),
+		phases: [][]CapacityModel{{Const(100)}, {Const(60)}},
+	},
+	{
+		// Scanning only: live links left with no unfixed flow, and
+		// candidates a later, lower share rejects.
+		name:  "mesh-scan",
+		mode:  scanOnlyMode,
+		build: meshLinks,
+		phases: [][]CapacityModel{
+			{Const(100), Const(40), Const(70)},
+			{Const(55), Thrash{Base: 90, Gamma: 0.2}, Const(40), Const(85)},
+		},
+	},
+	{
+		// The link-share heap from the first round: build, re-key, sift
+		// both ways and walk the saturated set.
+		name:  "share-heap",
+		mode:  heapMode,
+		build: meshLinks,
+		phases: [][]CapacityModel{
+			{Const(100), Const(40), Const(70)},
+			{Const(55), Thrash{Base: 90, Gamma: 0.2}, Const(40), Const(85)},
+		},
+	},
+	{
+		// The oracle, for its insertion sort of capped flows, and its
+		// scan for the next completion, which finds none while every
+		// flow stalls.
+		name:   "reference",
+		mode:   refMode,
+		build:  cappedTriples,
+		phases: [][]CapacityModel{{Const(100)}, {Const(30)}, {Const(0)}},
+	},
+	{
+		// Virtual time passes between changes, so every rate change
+		// settles accrual. One phase moves only the first link's flows
+		// (their completion keys are fixed in place), one stalls every
+		// flow (the completion event is cancelled) and one leaves them a
+		// trickle too slow to finish (rates change, completion keys stay
+		// at +Inf).
+		name:  "shifting",
+		mode:  defaultMode,
+		build: stallLinks,
+		phases: [][]CapacityModel{
+			{Const(100)},
+			{Thrash{Base: 100, Gamma: 0.5}, Const(100), Const(100), Const(100), Thrash{Base: 100, Gamma: 0.5}},
+			{Const(0)},
+			{Const(1e-13)},
+		},
+		step: 1,
+	},
 }
 
 // TestSolverSteadyStateAllocs pins the hot-path discipline end to end:
-// after warm-up, a model-shift -> flush -> re-solve -> commit ->
-// reschedule cycle must not touch the heap allocator at all. This is the
-// runtime counterpart of the hotalloc lint, and the ground truth for the
-// constructs the lint cannot see, such as a local moved to the heap.
+// after warm-up, model-shift -> flush -> re-solve -> commit -> reschedule
+// cycles must not touch the heap allocator at all, whichever search the
+// solve runs.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	eng, _, links := allocNet(4)
-	fast, slow := CapacityModel(Const(100)), CapacityModel(Const(60))
-	cur := fast
-	allocs := testing.AllocsPerRun(200, func() {
-		if cur == fast {
-			cur = slow
-		} else {
-			cur = fast
+	for _, in := range steadyInputs {
+		eng := sim.NewEngine()
+		n := NewNet(eng)
+		n.UseReferenceSolver(in.mode.reference)
+		n.heapRounds, n.heapLinks = in.mode.heapRounds, in.mode.heapLinks
+		links := in.build(n)
+		cycle := 0
+		shift := func() {
+			phase := in.phases[cycle%len(in.phases)]
+			cycle++
+			for j, l := range links {
+				l.SetModel(phase[j%len(phase)])
+			}
 		}
-		for _, l := range links {
-			l.SetModel(cur)
+		period := func() {
+			for range in.phases {
+				eng.Schedule(in.step, shift)
+				if err := eng.RunUntil(eng.Now() + in.step); err != nil {
+					panic(err)
+				}
+			}
 		}
-		if err := eng.RunUntil(eng.Now()); err != nil {
-			panic(err)
+		for i := 0; i < 16; i++ {
+			period()
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state solve allocated %.1f allocs/op, want 0", allocs)
+		before := n.Stats()
+		allocs := testing.AllocsPerRun(100, period)
+		if allocs != 0 {
+			t.Errorf("%s: steady-state solve allocated %.1f allocs/op, want 0", in.name, allocs)
+		}
+		if in.mode.heapRounds == 0 && !in.mode.reference && n.Stats().ShareHeapOps == before.ShareHeapOps {
+			t.Errorf("%s: no share-heap operations", in.name)
+		}
 	}
 }
 
@@ -110,6 +228,171 @@ func TestRetirementKeepsConnectedComponentAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("%d flows: a retirement leaving the component connected allocated %.1f times, want 0", flows, allocs)
+		}
+	}
+}
+
+// bridgeCycleAllocs returns the allocations of one bridge cycle between
+// two groups of group long-running flows, one group on each of two
+// links: a flow admitted across both links merges the groups' components,
+// and when it drains, the second group splits off into a component of
+// its own. The measured cycles start once the registry of components has
+// reached its steady size.
+func bridgeCycleAllocs(group int) float64 {
+	eng := sim.NewEngine()
+	n := NewNet(eng)
+	a, b := n.NewLink("a", Const(1000)), n.NewLink("b", Const(1000))
+	for i := 0; i < group; i++ {
+		n.Start(fmt.Sprintf("a%d", i), 1e12, 0, a)
+		n.Start(fmt.Sprintf("b%d", i), 1e12, 0, b)
+	}
+	cycle := func() {
+		n.Start("bridge", 1, 0, a, b)
+		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+			panic(err)
+		}
+		if n.Components() != 2 {
+			panic("the bridge's component did not split")
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	return testing.AllocsPerRun(100, cycle)
+}
+
+// TestSplitAllocsPerFlow: a retirement that splits a component allocates
+// the split-off class's component record and grows its flow and link
+// lists, a handful of times per class and not once per flow that moves.
+// From 2 to 32 flows per group a cycle allocates four times more, for
+// the doubling growth of the split-off flow list; anything allocated per
+// flow the split moves adds 30.
+func TestSplitAllocsPerFlow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	small, large := bridgeCycleAllocs(2), bridgeCycleAllocs(32)
+	t.Logf("a bridge cycle allocates %v times at 2 flows per group, %v at 32", small, large)
+	if perFlow := (large - small) / (32 - 2); perFlow >= 0.5 {
+		t.Errorf("a split allocates %.3f times per flow it moves, want fewer than 0.5", perFlow)
+	}
+}
+
+// drainRun is a run in which a flow of 0.2 MB at its 1 MB/s cap,
+// admitted at t = 0.1, drains at 0.1 + 0.2 = 0.30000000000000004: the
+// elapsed 0.20000000000000004 s at 1 MB/s rounds past the flow's volume.
+// An event scheduled with the admission runs at that instant, ahead of
+// the completion event; its callbacks are bound once.
+type drainRun struct {
+	eng          *sim.Engine
+	net          *Net
+	link         *Link
+	carried      float64
+	admit, event func()
+}
+
+func newDrainRun(read bool) *drainRun {
+	d := &drainRun{}
+	d.admit = func() {
+		d.eng.Schedule(0.2, d.event)
+		d.net.Start("f", 0.2, 1, d.link)
+	}
+	d.event = func() {}
+	if read {
+		d.event = func() { d.carried = d.link.Carried() }
+	}
+	return d
+}
+
+func (d *drainRun) run() {
+	d.eng = sim.NewEngine()
+	d.net = NewNet(d.eng)
+	d.link = d.net.NewLink("l", Const(10))
+	d.eng.Schedule(0.1, d.admit)
+	if err := d.eng.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestDrainInstantReadAllocs: a telemetry read at the instant a flow
+// drains, ahead of its completion event, settles the flow there, its
+// accrual clamped to the volume left, and allocates nothing more than
+// any other event at that instant.
+func TestDrainInstantReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	quiet, read := newDrainRun(false), newDrainRun(true)
+	if extra := testing.AllocsPerRun(10, read.run) - testing.AllocsPerRun(10, quiet.run); extra != 0 {
+		t.Errorf("a read at the drain instant allocated %v more times than an idle event, want 0", extra)
+	}
+	if read.carried != 0.2 {
+		t.Errorf("carried %v MB at the drain instant, want 0.2", read.carried)
+	}
+}
+
+// countingObserver counts lifecycle callbacks without allocating.
+type countingObserver struct{ started, finished int }
+
+func (o *countingObserver) FlowStarted(*Flow)  { o.started++ }
+func (o *countingObserver) FlowFinished(*Flow) { o.finished++ }
+
+// batchAllocs returns the heap allocations of one StartBatch of flows
+// flows, run to completion on a warmed, observed net: each flow crosses
+// one of eight OST links and the shared backbone, at one of two caps,
+// with one of eight sizes, so the batch fills a component, re-solves it
+// as flows drain in eight waves and retires it.
+func batchAllocs(mode solverMode, flows int) float64 {
+	eng := sim.NewEngine()
+	n := NewNet(eng)
+	n.UseReferenceSolver(mode.reference)
+	obs := &countingObserver{}
+	n.Observe(obs)
+	backbone := n.NewLink("backbone", Const(800))
+	osts := make([]*Link, 8)
+	for i := range osts {
+		osts[i] = n.NewLink(fmt.Sprintf("ost%d", i), Thrash{Base: 120, Gamma: 0.05})
+	}
+	specs := make([]FlowSpec, flows)
+	for i := range specs {
+		specs[i] = FlowSpec{
+			Name:    fmt.Sprintf("w%d", i),
+			SizeMB:  float64(1 + i%8),
+			MaxRate: float64(5 + 5*(i%2)),
+			Path:    []*Link{osts[i%8], backbone},
+		}
+	}
+	batch := func() {
+		n.StartBatch(specs)
+		if err := eng.Run(); err != nil {
+			panic(err)
+		}
+		if n.ActiveFlows() != 0 || obs.finished != obs.started {
+			panic("batch did not drain")
+		}
+	}
+	batch() // grows the net's scratch to the batch's size
+	return testing.AllocsPerRun(3, batch)
+}
+
+// TestAdmissionAllocsPerFlow: admitting a flow allocates its record, its
+// Done signal and that signal's name, and nothing else grows with the
+// batch: its solves, completions and retirement reuse the net's scratch,
+// and the batch's result slice and its component's lists are per batch.
+// One more allocation per admitted flow (a counter or a closure in
+// admit, attach or the completion path) adds 1 to the slope, which the
+// bound, half an allocation, does not allow.
+func TestAdmissionAllocsPerFlow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, mode := range []solverMode{defaultMode, refMode} {
+		small, large := batchAllocs(mode, 64), batchAllocs(mode, 256)
+		perFlow := (large - small) / (256 - 64)
+		t.Logf("%s: a batch allocates %v times at 64 flows, %v at 256: %.3f per added flow", mode.name, small, large, perFlow)
+		if want := 3.0; perFlow < want || perFlow >= want+0.5 {
+			t.Errorf("%s: %.3f allocations per admitted flow, want %v (its record, Done signal and name) and less than %v more",
+				mode.name, perFlow, want, 0.5)
 		}
 	}
 }

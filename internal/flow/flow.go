@@ -470,7 +470,7 @@ func (h compHeap) Swap(i, j int) {
 func (h *compHeap) Push(x any) {
 	f := x.(*Flow)
 	f.heapIdx = len(*h)
-	*h = append(*h, f) //pfsim:allocok heap growth is bounded by the peak active-flow population, then reuses capacity
+	*h = append(*h, f) // grows to the peak active-flow population, then reuses capacity
 }
 func (h *compHeap) Pop() any {
 	old := *h
@@ -783,7 +783,7 @@ func (n *Net) markDirty(c *component) {
 func (n *Net) queueWork(c *component) {
 	if !c.queued {
 		c.queued = true
-		n.work = append(n.work, c) //pfsim:allocok work queue grows to the peak dirty-component count, then reuses capacity
+		n.work = append(n.work, c) // grows to the peak dirty-component count, then reuses capacity
 	}
 	if n.dirtyEv != nil {
 		if !n.reference {
@@ -798,8 +798,6 @@ func (n *Net) queueWork(c *component) {
 // flows, re-solve every dirty component (incremental mode; reference mode
 // solved eagerly at each change), commit the accounting against the
 // instant's final rates, then reschedule the completion event.
-//
-//pfsim:hotpath
 func (n *Net) flushWork() {
 	n.dirtyEv = nil
 	n.flushRebuilds()
@@ -822,7 +820,7 @@ func (n *Net) flushWork() {
 			continue
 		}
 		c.dirty = false
-		solved = append(solved, c) //pfsim:allocok solved scratch grows to the peak dirty-component count, then reuses capacity
+		solved = append(solved, c)
 	}
 	n.work = n.work[:0]
 	n.solveAndCommit(solved)
@@ -882,7 +880,7 @@ func (n *Net) commit(f *Flow) {
 		f.due = due
 		return
 	}
-	n.dueChanged = append(n.dueChanged, dueChange{f, due}) //pfsim:allocok staged re-key list grows to the peak per-flush churn, then reuses capacity
+	n.dueChanged = append(n.dueChanged, dueChange{f, due}) // grows to the peak per-flush churn, then reuses capacity
 }
 
 // flushRebuilds recomputes connectivity for every queued component that
@@ -987,9 +985,9 @@ func (n *Net) rebuildComponent(c *component) {
 // class's component (the class of root, or f alone when it has no path):
 // the class's first flow allocates the component, dirty and pre-queued
 // at the work queue's tail, and each flow appends itself and its links
-// in rebuild order.
-//
-//pfsim:allocok only a class that splits off allocates: its component record and lists, which the retirement that split it pays for
+// in rebuild order. It is the only part of a rebuild that allocates: a
+// split-off class's component record and lists, which the retirement
+// that split it pays for.
 func (n *Net) splitOff(f *Flow, root *Link) {
 	var child *component
 	if root != nil {
@@ -1141,8 +1139,6 @@ func (n *Net) Recompute() {
 // Reference mode shares none of this machinery (assignRatesReference): it
 // is the oracle, so a defect in the component, live-list or index
 // bookkeeping cannot cancel out of the inc-vs-ref property tests.
-//
-//pfsim:hotpath
 func (n *Net) solveComponent(c *component) {
 	ctx := &n.ctx
 	n.solveEpoch++
@@ -1154,7 +1150,7 @@ func (n *Net) solveComponent(c *component) {
 	// compIdx, turn the counts into bucket ends, then fill in reverse, which
 	// leaves off[i] at bucket i's start and every bucket in admission order.
 	nl := len(links) + 1
-	off := slices.Grow(ctx.idx[:0], nl)[:nl] //pfsim:allocok the index buffer grows to the peak component size, then reuses capacity
+	off := slices.Grow(ctx.idx[:0], nl)[:nl] // grows to the peak component size, then reuses capacity
 	clear(off)
 	capped := ctx.capped[:0]
 	left := 0
@@ -1164,7 +1160,7 @@ func (n *Net) solveComponent(c *component) {
 		}
 		left++
 		if f.maxRate > 0 {
-			capped = append(capped, f) //pfsim:allocok capped scratch grows to the peak capped population, then reuses capacity
+			capped = append(capped, f)
 		}
 		for _, l := range f.path {
 			off[l.compIdx]++
@@ -1180,11 +1176,11 @@ func (n *Net) solveComponent(c *component) {
 		end += k
 		off[i] = end
 		if k > 0 {
-			live = append(live, l) //pfsim:allocok live-link scratch grows to the peak component link count, then reuses capacity
+			live = append(live, l)
 		}
 	}
 	off[len(links)] = end
-	idx := slices.Grow(off, int(end))[:nl+int(end)] //pfsim:allocok see above
+	idx := slices.Grow(off, int(end))[:nl+int(end)]
 	off, at := idx[:nl], idx[nl:]
 	for p := len(c.flows) - 1; p >= 0; p-- {
 		f := c.flows[p]
@@ -1220,14 +1216,14 @@ func (n *Net) solveComponent(c *component) {
 			if h := ctx.shares.at; len(h) > 0 {
 				minShare = h[0].share
 				limit = float64(minShare*(1+1e-12)) + 1e-15
-				cand = append(cand, candidate{links[h[0].link], minShare}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
+				cand = append(cand, candidate{links[h[0].link], minShare})
 				visits := 1
 				for i := 0; i < len(cand); i++ {
 					first := 2*int(ctx.shares.pos[cand[i].l.compIdx]) + 1
 					for c := first; c < first+2 && c < len(h); c++ {
 						visits++
 						if e := h[c]; e.share <= limit {
-							cand = append(cand, candidate{links[e.link], e.share}) //pfsim:allocok see above
+							cand = append(cand, candidate{links[e.link], e.share})
 						}
 					}
 				}
@@ -1250,7 +1246,7 @@ func (n *Net) solveComponent(c *component) {
 				// The limit only falls as the scan goes on, so a link rejected
 				// here is never saturated; candidates are re-checked below.
 				if share <= limit {
-					cand = append(cand, candidate{l, share}) //pfsim:allocok candidate scratch grows to the peak link count, then reuses capacity
+					cand = append(cand, candidate{l, share})
 				}
 			}
 			live = live[:w]
@@ -1275,20 +1271,10 @@ func (n *Net) solveComponent(c *component) {
 			continue
 		}
 		if math.IsInf(minShare, 1) {
-			// No link constrains the remaining flows and every cap has been
-			// passed: only flows without a usable cap are left.
-			n.stats.FlowsScanned += int64(len(c.flows))
-			for _, f := range c.flows {
-				if f.finished || f.fixedEpoch == epoch {
-					continue
-				}
-				r := f.maxRate
-				if r <= 0 {
-					panic("flow: unconstrained flow in rate assignment") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
-				}
-				fixFlow(f, r, epoch)
-			}
-			break
+			// No link constrains the remaining flows, and the cursor has
+			// fixed every capped flow: only uncapped flows on links of
+			// infinite capacity are left.
+			panic("flow: unconstrained flow in rate assignment")
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
 		for _, s := range cand {
@@ -1308,7 +1294,7 @@ func (n *Net) solveComponent(c *component) {
 			}
 		}
 		if left == before {
-			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+			panic("flow: progressive filling made no progress")
 		}
 	}
 	for _, l := range ctx.touched {
@@ -1396,11 +1382,11 @@ func (h *shareHeap) down(i int) {
 // it made, one per entry.
 func (ctx *solveCtx) buildShares(live []*Link, nLinks int) int64 {
 	h := &ctx.shares
-	h.pos = slices.Grow(h.pos[:0], nLinks)[:nLinks] //pfsim:allocok share-heap scratch grows to the peak component link count, then reuses capacity
+	h.pos = slices.Grow(h.pos[:0], nLinks)[:nLinks]
 	at := h.at[:0]
 	for _, l := range live {
 		if l.unfixed > 0 {
-			at = append(at, shareEntry{l.share(), int32(l.compIdx)}) //pfsim:allocok see above
+			at = append(at, shareEntry{l.share(), int32(l.compIdx)})
 		}
 	}
 	h.at = at
@@ -1418,7 +1404,7 @@ func (ctx *solveCtx) touch(f *Flow) {
 	for _, l := range f.path {
 		if !l.touched {
 			l.touched = true
-			ctx.touched = append(ctx.touched, l) //pfsim:allocok touched-link scratch grows to the peak component link count, then reuses capacity
+			ctx.touched = append(ctx.touched, l)
 		}
 	}
 }
@@ -1557,7 +1543,7 @@ func (n *Net) assignRatesReference() {
 			if f.finished || f.fixedEpoch == epoch || f.maxRate <= 0 || f.maxRate > minShare {
 				continue
 			}
-			capped = append(capped, f) //pfsim:allocok capped scratch grows to the peak capped population, then reuses capacity
+			capped = append(capped, f)
 		}
 		if len(capped) > 0 {
 			sortCapped(capped)
@@ -1581,7 +1567,7 @@ func (n *Net) assignRatesReference() {
 				}
 				r := f.maxRate
 				if r <= 0 {
-					panic("flow: unconstrained flow in rate assignment") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+					panic("flow: unconstrained flow in rate assignment")
 				}
 				fixFlow(f, r, epoch)
 				unfixedCount--
@@ -1601,7 +1587,7 @@ func (n *Net) assignRatesReference() {
 			}
 			if res/float64(l.unfixed) <= float64(minShare*(1+1e-12))+1e-15 {
 				l.saturated = true
-				sat = append(sat, l) //pfsim:allocok saturated-link scratch grows to the peak link count, then reuses capacity
+				sat = append(sat, l)
 			}
 		}
 		progressed := false
@@ -1627,7 +1613,7 @@ func (n *Net) assignRatesReference() {
 		}
 		sat = sat[:0]
 		if !progressed {
-			panic("flow: progressive filling made no progress") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+			panic("flow: progressive filling made no progress")
 		}
 	}
 	ctx.sat = sat[:0]
@@ -1722,8 +1708,6 @@ func (n *Net) scheduleNext() {
 // (batching simultaneous completions, in admission order), fires their
 // Done signals, and requests a recompute for the touched components —
 // coalesced with any same-instant arrivals the completions trigger.
-//
-//pfsim:hotpath
 func (n *Net) onCompletion() {
 	n.nextEv = nil
 	now := n.eng.Now()
@@ -1731,7 +1715,7 @@ func (n *Net) onCompletion() {
 	if n.reference {
 		for _, f := range n.activeFlows {
 			if !f.finished && f.due <= now {
-				done = append(done, f) //pfsim:allocok completion-batch scratch grows to the peak batch, then reuses capacity
+				done = append(done, f)
 			}
 		}
 	} else {
@@ -1740,7 +1724,7 @@ func (n *Net) onCompletion() {
 		for len(n.completions) > 0 && n.completions[0].due <= now {
 			f := heap.Pop(&n.completions).(*Flow)
 			n.stats.HeapOps++
-			done = append(done, f) //pfsim:allocok completion-batch scratch grows to the peak batch, then reuses capacity
+			done = append(done, f)
 		}
 	}
 	if len(done) == 0 {
@@ -1788,13 +1772,11 @@ func (n *Net) onCompletion() {
 	n.doneScratch = done[:0]
 }
 
-// retire removes a drained flow from its links, the completion heap and
-// the active set, and marks its component for a lazy connectivity rebuild.
+// retire removes a drained flow from its links and the active set, and
+// marks its component for a lazy connectivity rebuild. The flow has left
+// the completion heap already: onCompletion popped it, or, in reference
+// mode, it was never in it.
 func (n *Net) retire(f *Flow) {
-	if f.heapIdx >= 0 {
-		heap.Remove(&n.completions, f.heapIdx)
-		n.stats.HeapOps++
-	}
 	for _, l := range f.path {
 		l.active--
 		if l.active == 0 {
@@ -2071,7 +2053,7 @@ func (n *Net) checkHeap() error {
 }
 
 // Dones collects the completion signals of a flow batch, ready for
-// Proc.WaitAll — the usual coda to StartBatch.
+// sim.AwaitAll — the usual coda to StartBatch.
 func Dones(flows []*Flow) []*sim.Signal {
 	out := make([]*sim.Signal, len(flows))
 	for i, f := range flows {

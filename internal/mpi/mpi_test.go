@@ -450,17 +450,19 @@ func TestSumInWorldRankOrderOnSplit(t *testing.T) {
 }
 
 // roundsRank drives one rank through a fixed number of rounds of
-// BarrierK, AllreduceMinK and AllreduceMaxK. Its continuations are bound
+// BarrierK, AllreduceMinK, AllreduceMaxK and AllreduceSumK on the world
+// or on the communicator a split gave it. Its continuations are bound
 // once, so every allocation a round makes is the collectives' own.
 type roundsRank struct {
-	c      *Comm
-	r      *Rank
-	left   int
-	done   func()
-	onBar  func()
-	onMin  func(float64)
-	onMax  func(float64)
-	onDone func()
+	c       *Comm
+	r       *Rank
+	left    int
+	done    func()
+	onBar   func()
+	onMin   func(float64)
+	onMax   func(float64)
+	onSum   func(*Rank, float64)
+	onSplit func(*Comm)
 }
 
 func (d *roundsRank) round() {
@@ -472,20 +474,43 @@ func (d *roundsRank) round() {
 	d.c.BarrierK(d.r, d.onBar)
 }
 
-func (d *roundsRank) barrier()        { d.c.AllreduceMinK(d.r, d.r.Task().Now(), d.onMin) }
-func (d *roundsRank) reduced(float64) { d.c.AllreduceMaxK(d.r, d.r.Task().Now(), d.onMax) }
-func (d *roundsRank) maxed(float64)   { d.round() }
+func (d *roundsRank) barrier()              { d.c.AllreduceMinK(d.r, d.r.Task().Now(), d.onMin) }
+func (d *roundsRank) reduced(float64)       { d.c.AllreduceMaxK(d.r, d.r.Task().Now(), d.onMax) }
+func (d *roundsRank) maxed(float64)         { d.c.AllreduceSumK(d.r, 1, d.onSum) }
+func (d *roundsRank) summed(*Rank, float64) { d.round() }
+func (d *roundsRank) split(sub *Comm)       { d.c = sub; d.round() }
+
+// A splitting assigns a rank its color and key for SplitK; a nil
+// splitting runs the rounds on the world.
+type splitting func(id int) (color, key int)
+
+var (
+	// Halves in reverse world order: a communicator that searches its
+	// members and sums in world order.
+	reversedHalves splitting = func(id int) (int, int) { return id % 2, -id }
+	// Evens and odds in world order: a communicator whose members are
+	// not consecutive world ranks.
+	interleaved splitting = func(id int) (int, int) { return id % 2, id }
+	// One rank each: collectives with no latency to pay.
+	solo splitting = func(id int) (int, int) { return id, 0 }
+)
 
 // collectiveRoundAllocs returns the heap allocations a size-rank world
-// makes running rounds rounds, its roundsRank values included.
-func collectiveRoundAllocs(size, rounds int) float64 {
+// makes running rounds rounds, after the split if any, its roundsRank
+// values included.
+func collectiveRoundAllocs(size, rounds int, sp splitting) float64 {
 	return testing.AllocsPerRun(3, func() {
 		eng := sim.NewEngine()
 		w := NewWorld(eng, size, 16, 0)
 		w.LaunchTasks(func(r *Rank, done func()) {
 			d := &roundsRank{c: w.Comm(), r: r, left: rounds, done: done}
-			d.onBar, d.onMin, d.onMax = d.barrier, d.reduced, d.maxed
-			d.round()
+			d.onBar, d.onMin, d.onMax, d.onSum, d.onSplit = d.barrier, d.reduced, d.maxed, d.summed, d.split
+			if sp == nil {
+				d.round()
+				return
+			}
+			color, key := sp(r.ID())
+			w.Comm().SplitK(r, color, key, d.onSplit)
 		})
 		if err := eng.Run(); err != nil {
 			panic(err)
@@ -497,21 +522,28 @@ func collectiveRoundAllocs(size, rounds int) float64 {
 // nothing per call once its communicator has made its two rendezvous.
 // Doubling the rounds on an 8- and a 64-rank world adds no allocation:
 // the rendezvous, their contribution vectors, signals and waiter lists
-// are recycled, however many ranks park on them.
+// are recycled, however many ranks park on them. The same holds on the
+// communicators of a split, whether they list their members against
+// world order or hold one rank each.
 func TestCollectiveAllocsPerRoundIndependentOfRanks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	const rounds = 20
-	perRound := map[int]float64{}
-	for _, size := range []int{8, 64} {
-		extra := collectiveRoundAllocs(size, 2*rounds) - collectiveRoundAllocs(size, rounds)
-		perRound[size] = extra / rounds
-	}
-	t.Logf("allocations per round: %v at 8 ranks, %v at 64", perRound[8], perRound[64])
-	if perRound[8] != 0 || perRound[64] != 0 {
-		t.Errorf("%v allocations per round of three collectives at 8 ranks, %v at 64, want 0",
-			perRound[8], perRound[64])
+	for _, in := range []struct {
+		name string
+		sp   splitting
+	}{{"world", nil}, {"interleaved", interleaved}, {"reversed halves", reversedHalves}, {"solo", solo}} {
+		perRound := map[int]float64{}
+		for _, size := range []int{8, 64} {
+			extra := collectiveRoundAllocs(size, 2*rounds, in.sp) - collectiveRoundAllocs(size, rounds, in.sp)
+			perRound[size] = extra / rounds
+		}
+		t.Logf("%s: allocations per round: %v at 8 ranks, %v at 64", in.name, perRound[8], perRound[64])
+		if perRound[8] != 0 || perRound[64] != 0 {
+			t.Errorf("%s: %v allocations per round of four collectives at 8 ranks, %v at 64, want 0",
+				in.name, perRound[8], perRound[64])
+		}
 	}
 }
 

@@ -334,13 +334,15 @@ func sampleInt(d *Dist, rng *stats.RNG, def, floor int) int {
 // on the platform. This is `pfsim-scenario validate`: a passing file
 // cannot fail to launch, though its assertions may still fail.
 func (f *File) Validate() error {
-	_, _, err := f.compile()
+	_, _, err := f.Compile()
 	return err
 }
 
-// compile is Validate, handing back what it built: the resolved platform
-// and the expanded scenarios, ready to run.
-func (f *File) compile() (*cluster.Platform, []workload.Scenario, error) {
+// Compile is Validate, handing back what it built: the resolved platform
+// and the expanded scenarios, ready to run. It is the one pass a caller
+// that runs the file needs; BuildPlatform and BuildScenarios again would
+// compile it twice.
+func (f *File) Compile() (*cluster.Platform, []workload.Scenario, error) {
 	plat, err := f.BuildPlatform()
 	if err != nil {
 		return nil, nil, err

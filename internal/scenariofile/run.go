@@ -99,7 +99,7 @@ func (r *Result) EachJob(fn func(shard int, jr *workload.JobResult)) {
 // returned Result carries the assertion verdict; err is reserved for
 // files that fail to validate or simulate at all.
 func Run(f *File, opts RunOptions) (*Result, error) {
-	plat, scens, err := f.compile()
+	plat, scens, err := f.Compile()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"pfsim/internal/ior"
 )
 
 // File is one parsed declarative scenario: a platform, a fleet of
@@ -553,6 +555,9 @@ func iorSpec(s *section) *IORSpec {
 	default:
 		s.fail("api", "must be ufs, lustre, or plfs, got %q", out.API)
 	}
+	if out.Reps > ior.MaxReps {
+		s.fail("reps", "must be <= %d, got %d", ior.MaxReps, out.Reps)
+	}
 	s.done()
 	return out
 }
@@ -574,6 +579,9 @@ func plfsSpec(s *section) *PLFSSpec {
 			s.fail(v.key, "must be finite and >= 0 (0 = default), got %v", v.mb)
 		}
 	}
+	if out.Reps > ior.MaxReps {
+		s.fail("reps", "must be <= %d, got %d", ior.MaxReps, out.Reps)
+	}
 	s.done()
 	return out
 }
@@ -592,6 +600,9 @@ func checkpointSpec(s *section) *CheckpointSpec {
 	}
 	if out.ComputeSeconds < 0 {
 		s.fail("compute_seconds", "must be >= 0, got %v", out.ComputeSeconds)
+	}
+	if out.Checkpoints > ior.MaxReps {
+		s.fail("checkpoints", "must be <= %d, got %d", ior.MaxReps, out.Checkpoints)
 	}
 	s.done()
 	return out

@@ -70,7 +70,7 @@ func (h eventHeap) Swap(i, j int) {
 func (h *eventHeap) Push(x any) {
 	ev := x.(*Event)
 	ev.index = len(*h)
-	*h = append(*h, ev) //pfsim:allocok queue growth is bounded by the peak event population, then reuses capacity
+	*h = append(*h, ev) // grows to the peak event population, then reuses capacity
 }
 func (h *eventHeap) Pop() any {
 	old := *h
@@ -164,11 +164,9 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Schedule queues fn to run after delay seconds (clamped at zero). It
 // returns the event so callers may cancel it.
-//
-//pfsim:hotpath
 func (e *Engine) Schedule(delay float64, fn func()) *Event {
 	if math.IsNaN(delay) {
-		panic("sim: scheduled with NaN delay") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+		panic("sim: scheduled with NaN delay")
 	}
 	if delay < 0 {
 		delay = 0
@@ -183,19 +181,17 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 // free list when one is available: scheduling allocates only while the
 // in-flight event population is still growing, and a steady-state
 // simulation runs allocation-free.
-//
-//pfsim:hotpath
 func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 	if math.IsNaN(at) {
 		// A NaN deadline compares false against everything, so it would
 		// corrupt the event heap's ordering invariant silently instead of
 		// failing here.
-		panic("sim: scheduled at NaN time") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+		panic("sim: scheduled at NaN time")
 	}
 	if math.IsInf(at, 1) {
 		// An event at +Inf would fire only under Run, after moving the
 		// clock to +Inf, where every later delay is lost.
-		panic("sim: scheduled at +Inf time") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+		panic("sim: scheduled at +Inf time")
 	}
 	if at < e.now {
 		at = e.now
@@ -208,7 +204,7 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 		e.free = e.free[:k]
 		*ev = Event{at: at, seq: e.seq, fn: fn, index: -1}
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1} //pfsim:allocok event-pool growth: reused via Engine.free once fired
+		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1} // the pool grows; recycle returns the record once fired
 	}
 	e.stats.Scheduled++
 	if at == e.now {
@@ -226,7 +222,7 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 func (e *Engine) pushLane(ev *Event) {
 	ev.inLane = true
 	ev.index = len(e.lane)
-	e.lane = append(e.lane, ev) //pfsim:allocok lane growth is bounded by the largest same-instant burst, then reuses capacity
+	e.lane = append(e.lane, ev) // grows to the largest same-instant burst, then reuses capacity
 	e.laneLive++
 }
 
@@ -244,7 +240,7 @@ func (e *Engine) dropLane(ev *Event) {
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.cancelled = true
-	e.free = append(e.free, ev) //pfsim:allocok free-list growth is bounded by the peak event population
+	e.free = append(e.free, ev) // grows to the peak event population
 }
 
 // Reschedule moves a pending event to fire at absolute virtual time at
@@ -293,8 +289,6 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 // Cancel removes a pending event; cancelling a fired or already-cancelled
 // event is a no-op. The cancelled record returns to the engine's free list
 // immediately — see the pooling contract on Event.
-//
-//pfsim:hotpath
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.cancelled || ev.index < 0 {
 		if ev != nil {
@@ -340,8 +334,6 @@ func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
 // An event must not call Run or RunUntil: a nested loop would fire later
 // events inside the current one, out of (time, sequence) order. It
 // panics instead.
-//
-//pfsim:hotpath
 func (e *Engine) RunUntil(tmax float64) error {
 	if e.running {
 		panic("sim: RunUntil called from inside an event")
@@ -399,11 +391,8 @@ func (e *Engine) RunUntil(tmax float64) error {
 // panics, so a caller that recovers can run the engine on.
 func (e *Engine) endRun() { e.running = false }
 
-// deadlockErr builds the blocked-process report for RunUntil. It lives
-// outside the event loop so the hot-path call-graph closure excludes
-// this cold, allocation-heavy error path.
-//
-//pfsim:allocok cold error path: runs once, right before the simulation aborts
+// deadlockErr builds the blocked-process report for RunUntil. It
+// allocates, and runs once, as the simulation aborts.
 func (e *Engine) deadlockErr() error {
 	names := make([]string, len(e.parked))
 	for i, p := range e.parked {

