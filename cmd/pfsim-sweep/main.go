@@ -77,11 +77,14 @@ func main() {
 		best.StripeCount, best.StripeSizeMB, best.MBs)
 
 	if *ga {
+		// The grid was measured under the same options, so the GA reads
+		// the points it holds instead of simulating them again.
 		res, err := sweep.Genetic(plat, sweep.GAOptions{
 			Options: sweep.Options{Tasks: *tasks, Reps: *reps, Parallelism: *parallel},
 			Seed:    plat.Seed,
 			Counts:  counts,
 			SizesMB: sizes,
+			Grid:    grid,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pfsim-sweep:", err)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pfsim/internal/experiments"
 	"pfsim/internal/flow"
 	"pfsim/internal/lustre"
 	"pfsim/internal/scenariofile"
@@ -31,15 +32,25 @@ const countersGolden = "testdata/counters.golden"
 const allocSlackPct = 10
 
 // workCounts is what one run reports: its solver's and its engine's
-// work counters.
+// work counters, summed over its simulations where it runs several.
 type workCounts struct {
 	solver flow.Stats
 	engine sim.Stats
+	// parts counts, for a run of several experiments, each one's
+	// simulations, in run order.
+	parts []simCount
+}
+
+// simCount is one part of a run and the simulations it ran.
+type simCount struct {
+	name        string
+	simulations int
 }
 
 // rows renders c as golden rows, "<run> <counter> <value>", one per
 // field of flow.Stats and sim.Stats, so a counter added to either struct
-// joins the golden.
+// joins the golden, then for a run with parts the simulations in all and
+// one "<run>/<part> simulations <n>" row per part.
 func (c workCounts) rows(run string) []string {
 	var out []string
 	for _, f := range []struct {
@@ -48,6 +59,16 @@ func (c workCounts) rows(run string) []string {
 	}{{"flow", reflect.ValueOf(c.solver)}, {"sim", reflect.ValueOf(c.engine)}} {
 		for i := 0; i < f.v.NumField(); i++ {
 			out = append(out, fmt.Sprintf("%s %s.%s %d", run, f.prefix, f.v.Type().Field(i).Name, f.v.Field(i).Int()))
+		}
+	}
+	if len(c.parts) > 0 {
+		total := 0
+		for _, p := range c.parts {
+			total += p.simulations
+		}
+		out = append(out, fmt.Sprintf("%s simulations %d", run, total))
+		for _, p := range c.parts {
+			out = append(out, fmt.Sprintf("%s/%s simulations %d", run, p.name, p.simulations))
 		}
 	}
 	return out
@@ -77,13 +98,13 @@ func solverRow(name string, plat *Platform, scens ...Scenario) workRun {
 				if err != nil {
 					tb.Fatal(err)
 				}
-				return workCounts{res.Solver, res.Engine}
+				return workCounts{solver: res.Solver, engine: res.Engine}
 			}
 			res, err := workload.RunSharded(plat, scens, 0, func(_ int, sys *lustre.System) { useSolver(sys) })
 			if err != nil {
 				tb.Fatal(err)
 			}
-			return workCounts{res.Solver, res.Engine}
+			return workCounts{solver: res.Solver, engine: res.Engine}
 		}
 	}
 	return workRun{name: name, run: mode(false), reference: mode(true)}
@@ -102,7 +123,9 @@ const checkpointFleetShards = 48
 //     whose ranks meet in MPI collectives around every write;
 //   - one row per scenarios/*.yaml file through scenariofile.Run at
 //     Parallelism 1, solo baselines and assertions included, so a moved
-//     counter names its file.
+//     counter names its file;
+//   - paper-artefacts: every registered experiment in quick mode, its
+//     simulations' counters summed and counted per experiment.
 func workRuns(tb testing.TB) []workRun {
 	tb.Helper()
 	plat1k, sc1k := SolverStressScenario(512)
@@ -119,6 +142,7 @@ func workRuns(tb testing.TB) []workRun {
 			return c
 		}},
 		checkpointFleetRow(tb),
+		{name: "paper-artefacts", run: paperArtefacts},
 	}
 	paths, err := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
 	if err != nil {
@@ -146,11 +170,28 @@ func workRuns(tb testing.TB) []workRun {
 				if !res.Passed() {
 					tb.Fatalf("%s: assertions failed: %v", p, res.Failures)
 				}
-				return workCounts{res.Solver(), res.Engine()}
+				return workCounts{solver: res.Solver(), engine: res.Engine()}
 			},
 		})
 	}
 	return runs
+}
+
+// paperArtefacts regenerates every paper artefact and extra in quick
+// mode on a two-worker pool, the width the benchmark's paper pass uses.
+func paperArtefacts(tb testing.TB) workCounts {
+	var c workCounts
+	for _, id := range append(experiments.IDs(), experiments.ExtraIDs()...) {
+		run, _ := experiments.Lookup(id)
+		o, err := run(experiments.Options{Quick: true, Parallelism: 2})
+		if err != nil {
+			tb.Fatalf("%s: %v", id, err)
+		}
+		c.solver.Add(o.Work.Flow)
+		c.engine.Add(o.Work.Sim)
+		c.parts = append(c.parts, simCount{id, o.Work.Simulations})
+	}
+	return c
 }
 
 // checkpointFleetRow compiles digestFleet replicated over
@@ -180,7 +221,7 @@ func checkpointFleetRow(tb testing.TB) workRun {
 		if len(res.Shards) != checkpointFleetShards {
 			tb.Fatalf("ran %d shards, want %d", len(res.Shards), checkpointFleetShards)
 		}
-		return workCounts{res.Solver, res.Engine}
+		return workCounts{solver: res.Solver, engine: res.Engine}
 	}}
 }
 

@@ -66,7 +66,7 @@ func runFleet(tb testing.TB, writers int) (int, workCounts) {
 	if e.LiveTasks() != 0 {
 		tb.Fatalf("fleet not retired: %d tasks live", e.LiveTasks())
 	}
-	return peak, workCounts{n.Stats(), e.Stats()}
+	return peak, workCounts{solver: n.Stats(), engine: e.Stats()}
 }
 
 // BenchmarkEngineFleet times the engine-fleet run: 100k short-lived

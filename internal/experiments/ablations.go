@@ -25,6 +25,7 @@ func AblationAggregatorCap(opt Options) (*Outcome, error) {
 	scales := []float64{0.5, 1.0, 1.5}
 	tunedBW := make([]float64, len(scales))
 	defBW := make([]float64, len(scales))
+	results := make([]*ior.Result, 2*len(scales))
 	err := opt.each(2*len(scales), func(k int) error {
 		i, half := k/2, k%2
 		scale := scales[i]
@@ -44,6 +45,7 @@ func AblationAggregatorCap(opt Options) (*Outcome, error) {
 		if err != nil {
 			return err
 		}
+		results[k] = res
 		if half == 0 {
 			tunedBW[i] = res.Write.Mean()
 		} else {
@@ -72,6 +74,7 @@ func AblationAggregatorCap(opt Options) (*Outcome, error) {
 			{"tuned BW halves when dispatch halves (ratio)", 0.5, tunedAtHalf / tunedAtBase},
 			{"default BW (OST-bound, insensitive)", defaultAtBase, defaultAtBase},
 		},
+		Work: workOf(results...),
 	}, nil
 }
 
@@ -83,31 +86,24 @@ func AblationThrash(opt Options) (*Outcome, error) {
 	base := opt.platform()
 	t := report.NewTable("Ablation: PLFS log-append thrash",
 		"ThrashGamma", "PLFS BW at 4096 procs")
-	run := func(gamma float64) (float64, error) {
+	gammas := []float64{base.Class[2].ThrashGamma, 0}
+	results := make([]*ior.Result, len(gammas))
+	err := opt.each(len(gammas), func(i int) error {
 		plat := *base
-		plat.Class[2].ThrashGamma = gamma // ClassLogAppend
+		plat.Class[2].ThrashGamma = gammas[i] // ClassLogAppend
 		cfg := ior.PaperConfig(4096)
-		cfg.Label = fmt.Sprintf("abl-thrash-%g", gamma)
+		cfg.Label = fmt.Sprintf("abl-thrash-%g", gammas[i])
 		cfg.API = mpiio.DriverPLFS
 		cfg.SegmentCount = opt.segments(100)
 		cfg.Reps = opt.reps(2)
 		res, err := ior.Run(&plat, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Write.Mean(), nil
-	}
-	gammas := []float64{base.Class[2].ThrashGamma, 0}
-	bws := make([]float64, len(gammas))
-	err := opt.each(len(gammas), func(i int) error {
-		bw, err := run(gammas[i])
-		bws[i] = bw
+		results[i] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	withThrash, noThrash := bws[0], bws[1]
+	withThrash, noThrash := results[0].Write.Mean(), results[1].Write.Mean()
 	t.AddRow(gammas[0], withThrash)
 	t.AddRow(0.0, noThrash)
 	return &Outcome{
@@ -117,6 +113,7 @@ func AblationThrash(opt Options) (*Outcome, error) {
 		Comparisons: []Comparison{
 			{"no-thrash/with-thrash BW ratio (>1.5 expected)", 2, noThrash / withThrash},
 		},
+		Work: workOf(results...),
 	}, nil
 }
 
@@ -127,34 +124,25 @@ func AblationThrash(opt Options) (*Outcome, error) {
 func ExtensionReadback(opt Options) (*Outcome, error) {
 	plat := opt.platform()
 	const procs = 256
-	run := func(api mpiio.Driver, hints mpiio.Hints, label string) (write, read float64, err error) {
+	results := make([]*ior.Result, 2)
+	err := opt.each(2, func(i int) error {
 		cfg := ior.PaperConfig(procs)
-		cfg.Label = label
-		cfg.API = api
-		cfg.Hints = hints
+		cfg.Label, cfg.API, cfg.Hints = "ext-rb-lustre", mpiio.DriverLustre, ior.TunedHints()
+		if i == 1 {
+			cfg.Label, cfg.API, cfg.Hints = "ext-rb-plfs", mpiio.DriverPLFS, mpiio.NewHints()
+		}
 		cfg.ReadFile = true
 		cfg.SegmentCount = opt.segments(100)
 		cfg.Reps = opt.reps(3)
 		res, err := ior.Run(plat, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.Write.Mean(), res.Read.Mean(), nil
-	}
-	var lw, lr, pw, pr float64
-	err := opt.each(2, func(i int) error {
-		if i == 0 {
-			w, rd, err := run(mpiio.DriverLustre, ior.TunedHints(), "ext-rb-lustre")
-			lw, lr = w, rd
-			return err
-		}
-		w, rd, err := run(mpiio.DriverPLFS, mpiio.NewHints(), "ext-rb-plfs")
-		pw, pr = w, rd
+		results[i] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	lw, lr := results[0].Write.Mean(), results[0].Read.Mean()
+	pw, pr := results[1].Write.Mean(), results[1].Read.Mean()
 	t := report.NewTable("Extension: read-back bandwidth at 256 processes (MB/s)",
 		"Driver", "Write", "Read", "Read/Write")
 	t.AddRow("ad_lustre (tuned)", lw, lr, lr/lw)
@@ -169,6 +157,7 @@ func ExtensionReadback(opt Options) (*Outcome, error) {
 		Notes: []string{
 			"PLFS reads recover data from per-rank logs as independent streams; the shared file reads through the same aggregator bottleneck it wrote through.",
 		},
+		Work: workOf(results...),
 	}, nil
 }
 
@@ -185,6 +174,7 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 	stripeCounts := []int{160, 320, 480}
 	solo := make([]float64, len(stripeCounts))
 	avg4 := make([]float64, len(stripeCounts))
+	works := make([]ior.Work, 2*len(stripeCounts))
 	err := opt.each(2*len(stripeCounts), func(k int) error {
 		i, half := k/2, k%2
 		r := stripeCounts[i]
@@ -199,7 +189,7 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 			if err != nil {
 				return err
 			}
-			solo[i] = res.Write.Mean()
+			solo[i], works[k] = res.Write.Mean(), res.Work
 			return nil
 		}
 		contended, err := ior.RunContended(&plat, cfg, 4)
@@ -210,10 +200,15 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 			avg4[i] += c.Write.Mean()
 		}
 		avg4[i] /= 4
+		works[k] = workOf(contended...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	var work ior.Work
+	for _, w := range works {
+		work.Add(w)
 	}
 	var solo160, solo480 float64
 	for i, r := range stripeCounts {
@@ -235,12 +230,15 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 		Notes: []string{
 			"A single job gains almost nothing from striping past 160 — its aggregators are already saturated — while four contending 480-stripe jobs drive every OST to load ~4: all QoS cost, no benefit (Section V, amplified).",
 		},
+		Work: work,
 	}, nil
 }
 
 // ExtensionGATuner compares the Behzad-style genetic autotuner with the
 // exhaustive sweep: it should find a near-optimal configuration with far
-// fewer simulated runs.
+// fewer evaluations. The tuner reads the points the sweep measured from
+// its grid instead of simulating them again, so the comparison costs the
+// sweep's simulations alone.
 func ExtensionGATuner(opt Options) (*Outcome, error) {
 	plat := opt.platform()
 	base := ior.PaperConfig(1024)
@@ -248,24 +246,26 @@ func ExtensionGATuner(opt Options) (*Outcome, error) {
 	base.Reps = 1
 	counts := sweep.CountsUpTo(plat)
 	sizes := []float64{1, 32, 64, 128, 256}
-	grid, err := sweep.Exhaustive(plat, counts, sizes, sweep.Options{
-		Tasks: 1024, Reps: 1, Base: &base, Parallelism: opt.Parallelism,
-	})
+	sweepOpt := sweep.Options{Tasks: 1024, Reps: 1, Base: &base, Parallelism: opt.Parallelism}
+	grid, err := sweep.Exhaustive(plat, counts, sizes, sweepOpt)
 	if err != nil {
 		return nil, err
 	}
 	ga, err := sweep.Genetic(plat, sweep.GAOptions{
-		Options:     sweep.Options{Tasks: 1024, Reps: 1, Base: &base, Parallelism: opt.Parallelism},
+		Options:     sweepOpt,
 		Population:  8,
 		Generations: 5,
 		Seed:        plat.Seed,
 		Counts:      counts,
 		SizesMB:     sizes,
+		Grid:        grid,
 	})
 	if err != nil {
 		return nil, err
 	}
 	best := grid.Best()
+	work := grid.Work
+	work.Add(ga.Work)
 	t := report.NewTable("Extension: GA autotuner vs exhaustive sweep",
 		"Method", "Best config", "BW", "Evaluations")
 	t.AddRow("exhaustive",
@@ -282,5 +282,6 @@ func ExtensionGATuner(opt Options) (*Outcome, error) {
 			{"GA best vs exhaustive best (ratio)", 1, ga.Best.MBs / best.MBs},
 			{"GA evaluation fraction", 0.5, float64(ga.Evaluations) / float64(len(counts)*len(sizes))},
 		},
+		Work: work,
 	}, nil
 }

@@ -87,6 +87,9 @@ type Outcome struct {
 	Comparisons []Comparison
 	// Notes document deviations and modelling caveats.
 	Notes []string
+	// Work counts the simulations the experiment ran and their summed
+	// solver and engine work (zero for the analytic tables).
+	Work ior.Work
 }
 
 // ComparisonTable renders the outcome's comparisons.
@@ -227,6 +230,18 @@ func coreFS(plat *cluster.Platform) core.FileSystem {
 		TotalOSTs:      plat.OSTs,
 		MaxStripeCount: plat.MaxStripeCount,
 	}
+}
+
+// workOf sums the work behind an experiment's results; nil entries, runs
+// quick mode skipped, count nothing.
+func workOf(results ...*ior.Result) ior.Work {
+	var w ior.Work
+	for _, r := range results {
+		if r != nil {
+			w.Add(r.Work)
+		}
+	}
+	return w
 }
 
 // meanOf averages a float slice (0 for empty).

@@ -60,6 +60,8 @@ func Figure1(opt Options) (*Outcome, error) {
 			{"speed-up over default", refdata.Figure1.SpeedupFactor, best.MBs / defBW},
 		},
 	}
+	o.Work = grid.Work
+	o.Work.Add(defRes.Work)
 	oneMB, _ := grid.At(plat.MaxStripeCount, 1)
 	o.Comparisons = append(o.Comparisons,
 		Comparison{"160×1MB MB/s (count-only tuning)", refdata.Figure1.CountTunedMBs, oneMB})
@@ -137,6 +139,7 @@ func Figure2(opt Options) (*Outcome, error) {
 		Notes: []string{
 			"As contention rises the measured curve diverges below the scaled ideal band, as in the paper.",
 		},
+		Work: workOf(results...),
 	}
 	return o, nil
 }
@@ -176,6 +179,7 @@ func Figure3(opt Options) (*Outcome, error) {
 			{"per-task MB/s", refdata.Figure3MBs, mean},
 			{"reduction from solo peak", refdata.Figure3ReductionFactor, refdata.Figure1.BestMBs / mean},
 		},
+		Work: workOf(results...),
 	}
 	return o, nil
 }
@@ -184,7 +188,7 @@ func Figure3(opt Options) (*Outcome, error) {
 // shares its data): tuned ad_lustre against ad_plfs from 16 to 4,096
 // processes.
 func Figure5(opt Options) (*Outcome, error) {
-	rows, err := figure5Rows(opt)
+	rows, work, err := figure5Rows(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +219,7 @@ func Figure5(opt Options) (*Outcome, error) {
 		Notes: []string{
 			"PLFS wins at small scale, peaks around 512 processes, then self-contends and collapses.",
 		},
+		Work: work,
 	}
 	return o, nil
 }
@@ -226,13 +231,18 @@ type f5row struct {
 	paperLustre, paperPLFS     float64
 }
 
-func figure5Rows(opt Options) ([]f5row, error) {
+// figure5Rows runs the Lustre and PLFS IOR jobs at every Table VII scale.
+// They are independent simulations, and the 2×len(TableVII) of them fan
+// across the worker pool largest scale first: the 4,096-rank PLFS run is
+// about a quarter of the work, and started last it would leave the other
+// workers idle at the end. Rows stay in table order.
+func figure5Rows(opt Options) ([]f5row, ior.Work, error) {
 	plat := opt.platform()
-	// Each scale's Lustre and PLFS runs are independent simulations; the
-	// 2×len(TableVII) of them fan across the worker pool.
-	rows := make([]f5row, len(refdata.TableVII))
-	err := opt.each(2*len(refdata.TableVII), func(k int) error {
-		i, half := k/2, k%2
+	scales := len(refdata.TableVII)
+	rows := make([]f5row, scales)
+	results := make([]*ior.Result, 2*scales)
+	err := opt.each(2*scales, func(k int) error {
+		i, half := scales-1-k/2, k%2
 		ref := refdata.TableVII[i]
 		procs := ref.Procs
 		if half == 0 {
@@ -256,6 +266,7 @@ func figure5Rows(opt Options) ([]f5row, error) {
 			if err != nil {
 				return err
 			}
+			results[k] = lres
 			rows[i].lustre = lres.Write.Mean()
 			rows[i].lustreLo, rows[i].lustreHi = lres.Write.CI95()
 			return nil
@@ -271,20 +282,21 @@ func figure5Rows(opt Options) ([]f5row, error) {
 		if err != nil {
 			return err
 		}
+		results[k] = pres
 		rows[i].plfs = pres.Write.Mean()
 		rows[i].plfsLo, rows[i].plfsHi = pres.Write.CI95()
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, ior.Work{}, err
 	}
-	return rows, nil
+	return rows, workOf(results...), nil
 }
 
 // Table7 renders the Figure 5 data in the paper's tabular form with 95%
 // confidence intervals.
 func Table7(opt Options) (*Outcome, error) {
-	rows, err := figure5Rows(opt)
+	rows, work, err := figure5Rows(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -313,5 +325,6 @@ func Table7(opt Options) (*Outcome, error) {
 		Title:       "Numeric data for Figure 5",
 		Tables:      []*report.Table{t},
 		Comparisons: comps,
+		Work:        work,
 	}, nil
 }

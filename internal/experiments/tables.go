@@ -78,6 +78,9 @@ func Table5(opt Options) (*Outcome, error) {
 		Tables:      []*report.Table{t},
 		Comparisons: comps,
 	}
+	for _, results := range perR {
+		o.Work.Add(workOf(results...))
+	}
 	if avg160 > 0 {
 		o.Notes = append(o.Notes, fmt.Sprintf(
 			"Dropping each job's request from 160 to 32 stripes costs %.0f%% bandwidth while freeing ~%.0f%% of in-use OSTs.",
@@ -154,6 +157,7 @@ func plfsCollisions(opt Options, id string, procs, fullReps int, paperDload floa
 			{"mean BW MB/s", meanOf(paperMBs), res.Write.Mean()},
 			{"analytic Dload (Eq. 6)", paperDload, core.PLFSLoad(plat.OSTs, procs)},
 		},
+		Work: res.Work,
 	}
 	return o, nil
 }

@@ -49,7 +49,8 @@
 //     (compacted as they drain), finding the minimum fair share and the
 //     saturated links together, then fixes the saturated links' flows
 //     through an index built once per solve; rate-capped flows are fixed
-//     from a cursor over a list sorted once per solve. A round therefore
+//     from a cursor over a list each component keeps sorted, re-sorted
+//     only after capped flows join it out of order. A round therefore
 //     costs the live links plus the flows it fixes, and a solve with many
 //     rate-fixing rounds — one per share level, hundreds on a PLFS storm —
 //     no longer pays rounds × (links + unfixed flows).
@@ -91,6 +92,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 
 	"pfsim/internal/sim"
 )
@@ -140,19 +143,30 @@ func (t Thrash) Capacity(streams int) float64 {
 // links as a fresh component would. A component outlives retirements:
 // the rebuild after one keeps it for its first surviving class (see
 // rebuildComponent), and it dies only when merged away or emptied.
+//
+// A component also keeps its capped flows in the (maxRate, seq) order
+// the solve fixes them in (see sortCapped). Caps never change, so the
+// order only goes stale when capped flows join: attach appends a flow
+// whose cap is no lower than the last kept one (its seq is the largest)
+// and otherwise clears sorted, a merge clears it, and the next solve
+// sorts afresh (Stats.CappedSorted). Leaving flows keep it sorted: a
+// rebuild filters out the flows that finished or split off, so a solve
+// after retirements sorts nothing.
 type component struct {
-	flows []*Flow // active flows in admission order (finished ones linger until rebuild)
-	links []*Link // links currently carrying this component's flows
+	flows  []*Flow // active flows in admission order (finished ones linger until rebuild)
+	links  []*Link // links currently carrying this component's flows
+	capped []*Flow // the capped flows in (maxRate, seq) order, while sorted holds
 
 	dirty   bool // needs a re-solve at the next flush
 	rebuild bool // lost a flow; connectivity must be recomputed before solving
 	queued  bool // already on Net.work
 	dead    bool // merged away or emptied
+	sorted  bool // capped lists exactly the capped flows, in order
 }
 
 // Link is a shared resource flows traverse.
 type Link struct {
-	name  string
+	name  string // the link's name, or its set's prefix when index >= 0
 	model CapacityModel
 	net   *Net
 
@@ -167,14 +181,22 @@ type Link struct {
 	saturated bool // reference solver: saturated this round
 	touched   bool // queued on solveCtx.touched for a share re-key
 
+	index int32 // position in its NewLinks set, or -1 for a NewLink link
+
 	// scratch used during component rebuilds (union-find over links)
 	dsuParent *Link
 	dsuEpoch  int64
 	child     *component
 }
 
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
+// Name returns the link's name. A member of a NewLinks set is named its
+// set's prefix and its index, formatted here: only reports read names.
+func (l *Link) Name() string {
+	if l.index < 0 {
+		return l.name
+	}
+	return l.name + strconv.Itoa(int(l.index))
+}
 
 // Active reports the number of flows currently crossing the link.
 func (l *Link) Active() int { return l.active }
@@ -233,7 +255,9 @@ type Flow struct {
 	heapIdx int   // position in Net.completions; -1 while not queued
 	seq     int64 // admission order, tie-break for equal due times
 
-	// Done fires when the transfer completes.
+	// Done fires when the transfer completes. It is named after the flow,
+	// so a deadlock report names the transfer a task waits on and
+	// admission builds no name of its own.
 	Done *sim.Signal
 	// onDone, if set, runs synchronously at completion before Done fires —
 	// used to deregister streams from capacity models so the post-completion
@@ -342,6 +366,28 @@ type Stats struct {
 	// whose share the previous round's fixes moved. Zero for solves that
 	// finish within the scan rounds, and in reference mode.
 	ShareHeapOps int64
+	// CappedSorted is the number of capped flows put through a full sort:
+	// a solve sorts its component's capped flows only after a merge, or
+	// after a capped flow joined below the last kept cap (see component),
+	// and then counts the component's whole capped population. Zero in
+	// reference mode, which sorts each round's capped batch instead.
+	CappedSorted int64
+}
+
+// Add folds o's counters into s: the work of several simulations, each
+// with a net of its own, summed.
+func (s *Stats) Add(o Stats) {
+	s.Solves += o.Solves
+	s.ComponentsSolved += o.ComponentsSolved
+	s.ComponentFlowsScanned += o.ComponentFlowsScanned
+	s.LinkVisits += o.LinkVisits
+	s.Coalesced += o.Coalesced
+	s.Rounds += o.Rounds
+	s.FlowsScanned += o.FlowsScanned
+	s.FlowsSettled += o.FlowsSettled
+	s.HeapOps += o.HeapOps
+	s.ShareHeapOps += o.ShareHeapOps
+	s.CappedSorted += o.CappedSorted
 }
 
 // FlowSpec describes one flow for StartBatch.
@@ -362,7 +408,8 @@ type FlowSpec struct {
 type Net struct {
 	eng       *sim.Engine
 	links     []*Link
-	linkNames map[string]bool // NewLink rejects duplicates: names key telemetry
+	linkNames map[string]bool // NewLink's names; duplicates are rejected, as names key telemetry
+	linkSets  map[string]int  // NewLinks prefix -> set size
 
 	// activeFlows holds flows in admission order; completed flows linger
 	// as tombstones (finished == true) and are compacted once they are
@@ -411,7 +458,7 @@ type Net struct {
 type solveCtx struct {
 	live   []*Link     // links still carrying an unfixed flow, in component order
 	cand   []candidate // the round's saturation candidates
-	capped []*Flow     // capped flows in (maxRate, seq) order (reference: one round's batch)
+	capped []*Flow     // reference solver: one round's capped batch
 	sat    []*Link     // reference solver: the round's saturated links
 
 	// idx is the per-solve flow index, offsets then positions: with
@@ -504,21 +551,93 @@ func (n *Net) Engine() *sim.Engine { return n.eng }
 // NewLink adds a link with the given capacity model. Link names key
 // telemetry and error reporting, so duplicates are a caller bug: two
 // shards built with the same prefix would silently alias each other's
-// carried-volume labels. NewLink panics on a duplicate; callers that can
-// see a clash coming check HasLink first and surface an error
+// carried-volume labels. NewLink panics on a name any link of the net
+// already has, a NewLinks member's included; callers that can see a
+// clash coming check HasLink first and surface an error
 // (lustre.NewSharedSystem validates its prefix this way).
 func (n *Net) NewLink(name string, model CapacityModel) *Link {
-	if n.linkNames[name] {
+	if n.HasLink(name) {
 		panic(fmt.Sprintf("flow: duplicate link name %q", name))
 	}
 	n.linkNames[name] = true
-	l := &Link{name: name, model: model, net: n, compIdx: -1}
+	l := &Link{name: name, model: model, net: n, compIdx: -1, index: -1}
 	n.links = append(n.links, l)
 	return l
 }
 
+// NewLinks adds count links sharing one capacity model (nil when the
+// caller installs each link's own with SetModel before use), named
+// prefix+"0" through prefix+strconv.Itoa(count-1). The links are one
+// allocation and their names are formatted only when read, so a file
+// system's thousands of NICs and OSTs cost a few allocations, not several
+// per link. NewLinks panics if any of the names is taken, by a NewLink
+// link or by a member of an earlier set, the duplicate-name rule of
+// NewLink.
+func (n *Net) NewLinks(prefix string, count int, model CapacityModel) []*Link {
+	if count < 0 || count > math.MaxInt32 {
+		panic(fmt.Sprintf("flow: link set %q of %d links", prefix, count))
+	}
+	if count == 0 {
+		return nil
+	}
+	// A member of one set is a member of another exactly when the longer
+	// prefix extends the shorter by a decimal, and that decimal followed
+	// by "0", its smallest extension, falls in the shorter prefix's set.
+	for p, size := range n.linkSets { //pfsim:orderok — any overlap panics, naming the new set
+		if setHas(p+"0", prefix, count) || setHas(prefix+"0", p, size) {
+			panic(fmt.Sprintf("flow: link set %q of %d links overlaps the set %q", prefix, count, p))
+		}
+	}
+	for name := range n.linkNames { //pfsim:orderok — any clash panics, naming the new set
+		if setHas(name, prefix, count) {
+			panic(fmt.Sprintf("flow: link set %q of %d links covers an existing link's name", prefix, count))
+		}
+	}
+	if n.linkSets == nil {
+		n.linkSets = map[string]int{}
+	}
+	n.linkSets[prefix] = count
+	slab := make([]Link, count)
+	out := make([]*Link, count)
+	for i := range slab {
+		slab[i] = Link{name: prefix, model: model, net: n, compIdx: -1, index: int32(i)}
+		out[i] = &slab[i]
+	}
+	n.links = append(n.links, out...)
+	return out
+}
+
 // HasLink reports whether a link with the given name exists on the net.
-func (n *Net) HasLink(name string) bool { return n.linkNames[name] }
+// A set member's name is its set's prefix followed by a decimal index, so
+// each split of the name's trailing digits is looked up as a prefix.
+func (n *Net) HasLink(name string) bool {
+	if n.linkNames[name] {
+		return true
+	}
+	for k := len(name) - 1; k >= 0 && '0' <= name[k] && name[k] <= '9'; k-- {
+		if size, ok := n.linkSets[name[:k]]; ok && setHas(name, name[:k], size) {
+			return true
+		}
+	}
+	return false
+}
+
+// setHas reports whether name is prefix+strconv.Itoa(i) for some i in
+// [0, size).
+func setHas(name, prefix string, size int) bool {
+	r, ok := strings.CutPrefix(name, prefix)
+	if !ok || r == "" || len(r) > 10 || (r[0] == '0' && len(r) > 1) {
+		return false
+	}
+	i := 0
+	for _, c := range []byte(r) {
+		if c < '0' || c > '9' {
+			return false
+		}
+		i = i*10 + int(c-'0')
+	}
+	return i < size
+}
 
 // ActiveFlows reports the number of unfinished flows.
 func (n *Net) ActiveFlows() int { return n.activeCount }
@@ -623,7 +742,7 @@ func (n *Net) admit(sp FlowSpec) *Flow {
 		started:   n.eng.Now(),
 		settledAt: n.eng.Now(),
 		net:       n,
-		Done:      n.eng.NewSignal("flow:" + sp.Name),
+		Done:      n.eng.NewSignal(sp.Name),
 		onDone:    sp.OnDone,
 		due:       math.Inf(1),
 		heapIdx:   -1,
@@ -685,11 +804,20 @@ func (n *Net) attach(f *Flow) {
 		target = n.merge(target, c)
 	}
 	if target == nil {
-		target = &component{}
+		target = &component{sorted: true}
 		n.addComp(target)
 	}
 	f.comp = target
 	target.flows = append(target.flows, f) // f.seq is the largest: order kept
+	if f.maxRate > 0 && target.sorted {
+		// f's seq is the largest too, so a cap no lower than the last
+		// kept one extends the order; a lower one leaves it to a sort.
+		if k := len(target.capped); k == 0 || target.capped[k-1].maxRate <= f.maxRate {
+			target.capped = append(target.capped, f) // grows to the component's peak capped population, then reuses capacity
+		} else {
+			target.sorted = false
+		}
+	}
 	for _, l := range f.path {
 		if l.comp == nil {
 			l.comp = target
@@ -734,8 +862,9 @@ func (n *Net) merge(a, b *component) *component {
 	if b.rebuild {
 		a.rebuild = true
 	}
+	a.sorted = false
 	b.dead = true
-	b.flows, b.links = nil, nil
+	b.flows, b.links, b.capped = nil, nil, nil
 	n.deadComps++
 	return a
 }
@@ -974,10 +1103,22 @@ func (n *Net) rebuildComponent(c *component) {
 	if kept == 0 {
 		c.dead = true
 		c.dirty = false
-		c.flows, c.links = nil, nil
+		c.flows, c.links, c.capped = nil, nil, nil
 		n.deadComps++
 		return
 	}
+	// The kept class's capped flows are the sorted list's members still
+	// claiming c: retire cleared a finished flow's component, and splitOff
+	// moved every other class's flows to their own, unsorted, components.
+	w := 0
+	for _, f := range c.capped {
+		if f.comp == c {
+			c.capped[w] = f
+			w++
+		}
+	}
+	clear(c.capped[w:])
+	c.capped = c.capped[:w]
 	c.dirty = true
 }
 
@@ -1131,9 +1272,10 @@ func (n *Net) Recompute() {
 // walk pruned at the tolerance — the same minimum bits and the same set
 // the scan finds. Every flow a bottleneck round fixes gets the same rate,
 // so each link's residual receives the same sequence of subtractions in
-// any fix order. Rate-capped flows are sorted by (cap, admission) once
-// per solve and fixed from a cursor in exactly the batches and order the
-// reference solver fixes them in (see sortCapped), so the residual
+// any fix order. Rate-capped flows are fixed from a cursor over the
+// component's kept (cap, admission) order (see component), sorted afresh
+// only after capped flows joined it out of order, in exactly the batches
+// and order the reference solver fixes them in (see sortCapped), so the residual
 // arithmetic is bit-identical to the reference solver's monolithic pass
 // restricted to this component.
 // Reference mode shares none of this machinery (assignRatesReference): it
@@ -1152,20 +1294,29 @@ func (n *Net) solveComponent(c *component) {
 	nl := len(links) + 1
 	off := slices.Grow(ctx.idx[:0], nl)[:nl] // grows to the peak component size, then reuses capacity
 	clear(off)
-	capped := ctx.capped[:0]
+	resort := !c.sorted
+	if resort {
+		c.capped = c.capped[:0]
+	}
 	left := 0
 	for _, f := range c.flows {
 		if f.finished {
 			continue
 		}
 		left++
-		if f.maxRate > 0 {
-			capped = append(capped, f)
+		if resort && f.maxRate > 0 {
+			c.capped = append(c.capped, f) // grows to the component's peak capped population, then reuses capacity
 		}
 		for _, l := range f.path {
 			off[l.compIdx]++
 		}
 	}
+	if resort {
+		slices.SortFunc(c.capped, cmpCapped)
+		c.sorted = true
+		n.stats.CappedSorted += int64(len(c.capped))
+	}
+	capped := c.capped
 	n.stats.ComponentFlowsScanned += int64(left)
 	live := ctx.live[:0]
 	end := int32(0)
@@ -1191,9 +1342,6 @@ func (n *Net) solveComponent(c *component) {
 			off[l.compIdx]--
 			at[off[l.compIdx]] = int32(p)
 		}
-	}
-	if !slices.IsSortedFunc(capped, cmpCapped) {
-		slices.SortFunc(capped, cmpCapped)
 	}
 	next := 0 // every capped flow before next is fixed
 
@@ -1302,8 +1450,6 @@ func (n *Net) solveComponent(c *component) {
 	}
 	ctx.touched = ctx.touched[:0]
 	ctx.shares.at = ctx.shares.at[:0]
-	clear(capped)
-	ctx.capped = capped[:0]
 	ctx.cand = cand[:0]
 	ctx.live = live[:0]
 	ctx.idx = idx[:0]
@@ -1464,8 +1610,8 @@ func cmpCapped(a, b *Flow) int {
 // sortCapped orders the reference solver's per-round capped batch by
 // ascending (maxRate, seq) — a strict total order (seq is unique), so the
 // result is identical to any other correct sort of the same keys; the
-// incremental solver sorts each component's capped flows once per solve
-// by the same order (cmpCapped). The ordering matters for bit-exactness:
+// incremental solver keeps each component's capped flows in the same
+// order (cmpCapped, see component). The ordering matters for bit-exactness:
 // fair shares are non-decreasing across rounds, so fixing each round's
 // capped batch in cap order makes the overall capped sequence globally
 // cap-sorted — invariant under how rounds partition it, and therefore
@@ -1876,7 +2022,7 @@ func (n *Net) CheckInvariants() error {
 		for _, l := range f.path {
 			loads[l] += f.rate
 			if l.comp != f.comp {
-				return fmt.Errorf("flow: %q crosses link %q outside its component", f.name, l.name)
+				return fmt.Errorf("flow: %q crosses link %q outside its component", f.name, l.Name())
 			}
 		}
 	}
@@ -1887,12 +2033,12 @@ func (n *Net) CheckInvariants() error {
 	for _, l := range n.links {
 		cap := l.model.Capacity(l.active)
 		if load := loads[l]; load > float64(cap*(1+1e-6))+1e-9 {
-			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.name, load, cap)
+			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.Name(), load, cap)
 		}
 		inComp := l.comp != nil && !l.comp.dead &&
 			l.compIdx >= 0 && l.compIdx < len(l.comp.links) && l.comp.links[l.compIdx] == l
 		if (l.active > 0) != inComp {
-			return fmt.Errorf("flow: link %q active=%d but component membership %v", l.name, l.active, inComp)
+			return fmt.Errorf("flow: link %q active=%d but component membership %v", l.Name(), l.active, inComp)
 		}
 		if l.active > 0 {
 			activeLinks++
@@ -1963,8 +2109,9 @@ func (n *Net) CheckMaxMin() error {
 
 // checkComponents verifies the component partition: live components hold
 // exactly the live flows (each once, in admission order), their links
-// point back at them, and no settled component is left dirty or pending
-// rebuild.
+// point back at them, a kept capped-flow order is what a fresh sort of
+// the component's capped flows gives, and no settled component is left
+// dirty or pending rebuild.
 func (n *Net) checkComponents() error {
 	seen := 0
 	dead := 0
@@ -1993,12 +2140,25 @@ func (n *Net) checkComponents() error {
 			prev = f.seq
 			seen++
 		}
+		if c.sorted {
+			var fresh []*Flow
+			for _, f := range c.flows {
+				if f.maxRate > 0 {
+					fresh = append(fresh, f)
+				}
+			}
+			slices.SortFunc(fresh, cmpCapped)
+			if !slices.Equal(fresh, c.capped) {
+				return fmt.Errorf("flow: component with %d flows keeps %d capped flows out of (cap, admission) order or membership; a fresh sort gives %d",
+					len(c.flows), len(c.capped), len(fresh))
+			}
+		}
 		for _, l := range c.links {
 			if l.comp != c {
-				return fmt.Errorf("flow: link %q listed in a component it does not claim", l.name)
+				return fmt.Errorf("flow: link %q listed in a component it does not claim", l.Name())
 			}
 			if l.active == 0 {
-				return fmt.Errorf("flow: idle link %q lingers in a component", l.name)
+				return fmt.Errorf("flow: idle link %q lingers in a component", l.Name())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -437,6 +438,65 @@ func TestCheckInvariants(t *testing.T) {
 	e.Stop()
 }
 
+// TestLinkSets: a NewLinks member is named its set's prefix and index,
+// HasLink finds members by name, and every name clash panics as a
+// NewLink duplicate does: a NewLink name inside a set, a set over a
+// NewLink name, and two sets that share a member.
+func TestLinkSets(t *testing.T) {
+	n := NewNet(sim.NewEngine())
+	nics := n.NewLinks("nic", 12, Const(10))
+	if len(nics) != 12 {
+		t.Fatalf("NewLinks made %d links, want 12", len(nics))
+	}
+	for i, l := range nics {
+		if got, want := l.Name(), "nic"+strconv.Itoa(i); got != want {
+			t.Errorf("member %d is named %q, want %q", i, got, want)
+		}
+	}
+	n.NewLink("backbone", Const(100))
+	n.NewLink("oss3", Const(100))
+	for _, name := range []string{"nic0", "nic7", "nic11", "backbone", "oss3"} {
+		if !n.HasLink(name) {
+			t.Errorf("HasLink(%q) = false", name)
+		}
+	}
+	for _, name := range []string{"nic", "nic12", "nic01", "nic-1", "nic+1", "nic1x", "ni", "backbone0", "oss"} {
+		if n.HasLink(name) {
+			t.Errorf("HasLink(%q) = true", name)
+		}
+	}
+	for _, ok := range []struct {
+		prefix string
+		count  int
+	}{{"nic2", 1}, {"ni", 5}, {"x1", 5}, {"x", 10}, {"x0", 3}, {"y1", 5}} {
+		n.NewLinks(ok.prefix, ok.count, Const(1))
+	}
+	for _, clash := range []struct {
+		what string
+		add  func()
+	}{
+		{"a NewLink name inside a set", func() { n.NewLink("nic7", Const(1)) }},
+		{"a set over a NewLink name", func() { n.NewLinks("oss", 4, Const(1)) }},
+		{"a set with a taken prefix", func() { n.NewLinks("nic", 1, Const(1)) }},
+		{"a set extending a set's prefix into its range", func() { n.NewLinks("nic1", 1, Const(1)) }},
+		{"a set whose range covers a longer prefix's set", func() { n.NewLinks("y", 11, Const(1)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", clash.what)
+				}
+			}()
+			clash.add()
+		}()
+	}
+	// The clashing sets were refused whole: "oss" stops short of oss3.
+	n.NewLinks("oss", 3, Const(1))
+	if got := n.NewLinks("empty", 0, Const(1)); got != nil || n.HasLink("empty0") {
+		t.Errorf("an empty set made links %v", got)
+	}
+}
+
 // TestCheckMaxMinRejectsZeroedRate: zeroing one flow's rate after a solve
 // leaves a feasible allocation, which the max-min certificate must reject
 // whichever solver produced the rates.
@@ -484,5 +544,23 @@ func TestCheckInvariantsRandomised(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		e.Stop()
+	}
+}
+
+// TestStatsAddCoversEveryField: Stats.Add sums every counter, so a field
+// added to Stats without a line in Add fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one, sum Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Int() != 2*int64(i+1) {
+			t.Errorf("Add sums %s to %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), 2*(i+1))
+		}
 	}
 }

@@ -112,9 +112,13 @@ func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
 // from the first round). Start times, finish times and carried volumes
 // must be bit-identical, and CheckInvariants and CheckMaxMin must hold
 // inside every op event and after every flush (matchesReference). Seeds
-// live in testdata/fuzz/FuzzSolver; one is a 48-link topology whose flows
-// settle at distinct share levels, so its solves outlast the switch rule
-// and the default strategy finishes them from the heap.
+// live in testdata/fuzz/FuzzSolver. many-rounds is a 48-link topology
+// whose flows settle at distinct share levels, so its solves outlast the
+// switch rule and the default strategy finishes them from the heap. In
+// capped-merge-split, two groups of capped flows admitted out of cap
+// order merge through a capped bridge and split when it drains, a flow
+// capped below the kept caps joins one, and every capped flow finishes:
+// each way a component's kept capped order changes.
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo, ops := decodeSolverInput(data)

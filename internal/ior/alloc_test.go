@@ -65,8 +65,8 @@ func TestRepetitionAllocsIndependentOfRanks(t *testing.T) {
 // where each rank does I/O of its own, from 8 ranks on one node to 64 on
 // four:
 //   - independent writes: each rank starts a flow per stripe its
-//     segments touch, each with its record, Done signal and name, beside
-//     the rank's request and signal lists and its wait's closures;
+//     segments touch, each with its record and Done signal, beside the
+//     rank's request and signal lists and its wait's closures;
 //   - file per process: each rank splits off a communicator and opens,
 //     writes and closes a file of its own;
 //   - PLFS: each rank opens, appends to and closes its own log.
@@ -82,9 +82,9 @@ func TestRepetitionAllocsPerRank(t *testing.T) {
 		cfg     func(*Config)
 		perRank float64
 	}{
-		{"independent", func(c *Config) { c.Collective = false }, 26},
-		{"file per process", func(c *Config) { c.FilePerProc = true }, 62.6},
-		{"plfs", func(c *Config) { c.API = mpiio.DriverPLFS }, 48.05},
+		{"independent", func(c *Config) { c.Collective = false }, 24},
+		{"file per process", func(c *Config) { c.FilePerProc = true }, 60.6},
+		{"plfs", func(c *Config) { c.API = mpiio.DriverPLFS }, 40.35},
 	} {
 		base := PaperConfig(8)
 		in.cfg(&base)

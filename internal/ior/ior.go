@@ -144,6 +144,31 @@ type Result struct {
 	// PLFS holds the realised per-rank backend assignment per repetition
 	// for PLFS runs.
 	PLFS []core.Assignment
+	// Work is the simulation behind the result: Run's one simulation.
+	// The jobs of one RunContended simulation share it, so the first
+	// job's result carries it and the others' are zero; summing Work over
+	// results counts every simulation once. A StartJob result, whose
+	// simulation its caller runs, has none.
+	Work Work
+}
+
+// Work counts simulations and their summed solver and engine work.
+type Work struct {
+	Simulations int
+	Flow        flow.Stats
+	Sim         sim.Stats
+}
+
+// Add folds o into w.
+func (w *Work) Add(o Work) {
+	w.Simulations += o.Simulations
+	w.Flow.Add(o.Flow)
+	w.Sim.Add(o.Sim)
+}
+
+// simulated is the Work of one finished simulation on sys.
+func simulated(sys *lustre.System) Work {
+	return Work{Simulations: 1, Flow: sys.Net().Stats(), Sim: sys.Engine().Stats()}
 }
 
 // PerProcWrite returns write bandwidth divided by task count — the
@@ -174,6 +199,7 @@ func Run(plat *cluster.Platform, cfg Config) (*Result, error) {
 	if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("ior: simulation failed: %w", err)
 	}
+	res.Work = simulated(sys)
 	return res, job.err
 }
 
@@ -212,6 +238,7 @@ func RunContended(plat *cluster.Platform, base Config, n int) ([]*Result, error)
 			return nil, jb.err
 		}
 	}
+	results[0].Work = simulated(sys)
 	return results, nil
 }
 

@@ -51,8 +51,8 @@ func (s *System) LinkByName(name string) (*flow.Link, error) {
 // brownout (factor near 0) or recovery (factor 1). Negative factors
 // clamp to 0 like OST.SetHealth.
 func (s *System) SetAllOSTHealth(factor float64) {
-	for _, o := range s.osts {
-		o.SetHealth(factor)
+	for i := range s.osts {
+		s.osts[i].SetHealth(factor)
 	}
 }
 
@@ -95,17 +95,16 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
 	}
 	sources := opts.Sources
 	if len(sources) == 0 {
-		tgt := s.osts[target]
-		for _, o := range s.osts {
-			if o.oss == tgt.oss && o.id != target {
-				sources = append(sources, o.id)
+		for i := range s.osts {
+			if s.osts[i].oss == s.osts[target].oss && i != target {
+				sources = append(sources, i)
 			}
 		}
 		if len(sources) == 0 {
 			// Single-OST OSS: pull across the backbone from the next OSS.
-			for _, o := range s.osts {
-				if o.id != target {
-					sources = append(sources, o.id)
+			for i := range s.osts {
+				if i != target {
+					sources = append(sources, i)
 					break
 				}
 			}
@@ -119,13 +118,13 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
 			panic(fmt.Sprintf("lustre: rebuild source %d is the target", src))
 		}
 	}
-	tgt := s.osts[target]
+	tgt := &s.osts[target]
 	per := opts.SizeMB / float64(streams)
 	pending := streams
 	specs := make([]flow.FlowSpec, streams)
 	const rebuildRPCMB = 1.0 // resync chunks stream in ~1 MB requests
 	for i := 0; i < streams; i++ {
-		src := s.osts[sources[i%len(sources)]]
+		src := &s.osts[sources[i%len(sources)]]
 		s.rebuildSeq--
 		fileID := s.rebuildSeq
 		rd := src.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)

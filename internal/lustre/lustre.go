@@ -29,7 +29,8 @@ type System struct {
 	backbone *flow.Link
 	nics     []*flow.Link
 	osss     []*flow.Link
-	osts     []*OST
+	osts     []OST
+	thrash   thrashTable
 
 	mds     *MDS
 	rng     *stats.RNG
@@ -54,8 +55,11 @@ func NewSystem(eng *sim.Engine, plat *cluster.Platform, rng *stats.RNG) (*System
 // its own component and a change in one never scans the others. The
 // prefix namespaces link and resource labels (e.g. "fs0/backbone") and
 // must be unique per shared net: a reused prefix would alias the two
-// shards' telemetry labels, so it is rejected here (flow.Net.NewLink
-// additionally panics on any duplicate link name as a backstop).
+// shards' telemetry labels, so it is rejected here (flow.Net.NewLink and
+// NewLinks additionally panic on any duplicate link name as a backstop).
+// NICs, OSS links and OSTs are built as one slab each, their names
+// formatted only when read, so a build costs a few dozen allocations
+// however large the platform.
 func NewSharedSystem(eng *sim.Engine, net *flow.Net, plat *cluster.Platform, rng *stats.RNG, prefix string) (*System, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
@@ -70,22 +74,20 @@ func NewSharedSystem(eng *sim.Engine, net *flow.Net, plat *cluster.Platform, rng
 		net:    net,
 		rng:    rng,
 		prefix: prefix,
+		thrash: thrashTable{plat: plat},
 	}
 	s.backbone = net.NewLink(prefix+"backbone", flow.Const(plat.BackboneMBs))
-	s.nics = make([]*flow.Link, plat.Nodes)
-	for i := range s.nics {
-		s.nics[i] = net.NewLink(fmt.Sprintf("%snic%d", prefix, i), flow.Const(plat.NICMBs))
-	}
-	s.osss = make([]*flow.Link, plat.OSSs)
-	for i := range s.osss {
-		s.osss[i] = net.NewLink(fmt.Sprintf("%soss%d", prefix, i), flow.Const(plat.OSSMBs))
-	}
-	s.osts = make([]*OST, plat.OSTs)
+	s.nics = net.NewLinks(prefix+"nic", plat.Nodes, flow.Const(plat.NICMBs))
+	s.osss = net.NewLinks(prefix+"oss", plat.OSSs, flow.Const(plat.OSSMBs))
+	// Every OST link gets a model of its own, with its own jitter draw.
+	links := net.NewLinks(prefix+"ost", plat.OSTs, nil)
+	models := make([]ostModel, plat.OSTs)
+	s.osts = make([]OST, plat.OSTs)
 	for i := range s.osts {
-		m := &ostModel{plat: plat, jitter: rng.Jitter(plat.JitterCV), health: 1}
-		ost := &OST{id: i, oss: plat.OSSOf(i), model: m, sys: s}
-		ost.link = net.NewLink(fmt.Sprintf("%sost%d", prefix, i), m)
-		s.osts[i] = ost
+		m := &models[i]
+		*m = ostModel{sys: s, jitter: rng.Jitter(plat.JitterCV), health: 1}
+		links[i].SetModel(m)
+		s.osts[i] = OST{id: i, oss: plat.OSSOf(i), link: links[i], model: m, sys: s}
 	}
 	s.mds = &MDS{
 		sys: s,
@@ -127,7 +129,7 @@ func (s *System) MDS() *MDS { return s.mds }
 func (s *System) RNG() *stats.RNG { return s.rng }
 
 // OST returns target i.
-func (s *System) OST(i int) *OST { return s.osts[i] }
+func (s *System) OST(i int) *OST { return &s.osts[i] }
 
 // NumOSTs returns the OST population (Dtotal).
 func (s *System) NumOSTs() int { return len(s.osts) }
@@ -208,9 +210,10 @@ func (o *OST) Health() float64 { return o.model.health }
 // scaled by its RPC-size efficiency, jobs counts distinct files with
 // active streams (streams of one collective job are coordinated and do
 // not self-interfere), and penalty blends each present class's thrash
-// curve (see cluster.ClassParams.Penalty) weighted by its job share.
+// curve (see cluster.ClassParams.Penalty, tabulated per system by
+// thrashTable) weighted by its job share.
 type ostModel struct {
-	plat   *cluster.Platform
+	sys    *System
 	jitter float64
 	health float64 // degradation factor; 1 = healthy
 
@@ -235,7 +238,7 @@ func (m *ostModel) Capacity(int) float64 {
 	if m.totalStreams == 0 {
 		// Idle link: report the best single-stream service rate; harmless
 		// since no flow crosses the link.
-		return m.health * m.jitter * m.plat.Class[cluster.ClassSequential].BaseMBs
+		return m.health * m.jitter * m.sys.plat.Class[cluster.ClassSequential].BaseMBs
 	}
 	meanBase := m.sumEffBase / float64(m.totalStreams)
 	jobs := 0
@@ -249,12 +252,34 @@ func (m *ostModel) Capacity(int) float64 {
 			continue
 		}
 		share := float64(jc) / float64(jobs)
-		denom += float64(share * m.plat.Class[c].Penalty(float64(jobs)))
+		denom += float64(share * m.sys.thrash.penalty(c, jobs))
 	}
 	if denom < 1 {
 		denom = 1
 	}
 	return m.health * m.jitter * meanBase / denom
+}
+
+// thrashTable tabulates cluster.ClassParams.Penalty by stream class and
+// job count for one system: every OST capacity solve reads a penalty, and
+// the log-append class's curve is a math.Pow per read. Rows grow to the
+// largest job count an OST has seen, each entry computed once by Penalty
+// itself, so a read returns Penalty's bits.
+type thrashTable struct {
+	plat *cluster.Platform
+	rows [3][]float64 // rows[class][jobs]
+}
+
+// penalty returns plat.Class[class].Penalty(float64(jobs)).
+func (t *thrashTable) penalty(class, jobs int) float64 {
+	row := t.rows[class]
+	if jobs >= len(row) {
+		for len(row) <= jobs {
+			row = append(row, t.plat.Class[class].Penalty(float64(len(row))))
+		}
+		t.rows[class] = row
+	}
+	return row[jobs]
 }
 
 // Stream is a registered I/O stream on an OST. Registration makes the
@@ -280,7 +305,8 @@ func (o *OST) AddStream(class cluster.StreamClass, fileID int, rpcMB float64) *S
 	m.classJobs[class][fileID]++
 	m.classStreams[class]++
 	m.totalStreams++
-	eff := float64(m.plat.Class[class].BaseMBs * m.plat.Class[class].Efficiency(rpcMB))
+	cp := &m.sys.plat.Class[class]
+	eff := float64(cp.BaseMBs * cp.Efficiency(rpcMB))
 	m.sumEffBase += eff
 	return &Stream{ost: o, class: class, fileID: fileID, effBase: eff}
 }
@@ -365,8 +391,8 @@ func (s *System) StartWrites(reqs []WriteReq) []*flow.Flow {
 // used to derive live collision statistics during contended runs.
 func (s *System) StreamSnapshot() []int {
 	out := make([]int, len(s.osts))
-	for i, o := range s.osts {
-		out[i] = o.ActiveJobs()
+	for i := range s.osts {
+		out[i] = s.osts[i].ActiveJobs()
 	}
 	return out
 }

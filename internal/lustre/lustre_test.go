@@ -64,9 +64,9 @@ func TestInvalidPlatformRejected(t *testing.T) {
 
 // mustCreate runs CreateK with a spec the test knows to be valid and
 // hands the file to k, failing the test on a create error.
-func mustCreate(t *testing.T, m *MDS, tk *sim.Task, name string, spec StripeSpec, k func(*File)) {
+func mustCreate(t *testing.T, m *MDS, tk *sim.Task, spec StripeSpec, k func(*File)) {
 	t.Helper()
-	m.CreateK(tk, name, spec, func(f *File, err error) {
+	m.CreateK(tk, spec, func(f *File, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestMDSCreateDefaults(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	var f *File
 	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
-		mustCreate(t, sys.MDS(), tk, "checkpoint", DefaultSpec(), func(got *File) {
+		mustCreate(t, sys.MDS(), tk, DefaultSpec(), func(got *File) {
 			f = got
 			tk.Finish()
 		})
@@ -103,7 +103,7 @@ func TestMDSCreateDefaults(t *testing.T) {
 func TestMDSCreatePinnedOffset(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
-		mustCreate(t, sys.MDS(), tk, "pinned", StripeSpec{Count: 4, SizeMB: 1, OffsetOST: 478}, func(f *File) {
+		mustCreate(t, sys.MDS(), tk, StripeSpec{Count: 4, SizeMB: 1, OffsetOST: 478}, func(f *File) {
 			want := []int{478, 479, 0, 1} // wraps around
 			for i, o := range f.Layout.OSTs {
 				if o != want[i] {
@@ -121,7 +121,7 @@ func TestMDSCreatePinnedOffset(t *testing.T) {
 func TestMDSCreateRandomDistinct(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
-		mustCreate(t, sys.MDS(), tk, "wide", StripeSpec{Count: 160, SizeMB: 128, OffsetOST: -1}, func(f *File) {
+		mustCreate(t, sys.MDS(), tk, StripeSpec{Count: 160, SizeMB: 128, OffsetOST: -1}, func(f *File) {
 			seen := map[int]bool{}
 			for _, o := range f.Layout.OSTs {
 				if o < 0 || o >= 480 || seen[o] {
@@ -149,7 +149,7 @@ func TestMDSCreateErrors(t *testing.T) {
 	} {
 		tc := tc
 		eng.StartTask(0, "creator", -1, func(tk *sim.Task) {
-			sys.MDS().CreateK(tk, "x", tc.spec, func(_ *File, err error) {
+			sys.MDS().CreateK(tk, tc.spec, func(_ *File, err error) {
 				if err == nil {
 					t.Errorf("%s accepted", tc.what)
 				}
@@ -171,7 +171,7 @@ func TestMDSSerializes(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 3; i++ {
 		eng.StartTask(0, "c", i, func(tk *sim.Task) {
-			mustCreate(t, sys.MDS(), tk, tk.Name(), DefaultSpec(), func(*File) {
+			mustCreate(t, sys.MDS(), tk, DefaultSpec(), func(*File) {
 				finish = append(finish, tk.Now())
 				tk.Finish()
 			})
@@ -529,7 +529,7 @@ func TestMDSAllocationUniform(t *testing.T) {
 				tk.Finish()
 				return
 			}
-			mustCreate(t, sys.MDS(), tk, fmt.Sprintf("f%d", i), StripeSpec{Count: 160, SizeMB: 1, OffsetOST: -1}, func(f *File) {
+			mustCreate(t, sys.MDS(), tk, StripeSpec{Count: 160, SizeMB: 1, OffsetOST: -1}, func(f *File) {
 				for _, o := range f.Layout.OSTs {
 					counts[o]++
 				}

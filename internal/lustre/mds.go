@@ -64,7 +64,6 @@ func (l Layout) BytesPerOST(totalMB float64) []float64 {
 // File is a created file with its layout.
 type File struct {
 	ID     int
-	Name   string
 	Layout Layout
 }
 
@@ -109,7 +108,7 @@ func (m *MDS) normalizeSpec(spec StripeSpec) (StripeSpec, error) {
 // allocate draws the new file's layout. It must run only after the MDS
 // service time has been charged: the RNG draw position in the run's
 // deterministic stream is part of the simulated behaviour.
-func (m *MDS) allocate(name string, spec StripeSpec) *File {
+func (m *MDS) allocate(spec StripeSpec) *File {
 	plat := m.sys.plat
 	var osts []int
 	if spec.OffsetOST >= 0 {
@@ -124,7 +123,6 @@ func (m *MDS) allocate(name string, spec StripeSpec) *File {
 	m.creates++
 	return &File{
 		ID:     m.sys.fileSeq,
-		Name:   name,
 		Layout: Layout{OSTs: osts, SizeMB: spec.SizeMB},
 	}
 }
@@ -134,14 +132,14 @@ func (m *MDS) allocate(name string, spec StripeSpec) *File {
 // normalised against system defaults and validated against the
 // platform's stripe limit; a spec error is delivered synchronously,
 // before any service time is charged.
-func (m *MDS) CreateK(t *sim.Task, name string, spec StripeSpec, k func(*File, error)) {
+func (m *MDS) CreateK(t *sim.Task, spec StripeSpec, k func(*File, error)) {
 	spec, err := m.normalizeSpec(spec)
 	if err != nil {
 		k(nil, err)
 		return
 	}
 	m.res.UseTask(t, m.sys.plat.MDSOpTime, func() {
-		k(m.allocate(name, spec), nil)
+		k(m.allocate(spec), nil)
 	})
 }
 

@@ -206,7 +206,7 @@ func (f *File) OpenK(r *mpi.Rank, k func(error)) {
 		f.awaitLog(r, fr)
 	case cr == 0:
 		f.root = r
-		f.sys.MDS().CreateK(t, f.name, f.spec(), f.created)
+		f.sys.MDS().CreateK(t, f.spec(), f.created)
 	default:
 		fr.step = stepOpenWait
 		f.openSig.Await(t, r.Then(f.next))

@@ -107,15 +107,16 @@ func (c *Container) OpenRankK(t *sim.Task, rank int, k func(error)) {
 	c.logs[rank] = nil // reserved; adoptLog fills it in
 	c.ready.Await(t, func() {
 		c.createRes.UseTask(t, 2*c.sys.Platform().PLFSCreateTime, func() {
-			prefix := fmt.Sprintf("%s/hostdir.%d", c.name, c.Subdir(rank))
-			c.sys.MDS().CreateK(t, fmt.Sprintf("%s/dropping.data.%d", prefix, rank), lustre.DefaultSpec(),
+			// The rank's data log, then its index log: hostdir.<subdir>/
+			// dropping.data.<rank> and dropping.index.<rank> in PLFS.
+			c.sys.MDS().CreateK(t, lustre.DefaultSpec(),
 				func(data *lustre.File, err error) {
 					if err != nil {
 						delete(c.logs, rank)
 						k(err)
 						return
 					}
-					c.sys.MDS().CreateK(t, fmt.Sprintf("%s/dropping.index.%d", prefix, rank), c.indexSpec(),
+					c.sys.MDS().CreateK(t, c.indexSpec(),
 						func(index *lustre.File, err error) {
 							if err != nil {
 								delete(c.logs, rank)

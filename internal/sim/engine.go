@@ -144,6 +144,16 @@ type Stats struct {
 	HeapPushes  int64 // scheduled events routed to the future-event heap
 }
 
+// Add folds o's counters into s: the work of several engines summed.
+func (s *Stats) Add(o Stats) {
+	s.Scheduled += o.Scheduled
+	s.Fired += o.Fired
+	s.Cancelled += o.Cancelled
+	s.Rescheduled += o.Rescheduled
+	s.LaneEvents += o.LaneEvents
+	s.HeapPushes += o.HeapPushes
+}
+
 // Stats returns the engine's work counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 

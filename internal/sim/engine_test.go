@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -143,5 +144,23 @@ func TestLaneCancelKeepsPendingExact(t *testing.T) {
 	}
 	if fmt.Sprint(order) != "[0 2]" || e.Pending() != 0 {
 		t.Errorf("order = %v, pending = %d", order, e.Pending())
+	}
+}
+
+// TestStatsAddCoversEveryField: Stats.Add sums every counter, so a field
+// added to Stats without a line in Add fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one, sum Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Int() != 2*int64(i+1) {
+			t.Errorf("Add sums %s to %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), 2*(i+1))
+		}
 	}
 }

@@ -29,6 +29,10 @@ type Grid struct {
 	SizesMB []float64
 	// MBs[i][j] is the bandwidth at Counts[i] × SizesMB[j].
 	MBs [][]float64
+	// Work sums the simulations the sweep ran, one per point.
+	Work ior.Work
+
+	setup setup // what every point was measured under
 }
 
 // Best returns the best-performing grid point.
@@ -83,13 +87,28 @@ type Options struct {
 	Seed uint64
 }
 
-func (o Options) baseConfig() ior.Config {
-	if o.Base != nil {
-		return *o.Base
+// setup is what a measured bandwidth depends on besides its grid point:
+// the platform, reseeded as Options.Seed asks, and the IOR configuration
+// that measure names and stripes per point.
+type setup struct {
+	plat cluster.Platform
+	cfg  ior.Config
+}
+
+func (o Options) setup(plat *cluster.Platform) setup {
+	su := setup{plat: *plat}
+	if o.Seed != 0 {
+		su.plat.Seed = o.Seed
 	}
-	cfg := ior.PaperConfig(o.Tasks)
-	cfg.Reps = o.Reps
-	return cfg
+	if o.Base != nil {
+		su.cfg = *o.Base
+	} else {
+		su.cfg = ior.PaperConfig(o.Tasks)
+	}
+	su.cfg.Reps = o.Reps
+	su.cfg.Label = ""
+	su.cfg.Hints.StripingFactor, su.cfg.Hints.StripingUnitMB = 0, 0
+	return su
 }
 
 // Exhaustive measures every (count, size) combination — the search of
@@ -103,7 +122,7 @@ func Exhaustive(plat *cluster.Platform, counts []int, sizesMB []float64, opt Opt
 	if opt.Reps <= 0 {
 		opt.Reps = 1
 	}
-	g := &Grid{Counts: counts, SizesMB: sizesMB, MBs: make([][]float64, len(counts))}
+	g := &Grid{Counts: counts, SizesMB: sizesMB, MBs: make([][]float64, len(counts)), setup: opt.setup(plat)}
 	for i := range counts {
 		g.MBs[i] = make([]float64, len(sizesMB))
 	}
@@ -111,39 +130,39 @@ func Exhaustive(plat *cluster.Platform, counts []int, sizesMB []float64, opt Opt
 	if total == 0 {
 		return g, nil
 	}
+	works := make([]ior.Work, total)
 	tick := pool.Progress(total, opt.Progress)
 	err := pool.Run(opt.Ctx, opt.Parallelism, total, func(k int) error {
 		i, j := k/len(sizesMB), k%len(sizesMB)
-		bw, err := measure(plat, counts[i], sizesMB[j], opt)
+		bw, w, err := g.setup.measure(counts[i], sizesMB[j])
 		if err != nil {
 			return err
 		}
-		g.MBs[i][j] = bw
+		g.MBs[i][j], works[k] = bw, w
 		tick()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for _, w := range works {
+		g.Work.Add(w)
+	}
 	return g, nil
 }
 
-func measure(plat *cluster.Platform, count int, sizeMB float64, opt Options) (float64, error) {
-	if opt.Seed != 0 && opt.Seed != plat.Seed {
-		reseeded := *plat
-		reseeded.Seed = opt.Seed
-		plat = &reseeded
-	}
-	cfg := opt.baseConfig()
-	cfg.Reps = opt.Reps
+// measure simulates one grid point and returns its mean write bandwidth
+// and the simulation's work.
+func (su *setup) measure(count int, sizeMB float64) (float64, ior.Work, error) {
+	cfg := su.cfg
 	cfg.Label = fmt.Sprintf("sweep-c%d-s%g", count, sizeMB)
 	cfg.Hints.StripingFactor = count
 	cfg.Hints.StripingUnitMB = sizeMB
-	res, err := ior.Run(plat, cfg)
+	res, err := ior.Run(&su.plat, cfg)
 	if err != nil {
-		return 0, fmt.Errorf("sweep: %d×%gMB: %w", count, sizeMB, err)
+		return 0, ior.Work{}, fmt.Errorf("sweep: %d×%gMB: %w", count, sizeMB, err)
 	}
-	return res.Write.Mean(), nil
+	return res.Write.Mean(), res.Work, nil
 }
 
 // GAOptions tunes the genetic search.
@@ -162,6 +181,12 @@ type GAOptions struct {
 	// to the platform limits).
 	Counts  []int
 	SizesMB []float64
+	// Grid optionally holds points already measured by Exhaustive under
+	// the same Options (platform, seed, tasks, repetitions and base
+	// configuration; Genetic returns an error for a grid measured under
+	// others). A genome on the grid takes its bandwidth from it instead
+	// of being simulated again, and still counts in Evaluations.
+	Grid *Grid
 }
 
 func (o *GAOptions) defaults(plat *cluster.Platform) {
@@ -199,62 +224,64 @@ type GAResult struct {
 	Evaluations int
 	// History holds the best bandwidth after each generation.
 	History []float64
+	// Work sums the simulations the search ran: one per evaluated
+	// genome that GAOptions.Grid did not hold.
+	Work ior.Work
 }
 
 // Genetic runs a small genetic algorithm over the configuration space, in
 // the spirit of Behzad et al. [5]: tournament selection, single-point
 // crossover on the (count, size) genome, per-gene mutation. Fitness
-// evaluations are memoised, so Evaluations counts distinct simulated
-// configurations.
+// evaluations are memoised, so Evaluations counts distinct evaluated
+// configurations, taken from GAOptions.Grid where it holds them and
+// simulated otherwise.
 func Genetic(plat *cluster.Platform, opt GAOptions) (*GAResult, error) {
 	if opt.Tasks <= 0 {
 		return nil, fmt.Errorf("sweep: Tasks must be positive")
 	}
 	opt.defaults(plat)
+	su := opt.setup(plat)
+	if opt.Grid != nil && opt.Grid.setup != su {
+		return nil, fmt.Errorf("sweep: the GA's grid was measured under other options")
+	}
 	rng := stats.NewRNG(opt.Seed + 0x6a)
 	type genome struct{ ci, si int }
 	cache := map[genome]float64{}
-	evals := 0
-	fitness := func(g genome) (float64, error) {
-		if bw, ok := cache[g]; ok {
-			return bw, nil
-		}
-		bw, err := measure(plat, opt.Counts[g.ci], opt.SizesMB[g.si], opt.Options)
-		if err != nil {
-			return 0, err
-		}
-		cache[g] = bw
-		evals++
-		return bw, nil
-	}
+	res := &GAResult{Best: Point{MBs: -1}}
 
 	// evaluate fills the memo cache for every distinct unseen genome in
-	// pop, fanning the independent simulations across the worker pool.
-	// Cache contents (and so Evaluations) do not depend on ordering.
+	// pop: from the grid where it holds the point, otherwise by fanning
+	// the independent simulations across the worker pool. Cache contents
+	// (and so Evaluations) do not depend on ordering.
 	evaluate := func(pop []genome) error {
 		var fresh []genome
-		seen := map[genome]bool{}
 		for _, g := range pop {
-			if _, ok := cache[g]; !ok && !seen[g] {
-				seen[g] = true
-				fresh = append(fresh, g)
+			if _, ok := cache[g]; ok {
+				continue
 			}
+			res.Evaluations++
+			if opt.Grid != nil {
+				if bw, ok := opt.Grid.At(opt.Counts[g.ci], opt.SizesMB[g.si]); ok {
+					cache[g] = bw
+					continue
+				}
+			}
+			cache[g] = 0 // claimed; the simulation below fills it in
+			fresh = append(fresh, g)
 		}
 		bws := make([]float64, len(fresh))
+		works := make([]ior.Work, len(fresh))
 		err := pool.Run(opt.Ctx, opt.Parallelism, len(fresh), func(i int) error {
-			bw, err := measure(plat, opt.Counts[fresh[i].ci], opt.SizesMB[fresh[i].si], opt.Options)
-			if err != nil {
-				return err
-			}
-			bws[i] = bw
-			return nil
+			bw, w, err := su.measure(opt.Counts[fresh[i].ci], opt.SizesMB[fresh[i].si])
+			bws[i], works[i] = bw, w
+			return err
 		})
 		if err != nil {
 			return err
 		}
 		for i, g := range fresh {
 			cache[g] = bws[i]
-			evals++
+			res.Work.Add(works[i])
 		}
 		return nil
 	}
@@ -263,17 +290,13 @@ func Genetic(plat *cluster.Platform, opt GAOptions) (*GAResult, error) {
 	for i := range pop {
 		pop[i] = genome{rng.IntN(len(opt.Counts)), rng.IntN(len(opt.SizesMB))}
 	}
-	res := &GAResult{Best: Point{MBs: -1}}
 	for gen := 0; gen < opt.Generations; gen++ {
 		if err := evaluate(pop); err != nil {
 			return nil, err
 		}
 		scores := make([]float64, len(pop))
 		for i, g := range pop {
-			bw, err := fitness(g)
-			if err != nil {
-				return nil, err
-			}
+			bw := cache[g]
 			scores[i] = bw
 			if bw > res.Best.MBs {
 				res.Best = Point{
@@ -314,7 +337,6 @@ func Genetic(plat *cluster.Platform, opt GAOptions) (*GAResult, error) {
 		}
 		pop = next
 	}
-	res.Evaluations = evals
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,5 +232,69 @@ func TestCountsUpTo(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("counts[%d] = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestGeneticReadsMatchingGrid: given the grid an exhaustive sweep
+// measured under the same options, the GA simulates only the genomes the
+// grid lacks and otherwise finds exactly what it finds alone: the same
+// best point, history and evaluation count. A grid measured under other
+// options is refused.
+func TestGeneticReadsMatchingGrid(t *testing.T) {
+	plat := quietCab()
+	opt := Options{Tasks: 64, Reps: 1, Base: smallBase(64), Parallelism: 2}
+	counts, sizes := []int{8, 16, 32, 64}, []float64{1, 16, 64}
+	ga := func(grid *Grid) (*GAResult, error) {
+		return Genetic(plat, GAOptions{Options: opt, Population: 6, Generations: 3, Seed: 3,
+			Counts: counts, SizesMB: sizes, Grid: grid})
+	}
+	alone, err := ga(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Work.Simulations != alone.Evaluations {
+		t.Errorf("alone: %d simulations for %d evaluations", alone.Work.Simulations, alone.Evaluations)
+	}
+	// The grid lacks the 64-stripe row, which the GA then simulates.
+	grid, err := Exhaustive(plat, counts[:3], sizes, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.Work.Simulations != 9 {
+		t.Errorf("a 3×3 sweep reports %d simulations", grid.Work.Simulations)
+	}
+	seeded, err := ga(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded.Best != alone.Best || seeded.Evaluations != alone.Evaluations ||
+		!slices.Equal(seeded.History, alone.History) {
+		t.Errorf("with the grid the GA found %+v, alone %+v", seeded, alone)
+	}
+	t.Logf("%d evaluations: %d simulated alone, %d beside the grid", alone.Evaluations,
+		alone.Work.Simulations, seeded.Work.Simulations)
+	if got := seeded.Work.Simulations; got == 0 || got >= alone.Work.Simulations {
+		t.Errorf("with the grid the GA simulated %d genomes, alone %d; want some, and fewer", got, alone.Work.Simulations)
+	}
+	for _, off := range []struct {
+		what string
+		opt  func(*Options)
+	}{
+		{"reps", func(o *Options) { o.Reps = 2 }},
+		{"seed", func(o *Options) { o.Seed = 99 }},
+		{"base config", func(o *Options) { o.Base = smallBase(64); o.Base.SegmentCount = 11 }},
+	} {
+		other := opt
+		off.opt(&other)
+		g, err := Exhaustive(plat, counts[:1], sizes[:1], other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ga(g); err == nil {
+			t.Errorf("a grid measured with other %s accepted", off.what)
+		}
+	}
+	if _, err := ga(&Grid{Counts: counts, SizesMB: sizes}); err == nil {
+		t.Error("a grid Exhaustive did not measure accepted")
 	}
 }
