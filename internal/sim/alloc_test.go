@@ -5,8 +5,8 @@ import "testing"
 // churn is one round of event-queue traffic with every callback bound
 // once: events at equal and at different future times, clamped delays
 // and deadlines, cancellations from the lane, from the heap and of
-// records already cancelled, a bounded run that stops the clock short of
-// the next event, a Stop, and a polled run.
+// records already cancelled, each move Reschedule makes, a bounded run
+// that stops the clock short of the next event, a Stop, and a polled run.
 type churn struct {
 	e                *Engine
 	fired, polled    int
@@ -20,6 +20,10 @@ func newChurn() *churn {
 	c.poll = func() { c.polled++ }
 	return c
 }
+
+// churnFired and churnPolled are the callbacks one round fires, and the
+// ones its polled run fires.
+const churnFired, churnPolled = 7, 3
 
 func (c *churn) round() {
 	e := c.e
@@ -36,6 +40,18 @@ func (c *churn) round() {
 	e.Cancel(lane)                 // already cancelled: a no-op
 	e.Cancel(late)                 // out of the heap
 	e.Cancel(nil)
+	e.Reschedule(e.Schedule(0, c.tick), now)   // lane to the lane's tail
+	e.Reschedule(e.Schedule(0, c.tick), now+3) // lane to heap
+	e.Reschedule(e.Schedule(3, c.tick), now)   // heap to lane
+	moved := e.ScheduleAt(now+4, c.tick)       // the heap's latest event
+	e.Reschedule(moved, now+0.75)              // in the heap, up to its root
+	if e.pos[moved.slot] != 0 {
+		panic("the move up stopped short of the heap's root")
+	}
+	e.Reschedule(moved, now+5) // in the heap, down from its root
+	if e.pos[moved.slot] == 0 {
+		panic("the move down left the event at the heap's root")
+	}
 	if err := e.RunUntil(now + 0.5); err != nil { // the lane; the clock stops at the bound
 		panic(err)
 	}
@@ -43,16 +59,16 @@ func (c *churn) round() {
 		panic(err)
 	}
 	e.SetPoll(1, c.poll)
-	if err := e.Run(); err != nil { // the tick due at the stop's instant, polled
+	if err := e.Run(); err != nil { // the tick due at the stop's instant and the two moved to the heap, polled
 		panic(err)
 	}
 	e.SetPoll(0, nil)
 }
 
-// TestEventChurnAllocs: scheduling, cancelling, stopping and polling
-// allocate nothing once the engine's event pool and queues have grown
-// to their peak, whichever queue an event sits in and however it
-// leaves it.
+// TestEventChurnAllocs: scheduling, cancelling, rescheduling, stopping
+// and polling allocate nothing once the engine's event pool and queues
+// have grown to their peak, whichever queue an event sits in and however
+// it moves between them or leaves them.
 func TestEventChurnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -61,8 +77,9 @@ func TestEventChurnAllocs(t *testing.T) {
 	c.round()
 	allocs := testing.AllocsPerRun(100, c.round)
 	// The warm-up round, AllocsPerRun's own and the 100 measured.
-	if want := 102 * 3; c.fired != want || c.polled != 102 {
-		t.Fatalf("%d callbacks and %d polls over 102 rounds, want %d and 102", c.fired, c.polled, want)
+	if c.fired != 102*churnFired || c.polled != 102*churnPolled {
+		t.Fatalf("%d callbacks and %d polls over 102 rounds, want %d and %d",
+			c.fired, c.polled, 102*churnFired, 102*churnPolled)
 	}
 	if allocs != 0 {
 		t.Errorf("a round of event churn allocated %.1f times, want 0", allocs)

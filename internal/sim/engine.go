@@ -18,19 +18,25 @@
 // entry's, and the lane is in sequence order by construction. RunUntil
 // therefore fires the heap's events due now, then drains the lane, and
 // only then advances the clock.
+//
+// Neither part holds a pointer. Event records live in a slab of chunks
+// that never move; the heap, the lane and the free list hold int32 slots
+// into it, and a per-slot index keeps each queued record's position. While
+// the collector runs, every pointer store pays a write barrier, and a heap
+// sift, a lane append or a recycle would otherwise store several. The
+// queue's only pointer store per event is the callback's: ScheduleAt
+// stores it and recycle clears it.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
 )
 
 // Event is a scheduled callback. It can be cancelled before it fires.
-// A pending event sits either in the engine's heap (index is its heap
-// position) or in the same-instant lane (inLane, index is its lane slot);
-// moving between the two is invisible to callers.
+// A pending event sits either in the engine's heap or in the same-instant
+// lane (inLane); moving between the two is invisible to callers.
 //
 // Event records are pooled: once an event has fired or been cancelled, the
 // engine may hand its record to a later Schedule call (see ScheduleAt).
@@ -39,80 +45,79 @@ import (
 // instants must drop (nil) their reference the moment the event fires —
 // the discipline flow.Net follows with its dirty and completion events.
 // The lane never keeps a pooled record: cancelling or moving a lane entry
-// leaves a nil tombstone in its slot, so a reused record cannot be reached
-// (and fired) through a slot it no longer owns.
+// leaves a -1 tombstone in its place, so a reused record cannot be reached
+// (and fired) through an entry it no longer owns.
 type Event struct {
-	at        float64
-	seq       int64
-	index     int // heap index or lane slot, -1 when not queued
-	fn        func()
-	cancelled bool
-	inLane    bool
+	at     float64
+	seq    int64
+	fn     func()
+	slot   int32 // the record's place in the engine's slab, fixed for life
+	inLane bool
 }
 
 // Time returns the virtual time at which the event fires.
 func (ev *Event) Time() float64 { return ev.at }
 
-type eventHeap []*Event
+// before reports whether a fires before b: the (time, sequence) order.
+func before(a, b *Event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev) // grows to the peak event population, then reuses capacity
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
+// slab is a store of event records addressed by int32 slot, grown in
+// chunks of chunkSize records (4 KB). A chunk never moves, so an *Event
+// stays valid for the engine's life.
+type slab []*[chunkSize]Event
+
+const (
+	chunkBits = 7
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// ev returns the record in slot s.
+func (sl slab) ev(s int32) *Event { return &sl[s>>chunkBits][s&chunkMask] }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now     float64
-	events  eventHeap // events due strictly after the clock when scheduled
 	seq     int64
 	stopped bool
 	running bool // inside RunUntil: an event must not re-enter it
 
+	// recs holds the event records, addressed by slot, and slots counts
+	// the slots handed out.
+	recs  slab
+	slots int32
+	// pos[slot] is a queued record's index in heap or lane, -1 when the
+	// record is not queued.
+	pos []int32
+	// heap holds the events due strictly after the clock when scheduled,
+	// a binary min-heap on (at, seq).
+	heap []int32
 	// lane holds the events scheduled at the current instant, in sequence
-	// order, from laneHead on; cancelled entries are nil tombstones.
-	// laneLive counts the live ones, so Pending stays O(1) and exact.
-	lane     []*Event
+	// order, from laneHead on; cancelled or moved entries are -1
+	// tombstones. laneLive counts the live ones, so Pending stays O(1) and
+	// exact.
+	lane     []int32
 	laneHead int
 	laneLive int
+	// free holds fired/cancelled records awaiting reuse, so a steady-state
+	// simulation (the flow solver's flush-per-instant churn) schedules
+	// events without touching the heap allocator.
+	free []int32
 
 	stats Stats
 
 	tasks int // started, unfinished inline tasks
-	// parked lists the tasks waiting on a signal or queued on a resource,
-	// in no particular order; each knows its slot (see Task.park).
-	parked []parkedTask
+	// waiting lists each task from its first park until it finishes, in
+	// no particular order; parked counts those parked now (see Task.park).
+	waiting []*Task
+	parked  int
 
 	pollEvery int // call pollFn every this many fired events (0: never)
 	pollCount int
 	pollFn    func()
-
-	// free holds fired/cancelled event records awaiting reuse, so a
-	// steady-state simulation (the flow solver's flush-per-instant churn)
-	// schedules events without touching the heap allocator.
-	free []*Event
 }
 
 // SetPoll installs fn to run after every n fired events during Run — the
@@ -157,15 +162,6 @@ func (s *Stats) Add(o Stats) {
 // Stats returns the engine's work counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// parkedTask is an entry in the engine's parked list: a task and what it
-// waits on, a signal or, when sig is nil, a resource. Only parked tasks
-// need these, so they live here rather than on every Task.
-type parkedTask struct {
-	t   *Task
-	sig *Signal
-	res *Resource
-}
-
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
 
@@ -188,9 +184,9 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 // An event due at the current instant — including one whose small positive
 // delay rounds to now — joins the same-instant lane in O(1); a later one
 // goes on the heap. The returned event's record comes from the engine's
-// free list when one is available: scheduling allocates only while the
-// in-flight event population is still growing, and a steady-state
-// simulation runs allocation-free.
+// free list when one is available: scheduling allocates only when the
+// in-flight event population outgrows the slab, a chunk at a time, and a
+// steady-state simulation runs allocation-free.
 func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 	if math.IsNaN(at) {
 		// A NaN deadline compares false against everything, so it would
@@ -207,50 +203,151 @@ func (e *Engine) ScheduleAt(at float64, fn func()) *Event {
 		at = e.now
 	}
 	e.seq++
-	var ev *Event
+	var slot int32
 	if k := len(e.free) - 1; k >= 0 {
-		ev = e.free[k]
-		e.free[k] = nil
+		slot = e.free[k]
 		e.free = e.free[:k]
-		*ev = Event{at: at, seq: e.seq, fn: fn, index: -1}
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1} // the pool grows; recycle returns the record once fired
+		slot = e.newSlot()
 	}
+	ev := e.recs.ev(slot)
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.stats.Scheduled++
 	if at == e.now {
 		e.stats.LaneEvents++
 		e.pushLane(ev)
 	} else {
 		e.stats.HeapPushes++
-		heap.Push(&e.events, ev)
+		e.pushHeap(ev.slot)
 	}
 	return ev
+}
+
+// newSlot hands out a slot never used before, adding a chunk to the slab
+// when the last one is full. The slab grows to the peak event
+// population; after that, every record comes from the free list.
+func (e *Engine) newSlot() int32 {
+	s := e.slots
+	if s == math.MaxInt32 {
+		panic("sim: more than 2^31-1 events pending")
+	}
+	if s&chunkMask == 0 {
+		e.recs = append(e.recs, new([chunkSize]Event))
+	}
+	e.slots++
+	e.recs.ev(s).slot = s
+	e.pos = append(e.pos, -1)
+	return s
 }
 
 // pushLane appends ev at the lane's tail. Its sequence number must exceed
 // every queued lane entry's, which holds for a freshly (re)sequenced event.
 func (e *Engine) pushLane(ev *Event) {
 	ev.inLane = true
-	ev.index = len(e.lane)
-	e.lane = append(e.lane, ev) // grows to the largest same-instant burst, then reuses capacity
+	e.pos[ev.slot] = int32(len(e.lane))
+	e.lane = append(e.lane, ev.slot) // grows to the largest same-instant burst, then reuses capacity
 	e.laneLive++
 }
 
-// dropLane tombstones ev's lane slot.
+// dropLane tombstones ev's lane entry.
 func (e *Engine) dropLane(ev *Event) {
-	e.lane[ev.index] = nil
-	e.laneLive--
+	e.lane[e.pos[ev.slot]] = -1
+	e.pos[ev.slot] = -1
 	ev.inLane = false
-	ev.index = -1
+	e.laneLive--
 }
 
-// recycle returns a fired or cancelled event record to the free list. The
-// record keeps cancelled=true while pooled, so a stale Cancel or Reschedule
-// through a retained pointer stays a no-op until the record is reused.
+// pushHeap adds slot s to the heap.
+func (e *Engine) pushHeap(s int32) {
+	e.heap = append(e.heap, s) // grows to the peak future-event population, then reuses capacity
+	e.up(len(e.heap) - 1)
+}
+
+// popHeap takes the heap's first event off it.
+func (e *Engine) popHeap() *Event {
+	ev := e.recs.ev(e.heap[0])
+	e.removeHeap(0)
+	return ev
+}
+
+// removeHeap takes the entry at heap index i off the heap, moving the
+// last entry into its place.
+func (e *Engine) removeHeap(i int) {
+	n := len(e.heap) - 1
+	e.pos[e.heap[i]] = -1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i < n {
+		e.heap[i] = last
+		e.fix(i)
+	}
+}
+
+// fix restores the heap order at index i, whose entry moved or changed
+// its key.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// up sifts the entry at heap index i toward the root, recording every
+// position it and the entries it passes take.
+func (e *Engine) up(i int) {
+	h, pos, recs := e.heap, e.pos, e.recs
+	s := h[i]
+	ev := recs.ev(s)
+	for i > 0 {
+		p := (i - 1) / 2
+		ps := h[p]
+		if !before(ev, recs.ev(ps)) {
+			break
+		}
+		h[i] = ps
+		pos[ps] = int32(i)
+		i = p
+	}
+	h[i] = s
+	pos[s] = int32(i)
+}
+
+// down sifts the entry at heap index i0 toward the leaves, as up does
+// toward the root, and reports whether it moved.
+func (e *Engine) down(i0 int) bool {
+	h, pos, recs := e.heap, e.pos, e.recs
+	s := h[i0]
+	ev := recs.ev(s)
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		cs := h[c]
+		cev := recs.ev(cs)
+		if r := c + 1; r < len(h) {
+			if rs := h[r]; before(recs.ev(rs), cev) {
+				c, cs, cev = r, rs, recs.ev(rs)
+			}
+		}
+		if !before(cev, ev) {
+			break
+		}
+		h[i] = cs
+		pos[cs] = int32(i)
+		i = c
+	}
+	h[i] = s
+	pos[s] = int32(i)
+	return i > i0
+}
+
+// recycle returns a fired or cancelled event record to the free list. Its
+// position stays -1 while pooled, so a stale Cancel or Reschedule through
+// a retained pointer stays a no-op until the record is reused.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.cancelled = true
-	e.free = append(e.free, ev) // grows to the peak event population
+	e.free = append(e.free, ev.slot) // grows to the peak event population
 }
 
 // Reschedule moves a pending event to fire at absolute virtual time at
@@ -270,7 +367,7 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 	if math.IsInf(at, 1) {
 		panic("sim: rescheduled to +Inf time")
 	}
-	if ev == nil || ev.cancelled || ev.index < 0 {
+	if ev == nil || e.pos[ev.slot] < 0 {
 		return false
 	}
 	if at < e.now {
@@ -286,12 +383,12 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 		e.pushLane(ev)
 	case ev.inLane:
 		e.dropLane(ev)
-		heap.Push(&e.events, ev)
+		e.pushHeap(ev.slot)
 	case at == e.now:
-		heap.Remove(&e.events, ev.index)
+		e.removeHeap(int(e.pos[ev.slot]))
 		e.pushLane(ev)
 	default:
-		heap.Fix(&e.events, ev.index)
+		e.fix(int(e.pos[ev.slot]))
 	}
 	return true
 }
@@ -300,17 +397,13 @@ func (e *Engine) Reschedule(ev *Event, at float64) bool {
 // event is a no-op. The cancelled record returns to the engine's free list
 // immediately — see the pooling contract on Event.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled || ev.index < 0 {
-		if ev != nil {
-			ev.cancelled = true
-		}
+	if ev == nil || e.pos[ev.slot] < 0 {
 		return
 	}
-	ev.cancelled = true
 	if ev.inLane {
 		e.dropLane(ev)
 	} else {
-		heap.Remove(&e.events, ev.index)
+		e.removeHeap(int(e.pos[ev.slot]))
 	}
 	e.stats.Cancelled++
 	e.recycle(ev)
@@ -356,35 +449,35 @@ func (e *Engine) RunUntil(tmax float64) error {
 	for !e.stopped {
 		var ev *Event
 		switch {
-		case len(e.events) > 0 && e.events[0].at <= e.now:
-			ev = heap.Pop(&e.events).(*Event)
+		case len(e.heap) > 0 && e.recs.ev(e.heap[0]).at <= e.now:
+			ev = e.popHeap()
 		case e.laneHead < len(e.lane):
-			ev = e.lane[e.laneHead]
-			e.lane[e.laneHead] = nil
+			s := e.lane[e.laneHead]
 			if e.laneHead++; e.laneHead == len(e.lane) {
 				e.lane, e.laneHead = e.lane[:0], 0
 			}
-			if ev == nil { // tombstone of a cancelled or moved entry
+			if s < 0 { // tombstone of a cancelled or moved entry
 				continue
 			}
-			ev.inLane, ev.index = false, -1
+			ev = e.recs.ev(s)
+			ev.inLane = false
+			e.pos[s] = -1
 			e.laneLive--
-		case len(e.events) > 0:
-			if e.events[0].at > tmax {
+		case len(e.heap) > 0:
+			if e.recs.ev(e.heap[0]).at > tmax {
 				e.now = tmax
 				return nil
 			}
-			ev = heap.Pop(&e.events).(*Event)
+			ev = e.popHeap()
 			e.now = ev.at
 		default:
-			if len(e.parked) > 0 {
+			if e.parked > 0 {
 				return e.deadlockErr()
 			}
 			return nil
 		}
 		e.stats.Fired++
-		fn := ev.fn
-		fn()
+		ev.fn()
 		e.recycle(ev)
 		if e.pollEvery > 0 {
 			if e.pollCount++; e.pollCount >= e.pollEvery {
@@ -404,12 +497,14 @@ func (e *Engine) endRun() { e.running = false }
 // deadlockErr builds the blocked-process report for RunUntil. It
 // allocates, and runs once, as the simulation aborts.
 func (e *Engine) deadlockErr() error {
-	names := make([]string, len(e.parked))
-	for i, p := range e.parked {
-		if p.sig != nil {
-			names[i] = p.t.Name() + " (waiting " + p.sig.name() + ")"
-		} else {
-			names[i] = p.t.Name() + " (queued on " + p.res.name + ")"
+	names := make([]string, 0, e.parked)
+	for _, t := range e.waiting {
+		switch {
+		case !t.parked:
+		case t.queued:
+			names = append(names, t.Name()+" (queued on "+t.res.name+")")
+		default:
+			names = append(names, t.Name()+" (waiting "+t.sig.name()+")")
 		}
 	}
 	sort.Strings(names)
@@ -421,7 +516,7 @@ func (e *Engine) deadlockErr() error {
 // removes heap events eagerly and counts lane tombstones out, so this is
 // exact and O(1), where earlier revisions scanned the whole heap on every
 // call.
-func (e *Engine) Pending() int { return len(e.events) + e.laneLive }
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLive }
 
 // LiveTasks reports the number of inline tasks that have started and not
 // yet finished.

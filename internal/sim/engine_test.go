@@ -164,3 +164,41 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuesHoldNoPointers: the heap, the lane, the free list and the
+// position index hold no pointer, so moving one of their entries pays no
+// GC write barrier. Each one's element type is walked through arrays and
+// struct fields, and a pointer, interface, func, map, slice, string,
+// channel or unsafe pointer anywhere in it fails.
+func TestQueuesHoldNoPointers(t *testing.T) {
+	engine := reflect.TypeOf(Engine{})
+	for _, name := range []string{"heap", "lane", "free", "pos"} {
+		f, ok := engine.FieldByName(name)
+		if !ok || f.Type.Kind() != reflect.Slice {
+			t.Errorf("Engine.%s is not a slice field", name)
+			continue
+		}
+		if p := pointerIn(f.Type.Elem()); p != "" {
+			t.Errorf("Engine.%s's entries hold a pointer: %s", name, p)
+		}
+	}
+}
+
+// pointerIn names the first part of typ that holds a pointer, or returns
+// "" when none does.
+func pointerIn(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Func, reflect.Map,
+		reflect.Slice, reflect.String, reflect.Chan, reflect.UnsafePointer:
+		return typ.String()
+	case reflect.Array:
+		return pointerIn(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerIn(typ.Field(i).Type); p != "" {
+				return typ.Name() + "." + typ.Field(i).Name + " " + p
+			}
+		}
+	}
+	return ""
+}

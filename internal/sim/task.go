@@ -17,10 +17,16 @@ type Task struct {
 	eng   *Engine
 	label string
 	id    int // >= 0: appended to label on demand (lazy spawn names)
-	done  bool
-	// slot is 0 while the task is not parked, else one more than its
-	// index in the engine's parked list (see park).
-	slot int
+	// sig or, when queued is set, res is what the task last waited on;
+	// parked says whether it waits now (see park).
+	sig    *Signal
+	res    *Resource
+	queued bool
+	parked bool
+	done   bool
+	// listed is 0 before the task's first park and after Finish, else one
+	// more than its index in the engine's waiting list.
+	listed int
 }
 
 // StartTask begins an inline task after delay seconds of virtual time.
@@ -38,13 +44,25 @@ func (e *Engine) StartTask(delay float64, label string, id int, body func(t *Tas
 }
 
 // Finish retires the task. It must be called exactly once, as the final
-// step of the task's continuation chain.
+// step of the task's continuation chain. A finished task leaves the
+// engine's waiting list and ends any park.
 func (t *Task) Finish() {
 	if t.done {
 		panic("sim: task " + t.Name() + " finished twice")
 	}
 	t.done = true
-	t.eng.tasks--
+	e := t.eng
+	e.tasks--
+	t.unpark()
+	if t.listed > 0 {
+		w := e.waiting
+		last := w[len(w)-1]
+		w[t.listed-1] = last
+		last.listed = t.listed
+		w[len(w)-1] = nil
+		e.waiting = w[:len(w)-1]
+		t.listed = 0
+	}
 }
 
 // Name returns the task name (used in deadlock reports), formatted on
@@ -61,32 +79,35 @@ func lazyName(label string, id int) string {
 }
 
 // park records that the task waits on sig or, when sig is nil, queues on
-// res. A task parked already keeps its slot and records the new wait, so
-// the deadlock report names its latest one.
+// res. A task parked already records the new wait, so the deadlock report
+// names its latest one. Its first park lists the task with the engine,
+// once until Finish; later parks and wakes only set and clear a flag.
 func (t *Task) park(sig *Signal, res *Resource) {
-	p := parkedTask{t: t, sig: sig, res: res}
-	if t.slot == 0 {
-		t.eng.parked = append(t.eng.parked, p) // grows to the peak parked population
-		t.slot = len(t.eng.parked)
-		return
+	e := t.eng
+	if t.listed == 0 {
+		e.waiting = append(e.waiting, t) // grows to the peak population of parked-once, unfinished tasks
+		t.listed = len(e.waiting)
 	}
-	t.eng.parked[t.slot-1] = p
+	if !t.parked {
+		t.parked = true
+		e.parked++
+	}
+	// One pointer store, not two: while the collector runs, each pays a
+	// write barrier. The other field keeps an earlier wait, unread.
+	if sig != nil {
+		t.sig, t.queued = sig, false
+	} else {
+		t.res, t.queued = res, true
+	}
 }
 
-// unpark takes the task off the engine's parked list, moving the last
-// entry into its slot; a task not parked is left alone. Any wake ends the
-// park, even one from a second wait the task registered.
+// unpark ends the task's park, if it is parked. Any wake ends the park,
+// even one from a second wait the task registered.
 func (t *Task) unpark() {
-	if t.slot == 0 {
-		return
+	if t.parked {
+		t.parked = false
+		t.eng.parked--
 	}
-	p := t.eng.parked
-	last := p[len(p)-1]
-	p[t.slot-1] = last
-	last.t.slot = t.slot
-	p[len(p)-1] = parkedTask{}
-	t.eng.parked = p[:len(p)-1]
-	t.slot = 0
 }
 
 // Engine returns the engine this task runs on.

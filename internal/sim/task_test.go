@@ -200,12 +200,24 @@ func TestResourceMixedFIFO(t *testing.T) {
 // exactly once, sorted by name, with what it waits or queues on. A task
 // that parked twice is reported with its latest wait; a task woken from a
 // signal that then queued on a resource is reported with the resource.
+// A task that parked, woke and finished before the deadlock is absent, and
+// so is one that was woken and then slept without finishing.
 func TestTaskDeadlockReport(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
 	later := e.NewSignal("later")
 	start := e.NewSignal("start")
+	early := e.NewSignal("early")
 	r := e.NewResource("narrow", 1)
+	e.Schedule(0.5, early.Fire)
+	e.StartTask(0, "g-finished", -1, func(tk *Task) {
+		early.Await(tk, tk.Finish)
+	})
+	e.StartTask(0, "h-sleeper", -1, func(tk *Task) {
+		early.Await(tk, func() {
+			tk.Sleep(1, func() {}) // sleeps to the deadlock instant and never finishes
+		})
+	})
 	e.StartTask(0, "a-task", 7, func(tk *Task) {
 		s.Await(tk, tk.Finish)
 	})
@@ -242,6 +254,35 @@ func TestTaskDeadlockReport(t *testing.T) {
 		"e-woken (queued on narrow)]"
 	if got := err.Error(); got != want {
 		t.Errorf("deadlock report:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestWaitingListEmptiesAsTasksFinish: the engine lists a task from its
+// first park until Finish, so after 10,000 tasks have each parked once and
+// finished, none is listed or counted parked, and the list never held
+// more than one wave of tasks parked at once: retained state does not
+// grow with work.
+func TestWaitingListEmptiesAsTasksFinish(t *testing.T) {
+	const waves, perWave = 100, 100
+	e := NewEngine()
+	for w := 0; w < waves; w++ {
+		wave := e.NewSignal("wave")
+		for i := 0; i < perWave; i++ {
+			e.StartTask(float64(w), "t", w*perWave+i, func(tk *Task) { wave.Await(tk, tk.Finish) })
+		}
+		e.Schedule(float64(w)+0.5, wave.Fire)
+	}
+	peak := 0
+	e.SetPoll(1, func() { peak = max(peak, len(e.waiting)) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.waiting) != 0 || e.parked != 0 || e.LiveTasks() != 0 {
+		t.Errorf("after %d tasks parked once and finished: %d listed, %d parked, %d live, want none",
+			waves*perWave, len(e.waiting), e.parked, e.LiveTasks())
+	}
+	if peak != perWave {
+		t.Errorf("the waiting list peaked at %d tasks, want one wave, %d", peak, perWave)
 	}
 }
 
