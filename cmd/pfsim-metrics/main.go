@@ -66,9 +66,9 @@ func printSolverStats(w io.Writer, writers int) error {
 			return err
 		}
 		if reference {
-			ref = res.Solver
+			ref = res.Work.Flow
 		} else {
-			inc = res.Solver
+			inc = res.Work.Flow
 		}
 	}
 	t := report.NewTable(

@@ -129,13 +129,38 @@ func TestUsageAndErrors(t *testing.T) {
 // counts past ior.MaxReps fail validation with a positioned message;
 // they used to validate and then exhaust memory when run.
 func TestValidateRejectsUnboundedRepetitions(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct{ name, doc, want string }{
+	validateRejects(t, []validateCase{
 		{"reps.yaml", "name: reps\nfleet:\n  - ior:\n      tasks: 8\n      reps: 2000000000\n",
 			"fleet[0].ior.reps: must be <= 65536, got 2000000000"},
 		{"checkpoints.yaml", "name: checkpoints\nfleet:\n  - checkpoint:\n      ranks: 8\n      state_mb_per_rank: 4\n      checkpoints: 100000000\n",
 			"fleet[0].checkpoint.checkpoints: must be <= 65536, got 100000000"},
-	} {
+	})
+}
+
+// TestValidateRejectsUnrunnableJobs: striping hints past the platform's
+// stripe limit, on a plain entry or drawn by a generator, and a generator
+// drawing task counts past int's range fail validation, naming the job.
+// They used to validate; the over-wide stripes then deadlocked the run
+// behind the open that rank 0's create had refused.
+func TestValidateRejectsUnrunnableJobs(t *testing.T) {
+	validateRejects(t, []validateCase{
+		{"stripes.yaml", "name: wide\nfleet:\n  - ior:\n      tasks: 8\n    stripes: 200\n",
+			`workload: scenario "wide" job "ior": ior: stripe count 200 outside 0..160 (0 = default)`},
+		{"drawn-stripes.yaml", "name: widegen\nfleet:\n  - generator:\n      count: 3\n      tasks: 8\n      stripes:\n        uniform: [100, 300]\n",
+			`workload: scenario "widegen" job "ior-g0": ior: stripe count 178 outside 0..160 (0 = default)`},
+		{"drawn-tasks.yaml", "name: hugegen\nfleet:\n  - generator:\n      count: 2\n      tasks:\n        uniform: [1e19, 1e20]\n",
+			`workload: scenario "hugegen" job "ior-g0": ior: job needs nodes 0..134217727 but platform has 1200`},
+	})
+}
+
+type validateCase struct{ name, doc, want string }
+
+// validateRejects writes each document and checks that validate fails it
+// with a line ending in the wanted message.
+func validateRejects(t *testing.T, cases []validateCase) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, tc := range cases {
 		path := filepath.Join(dir, tc.name)
 		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
 			t.Fatal(err)

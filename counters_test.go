@@ -1,8 +1,12 @@
 package pfsim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,16 +45,22 @@ type workCounts struct {
 	parts []simCount
 }
 
-// simCount is one part of a run and the simulations it ran.
+// countsOf is the workCounts of a runner's result.
+func countsOf(w workload.Work) workCounts { return workCounts{solver: w.Flow, engine: w.Sim} }
+
+// simCount is one part of a run, the simulations it ran and the digest
+// of what it rendered.
 type simCount struct {
 	name        string
 	simulations int
+	digest      string
 }
 
 // rows renders c as golden rows, "<run> <counter> <value>", one per
 // field of flow.Stats and sim.Stats, so a counter added to either struct
 // joins the golden, then for a run with parts the simulations in all and
-// one "<run>/<part> simulations <n>" row per part.
+// per part a "<run>/<part> simulations <n>" and a "<run>/<part> digest
+// <sha256>" row.
 func (c workCounts) rows(run string) []string {
 	var out []string
 	for _, f := range []struct {
@@ -68,7 +78,9 @@ func (c workCounts) rows(run string) []string {
 		}
 		out = append(out, fmt.Sprintf("%s simulations %d", run, total))
 		for _, p := range c.parts {
-			out = append(out, fmt.Sprintf("%s/%s simulations %d", run, p.name, p.simulations))
+			out = append(out,
+				fmt.Sprintf("%s/%s simulations %d", run, p.name, p.simulations),
+				fmt.Sprintf("%s/%s digest %s", run, p.name, p.digest))
 		}
 	}
 	return out
@@ -98,13 +110,13 @@ func solverRow(name string, plat *Platform, scens ...Scenario) workRun {
 				if err != nil {
 					tb.Fatal(err)
 				}
-				return workCounts{solver: res.Solver, engine: res.Engine}
+				return countsOf(res.Work)
 			}
 			res, err := workload.RunSharded(plat, scens, 0, func(_ int, sys *lustre.System) { useSolver(sys) })
 			if err != nil {
 				tb.Fatal(err)
 			}
-			return workCounts{solver: res.Solver, engine: res.Engine}
+			return countsOf(res.Work)
 		}
 	}
 	return workRun{name: name, run: mode(false), reference: mode(true)}
@@ -125,7 +137,8 @@ const checkpointFleetShards = 48
 //     Parallelism 1, solo baselines and assertions included, so a moved
 //     counter names its file;
 //   - paper-artefacts: every registered experiment in quick mode, its
-//     simulations' counters summed and counted per experiment.
+//     simulations' counters summed and counted per experiment, and what
+//     it rendered digested per experiment.
 func workRuns(tb testing.TB) []workRun {
 	tb.Helper()
 	plat1k, sc1k := SolverStressScenario(512)
@@ -170,7 +183,7 @@ func workRuns(tb testing.TB) []workRun {
 				if !res.Passed() {
 					tb.Fatalf("%s: assertions failed: %v", p, res.Failures)
 				}
-				return workCounts{solver: res.Solver(), engine: res.Engine()}
+				return countsOf(res.Work())
 			},
 		})
 	}
@@ -189,9 +202,31 @@ func paperArtefacts(tb testing.TB) workCounts {
 		}
 		c.solver.Add(o.Work.Flow)
 		c.engine.Add(o.Work.Sim)
-		c.parts = append(c.parts, simCount{id, o.Work.Simulations})
+		c.parts = append(c.parts, simCount{id, o.Work.Simulations, outcomeDigest(o)})
 	}
 	return c
+}
+
+// outcomeDigest hashes what an experiment renders: its ID, tables,
+// comparison table and notes, each string preceded by its length in
+// eight little-endian bytes, as the benchmark's paper digests are.
+func outcomeDigest(o *experiments.Outcome) string {
+	h := sha256.New()
+	put := func(s string) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		io.WriteString(h, s)
+	}
+	put(o.ID)
+	for _, t := range o.Tables {
+		put(t.String())
+	}
+	put(o.ComparisonTable().String())
+	for _, n := range o.Notes {
+		put(n)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // checkpointFleetRow compiles digestFleet replicated over
@@ -221,7 +256,7 @@ func checkpointFleetRow(tb testing.TB) workRun {
 		if len(res.Shards) != checkpointFleetShards {
 			tb.Fatalf("ran %d shards, want %d", len(res.Shards), checkpointFleetShards)
 		}
-		return workCounts{solver: res.Solver, engine: res.Engine}
+		return countsOf(res.Work)
 	}}
 }
 
@@ -239,9 +274,9 @@ func workRunNamed(tb testing.TB, name string) workRun {
 
 // TestWorkCounters runs every row of the work-counter table once and
 // holds its counters to testdata/counters.golden: every flow.Stats and
-// sim.Stats field exactly, since the runs are deterministic, and the
-// objects and bytes the run allocates to the recorded value plus
-// allocSlackPct. Allocations are measured as a one-iteration benchmark
+// sim.Stats field and every digest exactly, since the runs are
+// deterministic, and the objects and bytes the run allocates to the
+// recorded value plus allocSlackPct. Allocations are measured as a one-iteration benchmark
 // measures them: a GC, then runtime.MemStats deltas around the run. The
 // counts are process-wide, which is safe because no test in this package
 // runs in parallel. Regenerate the golden after an intended change with
@@ -274,7 +309,7 @@ func TestWorkCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int64{}
+	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		if !strings.HasPrefix(line, "#") {
 			key, v := splitRow(t, line)
@@ -287,13 +322,13 @@ func TestWorkCounters(t *testing.T) {
 		delete(want, key)
 		switch {
 		case !ok:
-			t.Errorf("%s = %d has no row in %s", key, v, countersGolden)
+			t.Errorf("%s = %s has no row in %s", key, v, countersGolden)
 		case strings.HasSuffix(key, " allocs") || strings.HasSuffix(key, " alloc_bytes"):
-			if v*100 > w*(100+allocSlackPct) {
-				t.Errorf("%s = %d, more than %d%% over the recorded %d", key, v, allocSlackPct, w)
+			if n, recorded := count(t, v), count(t, w); n*100 > recorded*(100+allocSlackPct) {
+				t.Errorf("%s = %d, more than %d%% over the recorded %d", key, n, allocSlackPct, recorded)
 			}
 		case v != w:
-			t.Errorf("%s = %d, golden %d", key, v, w)
+			t.Errorf("%s = %s, golden %s", key, v, w)
 		}
 	}
 	for key := range want {
@@ -302,14 +337,23 @@ func TestWorkCounters(t *testing.T) {
 }
 
 // splitRow splits a golden row into its "<run> <counter>" key and value.
-func splitRow(t *testing.T, line string) (string, int64) {
+func splitRow(t *testing.T, line string) (string, string) {
 	t.Helper()
 	i := strings.LastIndexByte(line, ' ')
-	v, err := strconv.ParseInt(line[i+1:], 10, 64)
-	if i < 0 || err != nil {
+	if i < 0 {
 		t.Fatalf("malformed row %q in %s", line, countersGolden)
 	}
-	return line[:i], v
+	return line[:i], line[i+1:]
+}
+
+// count parses an allocation row's value.
+func count(t *testing.T, v string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("malformed allocation count %q in %s", v, countersGolden)
+	}
+	return n
 }
 
 // benchCounts times run and reports the last iteration's counters.

@@ -8,6 +8,7 @@ import (
 	"pfsim/internal/mpiio"
 	"pfsim/internal/report"
 	"pfsim/internal/sweep"
+	"pfsim/internal/workload"
 )
 
 // Ablations are not paper artefacts: they probe the calibrated design
@@ -25,7 +26,7 @@ func AblationAggregatorCap(opt Options) (*Outcome, error) {
 	scales := []float64{0.5, 1.0, 1.5}
 	tunedBW := make([]float64, len(scales))
 	defBW := make([]float64, len(scales))
-	results := make([]*ior.Result, 2*len(scales))
+	results := make([]*workload.Result, 2*len(scales))
 	err := opt.each(2*len(scales), func(k int) error {
 		i, half := k/2, k%2
 		scale := scales[i]
@@ -41,15 +42,15 @@ func AblationAggregatorCap(opt Options) (*Outcome, error) {
 			cfg.Label = fmt.Sprintf("abl-agg-%g-def", scale)
 			cfg.API = mpiio.DriverUFS
 		}
-		res, err := ior.Run(&plat, cfg)
+		res, err := workload.RunScenario(&plat, workload.Solo(cfg), 0)
 		if err != nil {
 			return err
 		}
 		results[k] = res
 		if half == 0 {
-			tunedBW[i] = res.Write.Mean()
+			tunedBW[i] = res.Jobs[0].WriteMBs()
 		} else {
-			defBW[i] = res.Write.Mean()
+			defBW[i] = res.Jobs[0].WriteMBs()
 		}
 		return nil
 	})
@@ -87,7 +88,7 @@ func AblationThrash(opt Options) (*Outcome, error) {
 	t := report.NewTable("Ablation: PLFS log-append thrash",
 		"ThrashGamma", "PLFS BW at 4096 procs")
 	gammas := []float64{base.Class[2].ThrashGamma, 0}
-	results := make([]*ior.Result, len(gammas))
+	results := make([]*workload.Result, len(gammas))
 	err := opt.each(len(gammas), func(i int) error {
 		plat := *base
 		plat.Class[2].ThrashGamma = gammas[i] // ClassLogAppend
@@ -96,14 +97,14 @@ func AblationThrash(opt Options) (*Outcome, error) {
 		cfg.API = mpiio.DriverPLFS
 		cfg.SegmentCount = opt.segments(100)
 		cfg.Reps = opt.reps(2)
-		res, err := ior.Run(&plat, cfg)
+		res, err := workload.RunScenario(&plat, workload.Solo(cfg), 0)
 		results[i] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	withThrash, noThrash := results[0].Write.Mean(), results[1].Write.Mean()
+	withThrash, noThrash := results[0].Jobs[0].WriteMBs(), results[1].Jobs[0].WriteMBs()
 	t.AddRow(gammas[0], withThrash)
 	t.AddRow(0.0, noThrash)
 	return &Outcome{
@@ -124,7 +125,7 @@ func AblationThrash(opt Options) (*Outcome, error) {
 func ExtensionReadback(opt Options) (*Outcome, error) {
 	plat := opt.platform()
 	const procs = 256
-	results := make([]*ior.Result, 2)
+	results := make([]*workload.Result, 2)
 	err := opt.each(2, func(i int) error {
 		cfg := ior.PaperConfig(procs)
 		cfg.Label, cfg.API, cfg.Hints = "ext-rb-lustre", mpiio.DriverLustre, ior.TunedHints()
@@ -134,15 +135,16 @@ func ExtensionReadback(opt Options) (*Outcome, error) {
 		cfg.ReadFile = true
 		cfg.SegmentCount = opt.segments(100)
 		cfg.Reps = opt.reps(3)
-		res, err := ior.Run(plat, cfg)
+		res, err := workload.RunScenario(plat, workload.Solo(cfg), 0)
 		results[i] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	lw, lr := results[0].Write.Mean(), results[0].Read.Mean()
-	pw, pr := results[1].Write.Mean(), results[1].Read.Mean()
+	lustre, plfs := results[0].Jobs[0].IOR, results[1].Jobs[0].IOR
+	lw, lr := lustre.Write.Mean(), lustre.Read.Mean()
+	pw, pr := plfs.Write.Mean(), plfs.Read.Mean()
 	t := report.NewTable("Extension: read-back bandwidth at 256 processes (MB/s)",
 		"Driver", "Write", "Read", "Read/Write")
 	t.AddRow("ad_lustre (tuned)", lw, lr, lr/lw)
@@ -174,7 +176,7 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 	stripeCounts := []int{160, 320, 480}
 	solo := make([]float64, len(stripeCounts))
 	avg4 := make([]float64, len(stripeCounts))
-	works := make([]ior.Work, 2*len(stripeCounts))
+	results := make([]*workload.Result, 2*len(stripeCounts))
 	err := opt.each(2*len(stripeCounts), func(k int) error {
 		i, half := k/2, k%2
 		r := stripeCounts[i]
@@ -185,30 +187,26 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 		cfg.Hints.StripingFactor = r
 		cfg.Hints.StripingUnitMB = 128
 		if half == 0 {
-			res, err := ior.Run(&plat, cfg)
+			res, err := workload.RunScenario(&plat, workload.Solo(cfg), 0)
 			if err != nil {
 				return err
 			}
-			solo[i], works[k] = res.Write.Mean(), res.Work
+			solo[i], results[k] = res.Jobs[0].WriteMBs(), res
 			return nil
 		}
-		contended, err := ior.RunContended(&plat, cfg, 4)
+		res, err := workload.RunScenario(&plat, workload.Contended(cfg, 4), 0)
 		if err != nil {
 			return err
 		}
-		for _, c := range contended {
-			avg4[i] += c.Write.Mean()
+		for j := range res.Jobs {
+			avg4[i] += res.Jobs[j].WriteMBs()
 		}
 		avg4[i] /= 4
-		works[k] = workOf(contended...)
+		results[k] = res
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var work ior.Work
-	for _, w := range works {
-		work.Add(w)
 	}
 	var solo160, solo480 float64
 	for i, r := range stripeCounts {
@@ -230,7 +228,7 @@ func ExtensionWideStriping(opt Options) (*Outcome, error) {
 		Notes: []string{
 			"A single job gains almost nothing from striping past 160 — its aggregators are already saturated — while four contending 480-stripe jobs drive every OST to load ~4: all QoS cost, no benefit (Section V, amplified).",
 		},
-		Work: work,
+		Work: workOf(results...),
 	}, nil
 }
 

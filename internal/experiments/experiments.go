@@ -16,6 +16,7 @@ import (
 	"pfsim/internal/pool"
 	"pfsim/internal/refdata"
 	"pfsim/internal/report"
+	"pfsim/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -89,7 +90,7 @@ type Outcome struct {
 	Notes []string
 	// Work counts the simulations the experiment ran and their summed
 	// solver and engine work (zero for the analytic tables).
-	Work ior.Work
+	Work workload.Work
 }
 
 // ComparisonTable renders the outcome's comparisons.
@@ -234,8 +235,8 @@ func coreFS(plat *cluster.Platform) core.FileSystem {
 
 // workOf sums the work behind an experiment's results; nil entries, runs
 // quick mode skipped, count nothing.
-func workOf(results ...*ior.Result) ior.Work {
-	var w ior.Work
+func workOf(results ...*workload.Result) workload.Work {
+	var w workload.Work
 	for _, r := range results {
 		if r != nil {
 			w.Add(r.Work)
@@ -290,13 +291,14 @@ func within(a, b, frac float64) bool {
 	return math.Abs(a-b) <= frac*math.Abs(b)
 }
 
-func runContendedSweep(opt Options, r int, reps int) ([]*ior.Result, error) {
-	plat := opt.platform()
+// runContendedSweep runs Section V's four contended 1,024-process jobs,
+// each striped over r OSTs of 128 MB.
+func runContendedSweep(opt Options, r int, reps int) (*workload.Result, error) {
 	base := ior.PaperConfig(1024)
 	base.Label = fmt.Sprintf("contend-r%d", r)
 	base.SegmentCount = opt.segments(100)
 	base.Reps = reps
 	base.Hints.StripingFactor = r
 	base.Hints.StripingUnitMB = 128
-	return ior.RunContended(plat, base, 4)
+	return workload.RunScenario(opt.platform(), workload.Contended(base, 4), 0)
 }

@@ -8,6 +8,7 @@ import (
 	"pfsim/internal/refdata"
 	"pfsim/internal/report"
 	"pfsim/internal/sweep"
+	"pfsim/internal/workload"
 )
 
 // Figure1 regenerates the Section IV parameter sweep: write bandwidth over
@@ -31,11 +32,11 @@ func Figure1(opt Options) (*Outcome, error) {
 	defCfg := base
 	defCfg.Label = "figure1-default"
 	defCfg.API = mpiio.DriverUFS
-	defRes, err := ior.Run(plat, defCfg)
+	defRes, err := workload.RunScenario(plat, workload.Solo(defCfg), 0)
 	if err != nil {
 		return nil, err
 	}
-	defBW := defRes.Write.Mean()
+	defBW := defRes.Jobs[0].IOR.Write.Mean()
 
 	t := report.NewTable("Figure 1: write bandwidth (MB/s) over 1,024 processes",
 		append([]string{"OSTs"}, sizeHeaders(sizes)...)...)
@@ -87,7 +88,7 @@ func Figure2(opt Options) (*Outcome, error) {
 	reps := opt.reps(5)
 	maxJobs := refdata.Figure2.MaxJobs
 	// Every writer count is an independent simulation: fan them out.
-	results := make([]*ior.Result, maxJobs)
+	results := make([]*workload.Result, maxJobs)
 	err := opt.each(maxJobs, func(i int) error {
 		k := i + 1
 		cfg := ior.Config{
@@ -102,7 +103,7 @@ func Figure2(opt Options) (*Outcome, error) {
 			Hints:          mpiio.Hints{StripingFactor: 1, StripingUnitMB: 1, StripeOffset: 7},
 			Reps:           reps,
 		}
-		res, err := ior.Run(plat, cfg)
+		res, err := workload.RunScenario(plat, workload.Solo(cfg), 0)
 		results[i] = res
 		return err
 	})
@@ -114,7 +115,7 @@ func Figure2(opt Options) (*Outcome, error) {
 	t := report.NewTable("Figure 2: per-process bandwidth on one contended OST (MB/s)",
 		"Jobs", "Per-proc BW", "Ideal lower", "Ideal upper", "Within band")
 	for k := 1; k <= maxJobs; k++ {
-		pp := results[k-1].PerProcWrite()
+		pp := results[k-1].Jobs[0].IOR.PerProcWrite()
 		if k == 1 {
 			lo1, hi1 = pp.CI95()
 			if lo1 <= 0 {
@@ -148,7 +149,7 @@ func Figure2(opt Options) (*Outcome, error) {
 // repetitions each: per-task, per-repetition bandwidth.
 func Figure3(opt Options) (*Outcome, error) {
 	reps := opt.reps(5)
-	results, err := runContendedSweep(opt, 160, reps)
+	run, err := runContendedSweep(opt, 160, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +157,8 @@ func Figure3(opt Options) (*Outcome, error) {
 		"Rep", "Task 1", "Task 2", "Task 3", "Task 4")
 	for rep := 0; rep < reps; rep++ {
 		row := []any{rep + 1}
-		for _, res := range results {
-			vals := res.Write.Values()
+		for _, jr := range run.Jobs {
+			vals := jr.IOR.Write.Values()
 			if rep < len(vals) {
 				row = append(row, vals[rep])
 			} else {
@@ -167,8 +168,8 @@ func Figure3(opt Options) (*Outcome, error) {
 		t.AddRow(row...)
 	}
 	var all []float64
-	for _, res := range results {
-		all = append(all, res.Write.Values()...)
+	for _, jr := range run.Jobs {
+		all = append(all, jr.IOR.Write.Values()...)
 	}
 	mean := meanOf(all)
 	o := &Outcome{
@@ -179,7 +180,7 @@ func Figure3(opt Options) (*Outcome, error) {
 			{"per-task MB/s", refdata.Figure3MBs, mean},
 			{"reduction from solo peak", refdata.Figure3ReductionFactor, refdata.Figure1.BestMBs / mean},
 		},
-		Work: workOf(results...),
+		Work: run.Work,
 	}
 	return o, nil
 }
@@ -236,11 +237,11 @@ type f5row struct {
 // across the worker pool largest scale first: the 4,096-rank PLFS run is
 // about a quarter of the work, and started last it would leave the other
 // workers idle at the end. Rows stay in table order.
-func figure5Rows(opt Options) ([]f5row, ior.Work, error) {
+func figure5Rows(opt Options) ([]f5row, workload.Work, error) {
 	plat := opt.platform()
 	scales := len(refdata.TableVII)
 	rows := make([]f5row, scales)
-	results := make([]*ior.Result, 2*scales)
+	results := make([]*workload.Result, 2*scales)
 	err := opt.each(2*scales, func(k int) error {
 		i, half := scales-1-k/2, k%2
 		ref := refdata.TableVII[i]
@@ -262,13 +263,14 @@ func figure5Rows(opt Options) ([]f5row, ior.Work, error) {
 			lc.Label = fmt.Sprintf("figure5-lustre-%d", procs)
 			lc.Hints = ior.TunedHints()
 			lc.Reps = opt.reps(5)
-			lres, err := ior.Run(plat, lc)
+			res, err := workload.RunScenario(plat, workload.Solo(lc), 0)
 			if err != nil {
 				return err
 			}
-			results[k] = lres
-			rows[i].lustre = lres.Write.Mean()
-			rows[i].lustreLo, rows[i].lustreHi = lres.Write.CI95()
+			results[k] = res
+			lw := res.Jobs[0].IOR.Write
+			rows[i].lustre = lw.Mean()
+			rows[i].lustreLo, rows[i].lustreHi = lw.CI95()
 			return nil
 		}
 		pc := ior.PaperConfig(procs)
@@ -278,17 +280,18 @@ func figure5Rows(opt Options) ([]f5row, ior.Work, error) {
 		if procs >= 2048 {
 			pc.Reps = opt.reps(3)
 		}
-		pres, err := ior.Run(plat, pc)
+		res, err := workload.RunScenario(plat, workload.Solo(pc), 0)
 		if err != nil {
 			return err
 		}
-		results[k] = pres
-		rows[i].plfs = pres.Write.Mean()
-		rows[i].plfsLo, rows[i].plfsHi = pres.Write.CI95()
+		results[k] = res
+		pw := res.Jobs[0].IOR.Write
+		rows[i].plfs = pw.Mean()
+		rows[i].plfsLo, rows[i].plfsHi = pw.CI95()
 		return nil
 	})
 	if err != nil {
-		return nil, ior.Work{}, err
+		return nil, workload.Work{}, err
 	}
 	return rows, workOf(results...), nil
 }

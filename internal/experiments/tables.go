@@ -8,6 +8,7 @@ import (
 	"pfsim/internal/mpiio"
 	"pfsim/internal/refdata"
 	"pfsim/internal/report"
+	"pfsim/internal/workload"
 )
 
 // Table5 regenerates Table V / Figure 4: four contending jobs while the
@@ -23,20 +24,20 @@ func Table5(opt Options) (*Outcome, error) {
 	var avg32, avg160 float64
 	// One contended four-job simulation per stripe request: independent
 	// systems, so the requests fan across the worker pool.
-	perR := make([][]*ior.Result, len(refdata.TableV))
+	perR := make([]*workload.Result, len(refdata.TableV))
 	err := opt.each(len(refdata.TableV), func(i int) error {
-		results, err := runContendedSweep(opt, refdata.TableV[i].R, reps)
-		perR[i] = results
+		run, err := runContendedSweep(opt, refdata.TableV[i].R, reps)
+		perR[i] = run
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ri, ref := range refdata.TableV {
-		results := perR[ri]
+		jobs := perR[ri].Jobs
 		var jobMeans []float64
-		for _, res := range results {
-			jobMeans = append(jobMeans, res.Write.Mean())
+		for _, jr := range jobs {
+			jobMeans = append(jobMeans, jr.WriteMBs())
 		}
 		avg := meanOf(jobMeans)
 		// Per-repetition sharing histogram across the four jobs' layouts.
@@ -44,9 +45,9 @@ func Table5(opt Options) (*Outcome, error) {
 		var sumInUse, sumLoad float64
 		for rep := 0; rep < reps; rep++ {
 			var layouts [][]int
-			for _, res := range results {
-				if rep < len(res.LayoutOSTs) {
-					layouts = append(layouts, res.LayoutOSTs[rep])
+			for _, jr := range jobs {
+				if rep < len(jr.IOR.LayoutOSTs) {
+					layouts = append(layouts, jr.IOR.LayoutOSTs[rep])
 				}
 			}
 			counts, inUse, load := usageFromLayouts(plat.OSTs, layouts)
@@ -77,9 +78,7 @@ func Table5(opt Options) (*Outcome, error) {
 		Title:       "Bandwidth/availability trade-off under contention (Figure 4 data)",
 		Tables:      []*report.Table{t},
 		Comparisons: comps,
-	}
-	for _, results := range perR {
-		o.Work.Add(workOf(results...))
+		Work:        workOf(perR...),
 	}
 	if avg160 > 0 {
 		o.Notes = append(o.Notes, fmt.Sprintf(
@@ -100,10 +99,11 @@ func plfsCollisions(opt Options, id string, procs, fullReps int, paperDload floa
 	cfg.API = mpiio.DriverPLFS
 	cfg.SegmentCount = opt.segments(100)
 	cfg.Reps = opt.reps(fullReps)
-	res, err := ior.Run(plat, cfg)
+	run, err := workload.RunScenario(plat, workload.Solo(cfg), 0)
 	if err != nil {
 		return nil, err
 	}
+	res := run.Jobs[0].IOR
 	reps := len(res.PLFS)
 	headers := []string{"Collisions"}
 	for e := 1; e <= reps; e++ {
@@ -157,7 +157,7 @@ func plfsCollisions(opt Options, id string, procs, fullReps int, paperDload floa
 			{"mean BW MB/s", meanOf(paperMBs), res.Write.Mean()},
 			{"analytic Dload (Eq. 6)", paperDload, core.PLFSLoad(plat.OSTs, procs)},
 		},
-		Work: res.Work,
+		Work: run.Work,
 	}
 	return o, nil
 }

@@ -1,22 +1,23 @@
-package ior
+package ior_test
 
 import (
 	"testing"
 
+	"pfsim/internal/ior"
 	"pfsim/internal/mpiio"
 )
 
 // repAllocs returns the heap allocations one repetition of base makes on
 // a ranks-rank world: what four repetitions allocate beyond two, halved,
 // so the set-up of the system, the world and the ranks cancels out.
-func repAllocs(base Config, ranks int) float64 {
+func repAllocs(base ior.Config, ranks int) float64 {
 	plat := quietCab()
 	run := func(reps int) float64 {
 		cfg := base
 		cfg.NumTasks = ranks
 		cfg.Reps = reps
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(plat, cfg); err != nil {
+			if _, err := runSolo(plat, cfg); err != nil {
 				panic(err)
 			}
 		})
@@ -45,12 +46,12 @@ func TestRepetitionAllocsIndependentOfRanks(t *testing.T) {
 	}
 	for _, in := range []struct {
 		name string
-		cfg  func(*Config)
+		cfg  func(*ior.Config)
 	}{
-		{"read back", func(c *Config) { c.ReadFile = true }},
-		{"compute gaps", func(c *Config) { c.ComputeSeconds = 2 }},
+		{"read back", func(c *ior.Config) { c.ReadFile = true }},
+		{"compute gaps", func(c *ior.Config) { c.ComputeSeconds = 2 }},
 	} {
-		base := PaperConfig(8)
+		base := ior.PaperConfig(8)
 		in.cfg(&base)
 		small, large := repAllocs(base, 8), repAllocs(base, 64)
 		t.Logf("%s: allocations per repetition: %v at 8 ranks, %v at 64", in.name, small, large)
@@ -79,14 +80,14 @@ func TestRepetitionAllocsPerRank(t *testing.T) {
 	}
 	for _, in := range []struct {
 		name    string
-		cfg     func(*Config)
+		cfg     func(*ior.Config)
 		perRank float64
 	}{
-		{"independent", func(c *Config) { c.Collective = false }, 24},
-		{"file per process", func(c *Config) { c.FilePerProc = true }, 60.6},
-		{"plfs", func(c *Config) { c.API = mpiio.DriverPLFS }, 40.35},
+		{"independent", func(c *ior.Config) { c.Collective = false }, 24},
+		{"file per process", func(c *ior.Config) { c.FilePerProc = true }, 60.6},
+		{"plfs", func(c *ior.Config) { c.API = mpiio.DriverPLFS }, 40.35},
 	} {
-		base := PaperConfig(8)
+		base := ior.PaperConfig(8)
 		in.cfg(&base)
 		small, large := repAllocs(base, 8), repAllocs(base, 64)
 		slope := (large - small) / (64 - 8)

@@ -2,7 +2,9 @@
 // stack: segmented shared-file or file-per-process workloads, configurable
 // block/transfer sizes and repetition counts, with bandwidth accounted the
 // way IOR reports it (total bytes over the open-to-close span of the
-// slowest rank). Table II of the paper is the PaperConfig preset.
+// slowest rank). Table II of the paper is the PaperConfig preset. A job
+// runs on a simulated system its caller built (StartJob); package
+// workload's scenario runner builds the system and runs every job.
 package ior
 
 import (
@@ -129,10 +131,26 @@ func (c Config) Validate(plat *cluster.Platform) error {
 		return fmt.Errorf("ior: job needs nodes %d..%d but platform has %d",
 			c.FirstNode, c.FirstNode+nodes-1, plat.Nodes)
 	}
+	if c.API != mpiio.DriverLustre {
+		return nil // only ad_lustre passes striping hints to the MDS
+	}
+	// The hints the MDS would refuse at the job's first create, where the
+	// refusal reaches rank 0 alone and the other ranks wait on the open
+	// for ever.
+	h := &c.Hints
+	switch {
+	case h.StripingFactor < 0 || h.StripingFactor > plat.MaxStripeCount:
+		return fmt.Errorf("ior: stripe count %d outside 0..%d (0 = default)", h.StripingFactor, plat.MaxStripeCount)
+	case h.StripingUnitMB < 0 || math.IsNaN(h.StripingUnitMB) || math.IsInf(h.StripingUnitMB, 0):
+		return fmt.Errorf("ior: stripe size %v must be finite and >= 0 (0 = default)", h.StripingUnitMB)
+	case h.StripeOffset >= plat.OSTs:
+		return fmt.Errorf("ior: stripe offset %d beyond %d OSTs", h.StripeOffset, plat.OSTs)
+	}
 	return nil
 }
 
-// Result aggregates the repetitions of one IOR execution.
+// Result aggregates the repetitions of one IOR job. The simulation's work
+// is counted by the runner that ran it (workload.Result.Work).
 type Result struct {
 	Config Config
 	// Write and Read hold per-repetition aggregate bandwidths (MB/s).
@@ -144,31 +162,6 @@ type Result struct {
 	// PLFS holds the realised per-rank backend assignment per repetition
 	// for PLFS runs.
 	PLFS []core.Assignment
-	// Work is the simulation behind the result: Run's one simulation.
-	// The jobs of one RunContended simulation share it, so the first
-	// job's result carries it and the others' are zero; summing Work over
-	// results counts every simulation once. A StartJob result, whose
-	// simulation its caller runs, has none.
-	Work Work
-}
-
-// Work counts simulations and their summed solver and engine work.
-type Work struct {
-	Simulations int
-	Flow        flow.Stats
-	Sim         sim.Stats
-}
-
-// Add folds o into w.
-func (w *Work) Add(o Work) {
-	w.Simulations += o.Simulations
-	w.Flow.Add(o.Flow)
-	w.Sim.Add(o.Sim)
-}
-
-// simulated is the Work of one finished simulation on sys.
-func simulated(sys *lustre.System) Work {
-	return Work{Simulations: 1, Flow: sys.Net().Stats(), Sim: sys.Engine().Stats()}
 }
 
 // PerProcWrite returns write bandwidth divided by task count — the
@@ -181,73 +174,10 @@ func (r *Result) PerProcWrite() *stats.Sample {
 	return out
 }
 
-// Run executes the configuration on a fresh simulated system and returns
-// per-repetition bandwidths. The run is deterministic for a given
-// (platform seed, config) pair.
-func Run(plat *cluster.Platform, cfg Config) (*Result, error) {
-	if err := cfg.Validate(plat); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(plat.Seed).Fork(hashLabel(cfg.Label)))
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(cfg)
-	job := &job{sys: sys, cfg: cfg, res: res}
-	job.launch()
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("ior: simulation failed: %w", err)
-	}
-	res.Work = simulated(sys)
-	return res, job.err
-}
-
-// RunContended executes n simultaneous copies of base on one simulated
-// system, each on a disjoint node range, all started at time zero — the
-// Section V contention experiments. Jobs repeat their reps back-to-back
-// and drift apart naturally, as on the real machine.
-func RunContended(plat *cluster.Platform, base Config, n int) ([]*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ior: need at least one job")
-	}
-	eng := sim.NewEngine()
-	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(plat.Seed).Fork(hashLabel(base.Label)+uint64(n)))
-	if err != nil {
-		return nil, err
-	}
-	nodes := plat.NodesFor(base.NumTasks)
-	results := make([]*Result, n)
-	jobs := make([]*job, n)
-	for j := 0; j < n; j++ {
-		cfg := base
-		cfg.Label = fmt.Sprintf("%s-job%d", base.Label, j)
-		cfg.FirstNode = j * nodes
-		if err := cfg.Validate(plat); err != nil {
-			return nil, err
-		}
-		results[j] = newResult(cfg)
-		jobs[j] = &job{sys: sys, cfg: cfg, res: results[j]}
-		jobs[j].launch()
-	}
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("ior: contended simulation failed: %w", err)
-	}
-	for _, jb := range jobs {
-		if jb.err != nil {
-			return nil, jb.err
-		}
-	}
-	results[0].Work = simulated(sys)
-	return results, nil
-}
-
-func newResult(cfg Config) *Result {
-	return &Result{Config: cfg, Write: &stats.Sample{}, Read: &stats.Sample{}}
-}
-
-func hashLabel(s string) uint64 {
-	// FNV-1a; labels seed per-run RNG streams deterministically.
+// HashLabel is the RNG-fork key of a label (FNV-1a): the scenario runner
+// forks a run's stream from its job labels, so a run is deterministic for
+// a given seed and set of labels.
+func HashLabel(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -256,34 +186,31 @@ func hashLabel(s string) uint64 {
 	return h
 }
 
-// HashLabel is the RNG-fork key Run derives from a config label. Scenario
-// execution reuses it so a single-job scenario reproduces Run exactly.
-func HashLabel(s string) uint64 { return hashLabel(s) }
-
 // RunningJob is a job launched on a shared simulated system via StartJob.
 type RunningJob struct {
 	// Result fills in as repetitions complete.
 	Result *Result
-	// Done fires when every rank's body has returned.
-	Done *sim.Signal
-	j    *job
+	j      *job
 }
 
 // Err reports a failure inside the job's ranks (nil while healthy).
 func (r *RunningJob) Err() error { return r.j.err }
 
+// FinishedAt returns the virtual time at which the job's last rank
+// finished, or 0 while any rank is still running.
+func (r *RunningJob) FinishedAt() float64 { return r.j.world.FinishedAt() }
+
 // StartJob launches cfg on an existing simulated system at the current
-// virtual time. It is how a workload scenario launches each of its jobs
-// on one shared system; Run and RunContended remain the conveniences for
-// one-shot executions.
+// virtual time: how a workload scenario launches each of its jobs on the
+// system it shares.
 func StartJob(sys *lustre.System, cfg Config) (*RunningJob, error) {
 	if err := cfg.Validate(sys.Platform()); err != nil {
 		return nil, err
 	}
-	res := newResult(cfg)
+	res := &Result{Config: cfg, Write: &stats.Sample{}, Read: &stats.Sample{}}
 	j := &job{sys: sys, cfg: cfg, res: res}
-	w := j.launch()
-	return &RunningJob{Result: res, Done: w.Done(), j: j}, nil
+	j.launch()
+	return &RunningJob{Result: res, j: j}, nil
 }
 
 // job drives one IOR execution inside a shared simulation.
@@ -304,7 +231,7 @@ type job struct {
 	made int
 }
 
-func (j *job) launch() *mpi.World {
+func (j *job) launch() {
 	cfg := &j.cfg
 	j.world = mpi.NewWorld(j.sys.Engine(), cfg.NumTasks, j.sys.Platform().CoresPerNode, cfg.FirstNode)
 	j.world.LaunchTasks(func(r *mpi.Rank, done func()) {
@@ -312,7 +239,6 @@ func (j *job) launch() *mpi.World {
 		rr.next, rr.nextVal, rr.nextErr = rr.resume, rr.resumeVal, rr.resumeErr
 		rr.startRep()
 	})
-	return j.world
 }
 
 // rankRun is one rank's way through the job's repetitions, as a state

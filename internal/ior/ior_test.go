@@ -1,4 +1,4 @@
-package ior
+package ior_test
 
 import (
 	"math"
@@ -7,10 +7,12 @@ import (
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/core"
+	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
 	"pfsim/internal/mpiio"
 	"pfsim/internal/sim"
 	"pfsim/internal/stats"
+	"pfsim/internal/workload"
 )
 
 func quietCab() *cluster.Platform {
@@ -19,8 +21,34 @@ func quietCab() *cluster.Platform {
 	return p
 }
 
+// The tests run jobs as every caller does, through package workload's
+// scenario runner, which an internal test package could not import.
+
+// runSolo simulates cfg alone on plat and returns its result.
+func runSolo(plat *cluster.Platform, cfg ior.Config) (*ior.Result, error) {
+	res, err := workload.RunScenario(plat, workload.Solo(cfg), 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.Jobs[0].IOR, nil
+}
+
+// runContended simulates n copies of base as the paper's contended jobs
+// and returns their results in job order.
+func runContended(plat *cluster.Platform, base ior.Config, n int) ([]*ior.Result, error) {
+	res, err := workload.RunScenario(plat, workload.Contended(base, n), 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*ior.Result, len(res.Jobs))
+	for i := range res.Jobs {
+		out[i] = res.Jobs[i].IOR
+	}
+	return out, nil
+}
+
 func TestPaperConfig(t *testing.T) {
-	cfg := PaperConfig(1024)
+	cfg := ior.PaperConfig(1024)
 	if cfg.PerRankMB() != 400 {
 		t.Errorf("per-rank = %v MB, want 400 (4 MB × 100 segments)", cfg.PerRankMB())
 	}
@@ -37,26 +65,39 @@ func TestPaperConfig(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	plat := quietCab()
-	bad := []func(*Config){
-		func(c *Config) { c.NumTasks = 0 },
-		func(c *Config) { c.BlockSizeMB = 0 },
-		func(c *Config) { c.TransferSizeMB = 0 },
-		func(c *Config) { c.TransferSizeMB = c.BlockSizeMB + 1 },
-		func(c *Config) { c.SegmentCount = 0 },
-		func(c *Config) { c.Reps = 0 },
-		func(c *Config) { c.Reps = MaxReps + 1 },
-		func(c *Config) { c.WriteFile = false },
-		func(c *Config) { c.WriteFile, c.ReadFile = false, true }, // reads a file nothing wrote
-		func(c *Config) { c.FirstNode = -1 },
-		func(c *Config) { c.FirstNode = 1199 }, // 64-node job falls off the machine
-		func(c *Config) { c.ComputeSeconds = -1 },
+	bad := []func(*ior.Config){
+		func(c *ior.Config) { c.NumTasks = 0 },
+		func(c *ior.Config) { c.BlockSizeMB = 0 },
+		func(c *ior.Config) { c.TransferSizeMB = 0 },
+		func(c *ior.Config) { c.TransferSizeMB = c.BlockSizeMB + 1 },
+		func(c *ior.Config) { c.SegmentCount = 0 },
+		func(c *ior.Config) { c.Reps = 0 },
+		func(c *ior.Config) { c.Reps = ior.MaxReps + 1 },
+		func(c *ior.Config) { c.WriteFile = false },
+		func(c *ior.Config) { c.WriteFile, c.ReadFile = false, true }, // reads a file nothing wrote
+		func(c *ior.Config) { c.FirstNode = -1 },
+		func(c *ior.Config) { c.FirstNode = 1199 }, // 64-node job falls off the machine
+		func(c *ior.Config) { c.ComputeSeconds = -1 },
+		// Striping hints the MDS would refuse at the first create.
+		func(c *ior.Config) { c.Hints.StripingFactor = 161 },
+		func(c *ior.Config) { c.Hints.StripingFactor = -1 },
+		func(c *ior.Config) { c.Hints.StripingUnitMB = -1 },
+		func(c *ior.Config) { c.Hints.StripingUnitMB = math.Inf(1) },
+		func(c *ior.Config) { c.Hints.StripingUnitMB = math.NaN() },
+		func(c *ior.Config) { c.Hints.StripeOffset = 480 },
 	}
 	for i, mut := range bad {
-		cfg := PaperConfig(1024)
+		cfg := ior.PaperConfig(1024)
 		mut(&cfg)
 		if err := cfg.Validate(plat); err == nil {
 			t.Errorf("mutation %d not rejected", i)
 		}
+	}
+	// ad_ufs never passes striping hints to the MDS.
+	cfg := ior.PaperConfig(1024)
+	cfg.API, cfg.Hints.StripingFactor = mpiio.DriverUFS, 161
+	if err := cfg.Validate(plat); err != nil {
+		t.Errorf("ad_ufs with 161 stripes: %v", err)
 	}
 }
 
@@ -68,22 +109,22 @@ func TestValidateNonFiniteSizes(t *testing.T) {
 	plat := quietCab()
 	for _, tc := range []struct {
 		field string
-		mut   func(*Config)
+		mut   func(*ior.Config)
 	}{
-		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.NaN() }},
-		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.Inf(1) }},
-		{"BlockSizeMB", func(c *Config) { c.BlockSizeMB = math.Inf(-1) }},
-		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.NaN() }},
-		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.Inf(1) }},
-		{"TransferSizeMB", func(c *Config) { c.TransferSizeMB = math.Inf(-1) }},
+		{"BlockSizeMB", func(c *ior.Config) { c.BlockSizeMB = math.NaN() }},
+		{"BlockSizeMB", func(c *ior.Config) { c.BlockSizeMB = math.Inf(1) }},
+		{"BlockSizeMB", func(c *ior.Config) { c.BlockSizeMB = math.Inf(-1) }},
+		{"TransferSizeMB", func(c *ior.Config) { c.TransferSizeMB = math.NaN() }},
+		{"TransferSizeMB", func(c *ior.Config) { c.TransferSizeMB = math.Inf(1) }},
+		{"TransferSizeMB", func(c *ior.Config) { c.TransferSizeMB = math.Inf(-1) }},
 	} {
-		cfg := PaperConfig(16)
+		cfg := ior.PaperConfig(16)
 		tc.mut(&cfg)
 		if err := cfg.Validate(plat); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("block=%v transfer=%v: Validate = %v, want an error naming %s",
 				cfg.BlockSizeMB, cfg.TransferSizeMB, err, tc.field)
 		}
-		if _, err := Run(plat, cfg); err == nil {
+		if _, err := runSolo(plat, cfg); err == nil {
 			t.Errorf("block=%v transfer=%v: Run accepted the config", cfg.BlockSizeMB, cfg.TransferSizeMB)
 		}
 	}
@@ -94,30 +135,30 @@ func TestValidateNonFiniteSizes(t *testing.T) {
 // report as a deadlock at t=+Inf; Validate rejects it by field name.
 func TestValidateInfiniteComputeSeconds(t *testing.T) {
 	plat := quietCab()
-	cfg := PaperConfig(16)
+	cfg := ior.PaperConfig(16)
 	cfg.Reps = 2
 	cfg.ComputeSeconds = math.Inf(1)
 	if err := cfg.Validate(plat); err == nil || !strings.Contains(err.Error(), "ComputeSeconds") {
 		t.Errorf("Validate = %v, want an error naming ComputeSeconds", err)
 	}
-	if _, err := Run(plat, cfg); err == nil || !strings.Contains(err.Error(), "ComputeSeconds") {
+	if _, err := runSolo(plat, cfg); err == nil || !strings.Contains(err.Error(), "ComputeSeconds") {
 		t.Errorf("Run = %v, want the Validate error", err)
 	}
 }
 
 func TestComputeSecondsSpacesReps(t *testing.T) {
 	plat := quietCab()
-	cfg := PaperConfig(32)
+	cfg := ior.PaperConfig(32)
 	cfg.Label = "spaced"
 	cfg.SegmentCount = 5
 	cfg.Reps = 3
-	cfg.Hints = TunedHints()
+	cfg.Hints = ior.TunedHints()
 	run := func(compute float64) (reps int, makespan float64) {
 		c := cfg
 		c.ComputeSeconds = compute
 		eng := sim.NewEngine()
 		sys := lustre.MustNewSystem(eng, plat, stats.NewRNG(plat.Seed))
-		rj, err := StartJob(sys, c)
+		rj, err := ior.StartJob(sys, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,10 +179,10 @@ func TestComputeSecondsSpacesReps(t *testing.T) {
 }
 
 func TestRunTunedAnchor(t *testing.T) {
-	cfg := PaperConfig(1024)
-	cfg.Hints = TunedHints()
+	cfg := ior.PaperConfig(1024)
+	cfg.Hints = ior.TunedHints()
 	cfg.Reps = 3
-	res, err := Run(quietCab(), cfg)
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +205,10 @@ func TestRunTunedAnchor(t *testing.T) {
 }
 
 func TestRunDefaultAnchor(t *testing.T) {
-	cfg := PaperConfig(1024)
+	cfg := ior.PaperConfig(1024)
 	cfg.API = mpiio.DriverUFS
 	cfg.Reps = 2
-	res, err := Run(quietCab(), cfg)
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +222,14 @@ func TestFilePerProcPinnedOST(t *testing.T) {
 	// The Figure 2 benchmark: k writers, each with a private 1-stripe file
 	// pinned to the same OST.
 	for _, k := range []int{1, 4, 16} {
-		cfg := Config{
+		cfg := ior.Config{
 			Label: "fig2", API: mpiio.DriverLustre,
 			BlockSizeMB: 4, TransferSizeMB: 1, SegmentCount: 25,
 			NumTasks: k, WriteFile: true, FilePerProc: true,
 			Hints: mpiio.Hints{StripingFactor: 1, StripingUnitMB: 1, StripeOffset: 7},
 			Reps:  2,
 		}
-		res, err := Run(quietCab(), cfg)
+		res, err := runSolo(quietCab(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,10 +247,10 @@ func TestFilePerProcPinnedOST(t *testing.T) {
 func TestContendedFourJobs(t *testing.T) {
 	// Section V headline: four tuned jobs each reach ~4.5 GB/s, a 3-4×
 	// drop from the 15.6 GB/s solo peak.
-	base := PaperConfig(1024)
-	base.Hints = TunedHints()
+	base := ior.PaperConfig(1024)
+	base.Hints = ior.TunedHints()
 	base.Reps = 3
-	results, err := RunContended(quietCab(), base, 4)
+	results, err := runContended(quietCab(), base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +269,10 @@ func TestContendedFourJobs(t *testing.T) {
 }
 
 func TestContendedJobsOnDisjointNodes(t *testing.T) {
-	base := PaperConfig(64)
+	base := ior.PaperConfig(64)
 	base.Reps = 1
-	base.Hints = TunedHints()
-	results, err := RunContended(quietCab(), base, 3)
+	base.Hints = ior.TunedHints()
+	results, err := runContended(quietCab(), base, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +286,11 @@ func TestContendedJobsOnDisjointNodes(t *testing.T) {
 }
 
 func TestPLFSRunRecordsAssignment(t *testing.T) {
-	cfg := PaperConfig(128)
+	cfg := ior.PaperConfig(128)
 	cfg.API = mpiio.DriverPLFS
 	cfg.Reps = 2
 	cfg.SegmentCount = 10 // keep the test fast
-	res, err := Run(quietCab(), cfg)
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +310,12 @@ func TestPLFSRunRecordsAssignment(t *testing.T) {
 }
 
 func TestReadPhase(t *testing.T) {
-	cfg := PaperConfig(64)
+	cfg := ior.PaperConfig(64)
 	cfg.ReadFile = true
 	cfg.Reps = 2
 	cfg.SegmentCount = 10
-	cfg.Hints = TunedHints()
-	res, err := Run(quietCab(), cfg)
+	cfg.Hints = ior.TunedHints()
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,21 +328,21 @@ func TestReadPhase(t *testing.T) {
 }
 
 func TestIndependentMode(t *testing.T) {
-	cfg := PaperConfig(64)
+	cfg := ior.PaperConfig(64)
 	cfg.Collective = false
 	cfg.Reps = 1
 	cfg.SegmentCount = 10
 	cfg.Hints.StripingFactor = 64
 	cfg.Hints.StripingUnitMB = 16
-	res, err := Run(quietCab(), cfg)
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coll := PaperConfig(64)
+	coll := ior.PaperConfig(64)
 	coll.Reps = 1
 	coll.SegmentCount = 10
 	coll.Hints = cfg.Hints
-	collRes, err := Run(quietCab(), coll)
+	collRes, err := runSolo(quietCab(), coll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,15 +353,15 @@ func TestIndependentMode(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	cfg := PaperConfig(128)
+	cfg := ior.PaperConfig(128)
 	cfg.Reps = 2
 	cfg.SegmentCount = 20
-	cfg.Hints = TunedHints()
-	a, err := Run(quietCab(), cfg)
+	cfg.Hints = ior.TunedHints()
+	a, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quietCab(), cfg)
+	b, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +374,11 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestRepsRedrawLayouts(t *testing.T) {
-	cfg := PaperConfig(64)
-	cfg.Hints = TunedHints()
+	cfg := ior.PaperConfig(64)
+	cfg.Hints = ior.TunedHints()
 	cfg.Reps = 3
 	cfg.SegmentCount = 5
-	res, err := Run(quietCab(), cfg)
+	res, err := runSolo(quietCab(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 //go:build race
 
-package ior
+package ior_test
 
 // raceEnabled reports whether the race detector instruments this build;
 // allocation-count tests skip under it (the instrumentation allocates).

@@ -28,8 +28,10 @@ type World struct {
 	CollectiveLatency float64
 
 	world *Comm
-	done  *sim.Signal
-	left  int
+	// left counts the ranks still running; finishedAt is the virtual time
+	// the last of them finished.
+	left       int
+	finishedAt float64
 }
 
 // NewWorld creates a world of size ranks packed coresPerNode-to-a-node
@@ -44,7 +46,6 @@ func NewWorld(eng *sim.Engine, size, coresPerNode, firstNode int) *World {
 		size:              size,
 		nodeOf:            make([]int, size),
 		CollectiveLatency: DefaultCollectiveLatency,
-		done:              eng.NewSignal("world-done"),
 		left:              size,
 	}
 	for r := 0; r < size; r++ {
@@ -72,14 +73,15 @@ func (w *World) Nodes() int {
 	return w.nodeOf[w.size-1] - w.nodeOf[0] + 1
 }
 
-// Done fires once every rank's body has returned.
-func (w *World) Done() *sim.Signal { return w.done }
+// FinishedAt returns the virtual time at which the last rank finished,
+// or 0 while any rank is still running.
+func (w *World) FinishedAt() float64 { return w.finishedAt }
 
 // LaunchTasks starts every rank as an inline engine task at the current
 // virtual time. The body is written in continuation-passing style against
 // the rank's Task and the K-suffixed collectives, and must arrange for
 // done to be called exactly once when the rank's workload is complete.
-// Done fires when every rank has finished.
+// FinishedAt reads the time the last rank called it.
 func (w *World) LaunchTasks(body func(r *Rank, done func())) {
 	for i := 0; i < w.size; i++ {
 		rank := &Rank{world: w, id: i}
@@ -127,7 +129,7 @@ func (r *Rank) finish() {
 	r.task.Finish()
 	r.world.left--
 	if r.world.left == 0 {
-		r.world.done.Fire()
+		r.world.finishedAt = r.task.Now()
 	}
 }
 

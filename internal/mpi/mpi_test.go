@@ -43,21 +43,14 @@ func TestLaunchAndDone(t *testing.T) {
 			done()
 		})
 	})
-	finished := false
-	eng.StartTask(0, "watcher", -1, func(tk *sim.Task) {
-		w.Done().Await(tk, func() {
-			finished = true
-			if tk.Now() != 7 {
-				t.Errorf("done at %v, want 7 (slowest rank)", tk.Now())
-			}
-			tk.Finish()
-		})
-	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 8 || !finished {
-		t.Errorf("ran=%d finished=%v", ran, finished)
+	if ran != 8 {
+		t.Errorf("ran=%d", ran)
+	}
+	if got := w.FinishedAt(); got != 7 {
+		t.Errorf("finished at %v, want 7 (slowest rank)", got)
 	}
 }
 

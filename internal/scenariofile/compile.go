@@ -316,12 +316,18 @@ func sampleF(d *Dist, rng *stats.RNG, def, floor float64) float64 {
 	return v
 }
 
+// maxDraw saturates an integer draw before it converts to int, which Go
+// leaves to the machine outside int's range. Every key drawn as an
+// integer is far smaller, so validation still rejects a saturated draw,
+// naming its job.
+const maxDraw = math.MaxInt32
+
 // sampleInt draws an integer (rounding) with a default and a floor.
 func sampleInt(d *Dist, rng *stats.RNG, def, floor int) int {
 	if d == nil {
 		return def
 	}
-	v := int(math.Round(d.sample(rng)))
+	v := int(math.Round(min(max(d.sample(rng), -maxDraw), maxDraw)))
 	if v < floor {
 		v = floor
 	}

@@ -329,13 +329,16 @@ func asFloat(v any) (float64, error) {
 	}
 }
 
-// asInt coerces a scalar to int, rejecting fractional floats.
+// asInt coerces a scalar to int, rejecting fractional floats and floats
+// outside int's range, whose conversion Go leaves to the machine.
 func asInt(v any) (int, error) {
 	switch t := v.(type) {
 	case int64:
 		return int(t), nil
 	case float64:
-		if t != math.Trunc(t) || math.IsNaN(t) || math.IsInf(t, 0) {
+		// int holds [MinInt, -MinInt), bounds exact as float64 where MaxInt
+		// would round up past the range.
+		if t != math.Trunc(t) || math.IsNaN(t) || t < math.MinInt || t >= -math.MinInt {
 			return 0, fmt.Errorf("expected an integer, got %v", t)
 		}
 		return int(t), nil

@@ -1,29 +1,19 @@
 package scenariofile
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/flow"
 	"pfsim/internal/lustre"
-	"pfsim/internal/sim"
 	"pfsim/internal/workload"
 )
 
-// RunOptions configures one scenario-file execution.
-type RunOptions struct {
-	// Seed overrides the platform seed (0 keeps the file's choice).
-	Seed uint64
-	// Parallelism is the width of the worker pool the solo baselines fan
-	// across (values below one select GOMAXPROCS); the contended run is
-	// one simulation on the calling goroutine. Results are byte-identical
-	// at any width.
-	Parallelism int
-	// Ctx cancels the run mid-simulation.
-	Ctx context.Context
-}
+// RunOptions configures one scenario-file execution: a seed overriding
+// the file's (0 keeps it), the width of the pool the solo baselines fan
+// across, and a context that cancels the run mid-simulation.
+type RunOptions = workload.RunOptions
 
 // Result is the outcome of running one scenario file: the simulation
 // results plus the assertion verdict.
@@ -52,20 +42,13 @@ func (r *Result) Makespan() float64 {
 	return r.Sharded.Makespan
 }
 
-// Solver returns the run's solver work counters.
-func (r *Result) Solver() flow.Stats {
+// Work returns the run's simulation and its solver and engine work
+// counters.
+func (r *Result) Work() workload.Work {
 	if r.Mono != nil {
-		return r.Mono.Solver
+		return r.Mono.Work
 	}
-	return r.Sharded.Solver
-}
-
-// Engine returns the run's event-engine work counters.
-func (r *Result) Engine() sim.Stats {
-	if r.Mono != nil {
-		return r.Mono.Engine
-	}
-	return r.Sharded.Engine
+	return r.Sharded.Work
 }
 
 // Aggregate returns the run's cross-job bandwidth summary.
@@ -103,16 +86,15 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wopts := workload.RunOptions{Seed: opts.Seed, Parallelism: opts.Parallelism, Ctx: opts.Ctx}
 	out := &Result{File: f, Platform: plat}
 	if !f.Sharded() {
-		res, err := workload.RunScenarioWith(plat, scens[0], wopts, f.InstrumentShard(-1))
+		res, err := workload.RunScenarioWith(plat, scens[0], opts, f.InstrumentShard(-1))
 		if err != nil {
 			return nil, err
 		}
 		out.Mono = res
 	} else {
-		res, err := workload.RunShardedWith(plat, scens, wopts, func(i int, sys *lustre.System) {
+		res, err := workload.RunShardedWith(plat, scens, opts, func(i int, sys *lustre.System) {
 			f.InstrumentShard(i)(sys)
 		})
 		if err != nil {
@@ -129,7 +111,7 @@ func Run(f *File, opts RunOptions) (*Result, error) {
 		} else {
 			results = out.Sharded.Shards
 		}
-		if err := workload.RunBaselines(plat, results, nil, wopts, nil); err != nil {
+		if err := workload.RunBaselines(plat, results, nil, opts, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -184,7 +166,7 @@ func (f *File) evaluate(r *Result) []string {
 	if a.MaxSlowdown.set() {
 		add(prefixFail("assert.max_slowdown", a.MaxSlowdown.check("max slowdown", agg.MaxSlowdown)))
 	}
-	solver := r.Solver()
+	solver := r.Work().Flow
 	for _, ca := range a.Solver {
 		add(prefixFail("assert.solver."+ca.Name,
 			ca.Bound.check(ca.Name, float64(counterValue(solver, ca.Name)))))

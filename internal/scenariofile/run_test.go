@@ -142,8 +142,8 @@ func jobsEqual(t *testing.T, label string, a, b *workload.Result) {
 			}
 		}
 	}
-	if a.Solver != b.Solver {
-		t.Errorf("%s: solver stats differ:\n%+v\n%+v", label, a.Solver, b.Solver)
+	if a.Work.Flow != b.Work.Flow {
+		t.Errorf("%s: solver stats differ:\n%+v\n%+v", label, a.Work.Flow, b.Work.Flow)
 	}
 }
 

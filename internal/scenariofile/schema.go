@@ -390,6 +390,9 @@ const (
 	// maxShardedLinks bounds a sharded run's nodes plus OSTs summed over
 	// its expanded shards: about 400 MB of links at the limit.
 	maxShardedLinks = 1 << 20
+	// maxRebuildStreams bounds a rebuild's streams, each a flow built
+	// when the rebuild starts, inside an engine event.
+	maxRebuildStreams = 1 << 12
 )
 
 // platform decodes the platform section.
@@ -779,6 +782,9 @@ func rebuild(s *section, ev *Event) {
 		s.fail("mb", "rebuild volume must be finite, got %v", ev.RebuildMB)
 	}
 	ev.Streams = s.atLeast("streams", 4, 1)
+	if ev.Streams > maxRebuildStreams {
+		s.fail("streams", "must be <= %d, got %d", maxRebuildStreams, ev.Streams)
+	}
 	ev.RateMBs = s.num("rate_mbs", 0)
 	if ev.RateMBs < 0 {
 		s.fail("rate_mbs", "must be >= 0 (0 = uncapped), got %v", ev.RateMBs)

@@ -355,6 +355,8 @@ func TestSizeBoundsAdmitTheLimit(t *testing.T) {
 		{"shards", "name: x\nplatform:\n  nodes: 128\n  osts: 16\n  osss: 4\n" + fmt.Sprintf(shard, maxShards)},
 		{"sharded links", fmt.Sprintf("name: x\nplatform:\n  nodes: %d\n  osts: 16\n  osss: 4\n", maxShardedLinks/16-16) +
 			fmt.Sprintf(shard, 16)},
+		{"rebuild streams", "name: x\n" + fleet +
+			fmt.Sprintf("timeline:\n  - at: 5\n    rebuild:\n      ost: 1\n      mb: 10\n      streams: %d\n", maxRebuildStreams)},
 	} {
 		if _, err := Parse([]byte(tc.doc), tc.name+".yaml"); err != nil {
 			t.Errorf("%s at its bound: %v", tc.name, err)

@@ -6,8 +6,7 @@ import (
 )
 
 // waiter is one parked entry in a Signal's waiter list or a Resource's
-// queue: the continuation k, with t set when it belongs to a tracked task
-// (nil for a bare subscription — see Signal.OnFired).
+// queue: the parked task and the continuation it resumes with.
 type waiter struct {
 	t *Task
 	k func()
@@ -62,9 +61,7 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	for i, w := range s.waiters {
-		if w.t != nil {
-			w.t.unpark()
-		}
+		w.t.unpark()
 		s.eng.Schedule(0, w.k)
 		s.waiters[i] = waiter{}
 	}

@@ -143,21 +143,6 @@ func (s *Signal) Await(t *Task, k func()) {
 	s.waiters[n] = waiter{t: t, k: k}
 }
 
-// OnFired runs k once the signal fires, without tying the subscription to
-// a task: the self-rescheduling form of a watcher process. If the signal
-// already fired, k is scheduled at the current instant (a watcher that
-// subscribes late must still observe, not miss, the edge); otherwise k
-// joins the waiter list like any other waiter. A subscription is not
-// tracked for deadlock detection — a watcher that never fires is not a
-// stuck workload.
-func (s *Signal) OnFired(k func()) {
-	if s.fired {
-		s.eng.Schedule(0, k)
-		return
-	}
-	s.waiters = append(s.waiters, waiter{k: k})
-}
-
 // AwaitAll runs k once every signal in sigs has fired, visiting them in
 // order: park on the first unfired signal, and when it fires re-examine
 // the rest from there. Signals already fired are skipped synchronously,

@@ -62,59 +62,6 @@ func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestSignalMixedWaitersFIFO parks tasks and bare OnFired subscriptions on
-// one signal in interleaved order: Fire must wake them strictly in park
-// order, whichever kind each waiter is.
-func TestSignalMixedWaitersFIFO(t *testing.T) {
-	e := NewEngine()
-	s := e.NewSignal("go")
-	var order []string
-	e.StartTask(0, "t", 0, func(tk *Task) {
-		s.Await(tk, func() {
-			order = append(order, tk.Name())
-			tk.Finish()
-		})
-	})
-	e.Schedule(0, func() { s.OnFired(func() { order = append(order, "sub1") }) })
-	e.StartTask(0, "t", 2, func(tk *Task) {
-		s.Await(tk, func() {
-			order = append(order, tk.Name())
-			tk.Finish()
-		})
-	})
-	e.Schedule(1, s.Fire)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(order, " "), "t0 sub1 t2"; got != want {
-		t.Errorf("order = %q, want %q", got, want)
-	}
-}
-
-// TestOnFiredSubscription: a subscription runs when the signal fires, and
-// a late subscriber (after the fire) still observes the edge — via an
-// event at the current instant, never synchronously inside OnFired.
-func TestOnFiredSubscription(t *testing.T) {
-	e := NewEngine()
-	s := e.NewSignal("done")
-	var at []float64
-	s.OnFired(func() { at = append(at, e.Now()) })
-	e.Schedule(2, s.Fire)
-	e.Schedule(3, func() {
-		sync := false
-		s.OnFired(func() { sync = true; at = append(at, e.Now()) })
-		if sync {
-			t.Error("late OnFired ran synchronously; must go through the queue")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(at) != 2 || at[0] != 2 || at[1] != 3 {
-		t.Errorf("subscriptions fired at %v, want [2 3]", at)
-	}
-}
-
 // TestAwaitAllMatchesWaitAll runs the same scattered fire schedule against
 // a task using AwaitAll and a task waiting on each signal in turn with a
 // chain of Await calls: both must resume at the same instant (the

@@ -14,6 +14,7 @@ import (
 	"pfsim/internal/ior"
 	"pfsim/internal/pool"
 	"pfsim/internal/stats"
+	"pfsim/internal/workload"
 )
 
 // Point is one sampled configuration with its measured bandwidth.
@@ -30,7 +31,7 @@ type Grid struct {
 	// MBs[i][j] is the bandwidth at Counts[i] × SizesMB[j].
 	MBs [][]float64
 	// Work sums the simulations the sweep ran, one per point.
-	Work ior.Work
+	Work workload.Work
 
 	setup setup // what every point was measured under
 }
@@ -130,7 +131,7 @@ func Exhaustive(plat *cluster.Platform, counts []int, sizesMB []float64, opt Opt
 	if total == 0 {
 		return g, nil
 	}
-	works := make([]ior.Work, total)
+	works := make([]workload.Work, total)
 	tick := pool.Progress(total, opt.Progress)
 	err := pool.Run(opt.Ctx, opt.Parallelism, total, func(k int) error {
 		i, j := k/len(sizesMB), k%len(sizesMB)
@@ -153,16 +154,16 @@ func Exhaustive(plat *cluster.Platform, counts []int, sizesMB []float64, opt Opt
 
 // measure simulates one grid point and returns its mean write bandwidth
 // and the simulation's work.
-func (su *setup) measure(count int, sizeMB float64) (float64, ior.Work, error) {
+func (su *setup) measure(count int, sizeMB float64) (float64, workload.Work, error) {
 	cfg := su.cfg
 	cfg.Label = fmt.Sprintf("sweep-c%d-s%g", count, sizeMB)
 	cfg.Hints.StripingFactor = count
 	cfg.Hints.StripingUnitMB = sizeMB
-	res, err := ior.Run(&su.plat, cfg)
+	res, err := workload.RunScenario(&su.plat, workload.Solo(cfg), 0)
 	if err != nil {
-		return 0, ior.Work{}, fmt.Errorf("sweep: %d×%gMB: %w", count, sizeMB, err)
+		return 0, workload.Work{}, fmt.Errorf("sweep: %d×%gMB: %w", count, sizeMB, err)
 	}
-	return res.Write.Mean(), res.Work, nil
+	return res.Jobs[0].IOR.Write.Mean(), res.Work, nil
 }
 
 // GAOptions tunes the genetic search.
@@ -226,7 +227,7 @@ type GAResult struct {
 	History []float64
 	// Work sums the simulations the search ran: one per evaluated
 	// genome that GAOptions.Grid did not hold.
-	Work ior.Work
+	Work workload.Work
 }
 
 // Genetic runs a small genetic algorithm over the configuration space, in
@@ -270,7 +271,7 @@ func Genetic(plat *cluster.Platform, opt GAOptions) (*GAResult, error) {
 			fresh = append(fresh, g)
 		}
 		bws := make([]float64, len(fresh))
-		works := make([]ior.Work, len(fresh))
+		works := make([]workload.Work, len(fresh))
 		err := pool.Run(opt.Ctx, opt.Parallelism, len(fresh), func(i int) error {
 			bw, w, err := su.measure(opt.Counts[fresh[i].ci], opt.SizesMB[fresh[i].si])
 			bws[i], works[i] = bw, w

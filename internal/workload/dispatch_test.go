@@ -70,7 +70,7 @@ func dispatchFingerprint(mode string, res *Result) string {
 			j.Label, math.Float64bits(j.FinishedAt), math.Float64bits(j.WriteMBs()),
 			math.Float64bits(j.IOR.Read.Mean()), j.IOR.LayoutOSTs)
 	}
-	fmt.Fprintf(&b, " | stats=%+v", res.Solver)
+	fmt.Fprintf(&b, " | stats=%+v", res.Work.Flow)
 	return b.String()
 }
 

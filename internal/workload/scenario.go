@@ -166,6 +166,11 @@ type Scenario struct {
 	Name string
 	// Jobs are the concurrent applications.
 	Jobs []Job
+
+	// fork, when forked, is the RNG-fork key in place of the one seedHash
+	// derives from the name and labels (see Contended).
+	fork   uint64
+	forked bool
 }
 
 // NewScenario returns a named scenario over the given jobs.
@@ -186,6 +191,30 @@ func UniformScenario(name string, w Workload, n int) Scenario {
 	s := Scenario{Name: name}
 	for i := 0; i < n; i++ {
 		s.Jobs = append(s.Jobs, Job{Workload: w})
+	}
+	return s
+}
+
+// Solo returns the scenario of one job running cfg alone: an unnamed
+// scenario, so its RNG stream forks from ior.HashLabel(cfg.Label). It is
+// what a solo baseline, a sweep point and a single paper measurement run.
+func Solo(cfg ior.Config) Scenario {
+	return Scenario{Jobs: []Job{{Workload: IORJob{Cfg: cfg}}}}
+}
+
+// Contended returns n copies of base, labelled "<label>-job<i>", on
+// consecutive node ranges from node 0, all started at time zero: the
+// paper's Section V contention experiments. Jobs repeat their
+// repetitions back to back and drift apart, as on the real machine. The
+// scenario is named after base and its RNG stream forks from
+// ior.HashLabel(base.Label)+n, the stream the paper's Figure 3 and Table
+// V are recorded on, not from the job labels.
+func Contended(base ior.Config, n int) Scenario {
+	s := Scenario{Name: base.Label, fork: ior.HashLabel(base.Label) + uint64(n), forked: true}
+	for i := 0; i < n; i++ {
+		cfg := base
+		cfg.Label = fmt.Sprintf("%s-job%d", base.Label, i)
+		s.Jobs = append(s.Jobs, Job{Workload: IORJob{Cfg: cfg}})
 	}
 	return s
 }
@@ -285,10 +314,13 @@ func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 	return cfgs, nil
 }
 
-// seedHash mixes the scenario name and job labels into the RNG-fork key.
-// An unnamed single-job scenario hashes to ior.HashLabel(label), so it
-// reproduces ior.Run byte for byte.
+// seedHash mixes the scenario name and job labels into the RNG-fork key,
+// unless the scenario carries its own (Contended). An unnamed single-job
+// scenario hashes to ior.HashLabel(label).
 func (s Scenario) seedHash(cfgs []ior.Config) uint64 {
+	if s.forked {
+		return s.fork
+	}
 	var h uint64
 	if s.Name != "" {
 		h = ior.HashLabel(s.Name)
@@ -341,14 +373,34 @@ type Result struct {
 	Jobs []JobResult
 	// Makespan is the virtual time at which the last job finished.
 	Makespan float64
-	// Solver holds the fluid solver's work counters for the run — solves,
-	// link visits, rate-fixing rounds, flows scanned and completion-heap
-	// operations. Machine-independent and deterministic, so progress and
-	// capacity tooling can report simulation cost alongside bandwidth.
-	Solver flow.Stats
-	// Engine holds the event engine's work counters for the run (events
-	// scheduled, fired, cancelled), deterministic like Solver.
-	Engine sim.Stats
+	// Work is the run's one simulation and its solver and engine work
+	// counters (zero for a shard of a sharded run, whose ShardedResult
+	// counts the shared simulation).
+	Work Work
+}
+
+// Work counts simulations and their summed work: the fluid solver's
+// counters (solves, link visits, rate-fixing rounds, flows scanned,
+// completion-heap operations) and the event engine's (events scheduled,
+// fired, cancelled). All are machine-independent and deterministic, so
+// tooling can report simulation cost alongside bandwidth, and a caller
+// that runs many simulations sums their results' Work.
+type Work struct {
+	Simulations int
+	Flow        flow.Stats
+	Sim         sim.Stats
+}
+
+// Add folds o into w.
+func (w *Work) Add(o Work) {
+	w.Simulations += o.Simulations
+	w.Flow.Add(o.Flow)
+	w.Sim.Add(o.Sim)
+}
+
+// simulation is the Work of one finished simulation on eng and net.
+func simulation(eng *sim.Engine, net *flow.Net) Work {
+	return Work{Simulations: 1, Flow: net.Stats(), Sim: eng.Stats()}
 }
 
 // Aggregate computes cross-job summary statistics.
@@ -444,8 +496,7 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	if err := launch.finish(res); err != nil {
 		return nil, err
 	}
-	res.Solver = sys.Net().Stats()
-	res.Engine = eng.Stats()
+	res.Work = simulation(eng, sys.Net())
 	return res, nil
 }
 
@@ -476,11 +527,6 @@ func launchScenario(sys *lustre.System, s Scenario, cfgs []ior.Config, res *Resu
 			}
 			ls.running[i] = rj
 			res.Jobs[i].IOR = rj.Result
-			// A subscription, not a watcher process: the completion stamp
-			// needs no goroutine parked for the whole run.
-			rj.Done.OnFired(func() {
-				res.Jobs[i].FinishedAt = eng.Now()
-			})
 		}
 		if s.Jobs[i].StartAt > 0 {
 			eng.Schedule(s.Jobs[i].StartAt, start)
@@ -492,7 +538,7 @@ func launchScenario(sys *lustre.System, s Scenario, cfgs []ior.Config, res *Resu
 }
 
 // finish surfaces launch and rank errors after the engine drained and
-// fills in the result's makespan.
+// fills in each job's finish time and the result's makespan.
 func (ls *launchState) finish(res *Result) error {
 	if ls.err != nil {
 		return ls.err
@@ -509,6 +555,7 @@ func (ls *launchState) finish(res *Result) error {
 		if err := ls.running[i].Err(); err != nil {
 			return err
 		}
+		res.Jobs[i].FinishedAt = ls.running[i].FinishedAt()
 		if res.Jobs[i].FinishedAt > res.Makespan {
 			res.Makespan = res.Jobs[i].FinishedAt
 		}
@@ -610,9 +657,7 @@ func RunBaselines(plat *cluster.Platform, results []*Result, seeds []uint64, opt
 	}
 	baselines := make([]*ior.Result, len(units))
 	err := pool.Run(opts.Ctx, opts.Parallelism, len(units), func(k int) error {
-		res, err := RunScenario(plat, Scenario{
-			Jobs: []Job{{Workload: IORJob{Cfg: units[k].cfg}}},
-		}, units[k].seed)
+		res, err := RunScenario(plat, Solo(units[k].cfg), units[k].seed)
 		if err != nil {
 			return fmt.Errorf("solo baseline for %q: %w", units[k].cfg.Label, err)
 		}

@@ -1,13 +1,17 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/ior"
+	"pfsim/internal/lustre"
 	"pfsim/internal/mpiio"
+	"pfsim/internal/sim"
+	"pfsim/internal/stats"
 )
 
 func quietCab() *cluster.Platform {
@@ -26,24 +30,61 @@ func smallIOR(label string, tasks int) ior.Config {
 	return cfg
 }
 
+// TestSingleJobScenarioMatchesIORRun pins the two streams a scenario
+// forks from other than the mix of its name and labels: a single unnamed
+// job forks from its label's hash, and Contended's n copies from the base
+// label's hash plus n. Each scenario must match its jobs started by hand
+// on a system built on that stream, bit for bit.
 func TestSingleJobScenarioMatchesIORRun(t *testing.T) {
 	plat := cluster.Cab() // jitter on: exact match must survive randomness
 	cfg := smallIOR("match", 64)
-	direct, err := ior.Run(plat, cfg)
-	if err != nil {
-		t.Fatal(err)
+	byHand := func(fork uint64, cfgs ...ior.Config) []*ior.Result {
+		eng := sim.NewEngine()
+		sys := lustre.MustNewSystem(eng, plat, stats.NewRNG(plat.Seed).Fork(fork))
+		out := make([]*ior.Result, len(cfgs))
+		for i, c := range cfgs {
+			rj, err := ior.StartJob(sys, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = rj.Result
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	res, err := RunScenario(plat, Scenario{Jobs: []Job{{Workload: IORJob{Cfg: cfg}}}}, 0)
-	if err != nil {
-		t.Fatal(err)
+	copies := make([]ior.Config, 3)
+	for i := range copies {
+		copies[i] = cfg
+		copies[i].Label = fmt.Sprintf("match-job%d", i)
+		copies[i].FirstNode = i * plat.NodesFor(cfg.NumTasks)
 	}
-	got, want := res.Jobs[0].IOR.Write.Values(), direct.Write.Values()
-	if len(got) != len(want) {
-		t.Fatalf("rep counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rep %d: scenario %v != ior.Run %v", i, got[i], want[i])
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		want []*ior.Result
+	}{
+		{"solo", Solo(cfg), byHand(ior.HashLabel("match"), cfg)},
+		{"contended", Contended(cfg, 3), byHand(ior.HashLabel("match")+3, copies...)},
+	} {
+		res, err := RunScenario(plat, tc.sc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Jobs) != len(tc.want) {
+			t.Fatalf("%s: %d jobs, want %d", tc.name, len(res.Jobs), len(tc.want))
+		}
+		for j, want := range tc.want {
+			jr := &res.Jobs[j]
+			if jr.Label != want.Config.Label || jr.Config.FirstNode != want.Config.FirstNode {
+				t.Errorf("%s: job %d is %q on node %d, want %q on node %d", tc.name, j,
+					jr.Label, jr.Config.FirstNode, want.Config.Label, want.Config.FirstNode)
+			}
+			if got, want := fmt.Sprint(jr.IOR.Write.Values(), jr.IOR.LayoutOSTs),
+				fmt.Sprint(want.Write.Values(), want.LayoutOSTs); got != want {
+				t.Errorf("%s: job %d: scenario %s, by hand %s", tc.name, j, got, want)
+			}
 		}
 	}
 }
@@ -211,10 +252,11 @@ func TestSoloBaselines(t *testing.T) {
 	if len(solos) != 1 {
 		t.Fatalf("identical jobs should share one baseline, got %d", len(solos))
 	}
-	base, err := ior.Run(plat, solos[0])
+	solo, err := RunScenario(plat, Solo(solos[0]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := solo.Jobs[0].IOR
 	res.ApplySolo(map[ior.Config]*ior.Result{solos[0]: base})
 	for i := range res.Jobs {
 		if res.Jobs[i].SoloMBs != base.Write.Mean() {

@@ -15,19 +15,17 @@ import (
 // file system, plus the shared solver's work counters.
 type ShardedResult struct {
 	// Shards holds one scenario result per file system, in input order.
-	// Per-shard Solver and Engine counters are zero — the solver and the
-	// engine are shared; see the top-level fields.
+	// Per-shard Work is zero — the solver and the engine are shared; see
+	// the top-level field.
 	Shards []*Result
 	// Makespan is the virtual time at which the last job of any shard
 	// finished.
 	Makespan float64
-	// Solver holds the shared fluid solver's work counters for the whole
-	// run. With the partitioned solver each shard is its own
-	// link-connectivity component, so ComponentFlowsScanned /
+	// Work is the run's one simulation and the shared solver's and
+	// engine's work counters. With the partitioned solver each shard is
+	// its own link-connectivity component, so ComponentFlowsScanned /
 	// ComponentsSolved reflects per-shard, not total, population.
-	Solver flow.Stats
-	// Engine holds the shared event engine's work counters for the run.
-	Engine sim.Stats
+	Work Work
 }
 
 // RunSharded executes several scenarios as independent file systems
@@ -108,8 +106,7 @@ func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, 
 			out.Makespan = out.Shards[i].Makespan
 		}
 	}
-	out.Solver = net.Stats()
-	out.Engine = eng.Stats()
+	out.Work = simulation(eng, net)
 	return out, nil
 }
 

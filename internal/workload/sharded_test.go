@@ -43,7 +43,7 @@ func TestRunShardedBasics(t *testing.T) {
 			t.Fatalf("shard %d makespan %v outside total %v", i, sh.Makespan, res.Makespan)
 		}
 	}
-	if res.Solver.ComponentsSolved == 0 {
+	if res.Work.Flow.ComponentsSolved == 0 {
 		t.Error("shared solver counters not collected")
 	}
 	agg := res.Aggregate()
@@ -89,8 +89,8 @@ func TestRunShardedSolverModesBitIdentical(t *testing.T) {
 		// The partitioned solver must have scanned per-shard populations:
 		// the average component solve touches far fewer flows than the
 		// reference's whole-population passes.
-		incPer := float64(inc.Solver.ComponentFlowsScanned) / float64(inc.Solver.ComponentsSolved)
-		refPer := float64(ref.Solver.ComponentFlowsScanned) / float64(ref.Solver.ComponentsSolved)
+		incPer := float64(inc.Work.Flow.ComponentFlowsScanned) / float64(inc.Work.Flow.ComponentsSolved)
+		refPer := float64(ref.Work.Flow.ComponentFlowsScanned) / float64(ref.Work.Flow.ComponentsSolved)
 		if incPer*2 > refPer {
 			t.Errorf("tasks=%d: per-solve scan %.1f not well below reference %.1f", tasks, incPer, refPer)
 		}

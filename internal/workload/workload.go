@@ -3,7 +3,10 @@
 // parallel file system to survive node failures. It provides a
 // compute/checkpoint cycle model, optimal-interval analysis (Young's
 // approximation), and a multi-tenant job generator for contention studies
-// beyond the paper's fixed four-job scenario.
+// beyond the paper's fixed four-job scenario. Its scenario runner
+// (RunScenarioWith, RunShardedWith) is the one place a simulation's
+// engine is built and run: scenario files, the Go API, the sweeps and
+// the paper experiments all run through it.
 package workload
 
 import (

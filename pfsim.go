@@ -151,11 +151,9 @@ func RunIOR(plat *Platform, cfg IORConfig) (*IORResult, error) {
 // RunContended executes n simultaneous copies of cfg on one simulated
 // system (disjoint node ranges), the Section V scenario. It is a thin
 // wrapper over Runner.RunContended; use a Runner directly for
-// heterogeneous mixes, start times, or slowdown reporting. The Scenario
-// engine forks its RNG from the job labels, a different stream than the
-// pre-Scenario releases (and than internal/ior.RunContended): per-run
-// numbers shift slightly, distributions and every reproduced shape do
-// not.
+// heterogeneous mixes, start times, or slowdown reporting. Its RNG stream
+// forks from cfg's label and n, as the paper's Figure 3 and Table V do,
+// not from the job labels as other scenarios' streams do.
 func RunContended(plat *Platform, cfg IORConfig, n int) ([]*IORResult, error) {
 	return NewRunner(WithParallelism(1), WithoutSlowdowns()).RunContended(plat, cfg, n)
 }

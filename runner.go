@@ -274,9 +274,7 @@ func (r *Runner) RunSharded(plat *Platform, shards []Scenario) (*ShardedResult, 
 // serial path byte for byte. A cancelled WithContext context stops the
 // engine mid-run.
 func (r *Runner) RunIOR(plat *Platform, cfg IORConfig) (*IORResult, error) {
-	res, err := workload.RunScenarioWith(plat, Scenario{
-		Jobs: []ScenarioJob{{Workload: workload.IORJob{Cfg: cfg}}},
-	}, r.runOptions())
+	res, err := workload.RunScenarioWith(plat, workload.Solo(cfg), r.runOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -285,13 +283,14 @@ func (r *Runner) RunIOR(plat *Platform, cfg IORConfig) (*IORResult, error) {
 
 // RunContended executes n simultaneous copies of cfg on one simulated
 // system (disjoint node ranges) and returns the per-job results — the
-// Section V scenario expressed on the Scenario API. A cancelled
-// WithContext context stops the engine mid-run.
+// Section V scenario, run as the paper's Figure 3 and Table V run it, on
+// the same RNG stream. A cancelled WithContext context stops the engine
+// mid-run.
 func (r *Runner) RunContended(plat *Platform, cfg IORConfig, n int) ([]*IORResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pfsim: need at least one job")
 	}
-	res, err := workload.RunScenarioWith(plat, contendedScenario(cfg, n), r.runOptions())
+	res, err := workload.RunScenarioWith(plat, workload.Contended(cfg, n), r.runOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -408,12 +408,12 @@ func TestRunnerRunSharded(t *testing.T) {
 			t.Fatalf("shard %d has no bandwidth", i)
 		}
 	}
-	if res.Solver.ComponentsSolved == 0 || res.Solver.ComponentFlowsScanned == 0 {
+	if res.Work.Flow.ComponentsSolved == 0 || res.Work.Flow.ComponentFlowsScanned == 0 {
 		t.Error("solver counters missing from sharded result")
 	}
 	// The per-solve population must track the shard (16 flows), not the
 	// whole 48-flow simulation.
-	per := float64(res.Solver.ComponentFlowsScanned) / float64(res.Solver.ComponentsSolved)
+	per := float64(res.Work.Flow.ComponentFlowsScanned) / float64(res.Work.Flow.ComponentsSolved)
 	if per > 16 {
 		t.Errorf("per-solve scan %.1f flows; want <= shard population 16", per)
 	}

@@ -110,15 +110,3 @@ func PLFSWorkload(ranks int, mbPerRank float64) Workload {
 func CheckpointWorkload(app Checkpoint, hints Hints, checkpoints int) Workload {
 	return workload.Checkpointer{App: app, API: DriverLustre, Hints: hints, Checkpoints: checkpoints}
 }
-
-// contendedScenario is the RunContended shape on the new API: n copies of
-// base on disjoint node ranges, all started at time zero.
-func contendedScenario(base IORConfig, n int) Scenario {
-	sc := Scenario{Name: base.Label}
-	for i := 0; i < n; i++ {
-		cfg := base
-		cfg.Label = fmt.Sprintf("%s-job%d", base.Label, i)
-		sc.Jobs = append(sc.Jobs, ScenarioJob{Workload: workload.IORJob{Cfg: cfg}})
-	}
-	return sc
-}

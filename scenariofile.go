@@ -42,9 +42,5 @@ func (r *Runner) RunScenarioFile(f *ScenarioFile) (*ScenarioFileResult, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return scenariofile.Run(f, scenariofile.RunOptions{
-		Seed:        r.seed,
-		Parallelism: r.parallelism,
-		Ctx:         r.ctx,
-	})
+	return scenariofile.Run(f, r.runOptions())
 }
