@@ -138,18 +138,25 @@ func TestValidateRejectsUnboundedRepetitions(t *testing.T) {
 }
 
 // TestValidateRejectsUnrunnableJobs: striping hints past the platform's
-// stripe limit, on a plain entry or drawn by a generator, and a generator
-// drawing task counts past int's range fail validation, naming the job.
-// They used to validate; the over-wide stripes then deadlocked the run
-// behind the open that rank 0's create had refused.
+// stripe limit, on a plain entry, drawn by a generator or in a shard, a
+// generator drawing task counts past int's range, and jobs pinned to
+// overlapping nodes fail validation, naming each job's document entry
+// and label. The over-wide stripes used to validate and then deadlock the
+// run behind the open that rank 0's create had refused.
 func TestValidateRejectsUnrunnableJobs(t *testing.T) {
 	validateRejects(t, []validateCase{
-		{"stripes.yaml", "name: wide\nfleet:\n  - ior:\n      tasks: 8\n    stripes: 200\n",
-			`workload: scenario "wide" job "ior": ior: stripe count 200 outside 0..160 (0 = default)`},
+		{"stripes.yaml", "name: wide\nfleet:\n  - ior:\n      tasks: 8\n  - ior:\n      tasks: 8\n    stripes: 200\n",
+			`fleet[1] (job "ior-job1"): ior: stripe count 200 outside 0..160 (0 = default)`},
 		{"drawn-stripes.yaml", "name: widegen\nfleet:\n  - generator:\n      count: 3\n      tasks: 8\n      stripes:\n        uniform: [100, 300]\n",
-			`workload: scenario "widegen" job "ior-g0": ior: stripe count 178 outside 0..160 (0 = default)`},
+			`fleet[0].generator (job "ior-g0"): ior: stripe count 178 outside 0..160 (0 = default)`},
 		{"drawn-tasks.yaml", "name: hugegen\nfleet:\n  - generator:\n      count: 2\n      tasks:\n        uniform: [1e19, 1e20]\n",
-			`workload: scenario "hugegen" job "ior-g0": ior: job needs nodes 0..134217727 but platform has 1200`},
+			`fleet[0].generator (job "ior-g0"): ior: job needs nodes 0..134217727 but platform has 1200`},
+		{"shard-stripes.yaml", "name: shardwide\nshards:\n  - fleet:\n      - ior:\n          tasks: 8\n  - fleet:\n      - ior:\n          tasks: 8\n        stripes: 200\n",
+			`shards[1].fleet[0] (job "ior"): ior: stripe count 200 outside 0..160 (0 = default)`},
+		{"replica-stripes.yaml", "name: replicawide\nshards:\n  - replicate: 3\n    fleet:\n      - ior:\n          tasks: 8\n  - replicate: 2\n    fleet:\n      - checkpoint:\n          ranks: 8\n          state_mb_per_rank: 4\n      - ior:\n          tasks: 8\n        stripes: 200\n",
+			`shards[1].fleet[1] (replica 0, job "ior"): ior: stripe count 200 outside 0..160 (0 = default)`},
+		{"overlap.yaml", "name: overlap\nfleet:\n  - ior:\n      label: a\n      tasks: 96\n  - ior:\n      label: b\n      tasks: 8\n    first_node: 5\n",
+			`fleet[1] (job "b"): overlaps fleet[0] (job "a") on nodes 5..5`},
 	})
 }
 

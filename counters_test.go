@@ -43,6 +43,9 @@ type workCounts struct {
 	// parts counts, for a run of several experiments, each one's
 	// simulations, in run order.
 	parts []simCount
+	// baselines is, for a corpus file that runs solo baselines, their
+	// summed work, which solver and engine leave out.
+	baselines workload.Work
 }
 
 // countsOf is the workCounts of a runner's result.
@@ -60,7 +63,8 @@ type simCount struct {
 // field of flow.Stats and sim.Stats, so a counter added to either struct
 // joins the golden, then for a run with parts the simulations in all and
 // per part a "<run>/<part> simulations <n>" and a "<run>/<part> digest
-// <sha256>" row.
+// <sha256>" row, and for a run with solo baselines their counters and
+// simulations as "<run>/baselines" rows.
 func (c workCounts) rows(run string) []string {
 	var out []string
 	for _, f := range []struct {
@@ -82,6 +86,10 @@ func (c workCounts) rows(run string) []string {
 				fmt.Sprintf("%s/%s simulations %d", run, p.name, p.simulations),
 				fmt.Sprintf("%s/%s digest %s", run, p.name, p.digest))
 		}
+	}
+	if b := c.baselines; b.Simulations > 0 {
+		out = append(out, countsOf(b).rows(run+"/baselines")...)
+		out = append(out, fmt.Sprintf("%s/baselines simulations %d", run, b.Simulations))
 	}
 	return out
 }
@@ -135,7 +143,8 @@ const checkpointFleetShards = 48
 //     whose ranks meet in MPI collectives around every write;
 //   - one row per scenarios/*.yaml file through scenariofile.Run at
 //     Parallelism 1, solo baselines and assertions included, so a moved
-//     counter names its file;
+//     counter names its file; the solo baselines' work has rows of its
+//     own;
 //   - paper-artefacts: every registered experiment in quick mode, its
 //     simulations' counters summed and counted per experiment, and what
 //     it rendered digested per experiment.
@@ -183,7 +192,15 @@ func workRuns(tb testing.TB) []workRun {
 				if !res.Passed() {
 					tb.Fatalf("%s: assertions failed: %v", p, res.Failures)
 				}
-				return countsOf(res.Work())
+				c := countsOf(res.Work())
+				if res.Mono != nil {
+					c.baselines = res.Mono.Baselines
+				} else {
+					for _, sh := range res.Sharded.Shards {
+						c.baselines.Add(sh.Baselines)
+					}
+				}
+				return c
 			},
 		})
 	}

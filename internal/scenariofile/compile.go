@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -366,10 +367,7 @@ func (f *File) Compile() (*cluster.Platform, []workload.Scenario, error) {
 	}
 	for i := range scens {
 		if err := scens[i].Validate(plat); err != nil {
-			if f.Sharded() {
-				return nil, nil, fmt.Errorf("%s: shard %d: %w", f.errName(), i, err)
-			}
-			return nil, nil, fmt.Errorf("%s: %w", f.errName(), err)
+			return nil, nil, f.positioned(i, err)
 		}
 	}
 	for i := range f.Timeline {
@@ -396,6 +394,49 @@ func (f *File) Compile() (*cluster.Platform, []workload.Scenario, error) {
 		}
 	}
 	return plat, scens, nil
+}
+
+// positioned prefixes a validation error of scenario si, as
+// BuildScenarios numbers them, with the file and the fleet it concerns.
+// A workload.JobError names jobs by index into the scenario; walking
+// count, generator.count and replicate maps each back to its entry. It
+// runs only on failure, so a passing compile pays nothing for it.
+func (f *File) positioned(si int, err error) error {
+	fleet, prefix, replica := f.Fleet, "", ""
+	if f.Sharded() {
+		s := 0
+		for ; si >= max(f.Shards[s].Replicate, 1); s++ {
+			si -= max(f.Shards[s].Replicate, 1)
+		}
+		fleet, prefix = f.Shards[s].Fleet, fmt.Sprintf("shards[%d].", s)
+		if f.Shards[s].Replicate > 1 {
+			replica = fmt.Sprintf("replica %d, ", si)
+		}
+	}
+	// job names job k: shards[1].fleet[0].generator (replica 2, job "ior-g0").
+	job := func(k int, label string) string {
+		i, key := 0, ""
+		for ; i < len(fleet); i++ {
+			n := fleet[i].Count
+			if key = ""; fleet[i].Gen != nil {
+				n, key = fleet[i].Gen.Count, ".generator"
+			}
+			if k < n {
+				break
+			}
+			k -= n
+		}
+		return fmt.Sprintf("%sfleet[%d]%s (%sjob %q)", prefix, i, key, replica, label)
+	}
+	var je *workload.JobError
+	switch {
+	case !errors.As(err, &je):
+		return fmt.Errorf("%s: %sfleet: %w", f.errName(), prefix, err)
+	case je.Err == nil:
+		return fmt.Errorf("%s: %s: overlaps %s on nodes %d..%d", f.errName(),
+			job(je.Job, je.Label), job(je.Other, je.OtherLabel), je.From, je.To)
+	}
+	return fmt.Errorf("%s: %s: %w", f.errName(), job(je.Job, je.Label), je.Err)
 }
 
 // checkFleetSize rejects the first entry at which a fleet's running job

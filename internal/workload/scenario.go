@@ -236,7 +236,34 @@ func (s Scenario) title() string {
 	return fmt.Sprintf("scenario %q", s.Name)
 }
 
+// A JobError is a scenario job whose configuration fails validation, or
+// whose nodes overlap another job's. Its text names the jobs by label;
+// Job and Other index Scenario.Jobs, so a caller that built the scenario
+// can name the entries the jobs came from instead.
+type JobError struct {
+	Scenario string // the scenario's title in errors
+	Job      int
+	Label    string
+	Err      error // the job's fault; nil for an overlap
+	// For an overlap: the other job, and the nodes From..To both claim.
+	Other      int
+	OtherLabel string
+	From, To   int
+}
+
+func (e *JobError) Error() string {
+	if e.Err == nil {
+		return fmt.Sprintf("workload: %s: job %q overlaps job %q on nodes %d..%d",
+			e.Scenario, e.Label, e.OtherLabel, e.From, e.To)
+	}
+	return fmt.Sprintf("workload: %s job %q: %v", e.Scenario, e.Label, e.Err)
+}
+
+// Unwrap returns the job's fault.
+func (e *JobError) Unwrap() error { return e.Err }
+
 // materialise resolves every job to a placed, validated configuration.
+// A job that fails validation or overlaps another is a *JobError.
 func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("workload: %s has no jobs", s.title())
@@ -296,13 +323,13 @@ func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 			cfg.FirstNode = cursor
 		}
 		if err := cfg.Validate(plat); err != nil {
-			return nil, fmt.Errorf("workload: %s job %q: %w", s.title(), cfg.Label, err)
+			return nil, &JobError{Scenario: s.title(), Job: i, Label: cfg.Label, Err: err}
 		}
 		sp := span{cfg.FirstNode, cfg.FirstNode + plat.NodesFor(cfg.NumTasks) - 1}
 		for j, other := range spans {
 			if sp.from <= other.to && other.from <= sp.to {
-				return nil, fmt.Errorf("workload: %s: job %q overlaps job %q on nodes %d..%d",
-					s.title(), cfg.Label, cfgs[j].Label, max(sp.from, other.from), min(sp.to, other.to))
+				return nil, &JobError{Scenario: s.title(), Job: i, Label: cfg.Label,
+					Other: j, OtherLabel: cfgs[j].Label, From: max(sp.from, other.from), To: min(sp.to, other.to)}
 			}
 		}
 		spans = append(spans, sp)
@@ -377,6 +404,9 @@ type Result struct {
 	// counters (zero for a shard of a sharded run, whose ShardedResult
 	// counts the shared simulation).
 	Work Work
+	// Baselines is the summed work of the solo simulations RunBaselines
+	// ran for this result; zero until it runs them.
+	Baselines Work
 }
 
 // Work counts simulations and their summed work: the fluid solver's
@@ -634,7 +664,8 @@ type Progress interface {
 // This pool is where a run spends its width; each simulation runs on one
 // goroutine, so results are byte-identical at any width. progress, when
 // non-nil, hears the pass's simulation count before the first starts and
-// each one as it finishes.
+// each one as it finishes. Each result's Baselines sums the work of its
+// solo simulations.
 func RunBaselines(plat *cluster.Platform, results []*Result, seeds []uint64, opts RunOptions, progress Progress) error {
 	type unit struct {
 		cfg  ior.Config
@@ -655,13 +686,13 @@ func RunBaselines(plat *cluster.Platform, results []*Result, seeds []uint64, opt
 	if progress != nil {
 		progress.Add(len(units))
 	}
-	baselines := make([]*ior.Result, len(units))
+	baselines := make([]*Result, len(units))
 	err := pool.Run(opts.Ctx, opts.Parallelism, len(units), func(k int) error {
 		res, err := RunScenario(plat, Solo(units[k].cfg), units[k].seed)
 		if err != nil {
 			return fmt.Errorf("solo baseline for %q: %w", units[k].cfg.Label, err)
 		}
-		baselines[k] = res.Jobs[0].IOR
+		baselines[k] = res
 		if progress != nil {
 			progress.Done()
 		}
@@ -673,8 +704,10 @@ func RunBaselines(plat *cluster.Platform, results []*Result, seeds []uint64, opt
 	k := 0
 	for i, res := range results {
 		byCfg := make(map[ior.Config]*ior.Result, len(solos[i]))
+		res.Baselines = Work{}
 		for _, cfg := range solos[i] {
-			byCfg[cfg] = baselines[k]
+			byCfg[cfg] = baselines[k].Jobs[0].IOR
+			res.Baselines.Add(baselines[k].Work)
 			k++
 		}
 		res.ApplySolo(byCfg)

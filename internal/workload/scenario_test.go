@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -217,13 +218,27 @@ func TestScenarioValidation(t *testing.T) {
 	if err := inf.Validate(plat); err == nil || !strings.Contains(err.Error(), "StartAt +Inf must be finite") {
 		t.Errorf("infinite start: err = %v", err)
 	}
-	// Pinned overlap: both jobs claim node 4.
-	_, err := RunScenario(plat, NewScenario("overlap",
-		Job{Workload: IORJob{Cfg: smallIOR("p", 32)}, FirstNode: 4},
-		Job{Workload: IORJob{Cfg: smallIOR("q", 32)}, FirstNode: 4},
-	), 0)
-	if err == nil || !strings.Contains(err.Error(), "overlaps") {
-		t.Errorf("overlap not rejected: %v", err)
+	// A job's fault is a *JobError naming the job by label; an overlap
+	// names both jobs.
+	x := IORJob{Cfg: smallIOR("x", 32)}
+	for _, tc := range []struct {
+		sc         Scenario
+		want       string
+		job, other int
+	}{
+		{NewScenario("wide", Job{Workload: x}, Job{Workload: x, Stripes: 999}),
+			`workload: scenario "wide" job "x-job1": ior: stripe count 999 outside 0..160 (0 = default)`, 1, 0},
+		// Pinned overlap: both jobs claim nodes 4 and 5.
+		{NewScenario("overlap",
+			Job{Workload: IORJob{Cfg: smallIOR("p", 32)}, FirstNode: 4},
+			Job{Workload: IORJob{Cfg: smallIOR("q", 32)}, FirstNode: 4}),
+			`workload: scenario "overlap": job "q" overlaps job "p" on nodes 4..5`, 1, 0},
+	} {
+		_, err := RunScenario(plat, tc.sc, 0)
+		var je *JobError
+		if !errors.As(err, &je) || err.Error() != tc.want || je.Job != tc.job || je.Other != tc.other {
+			t.Errorf("%s: err = %v (%#v), want %q naming jobs %d and %d", tc.sc.Name, err, je, tc.want, tc.job, tc.other)
+		}
 	}
 }
 
