@@ -139,10 +139,11 @@ func TestValidateRejectsUnboundedRepetitions(t *testing.T) {
 
 // TestValidateRejectsUnrunnableJobs: striping hints past the platform's
 // stripe limit, on a plain entry, drawn by a generator or in a shard, a
-// generator drawing task counts past int's range, and jobs pinned to
-// overlapping nodes fail validation, naming each job's document entry
-// and label. The over-wide stripes used to validate and then deadlock the
-// run behind the open that rank 0's create had refused.
+// generator drawing task counts past int's range, start times that
+// overflow to +Inf, summed over a count's stagger or drawn, and jobs
+// pinned to overlapping nodes fail validation, naming each job's
+// document entry and label. The over-wide stripes used to validate and
+// then deadlock the run behind the open that rank 0's create had refused.
 func TestValidateRejectsUnrunnableJobs(t *testing.T) {
 	validateRejects(t, []validateCase{
 		{"stripes.yaml", "name: wide\nfleet:\n  - ior:\n      tasks: 8\n  - ior:\n      tasks: 8\n    stripes: 200\n",
@@ -155,6 +156,10 @@ func TestValidateRejectsUnrunnableJobs(t *testing.T) {
 			`shards[1].fleet[0] (job "ior"): ior: stripe count 200 outside 0..160 (0 = default)`},
 		{"replica-stripes.yaml", "name: replicawide\nshards:\n  - replicate: 3\n    fleet:\n      - ior:\n          tasks: 8\n  - replicate: 2\n    fleet:\n      - checkpoint:\n          ranks: 8\n          state_mb_per_rank: 4\n      - ior:\n          tasks: 8\n        stripes: 200\n",
 			`shards[1].fleet[1] (replica 0, job "ior"): ior: stripe count 200 outside 0..160 (0 = default)`},
+		{"overflow.yaml", "name: overflow\nfleet:\n  - ior:\n      tasks: 8\n    count: 3\n    start_at: 1e308\n    start_stagger: 1e308\n",
+			`fleet[0] (job "ior-job1"): StartAt +Inf must be finite`},
+		{"drawn-overflow.yaml", "name: overflow\nfleet:\n  - generator:\n      count: 2\n      seed: 19\n      tasks: 8\n      start_at:\n        normal: [0, 1e308]\n",
+			`fleet[0].generator (job "ior-g0"): StartAt +Inf must be finite`},
 		{"overlap.yaml", "name: overlap\nfleet:\n  - ior:\n      label: a\n      tasks: 96\n  - ior:\n      label: b\n      tasks: 8\n    first_node: 5\n",
 			`fleet[1] (job "b"): overlaps fleet[0] (job "a") on nodes 5..5`},
 	})

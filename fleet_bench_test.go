@@ -44,10 +44,11 @@ func runFleet(tb testing.TB, writers int) (int, workCounts) {
 		link := links[i%fleetLinks]
 		e.StartTask(float64(i)*fleetStagger, "w", i, func(t *sim.Task) {
 			mds.UseTask(t, fleetCreateCost, func() {
-				n.TransferThen(t, "fleet-write", fleetWriteMB, fleetWriteRate, func(*flow.Flow) {
+				write := flow.FlowSpec{Name: "fleet-write", SizeMB: fleetWriteMB, MaxRate: fleetWriteRate, Path: []*flow.Link{link}}
+				n.StartBatch([]flow.FlowSpec{write}).Await(t, func() {
 					completed++
 					t.Finish()
-				}, link)
+				})
 			})
 		})
 	}

@@ -257,35 +257,6 @@ func meanOf(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// usageFromLayouts counts, for one repetition, how many OSTs are used by
-// exactly m of the jobs (m = 1..n) plus the realised in-use count and
-// load.
-func usageFromLayouts(dtotal int, layouts [][]int) (counts []int, inUse int, load float64) {
-	n := len(layouts)
-	sharers := make([]int, dtotal)
-	stripes := 0
-	for _, l := range layouts {
-		for _, o := range l {
-			sharers[o]++
-			stripes++
-		}
-	}
-	counts = make([]int, n+1)
-	for _, s := range sharers {
-		if s > 0 {
-			if s > n {
-				s = n
-			}
-			counts[s]++
-			inUse++
-		}
-	}
-	if inUse > 0 {
-		load = float64(stripes) / float64(inUse)
-	}
-	return counts, inUse, load
-}
-
 // within reports |a-b| <= frac*|b|.
 func within(a, b, frac float64) bool {
 	return math.Abs(a-b) <= frac*math.Abs(b)

@@ -44,18 +44,18 @@ func Table5(opt Options) (*Outcome, error) {
 		var sumCounts [5]float64
 		var sumInUse, sumLoad float64
 		for rep := 0; rep < reps; rep++ {
-			var layouts [][]int
+			a := core.Assignment{Dtotal: plat.OSTs}
 			for _, jr := range jobs {
 				if rep < len(jr.IOR.LayoutOSTs) {
-					layouts = append(layouts, jr.IOR.LayoutOSTs[rep])
+					a.JobOSTs = append(a.JobOSTs, jr.IOR.LayoutOSTs[rep])
 				}
 			}
-			counts, inUse, load := usageFromLayouts(plat.OSTs, layouts)
-			for m := 1; m <= 4 && m < len(counts); m++ {
-				sumCounts[m] += float64(counts[m])
+			h := a.UsageHistogram()
+			for m := 1; m <= 4; m++ {
+				sumCounts[m] += float64(h.Count(m))
 			}
-			sumInUse += float64(inUse)
-			sumLoad += load
+			sumInUse += float64(a.InUse())
+			sumLoad += a.Load()
 		}
 		f := float64(reps)
 		pred := core.Dinuse(plat.OSTs, ref.R, 4)

@@ -411,12 +411,12 @@ func batchAllocs(mode solverMode, flows int) float64 {
 }
 
 // TestAdmissionAllocsPerFlow: admitting a flow allocates its record and
-// its Done signal, whose name is formatted only when read, and nothing
-// else grows with the batch: its solves, completions and retirement reuse the net's scratch,
-// and the batch's result slice and its component's lists are per batch.
-// One more allocation per admitted flow (a counter or a closure in
-// admit, attach or the completion path) adds 1 to the slope, which the
-// bound, half an allocation, does not allow.
+// nothing else grows with the batch: its solves, completions and
+// retirement reuse the net's scratch, and the batch's record, flow list
+// and wait and its component's lists are per batch. One more allocation
+// per admitted flow (a signal, a counter or a closure in admit, attach or
+// the completion path) adds 1 to the slope, which the bound, half an
+// allocation, does not allow.
 func TestAdmissionAllocsPerFlow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -425,8 +425,8 @@ func TestAdmissionAllocsPerFlow(t *testing.T) {
 		small, large := batchAllocs(mode, 64), batchAllocs(mode, 256)
 		perFlow := (large - small) / (256 - 64)
 		t.Logf("%s: a batch allocates %v times at 64 flows, %v at 256: %.3f per added flow", mode.name, small, large, perFlow)
-		if want := 2.0; perFlow < want || perFlow >= want+0.5 {
-			t.Errorf("%s: %.3f allocations per admitted flow, want %v (its record and Done signal) and less than %v more",
+		if want := 1.0; perFlow < want || perFlow >= want+0.5 {
+			t.Errorf("%s: %.3f allocations per admitted flow, want %v (its record) and less than %v more",
 				mode.name, perFlow, want, 0.5)
 		}
 	}

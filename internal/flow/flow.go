@@ -255,13 +255,12 @@ type Flow struct {
 	heapIdx int   // position in Net.completions; -1 while not queued
 	seq     int64 // admission order, tie-break for equal due times
 
-	// Done fires when the transfer completes. It is named after the flow,
-	// so a deadlock report names the transfer a task waits on and
-	// admission builds no name of its own.
-	Done *sim.Signal
-	// onDone, if set, runs synchronously at completion before Done fires —
-	// used to deregister streams from capacity models so the post-completion
-	// rate recomputation sees the updated state.
+	// batch is the StartBatch that admitted the flow, which counts it
+	// off when it finishes.
+	batch *Batch
+	// onDone, if set, runs synchronously at completion before the batch's
+	// wait can end — used to deregister streams from capacity models so
+	// the post-completion rate recomputation sees the updated state.
 	onDone func()
 }
 
@@ -398,7 +397,8 @@ type FlowSpec struct {
 	SizeMB float64
 	// MaxRate optionally caps the flow (MB/s); <= 0 means unlimited.
 	MaxRate float64
-	// OnDone, if set, runs synchronously at completion before Done fires.
+	// OnDone, if set, runs synchronously at completion, before the
+	// batch's wait can end.
 	OnDone func()
 	// Path is the link path the flow traverses.
 	Path []*Link
@@ -693,39 +693,71 @@ func (n *Net) UseReferenceSolver(on bool) {
 	}
 }
 
-// Start launches a transfer of sizeMB over path with an optional per-flow
-// rate cap (maxRate <= 0 means unlimited). Zero-sized flows complete at the
-// current instant. The returned flow's Done signal fires on completion.
+// Start admits a one-flow batch — a transfer of sizeMB over path with an
+// optional per-flow rate cap (maxRate <= 0 means unlimited) — and returns
+// its flow. Zero-sized flows complete at the current instant.
 func (n *Net) Start(name string, sizeMB, maxRate float64, path ...*Link) *Flow {
-	return n.StartFunc(name, sizeMB, maxRate, nil, path...)
+	return n.StartBatch([]FlowSpec{{Name: name, SizeMB: sizeMB, MaxRate: maxRate, Path: path}}).flows[0]
 }
 
-// StartFunc is Start with a completion callback, invoked synchronously when
-// the flow drains (immediately for zero-sized flows), before Done fires and
-// before rates are recomputed.
-func (n *Net) StartFunc(name string, sizeMB, maxRate float64, onDone func(), path ...*Link) *Flow {
-	return n.admit(FlowSpec{Name: name, SizeMB: sizeMB, MaxRate: maxRate, OnDone: onDone, Path: path})
+// Batch is the flows one StartBatch admitted, and the one wait on all of
+// them: an I/O operation completes when its slowest stream drains. The
+// flows hold consecutive admission numbers, so those that finish at the
+// batch's last instant retire together, and the wait ends as the last of
+// them does. A deadlock report names the wait after the batch's first
+// flow, which names the operation, not the flow that stalled.
+type Batch struct {
+	flows []*Flow
+	one   [1]*Flow    // backs flows for a batch of one
+	left  int         // flows admitted with a volume and not yet finished
+	done  *sim.Signal // fires when left reaches 0
 }
 
-// StartBatch admits a set of flows in one operation — the entry point for
-// collectives that open all their stripe streams at once (two-phase
-// writes, PLFS log storms, file-per-process fans). The batch requests a
-// single coalesced solve per touched component, so its cost is O(flows)
-// bookkeeping plus one progressive-filling pass per component regardless
-// of batch width. Flows are admitted (and observers notified) in spec
-// order, exactly as the equivalent StartFunc sequence would.
-func (n *Net) StartBatch(specs []FlowSpec) []*Flow {
-	out := make([]*Flow, len(specs))
-	for i := range specs {
-		out[i] = n.admit(specs[i])
+// Flows returns the batch's flows in admission order.
+func (b *Batch) Flows() []*Flow { return b.flows }
+
+// Await runs k once every flow of the batch has finished: at once if all
+// have, else when the last one drains, with t parked until then.
+func (b *Batch) Await(t *sim.Task, k func()) { b.done.Await(t, k) }
+
+// finish counts one of the batch's flows finished.
+func (b *Batch) finish() {
+	if b.left--; b.left == 0 {
+		b.done.Fire()
 	}
-	return out
 }
 
-// admit adds one flow at the current instant: component membership is
-// unioned eagerly, the rate solve is deferred to the coalesced dirty event
-// (performed immediately in reference mode).
-func (n *Net) admit(sp FlowSpec) *Flow {
+// StartBatch admits a set of flows in one operation — the one way flows
+// enter the network: collectives open all their stripe streams at once
+// (two-phase writes, PLFS log storms, file-per-process fans). The batch
+// requests a single coalesced solve per touched component, so its cost is
+// O(flows) bookkeeping plus one progressive-filling pass per component
+// regardless of batch width. Flows are admitted (and observers notified)
+// in spec order.
+func (n *Net) StartBatch(specs []FlowSpec) *Batch {
+	b := &Batch{}
+	name := ""
+	if len(specs) > 0 {
+		name = specs[0].Name
+	}
+	b.done = n.eng.NewSignal(name)
+	b.flows = b.one[:]
+	if len(specs) != 1 {
+		b.flows = make([]*Flow, len(specs))
+	}
+	for i := range specs {
+		b.flows[i] = n.admit(b, &specs[i])
+	}
+	if b.left == 0 {
+		b.done.Fire()
+	}
+	return b
+}
+
+// admit adds one flow of batch b at the current instant: component
+// membership is unioned eagerly, the rate solve is deferred to the
+// coalesced dirty event (performed immediately in reference mode).
+func (n *Net) admit(b *Batch, sp *FlowSpec) *Flow {
 	if sp.SizeMB < 0 || math.IsNaN(sp.SizeMB) || math.IsInf(sp.SizeMB, 1) {
 		panic(fmt.Sprintf("flow: bad size %v for %q", sp.SizeMB, sp.Name))
 	}
@@ -742,7 +774,7 @@ func (n *Net) admit(sp FlowSpec) *Flow {
 		started:   n.eng.Now(),
 		settledAt: n.eng.Now(),
 		net:       n,
-		Done:      n.eng.NewSignal(sp.Name),
+		batch:     b,
 		onDone:    sp.OnDone,
 		due:       math.Inf(1),
 		heapIdx:   -1,
@@ -758,12 +790,12 @@ func (n *Net) admit(sp FlowSpec) *Flow {
 			n.observer.FlowStarted(f)
 			n.observer.FlowFinished(f)
 		}
-		f.Done.Fire()
 		return f
 	}
 	if len(sp.Path) == 0 && sp.MaxRate <= 0 {
 		panic(fmt.Sprintf("flow: %q has no path and no rate cap; would complete instantaneously", sp.Name))
 	}
+	b.left++
 	n.activeFlows = append(n.activeFlows, f)
 	n.activeCount++
 	for _, l := range f.path {
@@ -1851,9 +1883,10 @@ func (n *Net) scheduleNext() {
 }
 
 // onCompletion retires every flow whose completion time has arrived
-// (batching simultaneous completions, in admission order), fires their
-// Done signals, and requests a recompute for the touched components —
-// coalesced with any same-instant arrivals the completions trigger.
+// (batching simultaneous completions, in admission order), counts each
+// off its batch, ending the wait of a batch whose last flow it is, and
+// requests a recompute for the touched components — coalesced with any
+// same-instant arrivals the completions trigger.
 func (n *Net) onCompletion() {
 	n.nextEv = nil
 	now := n.eng.Now()
@@ -1904,7 +1937,7 @@ func (n *Net) onCompletion() {
 		}
 	}
 	for _, f := range done {
-		f.Done.Fire()
+		f.batch.finish()
 	}
 	// retire queued each touched component for rebuild, which armed the
 	// coalesced flush event; reference mode additionally re-solves the
@@ -2210,22 +2243,4 @@ func (n *Net) checkHeap() error {
 		}
 	}
 	return nil
-}
-
-// Dones collects the completion signals of a flow batch, ready for
-// sim.AwaitAll — the usual coda to StartBatch.
-func Dones(flows []*Flow) []*sim.Signal {
-	out := make([]*sim.Signal, len(flows))
-	for i, f := range flows {
-		out[i] = f.Done
-	}
-	return out
-}
-
-// TransferThen starts a flow and runs k with it on completion — the
-// continuation form of "transfer and wait".
-func (n *Net) TransferThen(t *sim.Task, name string, sizeMB, maxRate float64, k func(*Flow), path ...*Link) *Flow {
-	f := n.Start(name, sizeMB, maxRate, path...)
-	f.Done.Await(t, func() { k(f) })
-	return f
 }

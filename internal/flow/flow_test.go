@@ -112,7 +112,7 @@ func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	n := NewNet(e)
 	l := n.NewLink("pipe", Const(100))
 	f := n.Start("empty", 0, 0, l)
-	if !f.Finished() || !f.Done.Fired() {
+	if !f.Finished() {
 		t.Error("zero-size flow should finish immediately")
 	}
 	if err := e.Run(); err != nil {
@@ -255,8 +255,8 @@ func TestTransferAndWait(t *testing.T) {
 	var took float64
 	e.StartTask(0, "client", -1, func(tk *sim.Task) {
 		start := tk.Now()
-		f := n.Start("xfer", 500, 0, l)
-		f.Done.Await(tk, func() {
+		xfer := n.StartBatch([]FlowSpec{{Name: "xfer", SizeMB: 500, Path: []*Link{l}}})
+		xfer.Await(tk, func() {
 			took = tk.Now() - start
 			tk.Finish()
 		})

@@ -32,12 +32,12 @@ func (b *fuzzBytes) unit() float64 {
 // decodeSolverInput turns fuzz bytes into a topology and a schedule in
 // the shapes randomSchedule draws: 1–48 links of 1–1000 MB/s, a quarter of
 // them thrashing, then ops — single starts, batches of 2–25 flows, eager
-// and lazy capacity changes, and starts chained on an earlier op's first
-// completion — until the input or a budget of 64 ops or 160 flows runs
-// out. The budget keeps one input's reference replay, which re-solves the
-// whole network on every admission, to a fraction of a second. Flows cross
-// 1–3 distinct links or none (a path-less capped flow); sizes include zero
-// and caps are optional.
+// and lazy capacity changes, and starts chained on the completion of an
+// earlier op's whole batch — until the input or a budget of 64 ops or 160
+// flows runs out. The budget keeps one input's reference replay, which
+// re-solves the whole network on every admission, to a fraction of a
+// second. Flows cross 1–3 distinct links or none (a path-less capped
+// flow); sizes include zero and caps are optional.
 func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
 	in := fuzzBytes(data)
 	topo := make([]linkTmpl, 1+in.intn(48))
@@ -118,7 +118,9 @@ func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
 // capped-merge-split, two groups of capped flows admitted out of cap
 // order merge through a capped bridge and split when it drains, a flow
 // capped below the kept caps joins one, and every capped flow finishes:
-// each way a component's kept capped order changes.
+// each way a component's kept capped order changes. In batch-chain, a
+// flow is chained on a batch of three whose flows drain at distinct
+// instants, so the chain runs only when the last of them does.
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo, ops := decodeSolverInput(data)
@@ -126,11 +128,10 @@ func FuzzSolver(f *testing.F) {
 	})
 }
 
-// TestFuzzSolverManyRoundsSeed keeps the many-rounds seed doing its job:
-// its solves average at least 10 rounds, so under the shipped switch rule
-// they outlast the scan rounds and finish from the link-share heap.
-func TestFuzzSolverManyRoundsSeed(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzSolver/many-rounds")
+// seedInput decodes the FuzzSolver seed file name.
+func seedInput(t *testing.T, name string) ([]linkTmpl, []solverOp) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSolver/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +143,41 @@ func TestFuzzSolverManyRoundsSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, ops := decodeSolverInput([]byte(data))
+	return decodeSolverInput([]byte(data))
+}
+
+// TestFuzzSolverManyRoundsSeed keeps the many-rounds seed doing its job:
+// its solves average at least 10 rounds, so under the shipped switch rule
+// they outlast the scan rounds and finish from the link-share heap.
+func TestFuzzSolverManyRoundsSeed(t *testing.T) {
+	topo, ops := seedInput(t, "many-rounds")
 	s := matchesReference(t, ops, topo)[0].Stats()
 	if s.ShareHeapOps == 0 || s.Rounds < 10*s.ComponentsSolved {
 		t.Errorf("many-rounds seed averages under 10 rounds per solve or never reaches the heap: %+v", s)
+	}
+}
+
+// TestFuzzSolverBatchChainSeed keeps the batch-chain seed doing its job:
+// its chain waits on a batch of three flows that drain at three distinct
+// instants, and starts its flow at the last of them, so the fuzzer
+// replays a batch wait that ends mid-schedule in every solver mode.
+func TestFuzzSolverBatchChainSeed(t *testing.T) {
+	topo, ops := seedInput(t, "batch-chain")
+	matchesReference(t, ops, topo)
+	flows, _, _ := replay(t, ops, topo, refMode)
+	ends := map[float64]bool{}
+	last, chained := 0.0, -1.0
+	for _, f := range flows {
+		switch {
+		case strings.HasPrefix(f.Name(), "b0_"):
+			ends[f.FinishedAt()] = true
+			last = max(last, f.FinishedAt())
+		case f.Name() == "c1":
+			chained = f.Started()
+		}
+	}
+	if len(ends) != 3 || chained != last {
+		t.Errorf("batch b0 drains at %d distinct instants, last %v; its chain starts at %v: want 3, and the chain at the last",
+			len(ends), last, chained)
 	}
 }

@@ -17,7 +17,7 @@ const (
 	opBatch                 // admit several flows via StartBatch
 	opCap                   // change a link's capacity model (with an explicit Recompute)
 	opCapLazy               // change a link's capacity model, letting the coalesced solve apply it
-	opChain                 // start a flow at the instant an earlier op's first flow completes
+	opChain                 // start a flow at the instant an earlier op's whole batch completes
 )
 
 // specTmpl describes one flow over link indices, resolved per net at
@@ -227,7 +227,7 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 		}
 	}
 	var flows []*Flow
-	firstFlow := make([]*Flow, len(ops)) // first flow created by each op, for chains
+	batchOf := make([]*Batch, len(ops))  // the batch each op admitted, for chains
 	chainsOn := make(map[int][]solverOp) // target op index -> chained ops
 	for _, op := range ops {
 		if op.kind == opChain {
@@ -236,13 +236,13 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 	}
 	var armChains func(opIdx int)
 	armChains = func(opIdx int) {
-		target := firstFlow[opIdx]
+		target := batchOf[opIdx]
 		for ci, chain := range chainsOn[opIdx] {
 			chain := chain
 			e.StartTask(0, fmt.Sprintf("chain%d_%d", opIdx, ci), -1, func(tk *sim.Task) {
-				target.Done.Await(tk, func() {
+				target.Await(tk, func() {
 					sp := resolve(chain.specs[0])
-					flows = append(flows, n.StartFunc(sp.Name, sp.SizeMB, sp.MaxRate, nil, sp.Path...))
+					flows = append(flows, n.StartBatch([]FlowSpec{sp}).Flows()...)
 					check("chained start " + sp.Name)
 					tk.Finish()
 				})
@@ -268,9 +268,8 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 		case opStart:
 			e.Schedule(op.at, func() {
 				sp := resolve(op.specs[0])
-				f := n.StartFunc(sp.Name, sp.SizeMB, sp.MaxRate, nil, sp.Path...)
-				flows = append(flows, f)
-				firstFlow[opIdx] = f
+				batchOf[opIdx] = n.StartBatch([]FlowSpec{sp})
+				flows = append(flows, batchOf[opIdx].Flows()...)
 				armChains(opIdx)
 				check("start " + sp.Name)
 			})
@@ -280,9 +279,8 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 				for i, sp := range op.specs {
 					specs[i] = resolve(sp)
 				}
-				batch := n.StartBatch(specs)
-				flows = append(flows, batch...)
-				firstFlow[opIdx] = batch[0]
+				batchOf[opIdx] = n.StartBatch(specs)
+				flows = append(flows, batchOf[opIdx].Flows()...)
 				armChains(opIdx)
 				check(fmt.Sprintf("batch of %d at t=%v", len(specs), op.at))
 			})
@@ -414,8 +412,8 @@ func TestIncrementalMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestStartBatchMatchesSequentialStarts verifies a batch admission is
-// indistinguishable from the equivalent StartFunc sequence, including
-// zero-sized and path-less capped members.
+// indistinguishable from the equivalent sequence of one-flow batches,
+// including zero-sized and path-less capped members.
 func TestStartBatchMatchesSequentialStarts(t *testing.T) {
 	build := func(batch bool) ([]*Flow, *Net, *sim.Engine) {
 		e := sim.NewEngine()
@@ -434,10 +432,10 @@ func TestStartBatchMatchesSequentialStarts(t *testing.T) {
 		specs = append(specs, FlowSpec{Name: "capped", SizeMB: 50, MaxRate: 5})
 		var flows []*Flow
 		if batch {
-			flows = n.StartBatch(specs)
+			flows = n.StartBatch(specs).Flows()
 		} else {
 			for _, sp := range specs {
-				flows = append(flows, n.StartFunc(sp.Name, sp.SizeMB, sp.MaxRate, sp.OnDone, sp.Path...))
+				flows = append(flows, n.StartBatch([]FlowSpec{sp}).Flows()...)
 			}
 		}
 		return flows, n, e
@@ -628,11 +626,11 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 		n := NewNet(e)
 		n.UseReferenceSolver(reference)
 		l := n.NewLink("pipe", Const(100))
-		short := n.Start("short", 100, 0, l) // done at t=2 under fair sharing
+		short := n.StartBatch([]FlowSpec{{Name: "short", SizeMB: 100, Path: []*Link{l}}}) // done at t=2 under fair sharing
 		long := n.Start("long", 1000, 0, l)
 		var zero *Flow
 		e.StartTask(0, "chain", -1, func(tk *sim.Task) {
-			short.Done.Await(tk, func() {
+			short.Await(tk, func() {
 				zero = n.Start("zero", 0, 0, l)
 				if !zero.Finished() {
 					t.Error("zero-sized flow did not complete at admission")
@@ -646,7 +644,7 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if zero == nil || zero.FinishedAt() != short.FinishedAt() {
+		if zero == nil || zero.FinishedAt() != short.Flows()[0].FinishedAt() {
 			t.Fatalf("reference=%v: zero flow not admitted at completion instant", reference)
 		}
 		if !long.Finished() {

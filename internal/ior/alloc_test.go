@@ -66,8 +66,8 @@ func TestRepetitionAllocsIndependentOfRanks(t *testing.T) {
 // where each rank does I/O of its own, from 8 ranks on one node to 64 on
 // four:
 //   - independent writes: each rank starts a flow per stripe its
-//     segments touch, each with its record and Done signal, beside the
-//     rank's request and signal lists and its wait's closures;
+//     segments touch, each with its record, beside the rank's request
+//     list and its batch, with the batch's flow list and wait;
 //   - file per process: each rank splits off a communicator and opens,
 //     writes and closes a file of its own;
 //   - PLFS: each rank opens, appends to and closes its own log.
@@ -83,9 +83,9 @@ func TestRepetitionAllocsPerRank(t *testing.T) {
 		cfg     func(*ior.Config)
 		perRank float64
 	}{
-		{"independent", func(c *ior.Config) { c.Collective = false }, 24},
-		{"file per process", func(c *ior.Config) { c.FilePerProc = true }, 60.6},
-		{"plfs", func(c *ior.Config) { c.API = mpiio.DriverPLFS }, 40.35},
+		{"independent", func(c *ior.Config) { c.Collective = false }, 22},
+		{"file per process", func(c *ior.Config) { c.FilePerProc = true }, 58.5},
+		{"plfs", func(c *ior.Config) { c.API = mpiio.DriverPLFS }, 38.6},
 	} {
 		base := ior.PaperConfig(8)
 		in.cfg(&base)

@@ -13,11 +13,9 @@ import (
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/core"
-	"pfsim/internal/flow"
 	"pfsim/internal/lustre"
 	"pfsim/internal/mpi"
 	"pfsim/internal/mpiio"
-	"pfsim/internal/sim"
 	"pfsim/internal/stats"
 )
 
@@ -429,8 +427,7 @@ func (rr *rankRun) write() {
 // dedicated sequential writer — the access pattern of the paper's
 // single-OST contention benchmark. PLFS + FilePerProc degenerates to the
 // same per-rank logs as a collective write. It allocates a request list
-// and a done-signal list per rank and repetition, beside the flows they
-// start.
+// and a batch per rank and repetition, beside the flows they start.
 func (rr *rankRun) writeOwnFile() {
 	j, r, f := rr.j, rr.r, rr.f
 	layout := f.Layout()
@@ -438,7 +435,7 @@ func (rr *rankRun) writeOwnFile() {
 		f.WriteAllK(r, j.cfg.PerRankMB(), j.cfg.TransferSizeMB, rr.nextErr)
 		return
 	}
-	sim.AwaitAll(r.Task(), flow.Dones(j.sys.StartWrites(j.filePerProcReqs(r, f, layout))), rr.next)
+	j.sys.StartWrites(j.filePerProcReqs(r, f, layout)).Await(r.Task(), rr.next)
 }
 
 // filePerProcReqs builds the rank's dedicated sequential streams onto its
@@ -455,12 +452,10 @@ func (j *job) filePerProcReqs(r *mpi.Rank, f *mpiio.File, layout *lustre.Layout)
 			Name:   fmt.Sprintf("fpp:%s:r%d:o%d", j.cfg.Label, r.ID(), ost.ID()),
 			SizeMB: mb,
 			OST:    ost,
-			Opts: lustre.WriteOpts{
-				Node:   r.Node(),
-				Class:  cluster.ClassSequential,
-				FileID: fileIDOf(f, r),
-				RPCMB:  j.cfg.TransferSizeMB,
-			},
+			Node:   r.Node(),
+			Class:  cluster.ClassSequential,
+			FileID: fileIDOf(f, r),
+			RPCMB:  j.cfg.TransferSizeMB,
 		})
 	}
 	return reqs

@@ -16,35 +16,53 @@ import (
 // compiler drive exactly the same primitives — which is what makes the
 // byte-identity property test in internal/scenariofile meaningful.
 
-// LinkByName resolves a topology link by its scenario-facing name:
-// "backbone", "nic<i>" or "oss<i>". OST links are addressed through
-// OST(i) and its health model rather than by name — swapping a raw
-// capacity model onto an OST link would silently discard the class-aware
-// service model, so LinkByName refuses "ost<i>".
-func (s *System) LinkByName(name string) (*flow.Link, error) {
+// ParseLinkName checks a scenario-facing link name against plat's
+// topology: "backbone", "nic<i>" for a node i, or "oss<i>" for an OSS i.
+// It returns the name's group ("backbone", "nic" or "oss") and its index
+// in the group. OST links are addressed through OST(i) and its health
+// model rather than by name — swapping a raw capacity model onto an OST
+// link would silently discard the class-aware service model — so
+// "ost<i>" is refused. Errors name the link alone, for the caller to
+// position.
+func ParseLinkName(plat *cluster.Platform, name string) (group string, index int, err error) {
 	if name == "backbone" {
-		return s.backbone, nil
+		return name, 0, nil
 	}
 	for _, g := range []struct {
 		prefix string
-		links  []*flow.Link
-	}{{"nic", s.nics}, {"oss", s.osss}} {
+		limit  int
+	}{{"nic", plat.Nodes}, {"oss", plat.OSSs}} {
 		if !strings.HasPrefix(name, g.prefix) {
 			continue
 		}
 		i, err := strconv.Atoi(name[len(g.prefix):])
 		if err != nil {
-			return nil, fmt.Errorf("lustre: bad link name %q", name)
+			return "", 0, fmt.Errorf("bad link name %q", name)
 		}
-		if i < 0 || i >= len(g.links) {
-			return nil, fmt.Errorf("lustre: link %q out of range [0,%d)", name, len(g.links))
+		if i < 0 || i >= g.limit {
+			return "", 0, fmt.Errorf("link %q out of range [0,%d)", name, g.limit)
 		}
-		return g.links[i], nil
+		return g.prefix, i, nil
 	}
 	if strings.HasPrefix(name, "ost") {
-		return nil, fmt.Errorf("lustre: OST links carry the service model; use OST health, not a capacity swap, for %q", name)
+		return "", 0, fmt.Errorf("OST links carry the service model; use ost_health, not link_capacity, for %q", name)
 	}
-	return nil, fmt.Errorf("lustre: unknown link %q (backbone, nic<i>, oss<i>)", name)
+	return "", 0, fmt.Errorf("unknown link %q (backbone, nic<i>, oss<i>)", name)
+}
+
+// LinkByName resolves a topology link by its scenario-facing name (see
+// ParseLinkName).
+func (s *System) LinkByName(name string) (*flow.Link, error) {
+	group, i, err := ParseLinkName(s.plat, name)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("lustre: %w", err)
+	case group == "nic":
+		return s.nics[i], nil
+	case group == "oss":
+		return s.osss[i], nil
+	}
+	return s.backbone, nil
 }
 
 // SetAllOSTHealth applies one health factor to every OST — a whole-shard
@@ -71,8 +89,6 @@ type RebuildOpts struct {
 	// means the target's OSS-neighbour OSTs excluding the target itself,
 	// round-robin.
 	Sources []int
-	// OnDone, when set, runs once after every rebuild stream finishes.
-	OnDone func()
 }
 
 // StartRebuild injects rebuild/resync traffic toward OST target: reads
@@ -81,8 +97,9 @@ type RebuildOpts struct {
 // every shared hop. Streams register on both end OSTs with synthetic
 // negative file IDs (the MDS hands out positive ones), so rebuild I/O
 // participates in the class-aware contention model without colliding
-// with any real file. Returns the started flows.
-func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
+// with any real file. Returns the batch of rebuild streams, whose wait
+// ends when the last one finishes.
+func (s *System) StartRebuild(target int, opts RebuildOpts) *flow.Batch {
 	if target < 0 || target >= len(s.osts) {
 		panic(fmt.Sprintf("lustre: rebuild target %d out of range [0,%d)", target, len(s.osts)))
 	}
@@ -120,7 +137,6 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
 	}
 	tgt := &s.osts[target]
 	per := opts.SizeMB / float64(streams)
-	pending := streams
 	specs := make([]flow.FlowSpec, streams)
 	const rebuildRPCMB = 1.0 // resync chunks stream in ~1 MB requests
 	for i := 0; i < streams; i++ {
@@ -129,7 +145,6 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
 		fileID := s.rebuildSeq
 		rd := src.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
 		wr := tgt.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
-		done := opts.OnDone
 		specs[i] = flow.FlowSpec{
 			Name:    fmt.Sprintf("%srebuild/ost%d/s%d", s.prefix, target, i),
 			SizeMB:  per,
@@ -137,10 +152,6 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) []*flow.Flow {
 			OnDone: func() {
 				rd.Remove()
 				wr.Remove()
-				pending--
-				if pending == 0 && done != nil {
-					done()
-				}
 			},
 			Path: []*flow.Link{src.link, s.osss[src.oss], s.backbone, s.osss[tgt.oss], tgt.link},
 		}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"pfsim/internal/cluster"
+	"pfsim/internal/sim"
 )
 
 func TestLinkByName(t *testing.T) {
@@ -32,7 +32,7 @@ func TestLinkByName(t *testing.T) {
 		{"nic1200", "out of range"},
 		{"oss-1", "out of range"},
 		{"nicx", "bad link name"},
-		{"ost3", "use OST health"},
+		{"ost3", "use ost_health"},
 		{"mds", "unknown link"},
 		{"", "unknown link"},
 	}
@@ -60,15 +60,17 @@ func TestSetAllOSTHealth(t *testing.T) {
 func TestStartRebuild(t *testing.T) {
 	plat := testPlat()
 	eng, sys := newSys(t, plat)
-	doneAt := -1.0
-	flows := sys.StartRebuild(7, RebuildOpts{
-		SizeMB:  900,
-		Streams: 3,
-		OnDone:  func() { doneAt = eng.Now() },
-	})
-	if len(flows) != 3 {
-		t.Fatalf("flows = %d", len(flows))
+	rebuild := sys.StartRebuild(7, RebuildOpts{SizeMB: 900, Streams: 3})
+	if n := len(rebuild.Flows()); n != 3 {
+		t.Fatalf("flows = %d", n)
 	}
+	doneAt := -1.0
+	eng.StartTask(0, "watch", -1, func(tk *sim.Task) {
+		rebuild.Await(tk, func() {
+			doneAt = tk.Now()
+			tk.Finish()
+		})
+	})
 	// Streams register on both ends with distinct synthetic jobs.
 	if got := sys.OST(7).ActiveStreams(); got != 3 {
 		t.Errorf("target streams = %d, want 3", got)
@@ -95,8 +97,12 @@ func TestStartRebuild(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt <= 0 {
-		t.Fatalf("OnDone never fired (doneAt = %v)", doneAt)
+	last := 0.0
+	for _, f := range rebuild.Flows() {
+		last = max(last, f.FinishedAt())
+	}
+	if doneAt <= 0 || doneAt != last {
+		t.Fatalf("rebuild's wait ended at %v, want %v, when its last stream finished", doneAt, last)
 	}
 	if got := sys.OST(7).ActiveStreams(); got != 0 {
 		t.Errorf("streams leaked after completion: %d", got)
@@ -106,7 +112,7 @@ func TestStartRebuild(t *testing.T) {
 func TestStartRebuildExplicitSourcesAndCap(t *testing.T) {
 	plat := testPlat()
 	eng, sys := newSys(t, plat)
-	flows := sys.StartRebuild(0, RebuildOpts{
+	rebuild := sys.StartRebuild(0, RebuildOpts{
 		SizeMB:  100,
 		Streams: 2,
 		RateMBs: 50,
@@ -116,7 +122,7 @@ func TestStartRebuildExplicitSourcesAndCap(t *testing.T) {
 		t.Errorf("explicit sources not used: %d %d",
 			sys.OST(100).ActiveStreams(), sys.OST(200).ActiveStreams())
 	}
-	for _, f := range flows {
+	for _, f := range rebuild.Flows() {
 		if r := f.Rate(); r > 50+1e-9 {
 			t.Errorf("rate %v exceeds cap 50", r)
 		}
@@ -159,9 +165,7 @@ func TestRebuildCompetes(t *testing.T) {
 	plat := testPlat()
 	run := func(rebuild bool) float64 {
 		eng, sys := newSys(t, plat)
-		f := sys.StartWrite("fg", 400, sys.OST(7), WriteOpts{
-			Node: 0, Class: cluster.ClassSequential, FileID: 1, RPCMB: 1,
-		})
+		f := sys.StartWrites([]WriteReq{seqWrite("fg", 400, sys.OST(7), 1)}).Flows()[0]
 		if rebuild {
 			sys.StartRebuild(7, RebuildOpts{SizeMB: 4000, Streams: 4})
 		}

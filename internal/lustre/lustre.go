@@ -330,8 +330,14 @@ func (st *Stream) Remove() {
 	}
 }
 
-// WriteOpts describes one OST-bound transfer stream.
-type WriteOpts struct {
+// WriteReq describes one OST-bound transfer stream for StartWrites.
+type WriteReq struct {
+	// Name labels the flow.
+	Name string
+	// SizeMB is the transfer volume.
+	SizeMB float64
+	// OST is the target the stream writes to.
+	OST *OST
 	// Node is the compute node issuing the transfer.
 	Node int
 	// Class is the stream class for the OST service model.
@@ -347,41 +353,21 @@ type WriteOpts struct {
 	Via []*flow.Link
 }
 
-// StartWrite registers a stream on the OST and starts its flow; the stream
-// deregisters automatically when the flow completes.
-func (s *System) StartWrite(name string, sizeMB float64, ost *OST, opts WriteOpts) *flow.Flow {
-	st := ost.AddStream(opts.Class, opts.FileID, opts.RPCMB)
-	path := append(append([]*flow.Link{}, opts.Via...), s.PathFromNode(opts.Node, ost)...)
-	return s.net.StartFunc(name, sizeMB, opts.MaxRate, st.Remove, path...)
-}
-
-// WriteReq describes one stream for StartWrites.
-type WriteReq struct {
-	// Name labels the flow.
-	Name string
-	// SizeMB is the transfer volume.
-	SizeMB float64
-	// OST is the target the stream writes to.
-	OST *OST
-	// Opts carries the stream attributes (node, class, file, RPC size).
-	Opts WriteOpts
-}
-
-// StartWrites is the batched StartWrite: it registers every stream, then
-// admits all flows through flow.Net.StartBatch so a collective that opens
-// its stripe streams at once costs one coalesced rate solve instead of one
-// per stream. Streams deregister automatically as their flows complete.
-func (s *System) StartWrites(reqs []WriteReq) []*flow.Flow {
+// StartWrites registers a stream on each request's OST, then admits the
+// flows as one flow.Net.StartBatch, so an operation that opens its stripe
+// streams at once costs one coalesced rate solve and completes once.
+// Streams deregister automatically as their flows complete.
+func (s *System) StartWrites(reqs []WriteReq) *flow.Batch {
 	specs := make([]flow.FlowSpec, len(reqs))
 	for i := range reqs {
 		rq := &reqs[i]
-		st := rq.OST.AddStream(rq.Opts.Class, rq.Opts.FileID, rq.Opts.RPCMB)
+		st := rq.OST.AddStream(rq.Class, rq.FileID, rq.RPCMB)
 		specs[i] = flow.FlowSpec{
 			Name:    rq.Name,
 			SizeMB:  rq.SizeMB,
-			MaxRate: rq.Opts.MaxRate,
+			MaxRate: rq.MaxRate,
 			OnDone:  st.Remove,
-			Path:    append(append([]*flow.Link{}, rq.Opts.Via...), s.PathFromNode(rq.Opts.Node, rq.OST)...),
+			Path:    append(append([]*flow.Link{}, rq.Via...), s.PathFromNode(rq.Node, rq.OST)...),
 		}
 	}
 	return s.net.StartBatch(specs)

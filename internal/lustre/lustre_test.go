@@ -324,19 +324,23 @@ func TestOSTModelLogAppendCollapse(t *testing.T) {
 	}
 }
 
+// seqWrite is a sequential stream of sizeMB from node 0 onto ost, in
+// 1 MB RPCs, owned by file fileID.
+func seqWrite(name string, sizeMB float64, ost *OST, fileID int) WriteReq {
+	return WriteReq{Name: name, SizeMB: sizeMB, OST: ost, Class: cluster.ClassSequential, FileID: fileID, RPCMB: 1}
+}
+
 func TestStartWriteLifecycle(t *testing.T) {
 	eng, sys := newSys(t, testPlat())
 	ost := sys.OST(4)
 	var bw float64
 	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
 		start := tk.Now()
-		f := sys.StartWrite("w", 288, ost, WriteOpts{
-			Node: 0, Class: cluster.ClassSequential, FileID: 9, RPCMB: 1,
-		})
+		w := sys.StartWrites([]WriteReq{seqWrite("w", 288, ost, 9)})
 		if ost.ActiveStreams() != 1 {
 			t.Errorf("stream not registered during flow")
 		}
-		f.Done.Await(tk, func() {
+		w.Await(tk, func() {
 			bw = 288 / (tk.Now() - start)
 			tk.Finish()
 		})
@@ -363,10 +367,7 @@ func TestFigure2Shape(t *testing.T) {
 		for w := 0; w < k; w++ {
 			w := w
 			eng.StartTask(0, "w", w, func(tk *sim.Task) {
-				f := sys.StartWrite(tk.Name(), 100, ost, WriteOpts{
-					Node: 0, Class: cluster.ClassSequential, FileID: 1000 + w, RPCMB: 1,
-				})
-				f.Done.Await(tk, func() {
+				sys.StartWrites([]WriteReq{seqWrite(tk.Name(), 100, ost, 1000+w)}).Await(tk, func() {
 					if tk.Now() > last {
 						last = tk.Now()
 					}
@@ -427,10 +428,7 @@ func TestOSTHealthDegradation(t *testing.T) {
 	}
 	var finished float64
 	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
-		f := sys.StartWrite("w", 288, ost, WriteOpts{
-			Node: 0, Class: cluster.ClassSequential, FileID: 5, RPCMB: 1,
-		})
-		f.Done.Await(tk, func() {
+		sys.StartWrites([]WriteReq{seqWrite("w", 288, ost, 5)}).Await(tk, func() {
 			finished = tk.Now()
 			tk.Finish()
 		})
@@ -458,14 +456,11 @@ func TestDegradedStragglerSlowsStripedJob(t *testing.T) {
 	sys.OST(2).SetHealth(0.25)
 	var finished float64
 	eng.StartTask(0, "writer", -1, func(tk *sim.Task) {
-		var dones []*sim.Signal
+		var reqs []WriteReq
 		for i := 0; i < 4; i++ {
-			f := sys.StartWrite(fmt.Sprintf("w%d", i), 288, sys.OST(i), WriteOpts{
-				Node: 0, Class: cluster.ClassSequential, FileID: 6, RPCMB: 1,
-			})
-			dones = append(dones, f.Done)
+			reqs = append(reqs, seqWrite(fmt.Sprintf("w%d", i), 288, sys.OST(i), 6))
 		}
-		sim.AwaitAll(tk, dones, func() {
+		sys.StartWrites(reqs).Await(tk, func() {
 			finished = tk.Now()
 			tk.Finish()
 		})
@@ -569,44 +564,30 @@ func TestNICRejectsOutOfRangeNodes(t *testing.T) {
 }
 
 func TestStartWritesBatchMatchesSequential(t *testing.T) {
-	// The batched stream API must reproduce the sequential StartWrite
-	// path exactly: same completion times, same stream bookkeeping.
+	// One batch of streams must reproduce a sequence of one-stream
+	// batches exactly: same completion times, same stream bookkeeping.
 	run := func(batch bool) []float64 {
 		eng, sys := newSys(t, testPlat())
 		var reqs []WriteReq
 		for i := 0; i < 8; i++ {
-			reqs = append(reqs, WriteReq{
-				Name:   fmt.Sprintf("w%d", i),
-				SizeMB: float64(50 + 13*i),
-				OST:    sys.OST(i % 4),
-				Opts: WriteOpts{
-					Node:   i,
-					Class:  cluster.ClassSequential,
-					FileID: i + 1,
-					RPCMB:  1,
-				},
-			})
+			rq := seqWrite(fmt.Sprintf("w%d", i), float64(50+13*i), sys.OST(i%4), i+1)
+			rq.Node = i
+			reqs = append(reqs, rq)
+		}
+		var flows []*flow.Flow
+		if batch {
+			flows = sys.StartWrites(reqs).Flows()
+		} else {
+			for _, rq := range reqs {
+				flows = append(flows, sys.StartWrites([]WriteReq{rq}).Flows()...)
+			}
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
 		var times []float64
-		if batch {
-			flows := sys.StartWrites(reqs)
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range flows {
-				times = append(times, f.FinishedAt())
-			}
-		} else {
-			var flows []interface{ FinishedAt() float64 }
-			for _, rq := range reqs {
-				flows = append(flows, sys.StartWrite(rq.Name, rq.SizeMB, rq.OST, rq.Opts))
-			}
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range flows {
-				times = append(times, f.FinishedAt())
-			}
+		for _, f := range flows {
+			times = append(times, f.FinishedAt())
 		}
 		for i := 0; i < 4; i++ {
 			if sys.OST(i).ActiveStreams() != 0 {
@@ -647,8 +628,8 @@ func TestSharedSystemsOnOneNet(t *testing.T) {
 	if got := sysB.OST(0).Link().Name(); got != "fs1/ost0" {
 		t.Errorf("ost link name %q, want fs1/ost0", got)
 	}
-	fa := sysA.StartWrite("a", 1000, sysA.OST(0), WriteOpts{Node: 0, Class: cluster.ClassSequential, FileID: 1, RPCMB: 1})
-	fb := sysB.StartWrite("b", 1000, sysB.OST(0), WriteOpts{Node: 0, Class: cluster.ClassSequential, FileID: 1, RPCMB: 1})
+	fa := sysA.StartWrites([]WriteReq{seqWrite("a", 1000, sysA.OST(0), 1)}).Flows()[0]
+	fb := sysB.StartWrites([]WriteReq{seqWrite("b", 1000, sysB.OST(0), 1)}).Flows()[0]
 	net.Recompute()
 	if got := net.Components(); got != 2 {
 		t.Errorf("%d solver components, want 2 (one per file system)", got)

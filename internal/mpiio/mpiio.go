@@ -486,7 +486,7 @@ func (f *File) collectiveWriteK(t *sim.Task, totalMB float64, k func()) {
 		k()
 		return
 	}
-	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.collectiveReqs(totalMB))), k)
+	f.sys.StartWrites(f.collectiveReqs(totalMB)).Await(t, k)
 }
 
 // collectiveReqs builds the per-aggregator two-phase write requests — the
@@ -508,13 +508,11 @@ func (f *File) collectiveReqs(totalMB float64) []lustre.WriteReq {
 			Name:   fmt.Sprintf("cw:%s:a%d:o%d", f.name, agg, ost.ID()),
 			SizeMB: mb,
 			OST:    ost,
-			Opts: lustre.WriteOpts{
-				Node:   f.aggNodes[agg],
-				Class:  cluster.ClassCollective,
-				FileID: f.lf.ID,
-				RPCMB:  rpc,
-				Via:    []*flow.Link{f.aggLinks[agg]},
-			},
+			Node:   f.aggNodes[agg],
+			Class:  cluster.ClassCollective,
+			FileID: f.lf.ID,
+			RPCMB:  rpc,
+			Via:    []*flow.Link{f.aggLinks[agg]},
 		})
 	}
 	domain := totalMB / float64(A)
@@ -607,7 +605,7 @@ func (f *File) WriteIndependentK(r *mpi.Rank, sizeMB, transferMB float64, k func
 		return
 	}
 	fr.step, fr.k = stepReturn, k
-	sim.AwaitAll(t, flow.Dones(f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB))), r.Then(f.next))
+	f.sys.StartWrites(f.independentReqs(r, sizeMB, transferMB)).Await(t, r.Then(f.next))
 }
 
 // independentReqs builds the per-OST streams of one rank's uncoordinated
@@ -630,12 +628,10 @@ func (f *File) independentReqs(r *mpi.Rank, sizeMB, transferMB float64) []lustre
 			Name:   fmt.Sprintf("iw:%s:r%d:o%d", f.name, r.ID(), layout.OSTs[k]),
 			SizeMB: mb,
 			OST:    f.sys.OST(layout.OSTs[k]),
-			Opts: lustre.WriteOpts{
-				Node:   r.Node(),
-				Class:  cluster.ClassCollective,
-				FileID: lockDomain,
-				RPCMB:  rpc,
-			},
+			Node:   r.Node(),
+			Class:  cluster.ClassCollective,
+			FileID: lockDomain,
+			RPCMB:  rpc,
 		})
 	}
 	return reqs

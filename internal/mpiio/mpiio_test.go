@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -450,7 +451,9 @@ func TestZeroDurationCollectives(t *testing.T) {
 // TestStuckWriteNamesItsOperation: a collective write that never
 // completes is reported under the file's operation count, which runs on
 // across the one recycled operation signal: the third write on a file is
-// writeall:<file>:2. Every OST fails before it, so its flows stall.
+// writeall:<file>:2. Rank 0, which runs the write, waits on its batch of
+// streams, named after the first: aggregator 0's stream to the layout's
+// first OST. Every OST fails before it, so its flows stall.
 func TestStuckWriteNamesItsOperation(t *testing.T) {
 	eng, sys := testSys(t, 25)
 	w := mpi.NewWorld(eng, 4, 16, 0)
@@ -473,9 +476,13 @@ func TestStuckWriteNamesItsOperation(t *testing.T) {
 	if err == nil {
 		t.Fatal("want the stalled write to deadlock")
 	}
+	want := []string{fmt.Sprintf("rank0 (waiting cw:stuck:a0:o%d)", f.Layout().OSTs[0])}
 	for _, rank := range []string{"rank1", "rank2", "rank3"} {
-		if want := rank + " (waiting writeall:stuck:2)"; !strings.Contains(err.Error(), want) {
-			t.Errorf("deadlock report %q does not name %q", err, want)
+		want = append(want, rank+" (waiting writeall:stuck:2)")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("deadlock report %q does not name %q", err, w)
 		}
 	}
 }

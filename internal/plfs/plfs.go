@@ -165,8 +165,7 @@ func (rl *RankLog) WriteK(t *sim.Task, node int, sizeMB, transferMB float64, k f
 		k(err)
 		return
 	}
-	reqs := rl.writeReqs(node, sizeMB, transferMB)
-	sim.AwaitAll(t, flow.Dones(rl.c.sys.StartWrites(reqs)), func() {
+	rl.c.sys.StartWrites(rl.writeReqs(node, sizeMB, transferMB)).Await(t, func() {
 		rl.accountWrite(sizeMB, transferMB)
 		k(nil)
 	})
@@ -194,16 +193,14 @@ func (rl *RankLog) writeReqs(node int, sizeMB, transferMB float64) []lustre.Writ
 		}
 		ost := rl.c.sys.OST(rl.data.Layout.OSTs[i])
 		reqs = append(reqs, lustre.WriteReq{
-			Name:   fmt.Sprintf("plfs:%s:r%d:o%d", rl.c.name, rl.rank, ost.ID()),
-			SizeMB: mb,
-			OST:    ost,
-			Opts: lustre.WriteOpts{
-				Node:    node,
-				Class:   cluster.ClassLogAppend,
-				FileID:  rl.data.ID,
-				RPCMB:   transferMB,
-				MaxRate: perStream,
-			},
+			Name:    fmt.Sprintf("plfs:%s:r%d:o%d", rl.c.name, rl.rank, ost.ID()),
+			SizeMB:  mb,
+			OST:     ost,
+			Node:    node,
+			Class:   cluster.ClassLogAppend,
+			FileID:  rl.data.ID,
+			RPCMB:   transferMB,
+			MaxRate: perStream,
 		})
 	}
 	return reqs
@@ -232,7 +229,7 @@ func (c *Container) BatchWriteK(t *sim.Task, perRankMB, transferMB float64, k fu
 		k(err)
 		return
 	}
-	sim.AwaitAll(t, flow.Dones(c.sys.Net().StartBatch(specs)), func() { k(nil) })
+	c.sys.Net().StartBatch(specs).Await(t, func() { k(nil) })
 }
 
 // batchSpecs merges the per-rank log streams into one flow spec per OST
@@ -309,7 +306,7 @@ func (rl *RankLog) ReadK(t *sim.Task, node int, sizeMB float64, k func(error)) {
 		return
 	}
 	t.Sleep(float64(rl.records)*1e-6, func() {
-		sim.AwaitAll(t, flow.Dones(rl.c.sys.StartWrites(rl.readReqs(node, sizeMB))), func() { k(nil) })
+		rl.c.sys.StartWrites(rl.readReqs(node, sizeMB)).Await(t, func() { k(nil) })
 	})
 }
 
@@ -326,12 +323,10 @@ func (rl *RankLog) readReqs(node int, sizeMB float64) []lustre.WriteReq {
 			Name:   fmt.Sprintf("plfs-read:%s:r%d:o%d", rl.c.name, rl.rank, ost.ID()),
 			SizeMB: mb,
 			OST:    ost,
-			Opts: lustre.WriteOpts{
-				Node:   node,
-				Class:  cluster.ClassSequential,
-				FileID: rl.data.ID,
-				RPCMB:  rl.data.Layout.SizeMB,
-			},
+			Node:   node,
+			Class:  cluster.ClassSequential,
+			FileID: rl.data.ID,
+			RPCMB:  rl.data.Layout.SizeMB,
 		})
 	}
 	return reqs

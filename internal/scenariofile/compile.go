@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"pfsim/internal/cluster"
 	"pfsim/internal/flow"
@@ -379,7 +377,7 @@ func (f *File) Compile() (*cluster.Platform, []workload.Scenario, error) {
 				return nil, nil, fmt.Errorf("%s: OST %d out of range [0,%d)", where, ev.OST, plat.OSTs)
 			}
 		case EvLinkCapacity:
-			if err := checkLinkName(plat, ev.Link); err != nil {
+			if _, _, err := lustre.ParseLinkName(plat, ev.Link); err != nil {
 				return nil, nil, fmt.Errorf("%s: %w", where, err)
 			}
 		case EvRebuild:
@@ -463,34 +461,6 @@ func (f *File) checkFleetSize(fleet []FleetEntry, shard, nodes int) error {
 			f.errName(), where, nodes)
 	}
 	return nil
-}
-
-// checkLinkName validates a scenario link name against the platform's
-// topology without building a system; it mirrors lustre.System.LinkByName.
-func checkLinkName(plat *cluster.Platform, name string) error {
-	if name == "backbone" {
-		return nil
-	}
-	for _, g := range []struct {
-		prefix string
-		limit  int
-	}{{"nic", plat.Nodes}, {"oss", plat.OSSs}} {
-		if !strings.HasPrefix(name, g.prefix) {
-			continue
-		}
-		i, err := strconv.Atoi(name[len(g.prefix):])
-		if err != nil {
-			return fmt.Errorf("bad link name %q", name)
-		}
-		if i < 0 || i >= g.limit {
-			return fmt.Errorf("link %q out of range [0,%d)", name, g.limit)
-		}
-		return nil
-	}
-	if strings.HasPrefix(name, "ost") {
-		return fmt.Errorf("OST links carry the service model; use ost_health, not link_capacity, for %q", name)
-	}
-	return fmt.Errorf("unknown link %q (backbone, nic<i>, oss<i>)", name)
 }
 
 // InstrumentShard returns the instrument hook that schedules the file's

@@ -354,7 +354,17 @@ assert:
 	}
 }
 
+// TestValidateCatchesPlatformRangeErrors: timeline references and
+// fleets that do not fit the platform fail validation with their exact
+// positioned message, link names in all four of the link grammar's
+// refusals.
 func TestValidateCatchesPlatformRangeErrors(t *testing.T) {
+	// swap is a document whose timeline sets link's capacity.
+	swap := func(link string) string {
+		return "name: x\nplatform:\n  nodes: 16\n  osts: 4\n  osss: 2\nfleet:\n  - ior:\n      tasks: 4\n" +
+			"timeline:\n  - at: 1\n    link_capacity:\n      link: " + link + "\n      mbs: 100\n"
+	}
+	outnumber := "the fleet's jobs outnumber the platform's 4 nodes (each job needs at least one)"
 	cases := []struct{ name, doc, want string }{
 		{"ost range", `
 name: x
@@ -369,37 +379,11 @@ timeline:
   - at: 1
     ost_fail:
       ost: 7
-`, "out of range"},
-		{"link range", `
-name: x
-platform:
-  nodes: 16
-  osts: 4
-  osss: 2
-fleet:
-  - ior:
-      tasks: 4
-timeline:
-  - at: 1
-    link_capacity:
-      link: oss9
-      mbs: 100
-`, "out of range"},
-		{"ost link swap", `
-name: x
-platform:
-  nodes: 16
-  osts: 4
-  osss: 2
-fleet:
-  - ior:
-      tasks: 4
-timeline:
-  - at: 1
-    link_capacity:
-      link: ost1
-      mbs: 100
-`, "ost_health"},
+`, "x: timeline[0]: OST 7 out of range [0,4)"},
+		{"link range", swap("oss9"), `x: timeline[0]: link "oss9" out of range [0,2)`},
+		{"bad link name", swap("nicx"), `x: timeline[0]: bad link name "nicx"`},
+		{"ost link swap", swap("ost1"), `x: timeline[0]: OST links carry the service model; use ost_health, not link_capacity, for "ost1"`},
+		{"unknown link", swap("mds"), `x: timeline[0]: unknown link "mds" (backbone, nic<i>, oss<i>)`},
 		{"node capacity", `
 name: x
 platform:
@@ -409,7 +393,7 @@ platform:
 fleet:
   - ior:
       tasks: 4096
-`, ""},
+`, `x: fleet[0] (job "ior"): ior: job needs nodes 0..255 but platform has 4`},
 		{"fleet outnumbers nodes", `
 name: x
 platform:
@@ -421,7 +405,7 @@ fleet:
   - ior:
       tasks: 4
     count: 2
-`, "x: fleet[1].count: the fleet's jobs outnumber the platform's 4 nodes"},
+`, "x: fleet[1].count: " + outnumber},
 		{"generator outnumbers nodes", `
 name: x
 platform:
@@ -430,7 +414,7 @@ fleet:
   - generator:
       count: 5
       tasks: 4
-`, "x: fleet[0].generator.count: the fleet's jobs outnumber"},
+`, "x: fleet[0].generator.count: " + outnumber},
 		{"shard fleet outnumbers nodes", `
 name: x
 platform:
@@ -443,17 +427,11 @@ shards:
       - ior:
           tasks: 4
         count: 5
-`, "x: shards[1].fleet[0].count: the fleet's jobs outnumber"},
+`, "x: shards[1].fleet[0].count: " + outnumber},
 	}
 	for _, tc := range cases {
-		f := mustParseFile(t, tc.doc)
-		err := f.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate passed, want error", tc.name)
-			continue
-		}
-		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		if err := mustParseFile(t, tc.doc).Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

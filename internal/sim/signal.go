@@ -49,9 +49,6 @@ func (e *Engine) NewSignalN(label string, id, waiters int) *Signal {
 // caller, so no hot path formats one.
 func (s *Signal) name() string { return lazyName(s.label, s.id) }
 
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire marks the signal fired and schedules every waiter to resume at the
 // current time, in park order. Firing twice is a no-op. The emptied
 // waiter list keeps its capacity for a re-armed signal (see Rearm).

@@ -259,30 +259,6 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	e := NewEngine()
-	s1, s2 := e.NewSignal("a"), e.NewSignal("b")
-	done := -1.0
-	e.StartTask(0, "waiter", -1, func(tk *Task) {
-		AwaitAll(tk, []*Signal{s1, s2}, func() {
-			done = tk.Now()
-			tk.Finish()
-		})
-	})
-	e.StartTask(0, "f1", -1, func(tk *Task) {
-		tk.Sleep(1, func() { s1.Fire(); tk.Finish() })
-	})
-	e.StartTask(0, "f2", -1, func(tk *Task) {
-		tk.Sleep(3, func() { s2.Fire(); tk.Finish() })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 3 {
-		t.Errorf("AwaitAll completed at %v, want 3", done)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")

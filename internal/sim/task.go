@@ -143,26 +143,6 @@ func (s *Signal) Await(t *Task, k func()) {
 	s.waiters[n] = waiter{t: t, k: k}
 }
 
-// AwaitAll runs k once every signal in sigs has fired, visiting them in
-// order: park on the first unfired signal, and when it fires re-examine
-// the rest from there. Signals already fired are skipped synchronously,
-// so a task whose signals are all up proceeds without touching the event
-// queue.
-func AwaitAll(t *Task, sigs []*Signal, k func()) {
-	awaitFrom(t, sigs, 0, k)
-}
-
-func awaitFrom(t *Task, sigs []*Signal, i int, k func()) {
-	for ; i < len(sigs); i++ {
-		if !sigs[i].fired {
-			s, next := sigs[i], i+1
-			s.Await(t, func() { awaitFrom(t, sigs, next, k) }) // one closure per signal the task blocks on
-			return
-		}
-	}
-	k()
-}
-
 // AcquireTask grants the task a slot, running k once one is free, FIFO
 // order. An uncontended acquire runs k synchronously. The holder must call
 // Release when done.

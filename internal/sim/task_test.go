@@ -62,46 +62,6 @@ func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestAwaitAllMatchesWaitAll runs the same scattered fire schedule against
-// a task using AwaitAll and a task waiting on each signal in turn with a
-// chain of Await calls: both must resume at the same instant (the
-// sequential in-order wait semantics).
-func TestAwaitAllMatchesWaitAll(t *testing.T) {
-	run := func(useAwaitAll bool) float64 {
-		e := NewEngine()
-		sigs := []*Signal{e.NewSignal("a"), e.NewSignal("b"), e.NewSignal("c")}
-		// b fires first, then c, then a: the in-order scan parks on a, then
-		// skips b synchronously, then parks on c only if it is still down.
-		e.Schedule(1, sigs[1].Fire)
-		e.Schedule(2, sigs[2].Fire)
-		e.Schedule(3, sigs[0].Fire)
-		var resumed float64
-		e.StartTask(0, "t", -1, func(tk *Task) {
-			done := func() {
-				resumed = tk.Now()
-				tk.Finish()
-			}
-			if useAwaitAll {
-				AwaitAll(tk, sigs, done)
-				return
-			}
-			sigs[0].Await(tk, func() {
-				sigs[1].Await(tk, func() {
-					sigs[2].Await(tk, done)
-				})
-			})
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return resumed
-	}
-	allAt, seqAt := run(true), run(false)
-	if allAt != seqAt || allAt != 3 {
-		t.Errorf("AwaitAll resumed at %v, sequential Await at %v, want both 3", allAt, seqAt)
-	}
-}
-
 // TestResourceMixedFIFO alternates UseTask holders with tasks that
 // acquire and release by hand through a capacity-1 resource: slots must be
 // granted strictly in arrival order, with the uncontended first arrival

@@ -169,11 +169,11 @@ func TestMaxConcurrentSolverModeIdentical(t *testing.T) {
 		e, n, r := build(t)
 		n.UseReferenceSolver(reference)
 		l := n.NewLink("pipe", flow.Const(100))
-		short := n.Start("short", 100, 0, l) // drains at t=2 under fair share
+		short := n.StartBatch([]flow.FlowSpec{{Name: "short", SizeMB: 100, Path: []*flow.Link{l}}}) // drains at t=2 under fair share
 		n.Start("long", 900, 0, l)
 		// Two arrivals (one instantaneous) at the exact completion instant.
 		e.StartTask(0, "chain", -1, func(tk *sim.Task) {
-			short.Done.Await(tk, func() {
+			short.Await(tk, func() {
 				n.Start("late", 50, 0, l)
 				n.Start("blip", 0, 0, l)
 				tk.Finish()

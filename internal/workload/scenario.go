@@ -263,7 +263,8 @@ func (e *JobError) Error() string {
 func (e *JobError) Unwrap() error { return e.Err }
 
 // materialise resolves every job to a placed, validated configuration.
-// A job that fails validation or overlaps another is a *JobError.
+// A job that fails validation, its start time included, or overlaps
+// another is a *JobError.
 func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("workload: %s has no jobs", s.title())
@@ -280,13 +281,6 @@ func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 	for i, job := range s.Jobs {
 		if job.Workload == nil {
 			return nil, fmt.Errorf("workload: %s job %d has no workload", s.title(), i)
-		}
-		if job.StartAt < 0 || math.IsNaN(job.StartAt) {
-			return nil, fmt.Errorf("workload: %s job %d: StartAt %v must be non-negative",
-				s.title(), i, job.StartAt)
-		}
-		if math.IsInf(job.StartAt, 1) {
-			return nil, fmt.Errorf("workload: %s job %d: StartAt %v must be finite", s.title(), i, job.StartAt)
 		}
 		cfgs[i] = job.Workload.Config(plat)
 	}
@@ -322,7 +316,14 @@ func (s Scenario) materialise(plat *cluster.Platform) ([]ior.Config, error) {
 		} else {
 			cfg.FirstNode = cursor
 		}
-		if err := cfg.Validate(plat); err != nil {
+		err := cfg.Validate(plat)
+		switch {
+		case job.StartAt < 0 || math.IsNaN(job.StartAt):
+			err = fmt.Errorf("StartAt %v must be non-negative", job.StartAt)
+		case math.IsInf(job.StartAt, 1):
+			err = fmt.Errorf("StartAt %v must be finite", job.StartAt)
+		}
+		if err != nil {
 			return nil, &JobError{Scenario: s.title(), Job: i, Label: cfg.Label, Err: err}
 		}
 		sp := span{cfg.FirstNode, cfg.FirstNode + plat.NodesFor(cfg.NumTasks) - 1}

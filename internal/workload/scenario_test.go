@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"pfsim/internal/cluster"
@@ -210,16 +209,8 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := RunScenario(plat, NewScenario("nil", Job{}), 0); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := RunScenario(plat, NewScenario("neg",
-		Job{Workload: IORJob{Cfg: smallIOR("x", 32)}, StartAt: -1}), 0); err == nil {
-		t.Error("negative start accepted")
-	}
-	inf := NewScenario("inf", Job{Workload: IORJob{Cfg: smallIOR("x", 32)}, StartAt: math.Inf(1)})
-	if err := inf.Validate(plat); err == nil || !strings.Contains(err.Error(), "StartAt +Inf must be finite") {
-		t.Errorf("infinite start: err = %v", err)
-	}
-	// A job's fault is a *JobError naming the job by label; an overlap
-	// names both jobs.
+	// A job's fault, its start time included, is a *JobError naming the
+	// job by label; an overlap names both jobs.
 	x := IORJob{Cfg: smallIOR("x", 32)}
 	for _, tc := range []struct {
 		sc         Scenario
@@ -228,6 +219,10 @@ func TestScenarioValidation(t *testing.T) {
 	}{
 		{NewScenario("wide", Job{Workload: x}, Job{Workload: x, Stripes: 999}),
 			`workload: scenario "wide" job "x-job1": ior: stripe count 999 outside 0..160 (0 = default)`, 1, 0},
+		{NewScenario("neg", Job{Workload: x}, Job{Workload: x, StartAt: -1}),
+			`workload: scenario "neg" job "x-job1": StartAt -1 must be non-negative`, 1, 0},
+		{NewScenario("inf", Job{Workload: x, StartAt: math.Inf(1)}),
+			`workload: scenario "inf" job "x": StartAt +Inf must be finite`, 0, 0},
 		// Pinned overlap: both jobs claim nodes 4 and 5.
 		{NewScenario("overlap",
 			Job{Workload: IORJob{Cfg: smallIOR("p", 32)}, FirstNode: 4},
