@@ -289,21 +289,16 @@ func benchSolverModes(b *testing.B, name string) {
 	b.Run("reference", func(b *testing.B) { benchCounts(b, r.reference) })
 }
 
-// BenchmarkSolverSharded4096x16 is the component-partitioning stress: the
-// BenchmarkSolver4096Flows population (4,096 concurrent flows) split
-// across 16 disjoint file systems under one engine and one solver
-// (SolverShardedScenario). Every shard is its own link-connectivity
-// component, so the partitioned solver's per-solve scan cost
-// (compflowspersolve/op) must track the 256-flow shard, not the 4,096-flow
-// population — roughly a 16× drop against the reference's global passes —
-// and accrual settles (flowssettled/op) charge only the touched shard's
-// flows per instant.
+// BenchmarkSolverSharded4096x16 is the BenchmarkSolver4096Flows
+// population (4,096 concurrent flows) split across 16 disjoint file
+// systems (SolverShardedScenario). Each shard is a simulation of its own
+// with a 256-flow population, so the counters it reports are the sums
+// over 16 small simulations.
 func BenchmarkSolverSharded4096x16(b *testing.B) { benchSolverModes(b, "solver-sharded-4096x16") }
 
-// BenchmarkSolver1024Flows is the PR-2 solver-stress scenario: 512
+// BenchmarkSolver1024Flows is the solver-stress scenario: 512
 // file-per-process writers, 1,024 concurrent flows. The scenario shares
-// one backbone, so it is a single component: the partitioning win shows
-// up in BenchmarkSolverSharded4096x16, and the counters here guard
+// one backbone, so it is a single component, and the counters here guard
 // against the partitioned machinery regressing the monolithic case.
 func BenchmarkSolver1024Flows(b *testing.B) { benchSolverModes(b, "solver-1024-flows") }
 

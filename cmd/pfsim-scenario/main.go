@@ -65,7 +65,7 @@ collect every .yaml, .yml and .json file beneath them, sorted.
 
 run flags:
   -seed N    override the platform seed
-  -par N     worker pool width for solo baselines (0 = all cores)
+  -par N     worker pool width for solo baselines and shards (0 = all cores)
   -v         per-job detail for every file
 `)
 }
@@ -116,7 +116,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("run", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	seed := fl.Uint64("seed", 0, "override the platform seed")
-	par := fl.Int("par", 0, "worker pool width for solo baselines (0 = all cores)")
+	par := fl.Int("par", 0, "worker pool width for solo baselines and shards (0 = all cores)")
 	verbose := fl.Bool("v", false, "per-job detail")
 	if err := fl.Parse(args); err != nil {
 		return 2

@@ -108,7 +108,7 @@ type workRun struct {
 }
 
 // solverRow runs scenarios built in Go: one scenario alone, several as
-// shards under one engine and one solver.
+// shards, each a simulation of its own, their counters summed.
 func solverRow(name string, plat *Platform, scens ...Scenario) workRun {
 	mode := func(reference bool) func(testing.TB) workCounts {
 		return func(tb testing.TB) workCounts {
@@ -247,7 +247,7 @@ func outcomeDigest(o *experiments.Outcome) string {
 }
 
 // checkpointFleetRow compiles digestFleet replicated over
-// checkpointFleetShards file systems under one engine.
+// checkpointFleetShards file systems, each a simulation of its own.
 func checkpointFleetRow(tb testing.TB) workRun {
 	tb.Helper()
 	doc := strings.Replace(digestFleet, "replicate: 3\n",

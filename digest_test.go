@@ -12,12 +12,12 @@ import (
 
 // digestFleet is a small sharded fleet in the shape of the end-to-end
 // benchmark's shard-fleet workload: seeded checkpointers on three small
-// file systems under one engine (replicas draw distinct generator
-// streams), with per-OST service jitter (the Cab preset's JitterCV),
-// uniform and normal generator draws, and a shard outage. The normal
-// draws' standard deviations are not powers of two and their means are of
-// the same magnitude as std*x, so std*x rounds and a fused mean + std*x
-// often rounds differently from the two-step sum.
+// file systems, each a simulation of its own (replicas draw distinct
+// generator streams), with per-OST service jitter (the Cab preset's
+// JitterCV), uniform and normal generator draws, and a shard outage. The
+// normal draws' standard deviations are not powers of two and their means
+// are of the same magnitude as std*x, so std*x rounds and a fused
+// mean + std*x often rounds differently from the two-step sum.
 const digestFleet = `
 name: digest-fleet
 platform:

@@ -96,7 +96,7 @@ func TestEngineFleetGoroutinesO1(t *testing.T) {
 
 // BenchmarkCheckpointFleet times the checkpoint-fleet run: digestFleet's
 // jittered checkpointer fleet (TestShardFleetDigest) replicated over 48
-// file systems under one engine. Every checkpoint is an IOR repetition
+// file systems, each a simulation of its own. Every checkpoint is an IOR repetition
 // whose ranks meet in MPI collectives around the write, so this times
 // the collective path.
 func BenchmarkCheckpointFleet(b *testing.B) { benchCounts(b, workRunNamed(b, "checkpoint-fleet").run) }

@@ -550,13 +550,11 @@ func (n *Net) Engine() *sim.Engine { return n.eng }
 
 // NewLink adds a link with the given capacity model. Link names key
 // telemetry and error reporting, so duplicates are a caller bug: two
-// shards built with the same prefix would silently alias each other's
-// carried-volume labels. NewLink panics on a name any link of the net
-// already has, a NewLinks member's included; callers that can see a
-// clash coming check HasLink first and surface an error
-// (lustre.NewSharedSystem validates its prefix this way).
+// links of one name would silently alias each other's carried-volume
+// labels. NewLink panics on a name any link of the net already has, a
+// NewLinks member's included.
 func (n *Net) NewLink(name string, model CapacityModel) *Link {
-	if n.HasLink(name) {
+	if n.hasLink(name) {
 		panic(fmt.Sprintf("flow: duplicate link name %q", name))
 	}
 	n.linkNames[name] = true
@@ -607,10 +605,10 @@ func (n *Net) NewLinks(prefix string, count int, model CapacityModel) []*Link {
 	return out
 }
 
-// HasLink reports whether a link with the given name exists on the net.
+// hasLink reports whether a link with the given name exists on the net.
 // A set member's name is its set's prefix followed by a decimal index, so
 // each split of the name's trailing digits is looked up as a prefix.
-func (n *Net) HasLink(name string) bool {
+func (n *Net) hasLink(name string) bool {
 	if n.linkNames[name] {
 		return true
 	}

@@ -439,7 +439,7 @@ func TestCheckInvariants(t *testing.T) {
 }
 
 // TestLinkSets: a NewLinks member is named its set's prefix and index,
-// HasLink finds members by name, and every name clash panics as a
+// hasLink finds members by name, and every name clash panics as a
 // NewLink duplicate does: a NewLink name inside a set, a set over a
 // NewLink name, and two sets that share a member.
 func TestLinkSets(t *testing.T) {
@@ -456,13 +456,13 @@ func TestLinkSets(t *testing.T) {
 	n.NewLink("backbone", Const(100))
 	n.NewLink("oss3", Const(100))
 	for _, name := range []string{"nic0", "nic7", "nic11", "backbone", "oss3"} {
-		if !n.HasLink(name) {
-			t.Errorf("HasLink(%q) = false", name)
+		if !n.hasLink(name) {
+			t.Errorf("hasLink(%q) = false", name)
 		}
 	}
 	for _, name := range []string{"nic", "nic12", "nic01", "nic-1", "nic+1", "nic1x", "ni", "backbone0", "oss"} {
-		if n.HasLink(name) {
-			t.Errorf("HasLink(%q) = true", name)
+		if n.hasLink(name) {
+			t.Errorf("hasLink(%q) = true", name)
 		}
 	}
 	for _, ok := range []struct {
@@ -492,7 +492,7 @@ func TestLinkSets(t *testing.T) {
 	}
 	// The clashing sets were refused whole: "oss" stops short of oss3.
 	n.NewLinks("oss", 3, Const(1))
-	if got := n.NewLinks("empty", 0, Const(1)); got != nil || n.HasLink("empty0") {
+	if got := n.NewLinks("empty", 0, Const(1)); got != nil || n.hasLink("empty0") {
 		t.Errorf("an empty set made links %v", got)
 	}
 }

@@ -791,16 +791,15 @@ func TestMultiComponentMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestNewLinkRejectsDuplicateNames: link names key telemetry, so reusing
-// one is a caller bug — NewLink must panic rather than silently alias,
-// and HasLink lets builders validate a namespace up front.
+// one is a caller bug — NewLink must panic rather than silently alias.
 func TestNewLinkRejectsDuplicateNames(t *testing.T) {
 	n := NewNet(sim.NewEngine())
 	n.NewLink("ost0", Const(100))
-	if !n.HasLink("ost0") {
-		t.Error("HasLink(ost0) = false after NewLink")
+	if !n.hasLink("ost0") {
+		t.Error("hasLink(ost0) = false after NewLink")
 	}
-	if n.HasLink("ost1") {
-		t.Error("HasLink(ost1) = true for an absent link")
+	if n.hasLink("ost1") {
+		t.Error("hasLink(ost1) = true for an absent link")
 	}
 	defer func() {
 		if recover() == nil {

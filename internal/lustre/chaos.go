@@ -146,7 +146,7 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) *flow.Batch {
 		rd := src.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
 		wr := tgt.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
 		specs[i] = flow.FlowSpec{
-			Name:    fmt.Sprintf("%srebuild/ost%d/s%d", s.prefix, target, i),
+			Name:    fmt.Sprintf("rebuild/ost%d/s%d", target, i),
 			SizeMB:  per,
 			MaxRate: opts.RateMBs,
 			OnDone: func() {

@@ -15,12 +15,10 @@ import (
 	"pfsim/internal/stats"
 )
 
-// System is one simulated Lustre installation bound to an engine. Build a
-// fresh System per experiment repetition: per-OST jitter is drawn at build
-// time, which gives realistic run-to-run variance. Several Systems can
-// share one engine and one fluid network (NewSharedSystem) — independent
-// file systems under one simulation, each its own link-connectivity
-// component of the shared solver.
+// System is one simulated Lustre installation bound to an engine and a
+// fluid network of its own. Build a fresh System per experiment
+// repetition: per-OST jitter is drawn at build time, which gives
+// realistic run-to-run variance.
 type System struct {
 	plat *cluster.Platform
 	eng  *sim.Engine
@@ -34,7 +32,6 @@ type System struct {
 
 	mds     *MDS
 	rng     *stats.RNG
-	prefix  string
 	fileSeq int
 	// rebuildSeq hands out negative synthetic file IDs for rebuild
 	// streams (see StartRebuild); real files get positive IDs.
@@ -43,44 +40,26 @@ type System struct {
 
 // NewSystem builds the simulated file system and network topology for plat
 // on a private fluid network. The rng drives OST allocation and service
-// jitter; fork it per repetition.
+// jitter; fork it per repetition. NICs, OSS links and OSTs are built as
+// one slab each, their names formatted only when read, so a build costs a
+// few dozen allocations however large the platform.
 func NewSystem(eng *sim.Engine, plat *cluster.Platform, rng *stats.RNG) (*System, error) {
-	return NewSharedSystem(eng, flow.NewNet(eng), plat, rng, "")
-}
-
-// NewSharedSystem builds a file system on an existing fluid network, so
-// several independent installations ("shards") run under one engine and
-// one solver. Their link sets are disjoint — traffic on one shard never
-// shares a link with another — so the partitioned solver keeps each shard
-// its own component and a change in one never scans the others. The
-// prefix namespaces link and resource labels (e.g. "fs0/backbone") and
-// must be unique per shared net: a reused prefix would alias the two
-// shards' telemetry labels, so it is rejected here (flow.Net.NewLink and
-// NewLinks additionally panic on any duplicate link name as a backstop).
-// NICs, OSS links and OSTs are built as one slab each, their names
-// formatted only when read, so a build costs a few dozen allocations
-// however large the platform.
-func NewSharedSystem(eng *sim.Engine, net *flow.Net, plat *cluster.Platform, rng *stats.RNG, prefix string) (*System, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	if net.HasLink(prefix + "backbone") {
-		return nil, fmt.Errorf("lustre: shard prefix %q already in use on this network (link %q exists)",
-			prefix, prefix+"backbone")
-	}
+	net := flow.NewNet(eng)
 	s := &System{
 		plat:   plat,
 		eng:    eng,
 		net:    net,
 		rng:    rng,
-		prefix: prefix,
 		thrash: thrashTable{plat: plat},
 	}
-	s.backbone = net.NewLink(prefix+"backbone", flow.Const(plat.BackboneMBs))
-	s.nics = net.NewLinks(prefix+"nic", plat.Nodes, flow.Const(plat.NICMBs))
-	s.osss = net.NewLinks(prefix+"oss", plat.OSSs, flow.Const(plat.OSSMBs))
+	s.backbone = net.NewLink("backbone", flow.Const(plat.BackboneMBs))
+	s.nics = net.NewLinks("nic", plat.Nodes, flow.Const(plat.NICMBs))
+	s.osss = net.NewLinks("oss", plat.OSSs, flow.Const(plat.OSSMBs))
 	// Every OST link gets a model of its own, with its own jitter draw.
-	links := net.NewLinks(prefix+"ost", plat.OSTs, nil)
+	links := net.NewLinks("ost", plat.OSTs, nil)
 	models := make([]ostModel, plat.OSTs)
 	s.osts = make([]OST, plat.OSTs)
 	for i := range s.osts {
@@ -91,7 +70,7 @@ func NewSharedSystem(eng *sim.Engine, net *flow.Net, plat *cluster.Platform, rng
 	}
 	s.mds = &MDS{
 		sys: s,
-		res: eng.NewResource(prefix+"mds", 1),
+		res: eng.NewResource("mds", 1),
 	}
 	return s, nil
 }
@@ -108,13 +87,6 @@ func MustNewSystem(eng *sim.Engine, plat *cluster.Platform, rng *stats.RNG) *Sys
 
 // Platform returns the platform description the system was built from.
 func (s *System) Platform() *cluster.Platform { return s.plat }
-
-// Prefix returns the label namespace the system was built with — "" for a
-// private system, the shard prefix (e.g. "fs0/") for a shared one. Layers
-// that create their own links on the shared net (e.g. mpiio aggregators)
-// must include it in their link names, or identically labelled jobs on
-// two shards would collide.
-func (s *System) Prefix() string { return s.prefix }
 
 // Engine returns the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.eng }

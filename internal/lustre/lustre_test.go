@@ -605,51 +605,6 @@ func TestStartWritesBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSharedSystemsOnOneNet(t *testing.T) {
-	// Two independent file systems on one engine and one fluid network:
-	// disjoint link sets, prefixed names, each its own solver component.
-	plat := testPlat()
-	eng := sim.NewEngine()
-	net := flow.NewNet(eng)
-	sysA, err := NewSharedSystem(eng, net, plat, stats.NewRNG(1), "fs0/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysB, err := NewSharedSystem(eng, net, plat, stats.NewRNG(2), "fs1/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sysA.Net() != net || sysB.Net() != net {
-		t.Fatal("shared systems must expose the shared net")
-	}
-	if got := sysA.Backbone().Name(); got != "fs0/backbone" {
-		t.Errorf("backbone name %q, want fs0/backbone", got)
-	}
-	if got := sysB.OST(0).Link().Name(); got != "fs1/ost0" {
-		t.Errorf("ost link name %q, want fs1/ost0", got)
-	}
-	fa := sysA.StartWrites([]WriteReq{seqWrite("a", 1000, sysA.OST(0), 1)}).Flows()[0]
-	fb := sysB.StartWrites([]WriteReq{seqWrite("b", 1000, sysB.OST(0), 1)}).Flows()[0]
-	net.Recompute()
-	if got := net.Components(); got != 2 {
-		t.Errorf("%d solver components, want 2 (one per file system)", got)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fa.Finished() || !fb.Finished() {
-		t.Fatal("shared-net writes did not drain")
-	}
-	// Identical platforms, zero jitter, same write: identical finish times,
-	// and neither shard's traffic shows up on the other's links.
-	if fa.FinishedAt() != fb.FinishedAt() {
-		t.Errorf("isolated shards diverged: %v vs %v", fa.FinishedAt(), fb.FinishedAt())
-	}
-	if c := sysB.Backbone().Carried(); c != 1000 {
-		t.Errorf("fs1 backbone carried %v, want 1000", c)
-	}
-}
-
 func TestNewSystemIsPrivateNet(t *testing.T) {
 	plat := testPlat()
 	e1 := sim.NewEngine()
@@ -666,25 +621,6 @@ func TestNewSystemIsPrivateNet(t *testing.T) {
 		t.Fatal("independent systems share a net")
 	}
 	if got := s1.Backbone().Name(); got != "backbone" {
-		t.Errorf("unprefixed backbone name %q", got)
-	}
-}
-
-// TestSharedSystemRejectsDuplicatePrefix: two shards built with the same
-// prefix on one net would alias every telemetry label (fs0/ost3 naming
-// two different OSTs), so the second build must fail instead of silently
-// sharing the namespace. Distinct prefixes keep working.
-func TestSharedSystemRejectsDuplicatePrefix(t *testing.T) {
-	eng := sim.NewEngine()
-	net := flow.NewNet(eng)
-	plat := testPlat()
-	if _, err := NewSharedSystem(eng, net, plat, stats.NewRNG(1), "fs0/"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSharedSystem(eng, net, plat, stats.NewRNG(2), "fs0/"); err == nil {
-		t.Fatal("duplicate prefix accepted")
-	}
-	if _, err := NewSharedSystem(eng, net, plat, stats.NewRNG(3), "fs1/"); err != nil {
-		t.Fatalf("distinct prefix rejected: %v", err)
+		t.Errorf("backbone name %q, want backbone", got)
 	}
 }

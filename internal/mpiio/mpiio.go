@@ -360,10 +360,7 @@ func (f *File) buildAggregators() {
 	f.aggLinks = make([]*flow.Link, len(nodes))
 	for i, n := range nodes {
 		cap := rate * f.sys.RNG().Jitter(plat.JitterCV)
-		// The shard prefix keeps aggregator labels distinct when several
-		// file systems with identically labelled jobs share one net.
-		f.aggLinks[i] = f.sys.Net().NewLink(
-			fmt.Sprintf("%sagg:%s:%d", f.sys.Prefix(), f.name, n), flow.Const(cap))
+		f.aggLinks[i] = f.sys.Net().NewLink(fmt.Sprintf("agg:%s:%d", f.name, n), flow.Const(cap))
 	}
 }
 

@@ -39,10 +39,13 @@ func Progress(total int, fn func(done, total int)) func() {
 }
 
 // Run executes fn(0), ..., fn(n-1) with at most workers goroutines in
-// flight. Each item runs exactly once unless an earlier error or a context
-// cancellation is observed first, in which case unstarted items are
-// skipped. Run returns ctx.Err() if the context was cancelled, otherwise
-// the lowest-index error, otherwise nil. A nil ctx never cancels.
+// flight. Each item runs exactly once unless a context cancellation or an
+// error at a lower index is observed first, in which case unstarted items
+// are skipped. Run returns ctx.Err() if the context was cancelled,
+// otherwise the lowest-index error, otherwise nil. A nil ctx never
+// cancels. Items are claimed in index order and an error skips only
+// higher indices, so every item below the lowest failing one runs: the
+// error returned is the same at every width.
 //
 // Callers guarantee fn(i) touches only state owned by item i (or
 // synchronises itself); under that contract the combined results are
@@ -66,6 +69,9 @@ func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
 				return err
 			}
 			if err := fn(i); err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
 				return err
 			}
 		}
@@ -74,20 +80,25 @@ func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
 
 	errs := make([]error, n)
 	var next atomic.Int64
-	var failed atomic.Bool
+	var lowest atomic.Int64 // the lowest failed index, n while none has
+	lowest.Store(int64(n))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || failed.Load() || ctx.Err() != nil {
+				i := next.Add(1) - 1
+				if i >= lowest.Load() || ctx.Err() != nil {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(int(i)); err != nil {
 					errs[i] = err
-					failed.Store(true)
+					for l := lowest.Load(); i < l; l = lowest.Load() {
+						if lowest.CompareAndSwap(l, i) {
+							break
+						}
+					}
 					return
 				}
 			}

@@ -49,25 +49,35 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 	if err != wantA || calls != 3 {
 		t.Fatalf("serial: err=%v calls=%d", err, calls)
 	}
-	// Parallel: whichever worker fails, the reported error has the lowest
-	// index among recorded failures, and later work is skipped.
-	err = Run(context.Background(), 4, 64, func(i int) error {
-		if i == 5 {
-			return wantA
+	// Parallel: an error skips only higher indices, so item 5 runs even
+	// when item 40 fails first, and its error is the one reported.
+	for round := 0; round < 50; round++ {
+		err = Run(context.Background(), 4, 64, func(i int) error {
+			if i == 5 {
+				return wantA
+			}
+			if i == 40 {
+				return wantB
+			}
+			return nil
+		})
+		if err != wantA {
+			t.Fatalf("parallel round %d: err = %v, want item 5's", round, err)
 		}
-		if i == 40 {
+	}
+	// A lower item that fails only after a higher one has failed still
+	// wins.
+	higherFailed := make(chan struct{})
+	err = Run(context.Background(), 2, 2, func(i int) error {
+		if i == 1 {
+			close(higherFailed)
 			return wantB
 		}
-		return nil
+		<-higherFailed
+		return wantA
 	})
-	if err == nil {
-		t.Fatal("parallel: no error")
-	}
-	if err == wantB {
-		// Possible only if item 40 failed before item 5 ran; item 5 must
-		// then have been skipped. Either error is acceptable, but nil is
-		// not, and wantA must win whenever both were recorded.
-		t.Log("item 40's error won the race (item 5 skipped)")
+	if err != wantA {
+		t.Fatalf("late lower failure: err = %v, want item 0's", err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // RunOptions configures one scenario-file execution: a seed overriding
-// the file's (0 keeps it), the width of the pool the solo baselines fan
-// across, and a context that cancels the run mid-simulation.
+// the file's (0 keeps it), the width of the pool the solo baselines and
+// shards fan across, and a context that cancels the run mid-simulation.
 type RunOptions = workload.RunOptions
 
 // Result is the outcome of running one scenario file: the simulation

@@ -7,17 +7,17 @@ import (
 )
 
 // RunOptions configures a run beyond the platform: the RNG seed, the
-// width of the pool its solo baselines fan across, and an optional
-// cancellation context. The zero value reproduces the plain
+// width of the pool its solo baselines and shards fan across, and an
+// optional cancellation context. The zero value reproduces the plain
 // RunScenario/RunSharded behaviour (platform seed, no cancellation).
 type RunOptions struct {
 	// Seed drives OST layouts and service jitter; 0 selects plat.Seed.
 	Seed uint64
 	// Parallelism is the number of workers RunBaselines fans its solo
-	// simulations across (values below one select GOMAXPROCS), and
-	// nothing else reads it: every simulation, RunScenarioWith's and
-	// RunShardedWith's included, runs on one goroutine, so results are
-	// byte-identical at any width.
+	// simulations, and RunShardedWith its shards, across (values below
+	// one select GOMAXPROCS). Every simulation runs on one goroutine,
+	// RunScenarioWith's included, so results are byte-identical at any
+	// width.
 	Parallelism int
 	// Ctx, when it carries a Done channel, aborts the simulation mid-run:
 	// the engine polls it every few thousand fired events — bounding

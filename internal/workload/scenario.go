@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -402,8 +403,7 @@ type Result struct {
 	// Makespan is the virtual time at which the last job finished.
 	Makespan float64
 	// Work is the run's one simulation and its solver and engine work
-	// counters (zero for a shard of a sharded run, whose ShardedResult
-	// counts the shared simulation).
+	// counters.
 	Work Work
 	// Baselines is the summed work of the solo simulations RunBaselines
 	// ran for this result; zero until it runs them.
@@ -427,11 +427,6 @@ func (w *Work) Add(o Work) {
 	w.Simulations += o.Simulations
 	w.Flow.Add(o.Flow)
 	w.Sim.Add(o.Sim)
-}
-
-// simulation is the Work of one finished simulation on eng and net.
-func simulation(eng *sim.Engine, net *flow.Net) Work {
-	return Work{Simulations: 1, Flow: net.Stats(), Sim: eng.Stats()}
 }
 
 // Aggregate computes cross-job summary statistics.
@@ -507,8 +502,17 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 	if seed == 0 {
 		seed = plat.Seed
 	}
+	return simulate(plat, s, cfgs, stats.NewRNG(seed).Fork(s.seedHash(cfgs)), opts.Ctx, instrument)
+}
+
+// simulate runs one materialised scenario as one simulation on the
+// calling goroutine: a fresh engine and system drawing from rng, the
+// instrument hooks, every job's launch (at its StartAt by timer, the
+// rest at once), the engine run polled for ctx, and each job's finish.
+// It is the one place an engine is built and run.
+func simulate(plat *cluster.Platform, s Scenario, cfgs []ior.Config, rng *stats.RNG, ctx context.Context, instrument []func(*lustre.System)) (*Result, error) {
 	eng := sim.NewEngine()
-	sys, err := lustre.NewSystem(eng, plat, stats.NewRNG(seed).Fork(s.seedHash(cfgs)))
+	sys, err := lustre.NewSystem(eng, plat, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -516,47 +520,20 @@ func RunScenarioWith(plat *cluster.Platform, s Scenario, opts RunOptions, instru
 		fn(sys)
 	}
 	res := &Result{Scenario: s, Jobs: make([]JobResult, len(cfgs))}
-	launch := launchScenario(sys, s, cfgs, res)
-	cancelled := watchContext(eng, opts.Ctx)
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("workload: %s failed: %w", s.title(), err)
-	}
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	if err := launch.finish(res); err != nil {
-		return nil, err
-	}
-	res.Work = simulation(eng, sys.Net())
-	return res, nil
-}
-
-// launchState tracks one scenario's in-flight jobs between launch and the
-// end of the engine run.
-type launchState struct {
-	running []*ior.RunningJob
-	err     error
-}
-
-// launchScenario schedules every job of the materialised scenario on sys:
-// jobs with a StartAt launch via a timer, the rest immediately. A launch
-// failure stops the engine and surfaces through finish.
-func launchScenario(sys *lustre.System, s Scenario, cfgs []ior.Config, res *Result) *launchState {
-	eng := sys.Engine()
-	ls := &launchState{running: make([]*ior.RunningJob, len(cfgs))}
+	running := make([]*ior.RunningJob, len(cfgs))
+	var launchErr error
 	for i := range cfgs {
-		i := i
 		res.Jobs[i] = JobResult{Label: cfgs[i].Label, Config: cfgs[i], StartAt: s.Jobs[i].StartAt}
 		start := func() {
 			rj, err := ior.StartJob(sys, cfgs[i])
 			if err != nil {
-				if ls.err == nil {
-					ls.err = err
+				if launchErr == nil {
+					launchErr = err
 				}
 				eng.Stop()
 				return
 			}
-			ls.running[i] = rj
+			running[i] = rj
 			res.Jobs[i].IOR = rj.Result
 		}
 		if s.Jobs[i].StartAt > 0 {
@@ -565,33 +542,33 @@ func launchScenario(sys *lustre.System, s Scenario, cfgs []ior.Config, res *Resu
 			start()
 		}
 	}
-	return ls
-}
-
-// finish surfaces launch and rank errors after the engine drained and
-// fills in each job's finish time and the result's makespan.
-func (ls *launchState) finish(res *Result) error {
-	if ls.err != nil {
-		return ls.err
+	cancelled := watchContext(eng, ctx)
+	if err := eng.Run(); err != nil {
+		return nil, fmt.Errorf("workload: %s failed: %w", s.title(), err)
 	}
-	for i := range ls.running {
-		if ls.running[i] == nil {
-			// A StartAt timer never fired: something stopped the engine
-			// before this job launched (a launch failure in a sibling shard
-			// — surfaced by the caller before finish runs — or an external
-			// Engine.Stop). Never report a half-run scenario as success.
-			return fmt.Errorf("workload: job %q never launched (engine stopped early)",
-				res.Jobs[i].Label)
+	if err := cancelled(); err != nil {
+		return nil, err
+	}
+	if launchErr != nil {
+		return nil, launchErr
+	}
+	for i, rj := range running {
+		if rj == nil {
+			// A StartAt timer never fired: an instrument hook stopped the
+			// engine before this job launched. Never report a half-run
+			// scenario as success.
+			return nil, fmt.Errorf("workload: job %q never launched (engine stopped early)", res.Jobs[i].Label)
 		}
-		if err := ls.running[i].Err(); err != nil {
-			return err
+		if err := rj.Err(); err != nil {
+			return nil, err
 		}
-		res.Jobs[i].FinishedAt = ls.running[i].FinishedAt()
+		res.Jobs[i].FinishedAt = rj.FinishedAt()
 		if res.Jobs[i].FinishedAt > res.Makespan {
 			res.Makespan = res.Jobs[i].FinishedAt
 		}
 	}
-	return nil
+	res.Work = Work{Simulations: 1, Flow: sys.Net().Stats(), Sim: eng.Stats()}
+	return res, nil
 }
 
 // soloKey identifies configurations that share a baseline: placement does

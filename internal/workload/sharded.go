@@ -4,109 +4,90 @@ import (
 	"fmt"
 
 	"pfsim/internal/cluster"
-	"pfsim/internal/flow"
 	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
-	"pfsim/internal/sim"
+	"pfsim/internal/pool"
 	"pfsim/internal/stats"
 )
 
 // ShardedResult is the outcome of a RunSharded execution: one Result per
-// file system, plus the shared solver's work counters.
+// file system, plus the summed work of their simulations.
 type ShardedResult struct {
-	// Shards holds one scenario result per file system, in input order.
-	// Per-shard Work is zero — the solver and the engine are shared; see
-	// the top-level field.
+	// Shards holds one scenario result per file system, in input order,
+	// each with its own simulation's Work.
 	Shards []*Result
 	// Makespan is the virtual time at which the last job of any shard
 	// finished.
 	Makespan float64
-	// Work is the run's one simulation and the shared solver's and
-	// engine's work counters. With the partitioned solver each shard is
-	// its own link-connectivity component, so ComponentFlowsScanned /
-	// ComponentsSolved reflects per-shard, not total, population.
+	// Work is the sum of the shards' Work: one simulation per shard.
 	Work Work
 }
 
 // RunSharded executes several scenarios as independent file systems
-// ("shards") under one engine and one shared fluid network — the
-// shared-nothing deployment shape: one simulation, many installations,
-// disjoint link sets. Shard i runs on its own lustre.System (own MDS,
-// OSTs, jitter draws, RNG stream forked from the scenario's labels and the
-// shard index); the solver partitions the population by link
-// connectivity, so cross-shard interference is structurally impossible
-// and a change in one shard's traffic never scans another's flows. The
-// run is deterministic for a given (platform, scenarios, seed) triple;
-// seed 0 selects plat.Seed. Instrument hooks run against each freshly
-// built system (shard index first) before any job launches.
+// ("shards") — the shared-nothing deployment shape: many installations
+// that never share a link, a server or a job. Each shard is a simulation
+// of its own, run as RunScenario runs one: its own engine, network, MDS,
+// OSTs and jitter draws, on an RNG stream forked from the run's seed, the
+// scenario's labels and the shard index. The run is deterministic for a
+// given (platform, scenarios, seed) triple; seed 0 selects plat.Seed.
+// Instrument hooks run against each freshly built system (shard index
+// first) before any of its jobs launches.
 func RunSharded(plat *cluster.Platform, shards []Scenario, seed uint64, instrument ...func(int, *lustre.System)) (*ShardedResult, error) {
 	return RunShardedWith(plat, shards, RunOptions{Seed: seed}, instrument...)
 }
 
-// RunShardedWith is RunSharded with explicit run options: the seed and a
-// cancellation context. The simulation runs on the calling goroutine. Ctx
-// is polled every few thousand fired events across the (single, long)
-// engine run; on cancellation the engine stops, its processes drain, and
-// the call returns ctx.Err(). Instrument hooks run against each freshly
-// built system and may change its settings.
+// RunShardedWith is RunSharded with explicit run options. The shards'
+// simulations fan across a pool of opts.Parallelism workers (values below
+// one select GOMAXPROCS), each on one goroutine; every shard's stream is
+// forked before any runs, in shard order, so results are byte-identical
+// at any width. opts.Ctx is polled every few thousand fired events of
+// each running shard and between shards; on cancellation the call
+// returns ctx.Err(). A failure names the lowest-index failing shard.
+// Instrument hooks run on their shard's goroutine and may change its
+// system's settings; at widths above one, hooks for different shards may
+// run concurrently, so a hook must touch only the system it is given (or
+// synchronise itself).
 func RunShardedWith(plat *cluster.Platform, shards []Scenario, opts RunOptions, instrument ...func(int, *lustre.System)) (*ShardedResult, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("workload: sharded run has no scenarios")
-	}
-	allCfgs := make([][]ior.Config, len(shards))
-	for i, s := range shards {
-		cfgs, err := s.materialise(plat)
-		if err != nil {
-			return nil, fmt.Errorf("workload: shard %d: %w", i, err)
-		}
-		allCfgs[i] = cfgs
 	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = plat.Seed
 	}
-	eng := sim.NewEngine()
-	net := flow.NewNet(eng)
 	base := stats.NewRNG(seed)
-	out := &ShardedResult{Shards: make([]*Result, len(shards))}
-	launches := make([]*launchState, len(shards))
+	cfgs := make([][]ior.Config, len(shards))
+	rngs := make([]*stats.RNG, len(shards))
 	for i, s := range shards {
-		fork := s.seedHash(allCfgs[i]) ^ ior.HashLabel(fmt.Sprintf("shard%d", i))
-		sys, err := lustre.NewSharedSystem(eng, net, plat, base.Fork(fork), fmt.Sprintf("fs%d/", i))
+		c, err := s.materialise(plat)
 		if err != nil {
-			return nil, err
-		}
-		for _, fn := range instrument {
-			fn(i, sys)
-		}
-		res := &Result{Scenario: s, Jobs: make([]JobResult, len(allCfgs[i]))}
-		out.Shards[i] = res
-		launches[i] = launchScenario(sys, s, allCfgs[i], res)
-	}
-	cancelled := watchContext(eng, opts.Ctx)
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("workload: sharded run failed: %w", err)
-	}
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	// Surface launch failures first: a failed shard stops the engine early,
-	// leaving other shards' delayed jobs unlaunched — their finish must not
-	// mask the root cause.
-	for i, ls := range launches {
-		if ls.err != nil {
-			return nil, fmt.Errorf("workload: shard %d: %w", i, ls.err)
-		}
-	}
-	for i, ls := range launches {
-		if err := ls.finish(out.Shards[i]); err != nil {
 			return nil, fmt.Errorf("workload: shard %d: %w", i, err)
 		}
-		if out.Shards[i].Makespan > out.Makespan {
-			out.Makespan = out.Shards[i].Makespan
-		}
+		cfgs[i] = c
+		rngs[i] = base.Fork(s.seedHash(c) ^ ior.HashLabel(fmt.Sprintf("shard%d", i)))
 	}
-	out.Work = simulation(eng, net)
+	out := &ShardedResult{Shards: make([]*Result, len(shards))}
+	err := pool.Run(opts.Ctx, opts.Parallelism, len(shards), func(i int) error {
+		hooks := make([]func(*lustre.System), len(instrument))
+		for k, fn := range instrument {
+			hooks[k] = func(sys *lustre.System) { fn(i, sys) }
+		}
+		res, err := simulate(plat, shards[i], cfgs[i], rngs[i], opts.Ctx, hooks)
+		if err != nil {
+			return fmt.Errorf("workload: shard %d: %w", i, err)
+		}
+		out.Shards[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range out.Shards {
+		if sh.Makespan > out.Makespan {
+			out.Makespan = sh.Makespan
+		}
+		out.Work.Add(sh.Work)
+	}
 	return out, nil
 }
 

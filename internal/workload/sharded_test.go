@@ -3,13 +3,16 @@ package workload
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"pfsim/internal/cluster"
+	"pfsim/internal/flow"
 	"pfsim/internal/ior"
 	"pfsim/internal/lustre"
 )
@@ -43,8 +46,15 @@ func TestRunShardedBasics(t *testing.T) {
 			t.Fatalf("shard %d makespan %v outside total %v", i, sh.Makespan, res.Makespan)
 		}
 	}
-	if res.Work.Flow.ComponentsSolved == 0 {
-		t.Error("shared solver counters not collected")
+	var sum Work
+	for _, sh := range res.Shards {
+		if sh.Work.Simulations != 1 || sh.Work.Flow.ComponentsSolved == 0 {
+			t.Errorf("shard work %+v, want one simulation's counters", sh.Work)
+		}
+		sum.Add(sh.Work)
+	}
+	if res.Work != sum {
+		t.Errorf("sharded work %+v, want the shards' sum %+v", res.Work, sum)
 	}
 	agg := res.Aggregate()
 	if agg.TotalMBs <= 0 || agg.MinMBs > agg.MaxMBs {
@@ -53,8 +63,9 @@ func TestRunShardedBasics(t *testing.T) {
 }
 
 // TestRunShardedSolverModesBitIdentical runs the same sharded scenario set
-// under the partitioned and the reference solver, at 8 and 64 tasks per
-// shard: every job's bandwidth and finish time must match bit for bit.
+// with every shard's net under the partitioned and then the reference
+// solver, at 8 and 64 tasks per shard: every job's bandwidth and finish
+// time must match bit for bit.
 func TestRunShardedSolverModesBitIdentical(t *testing.T) {
 	plat := cluster.Cab()
 	for _, tasks := range []int{8, 64} {
@@ -62,10 +73,8 @@ func TestRunShardedSolverModesBitIdentical(t *testing.T) {
 		results := map[bool]*ShardedResult{}
 		for _, reference := range []bool{false, true} {
 			var err error
-			results[reference], err = RunSharded(plat, shards, 0, func(i int, sys *lustre.System) {
-				if i == 0 {
-					sys.Net().UseReferenceSolver(reference)
-				}
+			results[reference], err = RunSharded(plat, shards, 0, func(_ int, sys *lustre.System) {
+				sys.Net().UseReferenceSolver(reference)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -85,14 +94,6 @@ func TestRunShardedSolverModesBitIdentical(t *testing.T) {
 					t.Errorf("tasks=%d: shard %d job %d bandwidth diverged: %v vs %v", tasks, i, j, a.WriteMBs(), b.WriteMBs())
 				}
 			}
-		}
-		// The partitioned solver must have scanned per-shard populations:
-		// the average component solve touches far fewer flows than the
-		// reference's whole-population passes.
-		incPer := float64(inc.Work.Flow.ComponentFlowsScanned) / float64(inc.Work.Flow.ComponentsSolved)
-		refPer := float64(ref.Work.Flow.ComponentFlowsScanned) / float64(ref.Work.Flow.ComponentsSolved)
-		if incPer*2 > refPer {
-			t.Errorf("tasks=%d: per-solve scan %.1f not well below reference %.1f", tasks, incPer, refPer)
 		}
 	}
 }
@@ -195,11 +196,11 @@ func TestShardedAggregateSkipsEmptyShards(t *testing.T) {
 	}
 }
 
-// TestRunShardedContextCancelledMidRun: RunShardedWith is one long engine
-// execution, so a context cancelled mid-run must stop the engine at the
-// next event-count poll and surface ctx.Err(), not run the deployment to
-// completion. The cancel fires from an engine event, so the test is
-// fully deterministic.
+// TestRunShardedContextCancelledMidRun: a context cancelled mid-run must
+// stop the running shards at their next event-count poll and surface
+// ctx.Err(), not run the deployment to completion, whether the shards
+// run one after another or side by side. The cancel fires from an event
+// of shard 0, so where it lands in that shard is deterministic.
 func TestRunShardedContextCancelledMidRun(t *testing.T) {
 	plat := cluster.Cab()
 	shards := shardScenarios(2, 16)
@@ -217,40 +218,42 @@ func TestRunShardedContextCancelledMidRun(t *testing.T) {
 	if _, err := RunShardedWith(plat, shards, RunOptions{Ctx: pre}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	goroutines := runtime.NumGoroutine()
-	var stoppedAt float64
-	res, err := RunShardedWith(plat, shards, RunOptions{Ctx: ctx},
-		func(i int, sys *lustre.System) {
-			if i == 0 {
-				sys.Engine().Schedule(1, func() {
-					cancel()
-					stoppedAt = sys.Engine().Now()
-				})
-			}
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Error("cancelled run returned a partial result")
-	}
-	if stoppedAt == 0 {
-		t.Error("cancel event never fired: engine did not reach t=1")
-	}
-	// The cancelled run's rank tasks were parked mid-simulation, but they
-	// own no goroutine: no goroutine (pinning the whole engine and network)
-	// may outlive the call. Poll briefly: the runtime reaps exited
-	// goroutines asynchronously.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > goroutines {
-		if time.Now().After(deadline) {
-			t.Fatalf("cancelled run leaked goroutines: %d before, %d after",
-				goroutines, runtime.NumGoroutine())
+	for _, width := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		goroutines := runtime.NumGoroutine()
+		var stoppedAt float64
+		res, err := RunShardedWith(plat, shards, RunOptions{Ctx: ctx, Parallelism: width},
+			func(i int, sys *lustre.System) {
+				if i == 0 {
+					sys.Engine().Schedule(1, func() {
+						cancel()
+						stoppedAt = sys.Engine().Now()
+					})
+				}
+			})
+		if err != context.Canceled {
+			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
 		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+		if res != nil {
+			t.Errorf("width %d: cancelled run returned a partial result", width)
+		}
+		if stoppedAt == 0 {
+			t.Errorf("width %d: cancel event never fired: engine did not reach t=1", width)
+		}
+		// The cancelled run's rank tasks were parked mid-simulation, but
+		// they own no goroutine: no goroutine (pinning an engine and its
+		// network) may outlive the call. Poll briefly: the runtime reaps
+		// exited goroutines asynchronously.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > goroutines {
+			if time.Now().After(deadline) {
+				t.Fatalf("width %d: cancelled run leaked goroutines: %d before, %d after",
+					width, goroutines, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
 	}
 	// An uncancelled context must not perturb the run: the poll hook
 	// injects no events and touches no simulation state.
@@ -260,6 +263,97 @@ func TestRunShardedContextCancelledMidRun(t *testing.T) {
 	}
 	if math.Float64bits(watched.Makespan) != math.Float64bits(full.Makespan) {
 		t.Errorf("watcher perturbed the run: makespan %v vs %v", watched.Makespan, full.Makespan)
+	}
+}
+
+// jitteredShards is a small set of dissimilar shards on Cab, whose OSTs
+// draw service jitter: each shard runs an IOR job of its own size and a
+// checkpointer staggered by shard, so the shards draw their own layouts
+// and finish at their own times.
+func jitteredShards(n int) []Scenario {
+	out := make([]Scenario, n)
+	for i := range out {
+		cfg := ior.PaperConfig(8 * (i + 1))
+		cfg.Label = "ior"
+		cfg.SegmentCount = 2
+		cfg.Reps = 2
+		ckpt := Checkpointer{App: Checkpoint{Ranks: 8, StateMBPerRank: 4, ComputeSeconds: 2}, Checkpoints: 3}
+		out[i] = NewScenario(fmt.Sprintf("w%d", i),
+			Job{Workload: IORJob{Cfg: cfg}},
+			Job{Workload: ckpt, StartAt: 0.25 * float64(i+1)})
+	}
+	return out
+}
+
+// TestRunShardedWidthsBitIdentical: a shard is a simulation of its own
+// and its stream is forked before any shard runs, so running the shards
+// one at a time or side by side must give every job the same start,
+// finish, per-repetition bandwidths and layouts, bit for bit, and the
+// same summed work.
+func TestRunShardedWidthsBitIdentical(t *testing.T) {
+	plat := cluster.Cab()
+	shards := jitteredShards(4)
+	var want *ShardedResult
+	for _, width := range []int{1, 2, 4} {
+		got, err := RunShardedWith(plat, shards, RunOptions{Seed: 3, Parallelism: width})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if got.Work != want.Work {
+			t.Errorf("width %d: work %+v, want %+v", width, got.Work, want.Work)
+		}
+		if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
+			t.Errorf("width %d: makespan %v, want %v", width, got.Makespan, want.Makespan)
+		}
+		for i := range want.Shards {
+			for j := range want.Shards[i].Jobs {
+				a, b := &want.Shards[i].Jobs[j], &got.Shards[i].Jobs[j]
+				if math.Float64bits(a.StartAt) != math.Float64bits(b.StartAt) ||
+					math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
+					t.Errorf("width %d: shard %d job %q ran %v..%v, want %v..%v",
+						width, i, a.Label, b.StartAt, b.FinishedAt, a.StartAt, a.FinishedAt)
+				}
+				wa, wb := a.IOR.Write.Values(), b.IOR.Write.Values()
+				if len(wa) != len(wb) {
+					t.Fatalf("width %d: shard %d job %q has %d write samples, want %d", width, i, a.Label, len(wb), len(wa))
+				}
+				for k := range wa {
+					if math.Float64bits(wa[k]) != math.Float64bits(wb[k]) {
+						t.Errorf("width %d: shard %d job %q rep %d wrote %v MB/s, want %v", width, i, a.Label, k, wb[k], wa[k])
+					}
+				}
+				if !reflect.DeepEqual(a.IOR.LayoutOSTs, b.IOR.LayoutOSTs) {
+					t.Errorf("width %d: shard %d job %q layouts %v, want %v", width, i, a.Label, b.IOR.LayoutOSTs, a.IOR.LayoutOSTs)
+				}
+			}
+		}
+	}
+}
+
+// TestRunShardedReportsLowestFailingShard: shards 1 and 3 lose their
+// backbone at t = 0.5 and deadlock. At every width the run fails naming
+// shard 1, the lowest failing index, and names it once.
+func TestRunShardedReportsLowestFailingShard(t *testing.T) {
+	plat := cluster.Cab()
+	shards := jitteredShards(4)
+	cut := func(i int, sys *lustre.System) {
+		if i == 1 || i == 3 {
+			sys.Engine().ScheduleAt(0.5, func() { sys.Backbone().SetModel(flow.Const(0)) })
+		}
+	}
+	for _, width := range []int{1, 2, 4} {
+		res, err := RunShardedWith(plat, shards, RunOptions{Parallelism: width}, cut)
+		if err == nil || res != nil {
+			t.Fatalf("width %d: err = %v, result %v; want the shard 1 failure", width, err, res)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "workload: shard 1: ") || strings.Count(msg, "shard") != 1 ||
+			!strings.Contains(msg, "deadlock") {
+			t.Errorf("width %d: err = %q, want shard 1's deadlock, naming the shard once", width, msg)
+		}
 	}
 }
 

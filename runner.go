@@ -36,10 +36,10 @@ func WithSeed(seed uint64) RunnerOption {
 
 // WithContext aborts in-flight work when ctx is cancelled; the partial
 // result is discarded and the context error returned. Batched calls
-// (RunScenarios, Repeat, Sweep) notice the cancellation between
-// simulations; the single long runs (RunScenario's contended pass,
-// RunSharded) poll the context every few thousand engine events and
-// stop the engine mid-run.
+// (RunScenarios, Repeat, Sweep) and RunSharded notice the cancellation
+// between simulations; RunScenario's contended pass and each running
+// shard of RunSharded poll the context every few thousand engine events
+// and stop the engine mid-run.
 func WithContext(ctx context.Context) RunnerOption {
 	return func(r *Runner) {
 		if ctx != nil {
@@ -50,11 +50,11 @@ func WithContext(ctx context.Context) RunnerOption {
 
 // WithParallelism sets the worker-pool width for independent simulations
 // (1 = serial; values below one select GOMAXPROCS, the default): the
-// batched calls (RunScenarios, Repeat, Sweep) and every call's solo
-// baselines fan across it. Each simulation runs on one goroutine, so a
-// single run (RunScenario's contended pass, RunSharded) takes no more
-// than one core at any width. Results are byte-identical at any setting,
-// only wall-clock time changes.
+// batched calls (RunScenarios, Repeat, Sweep), the shards of RunSharded
+// and every call's solo baselines fan across it. Each simulation runs on
+// one goroutine, so RunScenario's contended pass takes no more than one
+// core at any width. Results are byte-identical at any setting, only
+// wall-clock time changes.
 func WithParallelism(n int) RunnerOption {
 	return func(r *Runner) { r.parallelism = n }
 }
@@ -245,16 +245,14 @@ func (r *Runner) applySlowdowns(plat *Platform, results []*ScenarioResult, seeds
 	return err
 }
 
-// RunSharded executes several scenarios as independent file systems under
-// one engine and one shared fluid solver — the shared-nothing deployment
-// shape (many installations, one simulation). Shard link sets are
-// disjoint, so the partitioned solver keeps each shard its own component:
-// simulation cost per event scales with the touched shard, not the total
-// population. The run is one simulation on the calling goroutine. A
-// cancelled WithContext context stops the engine mid-run.
-// Slowdown baselines are not computed (a shard cannot slow another down
-// by construction; per-shard contention is visible in the per-job
-// results directly).
+// RunSharded executes several scenarios as independent file systems —
+// the shared-nothing deployment shape (many installations that share no
+// link, server or job). Each shard is a simulation of its own, and the
+// shards fan across the WithParallelism pool; results are byte-identical
+// at any width. A cancelled WithContext context stops the running shards
+// mid-run. Slowdown baselines are not computed (a shard cannot slow
+// another down by construction; per-shard contention is visible in the
+// per-job results directly).
 func (r *Runner) RunSharded(plat *Platform, shards []Scenario) (*ShardedResult, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err

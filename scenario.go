@@ -67,19 +67,18 @@ func SolverStressScenario(writers int) (*Platform, Scenario) {
 }
 
 // ShardedResult is the outcome of a Runner.RunSharded execution: one
-// scenario result per independent file system plus the shared solver's
-// work counters.
+// scenario result per independent file system plus the summed work
+// counters of their simulations.
 type ShardedResult = workload.ShardedResult
 
 // SolverShardedScenario is the sharded counterpart of
 // SolverStressScenario: the same file-per-process stress traffic split
-// across `shards` independent file systems running under one engine and
-// one shared solver, with `writers` ranks (2 × writers flows) per shard.
-// It is the source for `BenchmarkSolverSharded*`: the total flow
-// population matches a monolithic stress run of shards × writers ranks,
-// but each shard is a separate link-connectivity component, so the
-// partitioned solver's per-solve scan cost must track the shard size,
-// not the population.
+// across `shards` independent file systems, with `writers` ranks
+// (2 × writers flows) per shard. Each shard is a simulation of its own,
+// so the run pins the summed counters of `shards` small simulations
+// whose total flow population matches a monolithic stress run of
+// shards × writers ranks. It is the source for
+// `BenchmarkSolverSharded*`.
 func SolverShardedScenario(writers, shards int) (*Platform, []Scenario) {
 	plat := Cab()
 	out := make([]Scenario, shards)

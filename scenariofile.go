@@ -31,8 +31,9 @@ func ParseScenarioFile(data []byte, name string) (*ScenarioFile, error) {
 // expanded and simulated with the fault timeline compiled onto engine
 // hooks, solo baselines run when an assertion needs slowdown figures,
 // and the assertion block is evaluated. The Runner's seed, context and
-// parallelism apply: the contended run is one simulation on the calling
-// goroutine, and the solo baselines fan across the worker pool, with
+// parallelism apply: a monolithic file's contended run is one simulation
+// on the calling goroutine, a sharded file's shards are one simulation
+// each, and shards and solo baselines fan across the worker pool, with
 // byte-identical results at any width. Whether baselines run is the
 // file's choice (its `baselines` key, or automatically when an
 // assertion reads slowdowns) — WithoutSlowdowns does not override it.
