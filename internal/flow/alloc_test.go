@@ -2,6 +2,8 @@ package flow
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pfsim/internal/sim"
@@ -83,8 +85,8 @@ func cappedTriples(n *Net) []*Link {
 // drainingCapped builds one link crossed by an uncapped flow that never
 // drains and 128 capped flows at caps 1 to 5 MB/s admitted out of cap
 // order, flow i sized to drain at t = i+0.5. Each one-second step retires
-// one capped flow, so the component is rebuilt and re-solved from the
-// capped order it keeps, with one member fewer, every step.
+// one capped flow, so the component is re-solved from the capped order
+// it keeps, with one member fewer, every step.
 func drainingCapped(n *Net) []*Link {
 	l := n.NewLink("d", Const(1000))
 	n.Start("bulk", 1e12, 0, l)
@@ -161,7 +163,7 @@ var steadyInputs = []steadyInput{
 		step: 1,
 	},
 	{
-		// A capped component that loses a flow every step: the rebuild
+		// A capped component that loses a flow every step: the solve
 		// filters the retired flow out of the kept capped order.
 		name:   "draining",
 		mode:   defaultMode,
@@ -225,12 +227,12 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRetirementKeepsConnectedComponentAllocs: a retirement that leaves
-// its component connected re-lists the survivors in the component it
-// already has, so the retire -> rebuild -> re-solve -> commit cycle
-// allocates nothing. Each of the flows crosses a private link and one
-// shared link at its 1 MB/s cap, flow i finishing at t = i+1, so every
-// step of one second retires exactly one flow and leaves the rest joined
-// through the shared link.
+// its component connected keeps the survivors in the component they
+// share, so the retire -> re-solve -> commit cycle allocates nothing.
+// Each of the flows crosses a private link and one shared link at its
+// 1 MB/s cap, flow i finishing at t = i+1, so every step of one second
+// retires exactly one flow and leaves the rest joined through the shared
+// link.
 func TestRetirementKeepsConnectedComponentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -267,13 +269,14 @@ func TestRetirementKeepsConnectedComponentAllocs(t *testing.T) {
 	}
 }
 
-// bridgeCycleAllocs returns the allocations of one bridge cycle between
-// two groups of group long-running flows, one group on each of two
-// links: a flow admitted across both links merges the groups' components,
-// and when it drains, the second group splits off into a component of
-// its own. The measured cycles start once the registry of components has
-// reached its steady size.
-func bridgeCycleAllocs(group int) float64 {
+// bridgeCycleAllocs returns the allocations of one cycle on two groups of
+// group long-running flows, one group on each of two links: a 1 MB flow
+// admitted across both links when bridge is set, else on the first link
+// alone, run until it drains. The first bridge merges the groups'
+// components, and the merged component outlives it and every later
+// bridge. The measured cycles start once the component's flow list and
+// the solver's scratch have reached their steady size.
+func bridgeCycleAllocs(group int, bridge bool) float64 {
 	eng := sim.NewEngine()
 	n := NewNet(eng)
 	a, b := n.NewLink("a", Const(1000)), n.NewLink("b", Const(1000))
@@ -281,13 +284,17 @@ func bridgeCycleAllocs(group int) float64 {
 		n.Start(fmt.Sprintf("a%d", i), 1e12, 0, a)
 		n.Start(fmt.Sprintf("b%d", i), 1e12, 0, b)
 	}
+	path, want := []*Link{a}, 2
+	if bridge {
+		path, want = append(path, b), 1
+	}
 	cycle := func() {
-		n.Start("bridge", 1, 0, a, b)
+		n.StartBatch([]FlowSpec{{Name: "bridge", SizeMB: 1, Path: path}})
 		if err := eng.RunUntil(eng.Now() + 1); err != nil {
 			panic(err)
 		}
-		if n.Components() != 2 {
-			panic("the bridge's component did not split")
+		if n.Components() != want {
+			panic(fmt.Sprintf("%d components after a cycle, want %d", n.Components(), want))
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -296,21 +303,70 @@ func bridgeCycleAllocs(group int) float64 {
 	return testing.AllocsPerRun(100, cycle)
 }
 
-// TestSplitAllocsPerFlow: a retirement that splits a component allocates
-// the split-off class's component record and grows its flow and link
-// lists, a handful of times per class and not once per flow that moves.
-// From 2 to 32 flows per group a cycle allocates four times more, for
-// the doubling growth of the split-off flow list; anything allocated per
-// flow the split moves adds 30.
-func TestSplitAllocsPerFlow(t *testing.T) {
+// TestBridgeCycleAllocs: once a bridge has merged two groups, a bridge
+// cycle allocates only the bridge's admission — its record, its batch and
+// the batch's wait — and nothing that grows with the groups: its
+// retirement splits nothing, and a later bridge finds both links in one
+// component and merges nothing. A cycle allocates as often at 2 flows per
+// group as at 32, and as often as a cycle whose flow crosses one group's
+// link alone.
+func TestBridgeCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	small, large := bridgeCycleAllocs(2), bridgeCycleAllocs(32)
-	t.Logf("a bridge cycle allocates %v times at 2 flows per group, %v at 32", small, large)
-	if perFlow := (large - small) / (32 - 2); perFlow >= 0.5 {
-		t.Errorf("a split allocates %.3f times per flow it moves, want fewer than 0.5", perFlow)
+	lone := bridgeCycleAllocs(2, false)
+	small, large := bridgeCycleAllocs(2, true), bridgeCycleAllocs(32, true)
+	t.Logf("a cycle allocates %v times at 2 flows per group, %v at 32, and %v for a flow on one link", small, large, lone)
+	if small != lone || large != lone {
+		t.Errorf("a bridge cycle allocates %v times at 2 flows per group and %v at 32, want %v, as a flow on one link does",
+			small, large, lone)
 	}
+}
+
+// TestSolveScratchHoldsNoPointers: the scratch a component solve's rounds
+// write — its links' slot state, the live list, the candidates, the flow
+// index, the touched list and the link-share heap — holds no pointer, so
+// appending, compacting or sifting an entry pays no GC write barrier. Each
+// one's element type is walked through arrays and struct fields, and a
+// pointer, interface, func, map, slice, string, channel or unsafe pointer
+// anywhere in it fails.
+func TestSolveScratchHoldsNoPointers(t *testing.T) {
+	for _, field := range []string{"slots", "live", "cand", "idx", "touched", "shares.at", "shares.pos"} {
+		typ := reflect.TypeOf(solveCtx{})
+		for _, name := range strings.Split(field, ".") {
+			f, ok := typ.FieldByName(name)
+			if !ok {
+				t.Fatalf("solveCtx has no field %s", field)
+			}
+			typ = f.Type
+		}
+		if typ.Kind() != reflect.Slice {
+			t.Errorf("solveCtx.%s is not a slice", field)
+			continue
+		}
+		if p := pointerIn(typ.Elem()); p != "" {
+			t.Errorf("solveCtx.%s's entries hold a pointer: %s", field, p)
+		}
+	}
+}
+
+// pointerIn names the first part of typ that holds a pointer, or returns
+// "" when none does.
+func pointerIn(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Func, reflect.Map,
+		reflect.Slice, reflect.String, reflect.Chan, reflect.UnsafePointer:
+		return typ.String()
+	case reflect.Array:
+		return pointerIn(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerIn(typ.Field(i).Type); p != "" {
+				return typ.Name() + "." + typ.Field(i).Name + " " + p
+			}
+		}
+	}
+	return ""
 }
 
 // drainRun is a run in which a flow of 0.2 MB at its 1 MB/s cap,
@@ -412,8 +468,8 @@ func batchAllocs(mode solverMode, flows int) float64 {
 
 // TestAdmissionAllocsPerFlow: admitting a flow allocates its record and
 // nothing else grows with the batch: its solves, completions and
-// retirement reuse the net's scratch, and the batch's record, flow list
-// and wait and its component's lists are per batch. One more allocation
+// retirement reuse the net's scratch, and the batch's record and wait and
+// its component's lists are per batch. One more allocation
 // per admitted flow (a signal, a counter or a closure in admit, attach or
 // the completion path) adds 1 to the slope, which the bound, half an
 // allocation, does not allow.

@@ -8,56 +8,80 @@ import (
 	"pfsim/internal/sim"
 )
 
-// TestComponentLifecycle walks the three component transitions: disjoint
-// admissions create components, a shared-link admission merges them, and a
-// bridging flow's completion splits them again.
+// TestComponentLifecycle walks a component's life: disjoint admissions
+// start one component each, a bridging admission merges them, and the
+// merged component outlives the bridge, since components only merge, and
+// dies with its last flow. At each step the net passes CheckInvariants
+// and its flows' rates and finish times match, bit for bit, those of the
+// same run in reference mode.
 func TestComponentLifecycle(t *testing.T) {
-	e := sim.NewEngine()
-	n := NewNet(e)
-	la := n.NewLink("la", Const(100))
-	lb := n.NewLink("lb", Const(100))
-	lc := n.NewLink("lc", Const(100))
-	a := n.Start("a", 2000, 0, la)
-	b := n.Start("b", 2000, 0, lb)
-	n.Recompute()
-	if got := n.Components(); got != 2 {
-		t.Fatalf("disjoint flows: %d components, want 2", got)
+	type run struct {
+		eng          *sim.Engine
+		net          *Net
+		la, lb       *Link
+		a, b, bridge *Flow
 	}
-	bridge := n.Start("bridge", 500, 0, la, lb)
-	n.Recompute()
-	if got := n.Components(); got != 1 {
-		t.Fatalf("after bridge admission: %d components, want 1 (merged)", got)
+	start := func(reference bool) *run {
+		r := &run{eng: sim.NewEngine()}
+		r.net = NewNet(r.eng)
+		r.net.UseReferenceSolver(reference)
+		r.la, r.lb = r.net.NewLink("la", Const(100)), r.net.NewLink("lb", Const(100))
+		r.a = r.net.Start("a", 2000, 0, r.la)
+		r.b = r.net.Start("b", 2500, 0, r.lb)
+		return r
 	}
-	if a.comp != bridge.comp || b.comp != bridge.comp {
-		t.Fatal("bridge did not unify the components")
-	}
-	n.Start("c", 3000, 0, lc)
-	n.Recompute()
-	if got := n.Components(); got != 2 {
-		t.Fatalf("after disjoint third flow: %d components, want 2", got)
-	}
-	// bridge shares both links (50 MB/s each side): done at t=10, after
-	// which a and b must fall back into separate components.
-	e.Schedule(11, func() {
-		if !bridge.Finished() {
-			t.Error("bridge still running at t=11")
+	inc, ref := start(false), start(true)
+	step := func(name string, components int) {
+		t.Helper()
+		for _, r := range []*run{inc, ref} {
+			if err := r.net.CheckInvariants(); err != nil {
+				t.Fatalf("%s (reference %v): %v", name, r.net.reference, err)
+			}
+			if got := r.net.Components(); got != components {
+				t.Fatalf("%s (reference %v): %d components, want %d", name, r.net.reference, got, components)
+			}
 		}
-		if got := n.Components(); got != 3 {
-			t.Errorf("after bridge completion: %d components, want 3 (split)", got)
+		for _, fs := range [][2]*Flow{{inc.a, ref.a}, {inc.b, ref.b}, {inc.bridge, ref.bridge}} {
+			f, w := fs[0], fs[1]
+			if f == nil {
+				continue
+			}
+			if math.Float64bits(f.Rate()) != math.Float64bits(w.Rate()) ||
+				math.Float64bits(f.FinishedAt()) != math.Float64bits(w.FinishedAt()) {
+				t.Errorf("%s: %s at rate %v finished at %v, reference %v and %v",
+					name, f.Name(), f.Rate(), f.FinishedAt(), w.Rate(), w.FinishedAt())
+			}
 		}
-		if a.comp == b.comp {
-			t.Error("a and b still share a component after the bridge retired")
-		}
-		if err := n.CheckInvariants(); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
-	if got := n.Components(); got != 0 {
-		t.Fatalf("drained net still has %d components", got)
+	runUntil := func(at float64) {
+		for _, r := range []*run{inc, ref} {
+			if err := r.eng.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	step("disjoint admissions", 2)
+	for _, r := range []*run{inc, ref} {
+		r.bridge = r.net.Start("bridge", 500, 0, r.la, r.lb)
+	}
+	step("bridge admitted", 1)
+	if inc.a.comp != inc.bridge.comp || inc.b.comp != inc.bridge.comp {
+		t.Fatal("the bridge did not merge the components")
+	}
+	// The bridge gets 50 MB/s on each link and drains at t=10; then a
+	// drains at t=25 and b at t=30.
+	runUntil(11)
+	if !inc.bridge.Finished() {
+		t.Fatal("bridge still running at t=11")
+	}
+	step("bridge retired", 1)
+	if inc.a.comp != inc.b.comp {
+		t.Error("the bridge's retirement split its component")
+	}
+	runUntil(26)
+	step("a retired", 1)
+	runUntil(math.Inf(1))
+	step("drained", 0)
 }
 
 // TestSetModelMarksComponentDirty exercises the SetModel paths: with no

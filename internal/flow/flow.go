@@ -13,17 +13,17 @@
 // superlinear cost the naive formulation pays:
 //
 //   - Component partitioning: max-min fairness only couples flows that
-//     share a link, directly or transitively. The network maintains the
-//     link-connectivity components of the active flows — union on admit,
-//     lazy split/rebuild when a completion may disconnect one — and tracks
-//     dirtiness per component, so a change in one file system's traffic
-//     re-solves and re-scans only that file system's component, never the
-//     whole population. Disjoint components have independent max-min
-//     allocations, so the partitioned solve is exact. A rebuild keeps the
-//     component, its record and its flow and link arrays, for its first
-//     surviving connectivity class and compacts them in place; only
-//     classes that split off allocate, so a retirement that leaves its
-//     component connected allocates nothing.
+//     share a link, directly or transitively. The network groups the
+//     active flows into components that only merge: a flow whose links
+//     are all idle starts one, a flow that bridges several merges them,
+//     and a component dies when its last flow retires. Dirtiness is
+//     tracked per component, so a change in one pipe's traffic re-solves
+//     and re-scans only that pipe's component, never the whole
+//     population. No flow outside a component crosses its links, so the
+//     partitioned solve is exact; a component whose bridge has retired
+//     may hold several disjoint classes, which one solve fixes exactly as
+//     the reference solver's whole-network pass does. Retirement does no
+//     connectivity search and allocates nothing.
 //
 //   - Per-flow accrual anchors: volume accounting is lazy. Each flow
 //     carries an anchor (settledAt, remaining, rate); its remaining volume
@@ -44,13 +44,15 @@
 //     dirty event fires before virtual time advances, so trajectories are
 //     byte-identical to solving on every change.
 //
-//   - Live-link lists and a per-link flow index: each progressive-filling
-//     round makes one pass over the links that still carry an unfixed flow
-//     (compacted as they drain), finding the minimum fair share and the
-//     saturated links together, then fixes the saturated links' flows
-//     through an index built once per solve; rate-capped flows are fixed
-//     from a cursor over a list each component keeps sorted, re-sorted
-//     only after capped flows join it out of order. A round therefore
+//   - Live-link lists and a per-link flow index: a solve names its links
+//     by int32 slot and keeps their state in a dense slot array, so its
+//     rounds write no pointers. Each progressive-filling round makes one
+//     pass over the links that still carry an unfixed flow (compacted as
+//     they drain), finding the minimum fair share and the saturated links
+//     together, then fixes the saturated links' flows through an index
+//     built once per solve; rate-capped flows are fixed from a cursor over
+//     a list each component keeps sorted, re-sorted only after capped
+//     flows join it out of order. A round therefore
 //     costs the live links plus the flows it fixes, and a solve with many
 //     rate-fixing rounds — one per share level, hundreds on a PLFS storm —
 //     no longer pays rounds × (links + unfixed flows).
@@ -131,37 +133,44 @@ func (t Thrash) Capacity(streams int) float64 {
 	return t.Base / (1 + float64(t.Gamma*float64(streams-1)))
 }
 
-// component is one link-connectivity equivalence class of the active
-// flows: every flow in it shares a link — directly or through a chain of
-// other flows — with the rest, and no flow outside it crosses any of its
-// links. Rate solves, dirtiness and accrual settling operate per
-// component. Flows are kept in admission (seq) order, which is the order
-// progressive filling charges residuals in; link order is numerically
-// irrelevant (the solver only takes minima over links and per-link sums),
-// but the link-share heap is built in link order and the cost of its
-// saturation walk (Stats.LinkVisits) depends on it, so a rebuild lists
-// links as a fresh component would. A component outlives retirements:
-// the rebuild after one keeps it for its first surviving class (see
-// rebuildComponent), and it dies only when merged away or emptied.
+// component is a set of active flows that no flow outside it shares a
+// link with: every link an unfinished flow of the component crosses
+// points back at it. Rate solves, dirtiness and accrual settling operate
+// per component. Components only merge: a component is born when an
+// admitted flow finds all its links idle, absorbs the smaller side when a
+// flow bridges two (merge), and dies when its last flow retires. A flow
+// whose retirement disconnects the rest leaves them in one component,
+// which is still exact: progressive filling over disjoint classes at
+// once fixes each class's flows at the rates it would alone, as the
+// reference solver's whole-network pass shows.
+//
+// Flows are kept in admission (seq) order, which is the order progressive
+// filling charges residuals in. Finished flows linger until they are half
+// the list, as in Net.activeFlows. A component keeps no link list: each
+// solve lists the links of its unfinished flows in first appearance over
+// them (see solveComponent). Link order is numerically irrelevant (the
+// solver only takes minima over links and per-link sums), but the
+// link-share heap is built in link order and the cost of its saturation
+// walk (Stats.LinkVisits) depends on it.
 //
 // A component also keeps its capped flows in the (maxRate, seq) order
 // the solve fixes them in (see sortCapped). Caps never change, so the
 // order only goes stale when capped flows join: attach appends a flow
 // whose cap is no lower than the last kept one (its seq is the largest)
 // and otherwise clears sorted, a merge clears it, and the next solve
-// sorts afresh (Stats.CappedSorted). Leaving flows keep it sorted: a
-// rebuild filters out the flows that finished or split off, so a solve
-// after retirements sorts nothing.
+// sorts afresh (Stats.CappedSorted). Leaving flows keep it sorted: the
+// solve drops finished flows from the list, so a solve after retirements
+// sorts nothing.
 type component struct {
-	flows  []*Flow // active flows in admission order (finished ones linger until rebuild)
-	links  []*Link // links currently carrying this component's flows
-	capped []*Flow // the capped flows in (maxRate, seq) order, while sorted holds
+	flows  []*Flow // flows in admission order; finished ones linger until they are half of it
+	capped []*Flow // the capped flows in (maxRate, seq) order while sorted holds; finished ones linger until the next solve
+	done   int     // finished flows still in flows
+	nlinks int     // links its unfinished flows cross, which size a solve's scratch
 
-	dirty   bool // needs a re-solve at the next flush
-	rebuild bool // lost a flow; connectivity must be recomputed before solving
-	queued  bool // already on Net.work
-	dead    bool // merged away or emptied
-	sorted  bool // capped lists exactly the capped flows, in order
+	dirty  bool // needs a re-solve at the next flush
+	queued bool // already on Net.work
+	dead   bool // merged away or emptied
+	sorted bool // capped lists exactly the capped flows, in order
 }
 
 // Link is a shared resource flows traverse.
@@ -172,21 +181,16 @@ type Link struct {
 
 	active  int        // flows currently crossing the link
 	comp    *component // owning component; nil while idle
-	compIdx int        // position in comp.links
 	carried float64    // MB settled so far (telemetry; see Carried)
 
 	// scratch used during rate computation
-	residual  float64
-	unfixed   int
-	saturated bool // reference solver: saturated this round
-	touched   bool // queued on solveCtx.touched for a share re-key
+	listed    int64   // solve epoch that last gave the link a slot
+	slot      int32   // the link's slot in the solve that listed it (see solveCtx)
+	saturated bool    // reference solver: saturated this round
+	residual  float64 // reference solver: capacity not yet taken by fixed flows
+	unfixed   int     // reference solver: flows crossing the link not yet fixed
 
 	index int32 // position in its NewLinks set, or -1 for a NewLink link
-
-	// scratch used during component rebuilds (union-find over links)
-	dsuParent *Link
-	dsuEpoch  int64
-	child     *component
 }
 
 // Name returns the link's name. A member of a NewLinks set is named its
@@ -316,8 +320,10 @@ type Stats struct {
 	// in reference mode.
 	Solves int64
 	// ComponentsSolved is the number of per-component progressive-filling
-	// passes. The reference solver counts each of its global passes as one
-	// component — it treats the whole network as a single component.
+	// passes. Components only merge, so one pass covers every flow a
+	// merge ever joined, connected now or not. The reference solver counts
+	// each of its global passes as one component — it treats the whole
+	// network as a single component.
 	ComponentsSolved int64
 	// ComponentFlowsScanned is the number of active flows handed to
 	// progressive-filling passes (the population each pass initialises and
@@ -326,11 +332,12 @@ type Stats struct {
 	// the whole active population without it.
 	ComponentFlowsScanned int64
 	// LinkVisits is the number of link records examined across all passes:
-	// one per component link at initialisation, then one per still-live
-	// link in every scan round's share-and-saturation pass, and one per
-	// heap entry the saturation walk reads in every round a long solve
-	// finishes from its link-share heap (the reference solver scans every
-	// link of the network twice per round instead).
+	// one per link the pass lists (each link its unfinished flows cross)
+	// at initialisation, then one per still-live link in every scan
+	// round's share-and-saturation pass, and one per heap entry the
+	// saturation walk reads in every round a long solve finishes from its
+	// link-share heap (the reference solver scans every link of the
+	// network twice per round instead).
 	LinkVisits int64
 	// Coalesced is the number of recompute requests absorbed by an
 	// already-pending solve event.
@@ -445,7 +452,6 @@ type Net struct {
 	solvedScratch []*component
 	stats         Stats
 	solveEpoch    int64 // stamp of the latest solve; never reused
-	dsuEpoch      int64
 
 	completions compHeap    // active flows ordered by (due, seq); incremental mode only
 	dueChanged  []dueChange // completion keys moved by the in-progress flush
@@ -454,23 +460,46 @@ type Net struct {
 }
 
 // solveCtx is the scratch one progressive-filling pass walks, kept on the
-// Net so that every solve reuses its capacity.
+// Net so that every solve reuses its capacity. A component solve names
+// its links by slot, the order it lists them in (see solveComponent), and
+// keeps their state in slots, so the scratch its rounds read and write
+// holds no pointers: moving an entry pays no GC write barrier, and a scan
+// walks dense arrays instead of link records.
 type solveCtx struct {
-	live   []*Link     // links still carrying an unfixed flow, in component order
+	slots  []slotState // the solving component's links, by slot
+	live   []int32     // slots of the links still carrying an unfixed flow, ascending
 	cand   []candidate // the round's saturation candidates
 	capped []*Flow     // reference solver: one round's capped batch
 	sat    []*Link     // reference solver: the round's saturated links
 
 	// idx is the per-solve flow index, offsets then positions: with
-	// off = idx[:len(c.links)+1] and at = idx[len(c.links)+1:],
-	// at[off[i]:off[i+1]] are the positions in c.flows of the unfinished
-	// flows crossing c.links[i] (i = compIdx).
+	// off = idx[:len(slots)+1] and at = idx[len(slots)+1:],
+	// at[off[s]:off[s+1]] are the positions in c.flows of the unfinished
+	// flows crossing the link of slot s.
 	idx []int32
 
-	// shares is a long solve's link-share heap and touched the links whose
-	// shares the current round's fixes move (see solveComponent).
+	// shares is a long solve's link-share heap and touched the slots of
+	// the links whose shares the current round's fixes move (see
+	// solveComponent).
 	shares  shareHeap
-	touched []*Link
+	touched []int32
+}
+
+// slotState is one link's progressive-filling state in a component solve.
+type slotState struct {
+	residual float64 // capacity not yet taken by fixed flows
+	unfixed  int32   // flows crossing the link not yet fixed
+	touched  bool    // queued on solveCtx.touched for a share re-key
+}
+
+// share is the link's fair share of its residual capacity among its
+// unfixed flows; a residual that rounding drove below zero counts as zero.
+func (st *slotState) share() float64 {
+	res := st.residual
+	if res < 0 {
+		res = 0
+	}
+	return res / float64(st.unfixed)
 }
 
 // defaultHeapRounds and defaultHeapLinks are the switch rule from
@@ -558,7 +587,7 @@ func (n *Net) NewLink(name string, model CapacityModel) *Link {
 		panic(fmt.Sprintf("flow: duplicate link name %q", name))
 	}
 	n.linkNames[name] = true
-	l := &Link{name: name, model: model, net: n, compIdx: -1, index: -1}
+	l := &Link{name: name, model: model, net: n, index: -1}
 	n.links = append(n.links, l)
 	return l
 }
@@ -598,7 +627,7 @@ func (n *Net) NewLinks(prefix string, count int, model CapacityModel) []*Link {
 	slab := make([]Link, count)
 	out := make([]*Link, count)
 	for i := range slab {
-		slab[i] = Link{name: prefix, model: model, net: n, compIdx: -1, index: int32(i)}
+		slab[i] = Link{name: prefix, model: model, net: n, index: int32(i)}
 		out[i] = &slab[i]
 	}
 	n.links = append(n.links, out...)
@@ -695,24 +724,22 @@ func (n *Net) UseReferenceSolver(on bool) {
 // optional per-flow rate cap (maxRate <= 0 means unlimited) — and returns
 // its flow. Zero-sized flows complete at the current instant.
 func (n *Net) Start(name string, sizeMB, maxRate float64, path ...*Link) *Flow {
-	return n.StartBatch([]FlowSpec{{Name: name, SizeMB: sizeMB, MaxRate: maxRate, Path: path}}).flows[0]
+	return n.StartBatch([]FlowSpec{{Name: name, SizeMB: sizeMB, MaxRate: maxRate, Path: path}}).one
 }
 
-// Batch is the flows one StartBatch admitted, and the one wait on all of
-// them: an I/O operation completes when its slowest stream drains. The
-// flows hold consecutive admission numbers, so those that finish at the
-// batch's last instant retire together, and the wait ends as the last of
-// them does. A deadlock report names the wait after the batch's first
-// flow, which names the operation, not the flow that stalled.
+// Batch is the one wait on the flows one StartBatch admitted: an I/O
+// operation completes when its slowest stream drains. The flows hold
+// consecutive admission numbers, so those that finish at the batch's last
+// instant retire together, and the wait ends as the last of them does. A
+// batch keeps no list of its flows, so a drained stream is not held until
+// the slowest one ends; an Observer sees each flow as it is admitted. A
+// deadlock report names the wait after the batch's first flow, which
+// names the operation, not the flow that stalled.
 type Batch struct {
-	flows []*Flow
-	one   [1]*Flow    // backs flows for a batch of one
-	left  int         // flows admitted with a volume and not yet finished
-	done  *sim.Signal // fires when left reaches 0
+	one  *Flow       // the flow of a one-flow batch, which Net.Start returns
+	left int         // flows admitted with a volume and not yet finished
+	done *sim.Signal // fires when left reaches 0
 }
-
-// Flows returns the batch's flows in admission order.
-func (b *Batch) Flows() []*Flow { return b.flows }
 
 // Await runs k once every flow of the batch has finished: at once if all
 // have, else when the last one drains, with t parked until then.
@@ -739,12 +766,11 @@ func (n *Net) StartBatch(specs []FlowSpec) *Batch {
 		name = specs[0].Name
 	}
 	b.done = n.eng.NewSignal(name)
-	b.flows = b.one[:]
-	if len(specs) != 1 {
-		b.flows = make([]*Flow, len(specs))
-	}
 	for i := range specs {
-		b.flows[i] = n.admit(b, &specs[i])
+		f := n.admit(b, &specs[i])
+		if len(specs) == 1 {
+			b.one = f
+		}
 	}
 	if b.left == 0 {
 		b.done.Fire()
@@ -851,15 +877,17 @@ func (n *Net) attach(f *Flow) {
 	for _, l := range f.path {
 		if l.comp == nil {
 			l.comp = target
-			l.compIdx = len(target.links)
-			target.links = append(target.links, l)
+			target.nlinks++
 		}
 	}
 }
 
 // merge folds the smaller component into the larger, keeping the flow list
 // in admission order (a sorted merge on seq) so progressive filling
-// charges residuals in exactly the order a monolithic solve would.
+// charges residuals in exactly the order a monolithic solve would. Every
+// link of b carries one of its unfinished flows, so re-pointing those
+// flows' paths moves them all; a finished flow's links may belong to
+// another component by now.
 func (n *Net) merge(a, b *component) *component {
 	if len(a.flows) < len(b.flows) {
 		a, b = b, a
@@ -879,22 +907,22 @@ func (n *Net) merge(a, b *component) *component {
 	merged = append(merged, b.flows[j:]...)
 	a.flows = merged
 	for _, f := range b.flows {
+		if f.finished {
+			continue
+		}
 		f.comp = a
+		for _, l := range f.path {
+			l.comp = a
+		}
 	}
-	for _, l := range b.links {
-		l.comp = a
-		l.compIdx = len(a.links)
-		a.links = append(a.links, l)
-	}
+	a.done += b.done
+	a.nlinks += b.nlinks
 	if b.dirty {
 		a.dirty = true
 	}
-	if b.rebuild {
-		a.rebuild = true
-	}
 	a.sorted = false
 	b.dead = true
-	b.flows, b.links, b.capped = nil, nil, nil
+	b.flows, b.capped = nil, nil
 	n.deadComps++
 	return a
 }
@@ -953,13 +981,12 @@ func (n *Net) queueWork(c *component) {
 	n.dirtyEv = n.eng.Schedule(0, n.flushFn)
 }
 
-// flushWork is the coalesced per-instant flush: split components that lost
-// flows, re-solve every dirty component (incremental mode; reference mode
-// solved eagerly at each change), commit the accounting against the
-// instant's final rates, then reschedule the completion event.
+// flushWork is the coalesced per-instant flush: re-solve every dirty
+// component (incremental mode; reference mode solved eagerly at each
+// change), commit the accounting against the instant's final rates, then
+// reschedule the completion event.
 func (n *Net) flushWork() {
 	n.dirtyEv = nil
-	n.flushRebuilds()
 	if n.reference {
 		for _, c := range n.work {
 			c.queued = false
@@ -972,8 +999,7 @@ func (n *Net) flushWork() {
 	}
 	n.stats.Solves++
 	solved := n.solvedScratch[:0]
-	for i := 0; i < len(n.work); i++ {
-		c := n.work[i]
+	for _, c := range n.work {
 		c.queued = false
 		if c.dead || !c.dirty {
 			continue
@@ -1042,156 +1068,6 @@ func (n *Net) commit(f *Flow) {
 	n.dueChanged = append(n.dueChanged, dueChange{f, due}) // grows to the peak per-flush churn, then reuses capacity
 }
 
-// flushRebuilds recomputes connectivity for every queued component that
-// lost a flow, splitting it into its surviving components; children join
-// the work queue dirty. Appending while iterating is deliberate — children
-// never carry the rebuild flag, so the loop terminates.
-func (n *Net) flushRebuilds() {
-	for i := 0; i < len(n.work); i++ {
-		c := n.work[i]
-		if !c.dead && c.rebuild {
-			n.rebuildComponent(c)
-		}
-	}
-}
-
-// rebuildComponent splits a component after retirements: a union-find pass
-// over the surviving flows' links rediscovers connectivity. The class of
-// the first surviving flow keeps the component — its record, and its flow
-// and link arrays, compacted in place — and every other class becomes a
-// fresh component, so a retirement that leaves the component connected
-// allocates nothing. Either way a class lists its flows in admission
-// order and its links in first appearance over those flows' paths,
-// exactly as a fresh component would. Every class is dirty by
-// construction — a retired flow freed capacity on its links, and (by
-// connectivity of the original component) every surviving class contains
-// at least one such link. The kept component stays where it is on the
-// work queue; split-off ones join its tail.
-func (n *Net) rebuildComponent(c *component) {
-	c.rebuild = false
-	n.dsuEpoch++
-	epoch := n.dsuEpoch
-	for _, f := range c.flows {
-		if f.finished {
-			continue
-		}
-		var root *Link
-		for _, l := range f.path {
-			if l.dsuEpoch != epoch {
-				l.dsuEpoch = epoch
-				l.dsuParent = l
-				l.child = nil
-			}
-			r := findRoot(l)
-			if root == nil {
-				root = r
-			} else if r != root {
-				r.dsuParent = root
-			}
-		}
-	}
-	// Every listed link carries a surviving flow (idle ones were
-	// detached), so each is re-listed below. The kept class's flows and
-	// links are subsets of the old lists, which leaves room to rebuild
-	// both in place.
-	for _, l := range c.links {
-		l.comp = nil
-	}
-	oldLinks := len(c.links)
-	c.links = c.links[:0]
-	kept := 0
-	for _, f := range c.flows {
-		if f.finished {
-			continue
-		}
-		var root *Link
-		if len(f.path) > 0 {
-			root = findRoot(f.path[0])
-		}
-		if kept > 0 && (root == nil || root.child != c) {
-			n.splitOff(f, root)
-			continue
-		}
-		if root != nil {
-			root.child = c
-		}
-		f.comp = c
-		c.flows[kept] = f // kept <= the flow's index: order kept
-		kept++
-		for _, l := range f.path {
-			if l.comp != c {
-				l.comp = c
-				l.compIdx = len(c.links)
-				c.links = c.links[:l.compIdx+1]
-				c.links[l.compIdx] = l
-			}
-		}
-	}
-	clear(c.flows[kept:])
-	clear(c.links[len(c.links):oldLinks])
-	c.flows = c.flows[:kept]
-	if kept == 0 {
-		c.dead = true
-		c.dirty = false
-		c.flows, c.links, c.capped = nil, nil, nil
-		n.deadComps++
-		return
-	}
-	// The kept class's capped flows are the sorted list's members still
-	// claiming c: retire cleared a finished flow's component, and splitOff
-	// moved every other class's flows to their own, unsorted, components.
-	w := 0
-	for _, f := range c.capped {
-		if f.comp == c {
-			c.capped[w] = f
-			w++
-		}
-	}
-	clear(c.capped[w:])
-	c.capped = c.capped[:w]
-	c.dirty = true
-}
-
-// splitOff moves f, a surviving flow outside the kept class, to its own
-// class's component (the class of root, or f alone when it has no path):
-// the class's first flow allocates the component, dirty and pre-queued
-// at the work queue's tail, and each flow appends itself and its links
-// in rebuild order. It is the only part of a rebuild that allocates: a
-// split-off class's component record and lists, which the retirement
-// that split it pays for.
-func (n *Net) splitOff(f *Flow, root *Link) {
-	var child *component
-	if root != nil {
-		child = root.child
-	}
-	if child == nil {
-		child = &component{dirty: true, queued: true}
-		n.addComp(child)
-		n.work = append(n.work, child)
-		if root != nil {
-			root.child = child
-		}
-	}
-	f.comp = child
-	child.flows = append(child.flows, f) // rebuild visits flows in admission order
-	for _, l := range f.path {
-		if l.comp != child {
-			l.comp = child
-			l.compIdx = len(child.links)
-			child.links = append(child.links, l)
-		}
-	}
-}
-
-// findRoot is union-find lookup with path halving.
-func findRoot(l *Link) *Link {
-	for l.dsuParent != l {
-		l.dsuParent = l.dsuParent.dsuParent
-		l = l.dsuParent
-	}
-	return l
-}
-
 // settle advances one flow's accrual anchor to the current instant,
 // charging its volume at the committed rate in force since the last settle
 // and accruing its links' carried telemetry. Settle points are committed
@@ -1239,20 +1115,18 @@ func (n *Net) settleLink(link *Link) {
 	}
 }
 
-// Recompute forces a full settle at the current instant: pending component
-// rebuilds are applied, every live component is re-solved (the whole
-// network, in reference mode), the accounting commits against the fresh
-// rates, and the next completion event is rescheduled, absorbing any
-// pending coalesced flush. Flow arrival, completion and capacity changes
-// recompute automatically; Recompute remains for callers that mutate
-// capacity-model state in place (e.g. OST health) or need fresh rates
-// mid-instant.
+// Recompute forces a full settle at the current instant: every live
+// component is re-solved (the whole network, in reference mode), the
+// accounting commits against the fresh rates, and the next completion
+// event is rescheduled, absorbing any pending coalesced flush. Flow
+// arrival, completion and capacity changes recompute automatically;
+// Recompute remains for callers that mutate capacity-model state in place
+// (e.g. OST health) or need fresh rates mid-instant.
 func (n *Net) Recompute() {
 	if n.dirtyEv != nil {
 		n.eng.Cancel(n.dirtyEv)
 		n.dirtyEv = nil
 	}
-	n.flushRebuilds()
 	for _, c := range n.work {
 		c.queued = false
 		c.dirty = false
@@ -1288,26 +1162,31 @@ func (n *Net) Recompute() {
 // the rates (and completion keys) of their last solve, which is exact
 // because disjoint components cannot constrain each other.
 //
-// A round costs the still-live links plus the flows it fixes. The
-// initialisation pass builds a per-link flow index (solveCtx.idx) and a
-// live-link list; each round makes one pass over the live links,
-// compacting out those with no unfixed flow, that finds both the minimum
-// share and the saturation candidates — links within the saturation
-// tolerance of the running minimum, re-checked against the final one. The
-// saturated links' flows are then fixed through the index. A solve that
-// outlasts the switch rule (Net.heapRounds, Net.heapLinks) builds a
-// link-share heap from the live list instead and finishes from it: each
-// heap round re-keys the links the previous round's fixes touched, takes
-// the minimum share from the root and collects the saturated set with a
-// walk pruned at the tolerance — the same minimum bits and the same set
-// the scan finds. Every flow a bottleneck round fixes gets the same rate,
-// so each link's residual receives the same sequence of subtractions in
-// any fix order. Rate-capped flows are fixed from a cursor over the
-// component's kept (cap, admission) order (see component), sorted afresh
-// only after capped flows joined it out of order, in exactly the batches
-// and order the reference solver fixes them in (see sortCapped), so the residual
-// arithmetic is bit-identical to the reference solver's monolithic pass
-// restricted to this component.
+// A solve lists its own links: the pass that counts the component's
+// unfinished flows in admission order gives each link the next slot the
+// first time one of its flows crosses it, stamping it with the solve
+// epoch, and reads its capacity into the slot's state (solveCtx.slots).
+// The rounds then read and write slot state only. A round costs the
+// still-live links plus the flows it fixes. The initialisation pass
+// builds a per-link flow index (solveCtx.idx) and a live-link list; each
+// round makes one pass over the live links, compacting out those with no
+// unfixed flow, that finds both the minimum share and the saturation
+// candidates — links within the saturation tolerance of the running
+// minimum, re-checked against the final one. The saturated links' flows
+// are then fixed through the index. A solve that outlasts the switch rule
+// (Net.heapRounds, Net.heapLinks) builds a link-share heap from the live
+// list instead and finishes from it: each heap round re-keys the links the
+// previous round's fixes touched, takes the minimum share from the root
+// and collects the saturated set with a walk pruned at the tolerance — the
+// same minimum bits and the same set the scan finds. Every flow a
+// bottleneck round fixes gets the same rate, so each link's residual
+// receives the same sequence of subtractions in any fix order. Rate-capped
+// flows are fixed from a cursor over the component's kept (cap, admission)
+// order (see component), sorted afresh only after capped flows joined it
+// out of order, in exactly the batches and order the reference solver
+// fixes them in (see sortCapped), so the residual arithmetic is
+// bit-identical to the reference solver's monolithic pass restricted to
+// this component.
 // Reference mode shares none of this machinery (assignRatesReference): it
 // is the oracle, so a defect in the component, live-list or index
 // bookkeeping cannot cancel out of the inc-vs-ref property tests.
@@ -1315,19 +1194,20 @@ func (n *Net) solveComponent(c *component) {
 	ctx := &n.ctx
 	n.solveEpoch++
 	epoch := n.solveEpoch
-	links := c.links
 	n.stats.ComponentsSolved++
-	n.stats.LinkVisits += int64(len(links))
-	// The flow index: count each link's unfinished flows into off by
-	// compIdx, turn the counts into bucket ends, then fill in reverse, which
-	// leaves off[i] at bucket i's start and every bucket in admission order.
-	nl := len(links) + 1
-	off := slices.Grow(ctx.idx[:0], nl)[:nl] // grows to the peak component size, then reuses capacity
-	clear(off)
 	resort := !c.sorted
 	if resort {
 		c.capped = c.capped[:0]
+	} else {
+		c.capped = slices.DeleteFunc(c.capped, (*Flow).Finished)
 	}
+	// The flow index: list the links and count each one's unfinished flows
+	// into off by slot, turn the counts into bucket ends, then fill in
+	// reverse, which leaves off[s] at bucket s's start and every bucket in
+	// admission order. The scratch grows to the peak component size, then
+	// reuses its capacity.
+	slots := slices.Grow(ctx.slots[:0], c.nlinks)
+	off := slices.Grow(ctx.idx[:0], c.nlinks+1)
 	left := 0
 	for _, f := range c.flows {
 		if f.finished {
@@ -1338,9 +1218,16 @@ func (n *Net) solveComponent(c *component) {
 			c.capped = append(c.capped, f) // grows to the component's peak capped population, then reuses capacity
 		}
 		for _, l := range f.path {
-			off[l.compIdx]++
+			if l.listed != epoch {
+				l.listed = epoch
+				l.slot = int32(len(slots))
+				slots = append(slots, slotState{residual: l.model.Capacity(l.active)})
+				off = append(off, 0)
+			}
+			off[l.slot]++
 		}
 	}
+	ctx.slots = slots
 	if resort {
 		slices.SortFunc(c.capped, cmpCapped)
 		c.sorted = true
@@ -1348,20 +1235,18 @@ func (n *Net) solveComponent(c *component) {
 	}
 	capped := c.capped
 	n.stats.ComponentFlowsScanned += int64(left)
-	live := ctx.live[:0]
+	n.stats.LinkVisits += int64(len(slots))
+	live := slices.Grow(ctx.live[:0], len(slots))
 	end := int32(0)
-	for i, l := range links {
-		k := off[i]
-		l.residual = l.model.Capacity(l.active)
-		l.unfixed = int(k)
+	for s := range slots {
+		k := off[s]
+		slots[s].unfixed = k
 		end += k
-		off[i] = end
-		if k > 0 {
-			live = append(live, l)
-		}
+		off[s] = end
+		live = append(live, int32(s))
 	}
-	off[len(links)] = end
-	idx := slices.Grow(off, int(end))[:nl+int(end)]
+	nl := len(slots) + 1
+	idx := slices.Grow(append(off, end), int(end))[:nl+int(end)]
 	off, at := idx[:nl], idx[nl:]
 	for p := len(c.flows) - 1; p >= 0; p-- {
 		f := c.flows[p]
@@ -1369,8 +1254,8 @@ func (n *Net) solveComponent(c *component) {
 			continue
 		}
 		for _, l := range f.path {
-			off[l.compIdx]--
-			at[off[l.compIdx]] = int32(p)
+			off[l.slot]--
+			at[off[l.slot]] = int32(p)
 		}
 	}
 	next := 0 // every capped flow before next is fixed
@@ -1382,7 +1267,7 @@ func (n *Net) solveComponent(c *component) {
 		minShare, limit := math.Inf(1), math.Inf(1)
 		cand = cand[:0]
 		if !heaped && round >= n.heapRounds && len(live) >= n.heapLinks {
-			n.stats.ShareHeapOps += ctx.buildShares(live, len(links))
+			n.stats.ShareHeapOps += ctx.buildShares(live)
 			heaped = true
 		}
 		if heaped {
@@ -1394,14 +1279,14 @@ func (n *Net) solveComponent(c *component) {
 			if h := ctx.shares.at; len(h) > 0 {
 				minShare = h[0].share
 				limit = float64(minShare*(1+1e-12)) + 1e-15
-				cand = append(cand, candidate{links[h[0].link], minShare})
+				cand = append(cand, candidate{minShare, h[0].slot})
 				visits := 1
 				for i := 0; i < len(cand); i++ {
-					first := 2*int(ctx.shares.pos[cand[i].l.compIdx]) + 1
+					first := 2*int(ctx.shares.pos[cand[i].slot]) + 1
 					for c := first; c < first+2 && c < len(h); c++ {
 						visits++
 						if e := h[c]; e.share <= limit {
-							cand = append(cand, candidate{links[e.link], e.share})
+							cand = append(cand, candidate{e.share, e.slot})
 						}
 					}
 				}
@@ -1410,13 +1295,14 @@ func (n *Net) solveComponent(c *component) {
 		} else {
 			n.stats.LinkVisits += int64(len(live))
 			w := 0
-			for _, l := range live {
-				if l.unfixed == 0 {
+			for _, s := range live {
+				st := &slots[s]
+				if st.unfixed == 0 {
 					continue
 				}
-				live[w] = l
+				live[w] = s
 				w++
-				share := l.share()
+				share := st.share()
 				if share < minShare {
 					minShare = share
 					limit = float64(minShare*(1+1e-12)) + 1e-15
@@ -1424,7 +1310,7 @@ func (n *Net) solveComponent(c *component) {
 				// The limit only falls as the scan goes on, so a link rejected
 				// here is never saturated; candidates are re-checked below.
 				if share <= limit {
-					cand = append(cand, candidate{l, share})
+					cand = append(cand, candidate{share, s})
 				}
 			}
 			live = live[:w]
@@ -1438,11 +1324,8 @@ func (n *Net) solveComponent(c *component) {
 			next++
 			n.stats.FlowsScanned++
 			if f.fixedEpoch != epoch {
-				fixFlow(f, f.maxRate, epoch)
+				ctx.fix(f, f.maxRate, epoch, heaped)
 				left--
-				if heaped {
-					ctx.touch(f)
-				}
 			}
 		}
 		if left < before {
@@ -1459,24 +1342,18 @@ func (n *Net) solveComponent(c *component) {
 			if s.share > limit {
 				continue
 			}
-			ps := at[off[s.l.compIdx]:off[s.l.compIdx+1]]
+			ps := at[off[s.slot]:off[s.slot+1]]
 			n.stats.FlowsScanned += int64(len(ps))
 			for _, p := range ps {
 				if f := c.flows[p]; f.fixedEpoch != epoch {
-					fixFlow(f, minShare, epoch)
+					ctx.fix(f, minShare, epoch, heaped)
 					left--
-					if heaped {
-						ctx.touch(f)
-					}
 				}
 			}
 		}
 		if left == before {
 			panic("flow: progressive filling made no progress")
 		}
-	}
-	for _, l := range ctx.touched {
-		l.touched = false
 	}
 	ctx.touched = ctx.touched[:0]
 	ctx.shares.at = ctx.shares.at[:0]
@@ -1485,14 +1362,22 @@ func (n *Net) solveComponent(c *component) {
 	ctx.idx = idx[:0]
 }
 
-// share is the link's fair share of its residual capacity among its
-// unfixed flows; a residual that rounding drove below zero counts as zero.
-func (l *Link) share() float64 {
-	res := l.residual
-	if res < 0 {
-		res = 0
+// fix pins a flow's rate for the component solve identified by epoch and
+// charges it against its links' slots, queueing each link for a share
+// re-key once the solve runs from its heap; fixFlow, which the reference
+// solver calls, documents the accounting contract.
+func (ctx *solveCtx) fix(f *Flow, rate float64, epoch int64, heaped bool) {
+	f.fixedEpoch = epoch
+	for _, l := range f.path {
+		st := &ctx.slots[l.slot]
+		st.residual -= rate
+		st.unfixed--
+		if heaped && !st.touched {
+			st.touched = true
+			ctx.touched = append(ctx.touched, l.slot)
+		}
 	}
-	return res / float64(l.unfixed)
+	f.rate = rate
 }
 
 // shareHeap is a min-heap of one component's links keyed by fair share.
@@ -1501,16 +1386,16 @@ func (l *Link) share() float64 {
 // only the links whose residual or unfixed count the last round's fixes
 // moved. Keys are recomputed from the link exactly as the scan computes
 // them, so the root holds the scan's minimum bits. Entries name links by
-// compIdx and pos maps a compIdx back to its entry, so the heap holds no
+// slot and pos maps a slot back to its entry, so the heap holds no
 // pointers for sifts to write through.
 type shareHeap struct {
 	at  []shareEntry
-	pos []int32 // by compIdx: the link's position in at
+	pos []int32 // by slot: the link's position in at
 }
 
 type shareEntry struct {
 	share float64
-	link  int32 // compIdx
+	slot  int32
 }
 
 // up and down restore the heap order from position i, moving each
@@ -1524,11 +1409,11 @@ func (h *shareHeap) up(i int) {
 			break
 		}
 		at[i] = at[p]
-		pos[at[i].link] = int32(i)
+		pos[at[i].slot] = int32(i)
 		i = p
 	}
 	at[i] = e
-	pos[e.link] = int32(i)
+	pos[e.slot] = int32(i)
 }
 
 func (h *shareHeap) down(i int) {
@@ -1546,43 +1431,32 @@ func (h *shareHeap) down(i int) {
 			break
 		}
 		at[i] = at[c]
-		pos[at[i].link] = int32(i)
+		pos[at[i].slot] = int32(i)
 		i = c
 	}
 	at[i] = e
-	pos[e.link] = int32(i)
+	pos[e.slot] = int32(i)
 }
 
-// buildShares heapifies the live links that still carry an unfixed flow;
-// nLinks is the component's link count. It returns the heap operations
-// it made, one per entry.
-func (ctx *solveCtx) buildShares(live []*Link, nLinks int) int64 {
+// buildShares heapifies the live links that still carry an unfixed flow.
+// It returns the heap operations it made, one per entry.
+func (ctx *solveCtx) buildShares(live []int32) int64 {
 	h := &ctx.shares
-	h.pos = slices.Grow(h.pos[:0], nLinks)[:nLinks]
+	h.pos = slices.Grow(h.pos[:0], len(ctx.slots))[:len(ctx.slots)]
 	at := h.at[:0]
-	for _, l := range live {
-		if l.unfixed > 0 {
-			at = append(at, shareEntry{l.share(), int32(l.compIdx)})
+	for _, s := range live {
+		if st := &ctx.slots[s]; st.unfixed > 0 {
+			at = append(at, shareEntry{st.share(), s})
 		}
 	}
 	h.at = at
 	for i, e := range at {
-		h.pos[e.link] = int32(i)
+		h.pos[e.slot] = int32(i)
 	}
 	for i := len(at)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 	return int64(len(at))
-}
-
-// touch queues a just-fixed flow's links for a share re-key.
-func (ctx *solveCtx) touch(f *Flow) {
-	for _, l := range f.path {
-		if !l.touched {
-			l.touched = true
-			ctx.touched = append(ctx.touched, l)
-		}
-	}
 }
 
 // rekeyShares brings the touched links' heap keys up to date: a link left
@@ -1592,19 +1466,20 @@ func (ctx *solveCtx) touch(f *Flow) {
 // It returns the heap operations it made, one per touched link.
 func (ctx *solveCtx) rekeyShares() int64 {
 	h := &ctx.shares
-	for _, l := range ctx.touched {
-		l.touched = false
-		i := int(h.pos[l.compIdx])
-		if l.unfixed == 0 {
+	for _, s := range ctx.touched {
+		st := &ctx.slots[s]
+		st.touched = false
+		i := int(h.pos[s])
+		if st.unfixed == 0 {
 			last := len(h.at) - 1
 			h.at[i] = h.at[last]
 			h.at = h.at[:last]
 			if i == last {
 				continue
 			}
-			h.pos[h.at[i].link] = int32(i)
+			h.pos[h.at[i].slot] = int32(i)
 		} else {
-			h.at[i].share = l.share()
+			h.at[i].share = st.share()
 		}
 		if i > 0 && h.at[i].share < h.at[(i-1)/2].share {
 			h.up(i)
@@ -1617,11 +1492,12 @@ func (ctx *solveCtx) rekeyShares() int64 {
 	return ops
 }
 
-// candidate is a link whose fair share was within the saturation
-// tolerance of the running minimum when the round's scan reached it.
+// candidate is a link, by slot, whose fair share was within the
+// saturation tolerance of the running minimum when the round's scan
+// reached it.
 type candidate struct {
-	l     *Link
 	share float64
+	slot  int32
 }
 
 // cmpCapped orders capped flows by ascending (maxRate, seq), the order
@@ -1937,7 +1813,7 @@ func (n *Net) onCompletion() {
 	for _, f := range done {
 		f.batch.finish()
 	}
-	// retire queued each touched component for rebuild, which armed the
+	// retire queued each touched component for a re-solve, which armed the
 	// coalesced flush event; reference mode additionally re-solves the
 	// survivors' rates eagerly, as it does for every change.
 	if n.reference {
@@ -1950,41 +1826,36 @@ func (n *Net) onCompletion() {
 }
 
 // retire removes a drained flow from its links and the active set, and
-// marks its component for a lazy connectivity rebuild. The flow has left
-// the completion heap already: onCompletion popped it, or, in reference
-// mode, it was never in it.
+// queues its component for a re-solve, or, when the flow was its last,
+// retires the component too. The flow stays in its component's list until
+// finished flows are half of it. The flow has left the completion heap
+// already: onCompletion popped it, or, in reference mode, it was never in
+// it.
 func (n *Net) retire(f *Flow) {
+	c := f.comp
+	f.comp = nil
 	for _, l := range f.path {
 		l.active--
 		if l.active == 0 {
 			n.activeLinkCount--
-			n.detachLink(l)
+			l.comp = nil
+			c.nlinks--
 		}
 	}
-	if c := f.comp; c != nil {
-		f.comp = nil
-		c.rebuild = true
-		n.queueWork(c)
+	if c.done++; c.done == len(c.flows) {
+		c.dead, c.dirty = true, false
+		c.flows, c.capped = nil, nil
+		n.deadComps++
+	} else {
+		if 2*c.done >= len(c.flows) {
+			c.flows, c.done = slices.DeleteFunc(c.flows, (*Flow).Finished), 0
+			c.capped = slices.DeleteFunc(c.capped, (*Flow).Finished) // the reference solver never solves c to drop them
+		}
+		c.dirty = true
 	}
+	n.queueWork(c)
 	n.activeCount--
 	n.finishedInActive++
-}
-
-// detachLink removes an idle link from its component (order-insensitive
-// swap remove; link order never affects the solve numerically).
-func (n *Net) detachLink(l *Link) {
-	c := l.comp
-	if c == nil {
-		return
-	}
-	last := len(c.links) - 1
-	moved := c.links[last]
-	c.links[l.compIdx] = moved
-	moved.compIdx = l.compIdx
-	c.links[last] = nil
-	c.links = c.links[:last]
-	l.comp = nil
-	l.compIdx = -1
 }
 
 // compactActive drops completed-flow tombstones from the admission-ordered
@@ -1993,17 +1864,7 @@ func (n *Net) compactActive() {
 	if n.finishedInActive < 16 || n.finishedInActive*2 < len(n.activeFlows) {
 		return
 	}
-	w := 0
-	for _, f := range n.activeFlows {
-		if !f.finished {
-			n.activeFlows[w] = f
-			w++
-		}
-	}
-	for i := w; i < len(n.activeFlows); i++ {
-		n.activeFlows[i] = nil
-	}
-	n.activeFlows = n.activeFlows[:w]
+	n.activeFlows = slices.DeleteFunc(n.activeFlows, (*Flow).Finished)
 	n.finishedInActive = 0
 }
 
@@ -2066,8 +1927,7 @@ func (n *Net) CheckInvariants() error {
 		if load := loads[l]; load > float64(cap*(1+1e-6))+1e-9 {
 			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.Name(), load, cap)
 		}
-		inComp := l.comp != nil && !l.comp.dead &&
-			l.compIdx >= 0 && l.compIdx < len(l.comp.links) && l.comp.links[l.compIdx] == l
+		inComp := l.comp != nil && !l.comp.dead
 		if (l.active > 0) != inComp {
 			return fmt.Errorf("flow: link %q active=%d but component membership %v", l.Name(), l.active, inComp)
 		}
@@ -2138,11 +1998,13 @@ func (n *Net) CheckMaxMin() error {
 	return nil
 }
 
-// checkComponents verifies the component partition: live components hold
-// exactly the live flows (each once, in admission order), their links
-// point back at them, a kept capped-flow order is what a fresh sort of
-// the component's capped flows gives, and no settled component is left
-// dirty or pending rebuild.
+// checkComponents verifies the components: live components hold exactly
+// the live flows (each once, in admission order) beside the finished
+// flows they count, they count the links those flows cross, a kept
+// capped-flow order is what a fresh sort of the
+// component's capped flows gives, and no settled component is left dirty
+// or queued. That every active link points at its flows' component is
+// CheckInvariants' check.
 func (n *Net) checkComponents() error {
 	seen := 0
 	dead := 0
@@ -2151,45 +2013,48 @@ func (n *Net) checkComponents() error {
 			dead++
 			continue
 		}
-		if c.dirty || c.rebuild || c.queued {
-			return fmt.Errorf("flow: component with %d flows still dirty/rebuild/queued after flush", len(c.flows))
+		if c.dirty || c.queued {
+			return fmt.Errorf("flow: component with %d flows still dirty/queued after flush", len(c.flows))
 		}
-		if len(c.flows) == 0 {
-			return fmt.Errorf("flow: empty live component")
+		if len(c.flows) == c.done {
+			return fmt.Errorf("flow: live component with no unfinished flow")
 		}
 		var prev int64 = -1
+		done := 0
+		links := map[*Link]bool{} // only its size is read
 		for _, f := range c.flows {
-			if f.finished {
-				return fmt.Errorf("flow: finished flow %q lingers in a settled component", f.name)
-			}
-			if f.comp != c {
-				return fmt.Errorf("flow: %q listed in a component it does not claim", f.name)
-			}
 			if f.seq <= prev {
 				return fmt.Errorf("flow: component flows out of admission order at %q", f.name)
 			}
 			prev = f.seq
+			if f.finished {
+				done++
+				continue
+			}
+			if f.comp != c {
+				return fmt.Errorf("flow: %q listed in a component it does not claim", f.name)
+			}
+			for _, l := range f.path {
+				links[l] = true
+			}
 			seen++
+		}
+		if done != c.done || len(links) != c.nlinks {
+			return fmt.Errorf("flow: component counts %d finished flows and %d links, lists %d and %d",
+				c.done, c.nlinks, done, len(links))
 		}
 		if c.sorted {
 			var fresh []*Flow
 			for _, f := range c.flows {
-				if f.maxRate > 0 {
+				if f.maxRate > 0 && !f.finished {
 					fresh = append(fresh, f)
 				}
 			}
 			slices.SortFunc(fresh, cmpCapped)
-			if !slices.Equal(fresh, c.capped) {
+			kept := slices.DeleteFunc(slices.Clone(c.capped), (*Flow).Finished)
+			if !slices.Equal(fresh, kept) {
 				return fmt.Errorf("flow: component with %d flows keeps %d capped flows out of (cap, admission) order or membership; a fresh sort gives %d",
-					len(c.flows), len(c.capped), len(fresh))
-			}
-		}
-		for _, l := range c.links {
-			if l.comp != c {
-				return fmt.Errorf("flow: link %q listed in a component it does not claim", l.Name())
-			}
-			if l.active == 0 {
-				return fmt.Errorf("flow: idle link %q lingers in a component", l.Name())
+					len(c.flows), len(kept), len(fresh))
 			}
 		}
 	}

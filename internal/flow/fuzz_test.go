@@ -116,11 +116,16 @@ func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
 // whose flows settle at distinct share levels, so its solves outlast the
 // switch rule and the default strategy finishes them from the heap. In
 // capped-merge-split, two groups of capped flows admitted out of cap
-// order merge through a capped bridge and split when it drains, a flow
-// capped below the kept caps joins one, and every capped flow finishes:
-// each way a component's kept capped order changes. In batch-chain, a
-// flow is chained on a batch of three whose flows drain at distinct
-// instants, so the chain runs only when the last of them does.
+// order merge through a capped bridge that then drains, a flow capped
+// below the kept caps joins one, and every capped flow finishes: each way
+// a component's kept capped order changes. In re-merge, a bridge joins two
+// groups and drains, then in one instant a flow capped below the kept caps
+// joins one group and a second bridge joins them again, so the merged
+// component that outlived the first bridge meets the second with its
+// capped order stale.
+// In batch-chain, a flow is chained on a batch of three whose flows drain
+// at distinct instants, so the chain runs only when the last of them
+// does.
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo, ops := decodeSolverInput(data)
@@ -179,5 +184,44 @@ func TestFuzzSolverBatchChainSeed(t *testing.T) {
 	if len(ends) != 3 || chained != last {
 		t.Errorf("batch b0 drains at %d distinct instants, last %v; its chain starts at %v: want 3, and the chain at the last",
 			len(ends), last, chained)
+	}
+}
+
+// TestFuzzSolverReMergeSeed keeps the re-merge seed doing its job: f0 runs
+// on link l0, f1 and f2 on l2 and l3, and while all three run, the bridge
+// f3 joins l0 to l2 and drains, then in one instant f4 joins l0 capped
+// below f1's cap, the last of the kept capped order, and the bridge f5
+// joins l0 to l2 again before a solve re-sorts the order.
+func TestFuzzSolverReMergeSeed(t *testing.T) {
+	topo, ops := seedInput(t, "re-merge")
+	matchesReference(t, ops, topo)
+	flows, links, _ := replay(t, ops, topo, defaultMode)
+	if len(flows) != 6 {
+		t.Fatalf("re-merge seed admits %d flows, want 6", len(flows))
+	}
+	f0, f1, f2, bridge, low, again := flows[0], flows[1], flows[2], flows[3], flows[4], flows[5]
+	onLinks := func(f *Flow, want ...int) bool {
+		if len(f.path) != len(want) {
+			return false
+		}
+		for i, k := range want {
+			if f.path[i] != links[k] {
+				return false
+			}
+		}
+		return true
+	}
+	if !onLinks(f0, 0) || !onLinks(f1, 2) || !onLinks(f2, 3, 2) || !onLinks(low, 0) ||
+		!onLinks(bridge, 0, 2) || !onLinks(again, 2, 0) {
+		t.Error("re-merge seed's paths do not keep l0's group apart from l2's but for the two bridges")
+	}
+	end := min(f0.FinishedAt(), f1.FinishedAt(), f2.FinishedAt())
+	if !(bridge.FinishedAt() < low.Started() && low.Started() == again.Started() && again.FinishedAt() < end) {
+		t.Errorf("re-merge seed: bridge drains at %v, the low cap joins at %v, the second bridge runs %v to %v, the groups run until %v: want them in that order, the low cap and the second bridge at one instant",
+			bridge.FinishedAt(), low.Started(), again.Started(), again.FinishedAt(), end)
+	}
+	if !(0 < low.maxRate && low.maxRate < f1.maxRate && f0.maxRate < f1.maxRate) {
+		t.Errorf("re-merge seed: caps %v, %v and %v, want the late one below the last kept, %v",
+			f0.maxRate, f1.maxRate, low.maxRate, f1.maxRate)
 	}
 }

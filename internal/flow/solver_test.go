@@ -149,11 +149,25 @@ func randomLinks(rng *rand.Rand, n int) []linkTmpl {
 	return links
 }
 
-// flushWatcher calls fn on every flow admission and completion.
-type flushWatcher struct{ fn func() }
+// flowLog records every admitted flow in admission order and calls fn,
+// when set, on every flow admission and completion.
+type flowLog struct {
+	flows []*Flow
+	fn    func()
+}
 
-func (w flushWatcher) FlowStarted(*Flow)  { w.fn() }
-func (w flushWatcher) FlowFinished(*Flow) { w.fn() }
+func (o *flowLog) FlowStarted(f *Flow) {
+	o.flows = append(o.flows, f)
+	if o.fn != nil {
+		o.fn()
+	}
+}
+
+func (o *flowLog) FlowFinished(*Flow) {
+	if o.fn != nil {
+		o.fn()
+	}
+}
 
 // solverMode selects how a replayed net solves: the reference oracle, or
 // the incremental solver with a given switch to the link-share heap.
@@ -205,12 +219,13 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 			t.Errorf("%s: max-min certificate after the flush at t=%v: %v", mode.name, e.Now(), err)
 		}
 	}
-	n.Observe(flushWatcher{func() {
+	log := &flowLog{fn: func() {
 		if !armed {
 			armed = true
 			e.Schedule(0, certify)
 		}
-	}})
+	}}
+	n.Observe(log)
 	resolve := func(sp specTmpl) FlowSpec {
 		path := make([]*Link, len(sp.path))
 		for i, k := range sp.path {
@@ -226,7 +241,6 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 			t.Errorf("%s: max-min certificate after %s: %v", mode.name, where, err)
 		}
 	}
-	var flows []*Flow
 	batchOf := make([]*Batch, len(ops))  // the batch each op admitted, for chains
 	chainsOn := make(map[int][]solverOp) // target op index -> chained ops
 	for _, op := range ops {
@@ -242,7 +256,7 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 			e.StartTask(0, fmt.Sprintf("chain%d_%d", opIdx, ci), -1, func(tk *sim.Task) {
 				target.Await(tk, func() {
 					sp := resolve(chain.specs[0])
-					flows = append(flows, n.StartBatch([]FlowSpec{sp}).Flows()...)
+					n.StartBatch([]FlowSpec{sp})
 					check("chained start " + sp.Name)
 					tk.Finish()
 				})
@@ -269,7 +283,6 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 			e.Schedule(op.at, func() {
 				sp := resolve(op.specs[0])
 				batchOf[opIdx] = n.StartBatch([]FlowSpec{sp})
-				flows = append(flows, batchOf[opIdx].Flows()...)
 				armChains(opIdx)
 				check("start " + sp.Name)
 			})
@@ -280,7 +293,6 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 					specs[i] = resolve(sp)
 				}
 				batchOf[opIdx] = n.StartBatch(specs)
-				flows = append(flows, batchOf[opIdx].Flows()...)
 				armChains(opIdx)
 				check(fmt.Sprintf("batch of %d at t=%v", len(specs), op.at))
 			})
@@ -289,7 +301,7 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return flows, links, n
+	return log.flows, links, n
 }
 
 // sameTrajectories fails unless two replays of one schedule agree bit for
@@ -430,15 +442,16 @@ func TestStartBatchMatchesSequentialStarts(t *testing.T) {
 		}
 		specs = append(specs, FlowSpec{Name: "zero", SizeMB: 0, Path: []*Link{shared}})
 		specs = append(specs, FlowSpec{Name: "capped", SizeMB: 50, MaxRate: 5})
-		var flows []*Flow
+		log := &flowLog{}
+		n.Observe(log)
 		if batch {
-			flows = n.StartBatch(specs).Flows()
+			n.StartBatch(specs)
 		} else {
 			for _, sp := range specs {
-				flows = append(flows, n.StartBatch([]FlowSpec{sp}).Flows()...)
+				n.StartBatch([]FlowSpec{sp})
 			}
 		}
-		return flows, n, e
+		return log.flows, n, e
 	}
 	seqFlows, _, seqEng := build(false)
 	batchFlows, bn, batchEng := build(true)
@@ -626,6 +639,8 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 		n := NewNet(e)
 		n.UseReferenceSolver(reference)
 		l := n.NewLink("pipe", Const(100))
+		log := &flowLog{}
+		n.Observe(log)
 		short := n.StartBatch([]FlowSpec{{Name: "short", SizeMB: 100, Path: []*Link{l}}}) // done at t=2 under fair sharing
 		long := n.Start("long", 1000, 0, l)
 		var zero *Flow
@@ -644,7 +659,7 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if zero == nil || zero.FinishedAt() != short.Flows()[0].FinishedAt() {
+		if zero == nil || zero.FinishedAt() != log.flows[0].FinishedAt() {
 			t.Fatalf("reference=%v: zero flow not admitted at completion instant", reference)
 		}
 		if !long.Finished() {
@@ -655,8 +670,9 @@ func TestZeroDurationFlowsAtCompletionInstant(t *testing.T) {
 
 // groupedSpec draws a flow whose path stays inside one link group, or —
 // with probability 1/bridgeOdds — bridges two groups, merging their
-// components; when the bridge later drains, the merged component must
-// split again. Groups are contiguous index ranges of size groupLinks.
+// components; the merged component outlives the bridge, holding both
+// groups once it drains. Groups are contiguous index ranges of size
+// groupLinks.
 func groupedSpec(rng *rand.Rand, groups, groupLinks, bridgeOdds int, name string) specTmpl {
 	pick := func(g, n int) []int {
 		if n > groupLinks {
@@ -742,8 +758,9 @@ func randomGroupedSchedule(rng *rand.Rand, groups, groupLinks int) []solverOp {
 
 // TestMultiComponentMatchesReferenceProperty drives randomized
 // multi-component schedules — disjoint link groups, flows migrating a
-// component merge via shared-link (bridge) admission, component splits
-// when bridges retire, and lazy SetModel changes — through the partitioned
+// component merge via shared-link (bridge) admission, bridges that retire
+// and leave their merged component holding disjoint groups, and lazy
+// SetModel changes — through the partitioned
 // solver in each of its search strategies and the monolithic reference
 // solver. Trajectories and carried volumes must match bit for bit, with
 // the component-partition invariants checked inside every event in every

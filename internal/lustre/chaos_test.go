@@ -60,8 +60,9 @@ func TestSetAllOSTHealth(t *testing.T) {
 func TestStartRebuild(t *testing.T) {
 	plat := testPlat()
 	eng, sys := newSys(t, plat)
+	streams := observeStarts(sys)
 	rebuild := sys.StartRebuild(7, RebuildOpts{SizeMB: 900, Streams: 3})
-	if n := len(rebuild.Flows()); n != 3 {
+	if n := len(*streams); n != 3 {
 		t.Fatalf("flows = %d", n)
 	}
 	doneAt := -1.0
@@ -98,7 +99,7 @@ func TestStartRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := 0.0
-	for _, f := range rebuild.Flows() {
+	for _, f := range *streams {
 		last = max(last, f.FinishedAt())
 	}
 	if doneAt <= 0 || doneAt != last {
@@ -112,7 +113,8 @@ func TestStartRebuild(t *testing.T) {
 func TestStartRebuildExplicitSourcesAndCap(t *testing.T) {
 	plat := testPlat()
 	eng, sys := newSys(t, plat)
-	rebuild := sys.StartRebuild(0, RebuildOpts{
+	streams := observeStarts(sys)
+	sys.StartRebuild(0, RebuildOpts{
 		SizeMB:  100,
 		Streams: 2,
 		RateMBs: 50,
@@ -122,7 +124,7 @@ func TestStartRebuildExplicitSourcesAndCap(t *testing.T) {
 		t.Errorf("explicit sources not used: %d %d",
 			sys.OST(100).ActiveStreams(), sys.OST(200).ActiveStreams())
 	}
-	for _, f := range rebuild.Flows() {
+	for _, f := range *streams {
 		if r := f.Rate(); r > 50+1e-9 {
 			t.Errorf("rate %v exceeds cap 50", r)
 		}
@@ -165,7 +167,9 @@ func TestRebuildCompetes(t *testing.T) {
 	plat := testPlat()
 	run := func(rebuild bool) float64 {
 		eng, sys := newSys(t, plat)
-		f := sys.StartWrites([]WriteReq{seqWrite("fg", 400, sys.OST(7), 1)}).Flows()[0]
+		started := observeStarts(sys)
+		sys.StartWrites([]WriteReq{seqWrite("fg", 400, sys.OST(7), 1)})
+		f := (*started)[0]
 		if rebuild {
 			sys.StartRebuild(7, RebuildOpts{SizeMB: 4000, Streams: 4})
 		}

@@ -159,9 +159,10 @@ func (o *OST) ActiveStreams() int { return o.model.totalStreams }
 // 0.1 = badly degraded, 0 = failed). Degradation injection models ailing
 // storage targets — RAID rebuilds, dying disks — whose effect on striped
 // jobs the contention metrics otherwise miss. The change applies to
-// in-flight transfers at the current instant: only the OST link's solver
-// component is re-solved, so health churn on one file system never scans
-// another's traffic.
+// in-flight transfers at the current instant: the OST link's solver
+// component re-solves once, in the instant's coalesced flush, however many
+// OSTs change health in it, and an idle OST costs nothing until a flow
+// crosses it.
 func (o *OST) SetHealth(factor float64) {
 	if factor < 0 {
 		factor = 0

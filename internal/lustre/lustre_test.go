@@ -28,6 +28,19 @@ func newSys(t *testing.T, plat *cluster.Platform) (*sim.Engine, *System) {
 	return eng, sys
 }
 
+// startedFlows collects the flows a net admits, in admission order.
+type startedFlows []*flow.Flow
+
+func (s *startedFlows) FlowStarted(f *flow.Flow) { *s = append(*s, f) }
+func (s *startedFlows) FlowFinished(*flow.Flow)  {}
+
+// observeStarts installs a startedFlows observer on sys's net.
+func observeStarts(sys *System) *startedFlows {
+	s := &startedFlows{}
+	sys.Net().Observe(s)
+	return s
+}
+
 func TestTopology(t *testing.T) {
 	_, sys := newSys(t, testPlat())
 	if sys.NumOSTs() != 480 {
@@ -574,19 +587,19 @@ func TestStartWritesBatchMatchesSequential(t *testing.T) {
 			rq.Node = i
 			reqs = append(reqs, rq)
 		}
-		var flows []*flow.Flow
+		started := observeStarts(sys)
 		if batch {
-			flows = sys.StartWrites(reqs).Flows()
+			sys.StartWrites(reqs)
 		} else {
 			for _, rq := range reqs {
-				flows = append(flows, sys.StartWrites([]WriteReq{rq}).Flows()...)
+				sys.StartWrites([]WriteReq{rq})
 			}
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var times []float64
-		for _, f := range flows {
+		for _, f := range *started {
 			times = append(times, f.FinishedAt())
 		}
 		for i := 0; i < 4; i++ {
