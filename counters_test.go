@@ -30,9 +30,12 @@ var updateCounters = flag.Bool("update", false, "rewrite testdata/counters.golde
 const countersGolden = "testdata/counters.golden"
 
 // allocSlackPct is how far a run's allocations, in objects and in bytes,
-// may exceed the recorded value. Work counters are exact, but from one
-// process to the next the same run allocates a few dozen objects more or
-// fewer, and up to a few percent more or fewer bytes.
+// may stray from the recorded value, either way. Work counters are exact,
+// but from one process to the next the same run allocates a few dozen
+// objects more or fewer, and up to a few percent more or fewer bytes. A
+// run that allocates that much less than its record is a cut that was not
+// re-recorded: failing it keeps the record current, so the slack for a
+// regression counts from what the code allocates now.
 const allocSlackPct = 10
 
 // workCounts is what one run reports: its solver's and its engine's
@@ -293,7 +296,7 @@ func workRunNamed(tb testing.TB, name string) workRun {
 // holds its counters to testdata/counters.golden: every flow.Stats and
 // sim.Stats field and every digest exactly, since the runs are
 // deterministic, and the objects and bytes the run allocates to the
-// recorded value plus allocSlackPct. Allocations are measured as a one-iteration benchmark
+// recorded value within allocSlackPct either way. Allocations are measured as a one-iteration benchmark
 // measures them: a GC, then runtime.MemStats deltas around the run. The
 // counts are process-wide, which is safe because no test in this package
 // runs in parallel. Regenerate the golden after an intended change with
@@ -341,8 +344,11 @@ func TestWorkCounters(t *testing.T) {
 		case !ok:
 			t.Errorf("%s = %s has no row in %s", key, v, countersGolden)
 		case strings.HasSuffix(key, " allocs") || strings.HasSuffix(key, " alloc_bytes"):
-			if n, recorded := count(t, v), count(t, w); n*100 > recorded*(100+allocSlackPct) {
+			switch n, recorded := count(t, v), count(t, w); {
+			case n*100 > recorded*(100+allocSlackPct):
 				t.Errorf("%s = %d, more than %d%% over the recorded %d", key, n, allocSlackPct, recorded)
+			case n*100 < recorded*(100-allocSlackPct):
+				t.Errorf("%s = %d, more than %d%% under the recorded %d: re-record the cut with -update", key, n, allocSlackPct, recorded)
 			}
 		case v != w:
 			t.Errorf("%s = %s, golden %s", key, v, w)

@@ -246,7 +246,6 @@ type Flow struct {
 	started   float64
 	settledAt float64 // accrual anchor: remaining/carried are exact as of this instant
 	finishAt  float64
-	finished  bool
 
 	net        *Net
 	comp       *component
@@ -255,17 +254,19 @@ type Flow struct {
 	// Completion bookkeeping. due is the absolute time the flow drains at
 	// its current rate (+Inf when stalled), computed when the rate last
 	// changed; it doubles as the completion-heap key in incremental mode.
-	due     float64
-	heapIdx int   // position in Net.completions; -1 while not queued
-	seq     int64 // admission order, tie-break for equal due times
+	due      float64
+	seq      int64 // admission order, tie-break for equal due times
+	heapIdx  int32 // position in Net.completions; -1 while not queued
+	finished bool
 
 	// batch is the StartBatch that admitted the flow, which counts it
 	// off when it finishes.
 	batch *Batch
-	// onDone, if set, runs synchronously at completion before the batch's
-	// wait can end — used to deregister streams from capacity models so
-	// the post-completion rate recomputation sees the updated state.
-	onDone func()
+	// onDone, if set, is told synchronously at completion, before the
+	// batch's wait can end — used to deregister streams from capacity
+	// models so the post-completion rate recomputation sees the updated
+	// state.
+	onDone DoneHook
 }
 
 // Name returns the flow's name.
@@ -396,6 +397,15 @@ func (s *Stats) Add(o Stats) {
 	s.CappedSorted += o.CappedSorted
 }
 
+// DoneHook is told when a flow drains, synchronously and before the
+// flow's batch can end its wait: the storage model deregisters the flow's
+// streams from its capacity models there, so the re-solve that follows
+// sees them gone. The hook is a record the caller already has, such as a
+// stream, so a flow needs no closure or method value to reach it.
+type DoneHook interface {
+	FlowDone()
+}
+
 // FlowSpec describes one flow for StartBatch.
 type FlowSpec struct {
 	// Name labels the flow.
@@ -404,9 +414,9 @@ type FlowSpec struct {
 	SizeMB float64
 	// MaxRate optionally caps the flow (MB/s); <= 0 means unlimited.
 	MaxRate float64
-	// OnDone, if set, runs synchronously at completion, before the
+	// OnDone, if set, is told synchronously at completion, before the
 	// batch's wait can end.
-	OnDone func()
+	OnDone DoneHook
 	// Path is the link path the flow traverses.
 	Path []*Link
 }
@@ -540,12 +550,12 @@ func (h compHeap) Less(i, j int) bool {
 }
 func (h compHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
 }
 func (h *compHeap) Push(x any) {
 	f := x.(*Flow)
-	f.heapIdx = len(*h)
+	f.heapIdx = int32(len(*h))
 	*h = append(*h, f) // grows to the peak active-flow population, then reuses capacity
 }
 func (h *compHeap) Pop() any {
@@ -669,6 +679,11 @@ func setHas(name, prefix string, size int) bool {
 // ActiveFlows reports the number of unfinished flows.
 func (n *Net) ActiveFlows() int { return n.activeCount }
 
+// Links reports the number of links the net holds: every NewLink link
+// and every member of a NewLinks set. Links are never removed, so a
+// caller that adds links per operation grows the net for good.
+func (n *Net) Links() int { return len(n.links) }
+
 // ActiveLinks reports the number of links currently carrying flows.
 func (n *Net) ActiveLinks() int { return n.activeLinkCount }
 
@@ -711,7 +726,7 @@ func (n *Net) UseReferenceSolver(on bool) {
 			if f.finished {
 				continue
 			}
-			f.heapIdx = len(n.completions)
+			f.heapIdx = int32(len(n.completions))
 			n.completions = append(n.completions, f)
 		}
 		heap.Init(&n.completions)
@@ -808,7 +823,7 @@ func (n *Net) admit(b *Batch, sp *FlowSpec) *Flow {
 		f.finished = true
 		f.finishAt = n.eng.Now()
 		if f.onDone != nil {
-			f.onDone()
+			f.onDone.FlowDone()
 		}
 		if n.observer != nil {
 			n.observer.FlowStarted(f)
@@ -1730,7 +1745,7 @@ func (n *Net) scheduleNext() {
 		} else {
 			for _, dc := range n.dueChanged {
 				dc.f.due = dc.due
-				heap.Fix(&n.completions, dc.f.heapIdx)
+				heap.Fix(&n.completions, int(dc.f.heapIdx))
 				n.stats.HeapOps++
 			}
 		}
@@ -1802,7 +1817,7 @@ func (n *Net) onCompletion() {
 	n.compactActive()
 	for _, f := range done {
 		if f.onDone != nil {
-			f.onDone()
+			f.onDone.FlowDone()
 		}
 	}
 	if n.observer != nil {
@@ -2085,7 +2100,7 @@ func (n *Net) checkHeap() error {
 			len(n.completions), n.activeCount)
 	}
 	for i, f := range n.completions {
-		if f.heapIdx != i {
+		if int(f.heapIdx) != i {
 			return fmt.Errorf("flow: %q at heap position %d claims heapIdx %d", f.name, i, f.heapIdx)
 		}
 		if i > 0 {

@@ -67,10 +67,13 @@ func TestRepetitionAllocsIndependentOfRanks(t *testing.T) {
 // four:
 //   - independent writes: each rank starts a flow per stripe its
 //     segments touch, each with its record, beside the rank's request
-//     list and its batch, with the batch's flow list and wait;
-//   - file per process: each rank splits off a communicator and opens,
-//     writes and closes a file of its own;
-//   - PLFS: each rank opens, appends to and closes its own log.
+//     list and its batch, with the batch's wait and its slabs of
+//     streams, specs and paths;
+//   - file per process: each rank opens, writes and closes a file of its
+//     own, on the communicator it split off in the first repetition and
+//     with the aggregator link that file made;
+//   - PLFS: each rank opens, appends to and closes its own log, its
+//     open waiting in the container's stage queues.
 //
 // One allocation more per rank and repetition in these branches raises
 // the slope by 1; the bound is half an allocation above the slope.
@@ -83,9 +86,9 @@ func TestRepetitionAllocsPerRank(t *testing.T) {
 		cfg     func(*ior.Config)
 		perRank float64
 	}{
-		{"independent", func(c *ior.Config) { c.Collective = false }, 22},
-		{"file per process", func(c *ior.Config) { c.FilePerProc = true }, 58.5},
-		{"plfs", func(c *ior.Config) { c.API = mpiio.DriverPLFS }, 38.6},
+		{"independent", func(c *ior.Config) { c.Collective = false }, 16.8},
+		{"file per process", func(c *ior.Config) { c.FilePerProc = true }, 31},
+		{"plfs", func(c *ior.Config) { c.API = mpiio.DriverPLFS }, 20.5},
 	} {
 		base := ior.PaperConfig(8)
 		in.cfg(&base)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pfsim/internal/cluster"
+	"pfsim/internal/flow"
 	"pfsim/internal/sim"
 	"pfsim/internal/stats"
 )
@@ -57,5 +58,93 @@ func TestThrashTableMatchesPenalty(t *testing.T) {
 				t.Fatalf("class %d, %d jobs grown in order: penalty %v, want %v", class, jobs, got, want)
 			}
 		}
+	}
+}
+
+// mdsClient is a task that creates a file and stats it, once per round,
+// through continuations bound once.
+type mdsClient struct {
+	m         *MDS
+	t         *sim.Task
+	files     int
+	onCreated func(*File, error)
+	onStat    func()
+}
+
+func (c *mdsClient) round() {
+	c.m.CreateK(c.t, DefaultSpec(), c.onCreated)
+	c.m.StatK(c.t, c.onStat)
+	if err := c.t.Engine().Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestMDSCreateStatAllocs: a create and a stat at the metadata server
+// allocate only the new file's record and its OST list, once the
+// server's queues have grown: the create's spec and continuation wait in
+// the server's own queue, its hold in the resource's, and the server
+// resumes them through methods bound once.
+func TestMDSCreateStatAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	eng := sim.NewEngine()
+	sys := MustNewSystem(eng, cluster.Cab(), stats.NewRNG(3))
+	c := &mdsClient{m: sys.MDS()}
+	c.onCreated = func(f *File, err error) {
+		if err != nil {
+			panic(err)
+		}
+		c.files++
+	}
+	c.onStat = func() {}
+	eng.StartTask(0, "client", -1, func(tk *sim.Task) { c.t = tk })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.round()
+	allocs := testing.AllocsPerRun(100, c.round)
+	if c.files != 102 {
+		t.Fatalf("%d files created over 102 rounds", c.files)
+	}
+	if allocs != 2 {
+		t.Errorf("a create and a stat allocate %v times, want 2 (the file and its OST list)", allocs)
+	}
+	c.t.Finish()
+}
+
+// TestStartWritesAllocsPerStream: each stream StartWrites adds costs one
+// allocation, its flow's record. The streams, the flow specs and the
+// paths are a slab each per batch, and each stream is its own flow's
+// completion hook, so a batch's other allocations do not grow with it.
+// The one other growth is the solver component's flow list, which
+// doubles three more times for 64 streams than for 8: 3/56 of an
+// allocation per added stream, inside the bound of 1.1.
+func TestStartWritesAllocsPerStream(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	eng := sim.NewEngine()
+	sys := MustNewSystem(eng, cluster.Cab(), stats.NewRNG(3))
+	via := sys.Net().NewLink("agg", flow.Const(1000))
+	batch := func(n int) float64 {
+		reqs := make([]WriteReq, n)
+		for i := range reqs {
+			reqs[i] = WriteReq{Name: "w", SizeMB: 1, OST: sys.OST(3 * i), Node: i % 4,
+				Class: cluster.ClassCollective, FileID: 1, RPCMB: 1, Via: []*flow.Link{via}}
+		}
+		return testing.AllocsPerRun(10, func() {
+			sys.StartWrites(reqs)
+			if err := eng.Run(); err != nil {
+				panic(err)
+			}
+		})
+	}
+	batch(64) // grows the solver's scratch and the OSTs' job lists
+	small, large := batch(8), batch(64)
+	perStream := (large - small) / (64 - 8)
+	t.Logf("a batch allocates %v times with 8 streams, %v with 64: %v per added stream", small, large, perStream)
+	if perStream > 1.1 {
+		t.Errorf("%v allocations per added stream, want 1 (its flow's record)", perStream)
 	}
 }

@@ -138,23 +138,32 @@ func (s *System) StartRebuild(target int, opts RebuildOpts) *flow.Batch {
 	tgt := &s.osts[target]
 	per := opts.SizeMB / float64(streams)
 	specs := make([]flow.FlowSpec, streams)
+	pairs := make([]rebuildPair, streams)
 	const rebuildRPCMB = 1.0 // resync chunks stream in ~1 MB requests
-	for i := 0; i < streams; i++ {
+	for i := range pairs {
 		src := &s.osts[sources[i%len(sources)]]
 		s.rebuildSeq--
 		fileID := s.rebuildSeq
-		rd := src.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
-		wr := tgt.AddStream(cluster.ClassSequential, fileID, rebuildRPCMB)
+		p := &pairs[i]
+		src.addStream(&p.read, cluster.ClassSequential, fileID, rebuildRPCMB)
+		tgt.addStream(&p.write, cluster.ClassSequential, fileID, rebuildRPCMB)
 		specs[i] = flow.FlowSpec{
 			Name:    fmt.Sprintf("rebuild/ost%d/s%d", target, i),
 			SizeMB:  per,
 			MaxRate: opts.RateMBs,
-			OnDone: func() {
-				rd.Remove()
-				wr.Remove()
-			},
-			Path: []*flow.Link{src.link, s.osss[src.oss], s.backbone, s.osss[tgt.oss], tgt.link},
+			OnDone:  p,
+			Path:    []*flow.Link{src.link, s.osss[src.oss], s.backbone, s.osss[tgt.oss], tgt.link},
 		}
 	}
 	return s.net.StartBatch(specs)
+}
+
+// rebuildPair is a rebuild flow's two streams: the read from its source
+// OST and the write to the target.
+type rebuildPair struct{ read, write Stream }
+
+// FlowDone implements flow.DoneHook: the rebuild flow has drained.
+func (p *rebuildPair) FlowDone() {
+	p.read.Remove()
+	p.write.Remove()
 }

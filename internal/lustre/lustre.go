@@ -64,14 +64,11 @@ func NewSystem(eng *sim.Engine, plat *cluster.Platform, rng *stats.RNG) (*System
 	s.osts = make([]OST, plat.OSTs)
 	for i := range s.osts {
 		m := &models[i]
-		*m = ostModel{sys: s, jitter: rng.Jitter(plat.JitterCV), health: 1}
+		*m = ostModel{sys: s, jitter: rng.Jitter(plat.JitterCV), health: 1, stale: true}
 		links[i].SetModel(m)
 		s.osts[i] = OST{id: i, oss: plat.OSSOf(i), link: links[i], model: m, sys: s}
 	}
-	s.mds = &MDS{
-		sys: s,
-		res: eng.NewResource("mds", 1),
-	}
+	s.mds = newMDS(s)
 	return s, nil
 }
 
@@ -123,12 +120,6 @@ func (s *System) Backbone() *flow.Link { return s.backbone }
 // OSSLink returns the link of object storage server i.
 func (s *System) OSSLink(i int) *flow.Link { return s.osss[i] }
 
-// PathFromNode returns the link path for a transfer from a compute node to
-// an OST: node NIC → backbone → hosting OSS → OST.
-func (s *System) PathFromNode(node int, ost *OST) []*flow.Link {
-	return []*flow.Link{s.NIC(node), s.backbone, s.osss[ost.oss], ost.link}
-}
-
 // OST is one object storage target.
 type OST struct {
 	id    int
@@ -150,10 +141,10 @@ func (o *OST) Link() *flow.Link { return o.link }
 // ActiveJobs returns the number of distinct jobs (files) with streams
 // currently open on this OST — the live counterpart of the paper's OST
 // load.
-func (o *OST) ActiveJobs() int { return o.model.totalJobs() }
+func (o *OST) ActiveJobs() int { return len(o.model.jobs) }
 
 // ActiveStreams returns the number of active streams on this OST.
-func (o *OST) ActiveStreams() int { return o.model.totalStreams }
+func (o *OST) ActiveStreams() int { return int(o.model.totalStreams) }
 
 // SetHealth scales the OST's service capacity by factor (1 = healthy,
 // 0.1 = badly degraded, 0 = failed). Degradation injection models ailing
@@ -168,6 +159,7 @@ func (o *OST) SetHealth(factor float64) {
 		factor = 0
 	}
 	o.model.health = factor
+	o.model.stale = true
 	o.link.SetModel(o.model)
 }
 
@@ -185,42 +177,53 @@ func (o *OST) Health() float64 { return o.model.health }
 // not self-interfere), and penalty blends each present class's thrash
 // curve (see cluster.ClassParams.Penalty, tabulated per system by
 // thrashTable) weighted by its job share.
+//
+// The jobs are a short list, one entry per (class, file) with streams on
+// the OST, so counting a stream in or out allocates nothing once the list
+// has grown to the OST's peak job count. A solve reads the capacity of
+// every OST its component crosses, but the value moves only when a stream
+// joins or leaves the OST or its health changes, so the model keeps it
+// until AddStream, Remove or SetHealth marks it stale.
 type ostModel struct {
-	sys    *System
-	jitter float64
-	health float64 // degradation factor; 1 = healthy
-
-	classJobs    [3]map[int]int // class → fileID → active stream count
-	classStreams [3]int
-	totalStreams int
+	sys          *System
+	jitter       float64
+	health       float64 // degradation factor; 1 = healthy
 	sumEffBase   float64
+	capacity     float64 // Capacity's value while stale is false
+	jobs         []ostJob
+	classJobs    [3]int32 // jobs by class
+	totalStreams int32
+	stale        bool
 }
 
-func (m *ostModel) totalJobs() int {
-	n := 0
-	for c := range m.classJobs {
-		n += len(m.classJobs[c])
-	}
-	return n
+// ostJob is one (class, file) pair with streams on an OST.
+type ostJob struct {
+	fileID  int
+	class   int32
+	streams int32
 }
 
 // Capacity implements flow.CapacityModel. The streams argument (the link's
 // raw flow count) is ignored in favour of the registered stream state,
 // which carries class and job identity.
 func (m *ostModel) Capacity(int) float64 {
+	if m.stale {
+		m.capacity, m.stale = m.compute(), false
+	}
+	return m.capacity
+}
+
+// compute evaluates the capacity formula from the registered streams.
+func (m *ostModel) compute() float64 {
 	if m.totalStreams == 0 {
 		// Idle link: report the best single-stream service rate; harmless
 		// since no flow crosses the link.
 		return m.health * m.jitter * m.sys.plat.Class[cluster.ClassSequential].BaseMBs
 	}
 	meanBase := m.sumEffBase / float64(m.totalStreams)
-	jobs := 0
-	for c := range m.classJobs {
-		jobs += len(m.classJobs[c])
-	}
+	jobs := len(m.jobs)
 	denom := 0.0
-	for c := range m.classJobs {
-		jc := len(m.classJobs[c])
+	for c, jc := range m.classJobs {
 		if jc == 0 {
 			continue
 		}
@@ -231,6 +234,18 @@ func (m *ostModel) Capacity(int) float64 {
 		denom = 1
 	}
 	return m.health * m.jitter * meanBase / denom
+}
+
+// job returns the index of the (class, fileID) entry in m.jobs, or -1.
+// A batch adds a job's streams back to back, so the search runs from the
+// latest entry.
+func (m *ostModel) job(class cluster.StreamClass, fileID int) int {
+	for i := len(m.jobs) - 1; i >= 0; i-- {
+		if j := &m.jobs[i]; j.fileID == fileID && j.class == int32(class) {
+			return i
+		}
+	}
+	return -1
 }
 
 // thrashTable tabulates cluster.ClassParams.Penalty by stream class and
@@ -257,8 +272,9 @@ func (t *thrashTable) penalty(class, jobs int) float64 {
 
 // Stream is a registered I/O stream on an OST. Registration makes the
 // OST's capacity model aware of the stream's class and owning job before
-// its flow starts; Remove must be called when the transfer ends (the
-// helpers in this package arrange that via flow completion callbacks).
+// its flow starts; Remove must be called when the transfer ends. A
+// stream is the flow.DoneHook of its flow in StartWrites, so the flow's
+// completion removes it.
 type Stream struct {
 	ost     *OST
 	class   cluster.StreamClass
@@ -271,17 +287,27 @@ type Stream struct {
 // RPCs of rpcMB to this OST. Callers must trigger a network recompute
 // (starting a flow does so automatically).
 func (o *OST) AddStream(class cluster.StreamClass, fileID int, rpcMB float64) *Stream {
+	st := &Stream{}
+	o.addStream(st, class, fileID, rpcMB)
+	return st
+}
+
+// addStream registers st, a record the caller provides, as AddStream
+// does.
+func (o *OST) addStream(st *Stream, class cluster.StreamClass, fileID int, rpcMB float64) {
 	m := o.model
-	if m.classJobs[class] == nil {
-		m.classJobs[class] = make(map[int]int)
+	if i := m.job(class, fileID); i >= 0 {
+		m.jobs[i].streams++
+	} else {
+		m.jobs = append(m.jobs, ostJob{fileID: fileID, class: int32(class), streams: 1}) // grows to the OST's peak job count
+		m.classJobs[class]++
 	}
-	m.classJobs[class][fileID]++
-	m.classStreams[class]++
 	m.totalStreams++
 	cp := &m.sys.plat.Class[class]
 	eff := float64(cp.BaseMBs * cp.Efficiency(rpcMB))
 	m.sumEffBase += eff
-	return &Stream{ost: o, class: class, fileID: fileID, effBase: eff}
+	m.stale = true
+	*st = Stream{ost: o, class: class, fileID: fileID, effBase: eff}
 }
 
 // Remove deregisters the stream; removing twice is a no-op.
@@ -291,17 +317,23 @@ func (st *Stream) Remove() {
 	}
 	st.removed = true
 	m := st.ost.model
-	m.classJobs[st.class][st.fileID]--
-	if m.classJobs[st.class][st.fileID] <= 0 {
-		delete(m.classJobs[st.class], st.fileID)
+	i := m.job(st.class, st.fileID)
+	if m.jobs[i].streams--; m.jobs[i].streams == 0 {
+		last := len(m.jobs) - 1
+		m.jobs[i] = m.jobs[last]
+		m.jobs = m.jobs[:last]
+		m.classJobs[st.class]--
 	}
-	m.classStreams[st.class]--
 	m.totalStreams--
 	m.sumEffBase -= st.effBase
 	if m.totalStreams == 0 {
 		m.sumEffBase = 0 // clear float residue
 	}
+	m.stale = true
 }
+
+// FlowDone implements flow.DoneHook: the stream's flow has drained.
+func (st *Stream) FlowDone() { st.Remove() }
 
 // WriteReq describes one OST-bound transfer stream for StartWrites.
 type WriteReq struct {
@@ -329,18 +361,31 @@ type WriteReq struct {
 // StartWrites registers a stream on each request's OST, then admits the
 // flows as one flow.Net.StartBatch, so an operation that opens its stripe
 // streams at once costs one coalesced rate solve and completes once.
-// Streams deregister automatically as their flows complete.
+// Each stream is its flow's flow.DoneHook, so streams deregister as their
+// flows complete. The streams, the flow specs and the paths (each
+// request's Via links, then node NIC → backbone → hosting OSS → OST) are
+// one slab each per batch, so a stream costs only its flow's record.
 func (s *System) StartWrites(reqs []WriteReq) *flow.Batch {
 	specs := make([]flow.FlowSpec, len(reqs))
+	streams := make([]Stream, len(reqs))
+	hops := 0
+	for i := range reqs {
+		hops += len(reqs[i].Via) + 4
+	}
+	links := make([]*flow.Link, 0, hops)
 	for i := range reqs {
 		rq := &reqs[i]
-		st := rq.OST.AddStream(rq.Class, rq.FileID, rq.RPCMB)
+		st := &streams[i]
+		rq.OST.addStream(st, rq.Class, rq.FileID, rq.RPCMB)
+		from := len(links)
+		links = append(links, rq.Via...)
+		links = append(links, s.NIC(rq.Node), s.backbone, s.osss[rq.OST.oss], rq.OST.link)
 		specs[i] = flow.FlowSpec{
 			Name:    rq.Name,
 			SizeMB:  rq.SizeMB,
 			MaxRate: rq.MaxRate,
-			OnDone:  st.Remove,
-			Path:    append(append([]*flow.Link{}, rq.Via...), s.PathFromNode(rq.Node, rq.OST)...),
+			OnDone:  st,
+			Path:    links[from:len(links):len(links)],
 		}
 	}
 	return s.net.StartBatch(specs)

@@ -3,6 +3,7 @@ package lustre
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,12 +53,18 @@ func TestTopology(t *testing.T) {
 			t.Errorf("OST %d on OSS %d, want %d", i, got, want)
 		}
 	}
-	path := sys.PathFromNode(3, sys.OST(100))
-	if len(path) != 4 {
-		t.Fatalf("path length = %d, want 4", len(path))
+	// A write crosses its Via links, then node NIC → backbone → hosting
+	// OSS → OST, and nothing else.
+	via := sys.Net().NewLink("via", flow.Const(100))
+	ost := sys.OST(100)
+	sys.StartWrites([]WriteReq{{Name: "w", SizeMB: 1, OST: ost, Node: 3, RPCMB: 1, Via: []*flow.Link{via}}})
+	for _, l := range []*flow.Link{via, sys.NIC(3), sys.Backbone(), sys.OSSLink(ost.OSS()), ost.Link()} {
+		if l.Active() != 1 {
+			t.Errorf("link %s carries %d flows, want 1", l.Name(), l.Active())
+		}
 	}
-	if path[0] != sys.NIC(3) || path[1] != sys.Backbone() {
-		t.Errorf("path head wrong: %v %v", path[0].Name(), path[1].Name())
+	if got := sys.Net().ActiveLinks(); got != 5 {
+		t.Errorf("the write crosses %d links, want 5", got)
 	}
 }
 
@@ -199,6 +206,60 @@ func TestMDSSerializes(t *testing.T) {
 		if math.Abs(finish[i]-w) > 1e-12 {
 			t.Errorf("create %d finished at %v, want %v", i, finish[i], w)
 		}
+	}
+}
+
+// TestMDSCreatesKeepCallOrder: the server completes creates and stats in
+// call order, so each create's caller receives its own layout, here told
+// apart by pinned offsets. A create whose spec fails validation, issued
+// while other creates wait, reaches its own caller at once, before any
+// of them completes, and takes no other caller's place: the creates queued
+// before and after it still get their own layouts.
+func TestMDSCreatesKeepCallOrder(t *testing.T) {
+	eng, sys := newSys(t, testPlat())
+	m := sys.MDS()
+	var got []string
+	eng.StartTask(0, "client", -1, func(tk *sim.Task) {
+		left := 0
+		end := func() {
+			if left--; left == 0 {
+				tk.Finish()
+			}
+		}
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("create%d", i)
+			left += 2
+			m.CreateK(tk, StripeSpec{Count: 2, SizeMB: 1, OffsetOST: 10 * i}, func(f *File, err error) {
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				} else {
+					got = append(got, fmt.Sprintf("%s%v", name, f.Layout.OSTs))
+				}
+				end()
+			})
+			m.StatK(tk, func() {
+				got = append(got, "stat")
+				end()
+			})
+			if i == 1 {
+				m.CreateK(tk, StripeSpec{Count: 161, OffsetOST: -1}, func(f *File, err error) {
+					got = append(got, fmt.Sprintf("rejected@%v", tk.Now()))
+					if err == nil || f != nil {
+						t.Errorf("an invalid spec was accepted: %v", f)
+					}
+				})
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "rejected@0 create0[0 1] stat create1[10 11] stat create2[20 21] stat create3[30 31] stat"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("completions:\n got %s\nwant %s", g, want)
+	}
+	if m.Creates() != 4 {
+		t.Errorf("creates = %d, want 4", m.Creates())
 	}
 }
 

@@ -72,11 +72,33 @@ type File struct {
 // (lscratchc assigns targets "at random, based on current usage, to
 // maintain an approximately even capacity"), or consecutive from a pinned
 // offset when the stripe_offset hint is used.
+//
+// The server is one FIFO slot, so its operations complete in call order.
+// CreateK therefore queues each call's spec and continuation in its own
+// FIFO, and the one continuation it hands the slot, created, bound once,
+// serves the head: a create allocates only its file and its OST list.
 type MDS struct {
 	sys *System
 	res *sim.Resource
 
+	pending   sim.FIFO[mdsCreate] // CreateK calls holding or waiting for the slot, in call order
+	createdFn func()              // m.created
+
 	creates int
+}
+
+// mdsCreate is one CreateK call waiting for its service to end: the
+// normalised spec and the caller's continuation.
+type mdsCreate struct {
+	spec StripeSpec
+	k    func(*File, error)
+}
+
+// newMDS builds the metadata server of sys.
+func newMDS(sys *System) *MDS {
+	m := &MDS{sys: sys, res: sys.eng.NewResource("mds", 1)}
+	m.createdFn = m.created
+	return m
 }
 
 // Creates reports the number of files created (telemetry).
@@ -131,16 +153,25 @@ func (m *MDS) allocate(spec StripeSpec) *File {
 // metadata service time, and delivers the file to k. The spec is
 // normalised against system defaults and validated against the
 // platform's stripe limit; a spec error is delivered synchronously,
-// before any service time is charged.
+// before any service time is charged and before the call is queued, so
+// it reaches k and no other caller. A create that passes validation
+// never fails: k receives an error only synchronously.
 func (m *MDS) CreateK(t *sim.Task, spec StripeSpec, k func(*File, error)) {
 	spec, err := m.normalizeSpec(spec)
 	if err != nil {
 		k(nil, err)
 		return
 	}
-	m.res.UseTask(t, m.sys.plat.MDSOpTime, func() {
-		k(m.allocate(spec), nil)
-	})
+	m.pending.Push(mdsCreate{spec: spec, k: k})
+	m.res.UseTask(t, m.sys.plat.MDSOpTime, m.createdFn)
+}
+
+// created ends the service of the oldest pending create: the slot
+// completes operations in call order, stats included, so the head of
+// pending is the create whose service ended.
+func (m *MDS) created() {
+	c := m.pending.Pop()
+	c.k(m.allocate(c.spec), nil)
 }
 
 // StatK models a cheap metadata query (open of an existing file, unlink,

@@ -10,6 +10,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pfsim/internal/sim"
@@ -225,6 +226,13 @@ type Comm struct {
 	rvs       [2]*rendezvous
 	calls     int
 	collLabel string
+
+	// splitVals and splitComms are the contributions and the result of
+	// the communicator's latest split (see split).
+	splitVals  []float64
+	splitComms []*Comm
+
+	attr any // see Attr
 }
 
 func newComm(w *World, label string, ranks []int) *Comm {
@@ -480,9 +488,32 @@ func packSplit(color, key int) float64 {
 	return float64(float64(color)*(1<<21)) + float64(key+(1<<20))
 }
 
-// split returns each member's new communicator, by comm rank. It builds
-// communicators: once per rank per file-per-process repetition at most.
+// Attr returns the value SetAttr cached on the communicator, or nil.
+func (c *Comm) Attr() any { return c.attr }
+
+// SetAttr caches v on the communicator, as MPI_Comm_set_attr does for a
+// library layered on MPI: MPI-IO keeps a communicator's aggregator links
+// there, so every file opened on it reuses them.
+func (c *Comm) SetAttr(v any) { c.attr = v }
+
+// split returns each member's new communicator, by comm rank. When every
+// member passes the (color, key) it passed to the communicator's latest
+// split, the members get that split's communicators again: a job that
+// splits its world the same way every repetition, as file-per-process IOR
+// does, builds its communicators once. Members leave a communicator's
+// collectives before they enter the next split, so a reused communicator
+// has no collective pending.
 func (c *Comm) split(vals []float64) []*Comm {
+	if c.splitComms != nil && slices.Equal(vals, c.splitVals) {
+		return c.splitComms
+	}
+	c.splitVals = append(c.splitVals[:0], vals...)
+	c.splitComms = c.newSplit(vals)
+	return c.splitComms
+}
+
+// newSplit builds the communicators of a split.
+func (c *Comm) newSplit(vals []float64) []*Comm {
 	type member struct{ color, key, world, rank int }
 	members := make([]member, len(vals))
 	for i, pv := range vals {
@@ -522,7 +553,8 @@ func (c *Comm) split(vals []float64) []*Comm {
 // communicator by (key, world rank) — MPI_Comm_split semantics. Every
 // member must call SplitK; each receives its sub-communicator through k.
 // Unlike the other collectives it allocates: it builds the
-// communicators.
+// communicators, unless the members repeat the latest split's colors and
+// keys, which hands them that split's communicators again.
 func (c *Comm) SplitK(r *Rank, color, key int, k func(*Comm)) {
 	c.collective(r, opSplit, packSplit(color, key), k)
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +138,64 @@ func TestSplitByColor(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRepeatedSplitReusesCommunicators: members that repeat the latest
+// split's colors and keys get that split's communicators again, which
+// still run collectives; any other split builds new ones, and only the
+// latest split is remembered, so returning to an earlier partition builds
+// it afresh.
+func TestRepeatedSplitReusesCommunicators(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewWorld(eng, 8, 16, 0)
+	halves := func(id int) (int, int) { return id % 2, id }
+	quarters := func(id int) (int, int) { return id % 4, id }
+	steps := []splitting{halves, halves, quarters, halves, halves}
+	got := make([][]*Comm, len(steps)) // got[step][world rank]
+	for i := range got {
+		got[i] = make([]*Comm, w.Size())
+	}
+	w.LaunchTasks(func(r *Rank, done func()) {
+		step := 0
+		var next func(*Comm)
+		split := func() {
+			color, key := steps[step](r.ID())
+			w.Comm().SplitK(r, color, key, next)
+		}
+		next = func(sub *Comm) {
+			got[step][r.ID()] = sub
+			sub.AllreduceSumK(r, 1, func(_ *Rank, sum float64) {
+				if int(sum) != sub.Size() {
+					t.Errorf("step %d: rank %d summed %v over %d members", step, r.ID(), sum, sub.Size())
+				}
+				if step++; step == len(steps) {
+					done()
+					return
+				}
+				split()
+			})
+		}
+		split()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < w.Size(); id++ {
+		for i, reused := range []bool{false, true, false, false, true} {
+			if i == 0 {
+				continue
+			}
+			if same := got[i][id] == got[i-1][id]; same != reused {
+				t.Errorf("rank %d: split %d reused split %d's communicator: %v, want %v", id, i, i-1, same, reused)
+			}
+		}
+		if got[3][id] == got[0][id] {
+			t.Errorf("rank %d: returning to the first partition reused its communicator, which a later split replaced", id)
+		}
+		if a, b := got[3][id].WorldRanks(), got[0][id].WorldRanks(); !slices.Equal(a, b) {
+			t.Errorf("rank %d: the first partition rebuilt with members %v, want %v", id, a, b)
+		}
 	}
 }
 

@@ -316,24 +316,26 @@ func (f *File) ret(fr *fileRank, err error) {
 	k(err)
 }
 
-// buildAggregators creates the collective-buffering dispatch links: one
+// buildAggregators sets up the collective-buffering dispatch links: one
 // aggregator on each distinct compute node of the communicator, bounded by
 // the cb_nodes hint. The stripe-aware ad_lustre driver additionally caps
 // aggregators at the stripe count (each OST gets a dedicated owner when
 // possible) and gains the RPC-pipelining factor for wide stripings; the
 // generic ad_ufs driver always uses every node. Capacities carry the
-// stripe-size dispatch efficiency and the system's run-to-run jitter.
+// stripe-size dispatch efficiency and the system's run-to-run jitter,
+// drawn afresh for each open.
+//
+// A communicator keeps one link per node across the files opened on it
+// (see aggregators), so a job that opens a file every repetition does not
+// add links to the net with each one: an open draws each aggregator's
+// capacity and installs it on the node's link, which is idle, since no
+// collective write on the communicator outlives the call that made it.
+// Files open at once on one communicator therefore share its links, at
+// the capacities the latest open drew.
 func (f *File) buildAggregators() {
 	plat := f.sys.Platform()
-	seen := make(map[int]bool)
-	var nodes []int
-	for _, wr := range f.comm.WorldRanks() {
-		n := f.comm.NodeOfWorldRank(wr)
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
+	ag := f.aggregators()
+	nodes := ag.nodes
 	if f.hints.CBNodes > 0 && f.hints.CBNodes < len(nodes) {
 		nodes = nodes[:f.hints.CBNodes]
 	}
@@ -356,12 +358,47 @@ func (f *File) buildAggregators() {
 		}
 		rate *= plat.AggregatorPipelineFactor(f.lf.Layout.StripeCount())
 	}
-	f.aggNodes = nodes
-	f.aggLinks = make([]*flow.Link, len(nodes))
 	for i, n := range nodes {
-		cap := rate * f.sys.RNG().Jitter(plat.JitterCV)
-		f.aggLinks[i] = f.sys.Net().NewLink(fmt.Sprintf("agg:%s:%d", f.name, n), flow.Const(cap))
+		cap := flow.Const(rate * f.sys.RNG().Jitter(plat.JitterCV))
+		if i < len(ag.links) {
+			ag.links[i].SetModel(cap)
+			continue
+		}
+		// Named after the first file that used the link: file names are
+		// unique, so link names are too.
+		ag.links = append(ag.links, f.sys.Net().NewLink(fmt.Sprintf("agg:%s:%d", f.name, n), cap))
 	}
+	f.aggNodes = nodes
+	f.aggLinks = ag.links[:len(nodes)]
+}
+
+// aggregators is a communicator's collective-buffering state, cached on
+// it (mpi.Comm.SetAttr) for the files opened on it: its distinct nodes in
+// comm-rank order, and the dispatch link of each node an open has used,
+// links[i] being nodes[i]'s. Every open takes a prefix of nodes, so links
+// grows to the widest open's prefix.
+type aggregators struct {
+	nodes []int
+	links []*flow.Link
+}
+
+// aggregators returns the communicator's aggregator state, making it on
+// the first open.
+func (f *File) aggregators() *aggregators {
+	if ag, ok := f.comm.Attr().(*aggregators); ok {
+		return ag
+	}
+	ag := &aggregators{}
+	seen := make(map[int]bool)
+	for _, wr := range f.comm.WorldRanks() {
+		n := f.comm.NodeOfWorldRank(wr)
+		if !seen[n] {
+			seen[n] = true
+			ag.nodes = append(ag.nodes, n)
+		}
+	}
+	f.comm.SetAttr(ag)
+	return ag
 }
 
 // WriteAllK performs a collective write: every rank contributes sizeMB.

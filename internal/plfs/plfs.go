@@ -28,15 +28,35 @@ type Container struct {
 	createRes *sim.Resource
 	ready     *sim.Signal
 
+	// A rank's open passes four stages, each a wait that completes in the
+	// order it began: the ready signal wakes its waiters in park order, and
+	// the create lock and the MDS are FIFO servers of one slot. Each stage
+	// queues its opens in call order and resumes them through one method,
+	// bound once in NewContainer, that serves the head of its queue.
+	awaiting, locking, creatingData, creatingIndex sim.FIFO[opening]
+
+	readyFn         func()
+	lockedFn        func()
+	dataFn, indexFn func(*lustre.File, error)
+
 	logs  map[int]*RankLog
 	order []int
+}
+
+// opening is one OpenRankK call in progress: the rank's task, its rank,
+// the caller's continuation and, once created, its data log.
+type opening struct {
+	t    *sim.Task
+	rank int
+	k    func(error)
+	data *lustre.File
 }
 
 // NewContainer prepares a container shell for the given backend file
 // system. Call CreateMetaK from exactly one rank, then OpenRankK from
 // every writing rank.
 func NewContainer(sys *lustre.System, name string) *Container {
-	return &Container{
+	c := &Container{
 		sys:       sys,
 		name:      name,
 		subdirs:   sys.Platform().PLFSSubdirs,
@@ -44,6 +64,8 @@ func NewContainer(sys *lustre.System, name string) *Container {
 		ready:     sys.Engine().NewSignal("plfs-ready:" + name),
 		logs:      make(map[int]*RankLog),
 	}
+	c.readyFn, c.lockedFn, c.dataFn, c.indexFn = c.onReady, c.onLocked, c.onData, c.onIndex
+	return c
 }
 
 // Name returns the container name.
@@ -105,30 +127,65 @@ func (c *Container) OpenRankK(t *sim.Task, rank int, k func(error)) {
 		return
 	}
 	c.logs[rank] = nil // reserved; adoptLog fills it in
-	c.ready.Await(t, func() {
-		c.createRes.UseTask(t, 2*c.sys.Platform().PLFSCreateTime, func() {
-			// The rank's data log, then its index log: hostdir.<subdir>/
-			// dropping.data.<rank> and dropping.index.<rank> in PLFS.
-			c.sys.MDS().CreateK(t, lustre.DefaultSpec(),
-				func(data *lustre.File, err error) {
-					if err != nil {
-						delete(c.logs, rank)
-						k(err)
-						return
-					}
-					c.sys.MDS().CreateK(t, c.indexSpec(),
-						func(index *lustre.File, err error) {
-							if err != nil {
-								delete(c.logs, rank)
-								k(err)
-								return
-							}
-							c.adoptLog(rank, data, index)
-							k(nil)
-						})
-				})
-		})
-	})
+	o := opening{t: t, rank: rank, k: k}
+	if c.ready.Fired() {
+		// Await would run at once, ahead of earlier opens whose wakes are
+		// still pending: go straight to the lock.
+		c.lock(o)
+		return
+	}
+	c.awaiting.Push(o)
+	c.ready.Await(t, c.readyFn)
+}
+
+// onReady resumes the oldest open waiting for the container skeleton.
+func (c *Container) onReady() { c.lock(c.awaiting.Pop()) }
+
+// lock queues o on the container's backend-directory lock.
+func (c *Container) lock(o opening) {
+	c.locking.Push(o)
+	c.createRes.UseTask(o.t, 2*c.sys.Platform().PLFSCreateTime, c.lockedFn)
+}
+
+// onLocked resumes the oldest open holding the lock: it creates the
+// rank's data log, hostdir.<subdir>/dropping.data.<rank> in PLFS.
+func (c *Container) onLocked() {
+	o := c.locking.Pop()
+	c.creatingData.Push(o)
+	c.sys.MDS().CreateK(o.t, lustre.DefaultSpec(), c.dataFn)
+}
+
+// onData receives the oldest pending data log, then creates the rank's
+// index log, dropping.index.<rank>. The MDS delivers an error only
+// synchronously, within the CreateK call, so an error belongs to the
+// open pushed last, never to the head.
+func (c *Container) onData(data *lustre.File, err error) {
+	if err != nil {
+		c.fail(c.creatingData.PopBack(), err)
+		return
+	}
+	o := c.creatingData.Pop()
+	o.data = data
+	c.creatingIndex.Push(o)
+	c.sys.MDS().CreateK(o.t, c.indexSpec(), c.indexFn)
+}
+
+// onIndex receives the oldest pending index log and completes its open.
+// An error is synchronous, as in onData.
+func (c *Container) onIndex(index *lustre.File, err error) {
+	if err != nil {
+		c.fail(c.creatingIndex.PopBack(), err)
+		return
+	}
+	o := c.creatingIndex.Pop()
+	c.adoptLog(o.rank, o.data, index)
+	o.k(nil)
+}
+
+// fail ends o's open with err and frees its rank.
+func (c *Container) fail(o opening, err error) {
+	delete(c.logs, o.rank)
+	o.k(err)
 }
 
 // indexSpec is the single-stripe layout index logs are created with.
@@ -243,13 +300,8 @@ func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, 
 		return nil, nil
 	}
 	plat := c.sys.Platform()
-	type ostShare struct {
-		totalMB float64
-		maxRate float64
-		streams []*lustre.Stream
-	}
-	shares := make(map[int]*ostShare)
-	var ostOrder []int
+	var shares []ostShare
+	at := make(map[int]int) // OST id → index in shares
 	for _, rank := range c.order {
 		rl := c.logs[rank]
 		if rl.closed {
@@ -262,12 +314,13 @@ func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, 
 				continue
 			}
 			id := rl.data.Layout.OSTs[i]
-			sh := shares[id]
-			if sh == nil {
-				sh = &ostShare{}
-				shares[id] = sh
-				ostOrder = append(ostOrder, id)
+			j, ok := at[id]
+			if !ok {
+				j = len(shares)
+				at[id] = j
+				shares = append(shares, ostShare{id: id})
 			}
+			sh := &shares[j]
 			sh.totalMB += mb
 			sh.maxRate += perStream
 			sh.streams = append(sh.streams,
@@ -276,24 +329,36 @@ func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, 
 		rl.writtenMB += perRankMB
 		rl.records += int(perRankMB / transferMB)
 	}
-	specs := make([]flow.FlowSpec, 0, len(ostOrder))
-	for _, id := range ostOrder {
-		sh := shares[id]
-		ost := c.sys.OST(id)
-		streams := sh.streams
-		specs = append(specs, flow.FlowSpec{
-			Name:    fmt.Sprintf("plfs-batch:%s:o%d", c.name, id),
+	specs := make([]flow.FlowSpec, len(shares))
+	for j := range shares {
+		sh := &shares[j]
+		ost := c.sys.OST(sh.id)
+		specs[j] = flow.FlowSpec{
+			Name:    fmt.Sprintf("plfs-batch:%s:o%d", c.name, sh.id),
 			SizeMB:  sh.totalMB,
 			MaxRate: sh.maxRate,
-			OnDone: func() {
-				for _, st := range streams {
-					st.Remove()
-				}
-			},
-			Path: []*flow.Link{c.sys.Backbone(), c.sys.OSSLink(ost.OSS()), ost.Link()},
-		})
+			OnDone:  sh,
+			Path:    []*flow.Link{c.sys.Backbone(), c.sys.OSSLink(ost.OSS()), ost.Link()},
+		}
 	}
 	return specs, nil
+}
+
+// ostShare is one OST's merged flow in a batch write: the summed volume
+// and rate cap of the rank streams it stands for, and those streams,
+// which it deregisters when the flow drains.
+type ostShare struct {
+	id      int
+	totalMB float64
+	maxRate float64
+	streams []*lustre.Stream
+}
+
+// FlowDone implements flow.DoneHook: the merged flow has drained.
+func (sh *ostShare) FlowDone() {
+	for _, st := range sh.streams {
+		st.Remove()
+	}
 }
 
 // ReadK plays the data back: an index merge (in-memory, charged per

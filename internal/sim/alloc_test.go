@@ -135,3 +135,49 @@ func TestDoubleWaitAllocs(t *testing.T) {
 	}
 	d.t.Finish()
 }
+
+// holdCycle is a round of holds on a unit resource with the continuation
+// bound once: one granted at once, two queued behind it, each handed the
+// slot by a release and started at its zero-delay start event.
+type holdCycle struct {
+	r     *Resource
+	t     *Task
+	ended int
+	onEnd func()
+}
+
+func (h *holdCycle) round() {
+	h.r.UseTask(h.t, 1, h.onEnd)   // granted at once
+	h.r.UseTask(h.t, 0.5, h.onEnd) // queued: starts at the first one's end
+	h.r.UseTask(h.t, 0, h.onEnd)   // queued behind it
+	if err := h.t.eng.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestUseTaskCycleAllocs: a UseTask hold, uncontended or queued, and the
+// release that hands its slot on allocate nothing once the resource's
+// queue and held list and the engine's event pool have grown: the hold's
+// continuation and service time wait in the resource's own entries, and
+// its start and end events call methods bound once per resource.
+func TestUseTaskCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	e := NewEngine()
+	h := &holdCycle{r: e.NewResource("mds", 1)}
+	h.onEnd = func() { h.ended++ }
+	e.StartTask(0, "holder", -1, func(tk *Task) { h.t = tk })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.round()
+	allocs := testing.AllocsPerRun(100, h.round)
+	if h.ended != 3*102 {
+		t.Fatalf("%d holds ended over 102 rounds, want %d", h.ended, 3*102)
+	}
+	if allocs != 0 {
+		t.Errorf("a round of holds allocated %.1f times, want 0", allocs)
+	}
+	h.t.Finish()
+}

@@ -3,7 +3,7 @@
 // (time, sequence) order, so simulations are fully deterministic. On top of
 // the raw event queue the package offers simulated processes as inline
 // tasks (Task): resumable state machines whose blocking points — Sleep,
-// Signal.Await, Resource.AcquireTask — are scheduled continuations run by
+// Signal.Await, Resource.UseTask — are scheduled continuations run by
 // the event loop itself, so the engine needs no goroutines and introduces
 // no scheduling nondeterminism.
 //
@@ -499,11 +499,7 @@ func (e *Engine) endRun() { e.running = false }
 func (e *Engine) deadlockErr() error {
 	names := make([]string, 0, e.parked)
 	for _, t := range e.waiting {
-		switch {
-		case !t.parked:
-		case t.queued:
-			names = append(names, t.Name()+" (queued on "+t.res.name+")")
-		default:
+		if t.parked {
 			names = append(names, t.Name()+" (waiting "+t.sig.name()+")")
 		}
 	}

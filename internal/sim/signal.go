@@ -5,8 +5,8 @@ import (
 	"slices"
 )
 
-// waiter is one parked entry in a Signal's waiter list or a Resource's
-// queue: the parked task and the continuation it resumes with.
+// waiter is one parked entry in a Signal's waiter list: the parked task
+// and the continuation it resumes with.
 type waiter struct {
 	t *Task
 	k func()
@@ -49,6 +49,10 @@ func (e *Engine) NewSignalN(label string, id, waiters int) *Signal {
 // caller, so no hot path formats one.
 func (s *Signal) name() string { return lazyName(s.label, s.id) }
 
+// Fired reports whether the signal has fired (and not been re-armed
+// since): whether Await would run its continuation at once.
+func (s *Signal) Fired() bool { return s.fired }
+
 // Fire marks the signal fired and schedules every waiter to resume at the
 // current time, in park order. Firing twice is a no-op. The emptied
 // waiter list keeps its capacity for a re-armed signal (see Rearm).
@@ -87,19 +91,33 @@ func (s *Signal) grow() {
 
 // Resource is a counted resource with a FIFO wait queue — used for servers
 // that admit a bounded number of concurrent operations (e.g. the Lustre
-// metadata server).
+// metadata server). Every hold is a UseTask: the holder's service time and
+// continuation sit in entries the resource owns, and its two events, the
+// start of a handed-on hold and the end of a service, call methods bound
+// once in NewResource, so a hold allocates nothing.
 type Resource struct {
 	eng      *Engine
-	name     string
 	capacity int
+	// inUse counts the slots held: holds in service, and holds a release
+	// handed a slot to whose start event has not fired (starting, the
+	// first entries of queue).
 	inUse    int
-	// queue[head:] are the waiting tasks in FIFO order. Release pops
-	// through head and clears the slot; the queue rewinds to its start
-	// when it drains, and compacts instead of growing when its front
-	// half is spent, so a long-contended resource allocates for its
-	// peak depth, not for every acquire.
-	queue []waiter
-	head  int
+	starting int
+	// queue holds the waiting holds in arrival order, each with its
+	// service time; held the holds in service, in grant order, each with
+	// the virtual time its service ends.
+	queue FIFO[hold]
+	held  []hold
+
+	startFn func() // r.start
+	endFn   func() // r.end
+}
+
+// hold is one UseTask call: the continuation to run when its service
+// ends, and its service time while it waits or its end time once granted.
+type hold struct {
+	k func()
+	d float64
 }
 
 // NewResource creates a resource admitting capacity concurrent holders.
@@ -107,43 +125,108 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
 	}
-	return &Resource{eng: e, name: name, capacity: capacity}
+	r := &Resource{eng: e, capacity: capacity}
+	r.startFn, r.endFn = r.start, r.end
+	return r
 }
 
-// Release frees a slot, waking the head of the queue if any. The slot
-// transfers directly to the woken waiter, preserving FIFO fairness.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
+// grant starts h's service: its end event fires after h.d seconds, and
+// h.d becomes the end time.
+func (r *Resource) grant(h hold) {
+	h.d = r.eng.Schedule(h.d, r.endFn).Time()
+	r.held = append(r.held, h) // grows to the capacity at most
+}
+
+// start grants the slot a release handed on to the head of the queue: the
+// zero-delay start event the release scheduled. Start events fire in the
+// order the releases scheduled them, which is the queue's order.
+func (r *Resource) start() {
+	r.starting--
+	r.grant(r.queue.Pop())
+}
+
+// end finishes the hold whose service ends now, releases its slot and
+// runs its continuation. End events fire in (time, sequence) order, and a
+// hold's end is scheduled as it joins held, so the first hold in held that
+// ends at the clock is the one whose event fires; any that ended earlier
+// has left already.
+func (r *Resource) end() {
+	i := 0
+	for r.held[i].d != r.eng.now {
+		i++
 	}
-	if r.head < len(r.queue) {
-		next := r.queue[r.head]
-		r.queue[r.head] = waiter{}
-		if r.head++; r.head == len(r.queue) {
-			r.queue, r.head = r.queue[:0], 0
-		}
-		next.t.unpark()
-		r.eng.Schedule(0, next.k)
-		return // slot stays accounted to the woken waiter
+	k := r.held[i].k
+	r.held = slices.Delete(r.held, i, i+1)
+	r.release()
+	k()
+}
+
+// release frees a slot, handing it to the first waiting hold not yet
+// handed one, if any: the slot stays accounted to that hold, which starts
+// at a zero-delay event, preserving FIFO fairness.
+func (r *Resource) release() {
+	if r.queue.Len() > r.starting {
+		r.starting++
+		r.eng.Schedule(0, r.startFn)
+		return
 	}
 	r.inUse--
-}
-
-// enqueue appends a waiter at the queue's tail. A full queue whose front
-// half has been popped slides its waiters to the start rather than
-// growing, which bounds its capacity by a small multiple of the peak
-// number of waiters.
-func (r *Resource) enqueue(w waiter) {
-	if n := len(r.queue); n == cap(r.queue) && r.head > 0 && 2*r.head >= n {
-		live := copy(r.queue, r.queue[r.head:])
-		clear(r.queue[live:])
-		r.queue, r.head = r.queue[:live], 0
-	}
-	r.queue = append(r.queue, w)
 }
 
 // InUse reports the number of held slots.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of waiting tasks.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
+// QueueLen reports the number of holds waiting for a slot.
+func (r *Resource) QueueLen() int { return r.queue.Len() - r.starting }
+
+// FIFO is a first-in first-out queue that allocates for its peak depth,
+// not for every push: it rewinds to its start when it drains, and a full
+// queue whose front half has been popped slides its entries down instead
+// of growing, which bounds its capacity by a small multiple of the peak
+// number of entries. The zero value is an empty queue.
+type FIFO[T any] struct {
+	q    []T
+	head int
+}
+
+// Push appends v at the tail.
+func (f *FIFO[T]) Push(v T) {
+	if n := len(f.q); n == cap(f.q) && f.head > 0 && 2*f.head >= n {
+		live := copy(f.q, f.q[f.head:])
+		clear(f.q[live:])
+		f.q, f.head = f.q[:live], 0
+	}
+	f.q = append(f.q, v)
+}
+
+// Pop removes and returns the head. The queue must not be empty.
+func (f *FIFO[T]) Pop() T {
+	v := f.q[f.head]
+	var zero T
+	f.q[f.head] = zero
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// PopBack removes and returns the entry pushed last. The queue must not
+// be empty.
+func (f *FIFO[T]) PopBack() T {
+	n := len(f.q) - 1
+	v := f.q[n]
+	var zero T
+	f.q[n] = zero
+	f.q = f.q[:n]
+	if f.head == n {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// Len reports the number of queued entries.
+func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
+
+// Cap reports the entries the queue has room for before it grows: its
+// retained size.
+func (f *FIFO[T]) Cap() int { return cap(f.q) }

@@ -278,19 +278,16 @@ func TestResourceFIFO(t *testing.T) {
 	var order []string
 	for i := 0; i < 3; i++ {
 		e.StartTask(float64(i)*0.001, "c", i, func(tk *Task) { // staggered arrivals
-			r.AcquireTask(tk, func() {
+			r.UseTask(tk, 1, func() {
 				order = append(order, fmt.Sprintf("%s@%.3f", tk.Name(), tk.Now()))
-				tk.Sleep(1, func() {
-					r.Release()
-					tk.Finish()
-				})
+				tk.Finish()
 			})
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(order, " "), "c0@0.000 c1@1.000 c2@2.000"; got != want {
+	if got, want := strings.Join(order, " "), "c0@1.000 c1@2.000 c2@3.000"; got != want {
 		t.Errorf("order = %q, want %q", got, want)
 	}
 	if r.InUse() != 0 || r.QueueLen() != 0 {
@@ -338,10 +335,11 @@ func TestResourcePanics(t *testing.T) {
 	r := e.NewResource("ok", 1)
 	defer func() {
 		if recover() == nil {
-			t.Error("want panic for idle release")
+			t.Error("want panic for a NaN service time")
 		}
 	}()
-	r.Release()
+	e.StartTask(0, "nan", -1, func(tk *Task) { r.UseTask(tk, math.NaN(), tk.Finish) })
+	e.Run()
 }
 
 // TestNestedTask: a task may start another and wait for it to signal.

@@ -17,11 +17,9 @@ type Task struct {
 	eng   *Engine
 	label string
 	id    int // >= 0: appended to label on demand (lazy spawn names)
-	// sig or, when queued is set, res is what the task last waited on;
-	// parked says whether it waits now (see park).
+	// sig is the signal the task last waited on; parked says whether it
+	// waits now (see park).
 	sig    *Signal
-	res    *Resource
-	queued bool
 	parked bool
 	done   bool
 	// listed is 0 before the task's first park and after Finish, else one
@@ -78,11 +76,11 @@ func lazyName(label string, id int) string {
 	return label + strconv.Itoa(id)
 }
 
-// park records that the task waits on sig or, when sig is nil, queues on
-// res. A task parked already records the new wait, so the deadlock report
-// names its latest one. Its first park lists the task with the engine,
-// once until Finish; later parks and wakes only set and clear a flag.
-func (t *Task) park(sig *Signal, res *Resource) {
+// park records that the task waits on sig. A task parked already records
+// the new wait, so the deadlock report names its latest one. Its first
+// park lists the task with the engine, once until Finish; later parks and
+// wakes only set and clear a flag.
+func (t *Task) park(sig *Signal) {
 	e := t.eng
 	if t.listed == 0 {
 		e.waiting = append(e.waiting, t) // grows to the peak population of parked-once, unfinished tasks
@@ -92,13 +90,7 @@ func (t *Task) park(sig *Signal, res *Resource) {
 		t.parked = true
 		e.parked++
 	}
-	// One pointer store, not two: while the collector runs, each pays a
-	// write barrier. The other field keeps an earlier wait, unread.
-	if sig != nil {
-		t.sig, t.queued = sig, false
-	} else {
-		t.res, t.queued = res, true
-	}
+	t.sig = sig
 }
 
 // unpark ends the task's park, if it is parked. Any wake ends the park,
@@ -134,7 +126,7 @@ func (s *Signal) Await(t *Task, k func()) {
 		k()
 		return
 	}
-	t.park(s, nil)
+	t.park(s)
 	n := len(s.waiters)
 	if n == cap(s.waiters) {
 		s.grow()
@@ -143,28 +135,22 @@ func (s *Signal) Await(t *Task, k func()) {
 	s.waiters[n] = waiter{t: t, k: k}
 }
 
-// AcquireTask grants the task a slot, running k once one is free, FIFO
-// order. An uncontended acquire runs k synchronously. The holder must call
-// Release when done.
-func (r *Resource) AcquireTask(t *Task, k func()) {
-	if r.inUse < r.capacity && r.head == len(r.queue) {
+// UseTask acquires the resource, holds it for service seconds, releases,
+// and then runs k — the fixed-cost-server pattern on the MDS hot path. An
+// uncontended call schedules the end of its service at once; a contended
+// one waits in the resource's FIFO queue until a release hands it the
+// slot, and its service starts at that zero-delay start event. The hold's
+// continuation and service time wait in the resource's own entries, so a
+// call allocates nothing once the queue has grown to its peak depth.
+//
+// The task is not parked while it queues: every hold ends, so a queue
+// always drains, and a queued task cannot be what deadlocks a run.
+func (r *Resource) UseTask(t *Task, service float64, k func()) {
+	h := hold{k: k, d: service}
+	if r.inUse < r.capacity && r.queue.Len() == 0 {
 		r.inUse++
-		k()
+		r.grant(h)
 		return
 	}
-	r.enqueue(waiter{t: t, k: k})
-	t.park(nil, r)
-}
-
-// UseTask acquires the resource, holds it for service seconds, releases,
-// and then runs k — the fixed-cost-server pattern on the MDS hot path.
-func (r *Resource) UseTask(t *Task, service float64, k func()) {
-	// Two closures per Use: the continuation-passing form of the caller's
-	// frame.
-	r.AcquireTask(t, func() {
-		t.Sleep(service, func() {
-			r.Release()
-			k()
-		})
-	})
+	r.queue.Push(h)
 }

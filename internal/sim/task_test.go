@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -62,41 +63,75 @@ func TestTaskAwaitFiredIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestResourceMixedFIFO alternates UseTask holders with tasks that
-// acquire and release by hand through a capacity-1 resource: slots must be
-// granted strictly in arrival order, with the uncontended first arrival
-// taking the synchronous fast path.
+// TestResourceMixedFIFO alternates long and short holds through a
+// capacity-1 resource: slots must be granted strictly in arrival order,
+// whatever each hold's service time, with the uncontended first arrival
+// granted at once.
 func TestResourceMixedFIFO(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource("mds", 1)
 	var order []string
 	for i := 0; i < 4; i++ {
-		i := i
+		service := 1.0
+		if i%2 == 1 {
+			service = 0.25
+		}
 		e.StartTask(float64(i)*0.001, "t", i, func(tk *Task) {
-			if i%2 == 0 {
-				r.UseTask(tk, 1, func() {
-					order = append(order, tk.Name())
-					tk.Finish()
-				})
-				return
+			r.UseTask(tk, service, func() {
+				order = append(order, fmt.Sprintf("%s@%g", tk.Name(), tk.Now()))
+				tk.Finish()
+			})
+			if i == 0 && r.InUse() != 1 {
+				t.Errorf("the first arrival was not granted at once: %d slots held", r.InUse())
 			}
-			r.AcquireTask(tk, func() {
-				tk.Sleep(1, func() {
-					r.Release()
-					order = append(order, tk.Name())
-					tk.Finish()
-				})
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "t0@1 t1@1.25 t2@2.25 t3@2.5"; got != want {
+		t.Errorf("order = %q, want %q", got, want)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Errorf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
+	}
+}
+
+// TestResourceOwnEndTimes: a capacity-2 resource whose holds have unequal
+// service times resumes each caller's own continuation at that caller's
+// own end time, though the holds end in another order than they began:
+// the resource, not a closure per call, remembers whose service ends.
+// Holds that end at one instant resume in grant order, and a release
+// hands its slot to the head of the queue.
+func TestResourceOwnEndTimes(t *testing.T) {
+	e := NewEngine()
+	r := e.NewResource("pair", 2)
+	type call struct {
+		name            string
+		arrive, service float64
+	}
+	calls := []call{
+		{"a", 0, 3},   // [0, 3]
+		{"b", 0, 1},   // [0, 1]
+		{"c", 0, 1},   // [1, 2], b's slot
+		{"d", 0, 2},   // [2, 4], c's slot
+		{"e", 0.5, 1}, // [3, 4], a's slot: ends with d, granted after it
+		{"f", 0.5, 0}, // [4, 4], d's slot
+	}
+	var got []string
+	for _, c := range calls {
+		e.StartTask(c.arrive, c.name, -1, func(tk *Task) {
+			r.UseTask(tk, c.service, func() {
+				got = append(got, fmt.Sprintf("%s@%g", tk.Name(), tk.Now()))
+				tk.Finish()
 			})
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(order, " "), "t0 t1 t2 t3"; got != want {
-		t.Errorf("order = %q, want %q", got, want)
-	}
-	if e.Now() != 4 {
-		t.Errorf("last release at %v, want 4 (four serialized 1 s holds)", e.Now())
+	if got, want := strings.Join(got, " "), "b@1 c@2 a@3 d@4 e@4 f@4"; got != want {
+		t.Errorf("holds ended %q, want %q", got, want)
 	}
 	if r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Errorf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
@@ -104,11 +139,13 @@ func TestResourceMixedFIFO(t *testing.T) {
 }
 
 // TestTaskDeadlockReport: every stuck task appears in the deadlock error
-// exactly once, sorted by name, with what it waits or queues on. A task
-// that parked twice is reported with its latest wait; a task woken from a
-// signal that then queued on a resource is reported with the resource.
-// A task that parked, woke and finished before the deadlock is absent, and
-// so is one that was woken and then slept without finishing.
+// exactly once, sorted by name, with the signal it waits on. A task that
+// parked twice is reported with its latest wait; a task woken from a
+// signal that then held a resource and waits on another signal is
+// reported with the latter. A task that parked, woke and finished before
+// the deadlock is absent, and so are one that was woken and then slept
+// without finishing and one that queued on a resource: every hold ends,
+// so a resource queue never deadlocks.
 func TestTaskDeadlockReport(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSignal("never")
@@ -129,12 +166,12 @@ func TestTaskDeadlockReport(t *testing.T) {
 		s.Await(tk, tk.Finish)
 	})
 	e.StartTask(0, "b-holder", -1, func(tk *Task) {
-		r.AcquireTask(tk, func() {
-			s.Await(tk, tk.Finish) // holds the slot forever
+		r.UseTask(tk, 1, func() {
+			s.Await(tk, tk.Finish)
 		})
 	})
-	e.StartTask(0, "c-task", -1, func(tk *Task) {
-		r.AcquireTask(tk, tk.Finish)
+	e.StartTask(0, "c-queued", -1, func(tk *Task) {
+		r.UseTask(tk, 0.25, tk.Finish) // queues behind b-holder, done at 1.25
 	})
 	e.StartTask(0, "d-twice", -1, func(tk *Task) {
 		s.Await(tk, tk.Finish)
@@ -142,7 +179,9 @@ func TestTaskDeadlockReport(t *testing.T) {
 	})
 	e.StartTask(0, "e-woken", -1, func(tk *Task) {
 		start.Await(tk, func() {
-			r.AcquireTask(tk, tk.Finish)
+			r.UseTask(tk, 0.5, func() {
+				later.Await(tk, tk.Finish)
+			})
 		})
 	})
 	e.StartTask(1.5, "f-starter", -1, func(tk *Task) {
@@ -153,12 +192,11 @@ func TestTaskDeadlockReport(t *testing.T) {
 	if err == nil {
 		t.Fatal("want deadlock error")
 	}
-	want := "sim: deadlock at t=1.500000: 5 blocked process(es): [" +
+	want := "sim: deadlock at t=2.000000: 4 blocked process(es): [" +
 		"a-task7 (waiting never) " +
 		"b-holder (waiting never) " +
-		"c-task (queued on narrow) " +
 		"d-twice (waiting later) " +
-		"e-woken (queued on narrow)]"
+		"e-woken (waiting later)]"
 	if got := err.Error(); got != want {
 		t.Errorf("deadlock report:\n got %q\nwant %q", got, want)
 	}
@@ -270,15 +308,15 @@ func TestSignalRearm(t *testing.T) {
 	s.Rearm("world-coll-", 4)
 }
 
-// resourceCycler is one task taking a unit resource rounds times: acquire,
-// hold for one second, release. Its continuations are bound once, so the
-// only allocations a cycle can make are the resource's and the engine's.
+// resourceCycler is one task taking a unit resource rounds times: hold
+// it for one second, then take it again. Its continuation is bound once,
+// so the only allocations a cycle can make are the resource's and the
+// engine's.
 type resourceCycler struct {
-	t       *Task
-	r       *Resource
-	left    int
-	onGrant func()
-	onHeld  func()
+	t      *Task
+	r      *Resource
+	left   int
+	onHeld func()
 }
 
 func (c *resourceCycler) cycle() {
@@ -287,14 +325,7 @@ func (c *resourceCycler) cycle() {
 		return
 	}
 	c.left--
-	c.r.AcquireTask(c.t, c.onGrant)
-}
-
-func (c *resourceCycler) granted() { c.t.Sleep(1, c.onHeld) }
-
-func (c *resourceCycler) held() {
-	c.r.Release()
-	c.cycle()
+	c.r.UseTask(c.t, 1, c.onHeld)
 }
 
 // resourceCycleAllocs returns the allocations of tasks cyclers contending
@@ -306,7 +337,7 @@ func resourceCycleAllocs(tasks, rounds int) float64 {
 		for i := 0; i < tasks; i++ {
 			e.StartTask(0, "c", i, func(tk *Task) {
 				c := &resourceCycler{t: tk, r: r, left: rounds}
-				c.onGrant, c.onHeld = c.granted, c.held
+				c.onHeld = c.cycle
 				c.cycle()
 			})
 		}
