@@ -131,7 +131,7 @@ func TestStartWritesAllocsPerStream(t *testing.T) {
 		reqs := make([]WriteReq, n)
 		for i := range reqs {
 			reqs[i] = WriteReq{Name: "w", SizeMB: 1, OST: sys.OST(3 * i), Node: i % 4,
-				Class: cluster.ClassCollective, FileID: 1, RPCMB: 1, Via: []*flow.Link{via}}
+				Class: cluster.ClassCollective, FileID: 1, RPCMB: 1, Via: via}
 		}
 		return testing.AllocsPerRun(10, func() {
 			sys.StartWrites(reqs)

@@ -183,7 +183,7 @@ func (o *OST) Health() float64 { return o.model.health }
 // has grown to the OST's peak job count. A solve reads the capacity of
 // every OST its component crosses, but the value moves only when a stream
 // joins or leaves the OST or its health changes, so the model keeps it
-// until AddStream, Remove or SetHealth marks it stale.
+// until JoinStream, LeaveStream or SetHealth marks it stale.
 type ostModel struct {
 	sys          *System
 	jitter       float64
@@ -283,18 +283,18 @@ type Stream struct {
 	removed bool
 }
 
-// AddStream registers a stream of the given class for file fileID writing
-// RPCs of rpcMB to this OST. Callers must trigger a network recompute
-// (starting a flow does so automatically).
-func (o *OST) AddStream(class cluster.StreamClass, fileID int, rpcMB float64) *Stream {
-	st := &Stream{}
-	o.addStream(st, class, fileID, rpcMB)
-	return st
+// addStream registers st, a record the caller provides, as a stream of
+// the given class for file fileID writing RPCs of rpcMB to this OST; a
+// batch that opens many streams keeps them in one slab. Callers must
+// trigger a network recompute (starting a flow does so automatically).
+func (o *OST) addStream(st *Stream, class cluster.StreamClass, fileID int, rpcMB float64) {
+	*st = Stream{ost: o, class: class, fileID: fileID, effBase: o.JoinStream(class, fileID, rpcMB)}
 }
 
-// addStream registers st, a record the caller provides, as AddStream
-// does.
-func (o *OST) addStream(st *Stream, class cluster.StreamClass, fileID int, rpcMB float64) {
+// JoinStream registers a stream as addStream does, but keeps no record
+// of it: it returns the stream's service base, which the caller hands to
+// LeaveStream with the stream's class and file when it ends.
+func (o *OST) JoinStream(class cluster.StreamClass, fileID int, rpcMB float64) (effBase float64) {
 	m := o.model
 	if i := m.job(class, fileID); i >= 0 {
 		m.jobs[i].streams++
@@ -307,7 +307,25 @@ func (o *OST) addStream(st *Stream, class cluster.StreamClass, fileID int, rpcMB
 	eff := float64(cp.BaseMBs * cp.Efficiency(rpcMB))
 	m.sumEffBase += eff
 	m.stale = true
-	*st = Stream{ost: o, class: class, fileID: fileID, effBase: eff}
+	return eff
+}
+
+// LeaveStream deregisters a stream JoinStream registered.
+func (o *OST) LeaveStream(class cluster.StreamClass, fileID int, effBase float64) {
+	m := o.model
+	i := m.job(class, fileID)
+	if m.jobs[i].streams--; m.jobs[i].streams == 0 {
+		last := len(m.jobs) - 1
+		m.jobs[i] = m.jobs[last]
+		m.jobs = m.jobs[:last]
+		m.classJobs[class]--
+	}
+	m.totalStreams--
+	m.sumEffBase -= effBase
+	if m.totalStreams == 0 {
+		m.sumEffBase = 0 // clear float residue
+	}
+	m.stale = true
 }
 
 // Remove deregisters the stream; removing twice is a no-op.
@@ -316,20 +334,7 @@ func (st *Stream) Remove() {
 		return
 	}
 	st.removed = true
-	m := st.ost.model
-	i := m.job(st.class, st.fileID)
-	if m.jobs[i].streams--; m.jobs[i].streams == 0 {
-		last := len(m.jobs) - 1
-		m.jobs[i] = m.jobs[last]
-		m.jobs = m.jobs[:last]
-		m.classJobs[st.class]--
-	}
-	m.totalStreams--
-	m.sumEffBase -= st.effBase
-	if m.totalStreams == 0 {
-		m.sumEffBase = 0 // clear float residue
-	}
-	m.stale = true
+	st.ost.LeaveStream(st.class, st.fileID, st.effBase)
 }
 
 // FlowDone implements flow.DoneHook: the stream's flow has drained.
@@ -353,9 +358,9 @@ type WriteReq struct {
 	RPCMB float64
 	// MaxRate optionally caps the stream (MB/s); <= 0 = uncapped.
 	MaxRate float64
-	// Via optionally prepends links to the path (e.g. an aggregator's
-	// dispatch link).
-	Via []*flow.Link
+	// Via optionally prepends a link to the path (e.g. an aggregator's
+	// dispatch link); nil for none.
+	Via *flow.Link
 }
 
 // StartWrites registers a stream on each request's OST, then admits the
@@ -363,14 +368,16 @@ type WriteReq struct {
 // streams at once costs one coalesced rate solve and completes once.
 // Each stream is its flow's flow.DoneHook, so streams deregister as their
 // flows complete. The streams, the flow specs and the paths (each
-// request's Via links, then node NIC → backbone → hosting OSS → OST) are
+// request's Via link, then node NIC → backbone → hosting OSS → OST) are
 // one slab each per batch, so a stream costs only its flow's record.
 func (s *System) StartWrites(reqs []WriteReq) *flow.Batch {
 	specs := make([]flow.FlowSpec, len(reqs))
 	streams := make([]Stream, len(reqs))
-	hops := 0
+	hops := 4 * len(reqs)
 	for i := range reqs {
-		hops += len(reqs[i].Via) + 4
+		if reqs[i].Via != nil {
+			hops++
+		}
 	}
 	links := make([]*flow.Link, 0, hops)
 	for i := range reqs {
@@ -378,7 +385,9 @@ func (s *System) StartWrites(reqs []WriteReq) *flow.Batch {
 		st := &streams[i]
 		rq.OST.addStream(st, rq.Class, rq.FileID, rq.RPCMB)
 		from := len(links)
-		links = append(links, rq.Via...)
+		if rq.Via != nil {
+			links = append(links, rq.Via)
+		}
 		links = append(links, s.NIC(rq.Node), s.backbone, s.osss[rq.OST.oss], rq.OST.link)
 		specs[i] = flow.FlowSpec{
 			Name:    rq.Name,

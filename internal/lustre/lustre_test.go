@@ -29,6 +29,13 @@ func newSys(t *testing.T, plat *cluster.Platform) (*sim.Engine, *System) {
 	return eng, sys
 }
 
+// newStream registers a stream of its own on o.
+func newStream(o *OST, class cluster.StreamClass, fileID int, rpcMB float64) *Stream {
+	st := &Stream{}
+	o.addStream(st, class, fileID, rpcMB)
+	return st
+}
+
 // startedFlows collects the flows a net admits, in admission order.
 type startedFlows []*flow.Flow
 
@@ -57,7 +64,7 @@ func TestTopology(t *testing.T) {
 	// OSS → OST, and nothing else.
 	via := sys.Net().NewLink("via", flow.Const(100))
 	ost := sys.OST(100)
-	sys.StartWrites([]WriteReq{{Name: "w", SizeMB: 1, OST: ost, Node: 3, RPCMB: 1, Via: []*flow.Link{via}}})
+	sys.StartWrites([]WriteReq{{Name: "w", SizeMB: 1, OST: ost, Node: 3, RPCMB: 1, Via: via}})
 	for _, l := range []*flow.Link{via, sys.NIC(3), sys.Backbone(), sys.OSSLink(ost.OSS()), ost.Link()} {
 		if l.Active() != 1 {
 			t.Errorf("link %s carries %d flows, want 1", l.Name(), l.Active())
@@ -302,7 +309,7 @@ func TestOSTModelSingleStream(t *testing.T) {
 	plat := sys.Platform()
 
 	// Sequential stream at full efficiency.
-	st := ost.AddStream(cluster.ClassSequential, 1, 1)
+	st := newStream(ost, cluster.ClassSequential, 1, 1)
 	if got := ost.model.Capacity(1); math.Abs(got-plat.Class[cluster.ClassSequential].BaseMBs) > 1e-9 {
 		t.Errorf("sequential capacity = %v, want %v", got, plat.Class[cluster.ClassSequential].BaseMBs)
 	}
@@ -313,7 +320,7 @@ func TestOSTModelSingleStream(t *testing.T) {
 	}
 
 	// Collective stream with 1 MB RPCs pays the RPC-efficiency cost.
-	st = ost.AddStream(cluster.ClassCollective, 2, 1)
+	st = newStream(ost, cluster.ClassCollective, 2, 1)
 	coll := plat.Class[cluster.ClassCollective]
 	want := coll.BaseMBs * coll.Efficiency(1)
 	if got := ost.model.Capacity(1); math.Abs(got-want) > 1e-9 {
@@ -331,7 +338,7 @@ func TestOSTModelIntraJobNoThrash(t *testing.T) {
 	coll := plat.Class[cluster.ClassCollective]
 	var streams []*Stream
 	for i := 0; i < 32; i++ {
-		streams = append(streams, ost.AddStream(cluster.ClassCollective, 7, 16))
+		streams = append(streams, newStream(ost, cluster.ClassCollective, 7, 16))
 	}
 	want := coll.BaseMBs * coll.Efficiency(16)
 	if got := ost.model.Capacity(32); math.Abs(got-want) > 1e-9 {
@@ -354,7 +361,7 @@ func TestOSTModelCrossJobThrash(t *testing.T) {
 	// k independent collective jobs: capacity = base*eff/(1+γ(k-1)).
 	var streams []*Stream
 	for k := 1; k <= 4; k++ {
-		streams = append(streams, ost.AddStream(cluster.ClassCollective, 100+k, 16))
+		streams = append(streams, newStream(ost, cluster.ClassCollective, 100+k, 16))
 		want := coll.BaseMBs * coll.Efficiency(16) / (1 + coll.ThrashGamma*float64(k-1))
 		if got := ost.model.Capacity(k); math.Abs(got-want) > 1e-9 {
 			t.Errorf("k=%d jobs: capacity = %v, want %v", k, got, want)
@@ -377,7 +384,7 @@ func TestOSTModelLogAppendCollapse(t *testing.T) {
 	base := sys.Platform().Class[cluster.ClassLogAppend].BaseMBs
 	var at6, at17, at30 float64
 	for k := 1; k <= 30; k++ {
-		ost.AddStream(cluster.ClassLogAppend, 200+k, 1)
+		newStream(ost, cluster.ClassLogAppend, 200+k, 1)
 		switch k {
 		case 6:
 			at6 = ost.model.Capacity(k)
@@ -469,7 +476,7 @@ func TestJitterVariesAcrossSystems(t *testing.T) {
 	capFor := func(seed uint64) float64 {
 		sys := MustNewSystem(sim.NewEngine(), plat, stats.NewRNG(seed))
 		ost := sys.OST(0)
-		ost.AddStream(cluster.ClassSequential, 1, 1)
+		newStream(ost, cluster.ClassSequential, 1, 1)
 		return ost.model.Capacity(1)
 	}
 	a, b := capFor(1), capFor(2)
@@ -483,9 +490,9 @@ func TestJitterVariesAcrossSystems(t *testing.T) {
 
 func TestStreamSnapshot(t *testing.T) {
 	_, sys := newSys(t, testPlat())
-	sys.OST(10).AddStream(cluster.ClassLogAppend, 1, 1)
-	sys.OST(10).AddStream(cluster.ClassLogAppend, 2, 1)
-	sys.OST(20).AddStream(cluster.ClassCollective, 3, 16)
+	newStream(sys.OST(10), cluster.ClassLogAppend, 1, 1)
+	newStream(sys.OST(10), cluster.ClassLogAppend, 2, 1)
+	newStream(sys.OST(20), cluster.ClassCollective, 3, 16)
 	snap := sys.StreamSnapshot()
 	if snap[10] != 2 || snap[20] != 1 || snap[0] != 0 {
 		t.Errorf("snapshot wrong: [10]=%d [20]=%d [0]=%d", snap[10], snap[20], snap[0])

@@ -41,24 +41,30 @@ func (l Layout) OSTForStripe(i int) int { return l.OSTs[i%len(l.OSTs)] }
 // OSTs carry one extra stripe, the final partial stripe lands after them.
 // The returned slice is indexed like l.OSTs and sums to totalMB.
 func (l Layout) BytesPerOST(totalMB float64) []float64 {
-	n := len(l.OSTs)
-	out := make([]float64, n)
-	if totalMB <= 0 || n == 0 {
-		return out
-	}
-	full := int(totalMB / l.SizeMB)
-	rem := totalMB - float64(float64(full)*l.SizeMB)
-	for i := 0; i < n; i++ {
-		perOST := full / n
-		if i < full%n {
-			perOST++
-		}
-		out[i] = float64(perOST) * l.SizeMB
-	}
-	if rem > 0 {
-		out[full%n] += rem
+	out := make([]float64, len(l.OSTs))
+	for i := range out {
+		out[i] = l.BytesOnOST(i, totalMB)
 	}
 	return out
+}
+
+// BytesOnOST returns BytesPerOST(totalMB)[i] without building the slice.
+func (l Layout) BytesOnOST(i int, totalMB float64) float64 {
+	if totalMB <= 0 {
+		return 0
+	}
+	n := len(l.OSTs)
+	full := int(totalMB / l.SizeMB)
+	rem := totalMB - float64(float64(full)*l.SizeMB)
+	perOST := full / n
+	if i < full%n {
+		perOST++
+	}
+	mb := float64(float64(perOST) * l.SizeMB)
+	if rem > 0 && i == full%n {
+		mb += rem
+	}
+	return mb
 }
 
 // File is a created file with its layout.

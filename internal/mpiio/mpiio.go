@@ -151,7 +151,7 @@ func NewFile(sys *lustre.System, comm *mpi.Comm, name string, driver Driver, hin
 		driver:  driver,
 		hints:   hints,
 		ranks:   make([]fileRank, comm.Size()),
-		openSig: sys.Engine().NewSignal("open:" + name),
+		openSig: sys.Engine().NewSignalN("open:"+name, -1, comm.Size()-1),
 	}
 	f.next, f.nextVal, f.nextErr = f.resume, f.resumeVal, f.resumeErr
 	return f
@@ -546,7 +546,7 @@ func (f *File) collectiveReqs(totalMB float64) []lustre.WriteReq {
 			Class:  cluster.ClassCollective,
 			FileID: f.lf.ID,
 			RPCMB:  rpc,
-			Via:    []*flow.Link{f.aggLinks[agg]},
+			Via:    f.aggLinks[agg],
 		})
 	}
 	domain := totalMB / float64(A)

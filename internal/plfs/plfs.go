@@ -41,6 +41,11 @@ type Container struct {
 
 	logs  map[int]*RankLog
 	order []int
+
+	// shareOf indexes a batch write's shares by OST id, one more than
+	// the share's index, 0 for an OST the batch has not touched; every
+	// batch write resets the entries it set.
+	shareOf []int32
 }
 
 // opening is one OpenRankK call in progress: the rank's task, its rank,
@@ -292,6 +297,14 @@ func (c *Container) BatchWriteK(t *sim.Task, perRankMB, transferMB float64, k fu
 // batchSpecs merges the per-rank log streams into one flow spec per OST
 // and accounts the written volume — BatchWriteK's synchronous body. A nil,
 // nil return means nothing to write.
+//
+// The shares are numbered in the order the ranks first touch their OSTs,
+// and the rank streams join their OSTs in rank order, so each OST sums
+// its streams' service in that order and each share removes them in it.
+// The first pass over the ranks sums the shares; the second joins the
+// streams and records each share's ranks' data logs in its own run of
+// one pointer-free slab per batch, so a batch allocates per OST, not per
+// rank, and the collector has nothing to scan in what it keeps.
 func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, error) {
 	if perRankMB < 0 || transferMB <= 0 {
 		return nil, fmt.Errorf("plfs: bad batch write size=%v transfer=%v", perRankMB, transferMB)
@@ -299,65 +312,91 @@ func (c *Container) batchSpecs(perRankMB, transferMB float64) ([]flow.FlowSpec, 
 	if perRankMB == 0 || len(c.order) == 0 {
 		return nil, nil
 	}
-	plat := c.sys.Platform()
-	var shares []ostShare
-	at := make(map[int]int) // OST id → index in shares
 	for _, rank := range c.order {
-		rl := c.logs[rank]
-		if rl.closed {
+		if c.logs[rank].closed {
 			return nil, fmt.Errorf("plfs: batch write with closed log (rank %d)", rank)
 		}
-		perOST := rl.data.Layout.BytesPerOST(perRankMB)
-		perStream := plat.PLFSRankMBs / float64(len(perOST))
-		for i, mb := range perOST {
+	}
+	if c.shareOf == nil {
+		c.shareOf = make([]int32, c.sys.NumOSTs())
+	}
+	plat := c.sys.Platform()
+	var shares []ostShare
+	streams := 0
+	for _, rank := range c.order {
+		layout := &c.logs[rank].data.Layout
+		perStream := plat.PLFSRankMBs / float64(len(layout.OSTs))
+		for i, id := range layout.OSTs {
+			mb := layout.BytesOnOST(i, perRankMB)
 			if mb <= 0 {
 				continue
 			}
-			id := rl.data.Layout.OSTs[i]
-			j, ok := at[id]
-			if !ok {
-				j = len(shares)
-				at[id] = j
-				shares = append(shares, ostShare{id: id})
+			j := c.shareOf[id] - 1
+			if j < 0 {
+				j = int32(len(shares))
+				c.shareOf[id] = j + 1
+				shares = append(shares, ostShare{ost: c.sys.OST(id)})
 			}
 			sh := &shares[j]
 			sh.totalMB += mb
 			sh.maxRate += perStream
-			sh.streams = append(sh.streams,
-				c.sys.OST(id).AddStream(cluster.ClassLogAppend, rl.data.ID, transferMB))
+			sh.ranks++
+			streams++
+		}
+	}
+	slab := make([]int, streams)
+	for j := range shares {
+		sh := &shares[j]
+		sh.files, slab = slab[:0:sh.ranks], slab[sh.ranks:]
+	}
+	for _, rank := range c.order {
+		rl := c.logs[rank]
+		layout := &rl.data.Layout
+		for i, id := range layout.OSTs {
+			if layout.BytesOnOST(i, perRankMB) <= 0 {
+				continue
+			}
+			sh := &shares[c.shareOf[id]-1]
+			sh.files = append(sh.files, rl.data.ID)
+			sh.effBase = sh.ost.JoinStream(cluster.ClassLogAppend, rl.data.ID, transferMB)
 		}
 		rl.writtenMB += perRankMB
 		rl.records += int(perRankMB / transferMB)
 	}
 	specs := make([]flow.FlowSpec, len(shares))
+	links := make([]*flow.Link, 0, 3*len(shares))
 	for j := range shares {
 		sh := &shares[j]
-		ost := c.sys.OST(sh.id)
+		c.shareOf[sh.ost.ID()] = 0
+		from := len(links)
+		links = append(links, c.sys.Backbone(), c.sys.OSSLink(sh.ost.OSS()), sh.ost.Link())
 		specs[j] = flow.FlowSpec{
-			Name:    fmt.Sprintf("plfs-batch:%s:o%d", c.name, sh.id),
+			Name:    fmt.Sprintf("plfs-batch:%s:o%d", c.name, sh.ost.ID()),
 			SizeMB:  sh.totalMB,
 			MaxRate: sh.maxRate,
 			OnDone:  sh,
-			Path:    []*flow.Link{c.sys.Backbone(), c.sys.OSSLink(ost.OSS()), ost.Link()},
+			Path:    links[from:len(links):len(links)],
 		}
 	}
 	return specs, nil
 }
 
 // ostShare is one OST's merged flow in a batch write: the summed volume
-// and rate cap of the rank streams it stands for, and those streams,
-// which it deregisters when the flow drains.
+// and rate cap of the ranks' streams it stands for, and what it needs to
+// deregister those streams, in rank order, when the flow drains.
 type ostShare struct {
-	id      int
+	ost     *lustre.OST
+	ranks   int // the ranks with a stream on the OST
 	totalMB float64
 	maxRate float64
-	streams []*lustre.Stream
+	effBase float64 // every rank stream's: one class, one RPC size
+	files   []int   // the ranks' data logs, in rank order
 }
 
 // FlowDone implements flow.DoneHook: the merged flow has drained.
 func (sh *ostShare) FlowDone() {
-	for _, st := range sh.streams {
-		st.Remove()
+	for _, f := range sh.files {
+		sh.ost.LeaveStream(cluster.ClassLogAppend, f, sh.effBase)
 	}
 }
 

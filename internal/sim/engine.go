@@ -10,14 +10,15 @@
 // The queue has two parts. A binary heap holds events strictly in the
 // future of the clock when they are scheduled; an append-only FIFO lane
 // holds events whose (clamped) fire time equals the clock at scheduling —
-// collective wakes, resource hand-offs, zero-delay continuations — which
-// are the large majority in collective-heavy workloads and would otherwise
-// each pay an O(log n) heap trip. The split keeps (time, sequence) order
-// exactly: a heap event due at the current instant was scheduled before
-// the clock reached it, so its sequence number is below every lane
-// entry's, and the lane is in sequence order by construction. RunUntil
-// therefore fires the heap's events due now, then drains the lane, and
-// only then advances the clock.
+// broadcast wakes, resource hand-offs, zero-delay continuations — which
+// would otherwise each pay an O(log n) heap trip. A broadcast is one lane
+// event however many waiters its Fire resumes: the event runs their
+// continuations in park order (see Signal), and Stats.Woken counts them.
+// The split keeps (time, sequence) order exactly: a heap event due at the
+// current instant was scheduled before the clock reached it, so its
+// sequence number is below every lane entry's, and the lane is in
+// sequence order by construction. RunUntil therefore fires the heap's
+// events due now, then drains the lane, and only then advances the clock.
 //
 // Neither part holds a pointer. Event records live in a slab of chunks
 // that never move; the heap, the lane and the free list hold int32 slots
@@ -25,7 +26,8 @@
 // the collector runs, every pointer store pays a write barrier, and a heap
 // sift, a lane append or a recycle would otherwise store several. The
 // queue's only pointer store per event is the callback's: ScheduleAt
-// stores it and recycle clears it.
+// stores it and recycle clears it. The queue of pending broadcasts holds
+// one pointer per broadcast, its signal, not one per waiter.
 package sim
 
 import (
@@ -106,6 +108,10 @@ type Engine struct {
 	// simulation (the flow solver's flush-per-instant churn) schedules
 	// events without touching the heap allocator.
 	free []int32
+	// bcasts holds the broadcasts whose wake event has not fired, in the
+	// order of their events; every such event calls wakeFn (e.wake).
+	bcasts FIFO[broadcast]
+	wakeFn func()
 
 	stats Stats
 
@@ -124,9 +130,10 @@ type Engine struct {
 // hook cancellation watchers use to bound their wall-clock latency in
 // the unit that actually passes wall-clock time (events processed), with
 // zero effect on the simulation: no events are injected, virtual time
-// and event order are untouched. fn must not mutate simulation state;
-// reading external conditions and calling Stop is the intended use.
-// n <= 0 or a nil fn removes the hook.
+// and event order are untouched. A broadcast counts as one event however
+// many waiters it resumes. fn must not mutate simulation state; reading
+// external conditions and calling Stop is the intended use. n <= 0 or a
+// nil fn removes the hook.
 func (e *Engine) SetPoll(n int, fn func()) {
 	if n <= 0 || fn == nil {
 		e.pollEvery, e.pollFn, e.pollCount = 0, nil, 0
@@ -139,7 +146,9 @@ func (e *Engine) SetPoll(n int, fn func()) {
 // exactly one queue, so LaneEvents + HeapPushes == Scheduled, and every
 // scheduled event is eventually fired, cancelled or still pending:
 // Scheduled == Fired + Cancelled + Pending(). Reschedule moves an event
-// without creating one; it is counted in Rescheduled only.
+// without creating one; it is counted in Rescheduled only. A Signal.Fire
+// that wakes waiters schedules one event however many it wakes: Woken
+// counts the waiters, so the work a broadcast resumes stays counted.
 type Stats struct {
 	Scheduled   int64 // events created by Schedule/ScheduleAt
 	Fired       int64 // callbacks run by RunUntil
@@ -147,6 +156,7 @@ type Stats struct {
 	Rescheduled int64 // successful Reschedule calls
 	LaneEvents  int64 // scheduled events routed to the same-instant lane
 	HeapPushes  int64 // scheduled events routed to the future-event heap
+	Woken       int64 // waiters resumed by Signal.Fire
 }
 
 // Add folds o's counters into s: the work of several engines summed.
@@ -157,13 +167,18 @@ func (s *Stats) Add(o Stats) {
 	s.Rescheduled += o.Rescheduled
 	s.LaneEvents += o.LaneEvents
 	s.HeapPushes += o.HeapPushes
+	s.Woken += o.Woken
 }
 
 // Stats returns the engine's work counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // NewEngine returns an engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.wakeFn = e.wake
+	return e
+}
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -412,7 +427,9 @@ func (e *Engine) Cancel(ev *Event) {
 // Stop makes the next (or current) Run return before firing another event.
 // A Stop issued before Run starts is honoured: Run returns immediately
 // without executing anything. Each Run/RunUntil return consumes at most one
-// stop request, so the engine can be resumed afterwards.
+// stop request, so the engine can be resumed afterwards. A broadcast is one
+// event: a Stop from a continuation it resumed takes effect after its last
+// waiter has run.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether a stop request is pending.

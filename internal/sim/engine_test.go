@@ -99,10 +99,21 @@ func TestRunUntilNeverRewindsClock(t *testing.T) {
 
 // TestStatsExactCounts pins the engine's work counters on a fixed script
 // that touches both queues: same-instant wakes, future events, a cancel
-// in each queue and a reschedule in each direction.
+// in each queue and a reschedule in each direction, and two Fires, of a
+// signal three tasks wait on and of one a single task waits on, each
+// one event.
 func TestStatsExactCounts(t *testing.T) {
 	e := NewEngine()
+	three, one := e.NewSignal("three"), e.NewSignal("one")
+	// Four start events, in the lane.
+	for i := 0; i < 3; i++ {
+		e.StartTask(0, "w", i, func(tk *Task) { three.Await(tk, tk.Finish) })
+	}
+	e.StartTask(0, "v", -1, func(tk *Task) { one.Await(tk, tk.Finish) })
+
 	e.Schedule(1, func() { // heap
+		three.Fire()                              // a broadcast: lane
+		one.Fire()                                // a single wake: lane
 		e.Schedule(0, func() {})                  // lane
 		e.Schedule(1e-300, func() {})             // rounds to now: lane
 		e.Cancel(e.Schedule(0, func() {}))        // lane, cancelled
@@ -114,12 +125,12 @@ func TestStatsExactCounts(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Scheduled: 8, Fired: 6, Cancelled: 2, Rescheduled: 2, LaneEvents: 4, HeapPushes: 4}
+	want := Stats{Scheduled: 14, Fired: 12, Cancelled: 2, Rescheduled: 2, LaneEvents: 10, HeapPushes: 4, Woken: 4}
 	if got := e.Stats(); got != want {
 		t.Errorf("stats = %+v\nwant    %+v", got, want)
 	}
-	if e.Now() != 3 {
-		t.Errorf("now = %v, want 3 (the moved event's time)", e.Now())
+	if e.Now() != 3 || e.LiveTasks() != 0 {
+		t.Errorf("now = %v with %d tasks live, want 3 (the moved event's time) and none", e.Now(), e.LiveTasks())
 	}
 }
 

@@ -16,19 +16,39 @@ type waiter struct {
 // the current virtual time (in deterministic order). Awaiting an
 // already-fired signal does not block.
 //
-// A signal that has fired and has no waiters left can be re-armed
-// (Rearm) and used again under a new name: its waiter list keeps the
-// capacity it grew to, so a caller that recycles one signal per
-// rendezvous — MPI collectives, MPI-IO operations — parks and wakes
-// ranks without allocating. Rearm panics on a signal that has not
-// fired, or whose waiter list is not empty: re-arming either would merge
-// two rendezvous, waking a waiter of the old one on the new one's Fire.
+// A Fire that wakes waiters is one engine event however many it wakes,
+// scheduled at the Fire: it runs their continuations in park order.
+// Anything one of them schedules at that instant is sequenced after the
+// broadcast, as it would be after one event per waiter, so continuations
+// run in the same order and at the same times either way. Three things count the
+// broadcast as one event: Stats.Fired and LaneEvents (Stats.Woken counts
+// the waiters), SetPoll's count, and Stop — a Stop issued by a
+// continuation the broadcast resumed takes effect after its last waiter.
+//
+// A signal that has fired can be re-armed (Rearm) and used again under
+// a new name: its waiter list keeps the capacity it grew to, so a caller
+// that recycles one signal per rendezvous — MPI collectives, MPI-IO
+// operations — parks and wakes ranks without allocating. A signal may be
+// re-armed before its broadcast has run: tasks that await it then queue
+// behind the woken waiters and wait for the next Fire.
 type Signal struct {
-	eng     *Engine
-	label   string
-	id      int // >= 0: appended to label on demand (see NewSignalN)
-	fired   bool
+	eng   *Engine
+	label string
+	id    int // >= 0: appended to label on demand (see NewSignalN)
+	fired bool
+	// waiters holds the signal's tasks in park order. The first woken
+	// entries are tasks a Fire has woken whose broadcast has not run yet
+	// (see Engine.wake); the rest wait for the next Fire. An int32 beside
+	// fired keeps a signal in 64 bytes.
+	woken   int32
 	waiters []waiter
+}
+
+// broadcast is one Fire's pending wake: the signal and how many waiters,
+// at the front of its list, the wake resumes.
+type broadcast struct {
+	s *Signal
+	n int32
 }
 
 // NewSignal creates a named signal on the engine.
@@ -39,8 +59,10 @@ func (e *Engine) NewSignal(name string) *Signal {
 // NewSignalN creates a signal named label+id with room for waiters
 // parked tasks. Like a task's, the name is formatted only when a deadlock
 // report reads it: an MPI communicator re-arms its collective signals
-// under a fresh id per call, and knows how many ranks will wait on them,
-// so their waiter lists never grow by doubling.
+// under a fresh id per call. A caller that knows how many tasks will
+// wait — an MPI communicator's collectives, an MPI-IO file's open and
+// operations — sizes the waiter list once, so it never grows by
+// doubling.
 func (e *Engine) NewSignalN(label string, id, waiters int) *Signal {
 	return &Signal{eng: e, label: label, id: id, waiters: make([]waiter, 0, waiters)}
 }
@@ -53,30 +75,55 @@ func (s *Signal) name() string { return lazyName(s.label, s.id) }
 // since): whether Await would run its continuation at once.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire marks the signal fired and schedules every waiter to resume at the
-// current time, in park order. Firing twice is a no-op. The emptied
-// waiter list keeps its capacity for a re-armed signal (see Rearm).
+// Fire marks the signal fired, unparks every waiter and schedules them
+// to resume at the current time, in park order, as one broadcast (see
+// Signal). Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	for i, w := range s.waiters {
-		w.t.unpark()
-		s.eng.Schedule(0, w.k)
-		s.waiters[i] = waiter{}
+	w := s.waiters[s.woken:]
+	if len(w) == 0 {
+		return
 	}
-	s.waiters = s.waiters[:0]
+	e := s.eng
+	e.stats.Woken += int64(len(w))
+	for i := range w {
+		w[i].t.unpark()
+	}
+	s.woken += int32(len(w))
+	e.bcasts.Push(broadcast{s: s, n: int32(len(w))})
+	e.Schedule(0, e.wakeFn)
+}
+
+// wake is a broadcast's event: it resumes the waiters of the oldest
+// pending broadcast, in park order. Broadcasts wake in the order of their
+// Fires, so a broadcast's waiters are the first entries of its signal's
+// list when it runs; entries behind them parked after a Rearm. The emptied
+// list keeps its capacity for a re-armed signal.
+func (e *Engine) wake() {
+	b := e.bcasts.Pop()
+	s := b.s
+	for i := int32(0); i < b.n; i++ {
+		s.waiters[i].k() // re-read: a continuation may park on s again and grow its list
+	}
+	w := s.waiters
+	left := copy(w, w[b.n:])
+	clear(w[left:])
+	s.waiters = w[:left]
+	s.woken -= b.n
 }
 
 // Rearm makes a fired signal unfired again, named label+id from now on,
-// formatted lazily as NewSignalN's names are. The signal must have fired
-// and have no waiters: every task woken by its last Fire has been
-// scheduled, and none has parked since (Await on a fired signal runs its
-// continuation without parking).
+// formatted lazily as NewSignalN's names are. It may run before the
+// broadcast of the last Fire has: tasks that park on the signal from now
+// on queue behind the woken ones and wait for the next Fire. Rearm panics
+// on a signal that has not fired: re-arming it would merge two
+// rendezvous, waking a waiter of the old one on the new one's Fire.
 func (s *Signal) Rearm(label string, id int) {
-	if !s.fired || len(s.waiters) > 0 {
-		panic("sim: re-armed a signal that has not fired or still has waiters")
+	if !s.fired {
+		panic("sim: re-armed a signal that has not fired")
 	}
 	s.fired = false
 	s.label, s.id = label, id
