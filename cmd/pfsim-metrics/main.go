@@ -79,6 +79,8 @@ func printSolverStats(w io.Writer, writers int) error {
 	t.AddRow("component flows scanned", inc.ComponentFlowsScanned, ref.ComponentFlowsScanned)
 	t.AddRow("link visits", inc.LinkVisits, ref.LinkVisits)
 	t.AddRow("rate-fixing rounds", inc.Rounds, ref.Rounds)
+	t.AddRow("resumed solves", inc.ResumedSolves, ref.ResumedSolves)
+	t.AddRow("replayed rounds", inc.ReplayedRounds, ref.ReplayedRounds)
 	t.AddRow("flows scanned", inc.FlowsScanned, ref.FlowsScanned)
 	t.AddRow("flows settled", inc.FlowsSettled, ref.FlowsSettled)
 	t.AddRow("heap ops", inc.HeapOps, ref.HeapOps)

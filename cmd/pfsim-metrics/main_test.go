@@ -15,15 +15,17 @@ const golden64 = `Solver work: 64 file-per-process writers (128 flows)
   solves                   148          212
   components solved        147          212
   component flows scanned  9148         13046
-  link visits              43842        2513264
-  rate-fixing rounds       437          609
-  flows scanned            9170         38997
+  link visits              33698        2513264
+  rate-fixing rounds       301          609
+  resumed solves           64           0
+  replayed rounds          136          0
+  flows scanned            5934         38997
   flows settled            2095         2095
   heap ops                 2485         0
   link-share heap ops      0            0
   coalesced recomputes     108          0
 
-flows scanned per round: 21.0 incremental vs 64.0 reference (full rescan would pay 128)
+flows scanned per round: 19.7 incremental vs 64.0 reference (full rescan would pay 128)
 flows per component solve: 62.2 incremental vs 61.5 reference (the whole population)
 heap ops per solve: 16.8 (the pre-heap completion scan paid 128 flow touches per solve)
 `

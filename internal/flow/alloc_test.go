@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pfsim/internal/sim"
 )
@@ -27,6 +28,9 @@ type steadyInput struct {
 	step float64
 	// drains is the number of flows that retire per cycle.
 	drains int
+	// resumes is set when every steady solve resumes from its component's
+	// last one.
+	resumes bool
 }
 
 // pairLinks builds nLinks disjoint single-link components, each with two
@@ -95,6 +99,21 @@ func drainingCapped(n *Net) []*Link {
 		n.Start(fmt.Sprintf("d%d", i), maxRate*(float64(i)+0.5), maxRate, l)
 	}
 	return []*Link{l}
+}
+
+// resumingCapped is drainingCapped behind a tighter link: two uncapped
+// flows cross a 10 MB/s link and the drained one, so every solve fixes
+// the capped flows at their caps under the 10 MB/s link's 5 MB/s share,
+// then that link's flows, and only then saturates the drained link. A
+// retirement from the drained link perturbs it alone, so each re-solve
+// replays the first two rounds and runs the last.
+func resumingCapped(n *Net) []*Link {
+	links := drainingCapped(n)
+	tight := n.NewLink("tight", Const(10))
+	for i := range 2 {
+		n.Start(fmt.Sprintf("tight%d", i), 1e12, 0, tight, links[0])
+	}
+	return append(links, tight)
 }
 
 // stallLinks is pairLinks(4) plus a link carrying one flow, so a
@@ -172,6 +191,18 @@ var steadyInputs = []steadyInput{
 		step:   1,
 		drains: 1,
 	},
+	{
+		// Departures only: a retirement perturbs the drained link, and the
+		// phase reinstalls the models it has, so every solve replays the
+		// rounds before that link's saturation and runs the rest.
+		name:    "resuming",
+		mode:    defaultMode,
+		build:   resumingCapped,
+		phases:  [][]CapacityModel{{Const(1000), Const(10)}},
+		step:    1,
+		drains:  1,
+		resumes: true,
+	},
 }
 
 // TestSolverSteadyStateAllocs pins the hot-path discipline end to end:
@@ -222,6 +253,11 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 		}
 		if in.mode.heapRounds == 0 && !in.mode.reference && n.Stats().ShareHeapOps == before.ShareHeapOps {
 			t.Errorf("%s: no share-heap operations", in.name)
+		}
+		s := n.Stats()
+		if solved, resumed := s.ComponentsSolved-before.ComponentsSolved, s.ResumedSolves-before.ResumedSolves; in.resumes && (resumed != solved || s.Rounds == before.Rounds) {
+			t.Errorf("%s: %d of %d steady solves resumed, running %d rounds: want every one, and rounds run",
+				in.name, resumed, solved, s.Rounds-before.Rounds)
 		}
 	}
 }
@@ -325,13 +361,14 @@ func TestBridgeCycleAllocs(t *testing.T) {
 
 // TestSolveScratchHoldsNoPointers: the scratch a component solve's rounds
 // write — its links' slot state, the live list, the candidates, the flow
-// index, the touched list and the link-share heap — holds no pointer, so
+// index, the touched list, the link-share heap and the replay's sort of
+// flows by round — holds no pointer, so
 // appending, compacting or sifting an entry pays no GC write barrier. Each
 // one's element type is walked through arrays and struct fields, and a
 // pointer, interface, func, map, slice, string, channel or unsafe pointer
 // anywhere in it fails.
 func TestSolveScratchHoldsNoPointers(t *testing.T) {
-	for _, field := range []string{"slots", "live", "cand", "idx", "touched", "shares.at", "shares.pos"} {
+	for _, field := range []string{"slots", "live", "cand", "idx", "touched", "shares.at", "shares.pos", "byRound"} {
 		typ := reflect.TypeOf(solveCtx{})
 		for _, name := range strings.Split(field, ".") {
 			f, ok := typ.FieldByName(name)
@@ -484,6 +521,90 @@ func TestAdmissionAllocsPerFlow(t *testing.T) {
 		if want := 1.0; perFlow < want || perFlow >= want+0.5 {
 			t.Errorf("%s: %.3f allocations per admitted flow, want %v (its record) and less than %v more",
 				mode.name, perFlow, want, 0.5)
+		}
+	}
+}
+
+// TestRecordSizes: the solve's records ride in the per-flow and per-link
+// records without growing them. A flow fills its 176-byte size class, so
+// one more field would cost 16 bytes per flow; a link is 104 bytes, the
+// cost of each entry of a NewLinks slab.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got > 176 {
+		t.Errorf("a Flow is %d bytes, want at most 176", got)
+	}
+	if got := unsafe.Sizeof(Link{}); got > 104 {
+		t.Errorf("a Link is %d bytes, want at most 104", got)
+	}
+}
+
+// retainedRoom records the capacity of every slice of v, a struct, by
+// field path, walking nested structs.
+func retainedRoom(prefix string, v reflect.Value, room map[string]int) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Slice:
+			room[name] = f.Cap()
+		case reflect.Struct:
+			retainedRoom(name+".", f, room)
+		}
+	}
+}
+
+// TestRetainedSolverStateBounded: the room a net keeps does not grow with
+// the work it does. A departure-heavy schedule runs for 2 and for 4
+// periods: a period is 40 bursts of 48 flows over eight thrashing links
+// of distinct capacities, which saturate in distinct rounds, and a shared
+// one. Each burst is a component that drains one flow at a time, so most
+// solves resume, and that dies before the next burst. Every
+// slice of the solve scratch, the replay's included, the component
+// registry, the work queue, the completion heap, the staged re-keys and
+// the completion and solve scratch keep the same capacity after both.
+// The registry compacts its dead entries within the first period.
+func TestRetainedSolverStateBounded(t *testing.T) {
+	for _, mode := range []solverMode{defaultMode, heapMode, refMode} {
+		room := func(periods int) map[string]int {
+			e := sim.NewEngine()
+			n := NewNet(e)
+			n.UseReferenceSolver(mode.reference)
+			n.heapRounds, n.heapLinks = mode.heapRounds, mode.heapLinks
+			backbone := n.NewLink("backbone", Const(1e4))
+			osts := n.NewLinks("ost", 8, nil)
+			for k, l := range osts {
+				l.SetModel(Thrash{Base: float64(40 + 20*k), Gamma: 0.05})
+			}
+			specs := make([]FlowSpec, 48)
+			for i := range specs {
+				specs[i] = FlowSpec{Name: "w", SizeMB: float64(1 + i), Path: []*Link{osts[i%8], backbone}}
+				if i%6 == 0 {
+					specs[i].MaxRate = 3
+				}
+			}
+			for i := range 40 * periods {
+				e.Schedule(float64(100*i), func() { n.StartBatch(specs) })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s := n.Stats(); !mode.reference && s.ResumedSolves*2 < s.ComponentsSolved {
+				t.Errorf("%s: %d of %d solves resumed, want most", mode.name, s.ResumedSolves, s.ComponentsSolved)
+			}
+			room := map[string]int{
+				"comps":         cap(n.comps),
+				"work":          cap(n.work),
+				"completions":   cap(n.completions),
+				"dueChanged":    cap(n.dueChanged),
+				"doneScratch":   cap(n.doneScratch),
+				"solvedScratch": cap(n.solvedScratch),
+			}
+			retainedRoom("ctx.", reflect.ValueOf(n.ctx), room)
+			return room
+		}
+		two, four := room(2), room(4)
+		t.Logf("%s: room after 2 periods %v", mode.name, two)
+		if !reflect.DeepEqual(two, four) {
+			t.Errorf("%s: the net keeps room for %v after 2 periods and %v after 4", mode.name, two, four)
 		}
 	}
 }

@@ -107,3 +107,75 @@ func TestBatchesEndingTogetherWakeInAdmissionOrder(t *testing.T) {
 		}
 	}
 }
+
+// doneCounter is a DoneHook that counts the flows it is told of.
+type doneCounter int
+
+func (d *doneCounter) FlowDone() { *d++ }
+
+// TestDrainedFlowsLetGo: a drained flow drops its hook once told and its
+// batch once counted off, so the finished flows that linger in the active
+// list and in their component's list keep no batch, done signal, waiter
+// or hook alive. Observers still see every flow finish before the batch's
+// wait ends.
+func TestDrainedFlowsLetGo(t *testing.T) {
+	for _, mode := range []solverMode{defaultMode, refMode} {
+		e := sim.NewEngine()
+		n := NewNet(e)
+		n.UseReferenceSolver(mode.reference)
+		obs := &countingObserver{}
+		n.Observe(obs)
+		l := n.NewLink("l", Const(100))
+		var hooks doneCounter
+		specs := make([]FlowSpec, 8)
+		for i := range specs {
+			specs[i] = FlowSpec{Name: fmt.Sprintf("f%d", i), SizeMB: float64(100 * (i + 1)), OnDone: &hooks, Path: []*Link{l}}
+		}
+		b := n.StartBatch(specs)
+		seen := -1
+		e.StartTask(0, "wait", -1, func(tk *sim.Task) {
+			b.Await(tk, func() {
+				seen = obs.finished
+				tk.Finish()
+			})
+		})
+		// lingering checks the finished flows still listed and counts them.
+		lingering := func(when string) int {
+			lists := [][]*Flow{n.activeFlows}
+			for _, c := range n.comps {
+				if !c.dead {
+					lists = append(lists, c.flows)
+				}
+			}
+			k := 0
+			for _, list := range lists {
+				for _, f := range list {
+					if !f.finished {
+						continue
+					}
+					k++
+					if f.batch != nil || f.onDone != nil {
+						t.Errorf("%s: %s: finished flow %s still holds its batch (%v) or its hook (%v)",
+							mode.name, when, f.Name(), f.batch != nil, f.onDone != nil)
+					}
+				}
+			}
+			return k
+		}
+		if err := e.RunUntil(16); err != nil {
+			t.Fatal(err)
+		}
+		if k := lingering("mid-run"); k < 4 {
+			t.Errorf("%s: mid-run, %d finished flows linger in the lists, want one per list for each of the first two", mode.name, k)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if k := lingering("after the run"); k == 0 {
+			t.Errorf("%s: no finished flow lingers after the run", mode.name)
+		}
+		if hooks != 8 || seen != 8 {
+			t.Errorf("%s: %d hooks told, and the batch's wait ended with %d flows seen finished: want 8 and 8", mode.name, hooks, seen)
+		}
+	}
+}

@@ -66,6 +66,26 @@
 //     finds the scan's minimum bits and saturated set, so the choice moves
 //     cost (Stats.LinkVisits, Stats.ShareHeapOps), never rates.
 //
+//   - Resumed re-solves: a solve after departures refills its component
+//     from the first round a departure can change, not from round 0. Each
+//     solve records the round that fixed each flow, the first round whose
+//     saturated set held each link, and the capacity each link read. The
+//     next solve replays the recorded fixes of every round before the
+//     earliest first saturation of a perturbed link — one a departed flow
+//     crossed, or one whose capacity reads differently — and runs
+//     progressive filling from there. The replay is exact: before that
+//     round a perturbed link's share is no lower than in the last solve
+//     (its capacity and residual are no lower, and it has fewer unfixed
+//     flows), so it stays above each round's saturation limit, and every
+//     other link has the same capacity, flows and fixes. Each replayed
+//     round thus has the same minimum bits, saturated set and capped
+//     batch, minus departed flows, and charges every residual the same
+//     subtractions in the same order. A joining flow, a capped order to
+//     re-sort or a capacity that fell restarts the solve from round 0. A
+//     PLFS storm's solves run hundreds of rounds and a departure perturbs
+//     the last few, so nearly all are replayed (Stats.ResumedSolves,
+//     Stats.ReplayedRounds).
+//
 //   - Completion heap: the next completion event comes from an indexed
 //     min-heap of flow completion times, re-keyed only when a solve
 //     assigns a flow a different finish time and rebuilt wholesale when
@@ -161,11 +181,20 @@ func (t Thrash) Capacity(streams int) float64 {
 // sorts afresh (Stats.CappedSorted). Leaving flows keep it sorted: the
 // solve drops finished flows from the list, so a solve after retirements
 // sorts nothing.
+//
+// A component solve records what it fixed (see solveComponent), and the
+// next solve replays the rounds before resume from those records: resume
+// starts at the solve's round count, a retirement lowers it to the first
+// saturation round of the departed flow's links, and a joining flow sets
+// it to 0.
 type component struct {
 	flows  []*Flow // flows in admission order; finished ones linger until they are half of it
 	capped []*Flow // the capped flows in (maxRate, seq) order while sorted holds; finished ones linger until the next solve
 	done   int     // finished flows still in flows
 	nlinks int     // links its unfinished flows cross, which size a solve's scratch
+
+	base   int64 // the last solve's first epoch, round 0's stamp
+	resume int32 // the round the next solve runs progressive filling from
 
 	dirty  bool // needs a re-solve at the next flush
 	queued bool // already on Net.work
@@ -179,19 +208,29 @@ type Link struct {
 	model CapacityModel
 	net   *Net
 
-	active  int        // flows currently crossing the link
 	comp    *component // owning component; nil while idle
 	carried float64    // MB settled so far (telemetry; see Carried)
+	active  int32      // flows currently crossing the link
+	index   int32      // position in its NewLinks set, or -1 for a NewLink link
 
 	// scratch used during rate computation
-	listed    int64   // solve epoch that last gave the link a slot
-	slot      int32   // the link's slot in the solve that listed it (see solveCtx)
-	saturated bool    // reference solver: saturated this round
-	residual  float64 // reference solver: capacity not yet taken by fixed flows
-	unfixed   int     // reference solver: flows crossing the link not yet fixed
+	listed int64 // solve epoch that last gave the link a slot
+	slot   int32 // the link's slot in the solve that listed it (see solveCtx)
 
-	index int32 // position in its NewLinks set, or -1 for a NewLink link
+	// What its component's last solve recorded of the link, which the next
+	// one resumes from (see solveComponent): the first round whose
+	// saturated set held it (noRound if none did) and the capacity it read.
+	satRound int32
+	capRead  float64
+
+	residual  float64 // reference solver: capacity not yet taken by fixed flows
+	unfixed   int32   // reference solver: flows crossing the link not yet fixed
+	saturated bool    // reference solver: saturated this round
 }
+
+// noRound is Link.satRound for a link no round of its component's last
+// solve saturated.
+const noRound = math.MaxInt32
 
 // Name returns the link's name. A member of a NewLinks set is named its
 // set's prefix and its index, formatted here: only reports read names.
@@ -203,7 +242,7 @@ func (l *Link) Name() string {
 }
 
 // Active reports the number of flows currently crossing the link.
-func (l *Link) Active() int { return l.active }
+func (l *Link) Active() int { return int(l.active) }
 
 // Carried reports the cumulative MB transported over the link. Accrual is
 // lazy, so the read settles the link's in-flight flows up to the current
@@ -247,9 +286,13 @@ type Flow struct {
 	settledAt float64 // accrual anchor: remaining/carried are exact as of this instant
 	finishAt  float64
 
-	net        *Net
-	comp       *component
-	fixedEpoch int64 // solve epoch that last pinned this flow's rate
+	net  *Net
+	comp *component
+	// fixedEpoch is the epoch of the round that last pinned this flow's
+	// rate: a reference solve's epoch, or a component solve's round stamp,
+	// which also records the round and whether the flow ran at its cap
+	// (see solveComponent).
+	fixedEpoch int64
 
 	// Completion bookkeeping. due is the absolute time the flow drains at
 	// its current rate (+Inf when stalled), computed when the rate last
@@ -260,12 +303,12 @@ type Flow struct {
 	finished bool
 
 	// batch is the StartBatch that admitted the flow, which counts it
-	// off when it finishes.
+	// off when it finishes; nil once it has.
 	batch *Batch
 	// onDone, if set, is told synchronously at completion, before the
 	// batch's wait can end — used to deregister streams from capacity
 	// models so the post-completion rate recomputation sees the updated
-	// state.
+	// state. It is nil once told.
 	onDone DoneHook
 }
 
@@ -334,18 +377,19 @@ type Stats struct {
 	ComponentFlowsScanned int64
 	// LinkVisits is the number of link records examined across all passes:
 	// one per link the pass lists (each link its unfinished flows cross)
-	// at initialisation, then one per still-live link in every scan
-	// round's share-and-saturation pass, and one per heap entry the
+	// at initialisation, then one per still-live link in every executed
+	// scan round's share-and-saturation pass, and one per heap entry the
 	// saturation walk reads in every round a long solve finishes from its
 	// link-share heap (the reference solver scans every link of the
-	// network twice per round instead).
+	// network twice per round instead). Replayed rounds visit no link.
 	LinkVisits int64
 	// Coalesced is the number of recompute requests absorbed by an
 	// already-pending solve event.
 	Coalesced int64
-	// Rounds is the number of rate-fixing rounds across all passes.
+	// Rounds is the number of rate-fixing rounds the passes executed. A
+	// resumed solve's replayed rounds are ReplayedRounds, not Rounds.
 	Rounds int64
-	// FlowsScanned is the number of flow records examined across
+	// FlowsScanned is the number of flow records examined across executed
 	// rate-fixing rounds. The incremental solver examines only the flows it
 	// may fix: the saturated links' flow-index entries and the capped flows
 	// its cursor passes, so a solve examines each flow about once per
@@ -370,8 +414,8 @@ type Stats struct {
 	// ShareHeapOps is the number of link-share heap element operations in
 	// solves long enough to switch from scanning to the heap: one per live
 	// link when the heap is built, then one per re-key or removal of a link
-	// whose share the previous round's fixes moved. Zero for solves that
-	// finish within the scan rounds, and in reference mode.
+	// whose share the previous executed round's fixes moved. Zero for
+	// solves that finish within the scan rounds, and in reference mode.
 	ShareHeapOps int64
 	// CappedSorted is the number of capped flows put through a full sort:
 	// a solve sorts its component's capped flows only after a merge, or
@@ -379,6 +423,14 @@ type Stats struct {
 	// and then counts the component's whole capped population. Zero in
 	// reference mode, which sorts each round's capped batch instead.
 	CappedSorted int64
+	// ResumedSolves is the number of component solves that replayed a
+	// prefix of their component's last solve instead of filling from
+	// round 0: solves after departures and capacity rises only (see
+	// solveComponent). Zero in reference mode.
+	ResumedSolves int64
+	// ReplayedRounds is the number of rounds those solves replayed from
+	// the last solve's records; Rounds counts the rounds they executed.
+	ReplayedRounds int64
 }
 
 // Add folds o's counters into s: the work of several simulations, each
@@ -395,6 +447,8 @@ func (s *Stats) Add(o Stats) {
 	s.HeapOps += o.HeapOps
 	s.ShareHeapOps += o.ShareHeapOps
 	s.CappedSorted += o.CappedSorted
+	s.ResumedSolves += o.ResumedSolves
+	s.ReplayedRounds += o.ReplayedRounds
 }
 
 // DoneHook is told when a flow drains, synchronously and before the
@@ -461,7 +515,7 @@ type Net struct {
 	heapLinks     int
 	solvedScratch []*component
 	stats         Stats
-	solveEpoch    int64 // stamp of the latest solve; never reused
+	solveEpoch    int64 // the latest epoch a solve stamped; never reused (a component solve stamps one per round kind)
 
 	completions compHeap    // active flows ordered by (due, seq); incremental mode only
 	dueChanged  []dueChange // completion keys moved by the in-progress flush
@@ -493,6 +547,12 @@ type solveCtx struct {
 	// solveComponent).
 	shares  shareHeap
 	touched []int32
+
+	// byRound is a resumed solve's counting sort of the flows it replays,
+	// offsets then positions: with k the resume round, off = byRound[:k+1]
+	// and at = byRound[k+1:], at[off[r]:off[r+1]] are the positions in
+	// c.flows of the flows round r fixed, in admission order.
+	byRound []int32
 }
 
 // slotState is one link's progressive-filling state in a component solve.
@@ -513,9 +573,9 @@ func (st *slotState) share() float64 {
 }
 
 // defaultHeapRounds and defaultHeapLinks are the switch rule from
-// scanning to the link-share heap: a component solve that has made
-// defaultHeapRounds rounds by scanning its live links, and still has at
-// least defaultHeapLinks of them, builds the heap and finishes from it.
+// scanning to the link-share heap: a component solve that has reached
+// round defaultHeapRounds, replayed rounds included, and still has at
+// least defaultHeapLinks live links, builds the heap and finishes from it.
 // Most solves fix every flow within a handful of rounds, where one pass
 // over the live list beats building and keeping a heap. A solve still
 // running after that many rounds is in the one-round-per-share-level
@@ -720,6 +780,11 @@ func (n *Net) UseReferenceSolver(on bool) {
 	}
 	n.completions = n.completions[:0]
 	if !on {
+		// Reference solves overwrote the rates and stamps a component
+		// solve replays, so every component restarts from round 0.
+		for _, c := range n.comps {
+			c.resume = 0
+		}
 		// Completion keys are maintained in both modes (fix updates due on
 		// every rate change), so the heap rebuilds directly from them.
 		for _, f := range n.activeFlows {
@@ -813,8 +878,6 @@ func (n *Net) admit(b *Batch, sp *FlowSpec) *Flow {
 		started:   n.eng.Now(),
 		settledAt: n.eng.Now(),
 		net:       n,
-		batch:     b,
-		onDone:    sp.OnDone,
 		due:       math.Inf(1),
 		heapIdx:   -1,
 		seq:       n.flowSeq,
@@ -822,8 +885,8 @@ func (n *Net) admit(b *Batch, sp *FlowSpec) *Flow {
 	if sp.SizeMB <= epsilonMB {
 		f.finished = true
 		f.finishAt = n.eng.Now()
-		if f.onDone != nil {
-			f.onDone.FlowDone()
+		if sp.OnDone != nil {
+			sp.OnDone.FlowDone()
 		}
 		if n.observer != nil {
 			n.observer.FlowStarted(f)
@@ -834,6 +897,7 @@ func (n *Net) admit(b *Batch, sp *FlowSpec) *Flow {
 	if len(sp.Path) == 0 && sp.MaxRate <= 0 {
 		panic(fmt.Sprintf("flow: %q has no path and no rate cap; would complete instantaneously", sp.Name))
 	}
+	f.batch, f.onDone = b, sp.OnDone
 	b.left++
 	n.activeFlows = append(n.activeFlows, f)
 	n.activeCount++
@@ -880,6 +944,7 @@ func (n *Net) attach(f *Flow) {
 	}
 	f.comp = target
 	target.flows = append(target.flows, f) // f.seq is the largest: order kept
+	target.resume = 0                      // a joining flow perturbs every round
 	if f.maxRate > 0 && target.sorted {
 		// f's seq is the largest too, so a cap no lower than the last
 		// kept one extends the order; a lower one leaves it to a sort.
@@ -1179,8 +1244,8 @@ func (n *Net) Recompute() {
 //
 // A solve lists its own links: the pass that counts the component's
 // unfinished flows in admission order gives each link the next slot the
-// first time one of its flows crosses it, stamping it with the solve
-// epoch, and reads its capacity into the slot's state (solveCtx.slots).
+// first time one of its flows crosses it, stamping it with the solve's
+// base epoch, and reads its capacity into the slot's state (solveCtx.slots).
 // The rounds then read and write slot state only. A round costs the
 // still-live links plus the flows it fixes. The initialisation pass
 // builds a per-link flow index (solveCtx.idx) and a live-link list; each
@@ -1202,17 +1267,49 @@ func (n *Net) Recompute() {
 // fixes them in (see sortCapped), so the residual arithmetic is
 // bit-identical to the reference solver's monolithic pass restricted to
 // this component.
+//
+// A solve resumes from the component's last one, whose records it keeps.
+// Each flow's fixedEpoch stamps the round that fixed it: base+2r for
+// round r, one more when r was a capped round. Each link's satRound is the
+// first round whose saturated set held it, capped rounds included, and
+// its capRead is the capacity it read. The next solve runs progressive
+// filling only from the resume round, the earliest first-saturation round
+// of any perturbed link: the links of a flow that departed (retire lowers
+// component.resume) and every link whose capacity reads differently now,
+// which covers SetModel and models changed in place. It replays the
+// rounds before that from the records (replay), round by round in the
+// recorded order, so every link's residual receives the same subtractions
+// in the same order as in a solve from round 0, and the round count goes
+// on from the resume round. A flow that joined (attach), a capped order
+// that needs a re-sort, or a capacity that fell or cannot be compared
+// makes the resume round 0: a solve from scratch is the same code with
+// nothing replayed.
+//
+// The replay is exact. Before the resume round, a perturbed link's share
+// is at least its share in the last solve: its capacity is not lower, its
+// residual is not lower (it lost subtractions, and rounding is
+// monotone), and it has no more unfixed flows. That share was above the
+// round's saturation limit, since the link first saturated later. A link
+// that is not perturbed has the same capacity, flows and fixes. So each
+// replayed round has the same minimum bits, the same saturated set and the
+// same capped batch, minus departed flows. A capped round whose whole
+// batch departed replays as no fixes: its caps crossed only perturbed
+// links, so the next round's minimum and saturated set are the ones a
+// solve from round 0 finds in its place. A link keeps a first-saturation
+// round below the resume round; every other link's is recorded again.
+//
 // Reference mode shares none of this machinery (assignRatesReference): it
-// is the oracle, so a defect in the component, live-list or index
+// is the oracle, so a defect in the component, live-list, index or replay
 // bookkeeping cannot cancel out of the inc-vs-ref property tests.
 func (n *Net) solveComponent(c *component) {
 	ctx := &n.ctx
-	n.solveEpoch++
-	epoch := n.solveEpoch
+	base := n.solveEpoch + 1
 	n.stats.ComponentsSolved++
+	resume := c.resume
 	resort := !c.sorted
 	if resort {
 		c.capped = c.capped[:0]
+		resume = 0
 	} else {
 		c.capped = slices.DeleteFunc(c.capped, (*Flow).Finished)
 	}
@@ -1233,10 +1330,21 @@ func (n *Net) solveComponent(c *component) {
 			c.capped = append(c.capped, f) // grows to the component's peak capped population, then reuses capacity
 		}
 		for _, l := range f.path {
-			if l.listed != epoch {
-				l.listed = epoch
+			if l.listed != base {
+				l.listed = base
 				l.slot = int32(len(slots))
-				slots = append(slots, slotState{residual: l.model.Capacity(l.active)})
+				capacity := l.model.Capacity(int(l.active))
+				if math.Float64bits(capacity) != math.Float64bits(l.capRead) {
+					// A risen capacity perturbs the rounds from the link's
+					// first saturation on; a fallen or NaN one, every round.
+					if capacity > l.capRead {
+						resume = min(resume, l.satRound)
+					} else {
+						resume = 0
+					}
+					l.capRead = capacity
+				}
+				slots = append(slots, slotState{residual: capacity})
 				off = append(off, 0)
 			}
 			off[l.slot]++
@@ -1271,17 +1379,29 @@ func (n *Net) solveComponent(c *component) {
 		for _, l := range f.path {
 			off[l.slot]--
 			at[off[l.slot]] = int32(p)
+			if l.satRound >= resume {
+				l.satRound = noRound
+			}
 		}
 	}
 	next := 0 // every capped flow before next is fixed
+	if resume > 0 {
+		n.stats.ResumedSolves++
+		n.stats.ReplayedRounds += int64(resume)
+		var fixed int
+		fixed, next = ctx.replay(c, resume, base)
+		left -= fixed
+	}
 
 	cand := ctx.cand[:0]
 	heaped := false
-	for round := 0; left > 0; round++ {
+	round := resume
+	for ; left > 0; round++ {
 		n.stats.Rounds++
+		stamp := base + 2*int64(round)
 		minShare, limit := math.Inf(1), math.Inf(1)
 		cand = cand[:0]
-		if !heaped && round >= n.heapRounds && len(live) >= n.heapLinks {
+		if !heaped && int(round) >= n.heapRounds && len(live) >= n.heapLinks {
 			n.stats.ShareHeapOps += ctx.buildShares(live)
 			heaped = true
 		}
@@ -1330,6 +1450,25 @@ func (n *Net) solveComponent(c *component) {
 			}
 			live = live[:w]
 		}
+		// Keep the saturated set, the candidates within the final limit,
+		// and record each member's first saturation. A capped round's set
+		// counts too: its minimum decided which capped flows it fixed. A
+		// slot's link is on the path of the first flow of its index bucket.
+		w := 0
+		for _, s := range cand {
+			if s.share > limit {
+				continue
+			}
+			cand[w] = s
+			w++
+			for _, l := range c.flows[at[off[s.slot]]].path {
+				if l.slot == s.slot {
+					l.satRound = min(l.satRound, round)
+					break
+				}
+			}
+		}
+		cand = cand[:w]
 		// Fix rate-capped flows whose cap is at or below the share. Every
 		// capped flow the cursor has passed is fixed, so the batch is
 		// exactly the unfixed capped flows with maxRate <= minShare.
@@ -1338,8 +1477,8 @@ func (n *Net) solveComponent(c *component) {
 			f := capped[next]
 			next++
 			n.stats.FlowsScanned++
-			if f.fixedEpoch != epoch {
-				ctx.fix(f, f.maxRate, epoch, heaped)
+			if f.fixedEpoch < base {
+				ctx.fix(f, f.maxRate, stamp+1, heaped)
 				left--
 			}
 		}
@@ -1354,14 +1493,11 @@ func (n *Net) solveComponent(c *component) {
 		}
 		// Saturate bottleneck links and fix their flows at the fair share.
 		for _, s := range cand {
-			if s.share > limit {
-				continue
-			}
 			ps := at[off[s.slot]:off[s.slot+1]]
 			n.stats.FlowsScanned += int64(len(ps))
 			for _, p := range ps {
-				if f := c.flows[p]; f.fixedEpoch != epoch {
-					ctx.fix(f, minShare, epoch, heaped)
+				if f := c.flows[p]; f.fixedEpoch < base {
+					ctx.fix(f, minShare, stamp, heaped)
 					left--
 				}
 			}
@@ -1370,6 +1506,8 @@ func (n *Net) solveComponent(c *component) {
 			panic("flow: progressive filling made no progress")
 		}
 	}
+	c.base, c.resume = base, round
+	n.solveEpoch = base + 2*int64(round)
 	ctx.touched = ctx.touched[:0]
 	ctx.shares.at = ctx.shares.at[:0]
 	ctx.cand = cand[:0]
@@ -1377,7 +1515,71 @@ func (n *Net) solveComponent(c *component) {
 	ctx.idx = idx[:0]
 }
 
-// fix pins a flow's rate for the component solve identified by epoch and
+// replay re-applies the fixes the component's last solve made in the
+// rounds before resume, stamped as this solve's rounds (base), and returns
+// how many flows it fixed and where it leaves the capped-list cursor. A
+// counting sort of the unfinished flows' positions by recorded round
+// (solveCtx.byRound) yields each round's flows in admission order: a
+// bottleneck round's all took its minimum share, so they are fixed at
+// their recorded rates in that order. A capped round's caps differ, so its
+// flows are fixed as its cursor fixed them: the cursor walks the capped
+// list past flows already fixed and fixes those of the round at their
+// caps, up to the first flow a later round fixed. Departed flows are
+// simply absent. The caller sizes the slot state and the index first.
+func (ctx *solveCtx) replay(c *component, resume int32, base int64) (fixed, next int) {
+	k := int(resume)
+	byRound := slices.Grow(ctx.byRound[:0], k+1+len(c.flows))[:k]
+	clear(byRound)
+	for _, f := range c.flows {
+		if r := (f.fixedEpoch - c.base) >> 1; !f.finished && r < int64(k) {
+			byRound[r]++
+		}
+	}
+	end := int32(0)
+	for r, m := range byRound {
+		end += m
+		byRound[r] = end
+	}
+	byRound = append(byRound, end)[:k+1+int(end)]
+	at := byRound[k+1:]
+	for p := len(c.flows) - 1; p >= 0; p-- {
+		f := c.flows[p]
+		if r := (f.fixedEpoch - c.base) >> 1; !f.finished && r < int64(k) {
+			byRound[r]--
+			at[byRound[r]] = int32(p)
+		}
+	}
+	for r := range k {
+		flows := at[byRound[r]:byRound[r+1]]
+		if len(flows) == 0 {
+			continue // a capped round whose batch departed
+		}
+		stamp := base + 2*int64(r)
+		if (c.flows[flows[0]].fixedEpoch-c.base)&1 == 0 {
+			for _, p := range flows {
+				f := c.flows[p]
+				ctx.fix(f, f.rate, stamp, false)
+			}
+			fixed += len(flows)
+			continue
+		}
+		for ; next < len(c.capped); next++ {
+			f := c.capped[next]
+			if f.fixedEpoch >= base {
+				continue // replayed already
+			}
+			if (f.fixedEpoch-c.base)>>1 != int64(r) {
+				break
+			}
+			ctx.fix(f, f.maxRate, stamp+1, false)
+			fixed++
+		}
+	}
+	ctx.byRound = byRound[:0]
+	return fixed, next
+}
+
+// fix pins a flow's rate for the component-solve round stamped epoch and
 // charges it against its links' slots, queueing each link for a share
 // re-key once the solve runs from its heap; fixFlow, which the reference
 // solver calls, documents the accounting contract.
@@ -1571,7 +1773,7 @@ func (n *Net) assignRatesReference() {
 	n.stats.ComponentFlowsScanned += int64(n.activeCount)
 	n.stats.LinkVisits += int64(len(links))
 	for _, l := range links {
-		l.residual = l.model.Capacity(l.active)
+		l.residual = l.model.Capacity(int(l.active))
 		l.unfixed = 0
 		l.saturated = false
 	}
@@ -1815,9 +2017,12 @@ func (n *Net) onCompletion() {
 		n.retire(f)
 	}
 	n.compactActive()
+	// A drained flow lets go of its hook and its batch once told, so a
+	// finished flow that lingers in a list keeps neither alive.
 	for _, f := range done {
 		if f.onDone != nil {
 			f.onDone.FlowDone()
+			f.onDone = nil
 		}
 	}
 	if n.observer != nil {
@@ -1827,6 +2032,7 @@ func (n *Net) onCompletion() {
 	}
 	for _, f := range done {
 		f.batch.finish()
+		f.batch = nil
 	}
 	// retire queued each touched component for a re-solve, which armed the
 	// coalesced flush event; reference mode additionally re-solves the
@@ -1842,14 +2048,16 @@ func (n *Net) onCompletion() {
 
 // retire removes a drained flow from its links and the active set, and
 // queues its component for a re-solve, or, when the flow was its last,
-// retires the component too. The flow stays in its component's list until
-// finished flows are half of it. The flow has left the completion heap
-// already: onCompletion popped it, or, in reference mode, it was never in
-// it.
+// retires the component too. The flow's links are perturbed, so the
+// re-solve runs from the first round that saturated one of them (see
+// solveComponent). The flow stays in its component's list until finished
+// flows are half of it. The flow has left the completion heap already:
+// onCompletion popped it, or, in reference mode, it was never in it.
 func (n *Net) retire(f *Flow) {
 	c := f.comp
 	f.comp = nil
 	for _, l := range f.path {
+		c.resume = min(c.resume, l.satRound)
 		l.active--
 		if l.active == 0 {
 			n.activeLinkCount--
@@ -1938,7 +2146,7 @@ func (n *Net) CheckInvariants() error {
 	}
 	activeLinks := 0
 	for _, l := range n.links {
-		cap := l.model.Capacity(l.active)
+		cap := l.model.Capacity(int(l.active))
 		if load := loads[l]; load > float64(cap*(1+1e-6))+1e-9 {
 			return fmt.Errorf("flow: link %q oversubscribed: %v > %v", l.Name(), load, cap)
 		}
@@ -1999,7 +2207,7 @@ func (n *Net) CheckMaxMin() error {
 		bottleneck := false
 		for _, l := range f.path {
 			ll := loads[l]
-			capacity := l.model.Capacity(l.active)
+			capacity := l.model.Capacity(int(l.active))
 			if ll.sum >= float64(capacity*(1-maxMinTol))-maxMinTol && ll.max <= float64(f.rate*(1+maxMinTol))+maxMinTol {
 				bottleneck = true
 				break

@@ -125,7 +125,11 @@ func decodeSolverInput(data []byte) ([]linkTmpl, []solverOp) {
 // capped order stale.
 // In batch-chain, a flow is chained on a batch of three whose flows drain
 // at distinct instants, so the chain runs only when the last of them
-// does.
+// does. The resume-* seeds pin the cases of a solve that resumes from its
+// component's last one: a capped flow alone in its capped round departs
+// (resume-capped-alone), a capacity falls (resume-capacity-drop) or rises
+// (resume-capacity-rise) between departures, and two flows depart at one
+// instant (resume-two-departures).
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo, ops := decodeSolverInput(data)
@@ -152,12 +156,13 @@ func seedInput(t *testing.T, name string) ([]linkTmpl, []solverOp) {
 }
 
 // TestFuzzSolverManyRoundsSeed keeps the many-rounds seed doing its job:
-// its solves average at least 10 rounds, so under the shipped switch rule
-// they outlast the scan rounds and finish from the link-share heap.
+// its solves average at least 10 rounds, executed or replayed, and under
+// the shipped switch rule some outlast the scan rounds and finish from the
+// link-share heap.
 func TestFuzzSolverManyRoundsSeed(t *testing.T) {
 	topo, ops := seedInput(t, "many-rounds")
 	s := matchesReference(t, ops, topo)[0].Stats()
-	if s.ShareHeapOps == 0 || s.Rounds < 10*s.ComponentsSolved {
+	if s.ShareHeapOps == 0 || s.Rounds+s.ReplayedRounds < 10*s.ComponentsSolved {
 		t.Errorf("many-rounds seed averages under 10 rounds per solve or never reaches the heap: %+v", s)
 	}
 }
@@ -223,5 +228,145 @@ func TestFuzzSolverReMergeSeed(t *testing.T) {
 	if !(0 < low.maxRate && low.maxRate < f1.maxRate && f0.maxRate < f1.maxRate) {
 		t.Errorf("re-merge seed: caps %v, %v and %v, want the late one below the last kept, %v",
 			f0.maxRate, f1.maxRate, low.maxRate, f1.maxRate)
+	}
+}
+
+// solveStep is one event of a default-mode replay that solved components:
+// its instant, the component solves it made and how many of them resumed
+// from their component's last solve.
+type solveStep struct {
+	at              float64
+	solved, resumed int64
+}
+
+// solveSteps replays a schedule in the default mode and lists its events
+// that solved components, in order.
+func solveSteps(t *testing.T, ops []solverOp, topo []linkTmpl) []solveStep {
+	t.Helper()
+	_, _, n := schedule(t, ops, topo, defaultMode)
+	var steps []solveStep
+	last := n.Stats()
+	n.eng.SetPoll(1, func() {
+		s := n.Stats()
+		if d := s.ComponentsSolved - last.ComponentsSolved; d > 0 {
+			steps = append(steps, solveStep{n.eng.Now(), d, s.ResumedSolves - last.ResumedSolves})
+		}
+		last = s
+	})
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return steps
+}
+
+// stepAt returns the solving event of steps at instant at, if any: the
+// last departure of a component solves nothing.
+func stepAt(steps []solveStep, at float64) (solveStep, bool) {
+	for _, s := range steps {
+		if s.at == at {
+			return s, true
+		}
+	}
+	return solveStep{}, false
+}
+
+// TestFuzzSolverResumeCappedAloneSeed keeps the resume-capped-alone seed
+// doing its job. Three bridges cross a 15 MB/s link l0 and a 100 MB/s
+// link l1, and four flows cross l1: b0_3 and b0_4, capped below l0's share
+// and admitted in descending cap order, b0_5, capped as the bridge b0_2
+// is and drained first, and the uncapped b0_6. The first solve fixes
+// b0_4 and b0_3 in one capped round, then the bridges at l0's share, then
+// b0_5 alone in its capped round. The solve at b0_5's departure resumes,
+// replaying the capped round, and l1's residual then sets b0_6's rate, so
+// a replay that fixed that round in admission order moves its last bits.
+func TestFuzzSolverResumeCappedAloneSeed(t *testing.T) {
+	topo, ops := seedInput(t, "resume-capped-alone")
+	matchesReference(t, ops, topo)
+	flows, _, _ := replay(t, ops, topo, defaultMode)
+	if len(flows) != 7 {
+		t.Fatalf("resume-capped-alone seed admits %d flows, want 7", len(flows))
+	}
+	bridge, high, low, alone := flows[2], flows[3], flows[4], flows[5]
+	if !(0 < low.maxRate && low.maxRate < high.maxRate && high.maxRate < topo[0].mbs/3 &&
+		alone.maxRate == bridge.maxRate && bridge.maxRate > topo[0].mbs/3) {
+		t.Errorf("resume-capped-alone seed: caps %v, %v, %v and %v against l0's share %v: want the first two below it in descending order, the last two equal and above it",
+			high.maxRate, low.maxRate, alone.maxRate, bridge.maxRate, topo[0].mbs/3)
+	}
+	for _, f := range flows {
+		if f != alone && f.FinishedAt() <= alone.FinishedAt() {
+			t.Errorf("resume-capped-alone seed: %s drains at %v, not after %s at %v", f.Name(), f.FinishedAt(), alone.Name(), alone.FinishedAt())
+		}
+	}
+	if s, ok := stepAt(solveSteps(t, ops, topo), alone.FinishedAt()); !ok || s.resumed != s.solved {
+		t.Errorf("resume-capped-alone seed: the solve at %s's departure does not resume: %+v", alone.Name(), s)
+	}
+}
+
+// capacitySeed checks a seed of six flows over a 20 MB/s link l0 and a
+// 200 MB/s link l1, joined by a bridge: a lazy capacity change of l1
+// comes between departures, and the solves at departures resume, while
+// the one at the change resumes exactly when the change raises l1.
+func capacitySeed(t *testing.T, name string, rise bool) {
+	topo, ops := seedInput(t, name)
+	matchesReference(t, ops, topo)
+	var change solverOp
+	for _, op := range ops {
+		if op.kind == opCapLazy {
+			change = op
+		}
+	}
+	if change.kind != opCapLazy || change.link != 1 || (change.mbs > topo[1].mbs) != rise {
+		t.Fatalf("%s seed: capacity change %+v of l1 (%v MB/s), want a lazy one that rises: %v", name, change, topo[1].mbs, rise)
+	}
+	flows, _, _ := replay(t, ops, topo, defaultMode)
+	steps := solveSteps(t, ops, topo)
+	before, after := false, false
+	for _, f := range flows {
+		if s, ok := stepAt(steps, f.FinishedAt()); ok && s.resumed == s.solved {
+			before = before || f.FinishedAt() < change.at
+			after = after || f.FinishedAt() > change.at
+		}
+	}
+	if !before || !after {
+		t.Errorf("%s seed: a departure's solve resumes before the change at t=%v: %v, and after it: %v", name, change.at, before, after)
+	}
+	if s, ok := stepAt(steps, change.at); !ok || (s.resumed == s.solved) != rise {
+		t.Errorf("%s seed: the solve at the change resumes: %v, want %v: %+v", name, s.resumed == s.solved, rise, s)
+	}
+}
+
+// TestFuzzSolverResumeCapacityDropSeed keeps the resume-capacity-drop seed
+// doing its job: l1 falls from 200 to 5 MB/s between two departures, so
+// the solve at the drop runs from round 0, where a replay of the rounds
+// before l1 last saturated would charge l1 more than it now has.
+func TestFuzzSolverResumeCapacityDropSeed(t *testing.T) {
+	capacitySeed(t, "resume-capacity-drop", false)
+}
+
+// TestFuzzSolverResumeCapacityRiseSeed keeps the resume-capacity-rise seed
+// doing its job: l1 rises from 200 to 400 MB/s between two departures, and
+// the solve at the rise resumes from the round l1 first saturated in.
+func TestFuzzSolverResumeCapacityRiseSeed(t *testing.T) {
+	capacitySeed(t, "resume-capacity-rise", true)
+}
+
+// TestFuzzSolverResumeTwoDeparturesSeed keeps the resume-two-departures
+// seed doing its job: two equal flows on l1 drain at one instant, and the
+// one solve there resumes from the earlier first saturation of their
+// links.
+func TestFuzzSolverResumeTwoDeparturesSeed(t *testing.T) {
+	topo, ops := seedInput(t, "resume-two-departures")
+	matchesReference(t, ops, topo)
+	flows, _, _ := replay(t, ops, topo, defaultMode)
+	at := map[float64]int{}
+	for _, f := range flows {
+		at[f.FinishedAt()]++
+	}
+	first := flows[len(flows)-1].FinishedAt()
+	if at[first] != 2 {
+		t.Fatalf("resume-two-departures seed: %d flows drain with %s at %v, want 2", at[first], flows[len(flows)-1].Name(), first)
+	}
+	if s, ok := stepAt(solveSteps(t, ops, topo), first); !ok || s.solved != 1 || s.resumed != 1 {
+		t.Errorf("resume-two-departures seed: the solve at the two departures: %+v, want one that resumes", s)
 	}
 }

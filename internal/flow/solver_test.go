@@ -196,6 +196,17 @@ var incModes = []solverMode{defaultMode, scanOnlyMode, heapMode}
 // after the flush that follows every admission and completion.
 func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*Flow, []*Link, *Net) {
 	t.Helper()
+	log, links, n := schedule(t, ops, topo, mode)
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return log.flows, links, n
+}
+
+// schedule is replay up to the run: it builds the net and the links, and
+// schedules the ops and the checks on the net's engine.
+func schedule(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) (*flowLog, []*Link, *Net) {
+	t.Helper()
 	e := sim.NewEngine()
 	n := NewNet(e)
 	n.UseReferenceSolver(mode.reference)
@@ -298,10 +309,7 @@ func replay(t *testing.T, ops []solverOp, topo []linkTmpl, mode solverMode) ([]*
 			})
 		}
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return log.flows, links, n
+	return log, links, n
 }
 
 // sameTrajectories fails unless two replays of one schedule agree bit for

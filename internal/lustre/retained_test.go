@@ -15,8 +15,9 @@ import (
 // system does not grow with its repetitions. Run at 2 and at 4
 // repetitions, each access pattern ends with as many links in the net
 // (a communicator reuses its aggregators' links for every file opened on
-// it) and as much room in the metadata server's create queue and the
-// OSTs' job lists, which grow to their peak depth once. The platform has
+// it) and as much room in the metadata server's create queue, the OSTs'
+// job lists and the thrash table's rows, which grow to their peak depth
+// once. The platform has
 // two OSTs, which every file stripes over, so each repetition loads them
 // alike however its layouts are drawn.
 func TestRetainedStateBoundedByRepetitions(t *testing.T) {
@@ -53,13 +54,13 @@ func TestRetainedStateBoundedByRepetitions(t *testing.T) {
 		}
 		links2, entries2 := retained(2)
 		links4, entries4 := retained(4)
-		t.Logf("%s: %d links and %d queue and list entries after 2 repetitions, %d and %d after 4",
+		t.Logf("%s: %d links and %d queue, list and row entries after 2 repetitions, %d and %d after 4",
 			in.name, links2, entries2, links4, entries4)
 		if links4 != links2 {
 			t.Errorf("%s: the net holds %d links after 2 repetitions and %d after 4", in.name, links2, links4)
 		}
 		if entries4 != entries2 {
-			t.Errorf("%s: the MDS queue and OST job lists keep room for %d entries after 2 repetitions and %d after 4",
+			t.Errorf("%s: the MDS queue, OST job lists and thrash rows keep room for %d entries after 2 repetitions and %d after 4",
 				in.name, entries2, entries4)
 		}
 	}
